@@ -127,6 +127,9 @@ fn usage() -> ExitCode {
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--checkpoint dir/] [--checkpoint-every N] [--resume]\n\
          \x20          [--stop-after-iter N] [--db store.db] [--record]\n\
+         \x20          (--speculate K prefetches K candidates per iteration; 0, the\n\
+         \x20           default, is min(worker threads, CPUs); results are identical\n\
+         \x20           for every K)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db] [--record]\n\
@@ -1199,12 +1202,16 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         return Err("--checkpoint-every must be at least 1".into());
     }
     // Speculative batch width: `--speculate 0` (the default) means "one
-    // candidate per worker thread", which degrades to sequential on one
-    // thread. Any k produces byte-identical results; k only affects how
-    // much simulator work runs ahead of demand.
+    // candidate per worker thread that has a CPU to run on", which degrades
+    // to sequential on one thread or one CPU: lookahead beyond the
+    // machine's parallelism only queues simulator runs most of which are
+    // never demanded. An explicit K is taken as given. Any k produces
+    // byte-identical results; k only affects how much simulator work runs
+    // ahead of demand.
     let speculate: usize = parse_flag(rest, "--speculate")?.unwrap_or(0);
     let speculative_batch = if speculate == 0 {
-        autoblox::parallel::max_threads()
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        autoblox::parallel::max_threads().min(cpus)
     } else {
         speculate
     };

@@ -161,7 +161,8 @@ pub struct SimAggregate {
 }
 
 impl SimAggregate {
-    fn absorb(&mut self, r: &SimReport) {
+    /// Adds one simulator run's report to the aggregate.
+    pub fn absorb(&mut self, r: &SimReport) {
         self.runs += 1;
         self.flash_reads += r.read_breakdown.flash_reads;
         self.flash_programs += r.flash.programs + r.flash.migrated_pages;
@@ -551,12 +552,13 @@ impl Validator {
         }
         let mut sim = Simulator::new(cfg.clone());
         sim.warm_up(self.opts.warm_fill);
+        // Both replays start from the same warmed device: build and warm it
+        // once, and hand the saturated replay a copy.
+        let mut sat_sim = sim.clone();
         let report = SCRATCH.with(|s| sim.run_scratch(trace, &mut s.borrow_mut()));
         let mut m = Measurement::from_report(&report);
         // Saturated replay: throughput capability.
         let saturated = self.saturated_for(trace);
-        let mut sat_sim = Simulator::new(cfg.clone());
-        sat_sim.warm_up(self.opts.warm_fill);
         let sat_report = SCRATCH.with(|s| sat_sim.run_scratch(&saturated, &mut s.borrow_mut()));
         // Sustained throughput includes draining the write-back cache.
         let drained_ns = sat_sim.drain(sat_report.makespan_ns).max(1);
@@ -706,6 +708,38 @@ mod tests {
             trace_events: 400,
             ..Default::default()
         })
+    }
+
+    /// What `simulate_core` did before it warmed one device and cloned it:
+    /// two simulators, each built and warmed on its own.
+    fn two_simulator_reference(v: &Validator, cfg: &SsdConfig, trace: &Trace) -> Measurement {
+        let mut sim = Simulator::new(cfg.clone());
+        sim.warm_up(v.opts.warm_fill);
+        let mut m = Measurement::from_report(&sim.run(trace));
+        let mut sat_sim = Simulator::new(cfg.clone());
+        sat_sim.warm_up(v.opts.warm_fill);
+        let sat = sat_sim.run(&v.saturated_for(trace));
+        let drained_ns = sat_sim.drain(sat.makespan_ns).max(1);
+        m.throughput_bps = (sat.host_bytes as f64 / (drained_ns as f64 / 1e9)).max(1.0);
+        m
+    }
+
+    /// The telemetry-on half (both `SimReport`s, device series included) is
+    /// `warm_once_reports_match_independent_simulators` in
+    /// `tests/telemetry.rs`: unit tests never flip the process-wide switch.
+    #[test]
+    fn warm_once_clone_matches_two_independent_simulators() {
+        use ssdsim::config::presets;
+        let v = quick();
+        for cfg in [presets::intel_750(), presets::hybrid_slc_qlc()] {
+            // FIU is write-heavy, so the hybrid cache tier and the final
+            // drain both have work to do.
+            for kind in [WorkloadKind::Database, WorkloadKind::Fiu] {
+                let trace = v.trace_for(kind);
+                let (m, _) = v.simulate_core(&cfg, &trace);
+                assert_eq!(m, two_simulator_reference(&v, &cfg, &trace), "{kind:?}");
+            }
+        }
     }
 
     #[test]

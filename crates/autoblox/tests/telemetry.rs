@@ -8,12 +8,15 @@
 
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
+use autoblox::metrics::Measurement;
 use autoblox::parallel;
 use autoblox::telemetry::{self, RunReport, TelemetrySink};
 use autoblox::tuner::{Tuner, TunerOptions};
-use autoblox::validator::{Validator, ValidatorOptions, ValidatorStats};
+use autoblox::validator::{SimAggregate, Validator, ValidatorOptions, ValidatorStats};
 use iotrace::gen::WorkloadKind;
+use iotrace::{Trace, TraceEvent};
 use ssdsim::config::{presets, SsdConfig};
+use ssdsim::{SimReport, Simulator};
 use std::sync::Mutex;
 // The standalone `telemetry` crate (span tracing) vs the `autoblox::telemetry`
 // module imported as `telemetry` above — disambiguate with a crate path.
@@ -130,6 +133,48 @@ fn disabled_sink_is_free() {
     // Always-exact fields still report: the evaluation did happen.
     assert_eq!(report.validator.simulator_runs, runs_after_work);
     assert_eq!(report.validator.shard_entries.iter().sum::<u64>(), 1);
+}
+
+/// A validation warms one simulator and replays the saturated trace on a
+/// clone of it. With telemetry on (device sampling active in both replays)
+/// the measurement and everything the validator absorbs from the two
+/// reports must equal what two independently built and warmed simulators
+/// produce, on a homogeneous and on a hybrid device.
+#[test]
+fn warm_once_reports_match_independent_simulators() {
+    let _guard = SWITCH_LOCK.lock().unwrap();
+    telemetry::set_enabled(true);
+    for cfg in [presets::intel_750(), presets::hybrid_slc_qlc()] {
+        let v = quick_validator(400);
+        let trace = v.trace_for(WorkloadKind::Fiu);
+        let measured = v.evaluate_trace(&cfg, &trace);
+
+        let replay = |trace: &Trace| -> (SimReport, u64) {
+            let mut sim = Simulator::new(cfg.clone());
+            sim.warm_up(v.options().warm_fill);
+            let report = sim.run(trace);
+            let drained_ns = sim.drain(report.makespan_ns).max(1);
+            (report, drained_ns)
+        };
+        let (timed, _) = replay(&trace);
+        let zeroed = trace
+            .events()
+            .iter()
+            .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
+        let (saturated, drained_ns) = replay(&Trace::from_events(trace.name(), zeroed.collect()));
+
+        let mut expected = Measurement::from_report(&timed);
+        expected.throughput_bps =
+            (saturated.host_bytes as f64 / (drained_ns as f64 / 1e9)).max(1.0);
+        assert_eq!(measured, expected);
+
+        let mut agg = SimAggregate::default();
+        agg.absorb(&timed);
+        agg.absorb(&saturated);
+        assert!(agg.device_samples > 0, "sampling was on in both replays");
+        assert_eq!(v.sim_aggregate(), agg);
+    }
+    telemetry::set_enabled(false);
 }
 
 /// A fully populated report — tuner records, validator stats, pool counters

@@ -50,7 +50,8 @@ struct Block {
     state: BlockState,
 }
 
-/// Per-plane flash bookkeeping: block states, valid counts, write pointer.
+/// Per-plane flash bookkeeping: write pointers and free-page counts (the
+/// plane's blocks live in [`FlashArray::blocks`]).
 ///
 /// On hybrid devices the first `slc_cache_blocks` blocks form the SLC-mode
 /// cache tier with its own active block and write pointer; `active`,
@@ -58,7 +59,6 @@ struct Block {
 /// is the whole plane on homogeneous devices).
 #[derive(Debug, Clone)]
 struct Plane {
-    blocks: Vec<Block>,
     active: u32,
     write_ptr: u32,
     free_pages: u64,
@@ -127,9 +127,12 @@ pub enum BackgroundOp {
 /// state garbage collection and wear leveling operate on. Timing is *not*
 /// modeled here — the array returns [`BackgroundOp`]s that the simulator
 /// charges to its resource timelines.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     planes: Vec<Plane>,
+    /// Every block of every plane in one allocation, indexed
+    /// `plane * blocks_per_plane + block`.
+    blocks: Vec<Block>,
     pages_per_block: u32,
     blocks_per_plane: u32,
     gc_threshold_pages: u64,
@@ -146,6 +149,11 @@ pub struct FlashArray {
     migration_policy: Option<MigrationPolicy>,
     /// Watermark: fold whenever cache free pages drop below this.
     migration_low_pages: u64,
+    /// `pseudo_location(cfg, lpn).plane_index(cfg)` for every value of
+    /// `splitmix64(lpn) % total_planes`. The four placement digits depend on
+    /// the hash only through that remainder, so a lookup pays one 64-bit
+    /// division where deriving the digits pays four.
+    pseudo_planes: Vec<u32>,
 }
 
 impl FlashArray {
@@ -161,14 +169,6 @@ impl FlashArray {
         let cache_pages = u64::from(slc_cache_blocks) * u64::from(cfg.pages_per_block);
         let capacity_pages = cfg.pages_per_plane() - cache_pages;
         let plane = Plane {
-            blocks: vec![
-                Block {
-                    valid: 0,
-                    erases: 0,
-                    state: BlockState::Free,
-                };
-                cfg.blocks_per_plane as usize
-            ],
             active: slc_cache_blocks,
             write_ptr: 0,
             free_pages: capacity_pages,
@@ -177,11 +177,18 @@ impl FlashArray {
             cache_write_ptr: 0,
             cache_free_pages: cache_pages,
         };
-        let mut planes = vec![plane; n_planes];
-        for p in &mut planes {
-            p.blocks[slc_cache_blocks as usize].state = BlockState::Active;
+        let mut blocks = vec![
+            Block {
+                valid: 0,
+                erases: 0,
+                state: BlockState::Free,
+            };
+            n_planes * cfg.blocks_per_plane as usize
+        ];
+        for plane_blocks in blocks.chunks_exact_mut(cfg.blocks_per_plane as usize) {
+            plane_blocks[slc_cache_blocks as usize].state = BlockState::Active;
             if slc_cache_blocks > 0 {
-                p.blocks[0].state = BlockState::Active;
+                plane_blocks[0].state = BlockState::Active;
             }
         }
         let gc_threshold_pages = (capacity_pages as f64 * cfg.gc_threshold).ceil() as u64;
@@ -198,8 +205,32 @@ impl FlashArray {
             } => (cache_pages as f64 * migration_threshold_pct / 100.0).ceil() as u64,
             crate::config::DeviceFamily::Homogeneous => 0,
         };
+        let dims = [
+            u64::from(cfg.channel_count),
+            u64::from(cfg.chips_per_channel),
+            u64::from(cfg.dies_per_chip),
+            u64::from(cfg.planes_per_die),
+        ];
+        let [channels, chips, dies, planes_per_die] = dims.map(|dim| dim as usize);
+        let mut pseudo_planes = vec![0u32; n_planes];
+        let mut plane_index = 0;
+        for channel in 0..channels {
+            for chip in 0..chips {
+                for die in 0..dies {
+                    for plane in 0..planes_per_die {
+                        // The remainder whose mixed-radix digits, least
+                        // significant first, are (channel, chip, die, plane).
+                        let remainder = channel + channels * (chip + chips * (die + dies * plane));
+                        pseudo_planes[remainder] = plane_index;
+                        plane_index += 1;
+                    }
+                }
+            }
+        }
         FlashArray {
-            planes,
+            pseudo_planes,
+            planes: vec![plane; n_planes],
+            blocks,
             pages_per_block: cfg.pages_per_block,
             blocks_per_plane: cfg.blocks_per_plane,
             gc_threshold_pages,
@@ -208,12 +239,7 @@ impl FlashArray {
             wl_threshold: cfg.static_wearleveling_threshold.max(1),
             stats: FlashStats::default(),
             stripe: 0,
-            dims: [
-                u64::from(cfg.channel_count),
-                u64::from(cfg.chips_per_channel),
-                u64::from(cfg.dies_per_chip),
-                u64::from(cfg.planes_per_die),
-            ],
+            dims,
             order: cfg.plane_allocation_scheme.order(),
             slc_cache_blocks,
             migration_policy,
@@ -229,6 +255,13 @@ impl FlashArray {
     /// Number of planes.
     pub fn plane_count(&self) -> usize {
         self.planes.len()
+    }
+
+    /// Flat plane index of [`pseudo_location`] for `lpn`: where a logical
+    /// page that was never written during simulation is taken to reside.
+    #[inline]
+    pub fn pseudo_plane(&self, lpn: u64) -> u32 {
+        self.pseudo_planes[(splitmix64(lpn) % self.pseudo_planes.len() as u64) as usize]
     }
 
     /// Free pages remaining in a plane's capacity tier (the whole plane on
@@ -255,14 +288,23 @@ impl FlashArray {
         self.slc_cache_blocks
     }
 
+    fn plane_blocks(&self, pidx: usize) -> &[Block] {
+        let n = self.blocks_per_plane as usize;
+        &self.blocks[pidx * n..(pidx + 1) * n]
+    }
+
+    fn plane_blocks_mut(&mut self, pidx: usize) -> &mut [Block] {
+        let n = self.blocks_per_plane as usize;
+        &mut self.blocks[pidx * n..(pidx + 1) * n]
+    }
+
     /// Valid pages currently stored in a plane, both tiers.
     ///
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
     pub fn valid_pages(&self, plane: u32) -> u64 {
-        self.planes[plane as usize]
-            .blocks
+        self.plane_blocks(plane as usize)
             .iter()
             .map(|b| u64::from(b.valid))
             .sum()
@@ -289,10 +331,11 @@ impl FlashArray {
         let cache = self.slc_cache_blocks as usize;
         // Warm-up data is cold by definition: it lives in the capacity tier.
         let tier_blocks = self.blocks_per_plane - self.slc_cache_blocks;
-        for (pi, plane) in self.planes.iter_mut().enumerate() {
+        let plane_blocks = self.blocks.chunks_exact_mut(self.blocks_per_plane as usize);
+        for (pi, (plane, blocks)) in self.planes.iter_mut().zip(plane_blocks).enumerate() {
             let target_blocks = (fill * f64::from(tier_blocks)).floor() as usize;
             let mut filled = 0u64;
-            for (bi, b) in plane.blocks.iter_mut().enumerate().skip(cache) {
+            for (bi, b) in blocks.iter_mut().enumerate().skip(cache) {
                 if bi - cache >= target_blocks || b.state != BlockState::Free {
                     continue;
                 }
@@ -365,8 +408,8 @@ impl FlashArray {
         let block = plane_ref.cache_active;
         let page = plane_ref.cache_write_ptr;
         plane_ref.cache_write_ptr += 1;
-        plane_ref.blocks[block as usize].valid += 1;
         plane_ref.cache_free_pages = plane_ref.cache_free_pages.saturating_sub(1);
+        self.plane_blocks_mut(pidx)[block as usize].valid += 1;
         self.stats.programs += 1;
 
         match self.migration_policy {
@@ -400,7 +443,7 @@ impl FlashArray {
     fn fold_cache_block(&mut self, plane: u32, ops: &mut Vec<BackgroundOp>) -> bool {
         let pidx = plane as usize;
         let cache = self.slc_cache_blocks as usize;
-        let Some(victim) = self.planes[pidx].blocks[..cache]
+        let Some(victim) = self.plane_blocks(pidx)[..cache]
             .iter()
             .enumerate()
             .filter(|(_, b)| b.state == BlockState::Full)
@@ -409,7 +452,7 @@ impl FlashArray {
         else {
             return false;
         };
-        let valid = self.planes[pidx].blocks[victim].valid;
+        let valid = self.plane_blocks(pidx)[victim].valid;
         // Program the folded pages into the capacity tier.
         let mut moved = 0u16;
         for _ in 0..valid {
@@ -427,22 +470,12 @@ impl FlashArray {
                     }
                 }
             }
-            let plane_ref = &mut self.planes[pidx];
-            let active = plane_ref.active as usize;
-            plane_ref.blocks[active].valid += 1;
-            plane_ref.write_ptr += 1;
-            plane_ref.free_pages = plane_ref.free_pages.saturating_sub(1);
+            self.land_page_in_active(pidx);
             moved += 1;
         }
         // Erase the folded cache block.
-        {
-            let b = &mut self.planes[pidx].blocks[victim];
-            b.valid = 0;
-            b.erases = b.erases.saturating_add(1);
-            b.state = BlockState::Free;
-        }
+        self.erase_block(pidx, victim);
         self.planes[pidx].cache_free_pages += u64::from(self.pages_per_block);
-        self.stats.erases += 1;
         self.stats.slc_migrated_pages += u64::from(moved);
         ops.push(BackgroundOp::SlcMigration {
             plane,
@@ -459,19 +492,19 @@ impl FlashArray {
     }
 
     fn seal_cache_active(&mut self, pidx: usize) {
-        let plane = &mut self.planes[pidx];
-        let active = plane.cache_active as usize;
-        plane.blocks[active].state = BlockState::Full;
+        let active = self.planes[pidx].cache_active as usize;
+        self.plane_blocks_mut(pidx)[active].state = BlockState::Full;
     }
 
     fn open_new_cache_active(&mut self, pidx: usize) -> bool {
         let cache = self.slc_cache_blocks as usize;
-        let plane = &mut self.planes[pidx];
-        if let Some(idx) = plane.blocks[..cache]
+        let blocks = self.plane_blocks_mut(pidx);
+        if let Some(idx) = blocks[..cache]
             .iter()
             .position(|b| b.state == BlockState::Free)
         {
-            plane.blocks[idx].state = BlockState::Active;
+            blocks[idx].state = BlockState::Active;
+            let plane = &mut self.planes[pidx];
             plane.cache_active = idx as u32;
             plane.cache_write_ptr = 0;
             true
@@ -504,12 +537,9 @@ impl FlashArray {
             }
         }
 
-        let plane_ref = &mut self.planes[pidx];
-        let block = plane_ref.active;
-        let page = plane_ref.write_ptr;
-        plane_ref.write_ptr += 1;
-        plane_ref.blocks[block as usize].valid += 1;
-        plane_ref.free_pages = plane_ref.free_pages.saturating_sub(1);
+        let block = self.planes[pidx].active;
+        let page = self.planes[pidx].write_ptr;
+        self.land_page_in_active(pidx);
         self.stats.programs += 1;
 
         // Trigger GC when the plane dips below the threshold.
@@ -536,7 +566,7 @@ impl FlashArray {
     ///
     /// Panics if indices are out of range.
     pub fn invalidate(&mut self, plane: u32, block: u32) {
-        let b = &mut self.planes[plane as usize].blocks[block as usize];
+        let b = &mut self.plane_blocks_mut(plane as usize)[block as usize];
         if b.valid > 0 {
             b.valid -= 1;
         }
@@ -547,13 +577,13 @@ impl FlashArray {
     /// fullest block so overwrite-heavy workloads create cheap GC victims.
     pub fn invalidate_somewhere(&mut self, plane: u32, hint: u64) {
         let cache = self.slc_cache_blocks as usize;
-        let plane_ref = &mut self.planes[plane as usize];
+        let blocks = self.plane_blocks_mut(plane as usize);
         // Resident-but-untracked data is cold: it lives in the capacity tier.
-        let n = plane_ref.blocks.len() - cache;
+        let n = blocks.len() - cache;
         // Probe a few hashed positions, decrement the first full block.
         for probe in 0..8 {
             let idx = cache + (splitmix64(hint.wrapping_add(probe)) % n as u64) as usize;
-            let b = &mut plane_ref.blocks[idx];
+            let b = &mut blocks[idx];
             if b.state == BlockState::Full && b.valid > 0 {
                 b.valid -= 1;
                 return;
@@ -562,20 +592,20 @@ impl FlashArray {
     }
 
     fn seal_active(&mut self, pidx: usize) {
-        let plane = &mut self.planes[pidx];
-        let active = plane.active as usize;
-        plane.blocks[active].state = BlockState::Full;
+        let active = self.planes[pidx].active as usize;
+        self.plane_blocks_mut(pidx)[active].state = BlockState::Full;
     }
 
     fn open_new_active(&mut self, pidx: usize) -> bool {
         let cache = self.slc_cache_blocks as usize;
-        let plane = &mut self.planes[pidx];
-        if let Some(free_idx) = plane.blocks[cache..]
+        let blocks = self.plane_blocks_mut(pidx);
+        if let Some(free_idx) = blocks[cache..]
             .iter()
             .position(|b| b.state == BlockState::Free)
             .map(|i| i + cache)
         {
-            plane.blocks[free_idx].state = BlockState::Active;
+            blocks[free_idx].state = BlockState::Active;
+            let plane = &mut self.planes[pidx];
             plane.active = free_idx as u32;
             plane.write_ptr = 0;
             true
@@ -584,26 +614,38 @@ impl FlashArray {
         }
     }
 
+    /// Accounts for one page landing in `pidx`'s capacity-tier active block.
+    fn land_page_in_active(&mut self, pidx: usize) {
+        let plane = &mut self.planes[pidx];
+        let active = plane.active as usize;
+        plane.write_ptr += 1;
+        plane.free_pages = plane.free_pages.saturating_sub(1);
+        self.plane_blocks_mut(pidx)[active].valid += 1;
+    }
+
+    /// Erases one block: no valid data, one more erase cycle, free again.
+    fn erase_block(&mut self, pidx: usize, block: usize) {
+        let b = &mut self.plane_blocks_mut(pidx)[block];
+        b.valid = 0;
+        b.erases = b.erases.saturating_add(1);
+        b.state = BlockState::Free;
+        self.stats.erases += 1;
+    }
+
     fn emergency_erase(&mut self, pidx: usize) {
         let cache = self.slc_cache_blocks as usize;
-        let plane = &mut self.planes[pidx];
         // Erase the fullest non-active capacity block regardless of valid
         // data (cache blocks are reclaimed by folds, never sacrificed).
-        if let Some((idx, _)) = plane
-            .blocks
+        if let Some((idx, _)) = self
+            .plane_blocks(pidx)
             .iter()
             .enumerate()
             .skip(cache)
             .filter(|(_, b)| b.state == BlockState::Full)
             .max_by_key(|(_, b)| b.valid)
         {
-            let reclaimed = u64::from(self.pages_per_block);
-            let b = &mut plane.blocks[idx];
-            b.valid = 0;
-            b.erases = b.erases.saturating_add(1);
-            b.state = BlockState::Free;
-            plane.free_pages += reclaimed;
-            self.stats.erases += 1;
+            self.erase_block(pidx, idx);
+            self.planes[pidx].free_pages += u64::from(self.pages_per_block);
         }
     }
 
@@ -613,9 +655,8 @@ impl FlashArray {
         let pidx = plane as usize;
         let cache = self.slc_cache_blocks as usize;
         let victim = {
-            let plane_ref = &self.planes[pidx];
-            let full = plane_ref
-                .blocks
+            let full = self
+                .plane_blocks(pidx)
                 .iter()
                 .enumerate()
                 .skip(cache)
@@ -633,7 +674,7 @@ impl FlashArray {
                 }
             }
         }?;
-        let valid = self.planes[pidx].blocks[victim].valid;
+        let valid = self.plane_blocks(pidx)[victim].valid;
         // Migrate valid pages: program them into the active block.
         let mut moved = 0u16;
         for _ in 0..valid {
@@ -646,23 +687,12 @@ impl FlashArray {
                     break;
                 }
             }
-            let plane_ref = &mut self.planes[pidx];
-            let active = plane_ref.active as usize;
-            plane_ref.blocks[active].valid += 1;
-            plane_ref.write_ptr += 1;
-            plane_ref.free_pages = plane_ref.free_pages.saturating_sub(1);
+            self.land_page_in_active(pidx);
             moved += 1;
         }
         // Erase the victim.
-        let reclaimed = u64::from(self.pages_per_block);
-        {
-            let b = &mut self.planes[pidx].blocks[victim];
-            b.valid = 0;
-            b.erases = b.erases.saturating_add(1);
-            b.state = BlockState::Free;
-        }
-        self.planes[pidx].free_pages += reclaimed;
-        self.stats.erases += 1;
+        self.erase_block(pidx, victim);
+        self.planes[pidx].free_pages += u64::from(self.pages_per_block);
         self.stats.gc_invocations += 1;
         self.stats.migrated_pages += u64::from(moved);
         Some(BackgroundOp::GcCycle {
@@ -677,10 +707,9 @@ impl FlashArray {
         // Wear leveling balances the capacity tier only: cache blocks cycle
         // orders of magnitude faster by design (and SLC endures it).
         let (min_e, max_e) = {
-            let plane_ref = &self.planes[pidx];
             let mut min_e = u16::MAX;
             let mut max_e = 0u16;
-            for b in &plane_ref.blocks[cache..] {
+            for b in &self.plane_blocks(pidx)[cache..] {
                 min_e = min_e.min(b.erases);
                 max_e = max_e.max(b.erases);
             }
@@ -691,19 +720,13 @@ impl FlashArray {
         }
         // Swap: migrate the coldest (min-erase) block's data and erase it so
         // future hot writes land there.
-        let cold = self.planes[pidx].blocks[cache..]
+        let cold = self.plane_blocks(pidx)[cache..]
             .iter()
             .position(|b| b.erases == min_e && b.state == BlockState::Full)
             .map(|i| i + cache)?;
-        let pages = self.planes[pidx].blocks[cold].valid;
-        {
-            let b = &mut self.planes[pidx].blocks[cold];
-            b.valid = 0;
-            b.erases = b.erases.saturating_add(1);
-            b.state = BlockState::Free;
-        }
+        let pages = self.plane_blocks(pidx)[cold].valid;
+        self.erase_block(pidx, cold);
         self.planes[pidx].free_pages += u64::from(self.pages_per_block);
-        self.stats.erases += 1;
         self.stats.wearleveling_swaps += 1;
         self.stats.migrated_pages += u64::from(pages);
         Some(BackgroundOp::WearLevelSwap {
@@ -716,11 +739,9 @@ impl FlashArray {
     pub fn erase_spread(&self) -> u32 {
         let mut min_e = u16::MAX;
         let mut max_e = 0u16;
-        for p in &self.planes {
-            for b in &p.blocks {
-                min_e = min_e.min(b.erases);
-                max_e = max_e.max(b.erases);
-            }
+        for b in &self.blocks {
+            min_e = min_e.min(b.erases);
+            max_e = max_e.max(b.erases);
         }
         if min_e == u16::MAX {
             0
@@ -902,6 +923,24 @@ mod tests {
             assert!(a.page < cfg.pages_per_block);
             assert!(a.plane_index(&cfg) < cfg.total_planes() as u32);
             assert!(a.die_index(&cfg) < cfg.total_dies() as u32);
+        }
+    }
+
+    #[test]
+    fn pseudo_plane_table_matches_pseudo_location() {
+        let cfg = SsdConfig {
+            chips_per_channel: 3,
+            dies_per_chip: 2,
+            planes_per_die: 4,
+            ..tiny_cfg()
+        };
+        let fa = FlashArray::new(&cfg);
+        for lpn in (0..5_000).chain(u64::MAX - 5_000..=u64::MAX) {
+            assert_eq!(
+                fa.pseudo_plane(lpn),
+                pseudo_location(&cfg, lpn).plane_index(&cfg),
+                "lpn {lpn}"
+            );
         }
     }
 

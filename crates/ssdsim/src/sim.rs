@@ -8,7 +8,7 @@
 //! implicit FIFO queues per resource — the abstraction level of MQSim.
 
 use crate::config::{CacheMode, FlashTechnology, SsdConfig};
-use crate::flash::{pseudo_location, splitmix64, BackgroundOp, FlashArray};
+use crate::flash::{splitmix64, BackgroundOp, FlashArray};
 use crate::lru::LruCache;
 use crate::observe::{
     BottleneckReport, DeviceSample, DeviceSeries, TenantLanes, DEFAULT_SAMPLE_CAP,
@@ -90,7 +90,7 @@ const LPN_EMPTY: u64 = u64::MAX;
 /// simulator's hottest path — a mapping probe is one shift and two indexed
 /// loads instead of a SipHash computation plus bucket walk, and memory
 /// stays proportional to the touched fraction of the address space.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LpnMap {
     chunks: Vec<Option<Box<[u64]>>>,
 }
@@ -148,7 +148,10 @@ pub struct RunScratch {
 /// assert!(report.latency.mean_ns > 0.0);
 /// assert!(report.throughput_bps > 0.0);
 /// ```
-#[derive(Debug)]
+///
+/// A simulator is `Clone`: a caller that replays several traces from the
+/// same starting state builds and warms one device and clones it.
+#[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: SsdConfig,
     timing: Timing,
@@ -225,9 +228,10 @@ pub struct Simulator {
     /// SLC-cache blocks per plane (0 = homogeneous device family).
     slc_cache_blocks: u32,
     /// Hybrid only: logical pages currently mapped into each cache block
-    /// (`plane * slc_cache_blocks + block`). Drained when the block folds so
-    /// reads afterwards pay capacity-tier latency; entries whose mapping has
-    /// moved on are skipped at drain time.
+    /// (`block * total_planes + plane`, so the vector grows with the cache
+    /// blocks a run has written, not with the configured cache size).
+    /// Drained when the block folds so reads afterwards pay capacity-tier
+    /// latency; entries whose mapping has moved on are skipped at drain time.
     slc_resident: Vec<Vec<u64>>,
 }
 
@@ -238,17 +242,15 @@ impl Simulator {
     ///
     /// Panics if `cfg` fails [`SsdConfig::validate`].
     pub fn new(cfg: SsdConfig) -> Self {
-        cfg.validate().expect("valid configuration");
+        // Validates `cfg` (and panics) before anything below divides by it.
+        let flash = FlashArray::new(&cfg);
         let data_cache_pages =
             (u64::from(cfg.data_cache_mb) << 20) / u64::from(cfg.page_size_bytes);
         let cmt_tps = (u64::from(cfg.cmt_capacity_mb) << 20) / u64::from(cfg.page_size_bytes);
         let entries_per_tp = u64::from(cfg.page_size_bytes) / u64::from(cfg.cmt_entry_bytes.max(1));
         let timing = Timing::from_config(&cfg);
-        let flash = FlashArray::new(&cfg);
         let planes_per_channel = cfg.chips_per_channel * cfg.dies_per_chip * cfg.planes_per_die;
         let slc_cache_blocks = cfg.slc_cache_blocks_per_plane();
-        let slc_resident =
-            vec![Vec::new(); cfg.total_planes() as usize * slc_cache_blocks as usize];
         Simulator {
             timing,
             mapping: LpnMap::default(),
@@ -301,7 +303,7 @@ impl Simulator {
             sampled_gc_stall_ns: 0,
             lanes: None,
             slc_cache_blocks,
-            slc_resident,
+            slc_resident: Vec::new(),
             flash,
             cfg,
         }
@@ -693,8 +695,7 @@ impl Simulator {
         }
         self.cmt_misses += 1;
         // Fetch the translation page from flash (DFTL-style).
-        let loc = pseudo_location(&self.cfg, tpn ^ 0x5EED_7AB1E);
-        let plane = loc.plane_index(&self.cfg);
+        let plane = self.flash.pseudo_plane(tpn ^ 0x5EED_7AB1E);
         self.diag_tp_reads += 1;
         let done = self.flash_read_at(plane, t);
         if let Some((evicted, dirty)) = self.cmt.insert(tpn, false) {
@@ -752,6 +753,10 @@ impl Simulator {
         done
     }
 
+    fn slc_resident_index(&self, plane: u32, block: u32) -> usize {
+        block as usize * self.flash.plane_count() + plane as usize
+    }
+
     /// Sense latency for a mapped block: SLC speed while the page sits in
     /// the cache tier of a hybrid device, capacity speed otherwise.
     fn read_ns_for_block(&self, block: u32) -> u64 {
@@ -773,10 +778,7 @@ impl Simulator {
         self.cache_read_misses += 1;
         let (plane, read_ns) = match self.mapping.get(lpn) {
             Some(m) => (m.plane, self.read_ns_for_block(m.block)),
-            None => (
-                pseudo_location(&self.cfg, lpn).plane_index(&self.cfg),
-                self.timing.read_ns,
-            ),
+            None => (self.flash.pseudo_plane(lpn), self.timing.read_ns),
         };
         let done = self.flash_read_at_ns(plane, t, read_ns);
         // Fill the cache with the clean page.
@@ -859,7 +861,7 @@ impl Simulator {
                 self.flash.invalidate(plane, block);
             }
             None => {
-                let plane = pseudo_location(&self.cfg, lpn).plane_index(&self.cfg);
+                let plane = self.flash.pseudo_plane(lpn);
                 self.flash.invalidate_somewhere(plane, splitmix64(lpn));
             }
         }
@@ -868,8 +870,11 @@ impl Simulator {
         let (block, _page, bg_ops) = self.flash.program_page(plane);
         self.mapping.insert(lpn, MappedPage { plane, block });
         if block < self.slc_cache_blocks {
-            self.slc_resident[plane as usize * self.slc_cache_blocks as usize + block as usize]
-                .push(lpn);
+            let idx = self.slc_resident_index(plane, block);
+            if idx >= self.slc_resident.len() {
+                self.slc_resident.resize_with(idx + 1, Vec::new);
+            }
+            self.slc_resident[idx].push(lpn);
         }
 
         // Update the translation entry (dirty in the CMT).
@@ -996,8 +1001,12 @@ impl Simulator {
     fn charge_slc_migration(&mut self, plane: u32, block: u32, pages: u32, t: u64) {
         // Relocate mappings first: anything still pointing at the folded
         // cache block now lives in the capacity tier (block unknown).
-        let idx = plane as usize * self.slc_cache_blocks as usize + block as usize;
-        let lpns = std::mem::take(&mut self.slc_resident[idx]);
+        let idx = self.slc_resident_index(plane, block);
+        let lpns = self
+            .slc_resident
+            .get_mut(idx)
+            .map(std::mem::take)
+            .unwrap_or_default();
         for lpn in lpns {
             if let Some(m) = self.mapping.get(lpn) {
                 if m.plane == plane && m.block == block {

@@ -170,9 +170,12 @@ proptest! {
 
     #[test]
     fn pseudo_locations_are_valid_and_deterministic(cfg in arb_layout(), lpns in prop::collection::vec(0u64..1_000_000, 1..50)) {
+        let fa = FlashArray::new(&cfg);
         for &lpn in &lpns {
             let a = pseudo_location(&cfg, lpn);
             prop_assert_eq!(a, pseudo_location(&cfg, lpn));
+            // The simulator's table lookup is the same placement.
+            prop_assert_eq!(fa.pseudo_plane(lpn), a.plane_index(&cfg));
             prop_assert!(a.channel < cfg.channel_count);
             prop_assert!(a.chip < cfg.chips_per_channel);
             prop_assert!(a.die < cfg.dies_per_chip);

@@ -20,7 +20,7 @@ ROOT=$(pwd)
 
 ALL_STAGES="fmt build-debug build-release test clippy doc telemetry-smoke \
 regression-gate explain-smoke resume-smoke bo-throughput-smoke place-smoke \
-family-smoke trend-smoke inspect-smoke bench-smoke"
+family-smoke trend-smoke inspect-smoke bench-smoke pipeline-check"
 
 QUICK=0
 STAGES=""
@@ -559,6 +559,31 @@ if [[ $QUICK -eq 0 ]]; then
         return $rc
     }
     run_stage "bench-smoke" bench_smoke
+
+    # --- Stage: pipeline check --------------------------------------------
+    # The end-to-end benchmark (bench_pipeline/, a package of its own) must
+    # pass its unit tests and run all four workloads, untraced and traced,
+    # at smoke sizes with every output check green: request conservation,
+    # GC/fold pressure, fingerprints equal across units, the ledger's
+    # self-check. `--check` takes ~12 s; the package builds into its own
+    # bench_pipeline/target.
+    pipeline_check() {
+        local dir rc=0
+        dir=$(mktemp -d /tmp/autoblox-ci-pipeline.XXXXXX) || return 1
+        cargo test -q --release --offline \
+            --manifest-path bench_pipeline/Cargo.toml || rc=1
+        if ! cargo run -q --release --offline \
+                --manifest-path bench_pipeline/Cargo.toml -- \
+                --all --check --out "$dir/check.json" \
+                >/dev/null 2>"$dir/check.err"; then
+            echo "bench_pipeline --all --check failed:"
+            tail -20 "$dir/check.err"
+            rc=1
+        fi
+        rm -rf "$dir"
+        return $rc
+    }
+    run_stage "pipeline-check" pipeline_check
 fi
 
 # --- Summary --------------------------------------------------------------
