@@ -326,7 +326,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         }
         None => presets::intel_750(),
     };
-    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.validate().map_err(|e| CliError::Input(e.to_string()))?;
     let mut sim = Simulator::new(cfg);
     sim.warm_up(0.5);
     let report = sim.run(&trace);

@@ -316,7 +316,9 @@ impl Default for FineOptions {
 /// Fits the Ridge regression over randomly perturbed configurations of the
 /// parameters named in `names` ("we set a regression space by maintaining
 /// the constraints" — samples are drawn around the baseline and kept
-/// structurally valid).
+/// structurally valid). The distinct sampled configurations are validated
+/// on the worker pool, like [`coarse_prune`]'s probes; the report does not
+/// depend on the pool's width.
 ///
 /// # Panics
 ///
@@ -341,10 +343,14 @@ pub fn fine_prune(
     let base_vec = space.vectorize(base);
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
-    let mut xs: Vec<Vec<f64>> = Vec::with_capacity(opts.samples);
-    let mut ys: Vec<f64> = Vec::with_capacity(opts.samples);
+    // Draw every sample first: the random stream never depends on a
+    // measurement, so the draws — and which of them the constraints reject —
+    // are the same whether the validations then run one by one or fan out.
+    // `slot_of[i]` is the distinct configuration draw `i` landed on.
+    let mut distinct: Vec<(Vec<usize>, SsdConfig)> = Vec::new();
+    let mut slot_of: Vec<usize> = Vec::with_capacity(opts.samples);
     let mut attempts = 0;
-    while xs.len() < opts.samples && attempts < opts.samples * 10 {
+    while slot_of.len() < opts.samples && attempts < opts.samples * 10 {
         attempts += 1;
         let mut vec = base_vec.clone();
         // Perturb a random subset of the regression parameters.
@@ -354,26 +360,46 @@ pub fn fine_prune(
                 vec[pi] = rng.gen_range(0..card);
             }
         }
-        let cfg = space.apply(base, &vec);
-        if cfg.validate().is_err() {
-            continue;
-        }
-        let meas = validator.evaluate(&cfg, workload);
-        let score = performance(&meas, &baseline, DEFAULT_ALPHA);
-        let features: Vec<f64> = indices
-            .iter()
-            .map(|&pi| {
-                let card = space.params()[pi].cardinality();
-                if card > 1 {
-                    vec[pi] as f64 / (card - 1) as f64
-                } else {
-                    0.0
+        let slot = match distinct.iter().position(|(seen, _)| *seen == vec) {
+            Some(slot) => slot,
+            None => {
+                let cfg = space.apply(base, &vec);
+                if cfg.validate().is_err() {
+                    continue;
                 }
-            })
-            .collect();
-        xs.push(features);
-        ys.push(score);
+                distinct.push((vec, cfg));
+                distinct.len() - 1
+            }
+        };
+        slot_of.push(slot);
     }
+
+    let scores = mlkit::parallel::parallel_map(
+        distinct.iter().map(|(_, cfg)| cfg).collect(),
+        |cfg: &SsdConfig| {
+            let meas = validator.evaluate(cfg, workload);
+            performance(&meas, &baseline, DEFAULT_ALPHA)
+        },
+    );
+
+    let xs: Vec<Vec<f64>> = slot_of
+        .iter()
+        .map(|&slot| {
+            let vec = &distinct[slot].0;
+            indices
+                .iter()
+                .map(|&pi| {
+                    let card = space.params()[pi].cardinality();
+                    if card > 1 {
+                        vec[pi] as f64 / (card - 1) as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let ys: Vec<f64> = slot_of.iter().map(|&slot| scores[slot]).collect();
 
     let x = Matrix::from_rows(&xs);
     let fit_start = telemetry::start();

@@ -515,6 +515,10 @@ impl Error for InvalidConfigError {}
 /// Number of `u64` words in [`SsdConfig::canonical_words`].
 pub const CONFIG_WORDS: usize = 52;
 
+/// Largest `pages_per_block` the flash array can track: per-block valid-page
+/// counts are 16-bit.
+pub const MAX_PAGES_PER_BLOCK: u32 = u16::MAX as u32;
+
 impl SsdConfig {
     /// Encodes every field as one `u64` word, in declaration order.
     ///
@@ -710,8 +714,9 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Returns [`InvalidConfigError`] naming the first violated invariant:
-    /// zero-sized layout dimensions, non-power-of-two page size, ratios
-    /// outside `[0, 0.5]`, or an empty queue setup.
+    /// zero-sized layout dimensions, non-power-of-two page size, more than
+    /// [`MAX_PAGES_PER_BLOCK`] pages per block, ratios outside `[0, 0.5]`,
+    /// or an empty queue setup.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         let positive = [
             ("channel_count", u64::from(self.channel_count)),
@@ -740,6 +745,11 @@ impl SsdConfig {
             return Err(InvalidConfigError(
                 "page_size_bytes must be a power of two".into(),
             ));
+        }
+        if self.pages_per_block > MAX_PAGES_PER_BLOCK {
+            return Err(InvalidConfigError(format!(
+                "pages_per_block must not exceed {MAX_PAGES_PER_BLOCK}"
+            )));
         }
         if !(0.0..=0.5).contains(&self.overprovisioning_ratio) {
             return Err(InvalidConfigError(
@@ -954,6 +964,23 @@ mod tests {
             ..SsdConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_pages_per_block_to_the_valid_counter() {
+        let at_limit = SsdConfig {
+            pages_per_block: MAX_PAGES_PER_BLOCK,
+            ..SsdConfig::default()
+        };
+        at_limit.validate().unwrap();
+        let over = SsdConfig {
+            pages_per_block: MAX_PAGES_PER_BLOCK + 1,
+            ..SsdConfig::default()
+        };
+        assert_eq!(
+            over.validate().unwrap_err().to_string(),
+            "invalid SSD configuration: pages_per_block must not exceed 65535"
+        );
     }
 
     #[test]

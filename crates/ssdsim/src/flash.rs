@@ -70,6 +70,19 @@ struct Plane {
     cache_write_ptr: u32,
     /// Free pages remaining in the SLC cache tier (hybrid only).
     cache_free_pages: u64,
+    /// Wear spread of the capacity tier, maintained by `erase_block` so the
+    /// per-program wear-leveling check reads it instead of walking the plane.
+    wear: WearSpread,
+}
+
+/// Erase-count extremes over one plane's capacity-tier blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WearSpread {
+    min_erases: u16,
+    max_erases: u16,
+    /// Blocks whose erase count equals `min_erases`; the minimum can only
+    /// move when this reaches zero.
+    blocks_at_min: u32,
 }
 
 /// Statistics accumulated by the flash array.
@@ -154,6 +167,15 @@ pub struct FlashArray {
     /// the hash only through that remainder, so a lookup pays one 64-bit
     /// division where deriving the digits pays four.
     pseudo_planes: Vec<u32>,
+    /// Walks over a plane's capacity-tier blocks so far; the guard against a
+    /// per-program walk coming back.
+    #[cfg(test)]
+    capacity_walks: u64,
+    /// Makes the wear-leveling decision from a full scan, as it was before
+    /// the spread was tracked: the reference the tracked decision is tested
+    /// against.
+    #[cfg(test)]
+    scan_wear_decision: bool,
 }
 
 impl FlashArray {
@@ -176,6 +198,11 @@ impl FlashArray {
             cache_active: 0,
             cache_write_ptr: 0,
             cache_free_pages: cache_pages,
+            wear: WearSpread {
+                min_erases: 0,
+                max_erases: 0,
+                blocks_at_min: cfg.blocks_per_plane - slc_cache_blocks,
+            },
         };
         let mut blocks = vec![
             Block {
@@ -244,6 +271,10 @@ impl FlashArray {
             slc_cache_blocks,
             migration_policy,
             migration_low_pages,
+            #[cfg(test)]
+            capacity_walks: 0,
+            #[cfg(test)]
+            scan_wear_decision: false,
         }
     }
 
@@ -296,6 +327,16 @@ impl FlashArray {
     fn plane_blocks_mut(&mut self, pidx: usize) -> &mut [Block] {
         let n = self.blocks_per_plane as usize;
         &mut self.blocks[pidx * n..(pidx + 1) * n]
+    }
+
+    /// Marks one walk over a plane's capacity-tier blocks (counted in unit
+    /// tests only).
+    #[inline]
+    fn note_capacity_walk(&mut self) {
+        #[cfg(test)]
+        {
+            self.capacity_walks += 1;
+        }
     }
 
     /// Valid pages currently stored in a plane, both tiers.
@@ -597,6 +638,7 @@ impl FlashArray {
     }
 
     fn open_new_active(&mut self, pidx: usize) -> bool {
+        self.note_capacity_walk();
         let cache = self.slc_cache_blocks as usize;
         let blocks = self.plane_blocks_mut(pidx);
         if let Some(free_idx) = blocks[cache..]
@@ -626,13 +668,56 @@ impl FlashArray {
     /// Erases one block: no valid data, one more erase cycle, free again.
     fn erase_block(&mut self, pidx: usize, block: usize) {
         let b = &mut self.plane_blocks_mut(pidx)[block];
+        let before = b.erases;
+        let after = before.saturating_add(1);
         b.valid = 0;
-        b.erases = b.erases.saturating_add(1);
+        b.erases = after;
         b.state = BlockState::Free;
         self.stats.erases += 1;
+        if block >= self.slc_cache_blocks as usize && after != before {
+            self.track_capacity_erase(pidx, before, after);
+        }
+    }
+
+    /// Keeps `Plane::wear` equal to what a scan of the capacity tier would
+    /// find after one of its blocks went from `before` to `after` erases.
+    fn track_capacity_erase(&mut self, pidx: usize, before: u16, after: u16) {
+        let wear = &mut self.planes[pidx].wear;
+        wear.max_erases = wear.max_erases.max(after);
+        if before == wear.min_erases {
+            wear.blocks_at_min -= 1;
+            if wear.blocks_at_min == 0 {
+                // The last block at the minimum left it: only now can the
+                // minimum have moved, and only a walk finds its new count.
+                self.note_capacity_walk();
+                self.planes[pidx].wear = self.scan_wear_spread(pidx);
+            }
+        }
+        debug_assert_eq!(self.planes[pidx].wear, self.scan_wear_spread(pidx));
+    }
+
+    /// Erase-count extremes of `pidx`'s capacity tier by walking it.
+    fn scan_wear_spread(&self, pidx: usize) -> WearSpread {
+        let mut spread = WearSpread {
+            min_erases: u16::MAX,
+            max_erases: 0,
+            blocks_at_min: 0,
+        };
+        for b in &self.plane_blocks(pidx)[self.slc_cache_blocks as usize..] {
+            spread.max_erases = spread.max_erases.max(b.erases);
+            if b.erases < spread.min_erases {
+                spread.min_erases = b.erases;
+                spread.blocks_at_min = 0;
+            }
+            if b.erases == spread.min_erases {
+                spread.blocks_at_min += 1;
+            }
+        }
+        spread
     }
 
     fn emergency_erase(&mut self, pidx: usize) {
+        self.note_capacity_walk();
         let cache = self.slc_cache_blocks as usize;
         // Erase the fullest non-active capacity block regardless of valid
         // data (cache blocks are reclaimed by folds, never sacrificed).
@@ -652,6 +737,7 @@ impl FlashArray {
     /// Runs one GC cycle on `plane`: select a victim, account for the
     /// migration of its valid pages into the active block, erase it.
     fn collect_garbage(&mut self, plane: u32) -> Option<BackgroundOp> {
+        self.note_capacity_walk();
         let pidx = plane as usize;
         let cache = self.slc_cache_blocks as usize;
         let victim = {
@@ -706,23 +792,16 @@ impl FlashArray {
         let cache = self.slc_cache_blocks as usize;
         // Wear leveling balances the capacity tier only: cache blocks cycle
         // orders of magnitude faster by design (and SLC endures it).
-        let (min_e, max_e) = {
-            let mut min_e = u16::MAX;
-            let mut max_e = 0u16;
-            for b in &self.plane_blocks(pidx)[cache..] {
-                min_e = min_e.min(b.erases);
-                max_e = max_e.max(b.erases);
-            }
-            (min_e, max_e)
-        };
-        if u32::from(max_e.saturating_sub(min_e)) <= self.wl_threshold {
+        let wear = self.wear_spread(pidx);
+        if u32::from(wear.max_erases.saturating_sub(wear.min_erases)) <= self.wl_threshold {
             return None;
         }
         // Swap: migrate the coldest (min-erase) block's data and erase it so
         // future hot writes land there.
+        self.note_capacity_walk();
         let cold = self.plane_blocks(pidx)[cache..]
             .iter()
-            .position(|b| b.erases == min_e && b.state == BlockState::Full)
+            .position(|b| b.erases == wear.min_erases && b.state == BlockState::Full)
             .map(|i| i + cache)?;
         let pages = self.plane_blocks(pidx)[cold].valid;
         self.erase_block(pidx, cold);
@@ -733,6 +812,16 @@ impl FlashArray {
             plane,
             pages: u32::from(pages),
         })
+    }
+
+    /// The capacity-tier wear spread the wear-leveling decision reads.
+    #[inline]
+    fn wear_spread(&self, pidx: usize) -> WearSpread {
+        #[cfg(test)]
+        if self.scan_wear_decision {
+            return self.scan_wear_spread(pidx);
+        }
+        self.planes[pidx].wear
     }
 
     /// Spread between the most- and least-erased block across the device.
@@ -1035,6 +1124,142 @@ mod tests {
             let _ = fa.program_page(0);
         }
         assert!(fa.stats().slc_migrated_pages > 0);
+    }
+
+    /// Drives one array through `steps` (each word picks an operation and its
+    /// operands) and checks after every step that every plane's tracked wear
+    /// spread equals a walk over its blocks, and that the array behaves — in
+    /// returned locations, background ops and statistics — exactly like a
+    /// twin whose wear-leveling decision walks the plane on every program.
+    /// Returns the final statistics, which say what the sequence exercised.
+    fn check_wear_bookkeeping(cfg: &SsdConfig, fill: f64, steps: &[u64]) -> FlashStats {
+        let mut tracked = FlashArray::new(cfg);
+        tracked.warm_up(fill);
+        let mut scanned = tracked.clone();
+        scanned.scan_wear_decision = true;
+        let planes = cfg.total_planes();
+        let mut written: Vec<(u32, u32)> = Vec::new();
+        for (i, &word) in steps.iter().enumerate() {
+            let plane = (word % planes) as u32;
+            let pick = word >> 8;
+            match (word >> 4) % 8 {
+                6 if !written.is_empty() => {
+                    let (plane, block) =
+                        written.swap_remove((pick % written.len() as u64) as usize);
+                    tracked.invalidate(plane, block);
+                    scanned.invalidate(plane, block);
+                }
+                7 => {
+                    tracked.invalidate_somewhere(plane, pick);
+                    scanned.invalidate_somewhere(plane, pick);
+                }
+                _ => {
+                    let got = tracked.program_page(plane);
+                    assert_eq!(got, scanned.program_page(plane), "step {i}");
+                    written.push((plane, got.0));
+                }
+            }
+            assert_eq!(tracked.stats(), scanned.stats(), "step {i}");
+            for pidx in 0..tracked.plane_count() {
+                assert_eq!(
+                    tracked.planes[pidx].wear,
+                    tracked.scan_wear_spread(pidx),
+                    "plane {pidx} after step {i}"
+                );
+            }
+        }
+        tracked.stats()
+    }
+
+    /// A tiny device of one of the three data paths (`family` 0 =
+    /// homogeneous, 1 = hybrid/Idle, 2 = hybrid/Watermark) whose wear
+    /// leveling fires at a spread of `wl_threshold`.
+    fn wear_cfg(family: u8, planes: u32, blocks: u32, pages: u32, wl_threshold: u32) -> SsdConfig {
+        use crate::config::{DeviceFamily, FlashTechnology, MigrationPolicy};
+        let hybrid = |migration_policy| DeviceFamily::HybridSlcCache {
+            cache_blocks_pct: 25.0,
+            migration_policy,
+            migration_threshold_pct: 30.0,
+        };
+        SsdConfig {
+            channel_count: planes,
+            chips_per_channel: 1,
+            blocks_per_plane: blocks,
+            pages_per_block: pages,
+            flash_technology: FlashTechnology::Qlc,
+            device_family: match family {
+                0 => DeviceFamily::Homogeneous,
+                1 => hybrid(MigrationPolicy::Idle),
+                _ => hybrid(MigrationPolicy::Watermark),
+            },
+            static_wearleveling_threshold: wl_threshold,
+            ..tiny_cfg()
+        }
+    }
+
+    #[test]
+    fn wear_bookkeeping_cases_reach_swaps_gc_and_folds() {
+        // The generator region of the proptest below, walked deterministically
+        // so the paths it is meant to cover are shown to be covered.
+        let (mut gc_cycles, mut swaps, mut folded_pages) = (0, 0, 0);
+        for family in 0..3u8 {
+            for fill in [0.0, 0.5, 0.9] {
+                let cfg = wear_cfg(family, 2, 8, 4, 1 + u32::from(family));
+                let steps: Vec<u64> = (0..1_500u64)
+                    .map(|i| splitmix64(i ^ u64::from(family) << 32))
+                    .collect();
+                let stats = check_wear_bookkeeping(&cfg, fill, &steps);
+                gc_cycles += stats.gc_invocations;
+                swaps += stats.wearleveling_swaps;
+                folded_pages += stats.slc_migrated_pages;
+            }
+        }
+        // (`emergency_erase` is not on the list: a GC cycle always frees its
+        // victim, so no sequence of public calls reaches it.)
+        assert!(gc_cycles > 0 && swaps > 0 && folded_pages > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn tracked_wear_spread_equals_a_scan_and_decides_alike(
+            family in 0u8..3,
+            planes in 1u32..=2,
+            blocks in proptest::prop::sample::select(vec![6u32, 8, 12]),
+            pages in proptest::prop::sample::select(vec![4u32, 8]),
+            wl_threshold in 1u32..=3,
+            greedy in proptest::prop::bool::ANY,
+            fill in proptest::prop::sample::select(vec![0.0f64, 0.5, 0.9]),
+            steps in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 200..1_200),
+        ) {
+            let cfg = SsdConfig {
+                gc_policy: if greedy { GcPolicy::Greedy } else { GcPolicy::Random },
+                ..wear_cfg(family, planes, blocks, pages, wl_threshold)
+            };
+            check_wear_bookkeeping(&cfg, fill, &steps);
+        }
+    }
+
+    #[test]
+    fn programs_walk_a_plane_only_to_open_a_block() {
+        let cfg = SsdConfig::default();
+        let mut fa = FlashArray::new(&cfg);
+        fa.warm_up(0.5);
+        let mut opened = 0;
+        for i in 0..4 * cfg.pages_per_block + 7 {
+            let (_, page, ops) = fa.program_page(0);
+            assert!(ops.is_empty(), "a half-full plane needs no background work");
+            if page == 0 && i > 0 {
+                opened += 1;
+            }
+        }
+        assert_eq!(opened, 4);
+        assert!(
+            fa.capacity_walks <= opened,
+            "{} walks over the plane for {opened} opened blocks",
+            fa.capacity_walks
+        );
     }
 
     #[test]

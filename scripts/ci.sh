@@ -18,7 +18,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-ALL_STAGES="fmt build-debug build-release test clippy doc telemetry-smoke \
+ALL_STAGES="fmt build-debug build-release test tier1-width clippy doc telemetry-smoke \
 regression-gate explain-smoke resume-smoke bo-throughput-smoke place-smoke \
 family-smoke trend-smoke inspect-smoke bench-smoke pipeline-check"
 
@@ -118,6 +118,21 @@ fi
 run_stage "test" cargo test -q --offline --workspace
 
 if [[ $QUICK -eq 0 ]]; then
+    # --- Stage: tier-1 width ----------------------------------------------
+    # The literal tier-1 command (ROADMAP.md) must cover the crates, not only
+    # the umbrella package: root `default-members` is what makes it so.
+    tier1_width() {
+        local out passed
+        out=$(cargo build --release && cargo test -q 2>&1) || {
+            echo "$out" | tail -n 40
+            return 1
+        }
+        passed=$(echo "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
+        echo "tier-1 ran $passed passing tests"
+        [[ $passed -ge 500 ]]
+    }
+    run_stage "tier1-width" tier1_width
+
     # --- Stage: clippy ----------------------------------------------------
     if ! want clippy; then
         skip "clippy" "not in --stages selection"
