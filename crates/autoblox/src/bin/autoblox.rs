@@ -70,6 +70,7 @@ use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
 use autoblox::report_diff::{diff_reports, DiffThresholds};
+use autoblox::telemetry::RunReport;
 use autoblox::tuner::{Tuner, TunerOptions, TuningTarget};
 use autoblox::validator::{Validator, ValidatorOptions};
 use autoblox::whatif::{what_if, WhatIfGoal, WhatIfOptions};
@@ -78,6 +79,7 @@ use iotrace::parse::{parse_blkparse, parse_csv, parse_msr, write_csv};
 use iotrace::stats::TraceProfile;
 use iotrace::window::WindowOptions;
 use iotrace::Trace;
+use serde::Serialize;
 use ssdsim::config::{presets, DeviceFamily, FlashTechnology, Interface, SsdConfig};
 use ssdsim::Simulator;
 use std::fs::File;
@@ -477,90 +479,73 @@ fn cmd_telemetry_check(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), CliError> {
+/// Reads and validates a telemetry report; any failure is an input error.
+fn load_report(path: &str) -> Result<RunReport, CliError> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
+    RunReport::parse_checked(&json).map_err(|e| CliError::Input(format!("{path}: {e}")))
+}
+
+/// Prints `value` as pretty JSON when `json_out`, else through `render`.
+fn emit<T: Serialize>(value: &T, json_out: bool, render: fn(&T) -> String) -> Result<(), CliError> {
+    if json_out {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(value).map_err(|e| e.to_string())?
+        );
+    } else {
+        print!("{}", render(value));
+    }
+    Ok(())
+}
+
+/// The shape `explain` and `inspect` share: `<report> [--json]` shows one
+/// view of a report, `diff <baseline> <candidate> [--json]` compares two.
+fn cmd_view_or_diff<V: Serialize, D: Serialize>(
+    name: &str,
+    args: &[String],
+    view: fn(&RunReport) -> V,
+    render_view: fn(&V) -> String,
+    diff: fn(&RunReport, &RunReport) -> D,
+    render_diff: fn(&D) -> String,
+) -> Result<(), CliError> {
     let json_out = args.iter().any(|a| a == "--json");
     let positional: Vec<&String> = args.iter().filter(|a| *a != "--json").collect();
-    let load = |path: &str| -> Result<autoblox::telemetry::RunReport, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        autoblox::telemetry::RunReport::parse_checked(&json).map_err(|e| format!("{path}: {e}"))
-    };
     match positional.as_slice() {
-        [path] if *path != "diff" => {
-            let fp = autoblox::explain::fingerprint(&load(path).map_err(CliError::Input)?);
-            if json_out {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&fp).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", autoblox::explain::render_fingerprint(&fp));
-            }
-            Ok(())
-        }
+        [path] if *path != "diff" => emit(&view(&load_report(path)?), json_out, render_view),
         [sub, baseline, candidate] if *sub == "diff" => {
-            let diff = autoblox::explain::explain_diff(
-                &load(baseline).map_err(CliError::Input)?,
-                &load(candidate).map_err(CliError::Input)?,
-            );
-            if json_out {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&diff).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", autoblox::explain::render_diff(&diff));
-            }
-            Ok(())
+            let d = diff(&load_report(baseline)?, &load_report(candidate)?);
+            emit(&d, json_out, render_diff)
         }
-        _ => Err(
-            "explain needs <telemetry.json> [--json] or diff <baseline.json> <candidate.json> \
+        _ => Err(CliError::Usage(format!(
+            "{name} needs <telemetry.json> [--json] or diff <baseline.json> <candidate.json> \
              [--json]"
-                .into(),
-        ),
+        ))),
     }
 }
 
+fn cmd_explain(args: &[String]) -> Result<(), CliError> {
+    use autoblox::explain::{explain_diff, fingerprint, render_diff, render_fingerprint};
+    cmd_view_or_diff(
+        "explain",
+        args,
+        fingerprint,
+        render_fingerprint,
+        explain_diff,
+        render_diff,
+    )
+}
+
 fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    let json_out = args.iter().any(|a| a == "--json");
-    let positional: Vec<&String> = args.iter().filter(|a| *a != "--json").collect();
-    let load = |path: &str| -> Result<autoblox::telemetry::RunReport, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        autoblox::telemetry::RunReport::parse_checked(&json).map_err(|e| format!("{path}: {e}"))
-    };
-    match positional.as_slice() {
-        [path] if *path != "diff" => {
-            let model = autoblox::model_obs::inspect(&load(path).map_err(CliError::Input)?);
-            if json_out {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&model).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", autoblox::model_obs::render_model(&model));
-            }
-            Ok(())
-        }
-        [sub, baseline, candidate] if *sub == "diff" => {
-            let diff = autoblox::model_obs::inspect_diff(
-                &load(baseline).map_err(CliError::Input)?,
-                &load(candidate).map_err(CliError::Input)?,
-            );
-            if json_out {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&diff).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", autoblox::model_obs::render_model_diff(&diff));
-            }
-            Ok(())
-        }
-        _ => Err(
-            "inspect needs <telemetry.json> [--json] or diff <baseline.json> <candidate.json> \
-             [--json]"
-                .into(),
-        ),
-    }
+    use autoblox::model_obs::{inspect, inspect_diff, render_model, render_model_diff};
+    cmd_view_or_diff(
+        "inspect",
+        args,
+        inspect,
+        render_model,
+        inspect_diff,
+        render_model_diff,
+    )
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
@@ -668,12 +653,8 @@ fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
             i += 1;
         }
     }
-    let load = |path: &str| -> Result<autoblox::telemetry::RunReport, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        autoblox::telemetry::RunReport::parse_checked(&json).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = load(baseline_path).map_err(CliError::Input)?;
-    let candidate = load(candidate_path).map_err(CliError::Input)?;
+    let baseline = load_report(baseline_path)?;
+    let candidate = load_report(candidate_path)?;
     let diff = diff_reports(&baseline, &candidate, &thresholds, &ignore);
     // Machine-readable verdict to stdout; the human summary to stderr.
     println!(

@@ -976,7 +976,7 @@ impl<'a> Tuner<'a> {
         if k > 1 && surrogate.is_some() {
             if let Some(best_vec) = chosen.as_ref().filter(|v| !state.seen_contains(v)) {
                 let mut batch: Vec<SsdConfig> = Vec::with_capacity(k);
-                batch.extend(self.materialize(&state.reference, best_vec));
+                batch.extend(self.materialize_vec(&state.reference, best_vec));
                 let mut extras: Vec<(f64, &Vec<usize>)> = scored
                     .iter()
                     .filter(|(v, _)| *v != best_vec && !state.seen_contains(v))
@@ -987,7 +987,7 @@ impl<'a> Tuner<'a> {
                 // tiebreak (sort_by is stable).
                 extras.sort_by(|a, b| b.0.total_cmp(&a.0));
                 for (_, v) in extras.into_iter().take(k - 1) {
-                    batch.extend(self.materialize(&state.reference, v));
+                    batch.extend(self.materialize_vec(&state.reference, v));
                 }
                 if batch.len() > 1 {
                     let _spec_span = telemetry::span::Span::enter("tuner.speculate");
@@ -1004,7 +1004,7 @@ impl<'a> Tuner<'a> {
         let obs_before = state.observations.len();
         if let Some(vec) = chosen {
             if !state.seen_contains(&vec) {
-                if let Some(cfg) = self.materialize(&state.reference, &vec) {
+                if let Some(cfg) = self.materialize_vec(&state.reference, &vec) {
                     let _validate_span = telemetry::span::Span::enter("tuner.validate");
                     self.validate_into(&cfg, target, state, self.opts.validation_pruning);
                 }
@@ -1170,10 +1170,6 @@ impl<'a> Tuner<'a> {
         }
         self.constraints.check_structural(&cfg).ok()?;
         Some(cfg)
-    }
-
-    fn materialize(&self, base: &SsdConfig, vec: &[usize]) -> Option<SsdConfig> {
-        self.materialize_vec(base, vec)
     }
 
     fn normalize(&self, vec: &[usize]) -> Vec<f64> {
@@ -1484,9 +1480,11 @@ mod tests {
         for (i, r) in out.iteration_records.iter().enumerate() {
             assert_eq!(r.iteration, i as u64 + 1);
             // Telemetry is off by default, so gated timings must be zero —
-            // this keeps serialized outcomes thread-count invariant.
+            // this keeps serialized outcomes thread-count invariant — and
+            // the importance sweep must not have run.
             assert_eq!(r.surrogate_fit_ns, 0);
             assert_eq!(r.wall_ns, 0);
+            assert!(r.importance.is_empty());
             assert!(r.convergence_delta >= -1.0);
         }
         let last = out

@@ -64,68 +64,6 @@ impl Scale {
     }
 }
 
-/// `true` when the binary was invoked with `--check`: the CI smoke mode
-/// that runs every benchmark at minimum cost (Quick scale, one rep, a
-/// single thread row) purely to validate that the binary still runs and
-/// emits a schema-conformant `BENCH_*.json`.
-pub fn check_mode() -> bool {
-    std::env::args().any(|a| a == "--check")
-}
-
-/// The effective scale for a benchmark run: forced to [`Scale::Quick`] in
-/// `--check` mode, otherwise read from `AUTOBLOX_SCALE`.
-pub fn run_scale() -> Scale {
-    if check_mode() {
-        Scale::Quick
-    } else {
-        Scale::from_env()
-    }
-}
-
-/// Validates a benchmark report document: it must be a JSON object whose
-/// `benchmark` field equals `name` and which carries every required key.
-pub fn validate_bench_doc(
-    doc: &serde_json::Value,
-    name: &str,
-    required: &[&str],
-) -> Result<(), String> {
-    let serde_json::Value::Object(obj) = doc else {
-        return Err(String::from("report is not a JSON object"));
-    };
-    match obj.get("benchmark").and_then(|v| v.as_str()) {
-        Some(b) if b == name => {}
-        Some(b) => return Err(format!("benchmark field is {b:?}, expected {name:?}")),
-        None => return Err(String::from("missing string field \"benchmark\"")),
-    }
-    for key in required {
-        if !obj.contains_key(*key) {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// Writes a benchmark report to `path`, re-reads it, and validates it
-/// against its schema (the `benchmark` name plus `required` keys),
-/// aborting the process with a nonzero exit on any mismatch — this is the
-/// contract the CI `bench-smoke` stage relies on.
-pub fn write_bench_report(path: &str, name: &str, required: &[&str], doc: &serde_json::Value) {
-    let json = serde_json::to_string_pretty(doc).expect("serializes");
-    std::fs::write(path, json).expect("writes benchmark report");
-    let back: serde_json::Value = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-        .unwrap_or_else(|e| {
-            eprintln!("error: cannot re-read {path}: {e}");
-            std::process::exit(1);
-        });
-    if let Err(e) = validate_bench_doc(&back, name, required) {
-        eprintln!("error: {path} failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
 /// A validator configured for the chosen scale.
 pub fn validator(scale: Scale) -> Validator {
     Validator::new(ValidatorOptions {

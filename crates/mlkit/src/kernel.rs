@@ -7,18 +7,6 @@
 use crate::linalg::{sq_dist, Matrix};
 use serde::{Deserialize, Serialize};
 
-/// Smallest Gram dimension worth fanning out on the worker pool.
-///
-/// One row of the upper triangle at `n = 32` is ~16-32 kernel evaluations
-/// (a few microseconds of sums and `exp`/`powf`), so a paired work item
-/// covers ~32 evaluations and a 32x32 Gram offers 16 such items — enough to
-/// amortize the worker-spawn cost measured by `bench_bo_throughput`'s gram
-/// sweep (thread startup is tens of microseconds; the crossover sits between
-/// n = 16, where fan-out loses, and n = 32, where it breaks even and the
-/// surrogate's per-iteration refits start to dominate). Below the threshold
-/// the sequential loop is used unconditionally.
-pub const GRAM_PARALLEL_MIN: usize = 32;
-
 /// A positive-semidefinite covariance function over feature vectors.
 ///
 /// Implementors must be symmetric: `eval(a, b) == eval(b, a)`.
@@ -49,48 +37,16 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
 
     /// Builds the Gram matrix `K[i][j] = k(x_i, x_j)` for row-sample `x`.
     ///
-    /// Only the O(n²/2) upper triangle is evaluated and then mirrored. Once
-    /// `n` reaches [`GRAM_PARALLEL_MIN`] the triangle is computed on the
-    /// [`crate::parallel`] pool; because triangular rows shrink linearly,
-    /// row `i` is paired with row `n-1-i` so every work item carries ~n
-    /// evaluations and no worker drains early. The result is bit-identical
-    /// to the sequential loop because every entry is an independent pure
-    /// function of two rows.
+    /// Only the O(n²/2) upper triangle is evaluated and then mirrored.
     fn gram(&self, x: &Matrix) -> Matrix {
         let n = x.rows();
-        let entry = |i: usize, j: usize| {
-            if i == j {
-                self.diag(x.row(i))
-            } else {
-                self.eval(x.row(i), x.row(j))
-            }
-        };
-        // Upper-triangle tail of row `i`: entries (i, i..n).
-        let tail = |i: usize| -> Vec<f64> { (i..n).map(|j| entry(i, j)).collect() };
-        fn mirror(k: &mut Matrix, i: usize, row: Vec<f64>) {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            k[(i, i)] = self.diag(x.row(i));
+            for j in i + 1..n {
+                let v = self.eval(x.row(i), x.row(j));
                 k[(i, j)] = v;
                 k[(j, i)] = v;
-            }
-        }
-        let mut k = Matrix::zeros(n, n);
-        if n >= GRAM_PARALLEL_MIN && crate::parallel::max_threads() > 1 {
-            let half = n.div_ceil(2);
-            let pairs = crate::parallel::parallel_map((0..half).collect(), |i| {
-                let j = n - 1 - i;
-                let partner = if j > i { Some((j, tail(j))) } else { None };
-                (i, tail(i), partner)
-            });
-            for (i, row, partner) in pairs {
-                mirror(&mut k, i, row);
-                if let Some((j, row_j)) = partner {
-                    mirror(&mut k, j, row_j);
-                }
-            }
-        } else {
-            for i in 0..n {
-                mirror(&mut k, i, tail(i));
             }
         }
         k
@@ -425,28 +381,24 @@ mod tests {
     }
 
     #[test]
-    fn gram_parallel_pairing_matches_sequential() {
-        // Large enough to cross GRAM_PARALLEL_MIN, odd so the middle row has
-        // no pairing partner.
-        let n = GRAM_PARALLEL_MIN + 5;
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64 * 0.37, (i as f64 * 0.11).sin()])
-            .collect();
-        let x = Matrix::from_rows(&rows);
+    fn gram_matches_naive_double_loop() {
         let k = SumKernel::autoblox_default();
-        crate::parallel::set_max_threads(4);
-        let par = k.gram(&x);
-        crate::parallel::set_max_threads(0);
-        let mut seq = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                seq[(i, j)] = if i == j {
-                    k.diag(x.row(i))
-                } else {
-                    k.eval(x.row(i), x.row(j))
-                };
+        for n in [1, 31, 32, 33, 128] {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| vec![i as f64 * 0.37, (i as f64 * 0.11).sin()])
+                .collect();
+            let x = Matrix::from_rows(&rows);
+            let mut naive = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    naive[(i, j)] = if i == j {
+                        k.diag(x.row(i))
+                    } else {
+                        k.eval(x.row(i), x.row(j))
+                    };
+                }
             }
+            assert_eq!(k.gram(&x), naive, "n = {n}");
         }
-        assert_eq!(par, seq, "fan-out must be bit-identical to sequential");
     }
 }

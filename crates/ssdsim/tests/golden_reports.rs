@@ -245,8 +245,8 @@ fn gc_device() -> SsdConfig {
     }
 }
 
-/// The 2-channel/32-block hybrid device of `bench_hybrid_migration`: cache
-/// blocks seal and fold within a short trace.
+/// The 2-channel/32-block hybrid device of `sim_sweep`'s `fold_*` cells:
+/// cache blocks seal and fold within a short trace.
 fn fold_device(policy: MigrationPolicy) -> SsdConfig {
     SsdConfig {
         channel_count: 2,

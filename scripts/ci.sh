@@ -16,11 +16,10 @@
 #                                    the ones printed in the summary table.
 set -uo pipefail
 cd "$(dirname "$0")/.."
-ROOT=$(pwd)
 
 ALL_STAGES="fmt build-debug build-release test tier1-width clippy doc telemetry-smoke \
-regression-gate explain-smoke resume-smoke bo-throughput-smoke place-smoke \
-family-smoke trend-smoke inspect-smoke bench-smoke pipeline-check"
+regression-gate explain-smoke resume-smoke place-smoke family-smoke trend-smoke \
+inspect-smoke pipeline-check"
 
 QUICK=0
 STAGES=""
@@ -175,16 +174,37 @@ if [[ $QUICK -eq 0 ]]; then
     # ignored — wall clock is not comparable across machines. The run is
     # forced single-threaded so cache/dedup counters are exactly
     # reproducible.
+    #
+    # Batched speculative BO must be invisible in the same artifacts: a
+    # 4-thread `--speculate 4` tune of the same problem must emit a
+    # byte-identical tuned configuration to the single-threaded sequential
+    # run, and its telemetry must diff clean against the same golden — cache
+    # hit rate, validation counts, latency tails and bottleneck fractions all
+    # match exactly, because speculative simulator runs are charged to the
+    # shared accounting only at the moment the sequential loop would have
+    # performed them.
     GOLDEN=scripts/golden/telemetry-database.json
     regression_gate() {
-        local out
-        out=$(mktemp /tmp/autoblox-ci-regression.XXXXXX.json) || return 1
+        local dir rc
+        dir=$(mktemp -d /tmp/autoblox-ci-regression.XXXXXX) || return 1
         AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 3 --events 300 --telemetry "$out" \
-            >/dev/null || { rm -f "$out"; return 1; }
-        ./target/release/autoblox report diff "$GOLDEN" "$out" --ignore-time
-        local rc=$?
-        rm -f "$out"
+            --iterations 3 --events 300 --speculate 1 \
+            --telemetry "$dir/tel-seq.json" \
+            >"$dir/config-seq.json" || { rm -rf "$dir"; return 1; }
+        ./target/release/autoblox report diff "$GOLDEN" "$dir/tel-seq.json" --ignore-time \
+            || { rm -rf "$dir"; return 1; }
+        AUTOBLOX_THREADS=4 ./target/release/autoblox tune database \
+            --iterations 3 --events 300 --speculate 4 \
+            --telemetry "$dir/tel-spec.json" \
+            >"$dir/config-spec.json" || { rm -rf "$dir"; return 1; }
+        cmp -s "$dir/config-seq.json" "$dir/config-spec.json" \
+            || { echo "speculative tuned configuration differs from sequential"; \
+                 rm -rf "$dir"; return 1; }
+        ./target/release/autoblox report diff "$GOLDEN" "$dir/tel-spec.json" \
+            --ignore-time >/dev/null
+        rc=$?
+        [[ $rc -eq 0 ]] || echo "speculative telemetry drifted from the golden"
+        rm -rf "$dir"
         return $rc
     }
     if [[ ! -x ./target/release/autoblox ]]; then
@@ -287,45 +307,6 @@ if [[ $QUICK -eq 0 ]]; then
         run_stage "resume-smoke" resume_smoke
     else
         skip "resume-smoke" "release binary missing (build failed?)"
-    fi
-
-    # --- Stage: BO-throughput smoke ---------------------------------------
-    # Batched speculative BO must be invisible in every deterministic
-    # artifact: a 4-thread `--speculate 4` tune of the pinned-seed smoke
-    # problem must emit a byte-identical tuned configuration to the
-    # single-threaded sequential run, and its telemetry must diff clean
-    # against the same golden the regression gate uses with only wall-clock
-    # metrics ignored — cache hit rate, validation counts, latency tails,
-    # and bottleneck fractions must all match exactly, because speculative
-    # simulator runs are charged to the shared accounting only at the
-    # moment the sequential loop would have performed them.
-    bo_throughput_smoke() {
-        local dir rc
-        dir=$(mktemp -d /tmp/autoblox-ci-spec.XXXXXX) || return 1
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 3 --events 300 --speculate 1 \
-            >"$dir/config-seq.json" || { rm -rf "$dir"; return 1; }
-        AUTOBLOX_THREADS=4 ./target/release/autoblox tune database \
-            --iterations 3 --events 300 --speculate 4 \
-            --telemetry "$dir/tel.json" \
-            >"$dir/config-spec.json" || { rm -rf "$dir"; return 1; }
-        cmp -s "$dir/config-seq.json" "$dir/config-spec.json" \
-            || { echo "speculative tuned configuration differs from sequential"; \
-                 rm -rf "$dir"; return 1; }
-        rc=0
-        if [[ -f "$GOLDEN" ]]; then
-            ./target/release/autoblox report diff "$GOLDEN" "$dir/tel.json" \
-                --ignore-time >/dev/null
-            rc=$?
-            [[ $rc -eq 0 ]] || echo "speculative telemetry drifted from the golden"
-        fi
-        rm -rf "$dir"
-        return $rc
-    }
-    if [[ -x ./target/release/autoblox ]]; then
-        run_stage "bo-throughput-smoke" bo_throughput_smoke
-    else
-        skip "bo-throughput-smoke" "release binary missing (build failed?)"
     fi
 
     # --- Stage: placement smoke -------------------------------------------
@@ -538,42 +519,6 @@ if [[ $QUICK -eq 0 ]]; then
     else
         skip "inspect-smoke" "release binary missing (build failed?)"
     fi
-
-    # --- Stage: bench smoke -----------------------------------------------
-    # Every benchmark binary must run end to end in `--check` mode (smallest
-    # sweep, one repetition) and emit a BENCH_*.json that validates against
-    # its own schema — each binary re-reads what it wrote and exits non-zero
-    # on a missing or malformed key. Runs from a temp dir so checked-in
-    # BENCH_*.json files at the repo root are never clobbered.
-    bench_smoke() {
-        local dir bin out rc=0
-        dir=$(mktemp -d /tmp/autoblox-ci-bench.XXXXXX) || return 1
-        for bin in bench_bo_throughput bench_parallel_validation \
-                   bench_device_sampling bench_telemetry_overhead \
-                   bench_tracing_overhead bench_journal_tail \
-                   bench_model_obs bench_hybrid_migration; do
-            if [[ ! -x "$ROOT/target/release/$bin" ]]; then
-                echo "release binary $bin missing"
-                rc=1
-                continue
-            fi
-            if ! (cd "$dir" && "$ROOT/target/release/$bin" --check \
-                    >/dev/null 2>"$dir/$bin.err"); then
-                echo "$bin --check failed:"
-                tail -5 "$dir/$bin.err"
-                rc=1
-                continue
-            fi
-            out="$dir/BENCH_${bin#bench_}.json"
-            if [[ ! -f "$out" ]]; then
-                echo "$bin --check did not write ${out##*/}"
-                rc=1
-            fi
-        done
-        rm -rf "$dir"
-        return $rc
-    }
-    run_stage "bench-smoke" bench_smoke
 
     # --- Stage: pipeline check --------------------------------------------
     # The end-to-end benchmark (bench_pipeline/, a package of its own) must
