@@ -189,7 +189,7 @@ impl Constraints {
             let mut best: Option<(f64, usize)> = None;
             for idx in 0..p.cardinality() {
                 let mut trial = cfg.clone();
-                (p.set)(&mut trial, idx);
+                p.set(&mut trial, idx);
                 let die_cap = trial.physical_capacity_bytes() / trial.total_dies().max(1);
                 let die_penalty = if die_cap < self.min_die_capacity_bytes {
                     // Strongly discourage sub-floor dies, but still pick the
@@ -206,7 +206,7 @@ impl Constraints {
                 }
             }
             if let Some((_, idx)) = best {
-                (p.set)(cfg, idx);
+                p.set(cfg, idx);
             }
             if self.check_structural_layout(cfg) {
                 return true;

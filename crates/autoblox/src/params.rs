@@ -37,10 +37,10 @@ pub struct ParamDef {
     /// The value grid as display numbers (grid index -> value). Booleans use
     /// `[0, 1]`; categoricals use `0..k`.
     pub grid: Vec<f64>,
-    /// Reads the current grid index out of a configuration.
-    pub get: fn(&SsdConfig) -> usize,
-    /// Writes the value at a grid index into a configuration.
-    pub set: fn(&mut SsdConfig, usize),
+    /// [`ParamDef::get`] given `grid`.
+    read: fn(&[f64], &SsdConfig) -> usize,
+    /// [`ParamDef::set`] given `grid`.
+    write: fn(&[f64], &mut SsdConfig, usize),
 }
 
 impl fmt::Debug for ParamDef {
@@ -59,39 +59,47 @@ impl ParamDef {
         self.grid.len()
     }
 
-    /// Nearest grid index for a raw value.
+    /// Nearest grid index for a raw value (the lower index on a tie).
     pub fn nearest_index(&self, value: f64) -> usize {
-        self.grid
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                (*a - value)
-                    .abs()
-                    .partial_cmp(&(*b - value).abs())
-                    .expect("finite grid")
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        nearest(&self.grid, value)
+    }
+
+    /// This parameter's term of the Manhattan distance between two grid
+    /// vectors: index steps apart, or 0/1 for a categorical mismatch.
+    pub fn distance(&self, x: usize, y: usize) -> u64 {
+        match self.kind {
+            ParamKind::Categorical => u64::from(x != y),
+            _ => (x as i64 - y as i64).unsigned_abs(),
+        }
+    }
+
+    /// Reads the current grid index out of a configuration.
+    pub fn get(&self, cfg: &SsdConfig) -> usize {
+        (self.read)(&self.grid, cfg)
+    }
+
+    /// Writes the value at a grid index (clamped to the grid) into a
+    /// configuration.
+    pub fn set(&self, cfg: &mut SsdConfig, index: usize) {
+        (self.write)(&self.grid, cfg, index)
     }
 }
 
 macro_rules! numeric_param {
-    ($name:literal, $kind:expr, $grid:expr, $field:ident, $ty:ty) => {
+    ($name:literal, $kind:expr, $field:ident, $ty:ty) => {
         ParamDef {
             name: $name,
             kind: $kind,
-            grid: $grid,
-            get: |c| {
-                let grid = param_grid($name);
-                let v = c.$field as f64;
-                nearest(&grid, v)
-            },
-            set: |c, i| {
-                let grid = param_grid($name);
-                c.$field = grid[i.min(grid.len() - 1)] as $ty;
-            },
+            grid: param_grid($name),
+            read: |grid, c| nearest(grid, c.$field as f64),
+            write: |grid, c, i| c.$field = clamped(grid, i) as $ty,
         }
     };
+}
+
+/// The grid value at `index`, or the last one past the end.
+fn clamped(grid: &[f64], index: usize) -> f64 {
+    grid[index.min(grid.len() - 1)]
 }
 
 fn nearest(grid: &[f64], value: f64) -> usize {
@@ -178,199 +186,83 @@ pub fn catalog() -> Vec<ParamDef> {
     use ParamKind::*;
     let mut params = vec![
         // ---- Layout (7) ----
-        numeric_param!(
-            "channel_count",
-            Discrete,
-            param_grid("channel_count"),
-            channel_count,
-            u32
-        ),
-        numeric_param!(
-            "chip_no_per_channel",
-            Discrete,
-            param_grid("chip_no_per_channel"),
-            chips_per_channel,
-            u32
-        ),
-        numeric_param!(
-            "die_no_per_chip",
-            Discrete,
-            param_grid("die_no_per_chip"),
-            dies_per_chip,
-            u32
-        ),
-        numeric_param!(
-            "plane_no_per_die",
-            Discrete,
-            param_grid("plane_no_per_die"),
-            planes_per_die,
-            u32
-        ),
-        numeric_param!(
-            "block_no_per_plane",
-            Discrete,
-            param_grid("block_no_per_plane"),
-            blocks_per_plane,
-            u32
-        ),
-        numeric_param!(
-            "page_no_per_block",
-            Discrete,
-            param_grid("page_no_per_block"),
-            pages_per_block,
-            u32
-        ),
-        numeric_param!(
-            "page_capacity",
-            Discrete,
-            param_grid("page_capacity"),
-            page_size_bytes,
-            u32
-        ),
+        numeric_param!("channel_count", Discrete, channel_count, u32),
+        numeric_param!("chip_no_per_channel", Discrete, chips_per_channel, u32),
+        numeric_param!("die_no_per_chip", Discrete, dies_per_chip, u32),
+        numeric_param!("plane_no_per_die", Discrete, planes_per_die, u32),
+        numeric_param!("block_no_per_plane", Discrete, blocks_per_plane, u32),
+        numeric_param!("page_no_per_block", Discrete, pages_per_block, u32),
+        numeric_param!("page_capacity", Discrete, page_size_bytes, u32),
         // ---- Flash timing (factors of the technology baseline) ----
         ParamDef {
             name: "read_latency",
             kind: Continuous,
             grid: param_grid("read_latency"),
-            get: |c| {
+            read: |grid, c| {
                 let base = c.flash_technology.base_read_ns() as f64;
-                nearest(&param_grid("read_latency"), c.read_latency_ns as f64 / base)
+                nearest(grid, c.read_latency_ns as f64 / base)
             },
-            set: |c, i| {
-                let g = param_grid("read_latency");
+            write: |grid, c, i| {
                 let base = c.flash_technology.base_read_ns() as f64;
-                c.read_latency_ns = (g[i.min(g.len() - 1)] * base) as u64;
+                c.read_latency_ns = (clamped(grid, i) * base) as u64;
             },
         },
         ParamDef {
             name: "program_latency",
             kind: Continuous,
             grid: param_grid("program_latency"),
-            get: |c| {
+            read: |grid, c| {
                 let base = c.flash_technology.base_program_ns() as f64;
-                nearest(
-                    &param_grid("program_latency"),
-                    c.program_latency_ns as f64 / base,
-                )
+                nearest(grid, c.program_latency_ns as f64 / base)
             },
-            set: |c, i| {
-                let g = param_grid("program_latency");
+            write: |grid, c, i| {
                 let base = c.flash_technology.base_program_ns() as f64;
-                c.program_latency_ns = (g[i.min(g.len() - 1)] * base) as u64;
+                c.program_latency_ns = (clamped(grid, i) * base) as u64;
             },
         },
         ParamDef {
             name: "erase_latency",
             kind: Continuous,
             grid: param_grid("erase_latency"),
-            get: |c| {
+            read: |grid, c| {
                 let base = c.flash_technology.base_erase_ns() as f64;
-                nearest(
-                    &param_grid("erase_latency"),
-                    c.erase_latency_ns as f64 / base,
-                )
+                nearest(grid, c.erase_latency_ns as f64 / base)
             },
-            set: |c, i| {
-                let g = param_grid("erase_latency");
+            write: |grid, c, i| {
                 let base = c.flash_technology.base_erase_ns() as f64;
-                c.erase_latency_ns = (g[i.min(g.len() - 1)] * base) as u64;
+                c.erase_latency_ns = (clamped(grid, i) * base) as u64;
             },
         },
         numeric_param!(
             "channel_transfer_rate",
             Discrete,
-            param_grid("channel_transfer_rate"),
             channel_transfer_rate_mts,
             u32
         ),
-        numeric_param!(
-            "channel_width",
-            Discrete,
-            param_grid("channel_width"),
-            channel_width_bits,
-            u32
-        ),
-        numeric_param!(
-            "flash_cmd_overhead",
-            Continuous,
-            param_grid("flash_cmd_overhead"),
-            flash_cmd_overhead_ns,
-            u64
-        ),
-        numeric_param!(
-            "suspend_program_time",
-            Continuous,
-            param_grid("suspend_program_time"),
-            suspend_program_ns,
-            u64
-        ),
-        numeric_param!(
-            "suspend_erase_time",
-            Continuous,
-            param_grid("suspend_erase_time"),
-            suspend_erase_ns,
-            u64
-        ),
+        numeric_param!("channel_width", Discrete, channel_width_bits, u32),
+        numeric_param!("flash_cmd_overhead", Continuous, flash_cmd_overhead_ns, u64),
+        numeric_param!("suspend_program_time", Continuous, suspend_program_ns, u64),
+        numeric_param!("suspend_erase_time", Continuous, suspend_erase_ns, u64),
         // ---- Controller DRAM ----
-        numeric_param!(
-            "data_cache_size",
-            Continuous,
-            param_grid("data_cache_size"),
-            data_cache_mb,
-            u32
-        ),
-        numeric_param!(
-            "cmt_capacity",
-            Continuous,
-            param_grid("cmt_capacity"),
-            cmt_capacity_mb,
-            u32
-        ),
-        numeric_param!(
-            "dram_data_rate",
-            Discrete,
-            param_grid("dram_data_rate"),
-            dram_data_rate_mts,
-            u32
-        ),
-        numeric_param!(
-            "dram_burst_size",
-            Discrete,
-            param_grid("dram_burst_size"),
-            dram_burst_bytes,
-            u32
-        ),
-        numeric_param!(
-            "cmt_entry_size",
-            Discrete,
-            param_grid("cmt_entry_size"),
-            cmt_entry_bytes,
-            u32
-        ),
+        numeric_param!("data_cache_size", Continuous, data_cache_mb, u32),
+        numeric_param!("cmt_capacity", Continuous, cmt_capacity_mb, u32),
+        numeric_param!("dram_data_rate", Discrete, dram_data_rate_mts, u32),
+        numeric_param!("dram_burst_size", Discrete, dram_burst_bytes, u32),
+        numeric_param!("cmt_entry_size", Discrete, cmt_entry_bytes, u32),
         // ---- FTL / GC ----
-        ParamDef {
-            name: "overprovisioning_ratio",
-            kind: Continuous,
-            grid: param_grid("overprovisioning_ratio"),
-            get: |c| {
-                nearest(
-                    &param_grid("overprovisioning_ratio"),
-                    c.overprovisioning_ratio,
-                )
-            },
-            set: |c, i| {
-                let g = param_grid("overprovisioning_ratio");
-                c.overprovisioning_ratio = g[i.min(g.len() - 1)];
-            },
-        },
+        numeric_param!(
+            "overprovisioning_ratio",
+            Continuous,
+            overprovisioning_ratio,
+            f64
+        ),
         ParamDef {
             name: "gc_threshold",
             kind: Continuous,
             grid: param_grid("gc_threshold"),
-            get: |c| nearest(&param_grid("gc_threshold"), c.gc_threshold),
-            set: |c, i| {
-                let g = param_grid("gc_threshold");
-                c.gc_threshold = g[i.min(g.len() - 1)];
+            read: |grid, c| nearest(grid, c.gc_threshold),
+            write: |grid, c, i| {
+                c.gc_threshold = clamped(grid, i);
                 // Maintain the validation invariant.
                 c.gc_hard_threshold = c.gc_hard_threshold.min(c.gc_threshold);
             },
@@ -379,126 +271,54 @@ pub fn catalog() -> Vec<ParamDef> {
             name: "gc_hard_threshold",
             kind: Continuous,
             grid: param_grid("gc_hard_threshold"),
-            get: |c| nearest(&param_grid("gc_hard_threshold"), c.gc_hard_threshold),
-            set: |c, i| {
-                let g = param_grid("gc_hard_threshold");
-                c.gc_hard_threshold = g[i.min(g.len() - 1)].min(c.gc_threshold);
+            read: |grid, c| nearest(grid, c.gc_hard_threshold),
+            write: |grid, c, i| {
+                c.gc_hard_threshold = clamped(grid, i).min(c.gc_threshold);
             },
         },
         numeric_param!(
             "static_wearleveling_threshold",
             Continuous,
-            param_grid("static_wearleveling_threshold"),
             static_wearleveling_threshold,
             u32
         ),
         // ---- Host interface ----
-        numeric_param!(
-            "io_queue_depth",
-            Discrete,
-            param_grid("io_queue_depth"),
-            io_queue_depth,
-            u32
-        ),
-        numeric_param!(
-            "queue_count",
-            Discrete,
-            param_grid("queue_count"),
-            queue_count,
-            u32
-        ),
-        numeric_param!(
-            "pcie_lane_count",
-            Discrete,
-            param_grid("pcie_lane_count"),
-            pcie_lane_count,
-            u32
-        ),
-        numeric_param!(
-            "pcie_lane_bandwidth",
-            Discrete,
-            param_grid("pcie_lane_bandwidth"),
-            pcie_lane_gtps,
-            u32
-        ),
-        numeric_param!(
-            "host_cmd_overhead",
-            Continuous,
-            param_grid("host_cmd_overhead"),
-            host_cmd_overhead_ns,
-            u64
-        ),
+        numeric_param!("io_queue_depth", Discrete, io_queue_depth, u32),
+        numeric_param!("queue_count", Discrete, queue_count, u32),
+        numeric_param!("pcie_lane_count", Discrete, pcie_lane_count, u32),
+        numeric_param!("pcie_lane_bandwidth", Discrete, pcie_lane_gtps, u32),
+        numeric_param!("host_cmd_overhead", Continuous, host_cmd_overhead_ns, u64),
         // ---- Performance-inert numerics ----
         numeric_param!(
             "page_metadata_capacity",
             Continuous,
-            param_grid("page_metadata_capacity"),
             page_metadata_bytes,
             u32
         ),
-        numeric_param!(
-            "ecc_engine_count",
-            Discrete,
-            param_grid("ecc_engine_count"),
-            ecc_engine_count,
-            u32
-        ),
-        numeric_param!(
-            "read_retry_limit",
-            Continuous,
-            param_grid("read_retry_limit"),
-            read_retry_limit,
-            u32
-        ),
+        numeric_param!("ecc_engine_count", Discrete, ecc_engine_count, u32),
+        numeric_param!("read_retry_limit", Continuous, read_retry_limit, u32),
         numeric_param!(
             "background_scan_interval",
             Continuous,
-            param_grid("background_scan_interval"),
             background_scan_interval_ms,
             u32
         ),
-        numeric_param!(
-            "init_delay",
-            Continuous,
-            param_grid("init_delay"),
-            init_delay_us,
-            u32
-        ),
-        numeric_param!(
-            "firmware_sram_size",
-            Discrete,
-            param_grid("firmware_sram_size"),
-            firmware_sram_kb,
-            u32
-        ),
+        numeric_param!("init_delay", Continuous, init_delay_us, u32),
+        numeric_param!("firmware_sram_size", Discrete, firmware_sram_kb, u32),
         numeric_param!(
             "thermal_throttle_threshold",
             Continuous,
-            param_grid("thermal_throttle_threshold"),
             thermal_throttle_c,
             u32
         ),
-        numeric_param!(
-            "pfail_flush_budget",
-            Continuous,
-            param_grid("pfail_flush_budget"),
-            pfail_flush_budget_uj,
-            u32
-        ),
+        numeric_param!("pfail_flush_budget", Continuous, pfail_flush_budget_uj, u32),
         numeric_param!(
             "dram_refresh_interval",
             Discrete,
-            param_grid("dram_refresh_interval"),
             dram_refresh_interval_us,
             u32
         ),
-        numeric_param!(
-            "nand_vcc",
-            Continuous,
-            param_grid("nand_vcc"),
-            nand_vcc_mv,
-            u32
-        ),
+        numeric_param!("nand_vcc", Continuous, nand_vcc_mv, u32),
     ];
 
     // ---- Booleans (5) ----
@@ -506,8 +326,8 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "greedy_gc",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| (c.gc_policy == GcPolicy::Greedy) as usize,
-        set: |c, i| {
+        read: |_, c| (c.gc_policy == GcPolicy::Greedy) as usize,
+        write: |_, c, i| {
             c.gc_policy = if i > 0 {
                 GcPolicy::Greedy
             } else {
@@ -519,29 +339,29 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "preemptible_gc",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| c.preemptible_gc as usize,
-        set: |c, i| c.preemptible_gc = i > 0,
+        read: |_, c| c.preemptible_gc as usize,
+        write: |_, c, i| c.preemptible_gc = i > 0,
     });
     params.push(ParamDef {
         name: "static_wearleveling",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| c.static_wearleveling_enabled as usize,
-        set: |c, i| c.static_wearleveling_enabled = i > 0,
+        read: |_, c| c.static_wearleveling_enabled as usize,
+        write: |_, c, i| c.static_wearleveling_enabled = i > 0,
     });
     params.push(ParamDef {
         name: "program_suspension",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| c.program_suspension_enabled as usize,
-        set: |c, i| c.program_suspension_enabled = i > 0,
+        read: |_, c| c.program_suspension_enabled as usize,
+        write: |_, c, i| c.program_suspension_enabled = i > 0,
     });
     params.push(ParamDef {
         name: "erase_suspension",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| c.erase_suspension_enabled as usize,
-        set: |c, i| c.erase_suspension_enabled = i > 0,
+        read: |_, c| c.erase_suspension_enabled as usize,
+        write: |_, c, i| c.erase_suspension_enabled = i > 0,
     });
 
     // ---- Categoricals ----
@@ -549,15 +369,15 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "plane_allocation_scheme",
         kind: Categorical,
         grid: (0..16).map(|i| i as f64).collect(),
-        get: |c| c.plane_allocation_scheme.index(),
-        set: |c, i| c.plane_allocation_scheme = PlaneAllocationScheme::ALL[i.min(15)],
+        read: |_, c| c.plane_allocation_scheme.index(),
+        write: |_, c, i| c.plane_allocation_scheme = PlaneAllocationScheme::ALL[i.min(15)],
     });
     params.push(ParamDef {
         name: "write_back_cache",
         kind: Boolean,
         grid: vec![0., 1.],
-        get: |c| (c.cache_mode == CacheMode::WriteBack) as usize,
-        set: |c, i| {
+        read: |_, c| (c.cache_mode == CacheMode::WriteBack) as usize,
+        write: |_, c, i| {
             c.cache_mode = if i > 0 {
                 CacheMode::WriteBack
             } else {
@@ -569,13 +389,13 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "flash_technology",
         kind: Categorical,
         grid: vec![0., 1., 2., 3.],
-        get: |c| match c.flash_technology {
+        read: |_, c| match c.flash_technology {
             FlashTechnology::Slc => 0,
             FlashTechnology::Mlc => 1,
             FlashTechnology::Tlc => 2,
             FlashTechnology::Qlc => 3,
         },
-        set: |c, i| {
+        write: |_, c, i| {
             c.flash_technology = match i {
                 0 => FlashTechnology::Slc,
                 1 => FlashTechnology::Mlc,
@@ -588,11 +408,11 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "interface",
         kind: Categorical,
         grid: vec![0., 1.],
-        get: |c| match c.interface {
+        read: |_, c| match c.interface {
             Interface::Nvme => 0,
             Interface::Sata => 1,
         },
-        set: |c, i| {
+        write: |_, c, i| {
             c.interface = if i == 0 {
                 Interface::Nvme
             } else {
@@ -610,19 +430,18 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "slc_cache_pct",
         kind: Continuous,
         grid: param_grid("slc_cache_pct"),
-        get: |c| match c.device_family {
+        read: |grid, c| match c.device_family {
             DeviceFamily::HybridSlcCache {
                 cache_blocks_pct, ..
-            } => nearest(&param_grid("slc_cache_pct"), cache_blocks_pct),
+            } => nearest(grid, cache_blocks_pct),
             DeviceFamily::Homogeneous => 0,
         },
-        set: |c, i| {
+        write: |grid, c, i| {
             if let DeviceFamily::HybridSlcCache {
                 cache_blocks_pct, ..
             } = &mut c.device_family
             {
-                let g = param_grid("slc_cache_pct");
-                *cache_blocks_pct = g[i.min(g.len() - 1)];
+                *cache_blocks_pct = clamped(grid, i);
             }
         },
     });
@@ -630,24 +449,20 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "slc_migration_threshold_pct",
         kind: Continuous,
         grid: param_grid("slc_migration_threshold_pct"),
-        get: |c| match c.device_family {
+        read: |grid, c| match c.device_family {
             DeviceFamily::HybridSlcCache {
                 migration_threshold_pct,
                 ..
-            } => nearest(
-                &param_grid("slc_migration_threshold_pct"),
-                migration_threshold_pct,
-            ),
+            } => nearest(grid, migration_threshold_pct),
             DeviceFamily::Homogeneous => 0,
         },
-        set: |c, i| {
+        write: |grid, c, i| {
             if let DeviceFamily::HybridSlcCache {
                 migration_threshold_pct,
                 ..
             } = &mut c.device_family
             {
-                let g = param_grid("slc_migration_threshold_pct");
-                *migration_threshold_pct = g[i.min(g.len() - 1)];
+                *migration_threshold_pct = clamped(grid, i);
             }
         },
     });
@@ -655,13 +470,13 @@ pub fn catalog() -> Vec<ParamDef> {
         name: "slc_migration_policy",
         kind: Categorical,
         grid: vec![0., 1.],
-        get: |c| match c.device_family {
+        read: |_, c| match c.device_family {
             DeviceFamily::HybridSlcCache {
                 migration_policy, ..
             } => migration_policy.index(),
             DeviceFamily::Homogeneous => 0,
         },
-        set: |c, i| {
+        write: |_, c, i| {
             if let DeviceFamily::HybridSlcCache {
                 migration_policy, ..
             } = &mut c.device_family
@@ -728,15 +543,21 @@ impl ParamSpace {
 
     /// Vectorizes a configuration as one grid index per parameter.
     pub fn vectorize(&self, cfg: &SsdConfig) -> Vec<usize> {
-        self.params.iter().map(|p| (p.get)(cfg)).collect()
+        self.params.iter().map(|p| p.get(cfg)).collect()
     }
 
-    /// Vectorizes as normalized floats in `[0, 1]` (GPR feature space).
-    pub fn vectorize_normalized(&self, cfg: &SsdConfig) -> Vec<f64> {
+    /// Normalizes a grid-index vector to floats in `[0, 1]` per parameter
+    /// (`index / (cardinality - 1)`): the GPR feature space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vec.len()` differs from the parameter count.
+    pub fn normalize(&self, vec: &[usize]) -> Vec<f64> {
+        assert_eq!(vec.len(), self.params.len(), "vector length mismatch");
         self.params
             .iter()
-            .map(|p| {
-                let idx = (p.get)(cfg);
+            .zip(vec)
+            .map(|(p, &idx)| {
                 if p.cardinality() > 1 {
                     idx as f64 / (p.cardinality() - 1) as f64
                 } else {
@@ -744,6 +565,11 @@ impl ParamSpace {
                 }
             })
             .collect()
+    }
+
+    /// Vectorizes as normalized floats in `[0, 1]` (GPR feature space).
+    pub fn vectorize_normalized(&self, cfg: &SsdConfig) -> Vec<f64> {
+        self.normalize(&self.vectorize(cfg))
     }
 
     /// Applies a grid-index vector onto a base configuration.
@@ -755,7 +581,7 @@ impl ParamSpace {
         assert_eq!(vec.len(), self.params.len(), "vector length mismatch");
         let mut cfg = base.clone();
         for (p, &idx) in self.params.iter().zip(vec) {
-            (p.set)(&mut cfg, idx);
+            p.set(&mut cfg, idx);
         }
         cfg
     }
@@ -772,10 +598,7 @@ impl ParamSpace {
         self.params
             .iter()
             .zip(a.iter().zip(b))
-            .map(|(p, (&x, &y))| match p.kind {
-                ParamKind::Categorical => u64::from(x != y),
-                _ => (x as i64 - y as i64).unsigned_abs(),
-            })
+            .map(|(p, (&x, &y))| p.distance(x, y))
             .sum()
     }
 
@@ -948,9 +771,276 @@ mod tests {
         let space = ParamSpace::new();
         let mut cfg = SsdConfig::default();
         let p = space.param("gc_threshold").unwrap();
-        (p.set)(&mut cfg, 0); // smallest threshold
+        p.set(&mut cfg, 0); // smallest threshold
         assert!(cfg.gc_hard_threshold <= cfg.gc_threshold);
         cfg.validate().unwrap();
+    }
+
+    /// One numeric parameter's accessors as they stood when every call
+    /// rebuilt the grid by name.
+    struct Twin {
+        name: &'static str,
+        get: fn(&SsdConfig) -> usize,
+        set: fn(&mut SsdConfig, usize),
+    }
+
+    macro_rules! twin {
+        ($name:literal, $field:ident, $ty:ty) => {
+            Twin {
+                name: $name,
+                get: |c| nearest(&param_grid($name), c.$field as f64),
+                set: |c, i| {
+                    let grid = param_grid($name);
+                    c.$field = grid[i.min(grid.len() - 1)] as $ty;
+                },
+            }
+        };
+    }
+
+    macro_rules! timing_twin {
+        ($name:literal, $field:ident, $base:ident) => {
+            Twin {
+                name: $name,
+                get: |c| {
+                    let base = c.flash_technology.$base() as f64;
+                    nearest(&param_grid($name), c.$field as f64 / base)
+                },
+                set: |c, i| {
+                    let g = param_grid($name);
+                    let base = c.flash_technology.$base() as f64;
+                    c.$field = (g[i.min(g.len() - 1)] * base) as u64;
+                },
+            }
+        };
+    }
+
+    fn twins() -> Vec<Twin> {
+        vec![
+            twin!("channel_count", channel_count, u32),
+            twin!("chip_no_per_channel", chips_per_channel, u32),
+            twin!("die_no_per_chip", dies_per_chip, u32),
+            twin!("plane_no_per_die", planes_per_die, u32),
+            twin!("block_no_per_plane", blocks_per_plane, u32),
+            twin!("page_no_per_block", pages_per_block, u32),
+            twin!("page_capacity", page_size_bytes, u32),
+            timing_twin!("read_latency", read_latency_ns, base_read_ns),
+            timing_twin!("program_latency", program_latency_ns, base_program_ns),
+            timing_twin!("erase_latency", erase_latency_ns, base_erase_ns),
+            twin!("channel_transfer_rate", channel_transfer_rate_mts, u32),
+            twin!("channel_width", channel_width_bits, u32),
+            twin!("flash_cmd_overhead", flash_cmd_overhead_ns, u64),
+            twin!("suspend_program_time", suspend_program_ns, u64),
+            twin!("suspend_erase_time", suspend_erase_ns, u64),
+            twin!("data_cache_size", data_cache_mb, u32),
+            twin!("cmt_capacity", cmt_capacity_mb, u32),
+            twin!("dram_data_rate", dram_data_rate_mts, u32),
+            twin!("dram_burst_size", dram_burst_bytes, u32),
+            twin!("cmt_entry_size", cmt_entry_bytes, u32),
+            twin!("overprovisioning_ratio", overprovisioning_ratio, f64),
+            Twin {
+                name: "gc_threshold",
+                get: |c| nearest(&param_grid("gc_threshold"), c.gc_threshold),
+                set: |c, i| {
+                    let g = param_grid("gc_threshold");
+                    c.gc_threshold = g[i.min(g.len() - 1)];
+                    c.gc_hard_threshold = c.gc_hard_threshold.min(c.gc_threshold);
+                },
+            },
+            Twin {
+                name: "gc_hard_threshold",
+                get: |c| nearest(&param_grid("gc_hard_threshold"), c.gc_hard_threshold),
+                set: |c, i| {
+                    let g = param_grid("gc_hard_threshold");
+                    c.gc_hard_threshold = g[i.min(g.len() - 1)].min(c.gc_threshold);
+                },
+            },
+            twin!(
+                "static_wearleveling_threshold",
+                static_wearleveling_threshold,
+                u32
+            ),
+            twin!("io_queue_depth", io_queue_depth, u32),
+            twin!("queue_count", queue_count, u32),
+            twin!("pcie_lane_count", pcie_lane_count, u32),
+            twin!("pcie_lane_bandwidth", pcie_lane_gtps, u32),
+            twin!("host_cmd_overhead", host_cmd_overhead_ns, u64),
+            twin!("page_metadata_capacity", page_metadata_bytes, u32),
+            twin!("ecc_engine_count", ecc_engine_count, u32),
+            twin!("read_retry_limit", read_retry_limit, u32),
+            twin!("background_scan_interval", background_scan_interval_ms, u32),
+            twin!("init_delay", init_delay_us, u32),
+            twin!("firmware_sram_size", firmware_sram_kb, u32),
+            twin!("thermal_throttle_threshold", thermal_throttle_c, u32),
+            twin!("pfail_flush_budget", pfail_flush_budget_uj, u32),
+            twin!("dram_refresh_interval", dram_refresh_interval_us, u32),
+            twin!("nand_vcc", nand_vcc_mv, u32),
+            Twin {
+                name: "slc_cache_pct",
+                get: |c| match c.device_family {
+                    DeviceFamily::HybridSlcCache {
+                        cache_blocks_pct, ..
+                    } => nearest(&param_grid("slc_cache_pct"), cache_blocks_pct),
+                    DeviceFamily::Homogeneous => 0,
+                },
+                set: |c, i| {
+                    if let DeviceFamily::HybridSlcCache {
+                        cache_blocks_pct, ..
+                    } = &mut c.device_family
+                    {
+                        let g = param_grid("slc_cache_pct");
+                        *cache_blocks_pct = g[i.min(g.len() - 1)];
+                    }
+                },
+            },
+            Twin {
+                name: "slc_migration_threshold_pct",
+                get: |c| match c.device_family {
+                    DeviceFamily::HybridSlcCache {
+                        migration_threshold_pct,
+                        ..
+                    } => nearest(
+                        &param_grid("slc_migration_threshold_pct"),
+                        migration_threshold_pct,
+                    ),
+                    DeviceFamily::Homogeneous => 0,
+                },
+                set: |c, i| {
+                    if let DeviceFamily::HybridSlcCache {
+                        migration_threshold_pct,
+                        ..
+                    } = &mut c.device_family
+                    {
+                        let g = param_grid("slc_migration_threshold_pct");
+                        *migration_threshold_pct = g[i.min(g.len() - 1)];
+                    }
+                },
+            },
+        ]
+    }
+
+    fn bases() -> [SsdConfig; 3] {
+        use ssdsim::config::presets;
+        [
+            SsdConfig::default(),
+            presets::intel_750(),
+            presets::hybrid_slc_qlc(),
+        ]
+    }
+
+    #[test]
+    fn every_numeric_parameter_has_a_twin() {
+        let twins = twins();
+        for p in catalog() {
+            let numeric = matches!(p.kind, ParamKind::Continuous | ParamKind::Discrete);
+            assert_eq!(
+                twins.iter().filter(|t| t.name == p.name).count(),
+                usize::from(numeric),
+                "{}",
+                p.name
+            );
+        }
+    }
+
+    /// `set` then `get` through the grid the `ParamDef` owns must match the
+    /// by-name twin at every grid index (and past the end, where `set`
+    /// clamps), on both device families.
+    #[test]
+    fn accessors_match_the_by_name_twin_at_every_index() {
+        let space = ParamSpace::new();
+        for base in bases() {
+            for twin in twins() {
+                let p = space.param(twin.name).expect("twin names a catalog entry");
+                assert_eq!(p.get(&base), (twin.get)(&base), "{} get", p.name);
+                for i in 0..p.cardinality() + 2 {
+                    let (mut ours, mut theirs) = (base.clone(), base.clone());
+                    p.set(&mut ours, i);
+                    (twin.set)(&mut theirs, i);
+                    assert_eq!(ours, theirs, "{} set {i}", p.name);
+                    assert_eq!(p.get(&ours), (twin.get)(&theirs), "{} get {i}", p.name);
+                }
+            }
+            // The grid-free kinds round-trip every index.
+            for p in space.params() {
+                if matches!(p.kind, ParamKind::Boolean | ParamKind::Categorical)
+                    && !(p.name.starts_with("slc_")
+                        && base.device_family == DeviceFamily::Homogeneous)
+                {
+                    for i in 0..p.cardinality() {
+                        let mut cfg = base.clone();
+                        p.set(&mut cfg, i);
+                        assert_eq!(p.get(&cfg), i, "{}", p.name);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `vectorize(apply(v))` over random grid vectors matches the same
+    /// round trip made with the by-name twins in catalog order (the order
+    /// matters: `gc_threshold` clamps `gc_hard_threshold` and vice versa).
+    #[test]
+    fn vectorize_of_apply_matches_the_by_name_twin() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let space = ParamSpace::new();
+        let twins = twins();
+        let twin_of = |name: &str| twins.iter().find(|t| t.name == name);
+        let mut rng = StdRng::seed_from_u64(0x9a2a);
+        for base in bases() {
+            for _ in 0..200 {
+                let v: Vec<usize> = space
+                    .params()
+                    .iter()
+                    .map(|p| rng.gen_range(0..p.cardinality()))
+                    .collect();
+                let ours = space.apply(&base, &v);
+                let mut theirs = base.clone();
+                for (p, &i) in space.params().iter().zip(&v) {
+                    match twin_of(p.name) {
+                        Some(t) => (t.set)(&mut theirs, i),
+                        None => p.set(&mut theirs, i),
+                    }
+                }
+                assert_eq!(ours, theirs);
+                let twin_vec: Vec<usize> = space
+                    .params()
+                    .iter()
+                    .map(|p| twin_of(p.name).map_or_else(|| p.get(&theirs), |t| (t.get)(&theirs)))
+                    .collect();
+                assert_eq!(space.vectorize(&ours), twin_vec);
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_keeps_the_lower_index_on_a_tie() {
+        assert_eq!(nearest(&[1.0, 3.0], 2.0), 0);
+        assert_eq!(nearest(&[1.0, 3.0, 5.0], 4.0), 1);
+        assert_eq!(nearest(&[1.0, 3.0], f64::NAN), 0);
+        let p = ParamSpace::new();
+        let qd = p.param("io_queue_depth").unwrap();
+        // 3 is equidistant from 2 and 4.
+        assert_eq!(qd.grid[qd.nearest_index(3.0)], 2.0);
+        let mut cfg = SsdConfig {
+            io_queue_depth: 3,
+            ..SsdConfig::default()
+        };
+        assert_eq!(qd.grid[qd.get(&cfg)], 2.0);
+        qd.set(&mut cfg, usize::MAX);
+        assert_eq!(cfg.io_queue_depth, 256);
+    }
+
+    #[test]
+    fn normalize_divides_by_the_last_index() {
+        let space = ParamSpace::new();
+        for cfg in bases() {
+            let v = space.vectorize(&cfg);
+            let n = space.normalize(&v);
+            for ((p, &i), &x) in space.params().iter().zip(&v).zip(&n) {
+                assert_eq!(x, i as f64 / (p.cardinality() - 1) as f64, "{}", p.name);
+            }
+            assert_eq!(space.vectorize_normalized(&cfg), n);
+        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub fn coarse_prune(
         if !matches!(p.kind, ParamKind::Continuous | ParamKind::Discrete) {
             continue;
         }
-        let base_idx = (p.get)(base);
+        let base_idx = p.get(base);
         let base_value = p.grid[base_idx].max(1e-9);
         let mult_idx: Vec<usize> = COARSE_MULTIPLIERS
             .iter()
@@ -147,7 +147,7 @@ pub fn coarse_prune(
         // baseline configuration.
         let reusable_base = {
             let mut snap = base.clone();
-            (p.set)(&mut snap, base_idx);
+            p.set(&mut snap, base_idx);
             snap == *base
         };
         let pi = plans.len();
@@ -176,7 +176,7 @@ pub fn coarse_prune(
         let probe_start = telemetry::start();
         let p = plans[pi].param;
         let mut cfg = base.clone();
-        (p.set)(&mut cfg, idx);
+        p.set(&mut cfg, idx);
         let score = if cfg.validate().is_ok() {
             let meas = validator.evaluate(&cfg, workload);
             performance(&meas, &baseline, DEFAULT_ALPHA)

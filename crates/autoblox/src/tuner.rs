@@ -481,18 +481,24 @@ enum FittedSurrogate {
 }
 
 impl FittedSurrogate {
-    /// Returns `(acquisition_value, predicted_mean, predicted_std)`.
-    fn predict(&self, point: &[f64]) -> (f64, f64, f64) {
+    /// Returns `(acquisition_value, predicted_mean, predicted_std)` for each
+    /// row of `points`; a failed prediction scores `(-inf, -inf, 0)`.
+    fn predict_batch(&self, points: &Matrix) -> Vec<(f64, f64, f64)> {
         match self {
-            FittedSurrogate::Gpr(g) => g
-                .predict(point)
-                .map(|p| (p.ucb(1.0), p.mean, p.std_dev()))
-                .unwrap_or((f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0)),
+            FittedSurrogate::Gpr(g) => match g.predict_batch(points) {
+                Ok(batch) => batch
+                    .iter()
+                    .map(|p| (p.ucb(1.0), p.mean, p.std_dev()))
+                    .collect(),
+                Err(_) => vec![(f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0); points.rows()],
+            },
             // The MLP has no predictive variance: acquisition = mean.
-            FittedSurrogate::Neural(net) => {
-                let mean = net.predict(point).unwrap_or(f64::NEG_INFINITY);
-                (mean, mean, 0.0)
-            }
+            FittedSurrogate::Neural(net) => (0..points.rows())
+                .map(|r| {
+                    let mean = net.predict(points.row(r)).unwrap_or(f64::NEG_INFINITY);
+                    (mean, mean, 0.0)
+                })
+                .collect(),
         }
     }
 
@@ -513,6 +519,10 @@ pub struct Tuner<'a> {
     constraints: Constraints,
     validator: &'a Validator,
     opts: TunerOptions,
+    /// Indices in `space` of the parameters the walk never moves: interface
+    /// and flash technology, plus the flash timings unless
+    /// `explore_flash_timing`.
+    pinned: Vec<usize>,
     /// Incrementally grown GPR chain (see [`GPR_RETUNE_EVERY`]). Purely a
     /// memoization of a deterministic computation: dropping it at any point
     /// (or resuming in a fresh process) replays the identical chain.
@@ -522,8 +532,10 @@ pub struct Tuner<'a> {
 impl<'a> Tuner<'a> {
     /// Creates a tuner over the full parameter space.
     pub fn new(constraints: Constraints, validator: &'a Validator, opts: TunerOptions) -> Self {
+        let space = ParamSpace::new();
         Tuner {
-            space: ParamSpace::new(),
+            pinned: Self::pinned_indices(&space, &opts),
+            space,
             constraints,
             validator,
             opts,
@@ -533,8 +545,22 @@ impl<'a> Tuner<'a> {
 
     /// Replaces the parameter space (e.g. a pruned one).
     pub fn with_space(mut self, space: ParamSpace) -> Self {
+        self.pinned = Self::pinned_indices(&space, &self.opts);
         self.space = space;
         self
+    }
+
+    fn pinned_indices(space: &ParamSpace, opts: &TunerOptions) -> Vec<usize> {
+        let timing: &[&str] = if opts.explore_flash_timing {
+            &[]
+        } else {
+            &["read_latency", "program_latency", "erase_latency"]
+        };
+        ["interface", "flash_technology"]
+            .iter()
+            .chain(timing)
+            .filter_map(|n| space.index_of(n))
+            .collect()
     }
 
     /// The parameter space in use.
@@ -869,16 +895,19 @@ impl<'a> Tuner<'a> {
             let mut best_cand: Option<(Vec<usize>, f64, f64)> = None;
             match &surrogate {
                 Some(model) => {
+                    // One batch call scores every neighbor this walk has
+                    // not met yet; the ranking below then reads the memo.
+                    let fresh: Vec<&Vec<usize>> = candidates
+                        .iter()
+                        .filter(|c| !scored.contains_key(*c))
+                        .collect();
+                    candidates_considered += fresh.len() as u64;
+                    let scores = model.predict_batch(&self.normalized_rows(&fresh));
+                    for (cand, s) in fresh.into_iter().zip(scores) {
+                        scored.insert(cand.clone(), s);
+                    }
                     for cand in candidates {
-                        let (ucb, mean, _std) = match scored.get(&cand) {
-                            Some(&s) => s,
-                            None => {
-                                candidates_considered += 1;
-                                let s = model.predict(&self.normalize(&cand));
-                                scored.insert(cand.clone(), s);
-                                s
-                            }
-                        };
+                        let (ucb, mean, _std) = scored[&cand];
                         if best_cand.as_ref().is_none_or(|(_, u, _)| ucb > *u) {
                             best_cand = Some((cand, ucb, mean));
                         }
@@ -1113,17 +1142,15 @@ impl<'a> Tuner<'a> {
     /// parameters in order (and only the leading ones when an order is
     /// enforced).
     fn candidates(&self, state: &TuneState, cur: &[usize]) -> Vec<Vec<usize>> {
-        let mut pinned: Vec<usize> = ["interface", "flash_technology"]
+        // Distance from `cur` to every observation, once per step: a
+        // neighbor's distances differ only in the coordinates it changed.
+        let cur_dist: Vec<u64> = state
+            .observations
             .iter()
-            .filter_map(|n| self.space.index_of(n))
+            .map(|o| self.space.manhattan(&o.vector, cur))
             .collect();
-        if !self.opts.explore_flash_timing {
-            pinned.extend(
-                ["read_latency", "program_latency", "erase_latency"]
-                    .iter()
-                    .filter_map(|n| self.space.index_of(n)),
-            );
-        }
+        let params = self.space.params();
+        let mut changed: Vec<usize> = Vec::new();
         // With a pruning-derived order, focus the walk on the leading
         // parameters (Fig. 9's efficiency mechanism). Without one, every
         // parameter — numeric, boolean, and categorical — is explorable.
@@ -1135,7 +1162,7 @@ impl<'a> Tuner<'a> {
         };
         let mut out = Vec::new();
         for &pi in order.iter().take(limit) {
-            if pinned.contains(&pi) {
+            if self.pinned.contains(&pi) {
                 continue;
             }
             for mut cand in self.space.neighbors_of_param(cur, pi) {
@@ -1148,7 +1175,24 @@ impl<'a> Tuner<'a> {
                 if state.seen_contains(&cand) || cand == cur {
                     continue;
                 }
-                if state.min_manhattan(&self.space, &cand) > self.opts.manhattan_limit {
+                // Exact integer update over the moved coordinate and any
+                // the repair touched.
+                changed.clear();
+                changed.extend((0..cur.len()).filter(|&k| cand[k] != cur[k]));
+                let min_dist = state
+                    .observations
+                    .iter()
+                    .zip(&cur_dist)
+                    .map(|(o, &d)| {
+                        changed.iter().fold(d, |d, &k| {
+                            d + params[k].distance(cand[k], o.vector[k])
+                                - params[k].distance(cur[k], o.vector[k])
+                        })
+                    })
+                    .min()
+                    .unwrap_or(0);
+                debug_assert_eq!(min_dist, state.min_manhattan(&self.space, &cand));
+                if min_dist > self.opts.manhattan_limit {
                     continue;
                 }
                 out.push(cand);
@@ -1172,17 +1216,14 @@ impl<'a> Tuner<'a> {
         Some(cfg)
     }
 
-    fn normalize(&self, vec: &[usize]) -> Vec<f64> {
-        vec.iter()
-            .zip(self.space.params())
-            .map(|(&i, p)| {
-                if p.cardinality() > 1 {
-                    i as f64 / (p.cardinality() - 1) as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+    /// The surrogate's input for a set of grid vectors: one normalized row
+    /// each.
+    fn normalized_rows(&self, vecs: &[&Vec<usize>]) -> Matrix {
+        let mut data = Vec::with_capacity(vecs.len() * self.space.len());
+        for v in vecs {
+            data.extend(self.space.normalize(v));
+        }
+        Matrix::from_vec(vecs.len(), self.space.len(), data)
     }
 
     /// Deterministic per-parameter sensitivity sweep around the incumbent
@@ -1205,18 +1246,27 @@ impl<'a> Tuner<'a> {
         let Some(&best_i) = elite.first() else {
             return (Vec::new(), length_scale);
         };
-        let incumbent = state.observations[best_i].vector.clone();
-        let (_, center, _) = model.predict(&self.normalize(&incumbent));
+        let incumbent = &state.observations[best_i].vector;
+        // One batch: the incumbent first, then every parameter's neighbors.
+        let neighbors: Vec<Vec<Vec<usize>>> = (0..self.space.len())
+            .map(|pi| self.space.neighbors_of_param(incumbent, pi))
+            .collect();
+        let points: Vec<&Vec<usize>> = std::iter::once(incumbent)
+            .chain(neighbors.iter().flatten())
+            .collect();
+        let mut means = model
+            .predict_batch(&self.normalized_rows(&points))
+            .into_iter()
+            .map(|(_, mean, _)| mean);
+        let center = means.next().expect("the incumbent's own prediction");
         if !center.is_finite() {
             return (Vec::new(), length_scale);
         }
         let mut raw = Vec::with_capacity(self.space.len());
-        for pi in 0..self.space.len() {
-            let neighbors = self.space.neighbors_of_param(&incumbent, pi);
+        for of_param in &neighbors {
             let mut acc = 0.0;
             let mut n = 0usize;
-            for nb in &neighbors {
-                let (_, mean, _) = model.predict(&self.normalize(nb));
+            for mean in means.by_ref().take(of_param.len()) {
                 if mean.is_finite() {
                     acc += (mean - center).abs();
                     n += 1;
@@ -1405,7 +1455,7 @@ impl<'a> Tuner<'a> {
             grade(perf_t, &non_perfs, self.opts.beta)
         };
 
-        let norm = self.normalize(&vec);
+        let norm = self.space.normalize(&vec);
         state.observations.push(Observation {
             vector: vec,
             normalized: norm,
@@ -1651,6 +1701,139 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&whole).expect("json"),
             serde_json::to_string(&stepped).expect("json"),
+        );
+    }
+
+    /// `Tuner::candidates` as it stood before the incremental bound: the
+    /// pinned set found by name, every neighbor's distance a full scan of
+    /// every observation.
+    fn naive_candidates(t: &Tuner<'_>, state: &TuneState, cur: &[usize]) -> Vec<Vec<usize>> {
+        let mut pinned: Vec<usize> = ["interface", "flash_technology"]
+            .iter()
+            .filter_map(|n| t.space.index_of(n))
+            .collect();
+        if !t.opts.explore_flash_timing {
+            pinned.extend(
+                ["read_latency", "program_latency", "erase_latency"]
+                    .iter()
+                    .filter_map(|n| t.space.index_of(n)),
+            );
+        }
+        let order = &state.order_indices;
+        let limit = if state.explicit_order && t.opts.use_tuning_order {
+            order.len().min(12)
+        } else {
+            order.len()
+        };
+        let mut out = Vec::new();
+        for &pi in order.iter().take(limit) {
+            if pinned.contains(&pi) {
+                continue;
+            }
+            for mut cand in t.space.neighbors_of_param(cur, pi) {
+                let mut cfg = t.space.apply(&state.reference, &cand);
+                t.constraints.pin(&mut cfg);
+                if !t.constraints.repair_capacity(&t.space, &mut cfg)
+                    || t.constraints.check_structural(&cfg).is_err()
+                {
+                    continue;
+                }
+                cand = t.space.vectorize(&cfg);
+                if state.seen_contains(&cand) || cand == cur {
+                    continue;
+                }
+                if state.min_manhattan(&t.space, &cand) > t.opts.manhattan_limit {
+                    continue;
+                }
+                out.push(cand);
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// Runs a short tune to populate a state, then compares `candidates`
+    /// with the naive twin from every validated position and from each
+    /// position's own first candidates (two steps out, where the bound
+    /// starts to bite and layout moves get repaired).
+    fn assert_candidates_match_naive(
+        tuner: &Tuner<'_>,
+        kind: WorkloadKind,
+        order: Option<&[&str]>,
+    ) {
+        let mut state = tuner.init_state(kind, &presets::intel_750(), &[], order);
+        while tuner.step(kind, &mut state) {}
+        assert!(state.observations.len() >= 3, "{kind:?}: a populated state");
+        let mut compared = 0;
+        for o in &state.observations {
+            let first = tuner.candidates(&state, &o.vector);
+            assert_eq!(first, naive_candidates(tuner, &state, &o.vector));
+            for cur in first.iter().step_by(7) {
+                let second = tuner.candidates(&state, cur);
+                assert_eq!(second, naive_candidates(tuner, &state, cur));
+                compared += second.len();
+            }
+        }
+        assert!(compared > 0, "{kind:?}: no candidate was ever compared");
+    }
+
+    #[test]
+    fn candidates_match_the_naive_twin_on_every_studied_category() {
+        let v = Validator::new(ValidatorOptions {
+            trace_events: 200,
+            ..Default::default()
+        });
+        let opts = TunerOptions {
+            max_iterations: 4,
+            sgd_iterations: 3,
+            convergence_window: 5,
+            // A tight bound so the Manhattan filter rejects some neighbors.
+            manhattan_limit: 2,
+            ..Default::default()
+        };
+        let order = [
+            "channel_count",
+            "page_capacity",
+            "plane_allocation_scheme",
+            "data_cache_size",
+            "read_latency",
+            "io_queue_depth",
+            "interface",
+        ];
+        let tuner = Tuner::new(cons(), &v, opts.clone());
+        for kind in WorkloadKind::STUDIED {
+            assert_candidates_match_naive(&tuner, kind, None);
+            assert_candidates_match_naive(&tuner, kind, Some(&order));
+        }
+        // The pinned set follows the options and a replaced space.
+        let unlocked = TunerOptions {
+            explore_flash_timing: true,
+            ..opts.clone()
+        };
+        let timing = Tuner::new(cons(), &v, unlocked);
+        assert_candidates_match_naive(&timing, WorkloadKind::Database, Some(&order));
+        let pruned = Tuner::new(cons(), &v, opts).with_space(ParamSpace::with_params(&order));
+        assert_candidates_match_naive(&pruned, WorkloadKind::Database, None);
+    }
+
+    #[test]
+    fn failed_surrogate_batch_scores_every_point_unreachable() {
+        let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.5], vec![0.5, 1.0]]);
+        let gpr = GprBuilder::new()
+            .optimize_rounds(0)
+            .fit(&x, &[0.1, 0.4, 0.2])
+            .expect("fit");
+        let model = FittedSurrogate::Gpr(gpr);
+        assert!(model.predict_batch(&Matrix::zeros(0, 2)).is_empty());
+        let ok = model.predict_batch(&x);
+        assert!(ok
+            .iter()
+            .all(|&(ucb, mean, std)| ucb.is_finite() && ucb >= mean && std >= 0.0));
+        // One column too many fails the whole batch, point by point.
+        assert_eq!(
+            model.predict_batch(&Matrix::zeros(4, 3)),
+            vec![(f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0); 4]
         );
     }
 

@@ -10,6 +10,11 @@ use crate::error::{MlError, Result};
 use crate::kernel::{Kernel, SumKernel};
 use crate::linalg::{Cholesky, Matrix};
 
+/// What `Iterator::sum::<f64>()` starts from: the per-point accumulators of
+/// [`Gpr::predict_batch`] start there too, so each equals the `.sum()` over
+/// the same terms.
+const SUM_IDENTITY: f64 = -0.0;
+
 /// Prediction from a Gaussian process: posterior mean and variance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
@@ -244,43 +249,80 @@ impl GprBuilder {
 }
 
 impl Gpr {
-    /// Posterior prediction at a single point.
+    /// Posterior prediction at a single point: the one-row case of
+    /// [`Gpr::predict_batch`].
     ///
     /// # Errors
     ///
     /// Returns [`MlError::ShapeMismatch`] if the feature dimension differs
     /// from the training data.
     pub fn predict(&self, point: &[f64]) -> Result<Prediction> {
-        if point.len() != self.train_x.cols() {
-            return Err(MlError::ShapeMismatch {
-                left: (1, point.len()),
-                right: (1, self.train_x.cols()),
-                op: "gpr_predict",
-            });
-        }
-        let n = self.train_x.rows();
-        let k_star: Vec<f64> = (0..n)
-            .map(|i| self.kernel.eval(point, self.train_x.row(i)))
-            .collect();
-        let mean = self.mean
-            + k_star
-                .iter()
-                .zip(&self.alpha)
-                .map(|(k, a)| k * a)
-                .sum::<f64>();
-        let v = self.chol.solve(&k_star)?;
-        let k_ss = self.kernel.diag(point);
-        let variance = (k_ss - k_star.iter().zip(&v).map(|(k, w)| k * w).sum::<f64>()).max(0.0);
-        Ok(Prediction { mean, variance })
+        let batch = self.predict_batch(&Matrix::from_vec(1, point.len(), point.to_vec()))?;
+        Ok(batch[0])
     }
 
-    /// Posterior predictions for each row of `x`.
+    /// Posterior predictions for each row of `x` (none for zero rows).
+    ///
+    /// The rows are scored in lock step: per point the operations and their
+    /// order are fixed — squared distance to each training row accumulated
+    /// in coordinate order, the kernel of that distance, the mean summed in
+    /// training-row order, one Cholesky solve, the variance summed in the
+    /// same order — so a point's prediction does not depend on which other
+    /// rows share its batch, down to the last bit. Only the loops are
+    /// arranged across points, which are independent of each other.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::ShapeMismatch`] if the feature dimension differs.
     pub fn predict_batch(&self, x: &Matrix) -> Result<Vec<Prediction>> {
-        (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
+        let (m, d) = x.shape();
+        if m == 0 {
+            return Ok(Vec::new());
+        }
+        if d != self.train_x.cols() {
+            return Err(MlError::ShapeMismatch {
+                left: x.shape(),
+                right: (1, self.train_x.cols()),
+                op: "gpr_predict",
+            });
+        }
+        let n = self.train_x.rows();
+        let xt = x.transpose();
+        // `k_star[i * m + c]` = k(point c, training row i).
+        let mut k_star = vec![0.0; n * m];
+        let mut d2 = vec![0.0; m];
+        let mut mean = vec![SUM_IDENTITY; m];
+        for (i, k_row) in k_star.chunks_exact_mut(m).enumerate() {
+            d2.fill(SUM_IDENTITY);
+            for (k, &t) in self.train_x.row(i).iter().enumerate() {
+                for (acc, &p) in d2.iter_mut().zip(xt.row(k)) {
+                    *acc += (p - t) * (p - t);
+                }
+            }
+            let a = self.alpha[i];
+            for ((k, &dist), mu) in k_row.iter_mut().zip(&d2).zip(&mut mean) {
+                *k = self.kernel.eval_sq_dist(dist);
+                *mu += *k * a;
+            }
+        }
+        let k_star = Matrix::from_vec(n, m, k_star);
+        let v = self.chol.solve_matrix(&k_star)?;
+        let mut explained = vec![SUM_IDENTITY; m];
+        for (k_row, v_row) in k_star
+            .as_slice()
+            .chunks_exact(m)
+            .zip(v.as_slice().chunks_exact(m))
+        {
+            for ((acc, k), w) in explained.iter_mut().zip(k_row).zip(v_row) {
+                *acc += k * w;
+            }
+        }
+        Ok((0..m)
+            .map(|c| Prediction {
+                mean: self.mean + mean[c],
+                variance: (self.kernel.diag(x.row(c)) - explained[c]).max(0.0),
+            })
+            .collect())
     }
 
     /// Log marginal likelihood of the training data under the fitted model.
@@ -368,6 +410,8 @@ impl Gpr {
 mod tests {
     use super::*;
     use crate::kernel::{Rbf, White};
+    use crate::linalg::reference_solve;
+    use proptest::prelude::*;
 
     fn toy() -> (Matrix, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.5]).collect();
@@ -476,6 +520,114 @@ mod tests {
             let single = gp.predict(x.row(i)).unwrap();
             assert_eq!(*b, single);
         }
+    }
+
+    /// The per-point prediction as it stood before batching, scalar
+    /// Cholesky solve included: the reference `predict_batch` must equal
+    /// bit for bit.
+    fn reference_predict(gp: &Gpr, point: &[f64]) -> Prediction {
+        let n = gp.train_x.rows();
+        let k_star: Vec<f64> = (0..n)
+            .map(|i| gp.kernel.eval(point, gp.train_x.row(i)))
+            .collect();
+        let mean = gp.mean
+            + k_star
+                .iter()
+                .zip(&gp.alpha)
+                .map(|(k, a)| k * a)
+                .sum::<f64>();
+        let v = reference_solve(&gp.chol, &k_star);
+        let k_ss = gp.kernel.diag(point);
+        let variance = (k_ss - k_star.iter().zip(&v).map(|(k, w)| k * w).sum::<f64>()).max(0.0);
+        Prediction { mean, variance }
+    }
+
+    fn assert_batch_is_reference(gp: &Gpr, queries: &Matrix) {
+        let batch = gp.predict_batch(queries).unwrap();
+        assert_eq!(batch.len(), queries.rows());
+        for (r, got) in batch.iter().enumerate() {
+            let want = reference_predict(gp, queries.row(r));
+            assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "mean, row {r}");
+            assert_eq!(
+                got.variance.to_bits(),
+                want.variance.to_bits(),
+                "variance, row {r}"
+            );
+        }
+    }
+
+    /// `(n, d, m)` plus unit-cube training rows, grades and query rows.
+    type BatchCase = (usize, usize, usize, Vec<f64>, Vec<f64>, Vec<f64>);
+
+    fn arb_batch_case() -> impl Strategy<Value = BatchCase> {
+        (1usize..80, 1usize..60, 0usize..100).prop_flat_map(|(n, d, m)| {
+            (
+                Just(n),
+                Just(d),
+                Just(m),
+                prop::collection::vec(0.0f64..1.0, n * d),
+                prop::collection::vec(-2.0f64..2.0, n),
+                prop::collection::vec(0.0f64..1.0, m * d),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn predict_batch_is_bit_identical_to_per_point_reference(
+            case in arb_batch_case(),
+            x_new in prop::collection::vec(0.0f64..1.0, 60),
+            y_new in -2.0f64..2.0,
+        ) {
+            let (n, d, m, x, y, q) = case;
+            let x = Matrix::from_vec(n, d, x);
+            let queries = Matrix::from_vec(m, d, q);
+            let tuner_kernel = SumKernel::new(vec![
+                Box::new(Rbf::new(0.5, 1.0)),
+                Box::new(White::new(1e-4)),
+            ]);
+            for (kernel, rounds) in [(SumKernel::autoblox_default(), 0), (tuner_kernel, 1)] {
+                let gp = GprBuilder::new()
+                    .kernel(kernel)
+                    .optimize_rounds(rounds)
+                    .fit(&x, &y)
+                    .unwrap();
+                assert_batch_is_reference(&gp, &queries);
+                // A near-duplicate sample may refuse the bordered update;
+                // the model before it was already checked.
+                if let Ok(grown) = gp.extend(&x_new[..d], y_new) {
+                    assert_batch_is_reference(&grown, &queries);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_identity_is_the_one_iterators_use() {
+        let std_identity: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(SUM_IDENTITY.to_bits(), std_identity.to_bits());
+    }
+
+    #[test]
+    fn predict_batch_edge_shapes_are_errors_not_panics() {
+        let (x, y) = toy();
+        let gp = GprBuilder::new().optimize_rounds(0).fit(&x, &y).unwrap();
+        // Zero rows score nothing, whatever the column count says.
+        assert_eq!(gp.predict_batch(&Matrix::zeros(0, 1)).unwrap(), vec![]);
+        assert_eq!(gp.predict_batch(&Matrix::zeros(0, 7)).unwrap(), vec![]);
+        // One wrong column count fails the whole batch.
+        for cols in [0, 2] {
+            assert!(matches!(
+                gp.predict_batch(&Matrix::zeros(3, cols)),
+                Err(MlError::ShapeMismatch {
+                    op: "gpr_predict",
+                    ..
+                })
+            ));
+        }
+        assert!(gp.predict(&[]).is_err());
     }
 
     /// `extend` must be bit-identical to a frozen-hyperparameter refit on

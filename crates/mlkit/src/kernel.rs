@@ -7,12 +7,19 @@
 use crate::linalg::{sq_dist, Matrix};
 use serde::{Deserialize, Serialize};
 
-/// A positive-semidefinite covariance function over feature vectors.
-///
-/// Implementors must be symmetric: `eval(a, b) == eval(b, a)`.
+/// A stationary positive-semidefinite covariance function over feature
+/// vectors: the covariance of two points depends only on their squared
+/// Euclidean distance.
 pub trait Kernel: std::fmt::Debug + Send + Sync {
+    /// Covariance of two distinct points at squared distance `d2` — the one
+    /// formula behind both [`Kernel::eval`] and the GPR's batched
+    /// prediction, which computes distances for many points at once.
+    fn eval_sq_dist(&self, d2: f64) -> f64;
+
     /// Covariance between two points.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_sq_dist(sq_dist(a, b))
+    }
 
     /// Clones the kernel behind a fresh box, so compositions of trait
     /// objects ([`SumKernel`]) can be duplicated — required by the tuner's
@@ -98,8 +105,7 @@ impl Rbf {
 }
 
 impl Kernel for Rbf {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = sq_dist(a, b);
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
         self.variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
     }
 
@@ -147,8 +153,7 @@ impl RationalQuadratic {
 }
 
 impl Kernel for RationalQuadratic {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = sq_dist(a, b);
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
         let base = 1.0 + d2 / (2.0 * self.alpha * self.length_scale * self.length_scale);
         self.variance * base.powf(-self.alpha)
     }
@@ -194,7 +199,7 @@ impl White {
 }
 
 impl Kernel for White {
-    fn eval(&self, _a: &[f64], _b: &[f64]) -> f64 {
+    fn eval_sq_dist(&self, _d2: f64) -> f64 {
         0.0
     }
 
@@ -263,8 +268,8 @@ impl SumKernel {
 }
 
 impl Kernel for SumKernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.parts.iter().map(|k| k.eval(a, b)).sum()
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
+        self.parts.iter().map(|k| k.eval_sq_dist(d2)).sum()
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {

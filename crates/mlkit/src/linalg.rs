@@ -477,7 +477,8 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solves `A x = b` using the factorization.
+    /// Solves `A x = b` using the factorization: the one-column case of
+    /// [`Cholesky::solve_matrix`].
     ///
     /// # Errors
     ///
@@ -492,28 +493,16 @@ impl Cholesky {
                 op: "cholesky_solve",
             });
         }
-        // Forward substitution: L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                sum -= self.l[(i, j)] * yj;
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        // Back substitution: L^T x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l[(j, i)] * xj;
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x, 1);
         Ok(x)
     }
 
-    /// Solves `A X = B` column-by-column.
+    /// Solves `A X = B` for every column of `B` in lock step.
+    ///
+    /// Each column goes through exactly [`Cholesky::solve`]'s operations in
+    /// its order, so column `c` of the result is bit-identical to
+    /// `solve(&b.col(c))`; the columns only share the walk over `L`.
     ///
     /// # Errors
     ///
@@ -528,15 +517,52 @@ impl Cholesky {
                 op: "cholesky_solve_matrix",
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve(&col)?;
-            for r in 0..n {
-                out[(r, c)] = x[r];
+        let mut out = b.clone();
+        self.solve_in_place(&mut out.data, b.cols());
+        Ok(out)
+    }
+
+    /// Forward then back substitution over `m` right-hand sides stored as a
+    /// row-major `n x m` block (`rhs[i * m + c]` is entry `i` of column
+    /// `c`), overwritten with the solutions. Per column the subtractions
+    /// run in ascending `j` and end in one division, forward and back; the
+    /// inner loops run across columns, which are independent.
+    fn solve_in_place(&self, rhs: &mut [f64], m: usize) {
+        let n = self.l.rows();
+        debug_assert_eq!(rhs.len(), n * m);
+        if m == 0 {
+            return;
+        }
+        // Forward substitution: L Y = B.
+        for i in 0..n {
+            let (solved, rest) = rhs.split_at_mut(i * m);
+            let row = &mut rest[..m];
+            for (j, yj) in solved.chunks_exact(m).enumerate() {
+                let lij = self.l[(i, j)];
+                for (s, &y) in row.iter_mut().zip(yj) {
+                    *s -= lij * y;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for s in row {
+                *s /= lii;
             }
         }
-        Ok(out)
+        // Back substitution: L^T X = Y.
+        for i in (0..n).rev() {
+            let (head, solved) = rhs.split_at_mut((i + 1) * m);
+            let row = &mut head[i * m..];
+            for (k, xj) in solved.chunks_exact(m).enumerate() {
+                let lji = self.l[(i + 1 + k, i)];
+                for (s, &x) in row.iter_mut().zip(xj) {
+                    *s -= lji * x;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for s in row {
+                *s /= lii;
+            }
+        }
     }
 
     /// Log-determinant of the original matrix `A`: `2 * sum(ln L[i][i])`.
@@ -638,9 +664,36 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
+/// `Cholesky::solve` as it stood before the lock-step rewrite: the scalar
+/// reference the bit-equality tests here and in `gpr` compare against.
+#[cfg(test)]
+pub(crate) fn reference_solve(ch: &Cholesky, b: &[f64]) -> Vec<f64> {
+    let l = ch.factor();
+    let n = l.rows();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[i];
+        for (j, &yj) in y.iter().enumerate().take(i) {
+            sum -= l[(i, j)] * yj;
+        }
+        y[i] = sum / l[(i, i)];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut sum = y[i];
+        for (j, &xj) in x.iter().enumerate().skip(i + 1) {
+            sum -= l[(j, i)] * xj;
+        }
+        x[i] = sum / l[(i, i)];
+    }
+    x
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
@@ -728,6 +781,53 @@ mod tests {
         let prod = a.matmul(&inv).unwrap();
         assert!(approx(prod[(0, 0)], 1.0, 1e-12));
         assert!(approx(prod[(0, 1)], 0.0, 1e-12));
+    }
+
+    #[test]
+    fn solve_matrix_is_bit_identical_to_per_column_solve() {
+        let mut rng = StdRng::seed_from_u64(0x5017e);
+        for (n, m) in [(1, 1), (2, 5), (7, 1), (13, 9), (40, 33)] {
+            let b = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+            let mut a = b.matmul(&b.transpose()).unwrap();
+            for i in 0..n {
+                a[(i, i)] += n as f64;
+            }
+            let ch = a.cholesky().unwrap();
+            let rhs =
+                Matrix::from_vec(n, m, (0..n * m).map(|_| rng.gen_range(-9.0..9.0)).collect());
+            let solved = ch.solve_matrix(&rhs).unwrap();
+            assert_eq!(solved.shape(), (n, m));
+            for c in 0..m {
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                let want = bits(reference_solve(&ch, &rhs.col(c)));
+                assert_eq!(bits(solved.col(c)), want, "n {n}, column {c} of {m}");
+                assert_eq!(
+                    bits(ch.solve(&rhs.col(c)).unwrap()),
+                    want,
+                    "n {n}, solve {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn solve_matrix_edge_shapes() {
+        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
+        let ch = a.cholesky().unwrap();
+        assert_eq!(
+            ch.solve_matrix(&Matrix::zeros(2, 0)).unwrap().shape(),
+            (2, 0)
+        );
+        for rows in [0, 1, 3] {
+            assert!(matches!(
+                ch.solve_matrix(&Matrix::zeros(rows, 2)),
+                Err(MlError::ShapeMismatch {
+                    op: "cholesky_solve_matrix",
+                    ..
+                })
+            ));
+        }
+        assert!(ch.solve(&[1.0]).is_err());
     }
 
     #[test]

@@ -526,7 +526,20 @@ if [[ $QUICK -eq 0 ]]; then
     # at smoke sizes with every output check green: request conservation,
     # GC/fold pressure, fingerprints equal across units, the ledger's
     # self-check. `--check` takes ~12 s; the package builds into its own
-    # bench_pipeline/target.
+    # bench_pipeline/target. Then each workload's `--check --seed 7`
+    # fingerprint (FNV-1a over every exact simulated result) is diffed
+    # against the golden: a change that claims only host speed must not
+    # move one.
+    PIPELINE_GOLDEN=scripts/golden/pipeline-check.fingerprints
+    pipeline_fingerprints() {
+        local w
+        for w in tune_read_homog tune_write_hybrid search_many_short sim_sweep; do
+            echo "$w $(cargo run -q --release --offline \
+                --manifest-path bench_pipeline/Cargo.toml -- \
+                --workload "$w" --check --seed 7 --trace 0 2>&1 >/dev/null \
+                | awk '$1 == "fingerprint" { print $2 }')"
+        done
+    }
     pipeline_check() {
         local dir rc=0
         dir=$(mktemp -d /tmp/autoblox-ci-pipeline.XXXXXX) || return 1
@@ -538,6 +551,17 @@ if [[ $QUICK -eq 0 ]]; then
                 >/dev/null 2>"$dir/check.err"; then
             echo "bench_pipeline --all --check failed:"
             tail -20 "$dir/check.err"
+            rc=1
+        fi
+        pipeline_fingerprints >"$dir/fingerprints"
+        if ! diff -u "$PIPELINE_GOLDEN" "$dir/fingerprints"; then
+            echo "bench_pipeline fingerprints moved: simulated results changed." \
+                 "If that is intended, regenerate the golden with:"
+            echo "  for w in tune_read_homog tune_write_hybrid search_many_short sim_sweep;" \
+                 "do echo \"\$w \$(cargo run -q --release --offline" \
+                 "--manifest-path bench_pipeline/Cargo.toml -- --workload \$w --check" \
+                 "--seed 7 --trace 0 2>&1 >/dev/null | awk '\$1 == \"fingerprint\" { print \$2 }')\";" \
+                 "done > $PIPELINE_GOLDEN"
             rc=1
         fi
         rm -rf "$dir"
