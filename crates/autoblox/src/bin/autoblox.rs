@@ -1,51 +1,15 @@
 //! `autoblox` — command-line front end for the framework.
 //!
-//! ```text
-//! autoblox generate <workload> <events> <seed> [out.csv]
-//! autoblox profile <trace-file> [csv|blkparse|msr]
-//! autoblox classify <trace-file> [csv|blkparse|msr]
-//! autoblox simulate <workload|trace-file> [config.json]
-//! autoblox tune <workload> [--iterations N] [--events N] [--capacity GIB]
-//!               [--interface nvme|sata] [--flash slc|mlc|tlc|qlc] [--power W]
-//!               [--family homogeneous|hybrid] [--speculate K]
-//!               [--telemetry out.json] [--journal out.jsonl]
-//!               [--checkpoint dir/] [--checkpoint-every N] [--resume]
-//!               [--stop-after-iter N] [--db store.db] [--record]
-//! autoblox whatif <workload> --goal latency|throughput --factor F
-//!               [--telemetry out.json] [--journal out.jsonl]
-//!               [--db store.db] [--record]
-//! autoblox place --devices M --traces <spec|file>[,...] [--db store.db]
-//!               [--record] [--json out.json] [--alpha F] [--rounds N]
-//!               [--no-classify] [--capacity GIB] [--interface nvme|sata]
-//!               [--flash slc|mlc|tlc|qlc] [--family homogeneous|hybrid]
-//!               [--power W] [--telemetry out.json]
-//!               [--journal out.jsonl]
-//! autoblox runs list [--db store.db] [--json] [--category <name>] [--limit N]
-//! autoblox runs show <run-key> [--db store.db] [--json]
-//! autoblox watch <journal.jsonl> [--replay] [--json] [--interval-ms N]
-//! autoblox telemetry-check <report.json>
-//! autoblox checkpoint inspect <checkpoint.json> [--json]
-//! autoblox explain <telemetry.json> [--json]
-//! autoblox explain diff <baseline.json> <candidate.json> [--json]
-//! autoblox inspect <telemetry.json> [--json]
-//! autoblox inspect diff <baseline.json> <candidate.json> [--json]
-//! autoblox trace export --chrome|--csv <journal.jsonl> <out-file>
-//! autoblox report diff <baseline.json> <candidate.json> [--ignore-time]
-//!               [--max-grade-drop F] [--max-validation-increase F]
-//!               [--max-hit-rate-drop F] [--max-sim-time-increase F]
-//!               [--max-tail-shift F] [--max-bottleneck-shift F]
-//!               [--ignore <metric>]...
-//! autoblox report trend [--db store.db] [--window N] [--category C]
-//!               [--max-grade-drop F] [--max-run-inflation F]
-//!               [--max-bottleneck-shift F] [--min-calibration-coverage F]
-//!               [--json]
-//! ```
+//! The command list, every flag and the exit codes are in [`usage_text`]
+//! (`autoblox` with no arguments prints it); a test keeps it in step with
+//! the commands `main` dispatches.
 //!
-//! `inspect` is the model observatory: from one `--telemetry` report it
-//! derives the surrogate's calibration record (±1σ/±2σ coverage, RMSE,
-//! NLPD), the per-parameter importance ranking, and the per-iteration
-//! explore-vs-exploit decision provenance; `inspect diff` compares two
-//! reports.
+//! `explain` is the single-report view: from one `--telemetry` report it
+//! renders the pipeline phases, the device's bottleneck shares and the
+//! surrogate's calibration record (±1σ/±2σ coverage, RMSE, NLPD),
+//! per-parameter importance ranking and per-iteration explore-vs-exploit
+//! decision provenance; `report diff` compares two reports over the same
+//! summary.
 //!
 //! A `tune`/`whatif`/`place` invocation with `--db` (or the opt-in
 //! `--record`, which uses the default store `autoblox.db`) registers a
@@ -69,7 +33,8 @@ use autoblox::checkpoint::Checkpoint;
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
-use autoblox::report_diff::{diff_reports, DiffThresholds};
+use autoblox::report::{render_rows, Summary, Thresholds};
+use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::RunReport;
 use autoblox::tuner::{Tuner, TunerOptions, TuningTarget};
 use autoblox::validator::{Validator, ValidatorOptions};
@@ -115,7 +80,12 @@ impl From<&str> for CliError {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
+    eprintln!("{}", usage_text());
+    ExitCode::from(2)
+}
+
+fn usage_text() -> String {
+    format!(
         "usage: autoblox <command> ...\n\
          \n\
          commands:\n\
@@ -152,14 +122,10 @@ fn usage() -> ExitCode {
          \x20          [--interval-ms N]                       a streaming run journal\n\
          \x20 telemetry-check <report.json>                   validate a telemetry report\n\
          \x20 checkpoint inspect <checkpoint.json> [--json]   summarize a tuning checkpoint\n\
-         \x20 explain  <telemetry.json> [--json]              bottleneck fingerprint of a run\n\
-         \x20 explain  diff <baseline.json> <candidate.json> [--json]\n\
-         \x20                                                 did the bottleneck move?\n\
-         \x20 inspect  <telemetry.json> [--json]              model observatory: surrogate\n\
+         \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
+         \x20                                                 bottleneck shares, surrogate\n\
          \x20                                                 calibration, parameter importance,\n\
          \x20                                                 decision provenance\n\
-         \x20 inspect  diff <baseline.json> <candidate.json> [--json]\n\
-         \x20                                                 did the model's behavior move?\n\
          \x20 trace    export --chrome|--csv <journal.jsonl> <out-file>\n\
          \x20                                                 convert a run journal to Perfetto\n\
          \x20                                                 or a device-sample CSV (model\n\
@@ -189,8 +155,7 @@ fn usage() -> ExitCode {
             .map(|k| k.name())
             .collect::<Vec<_>>()
             .join(", ")
-    );
-    ExitCode::from(2)
+    )
 }
 
 fn load_trace(path: &str, format: Option<&str>) -> Result<Trace, String> {
@@ -355,6 +320,60 @@ where
     Ok(None)
 }
 
+/// What a reader command was given: positional operands and `(flag,
+/// value)` pairs in command-line order (a switch's value is empty).
+struct ReaderArgs<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> ReaderArgs<'a> {
+    /// The one flag parser of the reader commands. `switches` take no
+    /// value, `valued` flags take exactly one and may repeat; any other
+    /// `--flag` or a missing value is a usage error, so a mistyped
+    /// threshold can never silently run a gate at its default.
+    fn parse(
+        command: &str,
+        args: &'a [String],
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Self, CliError> {
+        let mut parsed = ReaderArgs {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if switches.contains(&arg) {
+                parsed.flags.push((arg, ""));
+            } else if valued.contains(&arg) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?;
+                parsed.flags.push((arg, value));
+            } else if arg.starts_with("--") {
+                return Err(CliError::Usage(format!("unknown {command} flag {arg:?}")));
+            } else {
+                parsed.positional.push(arg);
+            }
+        }
+        Ok(parsed)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+}
+
+/// Prints `value` to stdout as pretty JSON.
+fn print_json<T: Serialize>(value: &T) -> Result<(), CliError> {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(value).map_err(|e| e.to_string())?
+    );
+    Ok(())
+}
+
 /// Shared observability sink configuration for the `tune` and `whatif`
 /// subcommands: the `--telemetry` report path and the `--journal` stream
 /// path are parsed, armed, and flushed in exactly one place, so a flag
@@ -472,11 +491,7 @@ fn cmd_telemetry_check(args: &[String]) -> Result<(), CliError> {
         "tuner_runs": report.tuner.len() as u64,
         "simulator_runs": report.validator.simulator_runs,
     });
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&verdict).map_err(|e| e.to_string())?
-    );
-    Ok(())
+    print_json(&verdict)
 }
 
 /// Reads and validates a telemetry report; any failure is an input error.
@@ -486,66 +501,18 @@ fn load_report(path: &str) -> Result<RunReport, CliError> {
     RunReport::parse_checked(&json).map_err(|e| CliError::Input(format!("{path}: {e}")))
 }
 
-/// Prints `value` as pretty JSON when `json_out`, else through `render`.
-fn emit<T: Serialize>(value: &T, json_out: bool, render: fn(&T) -> String) -> Result<(), CliError> {
-    if json_out {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(value).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!("{}", render(value));
-    }
-    Ok(())
-}
-
-/// The shape `explain` and `inspect` share: `<report> [--json]` shows one
-/// view of a report, `diff <baseline> <candidate> [--json]` compares two.
-fn cmd_view_or_diff<V: Serialize, D: Serialize>(
-    name: &str,
-    args: &[String],
-    view: fn(&RunReport) -> V,
-    render_view: fn(&V) -> String,
-    diff: fn(&RunReport, &RunReport) -> D,
-    render_diff: fn(&D) -> String,
-) -> Result<(), CliError> {
-    let json_out = args.iter().any(|a| a == "--json");
-    let positional: Vec<&String> = args.iter().filter(|a| *a != "--json").collect();
-    match positional.as_slice() {
-        [path] if *path != "diff" => emit(&view(&load_report(path)?), json_out, render_view),
-        [sub, baseline, candidate] if *sub == "diff" => {
-            let d = diff(&load_report(baseline)?, &load_report(candidate)?);
-            emit(&d, json_out, render_diff)
-        }
-        _ => Err(CliError::Usage(format!(
-            "{name} needs <telemetry.json> [--json] or diff <baseline.json> <candidate.json> \
-             [--json]"
-        ))),
-    }
-}
-
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
-    use autoblox::explain::{explain_diff, fingerprint, render_diff, render_fingerprint};
-    cmd_view_or_diff(
-        "explain",
-        args,
-        fingerprint,
-        render_fingerprint,
-        explain_diff,
-        render_diff,
-    )
-}
-
-fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    use autoblox::model_obs::{inspect, inspect_diff, render_model, render_model_diff};
-    cmd_view_or_diff(
-        "inspect",
-        args,
-        inspect,
-        render_model,
-        inspect_diff,
-        render_model_diff,
-    )
+    let parsed = ReaderArgs::parse("explain", args, &["--json"], &[])?;
+    let [path] = parsed.positional.as_slice() else {
+        return Err("explain needs <telemetry.json> [--json]".into());
+    };
+    let doc = autoblox::explain::explain(&load_report(path)?);
+    if parsed.has("--json") {
+        print_json(&doc)
+    } else {
+        print!("{}", autoblox::explain::render(&doc));
+        Ok(())
+    }
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
@@ -619,68 +586,69 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
+/// The threshold flags of `report diff` and `report trend`, parsed into
+/// the one [`Thresholds`] (each command's [`ReaderArgs::parse`] list admits only
+/// its own subset; the validation-count threshold keeps both of its
+/// historical flag names).
+fn thresholds_from(args: &[String]) -> Result<Thresholds, CliError> {
+    let d = Thresholds::default();
+    let validation_increase = match parse_flag(args, "--max-validation-increase")? {
+        Some(v) => Some(v),
+        None => parse_flag(args, "--max-run-inflation")?,
+    };
+    let t = Thresholds {
+        max_grade_drop: parse_flag(args, "--max-grade-drop")?.unwrap_or(d.max_grade_drop),
+        max_validation_increase: validation_increase.unwrap_or(d.max_validation_increase),
+        max_hit_rate_drop: parse_flag(args, "--max-hit-rate-drop")?.unwrap_or(d.max_hit_rate_drop),
+        max_sim_time_increase: parse_flag(args, "--max-sim-time-increase")?
+            .unwrap_or(d.max_sim_time_increase),
+        max_tail_latency_shift: parse_flag(args, "--max-tail-shift")?
+            .unwrap_or(d.max_tail_latency_shift),
+        max_bottleneck_shift: parse_flag(args, "--max-bottleneck-shift")?
+            .unwrap_or(d.max_bottleneck_shift),
+        min_calibration_coverage: parse_flag(args, "--min-calibration-coverage")?
+            .unwrap_or(d.min_calibration_coverage),
+        ignore_time: args.iter().any(|a| a == "--ignore-time"),
+        window: parse_flag(args, "--window")?.unwrap_or(d.window),
+    };
+    if t.window < 2 {
+        return Err("--window must be at least 2 (a run needs history to drift from)".into());
+    }
+    if !(0.0..=1.0).contains(&t.min_calibration_coverage) {
+        return Err("--min-calibration-coverage must be in [0, 1]".into());
+    }
+    Ok(t)
+}
+
 fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
-    let [baseline_path, candidate_path, flags @ ..] = rest else {
+    let valued = [
+        "--max-grade-drop",
+        "--max-validation-increase",
+        "--max-hit-rate-drop",
+        "--max-sim-time-increase",
+        "--max-tail-shift",
+        "--max-bottleneck-shift",
+        "--ignore",
+    ];
+    let parsed = ReaderArgs::parse("report diff", rest, &["--ignore-time"], &valued)?;
+    let [baseline_path, candidate_path] = parsed.positional.as_slice() else {
         return Err("report diff needs <baseline.json> <candidate.json>".into());
     };
-    let defaults = DiffThresholds::default();
-    let thresholds = DiffThresholds {
-        max_grade_drop: parse_flag(flags, "--max-grade-drop")?.unwrap_or(defaults.max_grade_drop),
-        max_validation_increase: parse_flag(flags, "--max-validation-increase")?
-            .unwrap_or(defaults.max_validation_increase),
-        max_hit_rate_drop: parse_flag(flags, "--max-hit-rate-drop")?
-            .unwrap_or(defaults.max_hit_rate_drop),
-        max_sim_time_increase: parse_flag(flags, "--max-sim-time-increase")?
-            .unwrap_or(defaults.max_sim_time_increase),
-        max_tail_latency_shift: parse_flag(flags, "--max-tail-shift")?
-            .unwrap_or(defaults.max_tail_latency_shift),
-        max_bottleneck_shift: parse_flag(flags, "--max-bottleneck-shift")?
-            .unwrap_or(defaults.max_bottleneck_shift),
-        ignore_time: flags.iter().any(|a| a == "--ignore-time"),
-    };
-    // `--ignore <metric>` is repeatable, so it cannot go through parse_flag
-    // (which stops at the first hit).
-    let mut ignore: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < flags.len() {
-        if flags[i] == "--ignore" {
-            let value = flags
-                .get(i + 1)
-                .ok_or_else(|| "--ignore needs a metric name".to_string())?;
-            ignore.push(value.clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    let thresholds = thresholds_from(rest)?;
+    let ignore: Vec<String> = parsed
+        .flags
+        .iter()
+        .filter(|(flag, _)| *flag == "--ignore")
+        .map(|(_, metric)| metric.to_string())
+        .collect();
     let baseline = load_report(baseline_path)?;
     let candidate = load_report(candidate_path)?;
     let diff = diff_reports(&baseline, &candidate, &thresholds, &ignore);
     // Machine-readable verdict to stdout; the human summary to stderr.
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&diff).map_err(|e| e.to_string())?
-    );
-    for m in &diff.metrics {
-        eprintln!(
-            "{} {:<28} {:>14.3} -> {:>14.3}  ({:+.1}%){}",
-            if m.regressed {
-                "REGRESSED"
-            } else if m.checked {
-                "ok       "
-            } else {
-                "info     "
-            },
-            m.metric,
-            m.baseline,
-            m.candidate,
-            m.relative * 100.0,
-            if m.checked {
-                String::new()
-            } else {
-                " [unchecked]".to_string()
-            },
-        );
+    print_json(&diff)?;
+    eprint!("{}", render_rows(&diff.metrics));
+    for note in &diff.notes {
+        eprintln!("{note}");
     }
     if diff.pass {
         eprintln!("verdict: PASS");
@@ -710,36 +678,29 @@ fn open_run_store(db_path: &str) -> Result<autodb::Store, CliError> {
 }
 
 fn cmd_report_trend(rest: &[String]) -> Result<ExitCode, CliError> {
-    let json_only = rest.iter().any(|a| a == "--json");
+    let valued = [
+        "--db",
+        "--category",
+        "--window",
+        "--max-grade-drop",
+        "--max-run-inflation",
+        "--max-bottleneck-shift",
+        "--min-calibration-coverage",
+    ];
+    let parsed = ReaderArgs::parse("report trend", rest, &["--json"], &valued)?;
+    if !parsed.positional.is_empty() {
+        return Err("report trend takes only flags".into());
+    }
+    let json_only = parsed.has("--json");
     let db_path: String =
         parse_flag(rest, "--db")?.unwrap_or_else(|| DEFAULT_RUN_STORE.to_string());
-    let defaults = autoblox::TrendThresholds::default();
-    let thresholds = autoblox::TrendThresholds {
-        window: parse_flag(rest, "--window")?.unwrap_or(defaults.window),
-        max_grade_drop: parse_flag(rest, "--max-grade-drop")?.unwrap_or(defaults.max_grade_drop),
-        max_run_inflation: parse_flag(rest, "--max-run-inflation")?
-            .unwrap_or(defaults.max_run_inflation),
-        max_bottleneck_shift: parse_flag(rest, "--max-bottleneck-shift")?
-            .unwrap_or(defaults.max_bottleneck_shift),
-        min_calibration_coverage: parse_flag(rest, "--min-calibration-coverage")?
-            .unwrap_or(defaults.min_calibration_coverage),
-    };
-    if thresholds.window < 2 {
-        return Err("--window must be at least 2 (a run needs history to drift from)".into());
-    }
-    if !(0.0..=1.0).contains(&thresholds.min_calibration_coverage) {
-        return Err("--min-calibration-coverage must be in [0, 1]".into());
-    }
+    let thresholds = thresholds_from(rest)?;
     let category: Option<String> = parse_flag(rest, "--category")?;
     let db = open_run_store(&db_path)?;
     let report = autoblox::trend(&db, &thresholds, category.as_deref()).map_err(CliError::Input)?;
     // Machine-readable verdict to stdout; the human summary to stderr
     // (suppressed by --json so scripted callers get a quiet channel).
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&serde_json::to_value(&report).map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?
-    );
+    print_json(&report)?;
     if !json_only {
         eprint!("{}", autoblox::obs::render_trend(&report));
     }
@@ -756,13 +717,11 @@ fn cmd_report_trend(rest: &[String]) -> Result<ExitCode, CliError> {
 
 /// Opt-in run-registry recording for `tune`/`whatif`/`place`: `--db
 /// <store>` picks the store, bare `--record` uses [`DEFAULT_RUN_STORE`].
-/// Construction arms the telemetry switch (bottleneck shares come from
-/// the validator's simulator aggregate, which only accumulates under it);
-/// `record`/`record_with` write one [`autoblox::RunSummary`] when the
-/// command completes.
+/// Construction arms the telemetry switch (the summary is taken from the
+/// run's telemetry report, which only accumulates under it); `record`
+/// registers one [`Summary`] when the command completes.
 struct RunRecorder {
     db_path: Option<String>,
-    started: std::time::Instant,
 }
 
 impl RunRecorder {
@@ -776,79 +735,33 @@ impl RunRecorder {
         if db_path.is_some() {
             autoblox::telemetry::set_enabled(true);
         }
-        Ok(RunRecorder {
-            db_path,
-            started: std::time::Instant::now(),
-        })
+        Ok(RunRecorder { db_path })
     }
 
-    fn active(&self) -> bool {
-        self.db_path.is_some()
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Summarises the finished run from its telemetry and registers it.
+    /// `identify` assigns what only the command knows (its name, device
+    /// family and seed; for `place` also the category and cost-as-grade);
+    /// `shared` is an already-open handle on the store (`place` shares its
+    /// recall store rather than opening a second appender on one file).
     fn record(
         &self,
-        command: &str,
-        category: &str,
-        device_family: &str,
-        seed: u64,
-        best_grade: f64,
-        iterations: u64,
+        shared: Option<&autodb::Store>,
         validator: &Validator,
-        records: &[autoblox::tuner::IterationRecord],
+        identify: impl FnOnce(&mut Summary),
     ) -> Result<(), CliError> {
         let Some(path) = &self.db_path else {
             return Ok(());
         };
-        let db = autodb::Store::open(path)
-            .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
-        self.record_with(
-            &db,
-            command,
-            category,
-            device_family,
-            seed,
-            best_grade,
-            iterations,
-            validator,
-            records,
-        )
-    }
-
-    /// Records into an already-open store handle (`place` shares its
-    /// recall store rather than opening a second appender on one file).
-    /// `records` feeds the surrogate-calibration coverage the trend gate
-    /// judges (empty for commands without a tuner, e.g. `place`).
-    #[allow(clippy::too_many_arguments)]
-    fn record_with(
-        &self,
-        db: &autodb::Store,
-        command: &str,
-        category: &str,
-        device_family: &str,
-        seed: u64,
-        best_grade: f64,
-        iterations: u64,
-        validator: &Validator,
-        records: &[autoblox::tuner::IterationRecord],
-    ) -> Result<(), CliError> {
-        let (calibration_coverage_1s, calibration_points) =
-            autoblox::model_obs::coverage_1s(records);
-        let summary = autoblox::RunSummary {
-            schema: autoblox::obs::RUNS_SCHEMA.to_string(),
-            command: command.to_string(),
-            category: category.to_string(),
-            device_family: device_family.to_string(),
-            seed,
-            best_grade,
-            iterations,
-            simulator_runs: validator.simulator_runs(),
-            bottleneck: validator.stats().sim.bottleneck(),
-            calibration_coverage_1s,
-            calibration_points,
-            threads: autoblox::parallel::max_threads() as u64,
-            wall_ns: self.started.elapsed().as_nanos() as u64,
+        let mut summary = Summary::of(&autoblox::telemetry::global().report(Some(validator)));
+        identify(&mut summary);
+        let opened;
+        let db = match shared {
+            Some(db) => db,
+            None => {
+                opened = autodb::Store::open(path)
+                    .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
+                &opened
+            }
         };
         let key = autoblox::record_run(db, &summary).map_err(CliError::Other)?;
         eprintln!("run recorded as {key}");
@@ -864,129 +777,95 @@ fn cmd_runs(args: &[String]) -> Result<(), CliError> {
                 .into(),
         );
     };
-    let json_out = rest.iter().any(|a| a == "--json");
-    let db_path: String =
-        parse_flag(rest, "--db")?.unwrap_or_else(|| DEFAULT_RUN_STORE.to_string());
-    match sub.as_str() {
-        "list" => {
-            let category: Option<String> = parse_flag(rest, "--category")?;
-            if let Some(cat) = &category {
-                if cat.is_empty() {
-                    return Err("--category needs a non-empty name".into());
-                }
-            }
-            let limit: Option<u64> = parse_flag(rest, "--limit")?;
-            if limit == Some(0) {
-                return Err("--limit must be at least 1".into());
-            }
-            let db = open_run_store(&db_path)?;
-            let mut runs = autoblox::obs::list_runs(&db).map_err(CliError::Input)?;
-            if let Some(cat) = &category {
-                runs.retain(|(_, s)| s.category == *cat);
-                if runs.is_empty() {
-                    return Err(CliError::Input(format!(
-                        "no recorded runs for category `{cat}` in {db_path}"
-                    )));
-                }
-            }
-            if let Some(n) = limit {
-                // Keep the newest N entries of the (oldest-first) listing.
-                let drop = runs.len().saturating_sub(n as usize);
-                runs.drain(..drop);
-            }
-            if json_out {
-                // The JSON listing emits fingerprints (host-varying fields
-                // stripped) so diffing two listings compares substance.
-                let entries: Vec<serde_json::Value> = runs
-                    .iter()
-                    .map(|(key, summary)| {
-                        let mut value = summary.fingerprint();
-                        if let serde_json::Value::Object(map) = &mut value {
-                            map.insert("key".to_string(), serde_json::json!(key));
-                        }
-                        value
-                    })
-                    .collect();
-                let doc = serde_json::json!({
-                    "schema": autoblox::obs::RUNS_SCHEMA,
-                    "runs": entries,
-                });
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", autoblox::obs::render_runs(&runs));
-            }
-        }
-        "show" => {
-            let mut positional: Vec<&String> = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--json" => i += 1,
-                    "--db" => i += 2,
-                    _ => {
-                        positional.push(&rest[i]);
-                        i += 1;
-                    }
-                }
-            }
-            let [key] = positional.as_slice() else {
-                return Err("runs show needs <run-key> [--db store.db] [--json]".into());
-            };
-            // Malformed keys are usage errors (exit 2) before any I/O.
-            autoblox::obs::parse_run_key(key).map_err(CliError::Usage)?;
-            let db = open_run_store(&db_path)?;
-            let summary: autoblox::RunSummary = db
-                .get_record(key)
-                .map_err(|e| CliError::Input(format!("{key}: {e}")))?
-                .ok_or_else(|| CliError::Input(format!("no run {key} in {db_path}")))?;
-            if json_out {
-                let mut value = serde_json::to_value(&summary).map_err(|e| e.to_string())?;
-                if let serde_json::Value::Object(map) = &mut value {
-                    map.insert("key".to_string(), serde_json::json!(key.as_str()));
-                }
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&value).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!(
-                    "{}",
-                    autoblox::obs::render_runs(&[(key.to_string(), summary)])
-                );
-            }
-        }
+    let valued: &[&str] = match sub.as_str() {
+        "list" => &["--db", "--category", "--limit"],
+        "show" => &["--db"],
         other => {
             return Err(CliError::Usage(format!(
                 "unknown runs subcommand {other:?} (expected `list` or `show`)"
             )))
+        }
+    };
+    let parsed = ReaderArgs::parse("runs", rest, &["--json"], valued)?;
+    let json_out = parsed.has("--json");
+    let db_path: String =
+        parse_flag(rest, "--db")?.unwrap_or_else(|| DEFAULT_RUN_STORE.to_string());
+    // `key` joins a summary's JSON form: the listing emits fingerprints
+    // (host-varying fields stripped) so diffing two listings compares
+    // substance; `show` emits the record in full.
+    let keyed = |key: &str, mut value: serde_json::Value| {
+        if let serde_json::Value::Object(map) = &mut value {
+            map.insert("key".to_string(), serde_json::json!(key));
+        }
+        value
+    };
+    if sub == "list" {
+        if !parsed.positional.is_empty() {
+            return Err("runs list takes only flags".into());
+        }
+        let category: Option<String> = parse_flag(rest, "--category")?;
+        if category.as_deref() == Some("") {
+            return Err("--category needs a non-empty name".into());
+        }
+        let limit: Option<u64> = parse_flag(rest, "--limit")?;
+        if limit == Some(0) {
+            return Err("--limit must be at least 1".into());
+        }
+        let db = open_run_store(&db_path)?;
+        let mut runs = autoblox::obs::list_runs(&db).map_err(CliError::Input)?;
+        if let Some(cat) = &category {
+            runs.retain(|(_, s)| s.category == *cat);
+            if runs.is_empty() {
+                return Err(CliError::Input(format!(
+                    "no recorded runs for category `{cat}` in {db_path}"
+                )));
+            }
+        }
+        if let Some(n) = limit {
+            // Keep the newest N entries of the (oldest-first) listing.
+            let drop = runs.len().saturating_sub(n as usize);
+            runs.drain(..drop);
+        }
+        if json_out {
+            let entries: Vec<serde_json::Value> = runs
+                .iter()
+                .map(|(key, summary)| keyed(key, summary.fingerprint()))
+                .collect();
+            print_json(&serde_json::json!({
+                "schema": autoblox::report::RUNS_SCHEMA,
+                "runs": entries,
+            }))?;
+        } else {
+            print!("{}", autoblox::obs::render_runs(&runs));
+        }
+    } else {
+        let [key] = parsed.positional.as_slice() else {
+            return Err("runs show needs <run-key> [--db store.db] [--json]".into());
+        };
+        // Malformed keys are usage errors (exit 2) before any I/O.
+        autoblox::obs::parse_run_key(key).map_err(CliError::Usage)?;
+        let db = open_run_store(&db_path)?;
+        let summary = autoblox::obs::read_run(&db, key)
+            .map_err(CliError::Input)?
+            .ok_or_else(|| CliError::Input(format!("no run {key} in {db_path}")))?;
+        if json_out {
+            let value = serde_json::to_value(&summary).map_err(|e| e.to_string())?;
+            print_json(&keyed(key, value))?;
+        } else {
+            print!(
+                "{}",
+                autoblox::obs::render_runs(&[(key.to_string(), summary)])
+            );
         }
     }
     Ok(())
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), CliError> {
-    let json_out = args.iter().any(|a| a == "--json");
-    let replay = args.iter().any(|a| a == "--replay");
+    let parsed = ReaderArgs::parse("watch", args, &["--json", "--replay"], &["--interval-ms"])?;
+    let (json_out, replay) = (parsed.has("--json"), parsed.has("--replay"));
     let interval_ms: u64 = parse_flag(args, "--interval-ms")?.unwrap_or(250);
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" | "--replay" => i += 1,
-            "--interval-ms" => i += 2,
-            other if other.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown watch flag {other:?}")));
-            }
-            _ => {
-                positional.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
-    let [path] = positional.as_slice() else {
+    let [path] = parsed.positional.as_slice() else {
         return Err("watch needs <journal.jsonl> [--replay] [--json] [--interval-ms N]".into());
     };
     if replay {
@@ -1011,10 +890,7 @@ fn cmd_watch(args: &[String]) -> Result<(), CliError> {
         if json_out {
             // Timing excluded: the replay snapshot is a fingerprint, and
             // byte-comparing it across hosts/thread counts is the point.
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&state.snapshot(false)).map_err(|e| e.to_string())?
-            );
+            print_json(&state.snapshot(false))?;
         } else {
             print!("{}", state.render());
         }
@@ -1317,18 +1193,11 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&outcome.best.config).map_err(|e| e.to_string())?
     );
-    if recorder.active() {
-        recorder.record(
-            "tune",
-            kind.name(),
-            constraints.family.label(),
-            seed,
-            outcome.best.grade,
-            outcome.iterations as u64,
-            &validator,
-            &outcome.iteration_records,
-        )?;
-    }
+    recorder.record(None, &validator, |s| {
+        s.command = "tune".to_string();
+        s.device_family = constraints.family.label().to_string();
+        s.seed = seed;
+    })?;
     sinks.finish(&validator)?;
     Ok(())
 }
@@ -1342,9 +1211,9 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), CliError> {
             "unknown checkpoint subcommand {sub:?} (expected `inspect`)"
         )));
     }
-    let json_out = rest.iter().any(|a| a == "--json");
-    let positional: Vec<&String> = rest.iter().filter(|a| *a != "--json").collect();
-    let [path] = positional.as_slice() else {
+    let parsed = ReaderArgs::parse("checkpoint inspect", rest, &["--json"], &[])?;
+    let json_out = parsed.has("--json");
+    let [path] = parsed.positional.as_slice() else {
         return Err("checkpoint inspect needs <checkpoint.json> [--json]".into());
     };
     let cp = Checkpoint::read(path).map_err(CliError::Input)?;
@@ -1354,15 +1223,11 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), CliError> {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     if json_out {
-        let verdict = serde_json::json!({
+        print_json(&serde_json::json!({
             "path": path.to_string(),
             "valid": true,
             "summary": serde_json::to_value(&summary).map_err(|e| e.to_string())?,
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&verdict).map_err(|e| e.to_string())?
-        );
+        }))?;
     } else {
         print!("{}", summary.render(now));
     }
@@ -1413,18 +1278,11 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&out.tuning.best.config).map_err(|e| e.to_string())?
     );
-    if recorder.active() {
-        recorder.record(
-            "whatif",
-            kind.name(),
-            constraints.family.label(),
-            TunerOptions::default().seed,
-            out.tuning.best.grade,
-            out.tuning.iterations as u64,
-            &validator,
-            &out.tuning.iteration_records,
-        )?;
-    }
+    recorder.record(None, &validator, |s| {
+        s.command = "whatif".to_string();
+        s.device_family = constraints.family.label().to_string();
+        s.seed = TunerOptions::default().seed;
+    })?;
     sinks.finish(&validator)?;
     Ok(())
 }
@@ -1562,35 +1420,17 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         eprintln!("placement report written to {path}");
     }
     println!("{json}");
-    if recorder.active() {
+    recorder.record(db.as_ref(), &validator, |s| {
+        s.command = "place".to_string();
+        s.category = "place".to_string();
+        s.device_family = constraints.family.label().to_string();
+        s.seed = opts.train_seed;
         // Placement has no tuning grade: the registry gets the negated
         // final placement cost so "higher is better" still holds for the
         // trend gate's grade-drop rule.
-        let grade = -report.final_cost;
-        match &db {
-            Some(db) => recorder.record_with(
-                db,
-                "place",
-                "place",
-                constraints.family.label(),
-                opts.train_seed,
-                grade,
-                report.search_rounds,
-                &validator,
-                &[],
-            )?,
-            None => recorder.record(
-                "place",
-                "place",
-                constraints.family.label(),
-                opts.train_seed,
-                grade,
-                report.search_rounds,
-                &validator,
-                &[],
-            )?,
-        }
-    }
+        s.best_grade = Some(-report.final_cost);
+        s.iterations = report.search_rounds;
+    })?;
     sinks.finish(&validator)?;
     Ok(())
 }
@@ -1601,16 +1441,11 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
-    // `report diff`/`report trend` distinguish "regression/drift found"
-    // (exit 3) from plain success/failure, so they return an ExitCode
-    // directly.
-    if command == "report" {
-        return match cmd_report(rest) {
-            Ok(code) => code,
-            Err(err) => fail(err),
-        };
-    }
     let result = match command.as_str() {
+        // `report diff`/`report trend` distinguish "regression/drift
+        // found" (exit 3) from plain success/failure, so they return an
+        // ExitCode directly.
+        "report" => return cmd_report(rest).unwrap_or_else(fail),
         "generate" => cmd_generate(rest),
         "profile" => cmd_profile(rest),
         "classify" => cmd_classify(rest),
@@ -1622,8 +1457,9 @@ fn main() -> ExitCode {
         "watch" => cmd_watch(rest),
         "telemetry-check" => cmd_telemetry_check(rest),
         "checkpoint" => cmd_checkpoint(rest),
-        "explain" => cmd_explain(rest),
-        "inspect" => cmd_inspect(rest),
+        // Two reports are compared by `report diff`; the retired `explain
+        // diff` form gets the usage text like any unknown command.
+        "explain" if rest.first().map(String::as_str) != Some("diff") => cmd_explain(rest),
         "trace" => cmd_trace(rest),
         _ => return usage(),
     };
@@ -1649,5 +1485,44 @@ fn fail(err: CliError) -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every command `main` dispatches is documented in the usage text, and
+    /// the usage text documents nothing `main` does not dispatch.
+    #[test]
+    fn usage_lists_exactly_the_dispatched_commands() {
+        let source = include_str!("autoblox.rs");
+        let main_body = &source[source.find("\nfn main()").expect("main exists")..];
+        let dispatch = &main_body[..main_body.find("_ => return usage()").expect("fallback arm")];
+        let mut dispatched: Vec<&str> = dispatch
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
+            .collect();
+        assert!(
+            dispatched.len() >= 14,
+            "parsed the match arms: {dispatched:?}"
+        );
+
+        let usage = super::usage_text();
+        let commands = usage
+            .split("commands:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("usage has a commands section");
+        // A command's entry starts at column 2; continuation lines are
+        // indented further.
+        let mut documented: Vec<&str> = commands
+            .lines()
+            .filter_map(|l| l.strip_prefix("  ")?.split(' ').next())
+            .filter(|word| !word.is_empty())
+            .collect();
+        dispatched.sort_unstable();
+        dispatched.dedup();
+        documented.sort_unstable();
+        documented.dedup();
+        assert_eq!(dispatched, documented);
     }
 }

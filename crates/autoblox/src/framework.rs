@@ -91,13 +91,6 @@ pub struct AutoBloxOptions {
     /// over. Incompatible or absent checkpoints fall back to a cold
     /// start.
     pub resume: bool,
-    /// When `true`, every completed tuning run registers a compact
-    /// [`crate::obs::RunSummary`] in AutoDB under `run:<category>:<seq>`
-    /// keys — the persistent history `autoblox runs list` and the trend
-    /// gate read. Off by default. Callers who want populated bottleneck
-    /// shares in the history must also enable the telemetry switch (the
-    /// simulator-run count is always exact).
-    pub record_runs: bool,
 }
 
 impl Default for AutoBloxOptions {
@@ -110,7 +103,6 @@ impl Default for AutoBloxOptions {
             seed: 0xB10C,
             checkpoint_every: None,
             resume: false,
-            record_runs: false,
         }
     }
 }
@@ -253,32 +245,6 @@ impl<'v> AutoBlox<'v> {
         sink.record_outcome(&outcome);
         if every.is_some() || self.opts.resume {
             let _ = self.db.delete(ckpt_key);
-        }
-        if self.opts.record_runs {
-            let stats = self.validator.stats();
-            let (calibration_coverage_1s, calibration_points) =
-                crate::model_obs::coverage_1s(&outcome.iteration_records);
-            let summary = crate::obs::RunSummary {
-                schema: crate::obs::RUNS_SCHEMA.to_string(),
-                command: "framework.tune".to_string(),
-                category: outcome.workload.clone(),
-                device_family: reference.device_family.label().to_string(),
-                seed: self.opts.tuner.seed,
-                best_grade: outcome.best.grade,
-                iterations: outcome.iterations as u64,
-                simulator_runs: self.validator.simulator_runs(),
-                bottleneck: stats.sim.bottleneck(),
-                calibration_coverage_1s,
-                calibration_points,
-                threads: mlkit::parallel::max_threads() as u64,
-                // Wall time of the executed iterations (zero with the
-                // telemetry switch off); excluded from the fingerprint
-                // either way.
-                wall_ns: outcome.iteration_records.iter().map(|r| r.wall_ns).sum(),
-            };
-            if let Err(e) = crate::obs::record_run(&self.db, &summary) {
-                eprintln!("warning: run registry write failed: {e}");
-            }
         }
         outcome
     }

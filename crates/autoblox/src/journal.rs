@@ -53,21 +53,6 @@ const EVENT_QUEUE_CAP: usize = 1 << 14;
 /// How often the writer thread drains the buffers.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Process-wide toggle for `progress` journal lines (default on). Exists so
-/// the journal-tail benchmark can measure the marginal cost of progress
-/// records against an otherwise identical journaled run.
-static PROGRESS_RECORDS: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables `progress` journal lines process-wide.
-pub fn set_progress_records(enabled: bool) {
-    PROGRESS_RECORDS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether `progress` journal lines are currently enabled.
-pub fn progress_records_enabled() -> bool {
-    PROGRESS_RECORDS.load(Ordering::Relaxed)
-}
-
 /// The producer-facing half of a journal: a bounded in-memory event queue
 /// shared (via `Arc`) between the telemetry sink and the writer thread.
 ///
@@ -200,9 +185,6 @@ impl JournalHandle {
         percent: f64,
         eta_ns: u64,
     ) {
-        if !progress_records_enabled() {
-            return;
-        }
         self.push(serde_json::json!({
             "t": "progress",
             "workload": workload,
@@ -391,7 +373,9 @@ impl Drop for Journal {
     }
 }
 
-fn get_u64(obj: &Value, key: &str) -> u64 {
+/// Lenient field accessors for journal lines: a missing or mistyped member
+/// reads as zero/empty, never an error (a tail may observe anything).
+pub(crate) fn get_u64(obj: &Value, key: &str) -> u64 {
     match obj.get(key) {
         Some(Value::Int(i)) => *i as u64,
         Some(Value::Float(f)) => *f as u64,
@@ -400,7 +384,15 @@ fn get_u64(obj: &Value, key: &str) -> u64 {
     }
 }
 
-fn get_str<'v>(obj: &'v Value, key: &str) -> &'v str {
+pub(crate) fn get_f64(obj: &Value, key: &str) -> f64 {
+    match obj.get(key) {
+        Some(Value::Float(f)) => *f,
+        Some(Value::Int(i)) => *i as f64,
+        _ => 0.0,
+    }
+}
+
+pub(crate) fn get_str<'v>(obj: &'v Value, key: &str) -> &'v str {
     match obj.get(key) {
         Some(Value::Str(s)) => s,
         _ => "",
@@ -481,11 +473,7 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                     "args": serde_json::json!({
                         "workload": get_str(&v, "workload"),
                         "iteration": iter,
-                        "best_grade": match v.get("best_grade") {
-                            Some(Value::Float(f)) => *f,
-                            Some(Value::Int(i)) => *i as f64,
-                            _ => 0.0,
-                        },
+                        "best_grade": get_f64(&v, "best_grade"),
                         "validations": get_u64(&v, "validations"),
                     }),
                 }));
@@ -577,14 +565,6 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
         "traceEvents": events,
     });
     serde_json::to_string(&doc).map_err(|e| format!("cannot serialize trace: {e}"))
-}
-
-fn get_f64(obj: &Value, key: &str) -> f64 {
-    match obj.get(key) {
-        Some(Value::Float(f)) => *f,
-        Some(Value::Int(i)) => *i as f64,
-        _ => 0.0,
-    }
 }
 
 /// Flattens the `series` lines of a JSONL run journal into CSV: one row per
@@ -765,17 +745,6 @@ mod tests {
         assert_eq!(get_f64(&events[2], "ts"), 2.0);
         assert_eq!(get_str(&events[3], "name"), "tuner.progress");
         assert_eq!(get_str(&events[3], "ph"), "i");
-    }
-
-    #[test]
-    fn progress_toggle_gates_progress_lines_only() {
-        let h = JournalHandle::default();
-        set_progress_records(false);
-        h.record_progress("Database", "iterating", 1, 4, 0.25, 0);
-        set_progress_records(true);
-        h.record_progress("Database", "iterating", 2, 4, 0.5, 0);
-        h.record_phase("tune", 1);
-        assert_eq!(lock(&h.queue).len(), 2, "only the enabled push lands");
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod obs;
 pub mod params;
 pub mod place;
 pub mod pruning;
+pub mod report;
 pub mod report_diff;
 pub mod telemetry;
 pub mod tuner;
@@ -70,9 +71,10 @@ pub use constraints::Constraints;
 pub use framework::{AutoBlox, AutoBloxOptions, Recommendation};
 pub use metrics::{grade, performance, Measurement};
 pub use mlkit::parallel;
-pub use obs::{record_run, trend, RunSummary, TrendReport, TrendThresholds};
+pub use obs::{record_run, trend, TrendReport};
 pub use params::ParamSpace;
 pub use place::{place, PlacementOptions, PlacementReport};
+pub use report::{Summary, Thresholds};
 pub use tuner::{SurrogateKind, Tuner, TunerOptions, TuningOutcome, TuningTarget};
 pub use validator::{Validator, ValidatorOptions};
 pub use watch::WatchState;

@@ -5,21 +5,20 @@
 //! per cluster, per placement round, again and again. This module gives
 //! those runs a durable, queryable history:
 //!
-//! - [`RunSummary`] is the compact, schema-versioned record one invocation
-//!   leaves behind: command, seed, category, converged grade, simulator-run
-//!   count, iteration count, and the bottleneck attribution shares. Wall
-//!   time and the thread limit are carried for humans but excluded from
-//!   [`RunSummary::fingerprint`], so two byte-identical runs on different
+//! - The record one invocation leaves behind is the report core's
+//!   [`Summary`]: command, seed, category, converged grade, simulator-run
+//!   count, tail latency, bottleneck attribution and surrogate calibration.
+//!   Wall time and the thread limit are carried for humans but excluded
+//!   from [`Summary::fingerprint`], so two byte-identical runs on different
 //!   hosts summarize identically.
 //! - [`record_run`] appends a summary to an [`autodb::Store`] under
 //!   `run:<category>:<seq>` keys with fixed-width, zero-padded sequence
 //!   numbers — lexicographic key order *is* recording order, so every
 //!   consumer (listing, trending) reads history oldest-first for free.
-//! - [`trend`] is the multi-run generalization of `report diff`: it takes
-//!   the last N summaries per category, computes median and EWMA baselines
-//!   over all but the newest, and flags the newest run for grade drop,
-//!   simulator-run inflation, or bottleneck-share shift against
-//!   [`TrendThresholds`]. CI runs it so a slow three-PR regression cannot
+//! - [`trend`] is the multi-run form of `report diff`: the same metric
+//!   table ([`crate::report::compare`]), with the last N same-family
+//!   summaries of a category as the baseline, so the newest run is judged
+//!   against their median. CI runs it so a slow three-PR regression cannot
 //!   hide under the pairwise diff threshold.
 //!
 //! Everything here is deterministic: summaries carry no host-varying field
@@ -27,14 +26,9 @@
 //! and the serialized [`TrendReport`] for a given store content is
 //! byte-stable (the vendored JSON shim sorts object keys).
 
-use crate::report_diff::relative;
+use crate::report::{compare, regressions, render_rows, Row, Summary, Thresholds, RUNS_SCHEMA};
 use autodb::Store;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
-use ssdsim::BottleneckReport;
-
-/// Schema identifier carried by every recorded [`RunSummary`].
-pub const RUNS_SCHEMA: &str = "autoblox.runs.v1";
 
 /// Schema identifier of the serialized [`TrendReport`].
 pub const TREND_SCHEMA: &str = "autoblox.trend.v1";
@@ -43,68 +37,6 @@ pub const TREND_SCHEMA: &str = "autoblox.trend.v1";
 /// enough that lexicographic and numeric key order agree for any
 /// realistic history length.
 const SEQ_WIDTH: usize = 6;
-
-/// The compact history record one `tune`/`whatif`/`place` invocation
-/// registers (schema [`RUNS_SCHEMA`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSummary {
-    /// Always [`RUNS_SCHEMA`].
-    pub schema: String,
-    /// The command that produced the run (`tune`, `whatif`, `place`, or
-    /// `framework.tune`).
-    pub command: String,
-    /// History family: the workload category for tuning runs, `place` for
-    /// placement rounds.
-    pub category: String,
-    /// Device-family label of the configuration space the run explored
-    /// (`homogeneous` or `hybrid-slc-cache`). Records written before the
-    /// field existed deserialize as empty, which trend gating treats as
-    /// `homogeneous`.
-    #[serde(default)]
-    pub device_family: String,
-    /// Tuner seed the run was pinned to.
-    pub seed: u64,
-    /// Converged best grade (for placement: the negated final interference
-    /// cost, so "higher is better" holds for every category).
-    pub best_grade: f64,
-    /// Outer iterations (for placement: search rounds) executed.
-    pub iterations: u64,
-    /// Charged simulator runs the invocation performed.
-    pub simulator_runs: u64,
-    /// Bottleneck attribution aggregated over every simulator run.
-    pub bottleneck: BottleneckReport,
-    /// Fraction of the run's surrogate calibration pairs whose realized
-    /// grade fell within ±1σ of the prediction (0.0 when the run produced
-    /// no pairs). Deterministic, so it stays in the fingerprint.
-    #[serde(default)]
-    pub calibration_coverage_1s: f64,
-    /// Calibration pairs the coverage fraction was computed over.
-    #[serde(default)]
-    pub calibration_points: u64,
-    /// Worker-pool thread limit in effect. Informational: excluded from
-    /// the fingerprint, since the run's results are thread-invariant.
-    #[serde(default)]
-    pub threads: u64,
-    /// Wall-clock duration of the invocation, ns. Informational: excluded
-    /// from the fingerprint (host-dependent).
-    #[serde(default)]
-    pub wall_ns: u64,
-}
-
-impl RunSummary {
-    /// The deterministic identity of a run: every field except the
-    /// host-varying `threads` and `wall_ns`. Two runs of the same pinned
-    /// command produce equal fingerprints on any machine at any thread
-    /// count, which is what the trend gate and CI byte-compares rely on.
-    pub fn fingerprint(&self) -> Value {
-        let mut v = serde_json::to_value(self).expect("summary serializes");
-        if let Value::Object(map) = &mut v {
-            map.remove("threads");
-            map.remove("wall_ns");
-        }
-        v
-    }
-}
 
 /// Formats the registry key for `category`'s run number `seq`.
 fn run_key(category: &str, seq: u64) -> String {
@@ -146,7 +78,7 @@ pub fn parse_run_key(key: &str) -> Result<(String, u64), String> {
 ///
 /// Returns a description of a store write failure, or of an existing
 /// malformed key shadowing the sequence counter.
-pub fn record_run(db: &Store, summary: &RunSummary) -> Result<String, String> {
+pub fn record_run(db: &Store, summary: &Summary) -> Result<String, String> {
     let prefix = format!("run:{}:", summary.category);
     let next = match db.last_key_with_prefix(&prefix) {
         Some(last) => parse_run_key(&last)?.1 + 1,
@@ -158,85 +90,39 @@ pub fn record_run(db: &Store, summary: &RunSummary) -> Result<String, String> {
     Ok(key)
 }
 
+/// Reads the run recorded under `key`, `None` when there is none.
+///
+/// # Errors
+///
+/// Returns a description of a record that fails to deserialize or carries
+/// a schema other than [`RUNS_SCHEMA`].
+pub fn read_run(db: &Store, key: &str) -> Result<Option<Summary>, String> {
+    let summary: Option<Summary> = db
+        .get_record(key)
+        .map_err(|e| format!("cannot read run `{key}`: {e}"))?;
+    match summary {
+        Some(s) if s.schema != RUNS_SCHEMA => Err(format!(
+            "run `{key}` has unknown schema `{}` (expected `{RUNS_SCHEMA}`)",
+            s.schema
+        )),
+        other => Ok(other),
+    }
+}
+
 /// Every recorded run, oldest first per category, categories in
 /// lexicographic order (the storage order of the keys).
 ///
 /// # Errors
 ///
-/// Returns a description of the first summary that fails to deserialize.
-pub fn list_runs(db: &Store) -> Result<Vec<(String, RunSummary)>, String> {
+/// Returns a description of the first summary [`read_run`] rejects.
+pub fn list_runs(db: &Store) -> Result<Vec<(String, Summary)>, String> {
     let mut runs = Vec::new();
     for key in db.keys_with_prefix("run:") {
-        let summary: RunSummary = db
-            .get_record(&key)
-            .map_err(|e| format!("cannot read run `{key}`: {e}"))?
-            .ok_or_else(|| format!("run `{key}` vanished mid-listing"))?;
+        let summary =
+            read_run(db, &key)?.ok_or_else(|| format!("run `{key}` vanished mid-listing"))?;
         runs.push((key, summary));
     }
     Ok(runs)
-}
-
-/// Drift thresholds for [`trend`]. Relative thresholds are fractions
-/// (0.05 = 5%); the bottleneck threshold is an absolute shift of a 0..=1
-/// share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrendThresholds {
-    /// How many most-recent runs per category enter the window (the newest
-    /// is judged against the rest).
-    pub window: u64,
-    /// Maximum tolerated relative drop of the best grade below the
-    /// baseline median.
-    pub max_grade_drop: f64,
-    /// Maximum tolerated relative increase of the simulator-run count over
-    /// the baseline median.
-    pub max_run_inflation: f64,
-    /// Maximum tolerated absolute shift (either direction) of any
-    /// bottleneck-attribution share against the baseline median.
-    pub max_bottleneck_shift: f64,
-    /// Minimum tolerated ±1σ calibration coverage of the newest run — an
-    /// absolute floor, not a relative drift (a well-calibrated Gaussian
-    /// surrogate covers ~68%). Judged only when the run recorded
-    /// calibration pairs; `#[serde(default)]` keeps older serialized
-    /// thresholds parsing (their floor deserializes as 0.0 = disabled).
-    #[serde(default)]
-    pub min_calibration_coverage: f64,
-}
-
-impl Default for TrendThresholds {
-    fn default() -> Self {
-        TrendThresholds {
-            window: 8,
-            max_grade_drop: 0.05,
-            max_run_inflation: 0.25,
-            max_bottleneck_shift: 0.15,
-            min_calibration_coverage: 0.45,
-        }
-    }
-}
-
-/// One judged metric of one category's trend window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrendMetric {
-    /// Metric name (`best_grade`, `simulator_runs`, `iterations`, or
-    /// `bottleneck.<share>`).
-    pub metric: String,
-    /// Median over the baseline (window minus the newest run).
-    pub median: f64,
-    /// EWMA (alpha 0.3, oldest first) over the baseline — an advisory
-    /// smoothed trajectory; the verdict judges against the median.
-    pub ewma: f64,
-    /// The newest run's value.
-    pub latest: f64,
-    /// `latest - median`.
-    pub delta: f64,
-    /// Delta relative to the median's magnitude (0 for a ~0 median).
-    pub relative: f64,
-    /// The threshold the metric was judged against (0 = advisory).
-    pub threshold: f64,
-    /// Whether the metric was judged at all (needs >= 2 runs in window).
-    pub checked: bool,
-    /// Whether the metric drifted past its threshold.
-    pub drifted: bool,
 }
 
 /// One category's aggregated trend verdict.
@@ -250,8 +136,8 @@ pub struct CategoryTrend {
     pub window_used: u64,
     /// Registry key of the newest (judged) run.
     pub latest_key: String,
-    /// Per-metric rows, fixed order.
-    pub metrics: Vec<TrendMetric>,
+    /// The metric table's rows, the newest run as the candidate.
+    pub metrics: Vec<Row>,
     /// Names of drifted metrics, in row order.
     pub drifts: Vec<String>,
     /// `drifts.is_empty()`.
@@ -266,7 +152,7 @@ pub struct TrendReport {
     /// Always [`TREND_SCHEMA`].
     pub schema: String,
     /// The thresholds the verdict was computed against.
-    pub thresholds: TrendThresholds,
+    pub thresholds: Thresholds,
     /// Per-category trends, category order = key order.
     pub categories: Vec<CategoryTrend>,
     /// Every drift as `category/metric`, in category order.
@@ -275,71 +161,9 @@ pub struct TrendReport {
     pub pass: bool,
 }
 
-/// The device-family label a summary is judged under: records from before
-/// the field existed are homogeneous by construction.
-fn family_of(s: &RunSummary) -> &str {
-    if s.device_family.is_empty() {
-        "homogeneous"
-    } else {
-        &s.device_family
-    }
-}
-
-/// Median of a non-empty, unsorted slice (mean of the middle pair for even
-/// lengths).
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite metric values"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// EWMA with alpha 0.3, oldest value first.
-fn ewma(values: &[f64]) -> f64 {
-    const ALPHA: f64 = 0.3;
-    let mut acc = values.first().copied().unwrap_or(0.0);
-    for &v in &values[1..] {
-        acc = ALPHA * v + (1.0 - ALPHA) * acc;
-    }
-    acc
-}
-
-/// Builds one trend row. `drift` decides from `(delta, relative)` and is
-/// only consulted when the row is checked.
-fn trend_metric(
-    name: &str,
-    baseline: &[f64],
-    latest: f64,
-    threshold: f64,
-    checked: bool,
-    drift: impl Fn(f64, f64) -> bool,
-) -> TrendMetric {
-    let (med, smooth) = if baseline.is_empty() {
-        (latest, latest)
-    } else {
-        (median(baseline), ewma(baseline))
-    };
-    let delta = latest - med;
-    let rel = relative(med, delta);
-    TrendMetric {
-        metric: name.to_string(),
-        median: med,
-        ewma: smooth,
-        latest,
-        delta,
-        relative: rel,
-        threshold,
-        checked,
-        drifted: checked && drift(delta, rel),
-    }
-}
-
 /// Computes the trend verdict over the recorded history in `db`,
-/// optionally restricted to one category.
+/// optionally restricted to one category. Wall-clock rows are never
+/// judged: a history spans hosts.
 ///
 /// # Errors
 ///
@@ -347,12 +171,16 @@ fn trend_metric(
 /// category with no recorded runs.
 pub fn trend(
     db: &Store,
-    thresholds: &TrendThresholds,
+    thresholds: &Thresholds,
     category: Option<&str>,
 ) -> Result<TrendReport, String> {
+    let thresholds = Thresholds {
+        ignore_time: true,
+        ..*thresholds
+    };
     let all = list_runs(db)?;
     // Group by category, preserving key (= recording) order.
-    let mut groups: Vec<(String, Vec<(String, RunSummary)>)> = Vec::new();
+    let mut groups: Vec<(String, Vec<(String, Summary)>)> = Vec::new();
     for (key, summary) in all {
         if let Some(want) = category {
             if summary.category != want {
@@ -373,81 +201,23 @@ pub fn trend(
     let mut categories = Vec::new();
     let mut drifts = Vec::new();
     for (cat, members) in groups {
-        let total = members.len() as u64;
         let windowed = &members[members.len().saturating_sub(window)..];
         let (latest_key, latest) = windowed.last().expect("group is non-empty");
         // Runs of a different device family are never comparable: a hybrid
         // device legitimately grades and bottlenecks nothing like a
         // homogeneous one, so they are dropped from the baseline rather
         // than reported as drift.
-        let baseline: Vec<&RunSummary> = windowed[..windowed.len() - 1]
+        let baseline: Vec<&Summary> = windowed[..windowed.len() - 1]
             .iter()
             .map(|(_, s)| s)
-            .filter(|s| family_of(s) == family_of(latest))
+            .filter(|s| s.family() == latest.family())
             .collect();
-        let checked = !baseline.is_empty();
-        let series = |f: &dyn Fn(&RunSummary) -> f64| -> Vec<f64> {
-            baseline.iter().map(|s| f(s)).collect()
-        };
-        let mut metrics = vec![
-            trend_metric(
-                "best_grade",
-                &series(&|s| s.best_grade),
-                latest.best_grade,
-                thresholds.max_grade_drop,
-                checked,
-                |_, rel| rel < -thresholds.max_grade_drop,
-            ),
-            trend_metric(
-                "simulator_runs",
-                &series(&|s| s.simulator_runs as f64),
-                latest.simulator_runs as f64,
-                thresholds.max_run_inflation,
-                checked,
-                |_, rel| rel > thresholds.max_run_inflation,
-            ),
-            // Iteration count is advisory: convergence speed varies
-            // legitimately with the recorded history's iteration caps.
-            trend_metric(
-                "iterations",
-                &series(&|s| s.iterations as f64),
-                latest.iterations as f64,
-                0.0,
-                false,
-                |_, _| false,
-            ),
-            // Calibration coverage is judged against an absolute floor (a
-            // drifting surrogate under-covers regardless of history), and
-            // only when the newest run actually recorded calibration pairs
-            // (placement rounds and surrogate-off runs record none).
-            trend_metric(
-                "calibration.coverage_1s",
-                &series(&|s| s.calibration_coverage_1s),
-                latest.calibration_coverage_1s,
-                thresholds.min_calibration_coverage,
-                checked && latest.calibration_points > 0,
-                |_, _| latest.calibration_coverage_1s < thresholds.min_calibration_coverage,
-            ),
-        ];
-        for (i, (share, _)) in latest.bottleneck.fractions().iter().enumerate() {
-            metrics.push(trend_metric(
-                &format!("bottleneck.{share}"),
-                &series(&|s| s.bottleneck.fractions()[i].1),
-                latest.bottleneck.fractions()[i].1,
-                thresholds.max_bottleneck_shift,
-                checked,
-                |delta, _| delta.abs() > thresholds.max_bottleneck_shift,
-            ));
-        }
-        let cat_drifts: Vec<String> = metrics
-            .iter()
-            .filter(|m| m.drifted)
-            .map(|m| m.metric.clone())
-            .collect();
+        let metrics = compare(&baseline, latest, &thresholds);
+        let cat_drifts = regressions(&metrics);
         drifts.extend(cat_drifts.iter().map(|m| format!("{cat}/{m}")));
         categories.push(CategoryTrend {
             category: cat,
-            runs: total,
+            runs: members.len() as u64,
             window_used: windowed.len() as u64,
             latest_key: latest_key.clone(),
             pass: cat_drifts.is_empty(),
@@ -457,7 +227,7 @@ pub fn trend(
     }
     Ok(TrendReport {
         schema: TREND_SCHEMA.to_string(),
-        thresholds: *thresholds,
+        thresholds,
         categories,
         pass: drifts.is_empty(),
         drifts,
@@ -465,7 +235,7 @@ pub fn trend(
 }
 
 /// Renders a run listing as an aligned human-readable table.
-pub fn render_runs(runs: &[(String, RunSummary)]) -> String {
+pub fn render_runs(runs: &[(String, Summary)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<28} {:>8} {:<18} {:>12} {:>10} {:>6} {:>10}  {}\n",
@@ -476,8 +246,8 @@ pub fn render_runs(runs: &[(String, RunSummary)]) -> String {
             "{:<28} {:>8} {:<18} {:>12.6} {:>10} {:>6} {:>10.1}  {}\n",
             key,
             s.command,
-            family_of(s),
-            s.best_grade,
+            s.family(),
+            s.best_grade.unwrap_or(0.0),
             s.simulator_runs,
             s.iterations,
             s.wall_ns as f64 / 1e6,
@@ -496,23 +266,7 @@ pub fn render_trend(report: &TrendReport) -> String {
             "category {} — {} run(s), window {}, latest {}\n",
             cat.category, cat.runs, cat.window_used, cat.latest_key
         ));
-        out.push_str(&format!(
-            "  {:<24} {:>12} {:>12} {:>12} {:>9}  verdict\n",
-            "metric", "median", "ewma", "latest", "delta"
-        ));
-        for m in &cat.metrics {
-            let verdict = if !m.checked {
-                "advisory"
-            } else if m.drifted {
-                "DRIFT"
-            } else {
-                "ok"
-            };
-            out.push_str(&format!(
-                "  {:<24} {:>12.6} {:>12.6} {:>12.6} {:>+9.4}  {}\n",
-                m.metric, m.median, m.ewma, m.latest, m.delta, verdict
-            ));
-        }
+        out.push_str(&render_rows(&cat.metrics));
     }
     out.push_str(&format!(
         "trend: {} ({} drift(s))\n",
@@ -526,22 +280,24 @@ pub fn render_trend(report: &TrendReport) -> String {
 mod tests {
     use super::*;
 
-    fn summary(category: &str, grade: f64, runs: u64) -> RunSummary {
-        RunSummary {
-            schema: RUNS_SCHEMA.to_string(),
-            command: "tune".to_string(),
-            category: category.to_string(),
-            device_family: "homogeneous".to_string(),
-            seed: 0xA070,
-            best_grade: grade,
-            iterations: 4,
-            simulator_runs: runs,
-            bottleneck: BottleneckReport::from_totals(1000, 400, 200, 100, 100, 100, 0),
-            calibration_coverage_1s: 0.7,
-            calibration_points: 3,
-            threads: 1,
-            wall_ns: 123_456_789,
-        }
+    use crate::report::{ewma, median};
+    use ssdsim::BottleneckReport;
+
+    fn summary(category: &str, grade: f64, runs: u64) -> Summary {
+        let mut s = Summary::of(&Default::default());
+        s.command = "tune".to_string();
+        s.category = category.to_string();
+        s.device_family = "homogeneous".to_string();
+        s.seed = 0xA070;
+        s.best_grade = Some(grade);
+        s.iterations = 4;
+        s.simulator_runs = runs;
+        s.bottleneck = BottleneckReport::from_totals(1000, 400, 200, 100, 100, 100, 0);
+        s.calibration.coverage_1s = 0.7;
+        s.calibration.points = 3;
+        s.threads = 1;
+        s.wall_ns = 123_456_789;
+        s
     }
 
     #[test]
@@ -606,7 +362,7 @@ mod tests {
         let json = serde_json::to_string(&a.fingerprint()).unwrap();
         assert!(!json.contains("wall_ns"));
         assert!(!json.contains("threads"));
-        b.best_grade = 0.6;
+        b.best_grade = Some(0.6);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
@@ -616,7 +372,7 @@ mod tests {
         for _ in 0..5 {
             record_run(&db, &summary("Database", 0.5, 100)).unwrap();
         }
-        let t = TrendThresholds::default();
+        let t = Thresholds::default();
         let a = trend(&db, &t, None).unwrap();
         let b = trend(&db, &t, None).unwrap();
         assert_eq!(
@@ -635,12 +391,10 @@ mod tests {
             record_run(&db, &summary("Database", 0.5, 100)).unwrap();
         }
         record_run(&db, &summary("Database", 0.2, 300)).unwrap();
-        let report = trend(&db, &TrendThresholds::default(), None).unwrap();
+        let report = trend(&db, &Thresholds::default(), None).unwrap();
         assert!(!report.pass);
         assert!(report.drifts.contains(&"Database/best_grade".to_string()));
-        assert!(report
-            .drifts
-            .contains(&"Database/simulator_runs".to_string()));
+        assert!(report.drifts.contains(&"Database/validations".to_string()));
     }
 
     #[test]
@@ -650,23 +404,23 @@ mod tests {
             record_run(&db, &summary("Database", 0.5, 100)).unwrap();
         }
         let mut drifted = summary("Database", 0.5, 100);
-        drifted.calibration_coverage_1s = 0.2;
+        drifted.calibration.coverage_1s = 0.2;
         record_run(&db, &drifted).unwrap();
-        let report = trend(&db, &TrendThresholds::default(), None).unwrap();
+        let report = trend(&db, &Thresholds::default(), None).unwrap();
         assert!(!report.pass);
         assert_eq!(
             report.drifts,
-            vec!["Database/calibration.coverage_1s".to_string()]
+            vec!["Database/calibration_coverage_1s".to_string()]
         );
         // Runs without calibration pairs are never judged by the floor.
         let db2 = Store::in_memory();
         for _ in 0..2 {
             let mut s = summary("place", -0.1, 50);
-            s.calibration_coverage_1s = 0.0;
-            s.calibration_points = 0;
+            s.calibration.coverage_1s = 0.0;
+            s.calibration.points = 0;
             record_run(&db2, &s).unwrap();
         }
-        let report2 = trend(&db2, &TrendThresholds::default(), None).unwrap();
+        let report2 = trend(&db2, &Thresholds::default(), None).unwrap();
         assert!(report2.pass, "{:?}", report2.drifts);
     }
 
@@ -681,25 +435,25 @@ mod tests {
         let mut hybrid = summary("Database", 0.1, 250);
         hybrid.device_family = "hybrid-slc-cache".to_string();
         record_run(&db, &hybrid).unwrap();
-        let report = trend(&db, &TrendThresholds::default(), None).unwrap();
+        let report = trend(&db, &Thresholds::default(), None).unwrap();
         assert!(report.pass, "{:?}", report.drifts);
         // With no same-family baseline, every metric stays advisory.
-        assert!(report.categories[0].metrics.iter().all(|m| !m.drifted));
+        assert!(report.categories[0].metrics.iter().all(|m| !m.regressed));
         // Pre-field records (empty family) still baseline homogeneous runs.
         let mut legacy = summary("Database", 0.5, 100);
         legacy.device_family = String::new();
-        assert_eq!(family_of(&legacy), "homogeneous");
+        assert_eq!(legacy.family(), "homogeneous");
     }
 
     #[test]
     fn trend_single_run_is_advisory_and_missing_category_errors() {
         let db = Store::in_memory();
         record_run(&db, &summary("Database", 0.5, 100)).unwrap();
-        let report = trend(&db, &TrendThresholds::default(), None).unwrap();
+        let report = trend(&db, &Thresholds::default(), None).unwrap();
         assert!(report.pass);
         assert!(report.categories[0].metrics.iter().all(|m| !m.checked));
-        assert!(trend(&db, &TrendThresholds::default(), Some("KVStore")).is_err());
-        let only = trend(&db, &TrendThresholds::default(), Some("Database")).unwrap();
+        assert!(trend(&db, &Thresholds::default(), Some("KVStore")).is_err());
+        let only = trend(&db, &Thresholds::default(), Some("Database")).unwrap();
         assert_eq!(only.categories.len(), 1);
     }
 
@@ -713,9 +467,9 @@ mod tests {
         for _ in 0..8 {
             record_run(&db, &summary("Database", 0.5, 100)).unwrap();
         }
-        let t = TrendThresholds {
+        let t = Thresholds {
             window: 8,
-            ..TrendThresholds::default()
+            ..Thresholds::default()
         };
         let report = trend(&db, &t, None).unwrap();
         assert!(report.pass, "{:?}", report.drifts);

@@ -1,85 +1,24 @@
 //! Cross-run regression diffing of telemetry [`RunReport`]s.
 //!
-//! [`diff_reports`] compares a baseline and a candidate report metric by
-//! metric — grade, validation count, cache hit rate, simulator time, and
-//! the histogram-derived tail-latency percentiles — against configurable
-//! [`DiffThresholds`], producing a machine-readable [`ReportDiff`] with a
-//! single `pass` verdict. This is what `autoblox report diff` prints and
-//! what the `regression-gate` CI stage acts on: a pinned-seed smoke tune
-//! diffed against a checked-in golden report catches behavioural drift
-//! (more simulator runs, a worse converged grade, a fatter latency tail)
-//! the unit-test suite cannot see.
+//! [`diff_reports`] summarises a baseline and a candidate report and runs
+//! the report core's metric table over the pair ([`crate::report::compare`]):
+//! grade, validation count, cache hit rate, simulator time, the
+//! histogram-derived tail-latency percentiles, the bottleneck shares and the
+//! surrogate's calibration, each judged against the shared [`Thresholds`].
+//! The result is a machine-readable [`ReportDiff`] with a single `pass`
+//! verdict. This is what `autoblox report diff` prints and what the
+//! `regression-gate` CI stage acts on: a pinned-seed smoke tune diffed
+//! against a checked-in golden report catches behavioural drift (more
+//! simulator runs, a worse converged grade, a fatter latency tail) the
+//! unit-test suite cannot see.
 //!
 //! Wall-clock metrics vary by host, so the gate runs with
 //! `ignore_time = true`; deterministic metrics (grades, validation counts)
 //! use tight-ish relative thresholds and time-based ones stay advisory.
 
+use crate::report::{compare, judge, regressions, Row, Rule, Summary, Thresholds};
 use crate::telemetry::RunReport;
 use serde::{Deserialize, Serialize};
-
-/// Regression thresholds for [`diff_reports`]. Relative thresholds are
-/// fractions (0.05 = 5%); the hit-rate threshold is an absolute delta of a
-/// 0..=1 rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiffThresholds {
-    /// Maximum tolerated relative drop of the best grade.
-    pub max_grade_drop: f64,
-    /// Maximum tolerated relative increase in simulator validations.
-    pub max_validation_increase: f64,
-    /// Maximum tolerated absolute drop of the validator cache hit rate.
-    pub max_hit_rate_drop: f64,
-    /// Maximum tolerated relative increase in total simulate time.
-    pub max_sim_time_increase: f64,
-    /// Maximum tolerated relative shift (either direction) of the
-    /// histogram-derived p95/p99 latency.
-    pub max_tail_latency_shift: f64,
-    /// Maximum tolerated absolute shift (either direction) of any
-    /// bottleneck-attribution fraction — a 0..=1 share of request time.
-    /// New in v2 reports; the serde default (0, meaning "judge exactly")
-    /// keeps diff documents written before the field existed parseable.
-    #[serde(default)]
-    pub max_bottleneck_shift: f64,
-    /// When `true`, wall-clock-derived metrics (simulate time) are reported
-    /// but never fail the diff — the right setting when baseline and
-    /// candidate ran on different machines.
-    pub ignore_time: bool,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            max_grade_drop: 0.05,
-            max_validation_increase: 0.25,
-            max_hit_rate_drop: 0.10,
-            max_sim_time_increase: 0.50,
-            max_tail_latency_shift: 0.25,
-            max_bottleneck_shift: 0.15,
-            ignore_time: false,
-        }
-    }
-}
-
-/// One compared metric in a [`ReportDiff`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricDelta {
-    /// Metric name (e.g. `best_grade`, `validations`, `p95_latency_ns`).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Candidate value.
-    pub candidate: f64,
-    /// `candidate - baseline`.
-    pub delta: f64,
-    /// Delta relative to the baseline magnitude (0 when the baseline is 0).
-    pub relative: f64,
-    /// The threshold this metric was judged against.
-    pub threshold: f64,
-    /// Whether this metric can fail the diff (informational metrics and
-    /// time metrics under `ignore_time` report `false`).
-    pub checked: bool,
-    /// Whether this metric regressed beyond its threshold.
-    pub regressed: bool,
-}
 
 /// Machine-readable verdict of one report comparison.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,15 +26,18 @@ pub struct ReportDiff {
     /// Schema identifier; always [`ReportDiff::SCHEMA`].
     pub schema: String,
     /// The thresholds the diff ran with.
-    pub thresholds: DiffThresholds,
+    pub thresholds: Thresholds,
     /// Every compared metric, in a stable order.
-    pub metrics: Vec<MetricDelta>,
+    pub metrics: Vec<Row>,
     /// Names of the metrics that regressed (subset of `metrics`).
     pub regressions: Vec<String>,
     /// Metric names excluded from judgement via `--ignore` (they still
     /// appear in `metrics`, unchecked).
-    #[serde(default)]
     pub ignored: Vec<String>,
+    /// What moved between the runs without being a number: the dominant
+    /// bottleneck and the most important parameter, one line each when
+    /// they changed.
+    pub notes: Vec<String>,
     /// `true` when no checked metric regressed.
     pub pass: bool,
 }
@@ -103,46 +45,6 @@ pub struct ReportDiff {
 impl ReportDiff {
     /// The schema identifier written into every diff document.
     pub const SCHEMA: &'static str = "autoblox.diff.v1";
-}
-
-/// Relative delta against a baseline, zero-safe. Shared with the multi-run
-/// trend gate (`crate::obs`), which generalizes this pairwise diff.
-pub(crate) fn relative(baseline: f64, delta: f64) -> f64 {
-    if baseline.abs() < 1e-12 {
-        0.0
-    } else {
-        delta / baseline.abs()
-    }
-}
-
-/// Builds one metric row; `fails` decides regression from (delta, relative).
-fn metric(
-    name: &str,
-    baseline: f64,
-    candidate: f64,
-    threshold: f64,
-    checked: bool,
-    fails: impl Fn(f64, f64) -> bool,
-) -> MetricDelta {
-    let delta = candidate - baseline;
-    let rel = relative(baseline, delta);
-    MetricDelta {
-        metric: name.to_string(),
-        baseline,
-        candidate,
-        delta,
-        relative: rel,
-        threshold,
-        checked,
-        regressed: checked && fails(delta, rel),
-    }
-}
-
-fn best_grade(r: &RunReport) -> f64 {
-    r.tuner
-        .iter()
-        .map(|t| t.best_grade)
-        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Maximum absolute divergence of the two grade trajectories over their
@@ -161,176 +63,31 @@ fn trajectory_divergence(a: &RunReport, b: &RunReport) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn hit_rate(r: &RunReport) -> f64 {
-    let v = &r.validator;
-    let total = v.cache_hits + v.cache_misses + v.dedup_waits;
-    if total == 0 {
-        0.0
-    } else {
-        v.cache_hits as f64 / total as f64
-    }
-}
-
-/// Compares `candidate` against `baseline` and judges every metric against
-/// `t`. Metrics absent from both reports (all-zero) are reported unchecked
-/// so a smoke run without tuner records cannot fail on them. Metric names
-/// in `ignore` (the CLI's repeatable `--ignore <metric>`) are reported but
-/// excluded from judgement.
+/// Compares `candidate` against `baseline` and judges every row of the
+/// metric table against `t`. Metric names in `ignore` (the CLI's repeatable
+/// `--ignore <metric>`) are reported but excluded from judgement.
 pub fn diff_reports(
     baseline: &RunReport,
     candidate: &RunReport,
-    t: &DiffThresholds,
+    t: &Thresholds,
     ignore: &[String],
 ) -> ReportDiff {
-    let mut metrics = Vec::new();
-
-    // Grade: lower is worse; only a drop beyond the threshold fails.
-    let (gb, gc) = (best_grade(baseline), best_grade(candidate));
-    let have_grades = gb.is_finite() && gc.is_finite();
-    metrics.push(metric(
-        "best_grade",
-        if have_grades { gb } else { 0.0 },
-        if have_grades { gc } else { 0.0 },
-        t.max_grade_drop,
-        have_grades,
-        |_d, rel| rel < -t.max_grade_drop,
-    ));
-
+    let (base, cand) = (Summary::of(baseline), Summary::of(candidate));
+    let mut metrics = compare(&[&base], &cand, t);
     // Trajectory divergence is informational: it localizes where two runs
-    // drifted apart, but convergence order may legitimately differ.
-    let div = trajectory_divergence(baseline, candidate);
-    // Threshold 0.0 = "no threshold" (JSON has no infinity); the metric is
-    // unchecked so the value is advisory either way.
-    metrics.push(metric(
-        "grade_trajectory_divergence",
-        0.0,
-        div,
-        0.0,
-        false,
-        |_, _| false,
-    ));
-
-    // Validations: more simulator runs for the same problem is a cost
-    // regression (a cache or pruning mechanism stopped working).
-    let (vb, vc) = (
-        baseline.validator.simulator_runs as f64,
-        candidate.validator.simulator_runs as f64,
+    // drifted apart, but convergence order may legitimately differ. It is
+    // the one row that needs both reports rather than two summaries.
+    let divergence = trajectory_divergence(baseline, candidate);
+    metrics.insert(
+        1,
+        judge(
+            "grade_trajectory_divergence",
+            &[0.0],
+            Some(divergence),
+            Rule::Advisory,
+            0.0,
+        ),
     );
-    metrics.push(metric(
-        "validations",
-        vb,
-        vc,
-        t.max_validation_increase,
-        vb > 0.0 || vc > 0.0,
-        |_d, rel| rel > t.max_validation_increase,
-    ));
-
-    // Cache hit rate: judged on the absolute delta of the 0..=1 rate.
-    let (hb, hc) = (hit_rate(baseline), hit_rate(candidate));
-    metrics.push(metric(
-        "cache_hit_rate",
-        hb,
-        hc,
-        t.max_hit_rate_drop,
-        hb > 0.0 || hc > 0.0,
-        |d, _rel| -d > t.max_hit_rate_drop,
-    ));
-
-    // Simulate time: wall-clock, so only checked when times are comparable.
-    let (sb, sc) = (
-        baseline.validator.simulate_ns as f64,
-        candidate.validator.simulate_ns as f64,
-    );
-    metrics.push(metric(
-        "simulate_ns",
-        sb,
-        sc,
-        t.max_sim_time_increase,
-        !t.ignore_time && sb > 0.0,
-        |_d, rel| rel > t.max_sim_time_increase,
-    ));
-
-    // Histogram-derived latency percentiles: simulated time, deterministic,
-    // so they are checked even under `ignore_time`. p50 stays informational
-    // (median shifts are usually intentional retuning); the tail is judged.
-    for (name, pb, pc, checked) in [
-        (
-            "p50_latency_ns",
-            baseline.latency_percentiles.p50_ns as f64,
-            candidate.latency_percentiles.p50_ns as f64,
-            false,
-        ),
-        (
-            "p95_latency_ns",
-            baseline.latency_percentiles.p95_ns as f64,
-            candidate.latency_percentiles.p95_ns as f64,
-            true,
-        ),
-        (
-            "p99_latency_ns",
-            baseline.latency_percentiles.p99_ns as f64,
-            candidate.latency_percentiles.p99_ns as f64,
-            true,
-        ),
-    ] {
-        metrics.push(metric(
-            name,
-            pb,
-            pc,
-            t.max_tail_latency_shift,
-            checked && pb > 0.0,
-            |_d, rel| rel.abs() > t.max_tail_latency_shift,
-        ));
-    }
-
-    // Bottleneck fingerprint: the observatory's latency attribution is a
-    // pure function of (configuration, trace), so a shifted share means the
-    // device's behaviour changed, not just its speed. Judged on the
-    // absolute delta of each 0..=1 share; only meaningful when at least one
-    // report attributed anything.
-    let attributed =
-        baseline.bottleneck.total_latency_ns > 0 || candidate.bottleneck.total_latency_ns > 0;
-    for (name, fb, fc) in [
-        (
-            "bottleneck_channel_wait_frac",
-            baseline.bottleneck.channel_wait_frac,
-            candidate.bottleneck.channel_wait_frac,
-        ),
-        (
-            "bottleneck_plane_busy_frac",
-            baseline.bottleneck.plane_wait_frac,
-            candidate.bottleneck.plane_wait_frac,
-        ),
-        (
-            "bottleneck_gc_stall_frac",
-            baseline.bottleneck.gc_stall_frac,
-            candidate.bottleneck.gc_stall_frac,
-        ),
-        (
-            "bottleneck_cache_miss_frac",
-            baseline.bottleneck.cache_miss_frac,
-            candidate.bottleneck.cache_miss_frac,
-        ),
-        (
-            "bottleneck_host_queue_frac",
-            baseline.bottleneck.host_queue_frac,
-            candidate.bottleneck.host_queue_frac,
-        ),
-        (
-            "bottleneck_slc_migration_frac",
-            baseline.bottleneck.slc_migration_frac,
-            candidate.bottleneck.slc_migration_frac,
-        ),
-    ] {
-        metrics.push(metric(
-            name,
-            fb,
-            fc,
-            t.max_bottleneck_shift,
-            attributed,
-            |d, _rel| d.abs() > t.max_bottleneck_shift,
-        ));
-    }
 
     let mut ignored: Vec<String> = Vec::new();
     for m in &mut metrics {
@@ -341,17 +98,31 @@ pub fn diff_reports(
         }
     }
 
-    let regressions: Vec<String> = metrics
-        .iter()
-        .filter(|m| m.regressed)
-        .map(|m| m.metric.clone())
-        .collect();
+    let mut notes = Vec::new();
+    let (from, to) = (base.bottleneck.dominant(), cand.bottleneck.dominant());
+    if from != to {
+        notes.push(format!("bottleneck moved: {from} -> {to}"));
+    }
+    if base.importance_lead != cand.importance_lead {
+        let name = |s: &Summary| match s.importance_lead.as_str() {
+            "" => "none".to_string(),
+            lead => lead.to_string(),
+        };
+        notes.push(format!(
+            "importance lead moved: {} -> {}",
+            name(&base),
+            name(&cand)
+        ));
+    }
+
+    let regressions = regressions(&metrics);
     ReportDiff {
         schema: ReportDiff::SCHEMA.to_string(),
         thresholds: *t,
         pass: regressions.is_empty(),
         regressions,
         ignored,
+        notes,
         metrics,
     }
 }
@@ -389,7 +160,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let a = report_with(0.5, 20, 10, 10, 8_000);
-        let d = diff_reports(&a, &a.clone(), &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &a.clone(), &Thresholds::default(), &[]);
         assert!(d.pass, "regressions: {:?}", d.regressions);
         assert!(d.regressions.is_empty());
         assert_eq!(d.schema, ReportDiff::SCHEMA);
@@ -399,7 +170,7 @@ mod tests {
     fn grade_drop_beyond_threshold_fails() {
         let a = report_with(0.50, 20, 10, 10, 8_000);
         let b = report_with(0.40, 20, 10, 10, 8_000); // -20% > 5%
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!d.pass);
         assert!(d.regressions.contains(&"best_grade".to_string()));
     }
@@ -408,7 +179,7 @@ mod tests {
     fn small_grade_drop_within_threshold_passes() {
         let a = report_with(0.500, 20, 10, 10, 8_000);
         let b = report_with(0.495, 20, 10, 10, 8_000); // -1% < 5%
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(d.pass, "regressions: {:?}", d.regressions);
     }
 
@@ -416,7 +187,7 @@ mod tests {
     fn validation_explosion_fails() {
         let a = report_with(0.5, 20, 10, 10, 8_000);
         let b = report_with(0.5, 40, 10, 10, 8_000); // +100% > 25%
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!d.pass);
         assert!(d.regressions.contains(&"validations".to_string()));
     }
@@ -425,7 +196,7 @@ mod tests {
     fn hit_rate_collapse_fails() {
         let a = report_with(0.5, 20, 30, 10, 8_000); // 75% hit rate
         let b = report_with(0.5, 20, 10, 30, 8_000); // 25% hit rate
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!d.pass);
         assert!(d.regressions.contains(&"cache_hit_rate".to_string()));
     }
@@ -435,7 +206,7 @@ mod tests {
         let base = report_with(0.5, 20, 10, 10, 8_000);
         for p95 in [16_000u64, 4_000] {
             let b = report_with(0.5, 20, 10, 10, p95);
-            let d = diff_reports(&base, &b, &DiffThresholds::default(), &[]);
+            let d = diff_reports(&base, &b, &Thresholds::default(), &[]);
             assert!(!d.pass, "p95 {p95} must trip the diff");
             assert!(d.regressions.contains(&"p95_latency_ns".to_string()));
         }
@@ -447,12 +218,12 @@ mod tests {
         let mut b = report_with(0.5, 20, 10, 10, 8_000);
         a.validator.simulate_ns = 1_000_000;
         b.validator.simulate_ns = 100_000_000; // 100x slower
-        let strict = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let strict = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!strict.pass);
         let lenient = diff_reports(
             &a,
             &b,
-            &DiffThresholds {
+            &Thresholds {
                 ignore_time: true,
                 ..Default::default()
             },
@@ -470,7 +241,7 @@ mod tests {
     #[test]
     fn empty_reports_pass_with_nothing_checked() {
         let a = RunReport::default();
-        let d = diff_reports(&a, &a.clone(), &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &a.clone(), &Thresholds::default(), &[]);
         assert!(d.pass);
         assert!(d.metrics.iter().all(|m| !m.regressed));
     }
@@ -482,7 +253,7 @@ mod tests {
         let mut b = report_with(0.5, 20, 10, 10, 8_000);
         a.bottleneck = BottleneckReport::from_totals(1_000, 500, 100, 0, 0, 0, 0);
         b.bottleneck = BottleneckReport::from_totals(1_000, 100, 100, 400, 0, 0, 0);
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!d.pass);
         assert!(d
             .regressions
@@ -491,7 +262,7 @@ mod tests {
             .regressions
             .contains(&"bottleneck_gc_stall_frac".to_string()));
         // Same shift with a generous threshold passes.
-        let lenient = DiffThresholds {
+        let lenient = Thresholds {
             max_bottleneck_shift: 0.5,
             ..Default::default()
         };
@@ -502,7 +273,7 @@ mod tests {
     #[test]
     fn bottleneck_unchecked_when_nothing_attributed() {
         let a = report_with(0.5, 20, 10, 10, 8_000);
-        let d = diff_reports(&a, &a.clone(), &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &a.clone(), &Thresholds::default(), &[]);
         let m = d
             .metrics
             .iter()
@@ -515,10 +286,10 @@ mod tests {
     fn ignore_excludes_named_metrics_from_judgement() {
         let a = report_with(0.50, 20, 10, 10, 8_000);
         let b = report_with(0.40, 40, 10, 10, 8_000); // grade + validations fail
-        let strict = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let strict = diff_reports(&a, &b, &Thresholds::default(), &[]);
         assert!(!strict.pass);
         let ignore = vec!["best_grade".to_string(), "validations".to_string()];
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &ignore);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &ignore);
         assert!(d.pass, "regressions: {:?}", d.regressions);
         assert_eq!(d.ignored, ignore);
         for name in &ignore {
@@ -532,7 +303,7 @@ mod tests {
     fn diff_serializes_round_trip() {
         let a = report_with(0.5, 20, 10, 10, 8_000);
         let b = report_with(0.4, 30, 10, 10, 16_000);
-        let d = diff_reports(&a, &b, &DiffThresholds::default(), &[]);
+        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
         let json = serde_json::to_string(&d).expect("serializes");
         let back: ReportDiff = serde_json::from_str(&json).expect("parses");
         assert_eq!(d, back);

@@ -133,14 +133,10 @@ pub struct RunReport {
     pub pool: PoolStats,
     /// Tail-latency percentiles estimated from the validator's aggregated
     /// latency histogram (all zeros when telemetry was off or no simulator
-    /// ran). Absent in reports written before the field existed — the
-    /// default keeps those parseable.
-    #[serde(default)]
+    /// ran).
     pub latency_percentiles: HistogramPercentiles,
     /// Bottleneck attribution over every simulator run the validator
-    /// performed (all zeros when telemetry was off). New in schema v2;
-    /// the default keeps v1 reports parseable.
-    #[serde(default)]
+    /// performed (all zeros when telemetry was off).
     pub bottleneck: BottleneckReport,
 }
 
@@ -164,13 +160,13 @@ impl RunReport {
     /// every required top-level key, match the schema identifier, and
     /// deserialize back into a [`RunReport`].
     ///
-    /// All current minor schema versions (`autoblox.telemetry.v1`, `.v2`,
-    /// and `.v3`) parse silently — older reports simply default the fields
-    /// later versions added (v2: bottleneck attribution; v3: the model
-    /// observatory's per-iteration fields). Newer minor versions (`.v4`
-    /// and up) parse with a warning (see
-    /// [`RunReport::parse_checked_verbose`] to observe it) rather than
-    /// failing, so a new producer and an old checker can coexist.
+    /// Only the current schema (`autoblox.telemetry.v3`) parses silently.
+    /// Older minor versions (`.v1`, `.v2`) lack fields every reader now
+    /// relies on and are rejected with a "re-record" message — no
+    /// checked-in report uses them. Newer minor versions (`.v4` and up)
+    /// parse with a warning (see [`RunReport::parse_checked_verbose`] to
+    /// observe it) rather than failing, so a new producer and an old
+    /// checker can coexist.
     ///
     /// # Errors
     ///
@@ -202,7 +198,14 @@ impl RunReport {
         let schema = value["schema"].as_str().unwrap_or("").to_string();
         let mut warnings = Vec::new();
         match schema_minor_version(&schema) {
-            Some(1) | Some(2) | Some(3) => {}
+            Some(3) => {}
+            Some(1 | 2) => {
+                return Err(format!(
+                    "schema `{schema}` is no longer read (expected `{}`); re-record the \
+                     report with this build",
+                    Self::SCHEMA
+                ))
+            }
             Some(v) if v > 3 => warnings.push(format!(
                 "report uses newer schema `{schema}`; parsing best-effort as `{}` \
                  (unknown fields ignored)",
@@ -240,7 +243,7 @@ fn schema_minor_version(schema: &str) -> Option<u64> {
     (n >= 1).then_some(n)
 }
 
-/// A fully-populated v1 report (one element in every list) used as the
+/// A fully-populated report (one element in every list) used as the
 /// structural template for field-level mismatch reporting.
 fn schema_template() -> serde_json::Value {
     let report = RunReport {
@@ -259,7 +262,7 @@ fn schema_template() -> serde_json::Value {
     serde_json::to_value(&report).expect("template serializes")
 }
 
-/// Walks `candidate` against the v1 template and names the first field that
+/// Walks `candidate` against the template and names the first field that
 /// does not fit the schema (wrong type or missing member). `None` when the
 /// document is structurally conformant — then the deserializer's own error
 /// message is the best description available.
@@ -576,7 +579,7 @@ mod tests {
     fn parse_checked_rejects_bad_documents() {
         assert!(RunReport::parse_checked("not json").is_err());
         assert!(RunReport::parse_checked("[1,2,3]").is_err());
-        let missing = r#"{"schema":"autoblox.telemetry.v1"}"#;
+        let missing = r#"{"schema":"autoblox.telemetry.v3"}"#;
         let err = RunReport::parse_checked(missing).unwrap_err();
         assert!(err.contains("missing required key"), "{err}");
     }
@@ -630,9 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_reports_still_parse_silently() {
-        // A report written by the v1 producer has no `bottleneck` member;
-        // the serde default fills it and no warning is raised.
+    fn v1_reports_are_rejected() {
+        // A v1 producer wrote no bottleneck attribution or latency
+        // percentiles; no checked-in report is that old, so the reader is
+        // gone and the error says what to do instead.
         let report = RunReport {
             schema: "autoblox.telemetry.v1".to_string(),
             ..Default::default()
@@ -643,54 +647,24 @@ mod tests {
             map.remove("latency_percentiles");
         }
         let json = serde_json::to_string(&value).expect("serializes");
-        let checked = RunReport::parse_checked_verbose(&json).expect("v1 parses");
-        assert!(checked.warnings.is_empty(), "{:?}", checked.warnings);
-        assert_eq!(checked.report.bottleneck, BottleneckReport::default());
+        let err = RunReport::parse_checked(&json).unwrap_err();
+        assert!(err.contains("re-record"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
     }
 
     #[test]
-    fn v2_reports_still_parse_silently() {
-        // A v2 producer's iteration records carry none of the model
-        // observatory's fields; the serde defaults fill them.
+    fn v2_reports_are_rejected() {
+        // A v2 report is structurally complete apart from the model
+        // observatory's per-iteration fields; it is still refused rather
+        // than read with silently defaulted calibration.
         let report = RunReport {
             schema: "autoblox.telemetry.v2".to_string(),
-            tuner: vec![TunerRunTelemetry {
-                workload: "database".to_string(),
-                records: vec![IterationRecord::default()],
-                ..Default::default()
-            }],
             ..Default::default()
         };
-        let mut value = serde_json::to_value(&report).expect("to value");
-        if let serde_json::Value::Object(map) = &mut value {
-            if let Some(serde_json::Value::Array(tuner)) = map.get_mut("tuner") {
-                if let Some(serde_json::Value::Object(run)) = tuner.first_mut() {
-                    if let Some(serde_json::Value::Array(records)) = run.get_mut("records") {
-                        if let Some(serde_json::Value::Object(rec)) = records.first_mut() {
-                            for key in [
-                                "predicted_mean",
-                                "predicted_std",
-                                "calibrated",
-                                "realized_grade",
-                                "explore_share",
-                                "exploit_share",
-                                "decision_margin",
-                                "kernel_length_scale",
-                                "importance",
-                            ] {
-                                rec.remove(key);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let json = serde_json::to_string(&value).expect("serializes");
-        let checked = RunReport::parse_checked_verbose(&json).expect("v2 parses");
-        assert!(checked.warnings.is_empty(), "{:?}", checked.warnings);
-        let rec = &checked.report.tuner[0].records[0];
-        assert!(!rec.calibrated);
-        assert!(rec.importance.is_empty());
+        let json = serde_json::to_string(&report).expect("serializes");
+        let err = RunReport::parse_checked(&json).unwrap_err();
+        assert!(err.contains("re-record"), "{err}");
+        assert!(err.contains("autoblox.telemetry.v2"), "{err}");
     }
 
     #[test]

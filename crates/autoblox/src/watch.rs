@@ -18,6 +18,8 @@
 //! two journals of the same pinned run taken at different thread counts
 //! snapshot byte-identically (the vendored JSON shim sorts object keys).
 
+use crate::journal::{get_f64, get_str, get_u64};
+use crate::report::bar;
 use serde_json::Value;
 use ssdsim::BottleneckReport;
 use std::collections::BTreeMap;
@@ -132,40 +134,16 @@ impl LineCounts {
     }
 }
 
-fn get_u64(obj: &Value, key: &str) -> u64 {
-    match obj.get(key) {
-        Some(Value::Int(i)) => *i as u64,
-        Some(Value::Float(f)) => *f as u64,
-        _ => 0,
-    }
-}
-
-fn get_f64(obj: &Value, key: &str) -> f64 {
-    match obj.get(key) {
-        Some(Value::Float(f)) => *f,
-        Some(Value::Int(i)) => *i as f64,
-        _ => 0.0,
-    }
-}
-
-fn get_str<'v>(obj: &'v Value, key: &str) -> &'v str {
-    match obj.get(key) {
-        Some(Value::Str(s)) => s,
-        _ => "",
-    }
-}
-
 /// Incremental consumer of journal lines; see the module docs.
 #[derive(Debug, Default)]
 pub struct WatchState {
     /// Schema string from the `meta` line (empty until seen).
     journal_schema: String,
     workloads: BTreeMap<String, WorkloadWatch>,
-    /// Raw bottleneck nanosecond totals summed over every `bottleneck`
-    /// line: `[total, channel, plane, gc, cache_miss, queue, slc]`. Sums are
-    /// order-insensitive, so the aggregate is identical however the
-    /// concurrent producers interleaved their lines.
-    bottleneck_ns: [u64; 7],
+    /// Attribution summed over every `bottleneck` line. Raw totals add, so
+    /// the aggregate is identical however the concurrent producers
+    /// interleaved their lines.
+    bottleneck: BottleneckReport,
     /// Completed pipeline phases, in completion order.
     phase_names: Vec<String>,
     counts: LineCounts,
@@ -221,10 +199,11 @@ impl WatchState {
                 w.explore_share_sum += get_f64(&v, "explore_share");
                 if matches!(v.get("calibrated"), Some(Value::Bool(true))) {
                     w.calibration_points += 1;
-                    // Mirror of model_obs: z with a 1e-6 standard-deviation
-                    // floor so degenerate predictions stay finite.
-                    let sd = get_f64(&v, "predicted_std").max(1e-6);
-                    let z = (get_f64(&v, "realized_grade") - get_f64(&v, "predicted_mean")) / sd;
+                    let z = crate::model_obs::prediction(
+                        get_f64(&v, "predicted_mean"),
+                        get_f64(&v, "predicted_std"),
+                    )
+                    .z_score(get_f64(&v, "realized_grade"));
                     if z.abs() <= 1.0 {
                         w.calibration_covered_1s += 1;
                     }
@@ -249,21 +228,9 @@ impl WatchState {
             "series" => self.counts.series += 1,
             "bottleneck" => {
                 self.counts.bottlenecks += 1;
-                if let Some(r) = v.get("report") {
-                    for (slot, key) in [
-                        "total_latency_ns",
-                        "channel_wait_ns",
-                        "plane_wait_ns",
-                        "gc_stall_ns",
-                        "cache_miss_ns",
-                        "queue_wait_ns",
-                        "slc_migration_ns",
-                    ]
-                    .iter()
-                    .enumerate()
-                    {
-                        self.bottleneck_ns[slot] += get_u64(r, key);
-                    }
+                let report = v.get("report").cloned().map(serde_json::from_value);
+                if let Some(Ok(report)) = report {
+                    self.bottleneck = self.bottleneck.plus(&report);
                 }
             }
             "checkpoint" => self.counts.checkpoints += 1,
@@ -312,8 +279,7 @@ impl WatchState {
 
     /// The bottleneck attribution aggregated over every `bottleneck` line.
     pub fn bottleneck(&self) -> BottleneckReport {
-        let [total, channel, plane, gc, cache, queue, slc] = self.bottleneck_ns;
-        BottleneckReport::from_totals(total, channel, plane, gc, cache, queue, slc)
+        self.bottleneck
     }
 
     /// The current status as a JSON document (schema [`WATCH_SCHEMA`]).
@@ -409,7 +375,7 @@ impl WatchState {
         }
         let b = self.bottleneck();
         if b.total_latency_ns > 0 {
-            out.push_str(&format!(" | {}", bars(&b)));
+            out.push_str(&format!(" | {}", share_marks(&b)));
         }
         out.push_str(&format!(
             " | {} lines ({} skipped)",
@@ -442,12 +408,12 @@ impl WatchState {
             ));
             if w.model_lines > 0 {
                 out.push_str(&format!(
-                    "  model: coverage(1s) {:20} {:5.1}% over {} pair(s), \
-                     explore share {:20} {:5.1}%\n",
-                    bar(w.calibration_coverage_1s()),
+                    "  model: coverage(1s) {} {:5.1}% over {} pair(s), \
+                     explore share {} {:5.1}%\n",
+                    bar(w.calibration_coverage_1s(), BAR_WIDTH),
                     w.calibration_coverage_1s() * 100.0,
                     w.calibration_points,
-                    bar(w.mean_explore_share()),
+                    bar(w.mean_explore_share(), BAR_WIDTH),
                     w.mean_explore_share() * 100.0,
                 ));
             }
@@ -457,8 +423,8 @@ impl WatchState {
             out.push_str("bottleneck shares:\n");
             for (name, frac) in b.fractions() {
                 out.push_str(&format!(
-                    "  {name:<12} {:24} {:5.1}%\n",
-                    bar(frac),
+                    "  {name:<12} {} {:5.1}%\n",
+                    bar(frac, BAR_WIDTH),
                     frac * 100.0
                 ));
             }
@@ -494,25 +460,16 @@ impl WatchState {
     }
 }
 
-/// A 20-cell bar for a 0..=1 fraction.
-fn bar(frac: f64) -> String {
-    let cells = (frac.clamp(0.0, 1.0) * 20.0).round() as usize;
-    format!("[{:<20}]", "#".repeat(cells))
-}
+/// Width of the dashboard's share and coverage bars.
+const BAR_WIDTH: usize = 20;
 
-/// Compact per-share bars for the status line (`ch`, `pl`, `gc`, `cm`,
-/// `hq`, 0-4 marks each).
-fn bars(b: &BottleneckReport) -> String {
-    let shares = [
-        ("ch", b.channel_wait_frac),
-        ("pl", b.plane_wait_frac),
-        ("gc", b.gc_stall_frac),
-        ("cm", b.cache_miss_frac),
-        ("hq", b.host_queue_frac),
-    ];
-    shares
+/// Compact per-share bars for the status line: each share's initials
+/// (`cw`, `pb`, `gs`, `cm`, `hq`, `sm`) and 0-4 marks.
+fn share_marks(b: &BottleneckReport) -> String {
+    b.fractions()
         .iter()
-        .map(|(tag, frac)| {
+        .map(|(name, frac)| {
+            let tag: String = name.split('-').filter_map(|w| w.chars().next()).collect();
             let marks = (frac.clamp(0.0, 1.0) * 4.0).round() as usize;
             format!("{tag}{}", "▮".repeat(marks))
         })
@@ -525,6 +482,19 @@ mod tests {
     use super::*;
 
     const META: &str = r#"{"t":"meta","schema":"autoblox.journal.v1","threads":4,"argv":["x"]}"#;
+
+    /// A `bottleneck` line as the journal writes it: the serialized report
+    /// of `[total, channel, plane, gc, cache_miss, queue]` nanoseconds.
+    fn bottleneck_line(replay: &str, ns: [u64; 6]) -> String {
+        let report = BottleneckReport::from_totals(ns[0], ns[1], ns[2], ns[3], ns[4], ns[5], 0);
+        serde_json::to_string(&serde_json::json!({
+            "t": "bottleneck",
+            "trace": "Database",
+            "replay": replay,
+            "report": report,
+        }))
+        .unwrap()
+    }
 
     #[test]
     fn ingest_builds_the_picture_and_skips_garbage() {
@@ -539,9 +509,7 @@ mod tests {
         assert!(w.ingest(
             r#"{"t":"progress","workload":"Database","phase":"iterating","iteration":2,"total":8,"percent":0.325,"eta_ns":5000}"#
         ));
-        assert!(w.ingest(
-            r#"{"t":"bottleneck","trace":"Database","replay":"timed","report":{"total_latency_ns":1000,"channel_wait_ns":400,"plane_wait_ns":200,"gc_stall_ns":100,"cache_miss_ns":100,"queue_wait_ns":100}}"#
-        ));
+        assert!(w.ingest(&bottleneck_line("timed", [1000, 400, 200, 100, 100, 100])));
         assert!(!w.ingest("this is not json"));
         assert!(!w.ingest(r#"{"t":"span","id":"trunca"#)); // torn tail write
         assert!(!w.ingest(r#"{"t":"hologram","x":1}"#)); // newer producer
@@ -624,8 +592,8 @@ mod tests {
         let lines = [
             META,
             r#"{"t":"span","id":"aa","parent":"00","name":"sim.run","disc":"00","start_ns":5,"dur_ns":9,"thread":2}"#,
-            r#"{"t":"bottleneck","trace":"Database","replay":"timed","report":{"total_latency_ns":600,"channel_wait_ns":100,"plane_wait_ns":50,"gc_stall_ns":25,"cache_miss_ns":25,"queue_wait_ns":0}}"#,
-            r#"{"t":"bottleneck","trace":"Database","replay":"saturated","report":{"total_latency_ns":400,"channel_wait_ns":300,"plane_wait_ns":50,"gc_stall_ns":25,"cache_miss_ns":25,"queue_wait_ns":0}}"#,
+            &bottleneck_line("timed", [600, 100, 50, 25, 25, 0]),
+            &bottleneck_line("saturated", [400, 300, 50, 25, 25, 0]),
             r#"{"t":"series","trace":"Database","replay":"timed","interval_ns":100,"dropped":0,"samples":[]}"#,
         ];
         // The concurrent producers (spans, series, bottlenecks) may land in
@@ -654,9 +622,7 @@ mod tests {
         w.ingest(
             r#"{"t":"progress","workload":"Database","phase":"done","iteration":4,"total":4,"percent":1.0,"eta_ns":0}"#,
         );
-        w.ingest(
-            r#"{"t":"bottleneck","trace":"Database","replay":"timed","report":{"total_latency_ns":100,"channel_wait_ns":80,"plane_wait_ns":0,"gc_stall_ns":0,"cache_miss_ns":0,"queue_wait_ns":0}}"#,
-        );
+        w.ingest(&bottleneck_line("timed", [100, 80, 0, 0, 0, 0]));
         let line = w.status_line();
         assert!(line.contains("Database done 4/4"), "{line}");
         let dash = w.render();

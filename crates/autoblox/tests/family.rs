@@ -200,7 +200,7 @@ fn explain_attributes_slc_migration_on_write_heavy_trace() {
     // The same attribution flows through the run report into `explain`.
     let sink = telemetry::TelemetrySink::new();
     let report = sink.report(Some(&v));
-    let fp = explain::fingerprint(&report);
+    let fp = explain::explain(&report);
     let share = fp
         .shares
         .iter()
@@ -210,7 +210,7 @@ fn explain_attributes_slc_migration_on_write_heavy_trace() {
         share.frac > 0.0,
         "explain must show a non-zero slc-migration share"
     );
-    let rendered = explain::render_fingerprint(&fp);
+    let rendered = explain::render(&fp);
     assert!(rendered.contains("slc-migration"));
 }
 

@@ -12,6 +12,8 @@ use autoblox::constraints::Constraints;
 use autoblox::explain;
 use autoblox::journal::Journal;
 use autoblox::parallel;
+use autoblox::report::Thresholds;
+use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::{self, RunReport};
 use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
@@ -200,20 +202,23 @@ fn explain_fingerprint_reproduces_across_thread_counts() {
     let (_, serial_report) = journaled_observatory(1);
     let (_, threaded_report) = journaled_observatory(4);
     parallel::set_max_threads(0);
+    // The single-report view also shows where the host's time went; blank
+    // those fields so the comparison is about the run, not the machine.
+    let (serial_report, threaded_report) = (timeless(serial_report), timeless(threaded_report));
 
     // Round-trip through the on-disk format, as `autoblox explain` does.
     let json = serde_json::to_string_pretty(&serial_report).expect("report serializes");
     let parsed = RunReport::parse_checked(&json).expect("report parses");
-    let fp = explain::fingerprint(&parsed);
+    let fp = explain::explain(&parsed);
 
-    assert!(fp.total_latency_ns > 0);
+    assert!(fp.summary.bottleneck.total_latency_ns > 0);
     assert!(!fp.dominant.is_empty());
     assert_eq!(fp.shares.len(), 7, "six resources + other");
     let share_sum: f64 = fp.shares.iter().map(|s| s.frac).sum();
     assert!(share_sum <= 1.0 + 1e-9, "shares sum to at most 1");
 
     // Bit-identical fingerprints regardless of thread count.
-    let fp_threaded = explain::fingerprint(&threaded_report);
+    let fp_threaded = explain::explain(&threaded_report);
     assert_eq!(
         serde_json::to_string(&fp).unwrap(),
         serde_json::to_string(&fp_threaded).unwrap(),
@@ -221,14 +226,32 @@ fn explain_fingerprint_reproduces_across_thread_counts() {
     );
 
     // Rendering is deterministic and a self-diff is clean.
-    assert_eq!(
-        explain::render_fingerprint(&fp),
-        explain::render_fingerprint(&fp_threaded)
+    assert_eq!(explain::render(&fp), explain::render(&fp_threaded));
+    let diff = diff_reports(
+        &serial_report,
+        &threaded_report,
+        &Thresholds::default(),
+        &[],
     );
-    let diff = explain::explain_diff(&serial_report, &threaded_report);
     assert!(
-        !diff.bottleneck_moved,
+        diff.notes.is_empty(),
         "identical runs: bottleneck stays put"
     );
-    assert!(diff.deltas.iter().all(|d| d.delta.abs() < 1e-12));
+    assert!(diff.metrics.iter().all(|d| d.delta.abs() < 1e-12));
+}
+
+/// A report with every host-varying field (thread limit, wall-clock and
+/// pool counters) zeroed; everything simulated is left alone.
+fn timeless(mut report: RunReport) -> RunReport {
+    report.threads = 0;
+    report.pool = Default::default();
+    report.validator.simulate_ns = 0;
+    for phase in &mut report.phases {
+        phase.wall_ns = 0;
+    }
+    for record in report.tuner.iter_mut().flat_map(|t| &mut t.records) {
+        record.wall_ns = 0;
+        record.surrogate_fit_ns = 0;
+    }
+    report
 }

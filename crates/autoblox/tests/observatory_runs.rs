@@ -11,8 +11,9 @@
 
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
-use autoblox::obs::{self, RunSummary, TrendThresholds};
+use autoblox::obs;
 use autoblox::parallel;
+use autoblox::report::{Summary, Thresholds};
 use autoblox::telemetry;
 use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
@@ -115,22 +116,20 @@ fn watch_replay_snapshot_identical_across_thread_counts() {
     assert!(!snap_serial.contains("eta_ns"));
 }
 
-fn summary(category: &str, grade: f64, sim_runs: u64, wall_ns: u64, threads: u64) -> RunSummary {
-    RunSummary {
-        schema: obs::RUNS_SCHEMA.to_string(),
-        command: "tune".to_string(),
-        category: category.to_string(),
-        device_family: "homogeneous".to_string(),
-        seed: 7,
-        best_grade: grade,
-        iterations: 4,
-        simulator_runs: sim_runs,
-        bottleneck: Default::default(),
-        calibration_coverage_1s: 0.7,
-        calibration_points: 3,
-        threads,
-        wall_ns,
-    }
+fn summary(category: &str, grade: f64, sim_runs: u64, wall_ns: u64, threads: u64) -> Summary {
+    let mut s = Summary::of(&Default::default());
+    s.command = "tune".to_string();
+    s.category = category.to_string();
+    s.device_family = "homogeneous".to_string();
+    s.seed = 7;
+    s.best_grade = Some(grade);
+    s.iterations = 4;
+    s.simulator_runs = sim_runs;
+    s.calibration.coverage_1s = 0.7;
+    s.calibration.points = 3;
+    s.threads = threads;
+    s.wall_ns = wall_ns;
+    s
 }
 
 /// The trend verdict reproduces byte-exactly from the same registry, and
@@ -141,7 +140,7 @@ fn trend_verdict_is_deterministic_and_ignores_wall_time() {
     for (wall, threads) in [(10, 1), (99, 4), (1234, 8)] {
         obs::record_run(&db, &summary("Database", 0.5, 100, wall, threads)).expect("records");
     }
-    let thresholds = TrendThresholds::default();
+    let thresholds = Thresholds::default();
     let a = serde_json::to_string_pretty(
         &serde_json::to_value(obs::trend(&db, &thresholds, None).expect("trend computes"))
             .expect("to value"),
