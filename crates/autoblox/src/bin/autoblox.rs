@@ -12,9 +12,12 @@
 //! summary.
 //!
 //! A `tune`/`whatif`/`place` invocation with `--db` (or the opt-in
-//! `--record`, which uses the default store `autoblox.db`) registers a
-//! compact run summary under `run:<category>:<seq>` — the persistent
-//! history `runs list/show` queries and `report trend` judges.
+//! `--record`, which uses the default store `autoblox.db`) keeps every
+//! measurement it paid for in that store — running the same command again
+//! replays the run instead of re-simulating it, so an interrupted run is
+//! resumed by starting it again — and registers a compact run summary
+//! under `run:<category>:<seq>`, the persistent history `runs list/show`
+//! queries and `report trend` judges.
 //!
 //! Trace files are auto-detected by extension when the format argument is
 //! omitted (`.csv`, `.blk`, `.msr`).
@@ -25,18 +28,17 @@
 //! can consume the JSON without scraping.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (missing
-//! operands, bad flag values, a zero device budget) or a malformed input
-//! file (unreadable/unparseable trace, telemetry report, config, run
-//! journal, or checkpoint), `3` a `report diff` regression.
+//! operands, unknown flags, bad flag values, a zero device budget) or a
+//! malformed input file (unreadable/unparseable trace, telemetry report,
+//! config, run journal, or AutoDB store), `3` a `report diff` regression.
 
-use autoblox::checkpoint::Checkpoint;
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
 use autoblox::report::{render_rows, Summary, Thresholds};
 use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::RunReport;
-use autoblox::tuner::{Tuner, TunerOptions, TuningTarget};
+use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
 use autoblox::whatif::{what_if, WhatIfGoal, WhatIfOptions};
 use iotrace::gen::WorkloadKind;
@@ -50,6 +52,7 @@ use ssdsim::Simulator;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// A classified CLI failure so `main` can pick the right exit code:
 /// usage errors and malformed user input exit `2`, anything else `1`.
@@ -58,7 +61,7 @@ enum CliError {
     /// flag value, a zero device budget, and so on.
     Usage(String),
     /// A user-supplied input file (trace, config JSON, telemetry report,
-    /// run journal, or checkpoint) could not be read or failed validation.
+    /// run journal, or AutoDB store) could not be read or failed validation.
     Input(String),
     /// Any other runtime failure.
     Other(String),
@@ -97,12 +100,14 @@ fn usage_text() -> String {
          \x20          [--interface nvme|sata] [--flash slc|mlc|tlc|qlc] [--power W]\n\
          \x20          [--family homogeneous|hybrid] [--speculate K]\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          [--checkpoint dir/] [--checkpoint-every N] [--resume]\n\
-         \x20          [--stop-after-iter N] [--db store.db] [--record]\n\
+         \x20          [--db store.db] [--record]\n\
          \x20          (--speculate K prefetches K candidates per iteration; 0, the\n\
          \x20           default, is min(worker threads, CPUs); results are identical\n\
-         \x20           for every K)\n\
+         \x20           for every K. --db/--record keep every measurement in the\n\
+         \x20           store: the same command run again replays instead of\n\
+         \x20           simulating, which is how an interrupted run resumes)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
+         \x20          [--events N] [--capacity ...] (constraint flags as for tune)\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db] [--record]\n\
          \x20 place    --devices M --traces <spec|file>[,...]  consolidate tenant workloads\n\
@@ -121,7 +126,6 @@ fn usage_text() -> String {
          \x20 watch    <journal.jsonl> [--replay] [--json]     live progress dashboard over\n\
          \x20          [--interval-ms N]                       a streaming run journal\n\
          \x20 telemetry-check <report.json>                   validate a telemetry report\n\
-         \x20 checkpoint inspect <checkpoint.json> [--json]   summarize a tuning checkpoint\n\
          \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
          \x20                                                 bottleneck shares, surrogate\n\
          \x20                                                 calibration, parameter importance,\n\
@@ -144,8 +148,9 @@ fn usage_text() -> String {
          exit codes:\n\
          \x20 0  success\n\
          \x20 1  runtime failure\n\
-         \x20 2  usage error (missing operands, bad flag values, zero device budget,\n\
-         \x20    malformed run keys) or a malformed/unreadable input file\n\
+         \x20 2  usage error (missing operands, unknown flags, bad flag values, zero\n\
+         \x20    device budget, malformed run keys) or a malformed/unreadable input\n\
+         \x20    file (a store whose last line was torn by a crash is repaired)\n\
          \x20 3  `report diff` found a regression / `report trend` found drift\n\
          \n\
          workloads: {}",
@@ -320,18 +325,19 @@ where
     Ok(None)
 }
 
-/// What a reader command was given: positional operands and `(flag,
-/// value)` pairs in command-line order (a switch's value is empty).
+/// What a command was given: positional operands and `(flag, value)` pairs
+/// in command-line order (a switch's value is empty).
 struct ReaderArgs<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> ReaderArgs<'a> {
-    /// The one flag parser of the reader commands. `switches` take no
-    /// value, `valued` flags take exactly one and may repeat; any other
-    /// `--flag` or a missing value is a usage error, so a mistyped
-    /// threshold can never silently run a gate at its default.
+    /// The one flag parser of every command that takes flags. `switches`
+    /// take no value, `valued` flags take exactly one and may repeat; any
+    /// other `--flag` or a missing value is a usage error, so a mistyped
+    /// threshold can never silently run a gate at its default, nor a stale
+    /// flag silently start a different run.
     fn parse(
         command: &str,
         args: &'a [String],
@@ -715,54 +721,67 @@ fn cmd_report_trend(rest: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// Opt-in run-registry recording for `tune`/`whatif`/`place`: `--db
-/// <store>` picks the store, bare `--record` uses [`DEFAULT_RUN_STORE`].
-/// Construction arms the telemetry switch (the summary is taken from the
-/// run's telemetry report, which only accumulates under it); `record`
-/// registers one [`Summary`] when the command completes.
+/// Flags every writer command (`tune`/`whatif`/`place`) takes besides
+/// `--record`: the device constraints, the observability sinks and the
+/// store.
+const WRITER_FLAGS: [&str; 8] = [
+    "--capacity",
+    "--interface",
+    "--flash",
+    "--power",
+    "--family",
+    "--telemetry",
+    "--journal",
+    "--db",
+];
+
+/// The AutoDB store of a writer command: `--db <store>`, or
+/// [`DEFAULT_RUN_STORE`] with bare `--record`. Opening it makes it the
+/// validator's measurement memo — so the same command run again replays
+/// what was already simulated — and arms the telemetry switch (the run
+/// summary is taken from the run's telemetry report, which only accumulates
+/// under it); `record` registers one [`Summary`] when the command
+/// completes.
 struct RunRecorder {
-    db_path: Option<String>,
+    db: Option<Arc<autodb::Store>>,
 }
 
 impl RunRecorder {
-    fn from_args(args: &[String]) -> Result<RunRecorder, CliError> {
-        let db: Option<String> = parse_flag(args, "--db")?;
-        let db_path = match (db, args.iter().any(|a| a == "--record")) {
-            (Some(path), _) => Some(path),
-            (None, true) => Some(DEFAULT_RUN_STORE.to_string()),
-            (None, false) => None,
+    fn open(args: &[String], validator: &Validator) -> Result<RunRecorder, CliError> {
+        let path = match parse_flag::<String>(args, "--db")? {
+            None if args.iter().any(|a| a == "--record") => Some(DEFAULT_RUN_STORE.to_string()),
+            path => path,
         };
-        if db_path.is_some() {
-            autoblox::telemetry::set_enabled(true);
-        }
-        Ok(RunRecorder { db_path })
+        let Some(path) = path else {
+            return Ok(RunRecorder { db: None });
+        };
+        autoblox::telemetry::set_enabled(true);
+        let db = autodb::Store::open(&path)
+            .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
+        let db = Arc::new(db);
+        validator.attach_store(Arc::clone(&db));
+        Ok(RunRecorder { db: Some(db) })
     }
 
-    /// Summarises the finished run from its telemetry and registers it.
-    /// `identify` assigns what only the command knows (its name, device
-    /// family and seed; for `place` also the category and cost-as-grade);
-    /// `shared` is an already-open handle on the store (`place` shares its
-    /// recall store rather than opening a second appender on one file).
+    /// Reports how much of the run the store answered, then summarises the
+    /// finished run from its telemetry and registers it. `identify` assigns
+    /// what only the command knows (its name, device family and seed; for
+    /// `place` also the category and cost-as-grade).
     fn record(
         &self,
-        shared: Option<&autodb::Store>,
         validator: &Validator,
         identify: impl FnOnce(&mut Summary),
     ) -> Result<(), CliError> {
-        let Some(path) = &self.db_path else {
+        let Some(db) = &self.db else {
             return Ok(());
         };
+        let recalled = validator.memo_hits();
+        eprintln!(
+            "{} validations, {recalled} from the store",
+            validator.simulator_runs() + recalled
+        );
         let mut summary = Summary::of(&autoblox::telemetry::global().report(Some(validator)));
         identify(&mut summary);
-        let opened;
-        let db = match shared {
-            Some(db) => db,
-            None => {
-                opened = autodb::Store::open(path)
-                    .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
-                &opened
-            }
-        };
         let key = autoblox::record_run(db, &summary).map_err(CliError::Other)?;
         eprintln!("run recorded as {key}");
         Ok(())
@@ -1045,19 +1064,20 @@ fn reference_for(constraints: &Constraints) -> SsdConfig {
 }
 
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
-    let [workload, rest @ ..] = args else {
+    let valued = [
+        &WRITER_FLAGS[..],
+        &["--iterations", "--events", "--speculate"],
+    ]
+    .concat();
+    let parsed = ReaderArgs::parse("tune", args, &["--record"], &valued)?;
+    let [workload] = parsed.positional.as_slice() else {
         return Err("tune needs <workload> [flags]".into());
     };
     let kind = parse_workload(workload).map_err(CliError::Usage)?;
-    let constraints = constraints_from(rest)?;
-    let iterations: usize = parse_flag(rest, "--iterations")?.unwrap_or(20);
+    let constraints = constraints_from(args)?;
+    let iterations: usize = parse_flag(args, "--iterations")?.unwrap_or(20);
     let trace_events: usize =
-        parse_flag(rest, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
-    let checkpoint_dir: Option<String> = parse_flag(rest, "--checkpoint")?;
-    let checkpoint_every: u64 = parse_flag(rest, "--checkpoint-every")?.unwrap_or(1);
-    if checkpoint_every == 0 {
-        return Err("--checkpoint-every must be at least 1".into());
-    }
+        parse_flag(args, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
     // Speculative batch width: `--speculate 0` (the default) means "one
     // candidate per worker thread that has a CPU to run on", which degrades
     // to sequential on one thread or one CPU: lookahead beyond the
@@ -1065,27 +1085,19 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     // never demanded. An explicit K is taken as given. Any k produces
     // byte-identical results; k only affects how much simulator work runs
     // ahead of demand.
-    let speculate: usize = parse_flag(rest, "--speculate")?.unwrap_or(0);
+    let speculate: usize = parse_flag(args, "--speculate")?.unwrap_or(0);
     let speculative_batch = if speculate == 0 {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         autoblox::parallel::max_threads().min(cpus)
     } else {
         speculate
     };
-    let resume = rest.iter().any(|a| a == "--resume");
-    let stop_after: Option<u64> = parse_flag(rest, "--stop-after-iter")?;
-    if stop_after == Some(0) {
-        return Err("--stop-after-iter must be at least 1".into());
-    }
-    if (resume || stop_after.is_some()) && checkpoint_dir.is_none() {
-        return Err("--resume and --stop-after-iter need --checkpoint <dir>".into());
-    }
-    let sinks = SinkConfig::from_args(rest)?;
-    let recorder = RunRecorder::from_args(rest)?;
     let validator = Validator::new(ValidatorOptions {
         trace_events,
         ..ValidatorOptions::default()
     });
+    let recorder = RunRecorder::open(args, &validator)?;
+    let sinks = SinkConfig::from_args(args)?;
     let opts = TunerOptions {
         max_iterations: iterations,
         speculative_batch,
@@ -1099,84 +1111,11 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     };
     let seed = opts.seed;
     let reference = reference_for(&constraints);
-    let ckpt_path = match &checkpoint_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create checkpoint dir {dir}: {e}"))?;
-            Some(std::path::Path::new(dir).join(format!("checkpoint-{}.json", kind.name())))
-        }
-        None => None,
-    };
     let sink = autoblox::telemetry::global();
     let tuner = Tuner::new(constraints, &validator, opts);
-    let target = TuningTarget::Category(kind);
-    let state = if resume {
-        let path = ckpt_path.as_ref().expect("--resume implies --checkpoint");
-        let cp = Checkpoint::read(path).map_err(CliError::Input)?;
-        cp.verify(&tuner, target, &validator)
-            .map_err(|e| CliError::Input(format!("cannot resume from {}: {e}", path.display())))?;
-        validator.import_cache(&cp.cache).map_err(CliError::Input)?;
-        eprintln!(
-            "resuming {kind} from {} (iteration {}, {} observation(s))",
-            path.display(),
-            cp.state.iterations,
-            cp.state.observations.len()
-        );
-        sink.record_checkpoint(
-            &cp.state.workload,
-            "resumed",
-            cp.state.iterations,
-            &path.display().to_string(),
-        );
-        cp.state
-    } else {
-        tuner.init_state(target, &reference, &[], None)
-    };
     eprintln!("tuning {kind} for up to {iterations} iterations ...");
-    let outcome = sink.phase("tune", || {
-        tuner.drive(target, state, |s| {
-            let Some(path) = &ckpt_path else { return };
-            // `--stop-after-iter` only fires at outer-iteration boundaries
-            // (`iterations` is 0 through both warm-up phases and N >= 1).
-            let stop_now = stop_after.is_some_and(|n| s.iterations == n);
-            let cadence = !s.done() && s.iterations % checkpoint_every == 0;
-            if !stop_now && !cadence {
-                return;
-            }
-            let cp = Checkpoint::capture(&tuner, target, &validator, s);
-            match cp.write_atomic(path) {
-                Ok(()) => {
-                    sink.record_checkpoint(
-                        &s.workload,
-                        "written",
-                        s.iterations,
-                        &path.display().to_string(),
-                    );
-                    if stop_now {
-                        eprintln!(
-                            "stopped after iteration {} (checkpoint written to {})",
-                            s.iterations,
-                            path.display()
-                        );
-                        std::process::exit(0);
-                    }
-                }
-                Err(e) => {
-                    if stop_now {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("warning: {e}");
-                }
-            }
-        })
-    });
+    let outcome = sink.phase("tune", || tuner.tune(kind, &reference, &[], None));
     sink.record_outcome(&outcome);
-    // The run completed: the snapshot would only resume into a no-op, so
-    // clean it up rather than leave a stale file to mis-resume from later.
-    if let Some(path) = &ckpt_path {
-        let _ = std::fs::remove_file(path);
-    }
     eprintln!(
         "converged after {} iterations ({} validations); grade {:+.4}; \
          latency {:.2}x, throughput {:.2}x vs reference",
@@ -1193,7 +1132,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&outcome.best.config).map_err(|e| e.to_string())?
     );
-    recorder.record(None, &validator, |s| {
+    recorder.record(&validator, |s| {
         s.command = "tune".to_string();
         s.device_family = constraints.family.label().to_string();
         s.seed = seed;
@@ -1202,58 +1141,28 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_checkpoint(args: &[String]) -> Result<(), CliError> {
-    let [sub, rest @ ..] = args else {
-        return Err("checkpoint needs: inspect <checkpoint.json> [--json]".into());
-    };
-    if sub != "inspect" {
-        return Err(CliError::Usage(format!(
-            "unknown checkpoint subcommand {sub:?} (expected `inspect`)"
-        )));
-    }
-    let parsed = ReaderArgs::parse("checkpoint inspect", rest, &["--json"], &[])?;
-    let json_out = parsed.has("--json");
-    let [path] = parsed.positional.as_slice() else {
-        return Err("checkpoint inspect needs <checkpoint.json> [--json]".into());
-    };
-    let cp = Checkpoint::read(path).map_err(CliError::Input)?;
-    let summary = cp.summary();
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    if json_out {
-        print_json(&serde_json::json!({
-            "path": path.to_string(),
-            "valid": true,
-            "summary": serde_json::to_value(&summary).map_err(|e| e.to_string())?,
-        }))?;
-    } else {
-        print!("{}", summary.render(now));
-    }
-    Ok(())
-}
-
 fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
-    let [workload, rest @ ..] = args else {
+    let valued = [&WRITER_FLAGS[..], &["--goal", "--factor", "--events"]].concat();
+    let parsed = ReaderArgs::parse("whatif", args, &["--record"], &valued)?;
+    let [workload] = parsed.positional.as_slice() else {
         return Err("whatif needs <workload> --goal latency|throughput --factor F".into());
     };
     let kind = parse_workload(workload).map_err(CliError::Usage)?;
-    let factor: f64 = parse_flag(rest, "--factor")?.unwrap_or(3.0);
-    let goal = match parse_flag::<String>(rest, "--goal")?.as_deref() {
+    let factor: f64 = parse_flag(args, "--factor")?.unwrap_or(3.0);
+    let goal = match parse_flag::<String>(args, "--goal")?.as_deref() {
         None | Some("latency") => WhatIfGoal::LatencyReduction(factor),
         Some("throughput") => WhatIfGoal::ThroughputImprovement(factor),
         Some(other) => return Err(CliError::Usage(format!("unknown goal {other:?}"))),
     };
-    let constraints = constraints_from(rest)?;
+    let constraints = constraints_from(args)?;
     let trace_events: usize =
-        parse_flag(rest, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
-    let sinks = SinkConfig::from_args(rest)?;
-    let recorder = RunRecorder::from_args(rest)?;
+        parse_flag(args, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
     let validator = Validator::new(ValidatorOptions {
         trace_events,
         ..ValidatorOptions::default()
     });
+    let recorder = RunRecorder::open(args, &validator)?;
+    let sinks = SinkConfig::from_args(args)?;
     let reference = reference_for(&constraints);
     eprintln!("running what-if analysis for {kind} ...");
     let sink = autoblox::telemetry::global();
@@ -1278,7 +1187,7 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&out.tuning.best.config).map_err(|e| e.to_string())?
     );
-    recorder.record(None, &validator, |s| {
+    recorder.record(&validator, |s| {
         s.command = "whatif".to_string();
         s.device_family = constraints.family.label().to_string();
         s.seed = TunerOptions::default().seed;
@@ -1288,6 +1197,15 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_place(args: &[String]) -> Result<(), CliError> {
+    let valued = [
+        &WRITER_FLAGS[..],
+        &["--devices", "--traces", "--json", "--alpha", "--rounds"],
+    ]
+    .concat();
+    let parsed = ReaderArgs::parse("place", args, &["--record", "--no-classify"], &valued)?;
+    if !parsed.positional.is_empty() {
+        return Err("place takes only flags".into());
+    }
     let devices: usize = parse_flag(args, "--devices")?
         .ok_or_else(|| CliError::Usage(String::from("place needs --devices <M>")))?;
     if devices == 0 {
@@ -1298,25 +1216,14 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     // `--traces` is repeatable and each occurrence is comma-separable; an
     // entry is either a generator spec (<workload>:<events>:<seed>) or a
     // trace file path.
-    let mut entries: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--traces" {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| CliError::Usage(String::from("--traces needs a value")))?;
-            entries.extend(
-                value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from),
-            );
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    let entries: Vec<&str> = parsed
+        .flags
+        .iter()
+        .filter(|(flag, _)| *flag == "--traces")
+        .flat_map(|(_, value)| value.split(','))
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
     if entries.is_empty() {
         return Err(CliError::Usage(String::from(
             "place needs --traces <spec|file>[,...]",
@@ -1329,32 +1236,24 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     }
     let rounds: usize = parse_flag(args, "--rounds")?.unwrap_or(16);
     let json_path: Option<String> = parse_flag(args, "--json")?;
-    let db_path: Option<String> = parse_flag(args, "--db")?;
-    let no_classify = args.iter().any(|a| a == "--no-classify");
+    let no_classify = parsed.has("--no-classify");
+    let validator = Validator::new(ValidatorOptions::default());
+    let recorder = RunRecorder::open(args, &validator)?;
     let sinks = SinkConfig::from_args(args)?;
-    let recorder = RunRecorder::from_args(args)?;
-
-    let db = match &db_path {
-        Some(path) => Some(
-            autodb::Store::open(path)
-                .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?,
-        ),
-        None => None,
-    };
-    if let Some(db) = &db {
+    let db = recorder.db.as_deref();
+    if let Some(db) = db {
         let families =
             db.keys_with_prefix("category:").len() + db.keys_with_prefix("cluster:").len();
         eprintln!(
-            "{} learned config famil{} available in {}",
+            "{} learned config famil{} available in the store",
             families,
             if families == 1 { "y" } else { "ies" },
-            db_path.as_deref().unwrap_or("store"),
         );
     }
 
     // Tenant names are `t<i>:<label>`: unique per mix (the validator keys
     // its caches by trace name) and stable across runs.
-    let mut tenants: Vec<std::sync::Arc<Trace>> = Vec::with_capacity(entries.len());
+    let mut tenants: Vec<Arc<Trace>> = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let trace = match entry.parse::<iotrace::TenantSpec>() {
             Ok(spec) => spec.generate(format!("t{i}:{}", spec.kind.name())),
@@ -1364,11 +1263,10 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
                 Trace::from_events(format!("t{i}:{label}"), raw.events().to_vec())
             }
         };
-        tenants.push(std::sync::Arc::new(trace));
+        tenants.push(Arc::new(trace));
     }
 
     let fallback = reference_for(&constraints);
-    let validator = Validator::new(ValidatorOptions::default());
     let opts = autoblox::place::PlacementOptions {
         devices,
         alpha,
@@ -1381,7 +1279,7 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         tenants.len(),
         devices
     );
-    let report = autoblox::place::place(&tenants, &fallback, db.as_ref(), &validator, &opts)
+    let report = autoblox::place::place(&tenants, &fallback, db, &validator, &opts)
         .map_err(CliError::Other)?;
 
     // Human-oriented summary to stderr; the machine-readable report to
@@ -1420,7 +1318,7 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         eprintln!("placement report written to {path}");
     }
     println!("{json}");
-    recorder.record(db.as_ref(), &validator, |s| {
+    recorder.record(&validator, |s| {
         s.command = "place".to_string();
         s.category = "place".to_string();
         s.device_family = constraints.family.label().to_string();
@@ -1456,7 +1354,6 @@ fn main() -> ExitCode {
         "runs" => cmd_runs(rest),
         "watch" => cmd_watch(rest),
         "telemetry-check" => cmd_telemetry_check(rest),
-        "checkpoint" => cmd_checkpoint(rest),
         // Two reports are compared by `report diff`; the retired `explain
         // diff` form gets the usage text like any unknown command.
         "explain" if rest.first().map(String::as_str) != Some("diff") => cmd_explain(rest),
@@ -1502,7 +1399,7 @@ mod tests {
             .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
             .collect();
         assert!(
-            dispatched.len() >= 14,
+            dispatched.len() >= 13,
             "parsed the match arms: {dispatched:?}"
         );
 

@@ -2,7 +2,6 @@
 //! front, AutoDB recall in the middle, pruning + automated tuning at the
 //! back.
 
-use crate::checkpoint::Checkpoint;
 use crate::clustering::{ClusterDecision, WorkloadClusterer};
 use crate::constraints::Constraints;
 use crate::pruning::{coarse_prune, fine_prune, CoarseReport, FineOptions, FineReport};
@@ -16,6 +15,7 @@ use mlkit::Result as MlResult;
 use serde::{Deserialize, Serialize};
 use ssdsim::config::SsdConfig;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A learned configuration as persisted in AutoDB (the JSON value format of
 /// §3.5).
@@ -80,17 +80,6 @@ pub struct AutoBloxOptions {
     pub outlier_threshold: usize,
     /// Clustering seed.
     pub seed: u64,
-    /// When `Some(n)`, every tuning run snapshots a resumable
-    /// [`Checkpoint`] into AutoDB every `n` outer iterations (keyed
-    /// `checkpoint:category:<name>` / `checkpoint:cluster:<id>`); the key
-    /// is deleted once the run completes. `None` (the default) disables
-    /// snapshotting entirely — no serialization on the hot path.
-    pub checkpoint_every: Option<u64>,
-    /// When `true`, a tuning run first looks for a compatible checkpoint
-    /// under its AutoDB key and continues from it instead of starting
-    /// over. Incompatible or absent checkpoints fall back to a cold
-    /// start.
-    pub resume: bool,
 }
 
 impl Default for AutoBloxOptions {
@@ -101,8 +90,6 @@ impl Default for AutoBloxOptions {
             window: WindowOptions::default(),
             outlier_threshold: 1,
             seed: 0xB10C,
-            checkpoint_every: None,
-            resume: false,
         }
     }
 }
@@ -112,20 +99,26 @@ impl Default for AutoBloxOptions {
 pub struct AutoBlox<'v> {
     constraints: Constraints,
     validator: &'v Validator,
-    db: Store,
+    db: Arc<Store>,
     clusterer: Option<WorkloadClusterer>,
     outlier_counts: HashMap<usize, usize>,
     opts: AutoBloxOptions,
 }
 
 impl<'v> AutoBlox<'v> {
-    /// Assembles the framework around a validator and an AutoDB store.
+    /// Assembles the framework around a validator and an AutoDB store. The
+    /// store also becomes the validator's measurement memo (see
+    /// [`Validator::attach_store`]), so a run interrupted at any point and
+    /// started again against the same store replays what it already paid
+    /// for instead of simulating it.
     pub fn new(
         constraints: Constraints,
         validator: &'v Validator,
         db: Store,
         opts: AutoBloxOptions,
     ) -> Self {
+        let db = Arc::new(db);
+        validator.attach_store(Arc::clone(&db));
         AutoBlox {
             constraints,
             validator,
@@ -198,70 +191,26 @@ impl<'v> AutoBlox<'v> {
             .iter()
             .map(|s| s.config.clone())
             .collect();
-        let ckpt_key = format!("checkpoint:{}", Self::category_key(kind));
-        let outcome = self.run_tuner(kind.into(), reference, &initial, tuning_order, &ckpt_key);
+        let outcome = self.run_tuner(kind.into(), reference, &initial, tuning_order);
         self.store(&Self::category_key(kind), kind.name(), &outcome);
         outcome
     }
 
-    /// Runs one tuning pass for `target`, layering the checkpoint/resume
-    /// policy from [`AutoBloxOptions`] over the tuner's step-driven state
-    /// machine. Snapshots are persisted in AutoDB under `ckpt_key` and
-    /// removed once the run completes; resume is best-effort — a missing
-    /// or incompatible checkpoint means a cold start, never an error.
+    /// Runs one tuning pass for `target` under the `tune` phase.
     fn run_tuner(
         &self,
         target: TuningTarget<'_>,
         reference: &SsdConfig,
         initial: &[SsdConfig],
         tuning_order: Option<&[&str]>,
-        ckpt_key: &str,
     ) -> TuningOutcome {
         let sink = crate::telemetry::global();
         let tuner = Tuner::new(self.constraints, self.validator, self.opts.tuner.clone());
-        let resumed = if self.opts.resume {
-            self.load_checkpoint(&tuner, target, ckpt_key)
-        } else {
-            None
-        };
-        if let Some(state) = &resumed {
-            sink.record_checkpoint(&state.workload, "resumed", state.iterations, ckpt_key);
-        }
-        let state =
-            resumed.unwrap_or_else(|| tuner.init_state(target, reference, initial, tuning_order));
-        let every = self.opts.checkpoint_every.filter(|&n| n > 0);
         let outcome = sink.phase("tune", || {
-            tuner.drive(target, state, |s| {
-                let Some(n) = every else { return };
-                if s.done() || s.iterations % n != 0 {
-                    return;
-                }
-                let cp = Checkpoint::capture(&tuner, target, self.validator, s);
-                if self.db.put_record(ckpt_key, &cp).is_ok() {
-                    sink.record_checkpoint(&s.workload, "written", s.iterations, ckpt_key);
-                }
-            })
+            tuner.tune(target, reference, initial, tuning_order)
         });
         sink.record_outcome(&outcome);
-        if every.is_some() || self.opts.resume {
-            let _ = self.db.delete(ckpt_key);
-        }
         outcome
-    }
-
-    /// Fetches, verifies, and rehydrates the checkpoint under `ckpt_key`,
-    /// importing its measurement cache into the validator. Returns `None`
-    /// when there is nothing usable to resume from.
-    fn load_checkpoint(
-        &self,
-        tuner: &Tuner<'_>,
-        target: TuningTarget<'_>,
-        ckpt_key: &str,
-    ) -> Option<crate::tuner::TuneState> {
-        let cp = self.db.get_record::<Checkpoint>(ckpt_key).ok().flatten()?;
-        cp.verify(tuner, target, self.validator).ok()?;
-        self.validator.import_cache(&cp.cache).ok()?;
-        Some(cp.state)
     }
 
     /// The full new-workload flow of Figure 3: classify the trace; recall a
@@ -291,7 +240,7 @@ impl<'v> AutoBlox<'v> {
                     };
                 }
                 // Known cluster but nothing learned yet: learn now.
-                let outcome = self.tune_trace(trace, reference, cluster);
+                let outcome = self.tune_trace(trace, reference);
                 self.store(&key, trace.name(), &outcome);
                 Recommendation::Learned {
                     cluster,
@@ -315,7 +264,7 @@ impl<'v> AutoBlox<'v> {
                             stored,
                         };
                     }
-                    let outcome = self.tune_trace(trace, reference, nearest);
+                    let outcome = self.tune_trace(trace, reference);
                     self.store(&key, trace.name(), &outcome);
                     return Recommendation::Learned {
                         cluster: nearest,
@@ -330,7 +279,7 @@ impl<'v> AutoBlox<'v> {
                     .expect("trained")
                     .learn_new_cluster(trace)
                     .expect("retraining succeeds");
-                let outcome = self.tune_trace(trace, reference, cluster);
+                let outcome = self.tune_trace(trace, reference);
                 self.store(&Self::cluster_key(cluster), trace.name(), &outcome);
                 Recommendation::Learned {
                     cluster,
@@ -341,9 +290,8 @@ impl<'v> AutoBlox<'v> {
         }
     }
 
-    fn tune_trace(&self, trace: &Trace, reference: &SsdConfig, cluster: usize) -> TuningOutcome {
-        let ckpt_key = format!("checkpoint:{}", Self::cluster_key(cluster));
-        self.run_tuner(TuningTarget::Trace(trace), reference, &[], None, &ckpt_key)
+    fn tune_trace(&self, trace: &Trace, reference: &SsdConfig) -> TuningOutcome {
+        self.run_tuner(TuningTarget::Trace(trace), reference, &[], None)
     }
 
     fn category_key(kind: WorkloadKind) -> String {
@@ -388,8 +336,8 @@ mod tests {
     use crate::validator::ValidatorOptions;
     use ssdsim::config::presets;
 
-    fn quick_framework(v: &Validator) -> AutoBlox<'_> {
-        let opts = AutoBloxOptions {
+    fn quick_opts() -> AutoBloxOptions {
+        AutoBloxOptions {
             tuner: TunerOptions {
                 max_iterations: 4,
                 sgd_iterations: 2,
@@ -398,8 +346,16 @@ mod tests {
             },
             window: WindowOptions { window_len: 500 },
             ..Default::default()
-        };
-        AutoBlox::new(Constraints::paper_default(), v, Store::in_memory(), opts)
+        }
+    }
+
+    fn quick_framework(v: &Validator) -> AutoBlox<'_> {
+        AutoBlox::new(
+            Constraints::paper_default(),
+            v,
+            Store::in_memory(),
+            quick_opts(),
+        )
     }
 
     fn validator() -> Validator {
@@ -526,43 +482,55 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_stored_checkpoint_matches_uninterrupted_run() {
+    fn replay_from_the_store_matches_uninterrupted_run() {
+        let path = std::env::temp_dir().join(format!("abx-fw-replay-{}.db", std::process::id()));
+        std::fs::remove_file(&path).ok();
         // Uninterrupted baseline.
         let v1 = validator();
-        let fw1 = quick_framework(&v1);
-        let full = fw1.tune_category(WorkloadKind::Database, &presets::intel_750(), None);
+        let full =
+            quick_framework(&v1).tune_category(WorkloadKind::Database, &presets::intel_750(), None);
 
-        // Interrupted run: drive the same problem two steps by hand, snapshot
-        // it into the store under the framework's key, then let a resume-
-        // enabled framework (fresh validator, so nothing is cached) continue.
+        // A run killed after two of its four iterations: everything it
+        // simulated is in the store, its result is not.
         let v2 = validator();
-        let fw2 = quick_framework(&v2);
-        let tuner = Tuner::new(Constraints::paper_default(), &v2, fw2.opts.tuner.clone());
-        let target = TuningTarget::Category(WorkloadKind::Database);
-        let mut state = tuner.init_state(target, &presets::intel_750(), &[], None);
-        tuner.step(target, &mut state);
-        tuner.step(target, &mut state);
-        let cp = Checkpoint::capture(&tuner, target, &v2, &state);
+        v2.attach_store(Arc::new(Store::open(&path).unwrap()));
+        let opts = TunerOptions {
+            max_iterations: 2,
+            ..quick_opts().tuner
+        };
+        Tuner::new(Constraints::paper_default(), &v2, opts).tune(
+            WorkloadKind::Database,
+            &presets::intel_750(),
+            &[],
+            None,
+        );
 
+        // Running it again replays the paid-for prefix from the store and
+        // simulates only the tail.
         let v3 = validator();
-        let mut fw3 = quick_framework(&v3);
-        fw3.opts.resume = true;
-        fw3.db()
-            .put_record("checkpoint:category:Database", &cp)
-            .unwrap();
-        let resumed = fw3.tune_category(WorkloadKind::Database, &presets::intel_750(), None);
-
+        let db = Store::open(&path).unwrap();
+        let fw3 = AutoBlox::new(Constraints::paper_default(), &v3, db, quick_opts());
+        let mut resumed = fw3.tune_category(WorkloadKind::Database, &presets::intel_750(), None);
+        assert_eq!(v3.memo_hits(), v2.simulator_runs());
+        assert_eq!(
+            v3.simulator_runs(),
+            v1.simulator_runs() - v2.simulator_runs()
+        );
+        // Only the per-process simulation counts differ.
+        resumed.validations = full.validations;
+        for (r, f) in resumed
+            .iteration_records
+            .iter_mut()
+            .zip(&full.iteration_records)
+        {
+            r.validations = f.validations;
+        }
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
             serde_json::to_string(&full).unwrap(),
-            "resumed run must reproduce the uninterrupted outcome bit-identically"
+            "the replayed run must reproduce the uninterrupted outcome bit-identically"
         );
-        // The checkpoint key is cleaned up once the run completes.
-        assert!(fw3
-            .db()
-            .get_record::<Checkpoint>("checkpoint:category:Database")
-            .unwrap()
-            .is_none());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

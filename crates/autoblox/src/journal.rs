@@ -21,7 +21,6 @@
 //!   (samples embedded, one line per run — never one line per sample, so
 //!   queue pressure cannot drop part of a series nondeterministically).
 //! - `bottleneck` — one simulator run's [`ssdsim::BottleneckReport`].
-//! - `checkpoint` — one tuner snapshot write or resume event.
 //! - `progress` — one driver progress estimate (phase, iteration, percent
 //!   complete, ETA); consumed by `autoblox watch` and, later, by a serving
 //!   daemon streaming the same records over a socket.
@@ -154,19 +153,6 @@ impl JournalHandle {
             "tenants": tenants,
             "cost": cost,
             "config_source": config_source,
-        }));
-    }
-
-    /// Streams one checkpoint event: `event` is `written` or `resumed`,
-    /// `iteration` the snapshot's outer-iteration counter, and `location`
-    /// where the snapshot lives (a file path or an AutoDB key).
-    pub fn record_checkpoint(&self, workload: &str, event: &str, iteration: u64, location: &str) {
-        self.push(serde_json::json!({
-            "t": "checkpoint",
-            "workload": workload,
-            "event": event,
-            "iteration": iteration,
-            "location": location,
         }));
     }
 

@@ -24,7 +24,9 @@
 //!    blends target and non-target performance (β).
 //! 6. [`whatif`] — what-if analysis finds configurations meeting an explicit
 //!    performance target (§4.5).
-//! 7. [`framework`] — the assembled facade with AutoDB persistence.
+//! 7. [`framework`] — the assembled facade with AutoDB persistence: learned
+//!    configurations per cluster, and every paid-for measurement, so a
+//!    re-run replays instead of re-simulating.
 //!
 //! # Examples
 //!
@@ -46,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod clustering;
 pub mod constraints;
 pub mod explain;
@@ -66,7 +67,6 @@ pub mod validator;
 pub mod watch;
 pub mod whatif;
 
-pub use checkpoint::{Checkpoint, CheckpointSummary};
 pub use constraints::Constraints;
 pub use framework::{AutoBlox, AutoBloxOptions, Recommendation};
 pub use metrics::{grade, performance, Measurement};

@@ -438,17 +438,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Streams one checkpoint write or resume event to the attached
-    /// journal; a no-op without one. Like [`TelemetrySink::record_iteration`]
-    /// this is journal-gated rather than switch-gated — a journal is an
-    /// explicit opt-in of its own.
-    pub fn record_checkpoint(&self, workload: &str, event: &str, iteration: u64, location: &str) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            j.record_checkpoint(workload, event, iteration, location);
-        }
-    }
-
     /// Streams one simulator run's device observatory output — the sampled
     /// [`ssdsim::DeviceSeries`] and the per-run bottleneck attribution — to
     /// the attached journal; a no-op without one. `replay` distinguishes the

@@ -2,15 +2,13 @@
 //! optimization loop combining discrete SGD-style neighborhood search, GPR
 //! grade prediction, constraint repair, and simulator validation.
 //!
-//! The loop is an explicit state machine: [`Tuner::init_state`] builds a
-//! [`TuneState`], [`Tuner::step`] advances it by one phase transition (one
-//! simulator-validated outer iteration once the search is running), and
-//! [`Tuner::outcome`] folds a finished state into a [`TuningOutcome`].
-//! `TuneState` is fully serializable — everything the loop carries between
-//! iterations, including the RNG stream position — which is what makes
-//! crash-safe checkpoint/resume (`autoblox::checkpoint`) possible: a run
-//! resumed from a snapshot replays the exact remaining iterations and
-//! produces a bit-identical outcome.
+//! [`Tuner::tune`] is one plain loop: measure the reference, validate the
+//! initial set, then one simulator-validated outer iteration at a time
+//! until convergence or the cap. Every random draw comes from one RNG
+//! seeded by the options and the target, and every measurement is a pure
+//! function of (configuration, trace), so re-running a problem replays its
+//! trajectory bit for bit — against a validator with an attached store,
+//! simulating only what no earlier run paid for.
 
 use crate::constraints::Constraints;
 use crate::metrics::{grade, performance, Measurement};
@@ -27,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ssdsim::config::SsdConfig;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The surrogate model predicting configuration grades in the search loop.
 ///
@@ -35,7 +33,7 @@ use std::collections::BTreeMap;
 /// matches deep-neural-network surrogates at lower cost (§3.2); `Neural`
 /// provides that comparison point and `Random` removes the surrogate
 /// entirely (see the `ablation_surrogates` experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateKind {
     /// Gaussian-process regression (the paper's choice).
     #[default]
@@ -47,14 +45,9 @@ pub enum SurrogateKind {
     Random,
 }
 
-/// Options controlling the tuning loop; defaults mirror the paper.
-///
-/// Serializable so a checkpoint can embed the exact options it was produced
-/// under and refuse to resume with different ones (the search trajectory is
-/// a function of every field here). Note the vendored JSON layer stores
-/// `u64` lossily above `i64::MAX`; `autoblox::checkpoint` therefore carries
-/// `seed` redundantly as a hex string and restores it on load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Options controlling the tuning loop; defaults mirror the paper. The
+/// search trajectory is a function of every field but `speculative_batch`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunerOptions {
     /// Latency/throughput balance (Formula 1).
     pub alpha: f64,
@@ -94,13 +87,9 @@ pub struct TunerOptions {
     /// candidate, prefetch the `k - 1` next-best scored candidates on the
     /// worker pool. Prefetched measurements sit in the validator's side
     /// store without touching any sequential-visible accounting, so the
-    /// search trajectory, checkpoints, and fingerprints are byte-identical
-    /// at every `k` — later iterations that would re-simulate one of them
-    /// hit the warm cache instead. `0` and `1` both disable speculation
-    /// (`0` is what checkpoints written before this field existed
-    /// deserialize to via `#[serde(default)]`; the vendored serde has no
-    /// custom field defaults).
-    #[serde(default)]
+    /// search trajectory and fingerprints are byte-identical at every `k` —
+    /// later iterations that would re-simulate one of them hit the warm
+    /// cache instead. `0` and `1` both disable speculation.
     pub speculative_batch: usize,
 }
 
@@ -233,132 +222,46 @@ pub struct TuningOutcome {
     pub iteration_records: Vec<IterationRecord>,
 }
 
-/// Where a [`TuneState`] stands in the tuning workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TunePhase {
-    /// The reference configuration has not been measured yet.
-    Reference,
-    /// Reference measured; the initial configuration set awaits validation.
-    InitSet,
-    /// The outer BO loop is running.
-    Iterating,
-    /// Converged or hit the iteration cap; [`Tuner::step`] is a no-op.
-    Done,
-}
-
-impl TunePhase {
-    /// Stable lower-case name used in `progress` journal lines and the
-    /// watch display.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TunePhase::Reference => "reference",
-            TunePhase::InitSet => "init_set",
-            TunePhase::Iterating => "iterating",
-            TunePhase::Done => "done",
-        }
-    }
-}
-
 /// One validated point of the search: a grid vector, its normalized
 /// (surrogate-input) form, and the Formula-2 grade.
-///
-/// A named struct rather than the former `(Vec<usize>, Vec<f64>, f64)`
-/// triple so the observation set serializes through the vendored serde
-/// (which only implements tuples up to arity 2) and reads clearly in
-/// checkpoint files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Observation {
-    /// Grid-index vector over the parameter space.
-    pub vector: Vec<usize>,
-    /// The vector normalized to `[0, 1]` per parameter (GPR input).
-    pub normalized: Vec<f64>,
-    /// Formula-2 grade relative to the reference.
-    pub grade: f64,
+#[derive(Debug)]
+struct Observation {
+    vector: Vec<usize>,
+    normalized: Vec<f64>,
+    grade: f64,
 }
 
-/// Reference measurement of one non-target workload on the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NonTargetReference {
-    /// The non-target workload cluster.
-    pub kind: WorkloadKind,
-    /// Its measurement on the pinned reference configuration.
-    pub measurement: Measurement,
-}
-
-/// Everything the tuning loop carries between iterations, fully
-/// serializable.
-///
-/// Invariants the serialization preserves exactly:
-/// - `rng` holds the xoshiro256++ state as four 16-digit hex words (the
-///   vendored JSON number type is lossy above `i64::MAX`, strings are not),
-///   so a resumed run draws the identical random stream.
-/// - `seen` is a sorted vector probed by binary search — deterministic
-///   order on disk, and membership-only semantics identical to the
-///   `HashSet` it replaced.
-/// - `validations` accumulates the simulator-run delta of every executed
-///   step, so a resumed run reports the same total as an uninterrupted one
-///   even though its validator's own counter only saw the tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuneState {
-    /// Display name of the tuning target.
-    pub workload: String,
-    /// Current phase of the workflow.
-    pub phase: TunePhase,
+/// Everything the tuning loop carries between iterations.
+#[derive(Debug)]
+struct TuneState {
     /// The pinned, constraint-checked reference configuration.
-    pub reference: SsdConfig,
-    /// Initial configuration set: the reference plus any AutoDB recalls.
-    pub init_set: Vec<SsdConfig>,
-    /// Reference measurement on the target workload (set after the
-    /// `Reference` phase).
-    pub ref_target: Option<Measurement>,
+    reference: SsdConfig,
+    /// Reference measurement on the target workload.
+    ref_target: Measurement,
     /// Reference measurements of the non-target workloads.
-    pub ref_non: Vec<NonTargetReference>,
+    ref_non: Vec<(WorkloadKind, Measurement)>,
     /// Validated observations, in validation order (GPR training set).
-    pub observations: Vec<Observation>,
-    /// Grid vectors already validated or rejected, sorted (dedup set).
-    pub seen: Vec<Vec<usize>>,
-    /// Best configuration found so far.
-    pub best: Option<GradedConfig>,
+    observations: Vec<Observation>,
+    /// Grid vectors already validated or rejected.
+    seen: BTreeSet<Vec<usize>>,
+    best: Option<GradedConfig>,
     /// Resolved parameter exploration order (indices into the space).
-    pub order_indices: Vec<usize>,
+    order_indices: Vec<usize>,
     /// Whether an explicit pruning-derived order is in effect.
-    pub explicit_order: bool,
-    /// xoshiro256++ state as four hex words (see type-level docs).
-    pub rng: Vec<String>,
+    explicit_order: bool,
     /// Best-so-far grade after the init set and after each iteration.
-    pub grade_history: Vec<f64>,
-    /// Outer iterations executed so far.
-    pub iterations: u64,
-    /// Per-iteration diagnostics accumulated so far.
-    pub records: Vec<IterationRecord>,
-    /// Simulator runs performed by the executed steps (survives resume).
-    pub validations: u64,
+    grade_history: Vec<f64>,
+    iterations: u64,
+    records: Vec<IterationRecord>,
 }
 
 impl TuneState {
-    /// Whether the run has finished (converged or hit the iteration cap).
-    pub fn done(&self) -> bool {
-        self.phase == TunePhase::Done
-    }
-
     /// Best grade over the validated set so far.
-    pub fn best_grade(&self) -> f64 {
+    fn best_grade(&self) -> f64 {
         self.observations
             .iter()
             .map(|o| o.grade)
             .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn seen_contains(&self, vec: &[usize]) -> bool {
-        self.seen
-            .binary_search_by(|s| s.as_slice().cmp(vec))
-            .is_ok()
-    }
-
-    fn seen_insert(&mut self, vec: Vec<usize>) {
-        if let Err(i) = self.seen.binary_search(&vec) {
-            self.seen.insert(i, vec);
-        }
     }
 
     /// Indices of the top-`k` observations by grade (stable order on ties).
@@ -388,26 +291,6 @@ impl TuneState {
             .map(|o| space.manhattan(&o.vector, vec))
             .min()
             .unwrap_or(0)
-    }
-
-    /// Rebuilds the RNG from the stored hex words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored state is not four 16-digit hex words; states
-    /// written by [`TuneState::store_rng`] always are, and the checkpoint
-    /// layer validates files before they reach the tuner.
-    fn rng(&self) -> StdRng {
-        assert_eq!(self.rng.len(), 4, "RNG state must be four hex words");
-        let mut s = [0u64; 4];
-        for (slot, word) in s.iter_mut().zip(&self.rng) {
-            *slot = u64::from_str_radix(word, 16).expect("RNG state word must be hex");
-        }
-        StdRng::from_state(s)
-    }
-
-    fn store_rng(&mut self, rng: &StdRng) {
-        self.rng = rng.state().iter().map(|w| format!("{w:016x}")).collect();
     }
 }
 
@@ -444,14 +327,15 @@ impl From<WorkloadKind> for TuningTarget<'static> {
 /// [`Gpr::extend`] per new observation — O(n²) instead of the O(n³)
 /// refactorization — keeping the hyperparameters frozen at the last
 /// scheduled fit. The schedule is a pure function of the observation count,
-/// so a resumed run (whose in-memory chain is gone) rebuilds the identical
-/// chain: full fit on the last scheduled prefix, then the same extends.
+/// so a chain that is gone (the tuner moved on to another stream) is
+/// rebuilt identically: full fit on the last scheduled prefix, then the
+/// same extends.
 const GPR_RETUNE_EVERY: usize = 16;
 
 /// The incrementally grown GPR chain: the model fitted on the first
 /// `count` observations, plus a prefix hash guarding against feeding it a
 /// different observation stream (a different tuning target sharing the
-/// tuner, or a state object rebuilt by checkpoint resume).
+/// tuner).
 #[derive(Debug)]
 struct SurrogateCache {
     hash: u64,
@@ -525,7 +409,7 @@ pub struct Tuner<'a> {
     pinned: Vec<usize>,
     /// Incrementally grown GPR chain (see [`GPR_RETUNE_EVERY`]). Purely a
     /// memoization of a deterministic computation: dropping it at any point
-    /// (or resuming in a fresh process) replays the identical chain.
+    /// replays the identical chain.
     gpr_cache: Mutex<Option<SurrogateCache>>,
 }
 
@@ -581,11 +465,10 @@ impl<'a> Tuner<'a> {
     /// Runs the full tuning workflow for `target`, starting from the
     /// `reference` commodity configuration plus any `initial` configurations
     /// recalled from AutoDB, optionally following a pruning-derived
-    /// `tuning_order` (parameter names, most important first).
-    ///
-    /// Equivalent to [`Tuner::init_state`] followed by [`Tuner::drive`]
-    /// with a no-op observer: the step-driven state machine on the hot
-    /// path, zero serialization.
+    /// `tuning_order` (parameter names, most important first): measure the
+    /// reference, validate the initial set, then iterate until convergence
+    /// or the iteration cap. One `progress` journal line follows each of
+    /// those stages.
     ///
     /// # Panics
     ///
@@ -599,143 +482,100 @@ impl<'a> Tuner<'a> {
         tuning_order: Option<&[&str]>,
     ) -> TuningOutcome {
         let target = target.into();
-        let state = self.init_state(target, reference, initial, tuning_order);
-        self.drive(target, state, |_| {})
+        let runs_before = self.validator.simulator_runs();
+        let state = self.run(target, reference, initial, tuning_order);
+        TuningOutcome {
+            workload: target.name().to_string(),
+            best: state.best.expect("at least the reference was validated"),
+            reference: state.ref_target,
+            grade_history: state.grade_history,
+            iterations: state.iterations as usize,
+            validations: self.validator.simulator_runs() - runs_before,
+            iteration_records: state.records,
+        }
     }
 
-    /// Builds the initial [`TuneState`] for `target`: pins and checks the
-    /// reference, resolves the exploration order, and seeds the RNG. Does
-    /// no simulator work — the first [`Tuner::step`] measures the
-    /// reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference configuration violates the constraints.
-    pub fn init_state<'t>(
+    /// The loop behind [`Tuner::tune`], returning its final state.
+    fn run(
         &self,
-        target: impl Into<TuningTarget<'t>>,
+        target: TuningTarget<'_>,
         reference: &SsdConfig,
         initial: &[SsdConfig],
         tuning_order: Option<&[&str]>,
     ) -> TuneState {
-        let target = target.into();
+        let _tune_span = telemetry::span::Span::enter_keyed(
+            "tuner.tune",
+            telemetry::span::key_str(target.name()),
+        );
         let mut reference = reference.clone();
         self.constraints.pin(&mut reference);
         self.constraints
             .check_structural(&reference)
             .expect("reference configuration must satisfy the constraints");
-        let (order_indices, explicit_order) = self.order_indices(tuning_order);
-        let rng = StdRng::seed_from_u64(
+        let mut rng = StdRng::seed_from_u64(
             self.opts.seed ^ target.name().bytes().map(u64::from).sum::<u64>(),
         );
+        let (ref_target, ref_non) = self.measure_reference(target, &reference);
+        let (order_indices, explicit_order) = self.order_indices(tuning_order);
         // Initialize with the reference and any AutoDB recalls (step 1).
-        let mut init_set: Vec<SsdConfig> = vec![reference.clone()];
-        init_set.extend(initial.iter().cloned());
+        let init_set: Vec<SsdConfig> = std::iter::once(reference.clone())
+            .chain(initial.iter().cloned())
+            .collect();
         let mut state = TuneState {
-            workload: target.name().to_string(),
-            phase: TunePhase::Reference,
             reference,
-            init_set,
-            ref_target: None,
-            ref_non: Vec::new(),
+            ref_target,
+            ref_non,
             observations: Vec::new(),
-            seen: Vec::new(),
+            seen: BTreeSet::new(),
             best: None,
             order_indices,
             explicit_order,
-            rng: Vec::new(),
             grade_history: Vec::new(),
             iterations: 0,
             records: Vec::new(),
-            validations: 0,
         };
-        state.store_rng(&rng);
-        state
-    }
-
-    /// Advances `state` by one transition: measure the reference, validate
-    /// the initial set, or run one outer BO iteration. Returns `false` once
-    /// the state is [`TunePhase::Done`] (the call is then a no-op).
-    ///
-    /// Each step is a pure `TuneState -> TuneState` transition plus
-    /// simulator calls: the identical sequence of steps from the identical
-    /// state produces the identical result, at any thread count, which is
-    /// the invariant checkpoint/resume relies on.
-    pub fn step<'t>(&self, target: impl Into<TuningTarget<'t>>, state: &mut TuneState) -> bool {
-        let target = target.into();
-        match state.phase {
-            TunePhase::Reference => {
-                self.step_reference(target, state);
-                true
+        self.record_progress(target, &state, "init_set");
+        self.validate_init_set(target, &mut state, &init_set);
+        let mut done = self.opts.max_iterations == 0;
+        loop {
+            self.record_progress(target, &state, if done { "done" } else { "iterating" });
+            if done {
+                return state;
             }
-            TunePhase::InitSet => {
-                self.step_init_set(target, state);
-                true
-            }
-            TunePhase::Iterating => {
-                self.step_iterate(target, state);
-                true
-            }
-            TunePhase::Done => false,
+            done = self.iterate(target, &mut state, &mut rng);
         }
     }
 
-    /// Steps `state` to completion under the `tuner.tune` span, invoking
-    /// `after_step` after every transition (the checkpoint layer's hook),
-    /// and folds the final state into a [`TuningOutcome`].
-    pub fn drive<'t>(
-        &self,
-        target: impl Into<TuningTarget<'t>>,
-        mut state: TuneState,
-        mut after_step: impl FnMut(&TuneState),
-    ) -> TuningOutcome {
-        let target = target.into();
-        let _tune_span = telemetry::span::Span::enter_keyed(
-            "tuner.tune",
-            telemetry::span::key_str(target.name()),
-        );
-        while self.step(target, &mut state) {
-            self.record_progress(&state);
-            after_step(&state);
-        }
-        Self::outcome(state)
-    }
-
-    /// Streams one `progress` journal line for the state just produced by a
-    /// step. The percent-complete estimate is a pure function of the phase
-    /// and iteration counters — deterministic at any thread count — while
-    /// the ETA extrapolates from per-iteration wall-clock timing (zero with
+    /// Streams one `progress` journal line after a stage of the loop. The
+    /// percent-complete estimate is a pure function of the stage and the
+    /// iteration counter — deterministic at any thread count — while the
+    /// ETA extrapolates from per-iteration wall-clock timing (zero with
     /// telemetry off) and is therefore excluded from determinism
     /// fingerprints by consumers.
-    fn record_progress(&self, state: &TuneState) {
+    fn record_progress(&self, target: TuningTarget<'_>, state: &TuneState, stage: &str) {
         let total = self.opts.max_iterations.max(1) as u64;
-        let percent = match state.phase {
-            TunePhase::Reference => 0.0,
-            // Both warm-up phases are flat-rate estimates; the BO loop owns
-            // the 0.10..1.00 band proportionally to its iteration counter.
-            TunePhase::InitSet => 0.05,
-            TunePhase::Iterating => 0.10 + 0.90 * (state.iterations as f64 / total as f64).min(1.0),
-            TunePhase::Done => 1.0,
+        // The warm-up stage is a flat-rate estimate; the BO loop owns the
+        // 0.10..1.00 band proportionally to its iteration counter.
+        let percent = match stage {
+            "init_set" => 0.05,
+            "done" => 1.0,
+            _ => 0.10 + 0.90 * (state.iterations as f64 / total as f64).min(1.0),
         };
-        let eta_ns = if state.done() {
+        let timed: Vec<u64> = state
+            .records
+            .iter()
+            .map(|r| r.wall_ns)
+            .filter(|&ns| ns > 0)
+            .collect();
+        let eta_ns = if stage == "done" || timed.is_empty() {
             0
         } else {
-            let timed: Vec<u64> = state
-                .records
-                .iter()
-                .map(|r| r.wall_ns)
-                .filter(|&ns| ns > 0)
-                .collect();
-            if timed.is_empty() {
-                0
-            } else {
-                let mean = timed.iter().sum::<u64>() / timed.len() as u64;
-                mean * total.saturating_sub(state.iterations)
-            }
+            let mean = timed.iter().sum::<u64>() / timed.len() as u64;
+            mean * total.saturating_sub(state.iterations)
         };
         crate::telemetry::global().record_progress(
-            &state.workload,
-            state.phase.as_str(),
+            target.name(),
+            stage,
             state.iterations,
             total,
             percent,
@@ -743,29 +583,13 @@ impl<'a> Tuner<'a> {
         );
     }
 
-    /// Folds a finished (or abandoned) state into a [`TuningOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no configuration was validated yet (the state never got
-    /// past its `InitSet` phase with a within-budget reference).
-    pub fn outcome(state: TuneState) -> TuningOutcome {
-        TuningOutcome {
-            workload: state.workload,
-            best: state.best.expect("at least the reference was validated"),
-            reference: state.ref_target.expect("reference was measured"),
-            grade_history: state.grade_history,
-            iterations: state.iterations as usize,
-            validations: state.validations,
-            iteration_records: state.records,
-        }
-    }
-
-    /// Phase 1: measure the reference on the target and every non-target
-    /// workload.
-    fn step_reference(&self, target: TuningTarget<'_>, state: &mut TuneState) {
-        let runs_before = self.validator.simulator_runs();
-        let ref_span = telemetry::span::Span::enter("tuner.reference");
+    /// Measures the reference on the target and every non-target workload.
+    fn measure_reference(
+        &self,
+        target: TuningTarget<'_>,
+        reference: &SsdConfig,
+    ) -> (Measurement, Vec<(WorkloadKind, Measurement)>) {
+        let _ref_span = telemetry::span::Span::enter("tuner.reference");
         // Reference measurements: the target and every non-target workload
         // are independent simulator runs, evaluated on the worker pool. The
         // validator memoizes deterministically and `parallel_map` preserves
@@ -779,29 +603,24 @@ impl<'a> Tuner<'a> {
             .collect();
         let mut ref_jobs: Vec<Option<WorkloadKind>> = vec![None];
         ref_jobs.extend(non_kinds.iter().copied().map(Some));
-        let reference = state.reference.clone();
         let mut ref_meas = mlkit::parallel::parallel_map(ref_jobs, |w| match w {
-            None => self.eval_target(&reference, target),
-            Some(k) => self.validator.evaluate(&reference, k),
+            None => self.eval_target(reference, target),
+            Some(k) => self.validator.evaluate(reference, k),
         })
         .into_iter();
-        state.ref_target = Some(ref_meas.next().expect("target measurement"));
-        state.ref_non = non_kinds
-            .into_iter()
-            .zip(ref_meas)
-            .map(|(kind, measurement)| NonTargetReference { kind, measurement })
-            .collect();
-        drop(ref_span);
-        state.validations += self.validator.simulator_runs() - runs_before;
-        state.phase = TunePhase::InitSet;
+        let ref_target = ref_meas.next().expect("target measurement");
+        (ref_target, non_kinds.into_iter().zip(ref_meas).collect())
     }
 
-    /// Phase 2: validate the initial configuration set.
-    fn step_init_set(&self, target: TuningTarget<'_>, state: &mut TuneState) {
-        let runs_before = self.validator.simulator_runs();
+    /// Validates the initial configuration set.
+    fn validate_init_set(
+        &self,
+        target: TuningTarget<'_>,
+        state: &mut TuneState,
+        init_set: &[SsdConfig],
+    ) {
         let init_span = telemetry::span::Span::enter("tuner.init_set");
-        let prepared: Vec<SsdConfig> = state
-            .init_set
+        let prepared: Vec<SsdConfig> = init_set
             .iter()
             .filter_map(|cfg| {
                 let mut cfg = cfg.clone();
@@ -821,7 +640,7 @@ impl<'a> Tuner<'a> {
         let mut non_jobs: Vec<(SsdConfig, WorkloadKind)> = Vec::new();
         for (cfg, m) in prepared.iter().zip(&init_meas) {
             if self.constraints.check_power(m.power_w) {
-                non_jobs.extend(state.ref_non.iter().map(|r| (cfg.clone(), r.kind)));
+                non_jobs.extend(state.ref_non.iter().map(|&(kind, _)| (cfg.clone(), kind)));
             }
         }
         mlkit::parallel::parallel_map(non_jobs, |(cfg, w)| self.validator.evaluate(&cfg, w));
@@ -830,16 +649,11 @@ impl<'a> Tuner<'a> {
         }
         drop(init_span);
         state.grade_history.push(state.best_grade());
-        state.validations += self.validator.simulator_runs() - runs_before;
-        state.phase = if self.opts.max_iterations == 0 {
-            TunePhase::Done
-        } else {
-            TunePhase::Iterating
-        };
     }
 
-    /// Phase 3: one outer BO iteration — pick a root, fit the surrogate,
-    /// walk, speculate, validate, check convergence.
+    /// One outer BO iteration — pick a root, fit the surrogate, walk,
+    /// speculate, validate, check convergence. Returns whether the search
+    /// is done (converged or at the iteration cap).
     ///
     /// The outer loop stays logically sequential: iteration N's surrogate
     /// is fitted on every validation from iterations 0..N-1, a strict data
@@ -847,9 +661,9 @@ impl<'a> Tuner<'a> {
     /// invariant. Speculation (`speculative_batch > 1`) respects it by
     /// construction: extra candidates are simulated ahead of time into the
     /// validator's uncharged side store, and a result only becomes visible
-    /// (counted, aggregated, journaled, exported) at the exact point a
+    /// (counted, aggregated, journaled, stored) at the exact point a
     /// sequential execution would have computed it.
-    fn step_iterate(&self, target: TuningTarget<'_>, state: &mut TuneState) {
+    fn iterate(&self, target: TuningTarget<'_>, state: &mut TuneState, rng: &mut StdRng) -> bool {
         state.iterations += 1;
         // Keyed by the iteration index: the loop is sequential, but a
         // content key keeps the id independent of any earlier spans.
@@ -857,7 +671,6 @@ impl<'a> Tuner<'a> {
         let iter_start = telemetry::start();
         let runs_at_iter_start = self.validator.simulator_runs();
         let agg_at_iter_start = telemetry::enabled().then(|| self.validator.sim_aggregate());
-        let mut rng = state.rng();
         // Step 3: pick the search root among the top-k elite at random.
         let elite = state.elite(self.opts.top_k);
         let root_i = elite[rng.gen_range(0..elite.len())];
@@ -945,10 +758,10 @@ impl<'a> Tuner<'a> {
         drop(sgd_span);
 
         // Model observatory: read the surrogate's beliefs about the chosen
-        // candidate *before* `store_rng` seals the trajectory. Every value
-        // here is a pure function of the deterministic observation stream
-        // (no RNG, no clocks), so fingerprints stay bit-identical at any
-        // thread count and speculation depth.
+        // candidate. Every value here is a pure function of the
+        // deterministic observation stream (no RNG, no clocks), so
+        // fingerprints stay bit-identical at any thread count and
+        // speculation depth.
         let mut predicted_mean = 0.0;
         let mut predicted_std = 0.0;
         let mut explore_share = 0.0;
@@ -990,25 +803,27 @@ impl<'a> Tuner<'a> {
                 (Vec::new(), 0.0)
             };
 
-        // All random draws for this iteration happened; persist the stream
-        // position so a resume continues it exactly.
-        state.store_rng(&rng);
-
         // Speculative batch (k > 1): while the chosen candidate is about to
         // be validated anyway, prefetch it together with the k-1 next-best
         // scored candidates on the worker pool. Prefetches land in the
         // validator's side store and charge nothing until demanded, so the
         // trajectory is byte-identical at every k; extras the search later
         // validates become warm cache hits. The extras ranking needs real
-        // acquisition scores, so the Random ablation never speculates.
+        // acquisition scores, so the Random ablation never speculates. A
+        // replay speculates nothing either: when the store already holds the
+        // chosen candidate, look-ahead could only re-simulate what the run
+        // that paid for it threw away.
         let k = self.opts.speculative_batch.max(1);
         if k > 1 && surrogate.is_some() {
-            if let Some(best_vec) = chosen.as_ref().filter(|v| !state.seen_contains(v)) {
+            if let Some(best_vec) = chosen.as_ref().filter(|v| !state.seen.contains(*v)) {
                 let mut batch: Vec<SsdConfig> = Vec::with_capacity(k);
                 batch.extend(self.materialize_vec(&state.reference, best_vec));
+                let replay = batch.first().is_some_and(|cfg| {
+                    self.with_trace(target, |t| self.validator.stored(cfg, t).is_some())
+                });
                 let mut extras: Vec<(f64, &Vec<usize>)> = scored
                     .iter()
-                    .filter(|(v, _)| *v != best_vec && !state.seen_contains(v))
+                    .filter(|(v, _)| *v != best_vec && !state.seen.contains(*v))
                     .map(|(v, &(ucb, _, _))| (ucb, v))
                     .collect();
                 // Highest acquisition value first; the BTreeMap iteration
@@ -1018,9 +833,11 @@ impl<'a> Tuner<'a> {
                 for (_, v) in extras.into_iter().take(k - 1) {
                     batch.extend(self.materialize_vec(&state.reference, v));
                 }
-                if batch.len() > 1 {
+                if batch.len() > 1 && !replay {
                     let _spec_span = telemetry::span::Span::enter("tuner.speculate");
-                    mlkit::parallel::parallel_map(batch, |cfg| self.prefetch_target(&cfg, target));
+                    mlkit::parallel::parallel_map(batch, |cfg| {
+                        self.with_trace(target, |t| self.validator.prefetch_trace(&cfg, t))
+                    });
                 }
             }
         }
@@ -1032,7 +849,7 @@ impl<'a> Tuner<'a> {
             .unwrap_or(0);
         let obs_before = state.observations.len();
         if let Some(vec) = chosen {
-            if !state.seen_contains(&vec) {
+            if !state.seen.contains(&vec) {
                 if let Some(cfg) = self.materialize_vec(&state.reference, &vec) {
                     let _validate_span = telemetry::span::Span::enter("tuner.validate");
                     self.validate_into(&cfg, target, state, self.opts.validation_pruning);
@@ -1097,26 +914,19 @@ impl<'a> Tuner<'a> {
             crate::telemetry::global().record_model(target.name(), &record);
         }
         state.records.push(record);
-        state.validations += validations;
-        if converged || state.iterations as usize >= self.opts.max_iterations {
-            state.phase = TunePhase::Done;
+        converged || state.iterations as usize >= self.opts.max_iterations
+    }
+
+    /// Runs `f` on the validation trace of `target`.
+    fn with_trace<R>(&self, target: TuningTarget<'_>, f: impl FnOnce(&Trace) -> R) -> R {
+        match target {
+            TuningTarget::Category(k) => f(&self.validator.trace_for(k)),
+            TuningTarget::Trace(t) => f(t),
         }
     }
 
     fn eval_target(&self, cfg: &SsdConfig, target: TuningTarget<'_>) -> Measurement {
-        match target {
-            TuningTarget::Category(k) => self.validator.evaluate(cfg, k),
-            TuningTarget::Trace(t) => self.validator.evaluate_trace(cfg, t),
-        }
-    }
-
-    /// Speculative twin of [`Tuner::eval_target`]: simulate now, charge on
-    /// first demand (see [`Validator::prefetch_trace`]).
-    fn prefetch_target(&self, cfg: &SsdConfig, target: TuningTarget<'_>) {
-        match target {
-            TuningTarget::Category(k) => self.validator.prefetch(cfg, k),
-            TuningTarget::Trace(t) => self.validator.prefetch_trace(cfg, t),
-        }
+        self.with_trace(target, |t| self.validator.evaluate_trace(cfg, t))
     }
 
     /// Resolves the exploration order; the boolean reports whether an
@@ -1172,7 +982,7 @@ impl<'a> Tuner<'a> {
                     continue;
                 };
                 cand = self.space.vectorize(&cfg);
-                if state.seen_contains(&cand) || cand == cur {
+                if state.seen.contains(&cand) || cand == cur {
                     continue;
                 }
                 // Exact integer update over the moved coordinate and any
@@ -1324,7 +1134,7 @@ impl<'a> Tuner<'a> {
     /// yet. Every branch is a deterministic function of the observation
     /// stream alone, so the fitted model — and with it the whole search
     /// trajectory — is identical whether the chain was kept in memory or
-    /// rebuilt after a checkpoint resume.
+    /// rebuilt.
     fn fit_gpr(&self, state: &TuneState, x: &Matrix, ys: &[f64]) -> Option<Gpr> {
         let paper_kernel = || {
             SumKernel::new(vec![
@@ -1371,9 +1181,9 @@ impl<'a> Tuner<'a> {
                 && c.hash == observation_prefix_hash(&state.observations[..c.count])
         });
         if !usable {
-            // Cache miss (fresh process after a resume, or a different
-            // observation stream): replay the chain from its last scheduled
-            // refit — bit-identical to having kept it in memory.
+            // Cache miss (a different observation stream): replay the chain
+            // from its last scheduled refit — bit-identical to having kept
+            // it in memory.
             let rows: Vec<Vec<f64>> = state.observations[..base]
                 .iter()
                 .map(|o| o.normalized.clone())
@@ -1417,18 +1227,16 @@ impl<'a> Tuner<'a> {
         allow_pruned_validation: bool,
     ) {
         let vec = self.space.vectorize(cfg);
-        if state.seen_contains(&vec) {
+        if !state.seen.insert(vec.clone()) {
             return;
         }
-        state.seen_insert(vec.clone());
 
-        let ref_target = state.ref_target.expect("reference was measured");
         let m = self.eval_target(cfg, target);
         // Power-budget constraint is enforced at validation time (§3.4).
         if !self.constraints.check_power(m.power_w) {
             return;
         }
-        let perf_t = performance(&m, &ref_target, self.opts.alpha);
+        let perf_t = performance(&m, &state.ref_target, self.opts.alpha);
 
         // Validation-pruning optimization: if even a perfect non-target
         // score cannot lift this configuration above the current elite
@@ -1443,14 +1251,14 @@ impl<'a> Tuner<'a> {
         } else {
             // Independent per-workload simulator runs: fan out, grade in
             // order (deterministic — see `mlkit::parallel`).
-            let kinds: Vec<WorkloadKind> = state.ref_non.iter().map(|r| r.kind).collect();
+            let kinds: Vec<WorkloadKind> = state.ref_non.iter().map(|&(kind, _)| kind).collect();
             let non_meas =
                 mlkit::parallel::parallel_map(kinds, |w| self.validator.evaluate(cfg, w));
             let non_perfs: Vec<f64> = state
                 .ref_non
                 .iter()
                 .zip(non_meas)
-                .map(|(r, mw)| performance(&mw, &r.measurement, self.opts.alpha))
+                .map(|((_, reference), mw)| performance(&mw, reference, self.opts.alpha))
                 .collect();
             grade(perf_t, &non_perfs, self.opts.beta)
         };
@@ -1656,54 +1464,6 @@ mod tests {
         let _ = tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None);
     }
 
-    #[test]
-    fn phases_progress_in_order() {
-        let v = quick_validator();
-        let tuner = Tuner::new(cons(), &v, quick_opts());
-        let mut state = tuner.init_state(WorkloadKind::Database, &presets::intel_750(), &[], None);
-        assert_eq!(state.phase, TunePhase::Reference);
-        assert_eq!(state.validations, 0);
-        assert!(state.ref_target.is_none());
-
-        assert!(tuner.step(WorkloadKind::Database, &mut state));
-        assert_eq!(state.phase, TunePhase::InitSet);
-        assert!(state.ref_target.is_some());
-        assert!(state.observations.is_empty());
-
-        assert!(tuner.step(WorkloadKind::Database, &mut state));
-        assert_eq!(state.phase, TunePhase::Iterating);
-        assert!(!state.observations.is_empty());
-        assert_eq!(state.grade_history.len(), 1);
-        assert_eq!(state.iterations, 0);
-
-        while !state.done() {
-            tuner.step(WorkloadKind::Database, &mut state);
-        }
-        assert!(state.iterations >= 1);
-        // A finished state ignores further steps.
-        let before = state.clone();
-        assert!(!tuner.step(WorkloadKind::Database, &mut state));
-        assert_eq!(state, before);
-    }
-
-    #[test]
-    fn step_driven_loop_matches_tune() {
-        let v1 = quick_validator();
-        let tuner1 = Tuner::new(cons(), &v1, quick_opts());
-        let whole = tuner1.tune(WorkloadKind::KvStore, &presets::intel_750(), &[], None);
-
-        let v2 = quick_validator();
-        let tuner2 = Tuner::new(cons(), &v2, quick_opts());
-        let mut state = tuner2.init_state(WorkloadKind::KvStore, &presets::intel_750(), &[], None);
-        while tuner2.step(WorkloadKind::KvStore, &mut state) {}
-        let stepped = Tuner::outcome(state);
-
-        assert_eq!(
-            serde_json::to_string(&whole).expect("json"),
-            serde_json::to_string(&stepped).expect("json"),
-        );
-    }
-
     /// `Tuner::candidates` as it stood before the incremental bound: the
     /// pinned set found by name, every neighbor's distance a full scan of
     /// every observation.
@@ -1739,7 +1499,7 @@ mod tests {
                     continue;
                 }
                 cand = t.space.vectorize(&cfg);
-                if state.seen_contains(&cand) || cand == cur {
+                if state.seen.contains(&cand) || cand == cur {
                     continue;
                 }
                 if state.min_manhattan(&t.space, &cand) > t.opts.manhattan_limit {
@@ -1762,8 +1522,7 @@ mod tests {
         kind: WorkloadKind,
         order: Option<&[&str]>,
     ) {
-        let mut state = tuner.init_state(kind, &presets::intel_750(), &[], order);
-        while tuner.step(kind, &mut state) {}
+        let state = tuner.run(kind.into(), &presets::intel_750(), &[], order);
         assert!(state.observations.len() >= 3, "{kind:?}: a populated state");
         let mut compared = 0;
         for o in &state.observations {
@@ -1835,35 +1594,5 @@ mod tests {
             model.predict_batch(&Matrix::zeros(4, 3)),
             vec![(f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0); 4]
         );
-    }
-
-    #[test]
-    fn rng_state_round_trips_through_hex() {
-        let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF_DEAD_BEEF);
-        // Advance so the state words exercise the full u64 range.
-        for _ in 0..17 {
-            let _ = rng.gen::<u64>();
-        }
-        let mut state = TuneState {
-            workload: String::new(),
-            phase: TunePhase::Iterating,
-            reference: presets::intel_750(),
-            init_set: Vec::new(),
-            ref_target: None,
-            ref_non: Vec::new(),
-            observations: Vec::new(),
-            seen: Vec::new(),
-            best: None,
-            order_indices: Vec::new(),
-            explicit_order: false,
-            rng: Vec::new(),
-            grade_history: Vec::new(),
-            iterations: 0,
-            records: Vec::new(),
-            validations: 0,
-        };
-        state.store_rng(&rng);
-        let mut restored = state.rng();
-        assert_eq!(restored.gen::<u64>(), rng.gen::<u64>());
     }
 }

@@ -6,8 +6,16 @@
 //! in-flight evaluations are deduplicated per key with `OnceLock`, so any
 //! number of threads can share one validator and the simulator-run count
 //! stays exactly what a sequential execution would produce.
+//!
+//! With an AutoDB store attached ([`Validator::attach_store`]) the
+//! in-process cache is backed by a persistent measurement memo: every
+//! charged measurement is appended to the store, and a miss asks the store
+//! before simulating. Re-running a tune against the same store therefore
+//! replays its trajectory bit for bit while simulating only what was never
+//! paid for.
 
 use crate::metrics::Measurement;
+use autodb::Store;
 use iotrace::gen::WorkloadKind;
 use iotrace::Trace;
 use parking_lot::{Mutex, RwLock};
@@ -23,8 +31,8 @@ use telemetry::Counter;
 /// A speculative result produced by [`Validator::prefetch_trace`] that no
 /// demand evaluation has consumed yet. It is invisible to every piece of
 /// sequential-exact accounting: the run counter, the simulator aggregate,
-/// the device journal, and [`Validator::export_cache`] all ignore it until
-/// the entry is promoted on first demand access.
+/// the device journal, and the measurement memo all ignore it until the
+/// entry is promoted on first demand access.
 #[derive(Debug)]
 struct PendingSpec {
     measurement: Measurement,
@@ -68,6 +76,13 @@ pub struct ConfigKey([u64; 2]);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// 64-bit FNV-1a over whole words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
+}
+
 impl ConfigKey {
     /// Fingerprints a configuration.
     pub fn of(cfg: &SsdConfig) -> Self {
@@ -92,22 +107,6 @@ const CACHE_SHARDS: usize = 16;
 
 type CacheKey = (ConfigKey, String);
 type Shard = RwLock<HashMap<CacheKey, Arc<OnceLock<Measurement>>>>;
-
-/// One exported measurement-cache entry: a `(configuration, trace)` key and
-/// its memoized measurement.
-///
-/// The two [`ConfigKey`] words travel as 16-digit hex strings because the
-/// vendored JSON number type is lossy above `i64::MAX`; hex round-trips
-/// every `u64` exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheEntry {
-    /// The configuration fingerprint, two hex words.
-    pub key: [String; 2],
-    /// The validation-trace name.
-    pub trace: String,
-    /// The memoized measurement.
-    pub measurement: Measurement,
-}
 
 /// Simulator activity summed over every uncached evaluation (both the timed
 /// and the saturated replay), collected only while telemetry is enabled.
@@ -322,6 +321,12 @@ pub struct Validator {
     spec_runs: AtomicU64,
     spec_hits: AtomicU64,
     counters: ValidatorCounters,
+    /// The measurement memo, if a store is attached.
+    memo: RwLock<Option<Arc<Store>>>,
+    /// Memo key prefix per trace name, computed once: `SIM_MODEL`, then
+    /// hashes of the options and of the trace's events.
+    memo_prefixes: RwLock<HashMap<String, Arc<str>>>,
+    memo_hits: AtomicU64,
 }
 
 impl Validator {
@@ -338,7 +343,19 @@ impl Validator {
             spec_runs: AtomicU64::new(0),
             spec_hits: AtomicU64::new(0),
             counters: ValidatorCounters::default(),
+            memo: RwLock::new(None),
+            memo_prefixes: RwLock::new(HashMap::new()),
+            memo_hits: AtomicU64::new(0),
         }
+    }
+
+    /// Makes `store` this validator's measurement memo, replacing any
+    /// earlier one. Each charged measurement is appended under
+    /// `memo:<SIM_MODEL>:<options hash>:<trace-content hash>:<ConfigKey>`
+    /// (every word in hex), and a miss reads the store before simulating.
+    /// Speculative results are written only once demanded.
+    pub fn attach_store(&self, store: Arc<Store>) {
+        *self.memo.write() = Some(store);
     }
 
     /// The options in effect.
@@ -349,6 +366,45 @@ impl Validator {
     /// Number of actual (non-cached) simulator runs performed.
     pub fn simulator_runs(&self) -> u64 {
         self.runs.load(Ordering::SeqCst)
+    }
+
+    /// Measurements the attached store answered instead of the simulator.
+    /// They count toward neither [`Validator::simulator_runs`] nor the
+    /// cache hit/miss counters.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits.load(Ordering::SeqCst)
+    }
+
+    /// The attached store and the key `(cfg, trace)` is memoized under;
+    /// `None` without a store.
+    fn memo_slot(&self, cfg: ConfigKey, trace: &Trace) -> Option<(Arc<Store>, String)> {
+        let store = self.memo.read().clone()?;
+        let cached = self.memo_prefixes.read().get(trace.name()).cloned();
+        let prefix = cached.unwrap_or_else(|| {
+            let o = self.opts;
+            let opts = fnv([o.trace_events as u64, o.warm_fill.to_bits(), o.seed]);
+            let events = fnv(trace
+                .events()
+                .iter()
+                .flat_map(|e| [e.timestamp_ns, e.lba, u64::from(e.size_bytes), e.op as u64]));
+            let prefix: Arc<str> =
+                format!("memo:{}:{opts:016x}:{events:016x}:", ssdsim::SIM_MODEL).into();
+            let mut prefixes = self.memo_prefixes.write();
+            Arc::clone(prefixes.entry(trace.name().to_string()).or_insert(prefix))
+        });
+        Some((store, format!("{prefix}{:016x}{:016x}", cfg.0[0], cfg.0[1])))
+    }
+
+    /// What the store holds in a memo slot. An undecodable record reads as
+    /// absent, so it is simulated (and rewritten) instead.
+    fn recall(slot: &Option<(Arc<Store>, String)>) -> Option<Measurement> {
+        let (store, key) = slot.as_ref()?;
+        store.get_record(key).ok().flatten()
+    }
+
+    /// The measurement the attached store holds for `(cfg, trace)`, if any.
+    pub(crate) fn stored(&self, cfg: &SsdConfig, trace: &Trace) -> Option<Measurement> {
+        Self::recall(&self.memo_slot(ConfigKey::of(cfg), trace))
     }
 
     /// The (cached) validation trace for a workload category, shared
@@ -408,22 +464,32 @@ impl Validator {
         };
         // First caller simulates; concurrent callers for the same key block
         // here and reuse the result, keeping the run count sequential-exact.
-        // A speculative prefetch of this key is promoted instead of
+        // A measurement the store already holds is recalled, uncharged. A
+        // speculative prefetch of this key is promoted instead of
         // re-simulated: the run is charged and its reports absorbed/journaled
         // here — the exact point a sequential execution would have paid.
-        let mut ran = false;
+        let (mut ran, mut recalled) = (false, false);
         let m = *cell.get_or_init(|| {
+            let memo = self.memo_slot(key.0, trace);
+            if let Some(m) = Self::recall(&memo) {
+                recalled = true;
+                self.memo_hits.fetch_add(1, Ordering::SeqCst);
+                return m;
+            }
             ran = true;
-            if let Some(p) = self.take_speculative(&key) {
+            let m = if let Some(p) = self.take_speculative(&key) {
                 self.spec_hits.fetch_add(1, Ordering::SeqCst);
-                self.runs.fetch_add(1, Ordering::SeqCst);
                 self.commit_reports(trace.name(), p.reports.as_deref());
                 p.measurement
             } else {
-                let m = self.simulate(cfg, trace);
-                self.runs.fetch_add(1, Ordering::SeqCst);
-                m
+                self.simulate(cfg, trace)
+            };
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            // Best effort: a failed append costs one re-simulation later.
+            if let Some((db, k)) = &memo {
+                let _ = db.put_record(k, &m);
             }
+            m
         });
         // A promoted speculation still counts as a miss: the demand probe
         // found no completed entry, exactly as in a sequential run — which
@@ -431,7 +497,7 @@ impl Validator {
         if instrument {
             if ran {
                 self.counters.misses.inc();
-            } else {
+            } else if !recalled {
                 self.counters.dedup_waits.inc();
             }
         }
@@ -449,12 +515,12 @@ impl Validator {
     ///
     /// The simulation happens now (typically on a worker thread), but every
     /// piece of sequential-exact accounting — [`Validator::simulator_runs`],
-    /// the simulator aggregate, the device journal, and the exported cache —
-    /// is deferred until a demand [`Validator::evaluate_trace`] consumes the
-    /// result. A speculation that is never demanded therefore leaves all of
-    /// them untouched, which is what keeps batched tuning byte-identical to
-    /// sequential tuning at any speculation depth. Keys already evaluated
-    /// (or already speculated) are skipped.
+    /// the simulator aggregate, the device journal, and the measurement
+    /// memo — is deferred until a demand [`Validator::evaluate_trace`]
+    /// consumes the result. A speculation that is never demanded therefore
+    /// leaves all of them untouched, which is what keeps batched tuning
+    /// byte-identical to sequential tuning at any speculation depth. Keys
+    /// already evaluated, speculated or stored are skipped.
     pub fn prefetch_trace(&self, cfg: &SsdConfig, trace: &Trace) {
         let key = (ConfigKey::of(cfg), trace.name().to_string());
         // Already demanded — completed or in flight — or already speculated:
@@ -463,6 +529,9 @@ impl Validator {
             return;
         }
         if self.spec_pending.load(Ordering::Relaxed) > 0 && self.spec.lock().contains_key(&key) {
+            return;
+        }
+        if Self::recall(&self.memo_slot(key.0, trace)).is_some() {
             return;
         }
         let (m, reports) = self.simulate_core(cfg, trace);
@@ -600,10 +669,10 @@ impl Validator {
         *self.counters.sim_agg.lock()
     }
 
-    /// Drops all memoized measurements (used between experiments that reset
-    /// the model, e.g. the α/β sweeps of §4.6). Unconsumed speculative
+    /// Drops all in-process measurements (used between experiments that
+    /// reset the model, e.g. the α/β sweeps of §4.6). Unconsumed speculative
     /// results are dropped too — they must not outlive the cache they were
-    /// meant to warm.
+    /// meant to warm. An attached store keeps its records.
     pub fn clear_cache(&self) {
         for shard in &self.shards {
             shard.write().clear();
@@ -611,62 +680,6 @@ impl Validator {
         let mut spec = self.spec.lock();
         spec.clear();
         self.spec_pending.store(0, Ordering::Relaxed);
-    }
-
-    /// Exports every completed measurement-cache entry, sorted by
-    /// `(key, trace)` so the output is deterministic regardless of shard
-    /// iteration order. In-flight (incomplete) evaluations are skipped.
-    ///
-    /// Together with [`Validator::import_cache`] this lets a resumed tuning
-    /// run skip every simulation its interrupted predecessor already paid
-    /// for.
-    pub fn export_cache(&self) -> Vec<CacheEntry> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for ((key, trace), cell) in shard.read().iter() {
-                if let Some(m) = cell.get() {
-                    out.push(CacheEntry {
-                        key: [format!("{:016x}", key.0[0]), format!("{:016x}", key.0[1])],
-                        trace: trace.clone(),
-                        measurement: *m,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.key, &a.trace).cmp(&(&b.key, &b.trace)));
-        out
-    }
-
-    /// Imports previously exported cache entries; returns how many were
-    /// newly installed (entries already present are left untouched, so an
-    /// import never overwrites a live measurement).
-    ///
-    /// The simulator-run counter is not advanced: imported measurements were
-    /// paid for by the exporting run, and a resumed tune accounts for them
-    /// through its own `TuneState` tally.
-    ///
-    /// # Errors
-    ///
-    /// Rejects entries whose key words are not 16-digit hex (a corrupt or
-    /// hand-edited checkpoint); nothing before the bad entry is rolled back.
-    pub fn import_cache(&self, entries: &[CacheEntry]) -> Result<usize, String> {
-        let mut installed = 0;
-        for e in entries {
-            let mut words = [0u64; 2];
-            for (slot, word) in words.iter_mut().zip(&e.key) {
-                *slot = u64::from_str_radix(word, 16)
-                    .map_err(|_| format!("cache entry key {word:?} is not a hex word"))?;
-            }
-            let key = (ConfigKey(words), e.trace.clone());
-            let cell = {
-                let mut map = self.shards[key.0.shard()].write();
-                Arc::clone(map.entry(key).or_default())
-            };
-            if cell.set(e.measurement).is_ok() {
-                installed += 1;
-            }
-        }
-        Ok(installed)
     }
 
     /// Snapshot of this validator's cache and simulator activity.
@@ -813,9 +826,15 @@ mod tests {
         assert_sync::<Validator>();
     }
 
+    fn memo_records(store: &Store) -> usize {
+        store.keys_with_prefix("memo:").len()
+    }
+
     #[test]
-    fn imported_cache_gives_run_count_parity() {
+    fn stored_measurements_give_run_count_parity() {
+        let store = Arc::new(Store::in_memory());
         let v = quick();
+        v.attach_store(Arc::clone(&store));
         let base = SsdConfig::default();
         let other = SsdConfig {
             channel_count: 4,
@@ -824,44 +843,63 @@ mod tests {
         let a = v.evaluate(&base, WorkloadKind::Database);
         let b = v.evaluate(&other, WorkloadKind::Database);
         assert_eq!(v.simulator_runs(), 2);
+        assert_eq!(memo_records(&store), 2);
+        assert_eq!(v.memo_hits(), 0, "the first validator paid for both");
 
-        let exported = v.export_cache();
-        assert_eq!(exported.len(), 2);
-
-        // A fresh validator with the import answers the same evaluations
-        // without a single simulator run.
+        // A fresh validator on the same store answers the same evaluations
+        // without a single simulator run, and writes nothing new.
         let w = quick();
-        assert_eq!(w.import_cache(&exported).expect("import"), 2);
+        w.attach_store(Arc::clone(&store));
+        assert_eq!(
+            w.stored(&base, &w.trace_for(WorkloadKind::Database)),
+            Some(a)
+        );
         assert_eq!(w.evaluate(&base, WorkloadKind::Database), a);
         assert_eq!(w.evaluate(&other, WorkloadKind::Database), b);
-        assert_eq!(w.simulator_runs(), 0, "imports must be pure cache hits");
+        assert_eq!(w.evaluate(&other, WorkloadKind::Database), b);
+        assert_eq!(w.simulator_runs(), 0, "stored measurements are not charged");
+        assert_eq!(w.memo_hits(), 2, "the in-process cache answers repeats");
+        assert_eq!(store.log_records(), 2);
 
-        // Re-importing is idempotent and never overwrites live entries.
-        assert_eq!(w.import_cache(&exported).expect("import"), 0);
+        // Another trace is another key.
+        w.evaluate(&base, WorkloadKind::WebSearch);
+        assert_eq!(w.simulator_runs(), 1);
+        assert_eq!(memo_records(&store), 3);
     }
 
     #[test]
-    fn export_is_sorted_and_round_trips() {
+    fn undecodable_memo_records_are_misses() {
+        let store = Arc::new(Store::in_memory());
         let v = quick();
-        v.evaluate(&SsdConfig::default(), WorkloadKind::WebSearch);
-        v.evaluate(&SsdConfig::default(), WorkloadKind::Database);
-        let exported = v.export_cache();
-        let mut sorted = exported.clone();
-        sorted.sort_by(|a, b| (&a.key, &a.trace).cmp(&(&b.key, &b.trace)));
-        assert_eq!(exported, sorted);
-        let json = serde_json::to_string(&exported).expect("serialize");
-        let back: Vec<CacheEntry> = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, exported);
+        v.attach_store(Arc::clone(&store));
+        let cfg = SsdConfig::default();
+        let m = v.evaluate(&cfg, WorkloadKind::Database);
+        let key = store.keys_with_prefix("memo:").pop().expect("one record");
+        assert!(key
+            .split(':')
+            .skip(2)
+            .all(|w| w.chars().all(|c| c.is_ascii_hexdigit())));
+        store
+            .put(&key, &serde_json::json!("not a measurement"))
+            .unwrap();
+
+        let w = quick();
+        w.attach_store(Arc::clone(&store));
+        assert_eq!(w.evaluate(&cfg, WorkloadKind::Database), m);
+        assert_eq!((w.simulator_runs(), w.memo_hits()), (1, 0));
+        assert_eq!(store.get_record::<Measurement>(&key).unwrap(), Some(m));
     }
 
     #[test]
     fn prefetch_defers_run_charging_until_demand() {
+        let store = Arc::new(Store::in_memory());
         let v = quick();
+        v.attach_store(Arc::clone(&store));
         let cfg = SsdConfig::default();
         v.prefetch(&cfg, WorkloadKind::Database);
         // The simulation happened but nothing sequential-visible moved.
         assert_eq!(v.simulator_runs(), 0, "prefetch must not charge runs");
-        assert!(v.export_cache().is_empty(), "prefetch must not be exported");
+        assert_eq!(memo_records(&store), 0, "prefetch must not be stored");
         let s = v.stats();
         assert_eq!(s.speculative_runs, 1);
         assert_eq!(s.speculative_hits, 0);
@@ -871,7 +909,7 @@ mod tests {
         // validator that never speculated.
         let m = v.evaluate(&cfg, WorkloadKind::Database);
         assert_eq!(v.simulator_runs(), 1);
-        assert_eq!(v.export_cache().len(), 1);
+        assert_eq!(memo_records(&store), 1);
         let s = v.stats();
         assert_eq!(s.speculative_hits, 1);
         assert_eq!(s.speculative_wasted, 0);
@@ -904,21 +942,13 @@ mod tests {
         v.evaluate(&cfg, WorkloadKind::WebSearch);
         assert_eq!(v.simulator_runs(), 2);
         assert_eq!(v.stats().speculative_hits, 0);
-    }
-
-    #[test]
-    fn import_rejects_malformed_keys() {
-        let v = quick();
-        let bad = CacheEntry {
-            key: ["zzzz".into(), "0".into()],
-            trace: "t".into(),
-            measurement: Measurement {
-                latency_ns: 1.0,
-                throughput_bps: 1.0,
-                power_w: 1.0,
-                energy_mj: 1.0,
-            },
-        };
-        assert!(v.import_cache(&[bad]).is_err());
+        // A stored key is never speculated.
+        let store = Arc::new(Store::in_memory());
+        v.attach_store(Arc::clone(&store));
+        v.evaluate(&cfg, WorkloadKind::Fiu);
+        let w = quick();
+        w.attach_store(store);
+        w.prefetch(&cfg, WorkloadKind::Fiu);
+        assert_eq!(w.stats().speculative_runs, 0);
     }
 }

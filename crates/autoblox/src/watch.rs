@@ -102,8 +102,6 @@ pub struct LineCounts {
     pub series: u64,
     /// `bottleneck` lines.
     pub bottlenecks: u64,
-    /// `checkpoint` lines.
-    pub checkpoints: u64,
     /// `placement` lines.
     pub placements: u64,
     /// `summary` lines.
@@ -126,7 +124,6 @@ impl LineCounts {
             + self.phases
             + self.series
             + self.bottlenecks
-            + self.checkpoints
             + self.placements
             + self.summary
             + self.unknown
@@ -233,7 +230,6 @@ impl WatchState {
                     self.bottleneck = self.bottleneck.plus(&report);
                 }
             }
-            "checkpoint" => self.counts.checkpoints += 1,
             "placement" => self.counts.placements += 1,
             "summary" => {
                 self.counts.summary += 1;
@@ -334,7 +330,6 @@ impl WatchState {
                 "phases": c.phases,
                 "series": c.series,
                 "bottlenecks": c.bottlenecks,
-                "checkpoints": c.checkpoints,
                 "placements": c.placements,
                 "summary": c.summary,
                 "unknown": c.unknown,

@@ -1,8 +1,16 @@
-//! A configuration file is hostile input: one the simulator cannot hold is
-//! refused with a one-line message and exit 2 before anything is simulated.
+//! Command-line input is hostile input: a configuration file the simulator
+//! cannot hold, an unknown flag or a flag without its value is refused with
+//! a one-line message and exit 2 before anything is simulated.
 
 use ssdsim::config::{SsdConfig, MAX_PAGES_PER_BLOCK};
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn autoblox(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_autoblox"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
 
 #[test]
 fn simulate_refuses_a_config_whose_blocks_outgrow_the_valid_counter() {
@@ -33,4 +41,83 @@ fn simulate_refuses_a_config_whose_blocks_outgrow_the_valid_counter() {
         stderr.contains("pages_per_block must not exceed 65535"),
         "{stderr}"
     );
+}
+
+/// Exit 2 before anything runs, with `error: <message>` as the first line.
+fn usage_error(args: &[&str], message: &str) {
+    let out = autoblox(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    assert!(
+        stderr.starts_with(&format!("error: {message}\n")),
+        "{args:?}: {stderr}"
+    );
+}
+
+/// The retired checkpoint flags must not silently start a full tune.
+#[test]
+fn tune_rejects_unknown_flags_and_missing_values() {
+    for flag in [
+        "--resume",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--stop-after-iter",
+    ] {
+        usage_error(
+            &["tune", "database", "--events", "60", flag, "1"],
+            &format!("unknown tune flag \"{flag}\""),
+        );
+    }
+    usage_error(
+        &["tune", "database", "--iterations"],
+        "--iterations needs a value",
+    );
+}
+
+#[test]
+fn whatif_rejects_unknown_flags_and_missing_values() {
+    usage_error(
+        &[
+            "whatif",
+            "database",
+            "--goal",
+            "latency",
+            "--itrations",
+            "2",
+        ],
+        "unknown whatif flag \"--itrations\"",
+    );
+    usage_error(
+        &["whatif", "database", "--factor"],
+        "--factor needs a value",
+    );
+}
+
+#[test]
+fn place_rejects_unknown_flags_and_missing_values() {
+    usage_error(
+        &[
+            "place",
+            "--devices",
+            "2",
+            "--traces",
+            "Database:100:1",
+            "--resume",
+        ],
+        "unknown place flag \"--resume\"",
+    );
+    usage_error(
+        &["place", "--devices", "2", "--traces"],
+        "--traces needs a value",
+    );
+}
+
+#[test]
+fn checkpoint_inspect_is_a_retired_command() {
+    let out = autoblox(&["checkpoint", "inspect", "checkpoint-Database.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
+    assert!(!stderr.contains("checkpoint"), "{stderr}");
 }

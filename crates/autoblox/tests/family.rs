@@ -1,25 +1,24 @@
 //! Device-family invariants, end to end: a hybrid SLC/QLC tune must be
 //! bit-identical across thread counts and speculation widths, the
 //! bottleneck attribution must surface SLC-migration stalls on a
-//! write-heavy trace, and a checkpoint written under one device family
-//! must refuse to resume under another.
+//! write-heavy trace, and measurements stored under one device family
+//! must never be served to the other.
 //!
 //! One test toggles the process-wide telemetry switch, so every test
 //! that touches it serializes on one lock (test binaries run their
 //! tests on concurrent threads within one process). The determinism
 //! test also owns the process-wide thread override while it runs.
 
-use autoblox::checkpoint::Checkpoint;
 use autoblox::constraints::Constraints;
 use autoblox::explain;
 use autoblox::parallel;
 use autoblox::telemetry;
-use autoblox::tuner::{Tuner, TunerOptions, TuningTarget};
+use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
 use autoblox::ParamSpace;
 use iotrace::gen::WorkloadKind;
 use ssdsim::config::{presets, FlashTechnology, Interface, SsdConfig};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 // Guards both process-wide switches these tests flip: the telemetry
 // switch and the thread-count override. Serializing on one lock keeps a
@@ -214,46 +213,40 @@ fn explain_attributes_slc_migration_on_write_heavy_trace() {
     assert!(rendered.contains("slc-migration"));
 }
 
-/// Satellite bugfix regression: a checkpoint captured under hybrid
-/// constraints must refuse to verify against a homogeneous tuner (and
-/// vice versa) with a message naming the `--family` flag, before any
-/// hash-diff noise.
+/// A store written under one device family serves nothing to a tune under
+/// the other — every configuration carries its family into its memo key,
+/// so dropping `--family` re-simulates instead of inheriting another
+/// device's measurements — while the same family replays entirely from the
+/// store.
 #[test]
-fn family_mismatched_checkpoint_refuses_to_resume() {
-    let v = quick_validator(60);
-    let opts = TunerOptions {
-        max_iterations: 2,
-        sgd_iterations: 2,
-        convergence_window: 2,
-        non_target: vec![WorkloadKind::WebSearch],
-        ..Default::default()
+fn family_change_misses_the_memo() {
+    let store = Arc::new(autodb::Store::in_memory());
+    let tune = |constraints: Constraints, reference: SsdConfig| {
+        let v = quick_validator(60);
+        v.attach_store(Arc::clone(&store));
+        let opts = TunerOptions {
+            max_iterations: 2,
+            sgd_iterations: 2,
+            convergence_window: 2,
+            non_target: vec![WorkloadKind::WebSearch],
+            ..Default::default()
+        };
+        let out = Tuner::new(constraints, &v, opts).tune(WorkloadKind::Fiu, &reference, &[], None);
+        let hybrid = out.best.config.device_family.is_hybrid();
+        (hybrid, v.simulator_runs(), v.memo_hits())
     };
-    let target = TuningTarget::from(WorkloadKind::Fiu);
-
-    let hybrid_tuner = Tuner::new(hybrid_constraints(), &v, opts.clone());
-    let state = hybrid_tuner.init_state(target, &presets::hybrid_slc_qlc(), &[], None);
-    let checkpoint = Checkpoint::capture(&hybrid_tuner, target, &v, &state);
-
-    // Same-family verification is clean...
-    checkpoint
-        .verify(&hybrid_tuner, target, &v)
-        .expect("same-family checkpoint verifies");
-
-    // ...but dropping the family flag must be caught with an actionable
-    // message, not a bare fingerprint mismatch.
-    let reference = presets::hybrid_slc_qlc();
-    let homogeneous = Constraints::new(
-        reference.effective_capacity_bytes() >> 30,
-        Interface::Nvme,
-        FlashTechnology::Qlc,
-        25.0,
+    let (hybrid, runs, _) = tune(hybrid_constraints(), presets::hybrid_slc_qlc());
+    assert!(hybrid && runs > 0);
+    // `--flash qlc` without `--family hybrid`, as the CLI builds it.
+    let homogeneous = Constraints::new(512, Interface::Nvme, FlashTechnology::Qlc, 25.0);
+    let (hybrid, _, hits) = tune(homogeneous, presets::intel_750());
+    assert!(!hybrid);
+    assert_eq!(
+        hits, 0,
+        "a homogeneous tune must not read hybrid measurements"
     );
-    let homogeneous_tuner = Tuner::new(homogeneous, &v, opts);
-    let err = checkpoint
-        .verify(&homogeneous_tuner, target, &v)
-        .expect_err("family mismatch must be rejected");
-    assert!(
-        err.contains("--family") && err.contains("hybrid-slc-cache"),
-        "error names the flag and the family: {err}"
+    assert_eq!(
+        tune(hybrid_constraints(), presets::hybrid_slc_qlc()),
+        (true, 0, runs)
     );
 }

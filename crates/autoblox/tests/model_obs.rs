@@ -8,7 +8,7 @@
 use autoblox::constraints::Constraints;
 use autoblox::model_obs;
 use autoblox::parallel;
-use autoblox::tuner::{IterationRecord, Tuner, TunerOptions, TuningTarget};
+use autoblox::tuner::{IterationRecord, Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
 use iotrace::gen::WorkloadKind;
 use proptest::prelude::*;
@@ -32,24 +32,22 @@ fn opts(k: usize) -> TunerOptions {
     }
 }
 
-/// One short step-driven tuning run at batch width `k`, with the two
-/// wall-clock timings zeroed (telemetry is on, so they are collected and
-/// host-dependent). Everything else in the state — including predicted
+/// One short tuning run at batch width `k`, with the two wall-clock
+/// timings zeroed (telemetry is on, so they are collected and
+/// host-dependent). Everything else in the outcome — including predicted
 /// mean/σ, calibration pairs, explore/exploit shares, decision margins,
 /// and the importance sweep — must be bit-identical across the grid.
 fn fingerprint(k: usize) -> (String, Vec<IterationRecord>) {
     let v = quick_validator();
     let tuner = Tuner::new(Constraints::paper_default(), &v, opts(k));
-    let target = TuningTarget::Category(WorkloadKind::Database);
-    let mut state = tuner.init_state(target, &presets::intel_750(), &[], None);
-    while tuner.step(target, &mut state) {}
-    for r in &mut state.records {
+    let mut outcome = tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None);
+    for r in &mut outcome.iteration_records {
         r.wall_ns = 0;
         r.surrogate_fit_ns = 0;
     }
-    let records = state.records.clone();
+    let records = outcome.iteration_records.clone();
     (
-        serde_json::to_string(&state).expect("state serializes"),
+        serde_json::to_string(&outcome).expect("outcome serializes"),
         records,
     )
 }

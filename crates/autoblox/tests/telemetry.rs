@@ -342,15 +342,25 @@ fn journal_streams_run_and_exports_chrome_trace() {
         "per-iteration records streamed"
     );
 
-    // The drive loop emits one progress line per step: the two warm-up
-    // transitions (reference -> init-set -> iterating) plus one per
-    // iteration.
-    let progress_lines = text.matches("\"t\":\"progress\"").count();
-    assert_eq!(
-        progress_lines,
-        outcome.iterations + 2,
-        "one progress line per drive step"
-    );
+    // The loop emits one progress line per stage, in order: after the
+    // reference (init set next), after the init set, then one per
+    // iteration, the last one `done`.
+    let stages: Vec<String> = lines
+        .iter()
+        .filter(|l| l.contains("\"t\":\"progress\""))
+        .map(|l| {
+            let v: serde_json::Value = serde_json::from_str(l).expect("progress line parses");
+            v["phase"].as_str().expect("phase").to_string()
+        })
+        .collect();
+    let mut expected = vec!["init_set".to_string()];
+    expected.extend(std::iter::repeat_n(
+        "iterating".to_string(),
+        outcome.iterations,
+    ));
+    expected.push("done".to_string());
+    assert_eq!(stages, expected, "one progress line per stage");
+    let progress_lines = stages.len();
 
     let chrome = autoblox::journal::export_chrome(&text).expect("chrome export succeeds");
     assert!(chrome.contains("traceEvents"));

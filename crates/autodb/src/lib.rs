@@ -4,7 +4,8 @@
 //! JSON values holding SSD configurations and their performance grades
 //! (§3.5). This crate provides the same contract as a small self-contained
 //! store: an append-only log with an in-memory index, tombstone deletes,
-//! crash-safe reload, and log compaction.
+//! crash-safe reload (a torn last line is dropped, see [`Store::open`]), and
+//! log compaction.
 //!
 //! # Examples
 //!
@@ -32,7 +33,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Error type for store operations.
@@ -103,6 +104,9 @@ struct Inner {
     index: BTreeMap<String, Value>,
     writer: Option<BufWriter<File>>,
     log_records: usize,
+    /// Owed by the first append: the length of the log's whole records,
+    /// and whether the last of them still needs its newline.
+    repair: Option<(u64, bool)>,
 }
 
 /// A persistent (or in-memory) key-value store with JSON values.
@@ -119,39 +123,67 @@ impl Store {
     /// Opens (creating if absent) a store backed by the log file at `path`,
     /// replaying any existing log into memory.
     ///
+    /// A process killed mid-append leaves a torn last line: a final line
+    /// with no trailing newline that does not decode is dropped, and the
+    /// first append cuts the file back to the last whole record so it
+    /// cannot join onto the fragment (a final record that decodes but lost
+    /// only its newline is kept, and gets the newline back). Opening alone
+    /// never writes, so reading a store another process is appending to
+    /// is safe.
+    ///
     /// # Errors
     ///
     /// Returns [`DbError::Io`] on filesystem failures and
-    /// [`DbError::Corrupt`] if an existing log cannot be decoded.
+    /// [`DbError::Corrupt`] if any other line cannot be decoded.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut index = BTreeMap::new();
         let mut log_records = 0;
-        if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for (i, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let mut whole = 0;
+        for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+            let decoded = std::str::from_utf8(line)
+                .map_err(|e| e.to_string())
+                .and_then(|text| match text.trim() {
+                    "" => Ok(None),
+                    text => serde_json::from_str::<LogRecord>(text)
+                        .map(Some)
+                        .map_err(|e| e.to_string()),
+                });
+            let rec = match decoded {
+                Ok(rec) => rec,
+                Err(_) if !line.ends_with(b"\n") => break,
+                Err(message) => {
+                    return Err(DbError::Corrupt {
+                        line: i + 1,
+                        message,
+                    })
                 }
-                let rec: LogRecord = serde_json::from_str(&line).map_err(|e| DbError::Corrupt {
-                    line: i + 1,
-                    message: e.to_string(),
-                })?;
-                log_records += 1;
-                if rec.tombstone {
-                    index.remove(&rec.key);
-                } else if let Some(v) = rec.value {
-                    index.insert(rec.key, v);
-                }
+            };
+            whole += line.len();
+            let Some(rec) = rec else { continue };
+            log_records += 1;
+            if rec.tombstone {
+                index.remove(&rec.key);
+            } else if let Some(v) = rec.value {
+                index.insert(rec.key, v);
             }
         }
+        let repair = if whole < bytes.len() {
+            Some((whole as u64, false))
+        } else {
+            (!bytes.is_empty() && !bytes.ends_with(b"\n")).then_some((whole as u64, true))
+        };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Store {
             inner: Mutex::new(Inner {
                 index,
                 writer: Some(BufWriter::new(file)),
                 log_records,
+                repair,
             }),
             path: Some(path),
         })
@@ -164,6 +196,7 @@ impl Store {
                 index: BTreeMap::new(),
                 writer: None,
                 log_records: 0,
+                repair: None,
             }),
             path: None,
         }
@@ -329,6 +362,7 @@ impl Store {
         let file = OpenOptions::new().append(true).open(path)?;
         inner.writer = Some(BufWriter::new(file));
         inner.log_records = inner.index.len();
+        inner.repair = None;
         Ok(())
     }
 
@@ -346,6 +380,13 @@ impl Store {
 
     fn append(inner: &mut Inner, rec: &LogRecord) -> Result<()> {
         if let Some(w) = inner.writer.as_mut() {
+            if let Some((whole, newline)) = inner.repair {
+                w.get_ref().set_len(whole)?;
+                if newline {
+                    w.write_all(b"\n")?;
+                }
+                inner.repair = None;
+            }
             serde_json::to_writer(&mut *w, rec)?;
             w.write_all(b"\n")?;
             w.flush()?;
@@ -468,6 +509,74 @@ mod tests {
         std::fs::write(&path, "{not json}\n").unwrap();
         match Store::open(&path) {
             Err(DbError::Corrupt { line, .. }) => assert_eq!(line, 1),
+            other => panic!("expected corrupt error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A log cut at any byte reopens to the records that were whole at the
+    /// cut without being written to, and appending afterwards never
+    /// corrupts the file.
+    #[test]
+    fn truncated_log_reopens_to_a_clean_prefix() {
+        let path = temp_path("torn");
+        std::fs::remove_file(&path).ok();
+        {
+            let db = Store::open(&path).unwrap();
+            db.put("category:Database", &json!({"grade": 0.25}))
+                .unwrap();
+            db.put("memo:1:ab", &json!({"latency_ns": 12.5, "note": "naïve"}))
+                .unwrap();
+            db.delete("category:Database").unwrap();
+            db.put("run:Database:000001", &json!({"seed": 7})).unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        // Each record's key set once its closing brace is on disk.
+        let mut expected: Vec<(usize, Vec<String>)> = vec![(0, Vec::new())];
+        let mut keys: Vec<String> = Vec::new();
+        let mut end = 0;
+        for line in full.split_inclusive(|&b| b == b'\n') {
+            let rec: LogRecord = serde_json::from_str(std::str::from_utf8(line).unwrap()).unwrap();
+            if rec.tombstone {
+                keys.retain(|k| *k != rec.key);
+            } else {
+                keys.push(rec.key);
+                keys.sort();
+            }
+            end += line.len();
+            expected.push((end - 1, keys.clone()));
+        }
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let want = &expected.iter().rev().find(|(at, _)| *at <= cut).unwrap().1;
+            let db = Store::open(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(db.keys(), *want, "cut {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), full[..cut], "opening wrote");
+            db.put("probe", &json!(cut as f64)).unwrap();
+            drop(db);
+            let db = Store::open(&path).unwrap_or_else(|e| panic!("cut {cut} + append: {e}"));
+            assert_eq!(db.len(), want.len() + 1, "cut {cut} + append");
+            assert_eq!(db.get("probe").unwrap(), Some(json!(cut as f64)));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_middle_line_is_still_reported() {
+        let path = temp_path("flipped");
+        std::fs::remove_file(&path).ok();
+        {
+            let db = Store::open(&path).unwrap();
+            for i in 0..3 {
+                db.put(&format!("k{i}"), &json!(i)).unwrap();
+            }
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let second = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[second] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        match Store::open(&path) {
+            Err(DbError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected corrupt error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();

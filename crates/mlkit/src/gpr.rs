@@ -357,8 +357,8 @@ impl Gpr {
     /// The result is bit-identical to an `optimize_rounds(0)` refit with
     /// this model's kernel and jitter on the full n+1 samples, because the
     /// bordered update replays the same arithmetic — that exactness is what
-    /// lets the tuner's surrogate cache rebuild deterministically after a
-    /// checkpoint resume.
+    /// lets the tuner's surrogate cache be dropped and rebuilt without
+    /// moving the search trajectory.
     ///
     /// # Errors
     ///

@@ -45,6 +45,13 @@ pub mod power;
 pub mod report;
 pub mod sim;
 
+/// Version of the simulated numbers. Stored measurements are keyed by it,
+/// so bump it with any change that moves a [`SimReport`] field — or how a
+/// validator turns the timed and saturated reports into one measurement —
+/// and stores written before the change are never served again.
+/// `tests/golden_reports.rs` pins it to the golden report hashes.
+pub const SIM_MODEL: u32 = 1;
+
 pub use config::{FlashTechnology, Interface, SsdConfig};
 pub use observe::{BottleneckReport, DeviceSample, DeviceSeries, LaneReport, TenantLanes};
 pub use report::SimReport;

@@ -10,7 +10,9 @@
 //! until it is hashed too.
 //!
 //! If the simulated behaviour changes on purpose, the failure message prints
-//! the table to paste over `GOLDEN`.
+//! the table to paste over `GOLDEN`; `ssdsim::SIM_MODEL` is pinned to that
+//! table, so the next failure asks for the version bump that retires every
+//! stored measurement of the old model.
 
 use iotrace::gen::WorkloadKind;
 use iotrace::{Trace, TraceEvent};
@@ -329,6 +331,31 @@ const GOLDEN: [(&str, u64, u64); 11] = [
     ("fold_idle", 0x72a8ae3c0b75da14, 0),
     ("fold_watermark", 0xfcbbac20272d2b40, 0),
 ];
+
+/// `(SIM_MODEL, hash of GOLDEN)`: the model version the table above was
+/// recorded at. Regenerating the table moves the hash, and this pin then
+/// asks for the bumped version, so a store never serves measurements from
+/// an older simulator.
+const GOLDEN_MODEL: (u32, u64) = (1, 0x79f8_8c0a_8e31_adf9);
+
+#[test]
+fn sim_model_is_pinned_to_the_golden_table() {
+    let mut h = Fnv::new();
+    for (name, hash, drained) in GOLDEN {
+        name.bytes().for_each(|b| h.word(u64::from(b)));
+        h.word(hash);
+        h.word(drained);
+    }
+    assert_eq!(
+        (ssdsim::SIM_MODEL, h.0),
+        GOLDEN_MODEL,
+        "the golden table or SIM_MODEL changed: bump ssdsim::SIM_MODEL to {} and set \
+         GOLDEN_MODEL to ({}, {:#018x})",
+        GOLDEN_MODEL.0 + 1,
+        GOLDEN_MODEL.0 + 1,
+        h.0
+    );
+}
 
 #[test]
 fn sim_sweep_cell_reports_match_golden() {

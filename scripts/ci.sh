@@ -18,8 +18,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 ALL_STAGES="fmt build-debug build-release test tier1-width clippy doc telemetry-smoke \
-regression-gate explain-smoke resume-smoke place-smoke family-smoke trend-smoke \
-pipeline-check"
+regression-gate explain-smoke place-smoke family-smoke trend-smoke pipeline-check"
 
 QUICK=0
 STAGES=""
@@ -279,62 +278,6 @@ if [[ $QUICK -eq 0 ]]; then
         skip "explain-smoke" "release binary missing (build failed?)"
     fi
 
-    # --- Stage: resume smoke ----------------------------------------------
-    # Kill-and-resume determinism, end to end through the CLI: a pinned-seed
-    # tune is interrupted at iteration 2 via --stop-after-iter, the written
-    # checkpoint must pass `checkpoint inspect --json`, and the resumed run
-    # must emit a byte-identical tuned configuration plus a telemetry report
-    # whose deterministic tuner metrics match the uninterrupted run's.
-    # Validator-level statistics (simulator-run counts, cache hit rate, tail
-    # latencies, bottleneck fractions) are ignored in the diff: the resumed
-    # process only aggregates post-resume simulations, so those counters
-    # legitimately differ while best_grade and the per-iteration records
-    # must not.
-    resume_smoke() {
-        local dir cfg_a cfg_b tel_a tel_b inspected rc
-        dir=$(mktemp -d /tmp/autoblox-ci-resume.XXXXXX) || return 1
-        cfg_a="$dir/config-full.json"
-        cfg_b="$dir/config-resumed.json"
-        tel_a="$dir/telemetry-full.json"
-        tel_b="$dir/telemetry-resumed.json"
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 4 --events 300 --telemetry "$tel_a" \
-            >"$cfg_a" || { rm -rf "$dir"; return 1; }
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 4 --events 300 \
-            --checkpoint "$dir/ck" --stop-after-iter 2 \
-            >/dev/null || { rm -rf "$dir"; return 1; }
-        [[ -f "$dir/ck/checkpoint-Database.json" ]] \
-            || { echo "interrupted run left no checkpoint"; rm -rf "$dir"; return 1; }
-        inspected=$(./target/release/autoblox checkpoint inspect --json \
-            "$dir/ck/checkpoint-Database.json") \
-            && grep -q '"valid": true' <<<"$inspected" \
-            || { echo "checkpoint inspect rejected the snapshot"; rm -rf "$dir"; return 1; }
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 4 --events 300 --telemetry "$tel_b" \
-            --checkpoint "$dir/ck" --resume \
-            >"$cfg_b" || { rm -rf "$dir"; return 1; }
-        cmp -s "$cfg_a" "$cfg_b" \
-            || { echo "resumed configuration differs from the uninterrupted run"; \
-                 rm -rf "$dir"; return 1; }
-        ./target/release/autoblox report diff "$tel_a" "$tel_b" --ignore-time \
-            --ignore validations --ignore cache_hit_rate \
-            --ignore p95_latency_ns --ignore p99_latency_ns \
-            --ignore bottleneck_cache_miss_frac --ignore bottleneck_channel_wait_frac \
-            --ignore bottleneck_plane_busy_frac --ignore bottleneck_host_queue_frac \
-            --ignore bottleneck_gc_stall_frac \
-            >/dev/null
-        rc=$?
-        [[ $rc -eq 0 ]] || echo "resumed telemetry drifted from the uninterrupted run"
-        rm -rf "$dir"
-        return $rc
-    }
-    if [[ -x ./target/release/autoblox ]]; then
-        run_stage "resume-smoke" resume_smoke
-    else
-        skip "resume-smoke" "release binary missing (build failed?)"
-    fi
-
     # --- Stage: placement smoke -------------------------------------------
     # Fleet placement must be deterministic at any thread count: `place` on a
     # pinned 4-tenant mix over 2 devices must emit byte-identical
@@ -378,10 +321,10 @@ if [[ $QUICK -eq 0 ]]; then
     # --- Stage: family smoke ----------------------------------------------
     # The hybrid SLC/QLC device family end to end through the CLI: a pinned
     # short `--family hybrid --flash qlc` tune must emit byte-identical
-    # tuned configurations at 1 and 4 threads, its telemetry must diff
-    # clean against the family golden with only wall-clock metrics ignored,
-    # and resuming a hybrid checkpoint without `--family` must be rejected
-    # with the usage exit code (2) — not silently retuned as homogeneous.
+    # tuned configurations at 1 and 4 threads, and its telemetry must diff
+    # clean against the family golden with only wall-clock metrics ignored.
+    # (That a store written under one family serves nothing to the other is
+    # `tests/family.rs` in tier-1.)
     FAMILY_GOLDEN=scripts/golden/family-smoke.json
     family_smoke() {
         local dir rc
@@ -399,21 +342,6 @@ if [[ $QUICK -eq 0 ]]; then
         grep -q '"HybridSlcCache"' "$dir/config-t1.json" \
             || { echo "tuned configuration lost the hybrid device family"; \
                  rm -rf "$dir"; return 1; }
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 3 --events 300 --flash qlc --family hybrid \
-            --checkpoint "$dir/ck" --stop-after-iter 1 \
-            >/dev/null || { rm -rf "$dir"; return 1; }
-        AUTOBLOX_THREADS=1 ./target/release/autoblox tune database \
-            --iterations 3 --events 300 --flash qlc \
-            --checkpoint "$dir/ck" --resume \
-            >/dev/null 2>"$dir/mismatch.err"
-        rc=$?
-        [[ $rc -eq 2 ]] \
-            || { echo "family-mismatched resume must exit 2, got $rc"; \
-                 rm -rf "$dir"; return 1; }
-        grep -q -- "--family" "$dir/mismatch.err" \
-            || { echo "mismatch error does not name the --family flag:"; \
-                 cat "$dir/mismatch.err"; rm -rf "$dir"; return 1; }
         ./target/release/autoblox report diff "$FAMILY_GOLDEN" "$dir/tel.json" \
             --ignore-time >/dev/null
         rc=$?
