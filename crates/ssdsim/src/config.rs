@@ -714,7 +714,8 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Returns [`InvalidConfigError`] naming the first violated invariant:
-    /// zero-sized layout dimensions, non-power-of-two page size, more than
+    /// zero-sized layout dimensions, more than `u32::MAX` planes or blocks
+    /// in total, non-power-of-two page size, more than
     /// [`MAX_PAGES_PER_BLOCK`] pages per block, ratios outside `[0, 0.5]`,
     /// or an empty queue setup.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
@@ -740,6 +741,25 @@ impl SsdConfig {
             if v == 0 {
                 return Err(InvalidConfigError(format!("{name} must be positive")));
             }
+        }
+        // Flat plane and block indices are `u32` throughout the simulator.
+        let Some(planes) = [
+            self.chips_per_channel,
+            self.dies_per_chip,
+            self.planes_per_die,
+        ]
+        .into_iter()
+        .try_fold(self.channel_count, u32::checked_mul) else {
+            return Err(InvalidConfigError(format!(
+                "total planes must not exceed {}",
+                u32::MAX
+            )));
+        };
+        if planes.checked_mul(self.blocks_per_plane).is_none() {
+            return Err(InvalidConfigError(format!(
+                "total blocks must not exceed {}",
+                u32::MAX
+            )));
         }
         if !self.page_size_bytes.is_power_of_two() {
             return Err(InvalidConfigError(
@@ -981,6 +1001,37 @@ mod tests {
             over.validate().unwrap_err().to_string(),
             "invalid SSD configuration: pages_per_block must not exceed 65535"
         );
+    }
+
+    #[test]
+    fn validation_bounds_total_planes_and_blocks_to_u32() {
+        let layout = |channel_count, planes_per_die, blocks_per_plane| SsdConfig {
+            channel_count,
+            chips_per_channel: 1,
+            dies_per_chip: 1,
+            planes_per_die,
+            blocks_per_plane,
+            ..SsdConfig::default()
+        };
+        let error = |cfg: SsdConfig| cfg.validate().unwrap_err().to_string();
+        // 65,535 × 65,537 = u32::MAX exactly.
+        layout(65_535, 1, 65_537).validate().unwrap();
+        assert_eq!(
+            error(layout(65_536, 1, 65_537)),
+            "invalid SSD configuration: total blocks must not exceed 4294967295"
+        );
+        layout(65_535, 65_537, 1).validate().unwrap();
+        assert_eq!(
+            error(layout(65_536, 65_537, 1)),
+            "invalid SSD configuration: total planes must not exceed 4294967295"
+        );
+        // Each factor fits; only the product wraps in `total_planes()`.
+        let all = SsdConfig {
+            chips_per_channel: 4_000_000_000,
+            dies_per_chip: 4_000_000_000,
+            ..layout(4_000_000_000, 4_000_000_000, 4_000_000_000)
+        };
+        assert!(error(all).contains("total planes"));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! collection bookkeeping, and the write-striping allocator.
 
 use crate::config::{GcPolicy, MigrationPolicy, SsdConfig};
+use blocks::{BlockState, BlockTable};
 use serde::{Deserialize, Serialize};
+
+mod blocks;
 
 /// Location of a physical flash page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,23 +38,8 @@ impl PhysicalLocation {
     }
 }
 
-/// Lifecycle state of a flash block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockState {
-    Free,
-    Active,
-    Full,
-}
-
-#[derive(Debug, Clone)]
-struct Block {
-    valid: u16,
-    erases: u16,
-    state: BlockState,
-}
-
 /// Per-plane flash bookkeeping: write pointers and free-page counts (the
-/// plane's blocks live in [`FlashArray::blocks`]).
+/// plane's blocks live in [`FlashArray::blocks`]'s table).
 ///
 /// On hybrid devices the first `slc_cache_blocks` blocks form the SLC-mode
 /// cache tier with its own active block and write pointer; `active`,
@@ -70,6 +58,9 @@ struct Plane {
     cache_write_ptr: u32,
     /// Free pages remaining in the SLC cache tier (hybrid only).
     cache_free_pages: u64,
+    /// Sealed (`Full`) cache-tier blocks, so a fold looks for a victim only
+    /// when there is one (hybrid only).
+    sealed_cache_blocks: u32,
     /// Wear spread of the capacity tier, maintained by `erase_block` so the
     /// per-program wear-leveling check reads it instead of walking the plane.
     wear: WearSpread,
@@ -140,12 +131,17 @@ pub enum BackgroundOp {
 /// state garbage collection and wear leveling operate on. Timing is *not*
 /// modeled here — the array returns [`BackgroundOp`]s that the simulator
 /// charges to its resource timelines.
+///
+/// A block is stored only once something writes it: until then its state
+/// follows from the layout and the warm-up fill, so building, warming and
+/// cloning an array cost its per-plane state plus a chunk index of one
+/// `u32` per 64 blocks, not one entry per block.
 #[derive(Debug, Clone)]
 pub struct FlashArray {
     planes: Vec<Plane>,
-    /// Every block of every plane in one allocation, indexed
-    /// `plane * blocks_per_plane + block`.
-    blocks: Vec<Block>,
+    /// Every block of every plane; an entry is stored only once something
+    /// has written it (see [`blocks`]).
+    blocks: BlockTable,
     pages_per_block: u32,
     blocks_per_plane: u32,
     gc_threshold_pages: u64,
@@ -198,26 +194,13 @@ impl FlashArray {
             cache_active: 0,
             cache_write_ptr: 0,
             cache_free_pages: cache_pages,
+            sealed_cache_blocks: 0,
             wear: WearSpread {
                 min_erases: 0,
                 max_erases: 0,
                 blocks_at_min: cfg.blocks_per_plane - slc_cache_blocks,
             },
         };
-        let mut blocks = vec![
-            Block {
-                valid: 0,
-                erases: 0,
-                state: BlockState::Free,
-            };
-            n_planes * cfg.blocks_per_plane as usize
-        ];
-        for plane_blocks in blocks.chunks_exact_mut(cfg.blocks_per_plane as usize) {
-            plane_blocks[slc_cache_blocks as usize].state = BlockState::Active;
-            if slc_cache_blocks > 0 {
-                plane_blocks[0].state = BlockState::Active;
-            }
-        }
         let gc_threshold_pages = (capacity_pages as f64 * cfg.gc_threshold).ceil() as u64;
         let migration_policy = match cfg.device_family {
             crate::config::DeviceFamily::Homogeneous => None,
@@ -257,7 +240,12 @@ impl FlashArray {
         FlashArray {
             pseudo_planes,
             planes: vec![plane; n_planes],
-            blocks,
+            blocks: BlockTable::new(
+                n_planes,
+                cfg.blocks_per_plane,
+                slc_cache_blocks,
+                cfg.pages_per_block,
+            ),
             pages_per_block: cfg.pages_per_block,
             blocks_per_plane: cfg.blocks_per_plane,
             gc_threshold_pages,
@@ -276,6 +264,16 @@ impl FlashArray {
             #[cfg(test)]
             scan_wear_decision: false,
         }
+    }
+
+    /// The array as it was before its block table could leave an entry
+    /// implicit: every block stored from the start, so warm-up writes each
+    /// one. The reference the lazy table is tested against.
+    #[cfg(test)]
+    pub(crate) fn eager(cfg: &SsdConfig) -> Self {
+        let mut fa = Self::new(cfg);
+        fa.blocks.store_all();
+        fa
     }
 
     /// Accumulated statistics.
@@ -319,14 +317,23 @@ impl FlashArray {
         self.slc_cache_blocks
     }
 
-    fn plane_blocks(&self, pidx: usize) -> &[Block] {
-        let n = self.blocks_per_plane as usize;
-        &self.blocks[pidx * n..(pidx + 1) * n]
+    /// Indices of a plane's capacity-tier blocks.
+    fn capacity_tier(&self) -> std::ops::Range<usize> {
+        self.slc_cache_blocks as usize..self.blocks_per_plane as usize
     }
 
-    fn plane_blocks_mut(&mut self, pidx: usize) -> &mut [Block] {
-        let n = self.blocks_per_plane as usize;
-        &mut self.blocks[pidx * n..(pidx + 1) * n]
+    /// The first of the `Full` blocks of `range` in `pidx` with the fewest
+    /// valid pages: the greedy GC victim and the fold victim. A plain loop:
+    /// `min_by_key` over the table's chunked walk measured 2–4× slower on
+    /// the small GC and fold devices, where this runs every few programs.
+    fn emptiest_full_block(&mut self, pidx: usize, range: std::ops::Range<usize>) -> Option<usize> {
+        let mut emptiest: Option<(u16, usize)> = None;
+        for (i, b) in self.blocks.walk(pidx, range) {
+            if b.state == BlockState::Full && emptiest.is_none_or(|(valid, _)| b.valid < valid) {
+                emptiest = Some((b.valid, i));
+            }
+        }
+        emptiest.map(|(_, i)| i)
     }
 
     /// Marks one walk over a plane's capacity-tier blocks (counted in unit
@@ -345,9 +352,8 @@ impl FlashArray {
     ///
     /// Panics if `plane` is out of range.
     pub fn valid_pages(&self, plane: u32) -> u64 {
-        self.plane_blocks(plane as usize)
-            .iter()
-            .map(|b| u64::from(b.valid))
+        (0..self.blocks_per_plane as usize)
+            .map(|b| u64::from(self.blocks.get(plane as usize, b).valid))
             .sum()
     }
 
@@ -364,31 +370,26 @@ impl FlashArray {
 
     /// Pre-fills the array so that only `1 - fill_fraction` of each plane's
     /// pages remain free, modeling the paper's warm-up ("occupy at least 50%
-    /// of the storage capacity"). Valid densities vary deterministically per
-    /// block so greedy GC has meaningful choices.
+    /// of the storage capacity"): every `Free` block among the first
+    /// `floor(fill × capacity-tier blocks)` of a plane's capacity tier
+    /// becomes `Full`. Valid densities vary deterministically per block so
+    /// greedy GC has meaningful choices.
+    ///
+    /// The warm state is a function of the layout, so on an array nothing
+    /// has written this stores no block and costs O(planes + chunk index);
+    /// blocks the run has already written are filled one by one, with the
+    /// same result.
     pub fn warm_up(&mut self, fill_fraction: f64) {
         let fill = fill_fraction.clamp(0.0, 0.95);
         let ppb = u64::from(self.pages_per_block);
-        let cache = self.slc_cache_blocks as usize;
         // Warm-up data is cold by definition: it lives in the capacity tier.
         let tier_blocks = self.blocks_per_plane - self.slc_cache_blocks;
-        let plane_blocks = self.blocks.chunks_exact_mut(self.blocks_per_plane as usize);
-        for (pi, (plane, blocks)) in self.planes.iter_mut().zip(plane_blocks).enumerate() {
-            let target_blocks = (fill * f64::from(tier_blocks)).floor() as usize;
-            let mut filled = 0u64;
-            for (bi, b) in blocks.iter_mut().enumerate().skip(cache) {
-                if bi - cache >= target_blocks || b.state != BlockState::Free {
-                    continue;
-                }
-                // Deterministic pseudo-random valid density in [0.70, 1.0].
-                let h = splitmix64((pi as u64) << 32 | bi as u64);
-                let density = 0.70 + 0.30 * ((h % 1000) as f64 / 1000.0);
-                b.valid = ((ppb as f64) * density) as u16;
-                b.state = BlockState::Full;
-                filled += ppb;
-            }
-            plane.free_pages = plane.free_pages.saturating_sub(filled);
-        }
+        let target_blocks = (fill * f64::from(tier_blocks)).floor() as usize;
+        let planes = &mut self.planes;
+        self.blocks.warm_up(target_blocks, |pidx, filled| {
+            let plane = &mut planes[pidx];
+            plane.free_pages = plane.free_pages.saturating_sub(filled * ppb);
+        });
     }
 
     /// Chooses the plane the next host write stripes to, per the
@@ -450,7 +451,7 @@ impl FlashArray {
         let page = plane_ref.cache_write_ptr;
         plane_ref.cache_write_ptr += 1;
         plane_ref.cache_free_pages = plane_ref.cache_free_pages.saturating_sub(1);
-        self.plane_blocks_mut(pidx)[block as usize].valid += 1;
+        self.blocks.get_mut(pidx, block as usize).valid += 1;
         self.stats.programs += 1;
 
         match self.migration_policy {
@@ -483,20 +484,17 @@ impl FlashArray {
     /// `false` when no sealed cache block exists.
     fn fold_cache_block(&mut self, plane: u32, ops: &mut Vec<BackgroundOp>) -> bool {
         let pidx = plane as usize;
-        let cache = self.slc_cache_blocks as usize;
-        let Some(victim) = self.plane_blocks(pidx)[..cache]
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.state == BlockState::Full)
-            .min_by_key(|&(i, b)| (b.valid, i))
-            .map(|(i, _)| i)
-        else {
+        if self.planes[pidx].sealed_cache_blocks == 0 {
             return false;
-        };
-        let valid = self.plane_blocks(pidx)[victim].valid;
+        }
+        let cache = self.slc_cache_blocks as usize;
+        let victim = self
+            .emptiest_full_block(pidx, 0..cache)
+            .expect("a sealed cache block is full");
+        let valid = self.blocks.get(pidx, victim).valid;
         // Program the folded pages into the capacity tier.
         let mut moved = 0u16;
-        for _ in 0..valid {
+        while moved < valid {
             if self.planes[pidx].write_ptr >= self.pages_per_block {
                 self.seal_active(pidx);
                 if !self.open_new_active(pidx) {
@@ -511,11 +509,11 @@ impl FlashArray {
                     }
                 }
             }
-            self.land_page_in_active(pidx);
-            moved += 1;
+            moved += self.land_in_open_block(pidx, valid - moved);
         }
         // Erase the folded cache block.
         self.erase_block(pidx, victim);
+        self.planes[pidx].sealed_cache_blocks -= 1;
         self.planes[pidx].cache_free_pages += u64::from(self.pages_per_block);
         self.stats.slc_migrated_pages += u64::from(moved);
         ops.push(BackgroundOp::SlcMigration {
@@ -534,17 +532,14 @@ impl FlashArray {
 
     fn seal_cache_active(&mut self, pidx: usize) {
         let active = self.planes[pidx].cache_active as usize;
-        self.plane_blocks_mut(pidx)[active].state = BlockState::Full;
+        self.blocks.get_mut(pidx, active).state = BlockState::Full;
+        self.planes[pidx].sealed_cache_blocks += 1;
     }
 
     fn open_new_cache_active(&mut self, pidx: usize) -> bool {
         let cache = self.slc_cache_blocks as usize;
-        let blocks = self.plane_blocks_mut(pidx);
-        if let Some(idx) = blocks[..cache]
-            .iter()
-            .position(|b| b.state == BlockState::Free)
-        {
-            blocks[idx].state = BlockState::Active;
+        if let Some(idx) = self.blocks.first_free(pidx, 0..cache) {
+            self.blocks.get_mut(pidx, idx).state = BlockState::Active;
             let plane = &mut self.planes[pidx];
             plane.cache_active = idx as u32;
             plane.cache_write_ptr = 0;
@@ -580,7 +575,7 @@ impl FlashArray {
 
         let block = self.planes[pidx].active;
         let page = self.planes[pidx].write_ptr;
-        self.land_page_in_active(pidx);
+        self.land_pages_in_active(pidx, 1);
         self.stats.programs += 1;
 
         // Trigger GC when the plane dips below the threshold.
@@ -607,7 +602,7 @@ impl FlashArray {
     ///
     /// Panics if indices are out of range.
     pub fn invalidate(&mut self, plane: u32, block: u32) {
-        let b = &mut self.plane_blocks_mut(plane as usize)[block as usize];
+        let b = self.blocks.get_mut(plane as usize, block as usize);
         if b.valid > 0 {
             b.valid -= 1;
         }
@@ -617,16 +612,14 @@ impl FlashArray {
     /// copy's exact block is unknown (warm-up resident data). Prefers the
     /// fullest block so overwrite-heavy workloads create cheap GC victims.
     pub fn invalidate_somewhere(&mut self, plane: u32, hint: u64) {
-        let cache = self.slc_cache_blocks as usize;
-        let blocks = self.plane_blocks_mut(plane as usize);
+        let pidx = plane as usize;
         // Resident-but-untracked data is cold: it lives in the capacity tier.
-        let n = blocks.len() - cache;
+        let tier = self.capacity_tier();
+        let n = tier.len();
         // Probe a few hashed positions, decrement the first full block.
         for probe in 0..8 {
-            let idx = cache + (splitmix64(hint.wrapping_add(probe)) % n as u64) as usize;
-            let b = &mut blocks[idx];
-            if b.state == BlockState::Full && b.valid > 0 {
-                b.valid -= 1;
+            let idx = tier.start + (splitmix64(hint.wrapping_add(probe)) % n as u64) as usize;
+            if self.blocks.invalidate_if_full(pidx, idx) {
                 return;
             }
         }
@@ -634,19 +627,13 @@ impl FlashArray {
 
     fn seal_active(&mut self, pidx: usize) {
         let active = self.planes[pidx].active as usize;
-        self.plane_blocks_mut(pidx)[active].state = BlockState::Full;
+        self.blocks.get_mut(pidx, active).state = BlockState::Full;
     }
 
     fn open_new_active(&mut self, pidx: usize) -> bool {
         self.note_capacity_walk();
-        let cache = self.slc_cache_blocks as usize;
-        let blocks = self.plane_blocks_mut(pidx);
-        if let Some(free_idx) = blocks[cache..]
-            .iter()
-            .position(|b| b.state == BlockState::Free)
-            .map(|i| i + cache)
-        {
-            blocks[free_idx].state = BlockState::Active;
+        if let Some(free_idx) = self.blocks.first_free(pidx, self.capacity_tier()) {
+            self.blocks.get_mut(pidx, free_idx).state = BlockState::Active;
             let plane = &mut self.planes[pidx];
             plane.active = free_idx as u32;
             plane.write_ptr = 0;
@@ -656,18 +643,30 @@ impl FlashArray {
         }
     }
 
-    /// Accounts for one page landing in `pidx`'s capacity-tier active block.
-    fn land_page_in_active(&mut self, pidx: usize) {
+    /// Accounts for `pages` pages landing in `pidx`'s capacity-tier active
+    /// block.
+    fn land_pages_in_active(&mut self, pidx: usize, pages: u16) {
         let plane = &mut self.planes[pidx];
         let active = plane.active as usize;
-        plane.write_ptr += 1;
-        plane.free_pages = plane.free_pages.saturating_sub(1);
-        self.plane_blocks_mut(pidx)[active].valid += 1;
+        plane.write_ptr += u32::from(pages);
+        plane.free_pages = plane.free_pages.saturating_sub(u64::from(pages));
+        self.blocks.get_mut(pidx, active).valid += pages;
+    }
+
+    /// Lands as many of `pages` migrated pages as `pidx`'s active block,
+    /// which has room, can take, and returns how many: a migration lands a
+    /// block's worth per step, not one page per step.
+    fn land_in_open_block(&mut self, pidx: usize, pages: u16) -> u16 {
+        let room = self.pages_per_block - self.planes[pidx].write_ptr;
+        // `room <= pages_per_block <= u16::MAX`.
+        let landed = u32::from(pages).min(room) as u16;
+        self.land_pages_in_active(pidx, landed);
+        landed
     }
 
     /// Erases one block: no valid data, one more erase cycle, free again.
     fn erase_block(&mut self, pidx: usize, block: usize) {
-        let b = &mut self.plane_blocks_mut(pidx)[block];
+        let b = self.blocks.get_mut(pidx, block);
         let before = b.erases;
         let after = before.saturating_add(1);
         b.valid = 0;
@@ -703,7 +702,7 @@ impl FlashArray {
             max_erases: 0,
             blocks_at_min: 0,
         };
-        for b in &self.plane_blocks(pidx)[self.slc_cache_blocks as usize..] {
+        for b in self.capacity_tier().map(|b| self.blocks.get(pidx, b)) {
             spread.max_erases = spread.max_erases.max(b.erases);
             if b.erases < spread.min_erases {
                 spread.min_erases = b.erases;
@@ -718,14 +717,12 @@ impl FlashArray {
 
     fn emergency_erase(&mut self, pidx: usize) {
         self.note_capacity_walk();
-        let cache = self.slc_cache_blocks as usize;
         // Erase the fullest non-active capacity block regardless of valid
         // data (cache blocks are reclaimed by folds, never sacrificed).
+        let tier = self.capacity_tier();
         if let Some((idx, _)) = self
-            .plane_blocks(pidx)
-            .iter()
-            .enumerate()
-            .skip(cache)
+            .blocks
+            .walk(pidx, tier)
             .filter(|(_, b)| b.state == BlockState::Full)
             .max_by_key(|(_, b)| b.valid)
         {
@@ -739,42 +736,37 @@ impl FlashArray {
     fn collect_garbage(&mut self, plane: u32) -> Option<BackgroundOp> {
         self.note_capacity_walk();
         let pidx = plane as usize;
-        let cache = self.slc_cache_blocks as usize;
-        let victim = {
-            let full = self
-                .plane_blocks(pidx)
-                .iter()
-                .enumerate()
-                .skip(cache)
-                .filter(|(_, b)| b.state == BlockState::Full);
-            match self.gc_policy {
-                GcPolicy::Greedy => full.min_by_key(|(_, b)| b.valid).map(|(i, _)| i),
-                GcPolicy::Random => {
-                    let candidates: Vec<usize> = full.map(|(i, _)| i).collect();
-                    if candidates.is_empty() {
-                        None
-                    } else {
-                        let h = splitmix64(self.stats.gc_invocations ^ u64::from(plane));
-                        Some(candidates[(h % candidates.len() as u64) as usize])
-                    }
+        let tier = self.capacity_tier();
+        let victim = match self.gc_policy {
+            GcPolicy::Greedy => self.emptiest_full_block(pidx, tier),
+            GcPolicy::Random => {
+                let candidates: Vec<usize> = self
+                    .blocks
+                    .walk(pidx, tier)
+                    .filter(|(_, b)| b.state == BlockState::Full)
+                    .map(|(i, _)| i)
+                    .collect();
+                if candidates.is_empty() {
+                    None
+                } else {
+                    let h = splitmix64(self.stats.gc_invocations ^ u64::from(plane));
+                    Some(candidates[(h % candidates.len() as u64) as usize])
                 }
             }
         }?;
-        let valid = self.plane_blocks(pidx)[victim].valid;
+        let valid = self.blocks.get(pidx, victim).valid;
         // Migrate valid pages: program them into the active block.
         let mut moved = 0u16;
-        for _ in 0..valid {
+        while moved < valid {
             // Migration consumes free pages in the same plane; we inline a
             // simplified program that cannot recursively trigger GC.
-            let ppb = self.pages_per_block;
-            if self.planes[pidx].write_ptr >= ppb {
+            if self.planes[pidx].write_ptr >= self.pages_per_block {
                 self.seal_active(pidx);
                 if !self.open_new_active(pidx) {
                     break;
                 }
             }
-            self.land_page_in_active(pidx);
-            moved += 1;
+            moved += self.land_in_open_block(pidx, valid - moved);
         }
         // Erase the victim.
         self.erase_block(pidx, victim);
@@ -789,7 +781,6 @@ impl FlashArray {
 
     fn maybe_wear_level(&mut self, plane: u32) -> Option<BackgroundOp> {
         let pidx = plane as usize;
-        let cache = self.slc_cache_blocks as usize;
         // Wear leveling balances the capacity tier only: cache blocks cycle
         // orders of magnitude faster by design (and SLC endures it).
         let wear = self.wear_spread(pidx);
@@ -799,11 +790,12 @@ impl FlashArray {
         // Swap: migrate the coldest (min-erase) block's data and erase it so
         // future hot writes land there.
         self.note_capacity_walk();
-        let cold = self.plane_blocks(pidx)[cache..]
-            .iter()
-            .position(|b| b.erases == wear.min_erases && b.state == BlockState::Full)
-            .map(|i| i + cache)?;
-        let pages = self.plane_blocks(pidx)[cold].valid;
+        let tier = self.capacity_tier();
+        let (cold, pages) = self
+            .blocks
+            .walk(pidx, tier)
+            .find(|(_, b)| b.erases == wear.min_erases && b.state == BlockState::Full)
+            .map(|(i, b)| (i, b.valid))?;
         self.erase_block(pidx, cold);
         self.planes[pidx].free_pages += u64::from(self.pages_per_block);
         self.stats.wearleveling_swaps += 1;
@@ -828,9 +820,11 @@ impl FlashArray {
     pub fn erase_spread(&self) -> u32 {
         let mut min_e = u16::MAX;
         let mut max_e = 0u16;
-        for b in &self.blocks {
-            min_e = min_e.min(b.erases);
-            max_e = max_e.max(b.erases);
+        for pidx in 0..self.planes.len() {
+            for b in (0..self.blocks_per_plane as usize).map(|b| self.blocks.get(pidx, b)) {
+                min_e = min_e.min(b.erases);
+                max_e = max_e.max(b.erases);
+            }
         }
         if min_e == u16::MAX {
             0
@@ -1126,49 +1120,103 @@ mod tests {
         assert!(fa.stats().slc_migrated_pages > 0);
     }
 
+    /// One array and its two references, driven in lock step: `scanned`
+    /// decides wear leveling by walking the plane on every program, and
+    /// `eager` stores every block from the start, as the array did before
+    /// its table could leave an entry implicit.
+    struct Twins {
+        tracked: FlashArray,
+        scanned: FlashArray,
+        eager: FlashArray,
+        written: Vec<(u32, u32)>,
+    }
+
+    impl Twins {
+        fn new(cfg: &SsdConfig) -> Self {
+            let tracked = FlashArray::new(cfg);
+            let mut scanned = tracked.clone();
+            scanned.scan_wear_decision = true;
+            Twins {
+                tracked,
+                scanned,
+                eager: FlashArray::eager(cfg),
+                written: Vec::new(),
+            }
+        }
+
+        fn warm_up(&mut self, fill: f64) {
+            for fa in [&mut self.tracked, &mut self.scanned, &mut self.eager] {
+                fa.warm_up(fill);
+            }
+            self.check(&format!("warm-up to {fill}"));
+        }
+
+        /// One operation picked by `word`: program, invalidate a page
+        /// written earlier, or invalidate a page of warm-up data.
+        fn step(&mut self, word: u64, at: &str) {
+            let plane = (word % self.tracked.plane_count() as u64) as u32;
+            let pick = word >> 8;
+            match (word >> 4) % 8 {
+                6 if !self.written.is_empty() => {
+                    let n = self.written.len() as u64;
+                    let (plane, block) = self.written.swap_remove((pick % n) as usize);
+                    for fa in [&mut self.tracked, &mut self.scanned, &mut self.eager] {
+                        fa.invalidate(plane, block);
+                    }
+                }
+                7 => {
+                    for fa in [&mut self.tracked, &mut self.scanned, &mut self.eager] {
+                        fa.invalidate_somewhere(plane, pick);
+                    }
+                }
+                _ => {
+                    let got = self.tracked.program_page(plane);
+                    assert_eq!(got, self.scanned.program_page(plane), "{at}");
+                    assert_eq!(got, self.eager.program_page(plane), "{at}");
+                    self.written.push((plane, got.0));
+                }
+            }
+            self.check(at);
+        }
+
+        /// Every plane's tracked wear spread equals a walk over its blocks,
+        /// and every public reading of the array equals both references'.
+        fn check(&self, at: &str) {
+            let fa = &self.tracked;
+            assert_eq!(fa.stats(), self.scanned.stats(), "{at}");
+            assert_eq!(fa.stats(), self.eager.stats(), "{at}");
+            assert_eq!(fa.erase_spread(), self.eager.erase_spread(), "{at}");
+            for pidx in 0..fa.plane_count() {
+                let p = pidx as u32;
+                assert_eq!(fa.planes[pidx].wear, fa.scan_wear_spread(pidx), "{at}");
+                let sealed = (0..fa.slc_cache_blocks as usize)
+                    .filter(|&b| fa.blocks.get(pidx, b).state == BlockState::Full)
+                    .count();
+                assert_eq!(fa.planes[pidx].sealed_cache_blocks as usize, sealed, "{at}");
+                for reference in [&self.scanned, &self.eager] {
+                    assert_eq!(fa.free_pages(p), reference.free_pages(p), "{at}");
+                    assert_eq!(fa.cache_free_pages(p), reference.cache_free_pages(p));
+                    assert_eq!(fa.valid_pages(p), reference.valid_pages(p), "{at}");
+                }
+            }
+        }
+    }
+
     /// Drives one array through `steps` (each word picks an operation and its
     /// operands) and checks after every step that every plane's tracked wear
     /// spread equals a walk over its blocks, and that the array behaves — in
-    /// returned locations, background ops and statistics — exactly like a
-    /// twin whose wear-leveling decision walks the plane on every program.
-    /// Returns the final statistics, which say what the sequence exercised.
+    /// returned locations, background ops, statistics, free and valid pages
+    /// and erase spread — exactly like a twin whose wear-leveling decision
+    /// walks the plane on every program and like a twin that stores every
+    /// block. Returns the final statistics, which say what the sequence
+    /// exercised.
     fn check_wear_bookkeeping(cfg: &SsdConfig, fill: f64, steps: &[u64]) -> FlashStats {
-        let mut tracked = FlashArray::new(cfg);
-        tracked.warm_up(fill);
-        let mut scanned = tracked.clone();
-        scanned.scan_wear_decision = true;
-        let planes = cfg.total_planes();
-        let mut written: Vec<(u32, u32)> = Vec::new();
+        let mut twins = Twins::new(cfg);
+        twins.warm_up(fill);
         for (i, &word) in steps.iter().enumerate() {
-            let plane = (word % planes) as u32;
-            let pick = word >> 8;
-            match (word >> 4) % 8 {
-                6 if !written.is_empty() => {
-                    let (plane, block) =
-                        written.swap_remove((pick % written.len() as u64) as usize);
-                    tracked.invalidate(plane, block);
-                    scanned.invalidate(plane, block);
-                }
-                7 => {
-                    tracked.invalidate_somewhere(plane, pick);
-                    scanned.invalidate_somewhere(plane, pick);
-                }
-                _ => {
-                    let got = tracked.program_page(plane);
-                    assert_eq!(got, scanned.program_page(plane), "step {i}");
-                    written.push((plane, got.0));
-                }
-            }
-            assert_eq!(tracked.stats(), scanned.stats(), "step {i}");
-            for pidx in 0..tracked.plane_count() {
-                assert_eq!(
-                    tracked.planes[pidx].wear,
-                    tracked.scan_wear_spread(pidx),
-                    "plane {pidx} after step {i}"
-                );
-            }
+            twins.step(word, &format!("step {i}"));
         }
-        tracked.stats()
+        twins.tracked.stats()
     }
 
     /// A tiny device of one of the three data paths (`family` 0 =
@@ -1204,19 +1252,79 @@ mod tests {
         let (mut gc_cycles, mut swaps, mut folded_pages) = (0, 0, 0);
         for family in 0..3u8 {
             for fill in [0.0, 0.5, 0.9] {
-                let cfg = wear_cfg(family, 2, 8, 4, 1 + u32::from(family));
-                let steps: Vec<u64> = (0..1_500u64)
-                    .map(|i| splitmix64(i ^ u64::from(family) << 32))
-                    .collect();
-                let stats = check_wear_bookkeeping(&cfg, fill, &steps);
-                gc_cycles += stats.gc_invocations;
-                swaps += stats.wearleveling_swaps;
-                folded_pages += stats.slc_migrated_pages;
+                for gc_policy in [GcPolicy::Greedy, GcPolicy::Random] {
+                    let cfg = SsdConfig {
+                        gc_policy,
+                        ..wear_cfg(family, 2, 8, 4, 1 + u32::from(family))
+                    };
+                    let steps: Vec<u64> = (0..1_500u64)
+                        .map(|i| splitmix64(i ^ u64::from(family) << 32))
+                        .collect();
+                    let stats = check_wear_bookkeeping(&cfg, fill, &steps);
+                    gc_cycles += stats.gc_invocations;
+                    swaps += stats.wearleveling_swaps;
+                    folded_pages += stats.slc_migrated_pages;
+                }
             }
         }
         // (`emergency_erase` is not on the list: a GC cycle always frees its
         // victim, so no sequence of public calls reaches it.)
         assert!(gc_cycles > 0 && swaps > 0 && folded_pages > 0);
+    }
+
+    /// Planes of three chunks, the last one partial, so the table's
+    /// chunk boundaries, its untouched chunks and the cache/capacity split
+    /// inside one chunk are all walked.
+    fn multi_chunk_cfg(family: u8, gc_policy: GcPolicy) -> SsdConfig {
+        SsdConfig {
+            gc_policy,
+            ..wear_cfg(family, 2, 150, 4, 2)
+        }
+    }
+
+    #[test]
+    fn lazy_table_matches_the_eager_array_across_chunks() {
+        let mut gc_cycles = 0;
+        for family in 0..3u8 {
+            for fill in [0.0, 0.5, 0.9] {
+                for gc_policy in [GcPolicy::Greedy, GcPolicy::Random] {
+                    let steps: Vec<u64> = (0..2_000u64)
+                        .map(|i| splitmix64(i ^ 0xC4 << 40 ^ u64::from(family) << 32))
+                        .collect();
+                    let cfg = multi_chunk_cfg(family, gc_policy);
+                    gc_cycles += check_wear_bookkeeping(&cfg, fill, &steps).gc_invocations;
+                }
+            }
+        }
+        assert!(gc_cycles > 0);
+    }
+
+    #[test]
+    fn warm_up_twice_and_after_programs_matches_the_eager_array() {
+        for family in 0..3u8 {
+            for gc_policy in [GcPolicy::Greedy, GcPolicy::Random] {
+                let mut twins = Twins::new(&multi_chunk_cfg(family, gc_policy));
+                // Twice at one fill, then lower (a no-op), then higher.
+                for fill in [0.5, 0.5, 0.3, 0.7] {
+                    twins.warm_up(fill);
+                }
+                let mut steps = (0..2_400u64).map(|i| splitmix64(i ^ u64::from(family) << 32));
+                for (i, word) in steps.by_ref().take(1_200).enumerate() {
+                    twins.step(word, &format!("step {i}"));
+                }
+                // After programs: the blocks the run erased or never
+                // reached fill up again, stored and untouched alike.
+                twins.warm_up(0.9);
+                for (i, word) in steps.enumerate() {
+                    twins.step(
+                        word,
+                        &format!("step {} after the second warm-up", i + 1_200),
+                    );
+                }
+                twins.warm_up(0.9);
+                assert!(twins.tracked.stats().erases > 0);
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1226,7 +1334,7 @@ mod tests {
         fn tracked_wear_spread_equals_a_scan_and_decides_alike(
             family in 0u8..3,
             planes in 1u32..=2,
-            blocks in proptest::prop::sample::select(vec![6u32, 8, 12]),
+            blocks in proptest::prop::sample::select(vec![6u32, 8, 12, 70]),
             pages in proptest::prop::sample::select(vec![4u32, 8]),
             wl_threshold in 1u32..=3,
             greedy in proptest::prop::bool::ANY,

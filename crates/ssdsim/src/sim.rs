@@ -340,6 +340,10 @@ impl Simulator {
 
     /// Pre-fills the flash array to `fill_fraction` occupancy, modeling the
     /// paper's warm-up phase (§4.2: "occupy at least 50% of the capacity").
+    ///
+    /// The warm state is a function of the layout: on a device nothing has
+    /// written yet this stores no block (see [`FlashArray::warm_up`]), so a
+    /// warmed simulator clones at the cost of its per-plane state.
     pub fn warm_up(&mut self, fill_fraction: f64) {
         let _span = telemetry::span::Span::enter("sim.warm_up");
         self.flash.warm_up(fill_fraction);
@@ -1241,6 +1245,68 @@ mod tests {
         let a = run_with(SsdConfig::default(), WorkloadKind::KvStore, 1_000);
         let b = run_with(SsdConfig::default(), WorkloadKind::KvStore, 1_000);
         assert_eq!(a, b);
+    }
+
+    /// Per plane: free capacity pages, free cache pages, valid pages; then
+    /// the device's erase spread.
+    type FlashState = (Vec<(u64, u64, u64)>, u32);
+
+    fn flash_state(flash: &FlashArray) -> FlashState {
+        let planes = (0..flash.plane_count() as u32)
+            .map(|p| {
+                (
+                    flash.free_pages(p),
+                    flash.cache_free_pages(p),
+                    flash.valid_pages(p),
+                )
+            })
+            .collect();
+        (planes, flash.erase_spread())
+    }
+
+    /// The timed report, the saturated report and the drain time of a
+    /// validation-shaped run (warm once, clone for the saturated replay)
+    /// on `flash`, and the flash state each replay left behind.
+    fn validate_on(
+        cfg: &SsdConfig,
+        flash: FlashArray,
+        trace: &Trace,
+        saturated: &Trace,
+    ) -> (SimReport, SimReport, u64, FlashState, FlashState) {
+        let mut sim = Simulator::new(cfg.clone());
+        sim.flash = flash;
+        sim.warm_up(0.5);
+        let mut sat_sim = sim.clone();
+        let report = sim.run(trace);
+        let sat_report = sat_sim.run(saturated);
+        let drained_ns = sat_sim.drain(sat_report.makespan_ns);
+        let (timed_state, sat_state) = (flash_state(&sim.flash), flash_state(&sat_sim.flash));
+        (report, sat_report, drained_ns, timed_state, sat_state)
+    }
+
+    #[test]
+    fn lazy_block_table_runs_equal_the_eager_arrays() {
+        let trace = WorkloadKind::Fiu.spec().generate(2_000, 42);
+        let zeroed = trace
+            .events()
+            .iter()
+            .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op))
+            .collect();
+        let saturated = Trace::from_events(trace.name(), zeroed);
+        for base in [
+            crate::config::presets::intel_750(),
+            crate::config::presets::hybrid_slc_qlc(),
+        ] {
+            // The widest geometry coarse pruning sweeps.
+            let cfg = SsdConfig {
+                blocks_per_plane: base.blocks_per_plane * 16,
+                ..base
+            };
+            let lazy = validate_on(&cfg, FlashArray::new(&cfg), &trace, &saturated);
+            let eager = validate_on(&cfg, FlashArray::eager(&cfg), &trace, &saturated);
+            assert!(lazy.0.flash.programs > 0, "the trace must write");
+            assert_eq!(lazy, eager, "{:?}", cfg.device_family);
+        }
     }
 
     #[test]
