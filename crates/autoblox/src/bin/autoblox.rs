@@ -894,7 +894,11 @@ fn cmd_watch(args: &[String]) -> Result<(), CliError> {
         for line in text.lines() {
             state.ingest(line);
         }
-        check_watch_schema(path, &state)?;
+        // A foreign schema is an input error: rendering zeros would look
+        // like a stalled run.
+        state
+            .check_schema()
+            .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
         if state.counts().total() == 0 {
             return Err(CliError::Input(format!(
                 "{path}: no journal lines recognized"
@@ -969,7 +973,9 @@ fn cmd_watch(args: &[String]) -> Result<(), CliError> {
                     carry.drain(..=end);
                 }
             }
-            check_watch_schema(path, &state)?;
+            state
+                .check_schema()
+                .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
             if json_out {
                 // One compact snapshot per tick: a machine-readable ticker.
                 println!(
@@ -999,18 +1005,6 @@ fn journal_identity(path: &str) -> Option<(u64, u64)> {
     #[cfg(not(unix))]
     let ino = 0;
     Some((ino, md.len()))
-}
-
-/// A journal from a different (or missing) schema family is an input
-/// error: silently rendering zeros would look like a stalled run.
-fn check_watch_schema(path: &str, state: &autoblox::WatchState) -> Result<(), CliError> {
-    if state.schema_ok() {
-        return Ok(());
-    }
-    Err(CliError::Input(format!(
-        "{path}: unknown journal schema {:?} (expected autoblox.journal.v*)",
-        state.journal_schema()
-    )))
 }
 
 fn constraints_from(args: &[String]) -> Result<Constraints, CliError> {

@@ -3,28 +3,41 @@
 //!
 //! A [`Journal`] owns a background writer thread that periodically drains
 //! the span ring buffer (`telemetry::span`) and the journal's own bounded
-//! event queue to a JSONL file, so the instrumented hot path never blocks
+//! line queue to a JSONL file, so the instrumented hot path never blocks
 //! on file I/O: producers push into in-memory buffers (dropping, with a
 //! count, on overflow) and only the writer thread touches the disk.
 //!
-//! Every line is one JSON object tagged by `"t"`:
+//! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
+//! the kind and whose other members are that kind's struct. The tag is
+//! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
+//! and nowhere else. The ten kinds:
 //!
-//! - `meta` — first line; schema [`JOURNAL_SCHEMA`], thread limit, argv.
-//! - `span` — one completed span (ids as 16-hex-digit strings, since the
-//!   vendored JSON shim carries integers as `i64`).
-//! - `iteration` — one tuner [`IterationRecord`], streamed as it happens.
-//! - `model` — one iteration's model-observatory view: the surrogate's
-//!   prediction for the chosen candidate, explore/exploit shares, decision
-//!   margin, and the calibration pair once validation realized a grade.
-//! - `phase` — one completed pipeline stage.
-//! - `series` — one simulator run's sampled [`ssdsim::DeviceSeries`]
-//!   (samples embedded, one line per run — never one line per sample, so
-//!   queue pressure cannot drop part of a series nondeterministically).
-//! - `bottleneck` — one simulator run's [`ssdsim::BottleneckReport`].
-//! - `progress` — one driver progress estimate (phase, iteration, percent
-//!   complete, ETA); consumed by `autoblox watch` and, later, by a serving
-//!   daemon streaming the same records over a socket.
-//! - `summary` — last line; totals and drop counters.
+//! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
+//!   limit, argv.
+//! - `span` ([`SpanLine`]) — one completed span (ids as 16-hex-digit
+//!   strings, since the vendored JSON shim carries integers as `i64`).
+//! - `iteration` ([`IterationLine`]) — one tuner [`IterationRecord`],
+//!   streamed as it happens.
+//! - `model` ([`ModelLine`]) — one iteration's model-observatory view: the
+//!   surrogate's prediction for the chosen candidate, explore/exploit
+//!   shares, decision margin, and the calibration pair once validation
+//!   realized a grade.
+//! - `phase` ([`PhaseRecord`]) — one completed pipeline stage.
+//! - `series` ([`SeriesLine`]) — one simulator run's sampled
+//!   [`ssdsim::DeviceSeries`] (samples embedded, one line per run — never
+//!   one line per sample, so queue pressure cannot drop part of a series
+//!   nondeterministically).
+//! - `bottleneck` ([`BottleneckLine`]) — one simulator run's
+//!   [`ssdsim::BottleneckReport`].
+//! - `progress` ([`ProgressLine`]) — one driver progress estimate (phase,
+//!   iteration, percent complete, ETA); consumed by `autoblox watch`.
+//! - `placement` ([`PlacementLine`]) — one fleet placement decision.
+//! - `summary` ([`SummaryLine`]) — last line; totals and drop counters.
+//!
+//! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
+//! an unknown tag (a newer producer), or a known tag whose members do not
+//! decode. `watch` counts those; the exporters pass over untagged and
+//! unknown lines and reject the others with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
 //! Perfetto JSON format (`trace export --chrome`); [`export_csv`] flattens
@@ -33,165 +46,390 @@
 //! `model` lines when a journal carries calibration records but no device
 //! series.
 
+use crate::telemetry::PhaseRecord;
 use crate::tuner::IterationRecord;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use ssdsim::{BottleneckReport, DeviceSeries};
-use std::collections::VecDeque;
+use ssdsim::{BottleneckReport, DeviceSample, DeviceSeries};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use telemetry::span::SpanRecord;
 use telemetry::Counter;
 
 /// Schema identifier written into every journal's `meta` line.
 pub const JOURNAL_SCHEMA: &str = "autoblox.journal.v1";
 
-/// Maximum buffered (not yet written) non-span events.
+/// Maximum buffered (not yet written) non-span lines.
 const EVENT_QUEUE_CAP: usize = 1 << 14;
 
 /// How often the writer thread drains the buffers.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(25);
 
-/// The producer-facing half of a journal: a bounded in-memory event queue
+/// One run-journal line. It is stored as one flat JSON object: the
+/// variant's members plus a `"t"` member holding the variant's name in
+/// lower case.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum JournalLine {
+    /// `meta`: the journal's first line.
+    Meta(MetaLine),
+    /// `span`: one completed span.
+    Span(SpanLine),
+    /// `iteration`: one tuner iteration.
+    Iteration(IterationLine),
+    /// `model`: one iteration's surrogate view.
+    Model(ModelLine),
+    /// `phase`: one completed pipeline stage.
+    Phase(PhaseRecord),
+    /// `series`: one simulator run's device samples.
+    Series(SeriesLine),
+    /// `bottleneck`: one simulator run's latency attribution.
+    Bottleneck(BottleneckLine),
+    /// `progress`: one driver progress estimate.
+    Progress(ProgressLine),
+    /// `placement`: one placement decision.
+    Placement(PlacementLine),
+    /// `summary`: the journal's last line.
+    Summary(SummaryLine),
+}
+
+/// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
+const KINDS: [&str; 10] = [
+    "meta",
+    "span",
+    "iteration",
+    "model",
+    "phase",
+    "series",
+    "bottleneck",
+    "progress",
+    "placement",
+    "summary",
+];
+
+/// Why [`JournalLine::parse`] returned no line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Skipped {
+    /// An empty or whitespace-only line.
+    Blank,
+    /// Not JSON: a torn tail write or garbage (the parse error).
+    Torn(String),
+    /// JSON, but not an object with a string `"t"` tag.
+    Untagged,
+    /// A tag this build does not know, from a newer producer.
+    Unknown(String),
+    /// A known tag whose members do not decode: the tag and the error.
+    Malformed(String, String),
+}
+
+impl JournalLine {
+    /// The line as the journal stores it (no trailing newline). Keys come
+    /// out sorted, `"t"` among them.
+    pub fn to_line(&self) -> String {
+        // The derive writes `{"Variant": {members}}`; the journal moves the
+        // variant name into the members as `"t"`.
+        let Value::Object(tagged) = self.serialize_value() else {
+            unreachable!("newtype variants serialize as objects")
+        };
+        let (variant, body) = tagged.into_iter().next().expect("one variant");
+        let Value::Object(mut members) = body else {
+            unreachable!("every line kind is a struct")
+        };
+        members.insert("t".to_string(), Value::Str(variant.to_ascii_lowercase()));
+        serde_json::to_string(&Value::Object(members)).expect("journal lines serialize")
+    }
+
+    /// Reads one journal line. Members a kind does not know are ignored, so
+    /// a newer producer's extra fields still read.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the line yields no kind; see [`Skipped`].
+    pub fn parse(line: &str) -> Result<JournalLine, Skipped> {
+        let line = line.trim();
+        if line.is_empty() {
+            return Err(Skipped::Blank);
+        }
+        let mut members = match serde_json::from_str::<Value>(line) {
+            Ok(Value::Object(members)) => members,
+            Ok(_) => return Err(Skipped::Untagged),
+            Err(e) => return Err(Skipped::Torn(e.to_string())),
+        };
+        let Some(Value::Str(tag)) = members.remove("t") else {
+            return Err(Skipped::Untagged);
+        };
+        if !KINDS.contains(&tag.as_str()) {
+            return Err(Skipped::Unknown(tag));
+        }
+        let variant = tag[..1].to_ascii_uppercase() + &tag[1..];
+        let tagged = Value::Object(BTreeMap::from([(variant, Value::Object(members))]));
+        JournalLine::deserialize_value(&tagged).map_err(|e| Skipped::Malformed(tag, e.to_string()))
+    }
+}
+
+/// Accepts the schema of a journal this build reads: any
+/// `autoblox.journal.v*`. The exporters and `watch` both apply it.
+///
+/// # Errors
+///
+/// Names the foreign schema.
+pub fn check_schema(schema: &str) -> Result<(), String> {
+    if schema.starts_with("autoblox.journal.v") {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown journal schema `{schema}` (expected autoblox.journal.v*)"
+        ))
+    }
+}
+
+/// The `meta` line.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct MetaLine {
+    /// [`JOURNAL_SCHEMA`] of the producing build.
+    pub schema: String,
+    /// Worker-pool thread limit of the run.
+    pub threads: u64,
+    /// The producing command line.
+    pub argv: Vec<String>,
+}
+
+/// The `span` line: one [`SpanRecord`], ids in hex.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SpanLine {
+    /// Span id.
+    pub id: String,
+    /// Parent span id (all zeros for a root span).
+    pub parent: String,
+    /// Span name.
+    pub name: String,
+    /// Discriminator the id was derived from.
+    pub disc: String,
+    /// Start relative to the tracing epoch, ns.
+    pub start_ns: u64,
+    /// Duration, ns.
+    pub dur_ns: u64,
+    /// Ordinal of the OS thread the span ran on.
+    pub thread: u64,
+}
+
+impl From<&SpanRecord> for SpanLine {
+    fn from(s: &SpanRecord) -> Self {
+        let hex = |id: u64| format!("{id:016x}");
+        SpanLine {
+            id: hex(s.id),
+            parent: hex(s.parent),
+            name: s.name.to_string(),
+            disc: hex(s.disc),
+            start_ns: s.start_ns,
+            dur_ns: s.dur_ns,
+            thread: s.thread,
+        }
+    }
+}
+
+/// The `iteration` line: an [`IterationRecord`]'s search fields (its model
+/// fields ride on the `model` line; importance stays in the telemetry
+/// report).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct IterationLine {
+    /// Target workload.
+    pub workload: String,
+    /// 1-based outer-iteration index.
+    pub iteration: u64,
+    /// Neighbor candidates the surrogate scored.
+    pub candidates_considered: u64,
+    /// SGD steps taken.
+    pub sgd_steps: u64,
+    /// Surrogate fit time, ns (0 with telemetry off).
+    pub surrogate_fit_ns: u64,
+    /// Manhattan distance from the root to the validated candidate.
+    pub exploration_distance: u64,
+    /// Best grade after this iteration.
+    pub best_grade: f64,
+    /// Relative grade spread over the convergence window (`-1.0` until it
+    /// fills).
+    pub convergence_delta: f64,
+    /// Simulator runs this iteration triggered.
+    pub validations: u64,
+    /// Wall-clock time of the iteration, ns (0 with telemetry off).
+    pub wall_ns: u64,
+    /// Bottleneck fingerprint of the iteration's simulator work.
+    pub bottleneck: BottleneckReport,
+}
+
+impl From<(&str, &IterationRecord)> for IterationLine {
+    fn from((workload, r): (&str, &IterationRecord)) -> Self {
+        IterationLine {
+            workload: workload.to_string(),
+            iteration: r.iteration,
+            candidates_considered: r.candidates_considered,
+            sgd_steps: r.sgd_steps,
+            surrogate_fit_ns: r.surrogate_fit_ns,
+            exploration_distance: r.exploration_distance,
+            best_grade: r.best_grade,
+            convergence_delta: r.convergence_delta,
+            validations: r.validations,
+            wall_ns: r.wall_ns,
+            bottleneck: r.bottleneck,
+        }
+    }
+}
+
+/// The `model` line: an [`IterationRecord`]'s surrogate prediction for the
+/// chosen candidate, the UCB decomposition, and the calibration pair.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ModelLine {
+    /// Target workload.
+    pub workload: String,
+    /// 1-based outer-iteration index.
+    pub iteration: u64,
+    /// Predicted grade mean for the chosen candidate.
+    pub predicted_mean: f64,
+    /// Predicted grade standard deviation.
+    pub predicted_std: f64,
+    /// Whether validation realized a grade for the prediction.
+    pub calibrated: bool,
+    /// The realized grade (meaningful only when `calibrated`).
+    pub realized_grade: f64,
+    /// Exploration share of the chosen UCB.
+    pub explore_share: f64,
+    /// Exploitation share of the chosen UCB.
+    pub exploit_share: f64,
+    /// Chosen UCB minus the runner-up's.
+    pub decision_margin: f64,
+    /// Fitted GPR kernel lengthscale (0 when not swept).
+    pub kernel_length_scale: f64,
+}
+
+impl From<(&str, &IterationRecord)> for ModelLine {
+    fn from((workload, r): (&str, &IterationRecord)) -> Self {
+        ModelLine {
+            workload: workload.to_string(),
+            iteration: r.iteration,
+            predicted_mean: r.predicted_mean,
+            predicted_std: r.predicted_std,
+            calibrated: r.calibrated,
+            realized_grade: r.realized_grade,
+            explore_share: r.explore_share,
+            exploit_share: r.exploit_share,
+            decision_margin: r.decision_margin,
+            kernel_length_scale: r.kernel_length_scale,
+        }
+    }
+}
+
+/// The `series` line: one simulator run's [`DeviceSeries`], keyed by the
+/// trace it ran and the replay (`timed`, `saturated`, `placement`) that
+/// produced it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SeriesLine {
+    /// Trace name.
+    pub trace: String,
+    /// Which replay of the trace.
+    pub replay: String,
+    /// Simulated-time spacing between samples, ns.
+    pub interval_ns: u64,
+    /// Samples the bounded buffer dropped.
+    pub dropped: u64,
+    /// Retained samples, oldest first.
+    pub samples: Vec<DeviceSample>,
+}
+
+impl From<(&str, &str, &DeviceSeries)> for SeriesLine {
+    fn from((trace, replay, series): (&str, &str, &DeviceSeries)) -> Self {
+        SeriesLine {
+            trace: trace.to_string(),
+            replay: replay.to_string(),
+            interval_ns: series.interval_ns,
+            dropped: series.dropped,
+            samples: series.samples.clone(),
+        }
+    }
+}
+
+/// The `bottleneck` line: one simulator run's latency attribution.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct BottleneckLine {
+    /// Trace name.
+    pub trace: String,
+    /// Which replay of the trace.
+    pub replay: String,
+    /// The attribution.
+    pub report: BottleneckReport,
+}
+
+/// The `progress` line. `percent` (0.0 ..= 1.0) is a deterministic function
+/// of the tuner stage and iteration; `eta_ns` is a wall-clock extrapolation
+/// (0 with telemetry off), the one member determinism fingerprints exclude.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ProgressLine {
+    /// Target workload.
+    pub workload: String,
+    /// Tuner stage: `init_set`, `iterating` or `done`.
+    pub phase: String,
+    /// Iterations completed.
+    pub iteration: u64,
+    /// Iteration cap.
+    pub total: u64,
+    /// Percent-complete estimate.
+    pub percent: f64,
+    /// ETA extrapolation, ns.
+    pub eta_ns: u64,
+}
+
+/// The `placement` line: which tenants share a device, its interference
+/// cost, and where its compromise configuration came from.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct PlacementLine {
+    /// Device index.
+    pub device: u64,
+    /// Tenant names placed on it.
+    pub tenants: Vec<String>,
+    /// Interference cost.
+    pub cost: f64,
+    /// Origin of the device's configuration.
+    pub config_source: String,
+}
+
+/// The `summary` line: totals and drop counters.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SummaryLine {
+    /// Span lines written.
+    pub spans_written: u64,
+    /// Other lines written (meta and summary excluded).
+    pub events_written: u64,
+    /// Spans the ring dropped.
+    pub spans_dropped: u64,
+    /// Lines the queue dropped.
+    pub events_dropped: u64,
+}
+
+/// The producer-facing half of a journal: a bounded in-memory line queue
 /// shared (via `Arc`) between the telemetry sink and the writer thread.
 ///
 /// Pushes never block on I/O and never grow without bound — when the queue
-/// is full the event is dropped and counted, mirroring the span ring.
+/// is full the line is dropped and counted, mirroring the span ring.
 #[derive(Debug, Default)]
 pub struct JournalHandle {
-    queue: Mutex<VecDeque<Value>>,
+    queue: Mutex<VecDeque<JournalLine>>,
     dropped: Counter,
 }
 
 impl JournalHandle {
-    fn push(&self, event: Value) {
+    /// Queues one line for the writer thread.
+    pub fn push(&self, line: JournalLine) {
         let mut q = lock(&self.queue);
         if q.len() >= EVENT_QUEUE_CAP {
             self.dropped.inc();
         } else {
-            q.push_back(event);
+            q.push_back(line);
         }
     }
 
-    /// Streams one tuner iteration record.
-    pub fn record_iteration(&self, workload: &str, r: &IterationRecord) {
-        self.push(serde_json::json!({
-            "t": "iteration",
-            "workload": workload,
-            "iteration": r.iteration,
-            "candidates_considered": r.candidates_considered,
-            "sgd_steps": r.sgd_steps,
-            "surrogate_fit_ns": r.surrogate_fit_ns,
-            "exploration_distance": r.exploration_distance,
-            "best_grade": r.best_grade,
-            "convergence_delta": r.convergence_delta,
-            "validations": r.validations,
-            "wall_ns": r.wall_ns,
-            "bottleneck": r.bottleneck,
-        }));
-    }
-
-    /// Streams one iteration's model-observatory record: the surrogate's
-    /// prediction for the chosen candidate, the UCB decomposition, and the
-    /// calibration pair (`calibrated` / `realized_grade`) once validation
-    /// landed an observation. Per-parameter importance vectors stay in the
-    /// telemetry report — they are too bulky for a per-iteration line.
-    pub fn record_model(&self, workload: &str, r: &IterationRecord) {
-        self.push(serde_json::json!({
-            "t": "model",
-            "workload": workload,
-            "iteration": r.iteration,
-            "predicted_mean": r.predicted_mean,
-            "predicted_std": r.predicted_std,
-            "calibrated": r.calibrated,
-            "realized_grade": r.realized_grade,
-            "explore_share": r.explore_share,
-            "exploit_share": r.exploit_share,
-            "decision_margin": r.decision_margin,
-            "kernel_length_scale": r.kernel_length_scale,
-        }));
-    }
-
-    /// Streams one simulator run's sampled device series as a single line
-    /// (samples embedded), keyed by the trace it ran and which replay
-    /// (`timed` or `saturated`) produced it.
-    pub fn record_series(&self, trace: &str, replay: &str, series: &DeviceSeries) {
-        self.push(serde_json::json!({
-            "t": "series",
-            "trace": trace,
-            "replay": replay,
-            "interval_ns": series.interval_ns,
-            "dropped": series.dropped,
-            "samples": series.samples,
-        }));
-    }
-
-    /// Streams one simulator run's bottleneck attribution.
-    pub fn record_bottleneck(&self, trace: &str, replay: &str, b: &BottleneckReport) {
-        self.push(serde_json::json!({
-            "t": "bottleneck",
-            "trace": trace,
-            "replay": replay,
-            "report": b,
-        }));
-    }
-
-    /// Streams one placement decision: which tenants share `device`, the
-    /// device's interference cost, and where its compromise configuration
-    /// came from. Exporters that predate this line kind skip it (unknown
-    /// `"t"` tags are ignored).
-    pub fn record_placement(
-        &self,
-        device: u64,
-        tenants: &[String],
-        cost: f64,
-        config_source: &str,
-    ) {
-        self.push(serde_json::json!({
-            "t": "placement",
-            "device": device,
-            "tenants": tenants,
-            "cost": cost,
-            "config_source": config_source,
-        }));
-    }
-
-    /// Streams one driver progress estimate. `percent` is a deterministic
-    /// function of the tuner phase and iteration counters (0.0 ..= 1.0);
-    /// `eta_ns` is a wall-clock extrapolation and therefore the one field
-    /// consumers must exclude from determinism fingerprints (it is zero
-    /// when the telemetry switch is off, since iteration timing is then
-    /// not collected).
-    pub fn record_progress(
-        &self,
-        workload: &str,
-        phase: &str,
-        iteration: u64,
-        total: u64,
-        percent: f64,
-        eta_ns: u64,
-    ) {
-        self.push(serde_json::json!({
-            "t": "progress",
-            "workload": workload,
-            "phase": phase,
-            "iteration": iteration,
-            "total": total,
-            "percent": percent,
-            "eta_ns": eta_ns,
-        }));
-    }
-
-    /// Streams one completed pipeline phase.
-    pub fn record_phase(&self, name: &str, wall_ns: u64) {
-        self.push(serde_json::json!({
-            "t": "phase",
-            "name": name,
-            "wall_ns": wall_ns,
-        }));
-    }
-
-    /// Events dropped because the queue was full.
+    /// Lines dropped because the queue was full.
     pub fn dropped_events(&self) -> u64 {
         self.dropped.get()
     }
@@ -199,23 +437,6 @@ impl JournalHandle {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn hex(id: u64) -> String {
-    format!("{id:016x}")
-}
-
-fn span_line(s: &telemetry::span::SpanRecord) -> Value {
-    serde_json::json!({
-        "t": "span",
-        "id": hex(s.id),
-        "parent": hex(s.parent),
-        "name": s.name,
-        "disc": hex(s.disc),
-        "start_ns": s.start_ns,
-        "dur_ns": s.dur_ns,
-        "thread": s.thread,
-    })
 }
 
 /// A live run journal; create with [`Journal::create`], close with
@@ -249,18 +470,13 @@ impl Journal {
         // Line buffering: every completed line is written promptly, so a
         // tail -f (or a crash) sees whole JSON objects only.
         let mut out = std::io::LineWriter::new(file);
-        let meta = serde_json::json!({
-            "t": "meta",
-            "schema": JOURNAL_SCHEMA,
-            "threads": mlkit::parallel::max_threads() as u64,
-            "argv": std::env::args().collect::<Vec<String>>(),
+        let meta = JournalLine::Meta(MetaLine {
+            schema: JOURNAL_SCHEMA.to_string(),
+            threads: mlkit::parallel::max_threads() as u64,
+            argv: std::env::args().collect(),
         });
-        writeln!(
-            out,
-            "{}",
-            serde_json::to_string(&meta).expect("meta serializes")
-        )
-        .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
+        writeln!(out, "{}", meta.to_line())
+            .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
 
         telemetry::span::reset_tracing_state();
         telemetry::span::set_tracing(true);
@@ -271,25 +487,18 @@ impl Journal {
         let writer_stop = Arc::clone(&stop);
         let writer = std::thread::spawn(move || -> std::io::Result<JournalTotals> {
             let mut totals = JournalTotals::default();
-            let mut spans: Vec<telemetry::span::SpanRecord> = Vec::new();
+            let mut spans: Vec<SpanRecord> = Vec::new();
             loop {
                 let stopping = writer_stop.load(Ordering::Relaxed);
                 spans.clear();
                 telemetry::span::drain_spans(&mut spans);
                 for s in &spans {
-                    writeln!(
-                        out,
-                        "{}",
-                        serde_json::to_string(&span_line(s)).expect("span")
-                    )?;
+                    writeln!(out, "{}", JournalLine::Span(s.into()).to_line())?;
                     totals.spans += 1;
                 }
-                let events: Vec<Value> = {
-                    let mut q = lock(&writer_handle.queue);
-                    q.drain(..).collect()
-                };
-                for e in &events {
-                    writeln!(out, "{}", serde_json::to_string(e).expect("event"))?;
+                let lines: Vec<JournalLine> = lock(&writer_handle.queue).drain(..).collect();
+                for line in &lines {
+                    writeln!(out, "{}", line.to_line())?;
                     totals.events += 1;
                 }
                 if stopping {
@@ -327,23 +536,18 @@ impl Journal {
                 .map_err(|e| format!("journal write failed: {e}"))?,
             None => JournalTotals::default(),
         };
-        let summary = serde_json::json!({
-            "t": "summary",
-            "spans_written": totals.spans,
-            "events_written": totals.events,
-            "spans_dropped": telemetry::span::dropped_spans(),
-            "events_dropped": self.handle.dropped_events(),
+        let summary = JournalLine::Summary(SummaryLine {
+            spans_written: totals.spans,
+            events_written: totals.events,
+            spans_dropped: telemetry::span::dropped_spans(),
+            events_dropped: self.handle.dropped_events(),
         });
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot reopen journal `{path}`: {e}"))?;
-        writeln!(
-            file,
-            "{}",
-            serde_json::to_string(&summary).expect("summary serializes")
-        )
-        .map_err(|e| format!("cannot write journal summary: {e}"))?;
+        writeln!(file, "{}", summary.to_line())
+            .map_err(|e| format!("cannot write journal summary: {e}"))?;
         Ok(())
     }
 }
@@ -359,30 +563,21 @@ impl Drop for Journal {
     }
 }
 
-/// Lenient field accessors for journal lines: a missing or mistyped member
-/// reads as zero/empty, never an error (a tail may observe anything).
-pub(crate) fn get_u64(obj: &Value, key: &str) -> u64 {
-    match obj.get(key) {
-        Some(Value::Int(i)) => *i as u64,
-        Some(Value::Float(f)) => *f as u64,
-        Some(Value::Str(s)) => u64::from_str_radix(s, 16).unwrap_or(0),
-        _ => 0,
-    }
-}
-
-pub(crate) fn get_f64(obj: &Value, key: &str) -> f64 {
-    match obj.get(key) {
-        Some(Value::Float(f)) => *f,
-        Some(Value::Int(i)) => *i as f64,
-        _ => 0.0,
-    }
-}
-
-pub(crate) fn get_str<'v>(obj: &'v Value, key: &str) -> &'v str {
-    match obj.get(key) {
-        Some(Value::Str(s)) => s,
-        _ => "",
-    }
+/// The lines of a journal the exporters read, in order. Blank, untagged
+/// and unknown-kind lines are passed over, so newer journals still export;
+/// a torn line, a known kind whose members do not decode, or a foreign
+/// schema is an error naming the line.
+fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>> + '_ {
+    journal.lines().enumerate().filter_map(|(i, text)| {
+        let line = match JournalLine::parse(text) {
+            Ok(JournalLine::Meta(m)) => check_schema(&m.schema).map(|()| JournalLine::Meta(m)),
+            Ok(line) => Ok(line),
+            Err(Skipped::Torn(e)) => Err(format!("invalid JSON: {e}")),
+            Err(Skipped::Malformed(tag, e)) => Err(format!("`{tag}` line: {e}")),
+            Err(Skipped::Blank | Skipped::Untagged | Skipped::Unknown(_)) => return None,
+        };
+        Some(line.map_err(|e| format!("journal line {}: {e}", i + 1)))
+    })
 }
 
 /// Converts a JSONL run journal into Chrome `about://tracing` / Perfetto
@@ -402,75 +597,52 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
     // end-to-end on their own track so `place.classify` / `place.search` /
     // `place.attribute` (and `tune`) render as a contiguous timeline.
     let mut phase_clock_us = 0.0f64;
-    for (lineno, line) in journal.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("journal line {}: invalid JSON: {e}", lineno + 1))?;
-        match get_str(&v, "t") {
-            "meta" => {
-                let schema = get_str(&v, "schema");
-                if !schema.starts_with("autoblox.journal.v") {
-                    return Err(format!(
-                        "journal line {}: unknown schema `{schema}`",
-                        lineno + 1
-                    ));
-                }
-                events.push(serde_json::json!({
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "args": serde_json::json!({"name": "autoblox"}),
-                }));
-            }
-            "span" => {
-                let start_us = get_u64(&v, "start_ns") as f64 / 1_000.0;
-                let dur_us = get_u64(&v, "dur_ns") as f64 / 1_000.0;
-                events.push(serde_json::json!({
-                    "name": get_str(&v, "name"),
-                    "cat": "span",
-                    "ph": "X",
-                    "ts": start_us,
-                    "dur": dur_us,
-                    "pid": 1,
-                    "tid": get_u64(&v, "thread"),
-                    "args": serde_json::json!({
-                        "id": get_str(&v, "id"),
-                        "parent": get_str(&v, "parent"),
-                        "disc": get_str(&v, "disc"),
-                    }),
-                }));
-            }
-            "iteration" => {
-                // Instant event on a dedicated tuner track; the journal
-                // does not timestamp iterations, so anchor them at the
-                // iteration index (milliseconds) to preserve ordering.
-                let iter = get_u64(&v, "iteration");
-                events.push(serde_json::json!({
-                    "name": "tuner.iteration_record",
-                    "cat": "iteration",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": iter as f64 * 1_000.0,
-                    "pid": 1,
-                    "tid": 0,
-                    "args": serde_json::json!({
-                        "workload": get_str(&v, "workload"),
-                        "iteration": iter,
-                        "best_grade": get_f64(&v, "best_grade"),
-                        "validations": get_u64(&v, "validations"),
-                    }),
-                }));
-            }
-            "model" => {
+    for line in read_lines(journal) {
+        match line? {
+            JournalLine::Meta(_) => events.push(serde_json::json!({
+                "name": "process_name",
+                "ph": "M",
+                "pid": 1,
+                "args": serde_json::json!({"name": "autoblox"}),
+            })),
+            JournalLine::Span(s) => events.push(serde_json::json!({
+                "name": s.name,
+                "cat": "span",
+                "ph": "X",
+                "ts": s.start_ns as f64 / 1_000.0,
+                "dur": s.dur_ns as f64 / 1_000.0,
+                "pid": 1,
+                "tid": s.thread,
+                "args": serde_json::json!({
+                    "id": s.id,
+                    "parent": s.parent,
+                    "disc": s.disc,
+                }),
+            })),
+            // Instant event on a dedicated tuner track; the journal does not
+            // timestamp iterations, so anchor them at the iteration index
+            // (milliseconds) to preserve ordering.
+            JournalLine::Iteration(r) => events.push(serde_json::json!({
+                "name": "tuner.iteration_record",
+                "cat": "iteration",
+                "ph": "i",
+                "s": "g",
+                "ts": r.iteration as f64 * 1_000.0,
+                "pid": 1,
+                "tid": 0,
+                "args": serde_json::json!({
+                    "workload": r.workload,
+                    "iteration": r.iteration,
+                    "best_grade": r.best_grade,
+                    "validations": r.validations,
+                }),
+            })),
+            JournalLine::Model(m) => {
                 // Two events per model line, anchored a quarter-tick after
                 // the iteration record that produced them: a counter lane
                 // charting explore-vs-exploit share over time, and an
                 // instant carrying the prediction and calibration detail.
-                let iter = get_u64(&v, "iteration");
-                let ts = iter as f64 * 1_000.0 + 250.0;
+                let ts = m.iteration as f64 * 1_000.0 + 250.0;
                 events.push(serde_json::json!({
                     "name": "tuner.model.shares",
                     "cat": "model",
@@ -479,8 +651,8 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                     "pid": 1,
                     "tid": 0,
                     "args": serde_json::json!({
-                        "explore": get_f64(&v, "explore_share"),
-                        "exploit": get_f64(&v, "exploit_share"),
+                        "explore": m.explore_share,
+                        "exploit": m.exploit_share,
                     }),
                 }));
                 events.push(serde_json::json!({
@@ -492,54 +664,51 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                     "pid": 1,
                     "tid": 0,
                     "args": serde_json::json!({
-                        "workload": get_str(&v, "workload"),
-                        "iteration": iter,
-                        "predicted_mean": get_f64(&v, "predicted_mean"),
-                        "predicted_std": get_f64(&v, "predicted_std"),
-                        "calibrated": matches!(v.get("calibrated"), Some(Value::Bool(true))),
-                        "realized_grade": get_f64(&v, "realized_grade"),
-                        "decision_margin": get_f64(&v, "decision_margin"),
-                        "kernel_length_scale": get_f64(&v, "kernel_length_scale"),
+                        "workload": m.workload,
+                        "iteration": m.iteration,
+                        "predicted_mean": m.predicted_mean,
+                        "predicted_std": m.predicted_std,
+                        "calibrated": m.calibrated,
+                        "realized_grade": m.realized_grade,
+                        "decision_margin": m.decision_margin,
+                        "kernel_length_scale": m.kernel_length_scale,
                     }),
                 }));
             }
-            "phase" => {
-                let dur_us = get_u64(&v, "wall_ns") as f64 / 1_000.0;
+            JournalLine::Phase(p) => {
+                let dur_us = p.wall_ns as f64 / 1_000.0;
                 events.push(serde_json::json!({
-                    "name": get_str(&v, "name"),
+                    "name": p.name,
                     "cat": "phase",
                     "ph": "X",
                     "ts": phase_clock_us,
                     "dur": dur_us,
                     "pid": 1,
                     "tid": 0,
-                    "args": serde_json::json!({"wall_ns": get_u64(&v, "wall_ns")}),
+                    "args": serde_json::json!({"wall_ns": p.wall_ns}),
                 }));
                 phase_clock_us += dur_us;
             }
-            "progress" => {
-                // Same iteration-index anchoring as iteration records, offset
-                // half a tick so a progress marker sorts after the iteration
-                // that produced it.
-                let iter = get_u64(&v, "iteration");
-                events.push(serde_json::json!({
-                    "name": "tuner.progress",
-                    "cat": "progress",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": iter as f64 * 1_000.0 + 500.0,
-                    "pid": 1,
-                    "tid": 0,
-                    "args": serde_json::json!({
-                        "workload": get_str(&v, "workload"),
-                        "phase": get_str(&v, "phase"),
-                        "iteration": iter,
-                        "total": get_u64(&v, "total"),
-                        "percent": get_f64(&v, "percent"),
-                    }),
-                }));
-            }
-            // summary/unknown tags carry no timeline position.
+            // Same iteration-index anchoring as iteration records, offset
+            // half a tick so a progress marker sorts after the iteration
+            // that produced it.
+            JournalLine::Progress(p) => events.push(serde_json::json!({
+                "name": "tuner.progress",
+                "cat": "progress",
+                "ph": "i",
+                "s": "g",
+                "ts": p.iteration as f64 * 1_000.0 + 500.0,
+                "pid": 1,
+                "tid": 0,
+                "args": serde_json::json!({
+                    "workload": p.workload,
+                    "phase": p.phase,
+                    "iteration": p.iteration,
+                    "total": p.total,
+                    "percent": p.percent,
+                }),
+            })),
+            // Device, placement and summary lines carry no timeline position.
             _ => {}
         }
     }
@@ -568,38 +737,26 @@ pub fn export_csv(journal: &str) -> Result<String, String> {
          gc_backlog_pages,write_amplification\n",
     );
     let mut rows = 0u64;
-    for (lineno, line) in journal.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+    for line in read_lines(journal) {
+        let JournalLine::Series(series) = line? else {
             continue;
-        }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("journal line {}: invalid JSON: {e}", lineno + 1))?;
-        if get_str(&v, "t") != "series" {
-            continue;
-        }
-        let trace = get_str(&v, "trace").to_string();
-        let replay = get_str(&v, "replay").to_string();
-        let Some(Value::Array(samples)) = v.get("samples") else {
-            return Err(format!(
-                "journal line {}: series without samples array",
-                lineno + 1
-            ));
         };
-        for (i, s) in samples.iter().enumerate() {
+        for (i, s) in series.samples.iter().enumerate() {
             out.push_str(&format!(
-                "{trace},{replay},{i},{},{},{},{},{},{},{},{},{},{},{}\n",
-                get_u64(s, "t_ns"),
-                get_f64(s, "channel_busy"),
-                get_f64(s, "plane_busy"),
-                get_f64(s, "gc_activity"),
-                get_u64(s, "queue_depth"),
-                get_f64(s, "data_cache_occupancy"),
-                get_f64(s, "data_cache_hit_rate"),
-                get_f64(s, "cmt_occupancy"),
-                get_f64(s, "cmt_hit_rate"),
-                get_u64(s, "gc_backlog_pages"),
-                get_f64(s, "write_amplification"),
+                "{},{},{i},{},{},{},{},{},{},{},{},{},{},{}\n",
+                series.trace,
+                series.replay,
+                s.t_ns,
+                s.channel_busy,
+                s.plane_busy,
+                s.gc_activity,
+                s.queue_depth,
+                s.data_cache_occupancy,
+                s.data_cache_hit_rate,
+                s.cmt_occupancy,
+                s.cmt_hit_rate,
+                s.gc_backlog_pages,
+                s.write_amplification,
             ));
             rows += 1;
         }
@@ -629,29 +786,22 @@ pub fn export_calibration_csv(journal: &str) -> Result<String, String> {
          explore_share,exploit_share,decision_margin,kernel_length_scale\n",
     );
     let mut rows = 0u64;
-    for (lineno, line) in journal.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+    for line in read_lines(journal) {
+        let JournalLine::Model(m) = line? else {
             continue;
-        }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("journal line {}: invalid JSON: {e}", lineno + 1))?;
-        if get_str(&v, "t") != "model" {
-            continue;
-        }
-        let calibrated = matches!(v.get("calibrated"), Some(Value::Bool(true)));
+        };
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{}\n",
-            get_str(&v, "workload"),
-            get_u64(&v, "iteration"),
-            get_f64(&v, "predicted_mean"),
-            get_f64(&v, "predicted_std"),
-            calibrated,
-            get_f64(&v, "realized_grade"),
-            get_f64(&v, "explore_share"),
-            get_f64(&v, "exploit_share"),
-            get_f64(&v, "decision_margin"),
-            get_f64(&v, "kernel_length_scale"),
+            m.workload,
+            m.iteration,
+            m.predicted_mean,
+            m.predicted_std,
+            m.calibrated,
+            m.realized_grade,
+            m.explore_share,
+            m.exploit_share,
+            m.decision_margin,
+            m.kernel_length_scale,
         ));
         rows += 1;
     }
@@ -669,106 +819,162 @@ pub fn export_calibration_csv(journal: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    fn meta() -> String {
+        JournalLine::Meta(MetaLine {
+            schema: JOURNAL_SCHEMA.to_string(),
+            threads: 1,
+            argv: Vec::new(),
+        })
+        .to_line()
+    }
+
+    fn span(disc: u64) -> String {
+        JournalLine::Span(SpanLine::from(&SpanRecord {
+            id: 0xaa,
+            parent: 0,
+            name: "sim.run",
+            disc,
+            start_ns: 1000,
+            dur_ns: 5000,
+            thread: 1,
+        }))
+        .to_line()
+    }
+
+    fn model_line() -> String {
+        JournalLine::Model(ModelLine {
+            workload: "Database".to_string(),
+            iteration: 2,
+            predicted_mean: 0.8,
+            predicted_std: 0.1,
+            calibrated: true,
+            realized_grade: 0.75,
+            explore_share: 0.2,
+            exploit_share: 0.8,
+            decision_margin: 0.05,
+            kernel_length_scale: 1.5,
+        })
+        .to_line()
+    }
+
+    fn trace_events(chrome: &str) -> Vec<Value> {
+        let doc: Value = serde_json::from_str(chrome).expect("chrome JSON parses");
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
+            panic!("traceEvents array expected");
+        };
+        events.clone()
+    }
+
     #[test]
     fn handle_queue_is_bounded() {
         let h = JournalHandle::default();
-        for i in 0..(EVENT_QUEUE_CAP as u64 + 10) {
-            h.record_phase("p", i);
+        for _ in 0..(EVENT_QUEUE_CAP + 10) {
+            h.push(JournalLine::Phase(PhaseRecord::default()));
         }
         assert_eq!(h.dropped_events(), 10);
         assert_eq!(lock(&h.queue).len(), EVENT_QUEUE_CAP);
     }
 
     #[test]
+    fn lines_keep_their_wire_format() {
+        assert_eq!(
+            meta(),
+            r#"{"argv":[],"schema":"autoblox.journal.v1","t":"meta","threads":1}"#
+        );
+        assert_eq!(
+            span(7),
+            concat!(
+                r#"{"disc":"0000000000000007","dur_ns":5000,"id":"00000000000000aa","#,
+                r#""name":"sim.run","parent":"0000000000000000","start_ns":1000,"#,
+                r#""t":"span","thread":1}"#
+            )
+        );
+    }
+
+    #[test]
     fn export_rejects_garbage_and_accepts_minimal_journal() {
         assert!(export_chrome("not json").is_err());
         assert!(export_chrome("").is_err());
-        let journal = concat!(
-            r#"{"t":"meta","schema":"autoblox.journal.v1","threads":1,"argv":[]}"#,
-            "\n",
-            r#"{"t":"span","id":"00000000000000aa","parent":"0000000000000000","name":"sim.run","disc":"0000000000000000","start_ns":1000,"dur_ns":5000,"thread":1}"#,
-            "\n",
-            r#"{"t":"iteration","workload":"database","iteration":1,"best_grade":0.5,"validations":2}"#,
-            "\n",
-            r#"{"t":"summary","spans_written":1,"events_written":1,"spans_dropped":0,"events_dropped":0}"#,
-            "\n",
-        );
-        let chrome = export_chrome(journal).expect("valid journal");
-        let doc: Value = serde_json::from_str(&chrome).expect("chrome JSON parses");
-        let Some(Value::Array(events)) = doc.get("traceEvents") else {
-            panic!("traceEvents array expected");
-        };
+        let iteration = JournalLine::Iteration(IterationLine {
+            workload: "database".to_string(),
+            iteration: 1,
+            best_grade: 0.5,
+            validations: 2,
+            ..Default::default()
+        });
+        let summary = JournalLine::Summary(SummaryLine {
+            spans_written: 1,
+            events_written: 1,
+            ..Default::default()
+        });
+        let journal = [meta(), span(0), iteration.to_line(), summary.to_line()].join("\n");
+        let events = trace_events(&export_chrome(&journal).expect("valid journal"));
         // meta + span + iteration.
         assert_eq!(events.len(), 3);
-        let span = &events[1];
-        assert_eq!(get_str(span, "ph"), "X");
-        assert_eq!(get_str(span, "name"), "sim.run");
-        assert_eq!(events[2].get("ph"), Some(&Value::Str("i".to_string())));
+        assert_eq!(events[1]["ph"], "X");
+        assert_eq!(events[1]["name"], "sim.run");
+        assert_eq!(events[2]["ph"], "i");
     }
 
     #[test]
     fn export_chrome_lays_phases_end_to_end_and_anchors_progress() {
-        let journal = concat!(
-            r#"{"t":"meta","schema":"autoblox.journal.v1","threads":1,"argv":[]}"#,
-            "\n",
-            r#"{"t":"phase","name":"place.classify","wall_ns":2000}"#,
-            "\n",
-            r#"{"t":"phase","name":"place.search","wall_ns":3000}"#,
-            "\n",
-            r#"{"t":"progress","workload":"Database","phase":"iterating","iteration":3,"total":8,"percent":0.4375,"eta_ns":0}"#,
-            "\n",
-        );
-        let chrome = export_chrome(journal).expect("valid journal");
-        let doc: Value = serde_json::from_str(&chrome).expect("chrome JSON parses");
-        let Some(Value::Array(events)) = doc.get("traceEvents") else {
-            panic!("traceEvents array expected");
+        let phase = |name: &str, wall_ns| {
+            let name = name.to_string();
+            JournalLine::Phase(PhaseRecord { name, wall_ns }).to_line()
         };
+        let progress = JournalLine::Progress(ProgressLine {
+            workload: "Database".to_string(),
+            phase: "iterating".to_string(),
+            iteration: 3,
+            total: 8,
+            percent: 0.4375,
+            eta_ns: 0,
+        });
+        let journal = [
+            meta(),
+            phase("place.classify", 2000),
+            phase("place.search", 3000),
+            progress.to_line(),
+        ]
+        .join("\n");
+        let events = trace_events(&export_chrome(&journal).expect("valid journal"));
         assert_eq!(events.len(), 4);
-        assert_eq!(get_str(&events[1], "name"), "place.classify");
-        assert_eq!(get_f64(&events[1], "ts"), 0.0);
-        assert_eq!(get_str(&events[2], "name"), "place.search");
+        assert_eq!(events[1]["name"], "place.classify");
+        assert_eq!(events[1]["ts"], 0.0);
+        assert_eq!(events[2]["name"], "place.search");
         // Second phase starts where the first ended (2000 ns = 2 us).
-        assert_eq!(get_f64(&events[2], "ts"), 2.0);
-        assert_eq!(get_str(&events[3], "name"), "tuner.progress");
-        assert_eq!(get_str(&events[3], "ph"), "i");
+        assert_eq!(events[2]["ts"], 2.0);
+        assert_eq!(events[3]["name"], "tuner.progress");
+        assert_eq!(events[3]["ph"], "i");
     }
 
     #[test]
     fn model_lines_export_as_counter_and_instant() {
-        let journal = concat!(
-            r#"{"t":"meta","schema":"autoblox.journal.v1","threads":1,"argv":[]}"#,
-            "\n",
-            r#"{"t":"model","workload":"Database","iteration":2,"predicted_mean":0.8,"predicted_std":0.1,"calibrated":true,"realized_grade":0.75,"explore_share":0.2,"exploit_share":0.8,"decision_margin":0.05,"kernel_length_scale":1.5}"#,
-            "\n",
-        );
-        let chrome = export_chrome(journal).expect("valid journal");
-        let doc: Value = serde_json::from_str(&chrome).expect("chrome JSON parses");
-        let Some(Value::Array(events)) = doc.get("traceEvents") else {
-            panic!("traceEvents array expected");
-        };
+        let journal = [meta(), model_line()].join("\n");
+        let events = trace_events(&export_chrome(&journal).expect("valid journal"));
         // meta + counter + instant.
         assert_eq!(events.len(), 3);
-        assert_eq!(get_str(&events[1], "name"), "tuner.model.shares");
-        assert_eq!(get_str(&events[1], "ph"), "C");
-        assert_eq!(get_f64(&events[1], "ts"), 2_250.0);
-        assert_eq!(get_str(&events[2], "name"), "tuner.model");
-        assert_eq!(get_str(&events[2], "ph"), "i");
-        let args = events[2].get("args").expect("instant args");
-        assert_eq!(get_f64(args, "realized_grade"), 0.75);
-        assert_eq!(args.get("calibrated"), Some(&Value::Bool(true)));
+        assert_eq!(events[1]["name"], "tuner.model.shares");
+        assert_eq!(events[1]["ph"], "C");
+        assert_eq!(events[1]["ts"], 2_250.0);
+        assert_eq!(events[2]["name"], "tuner.model");
+        assert_eq!(events[2]["ph"], "i");
+        assert_eq!(events[2]["args"]["realized_grade"], 0.75);
+        assert_eq!(events[2]["args"]["calibrated"], Value::Bool(true));
     }
 
     #[test]
     fn calibration_csv_flattens_model_lines_only() {
-        let journal = concat!(
-            r#"{"t":"meta","schema":"autoblox.journal.v1","threads":1,"argv":[]}"#,
-            "\n",
-            r#"{"t":"model","workload":"Database","iteration":2,"predicted_mean":0.8,"predicted_std":0.1,"calibrated":true,"realized_grade":0.75,"explore_share":0.2,"exploit_share":0.8,"decision_margin":0.05,"kernel_length_scale":1.5}"#,
-            "\n",
-            r#"{"t":"iteration","workload":"Database","iteration":2,"best_grade":0.75,"validations":1}"#,
-            "\n",
-        );
-        let csv = export_calibration_csv(journal).expect("model lines present");
+        let iteration = JournalLine::Iteration(IterationLine {
+            workload: "Database".to_string(),
+            iteration: 2,
+            best_grade: 0.75,
+            validations: 1,
+            ..Default::default()
+        })
+        .to_line();
+        let journal = [meta(), model_line(), iteration.clone()].join("\n");
+        let csv = export_calibration_csv(&journal).expect("model lines present");
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2, "header + one model row");
         assert!(lines[0].starts_with("workload,iteration,predicted_mean"));
@@ -778,14 +984,57 @@ mod tests {
             lines[1]
         );
         // A journal without model lines is an explicit error, not empty CSV.
-        let err = export_calibration_csv(r#"{"t":"phase","name":"tune","wall_ns":1}"#).unwrap_err();
+        let err = export_calibration_csv(&iteration).unwrap_err();
         assert!(err.contains("no model lines"), "{err}");
     }
 
     #[test]
     fn export_rejects_unknown_schema() {
-        let journal = r#"{"t":"meta","schema":"somethingelse.v9"}"#;
-        let err = export_chrome(journal).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
+        let journal = JournalLine::Meta(MetaLine {
+            schema: "somethingelse.v9".to_string(),
+            ..Default::default()
+        })
+        .to_line();
+        let err = export_chrome(&journal).unwrap_err();
+        assert!(
+            err.contains("journal line 1: unknown journal schema"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_says_why_a_line_is_skipped() {
+        assert_eq!(JournalLine::parse("  "), Err(Skipped::Blank));
+        assert!(matches!(
+            JournalLine::parse(r#"{"t":"span","id":"trunca"#),
+            Err(Skipped::Torn(_))
+        ));
+        assert_eq!(
+            JournalLine::parse(r#"{"no_tag":true}"#),
+            Err(Skipped::Untagged)
+        );
+        assert_eq!(JournalLine::parse(r#"{"t":3}"#), Err(Skipped::Untagged));
+        assert_eq!(JournalLine::parse("[1]"), Err(Skipped::Untagged));
+        assert_eq!(
+            JournalLine::parse(r#"{"t":"hologram","x":1}"#),
+            Err(Skipped::Unknown("hologram".to_string()))
+        );
+        // The tag is matched exactly: a variant name is not a tag.
+        assert_eq!(
+            JournalLine::parse(r#"{"t":"Phase","name":"p","wall_ns":1}"#),
+            Err(Skipped::Unknown("Phase".to_string()))
+        );
+        assert!(matches!(
+            JournalLine::parse(r#"{"t":"phase","name":"p"}"#),
+            Err(Skipped::Malformed(tag, _)) if tag == "phase"
+        ));
+        // Members a kind does not know are a newer producer's, not damage.
+        assert_eq!(
+            JournalLine::parse(r#"{"t":"phase","name":"p","wall_ns":1,"extra":[]}"#),
+            Ok(JournalLine::Phase(PhaseRecord {
+                name: "p".to_string(),
+                wall_ns: 1
+            }))
+        );
     }
 }

@@ -38,6 +38,7 @@
 
 use crate::clustering::{ClusterDecision, WorkloadClusterer};
 use crate::framework::StoredConfig;
+use crate::journal::{JournalLine, PlacementLine};
 use crate::metrics::{performance, Measurement, DEFAULT_ALPHA};
 use crate::validator::Validator;
 use autodb::Store;
@@ -668,22 +669,22 @@ pub fn place(
                 co_latency[t] = lane.mean_latency_ns;
             }
             let source = resolution.sources[assignment.cfg_of[d]].clone();
+            let names: Vec<String> = subset
+                .iter()
+                .map(|&t| tenants[t].name().to_string())
+                .collect();
             sink.record_device(merged.trace.name(), "placement", &report);
-            sink.record_placement(
-                d as u64,
-                &subset
-                    .iter()
-                    .map(|&t| tenants[t].name().to_string())
-                    .collect::<Vec<_>>(),
-                assignment.cost[d],
-                &source,
-            );
+            sink.journal(|| {
+                JournalLine::Placement(PlacementLine {
+                    device: d as u64,
+                    tenants: names.clone(),
+                    cost: assignment.cost[d],
+                    config_source: source.clone(),
+                })
+            });
             device_reports.push(DeviceReport {
                 device: d as u64,
-                tenants: subset
-                    .iter()
-                    .map(|&t| tenants[t].name().to_string())
-                    .collect(),
+                tenants: names,
                 config_source: source,
                 cost: assignment.cost[d],
                 merged_trace: merged.trace.name().to_string(),

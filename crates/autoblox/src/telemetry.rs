@@ -27,7 +27,7 @@
 //! assert_eq!(report.schema, RunReport::SCHEMA);
 //! ```
 
-use crate::journal::JournalHandle;
+use crate::journal::{BottleneckLine, JournalHandle, JournalLine};
 use crate::pruning::{CoarseReport, FineReport};
 use crate::tuner::{IterationRecord, TuningOutcome};
 use crate::validator::{Validator, ValidatorStats};
@@ -218,11 +218,16 @@ impl RunReport {
                 ))
             }
         }
-        let report: RunReport =
-            serde_json::from_str(json).map_err(|e| match locate_schema_mismatch(&value) {
+        let report: RunReport = serde_json::from_str(json).map_err(|e| {
+            let e = e.to_string();
+            let missing = e
+                .strip_prefix("missing field `")
+                .and_then(|r| r.split('`').next());
+            match locate_schema_mismatch(&value, missing) {
                 Some(path) => format!("schema mismatch at `{path}`: {e}"),
                 None => format!("schema mismatch: {e}"),
-            })?;
+            }
+        })?;
         Ok(CheckedReport { report, warnings })
     }
 }
@@ -263,10 +268,11 @@ fn schema_template() -> serde_json::Value {
 }
 
 /// Walks `candidate` against the template and names the first field that
-/// does not fit the schema (wrong type or missing member). `None` when the
-/// document is structurally conformant — then the deserializer's own error
-/// message is the best description available.
-fn locate_schema_mismatch(candidate: &serde_json::Value) -> Option<String> {
+/// does not fit the schema: a wrong type, or an absent member named
+/// `missing` (the field serde reported missing, without its path). `None`
+/// when the document is structurally conformant — then the deserializer's
+/// own error message is the best description available.
+fn locate_schema_mismatch(candidate: &serde_json::Value, missing: Option<&str>) -> Option<String> {
     fn kind(v: &serde_json::Value) -> &'static str {
         use serde_json::Value::*;
         match v {
@@ -279,7 +285,12 @@ fn locate_schema_mismatch(candidate: &serde_json::Value) -> Option<String> {
             Object(_) => "object",
         }
     }
-    fn walk(tpl: &serde_json::Value, got: &serde_json::Value, path: &str) -> Option<String> {
+    fn walk(
+        tpl: &serde_json::Value,
+        got: &serde_json::Value,
+        path: &str,
+        missing: Option<&str>,
+    ) -> Option<String> {
         use serde_json::Value::*;
         match (tpl, got) {
             (Object(t), Object(g)) => {
@@ -289,14 +300,19 @@ fn locate_schema_mismatch(candidate: &serde_json::Value) -> Option<String> {
                     } else {
                         format!("{path}.{k}")
                     };
-                    // Absent members are serde's department (its error
-                    // already names the missing field, and `default`ed
-                    // fields are legitimately absent) — the walker only
-                    // hunts type mismatches, which serde reports pathless.
-                    if let Some(gv) = g.get(k) {
-                        if let Some(hit) = walk(tv, gv, &sub) {
-                            return Some(hit);
+                    // Serde reports a missing field by name only and a type
+                    // mismatch without either; `default`ed members may be
+                    // absent, so only the member serde named is blamed.
+                    match g.get(k) {
+                        Some(gv) => {
+                            if let Some(hit) = walk(tv, gv, &sub, missing) {
+                                return Some(hit);
+                            }
                         }
+                        None if missing == Some(k.as_str()) => {
+                            return Some(format!("{sub} (missing)"))
+                        }
+                        None => {}
                     }
                 }
                 None
@@ -304,7 +320,7 @@ fn locate_schema_mismatch(candidate: &serde_json::Value) -> Option<String> {
             (Array(t), Array(g)) => {
                 let elem_tpl = t.first()?;
                 for (i, gv) in g.iter().enumerate() {
-                    if let Some(hit) = walk(elem_tpl, gv, &format!("{path}[{i}]")) {
+                    if let Some(hit) = walk(elem_tpl, gv, &format!("{path}[{i}]"), missing) {
                         return Some(hit);
                     }
                 }
@@ -322,7 +338,7 @@ fn locate_schema_mismatch(candidate: &serde_json::Value) -> Option<String> {
             )),
         }
     }
-    walk(&schema_template(), candidate, "")
+    walk(&schema_template(), candidate, "", missing)
 }
 
 #[derive(Debug, Default)]
@@ -368,14 +384,15 @@ impl TelemetrySink {
     /// attached journal.
     pub fn record_phase_ns(&self, name: &str, wall_ns: u64) {
         if enabled() {
-            let mut inner = self.inner.lock();
-            inner.phases.push(PhaseRecord {
+            let record = PhaseRecord {
                 name: name.to_string(),
                 wall_ns,
-            });
+            };
+            let mut inner = self.inner.lock();
             if let Some(j) = &inner.journal {
-                j.record_phase(name, wall_ns);
+                j.push(JournalLine::Phase(record.clone()));
             }
+            inner.phases.push(record);
         }
     }
 
@@ -391,24 +408,13 @@ impl TelemetrySink {
         self.inner.lock().journal = None;
     }
 
-    /// Streams one tuner iteration record to the attached journal; a no-op
-    /// without one. Unlike the other recorders this is not gated on the
-    /// telemetry switch — a journal is an explicit opt-in of its own.
-    pub fn record_iteration(&self, workload: &str, record: &IterationRecord) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            j.record_iteration(workload, record);
-        }
-    }
-
-    /// Streams one model-observatory line (the surrogate's prediction,
-    /// explore/exploit shares, and calibration pair for an iteration) to
-    /// the attached journal; a no-op without one. Journal-gated like
-    /// [`TelemetrySink::record_iteration`].
-    pub fn record_model(&self, workload: &str, record: &IterationRecord) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            j.record_model(workload, record);
+    /// Streams the line `line` builds to the attached journal. Without a
+    /// journal this is a no-op and `line` is never called, so nothing is
+    /// built. Unlike the other recorders this is not gated on the telemetry
+    /// switch — a journal is an explicit opt-in of its own.
+    pub fn journal(&self, line: impl FnOnce() -> JournalLine) {
+        if let Some(j) = &self.inner.lock().journal {
+            j.push(line());
         }
     }
 
@@ -419,47 +425,22 @@ impl TelemetrySink {
         self.inner.lock().journal.is_some()
     }
 
-    /// Streams one driver progress estimate (phase, iteration, percent
-    /// complete, ETA) to the attached journal; a no-op without one.
-    /// Journal-gated like [`TelemetrySink::record_iteration`] — a journal
-    /// is an explicit opt-in of its own.
-    pub fn record_progress(
-        &self,
-        workload: &str,
-        phase: &str,
-        iteration: u64,
-        total: u64,
-        percent: f64,
-        eta_ns: u64,
-    ) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            j.record_progress(workload, phase, iteration, total, percent, eta_ns);
-        }
-    }
-
     /// Streams one simulator run's device observatory output — the sampled
     /// [`ssdsim::DeviceSeries`] and the per-run bottleneck attribution — to
     /// the attached journal; a no-op without one. `replay` distinguishes the
     /// timed from the saturated replay of a validation.
     pub fn record_device(&self, trace: &str, replay: &str, report: &SimReport) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            if !report.device.is_empty() {
-                j.record_series(trace, replay, &report.device);
-            }
-            if report.bottleneck.total_latency_ns > 0 {
-                j.record_bottleneck(trace, replay, &report.bottleneck);
-            }
+        if !report.device.is_empty() {
+            self.journal(|| JournalLine::Series((trace, replay, &report.device).into()));
         }
-    }
-
-    /// Streams one placement decision to the attached journal; a no-op
-    /// without one.
-    pub fn record_placement(&self, device: u64, tenants: &[String], cost: f64, source: &str) {
-        let inner = self.inner.lock();
-        if let Some(j) = &inner.journal {
-            j.record_placement(device, tenants, cost, source);
+        if report.bottleneck.total_latency_ns > 0 {
+            self.journal(|| {
+                JournalLine::Bottleneck(BottleneckLine {
+                    trace: trace.to_string(),
+                    replay: replay.to_string(),
+                    report: report.bottleneck,
+                })
+            });
         }
     }
 
@@ -678,6 +659,42 @@ mod tests {
             err.contains("validator.cache_hits"),
             "error must name the exact field path: {err}"
         );
+    }
+
+    #[test]
+    fn missing_member_names_the_exact_field() {
+        let report = RunReport {
+            schema: RunReport::SCHEMA.to_string(),
+            tuner: vec![TunerRunTelemetry {
+                records: vec![IterationRecord::default()],
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        for path in [
+            &["tuner", "0", "records", "0", "predicted_mean"][..],
+            &["validator", "speculative_runs"],
+            &["validator", "sim", "channel_wait_ns"],
+        ] {
+            let mut value = serde_json::to_value(&report).expect("to value");
+            let (last, parents) = path.split_last().expect("a path");
+            let mut at = &mut value;
+            for seg in parents {
+                at = match at {
+                    serde_json::Value::Object(map) => map.get_mut(*seg).expect("member"),
+                    serde_json::Value::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
+                    _ => panic!("no member {seg}"),
+                };
+            }
+            let serde_json::Value::Object(map) = at else {
+                panic!("object expected")
+            };
+            map.remove(*last).expect("member exists");
+            let err = RunReport::parse_checked(&serde_json::to_string(&value).unwrap())
+                .expect_err("a report missing a member must not parse");
+            let want = path.join(".").replace(".0", "[0]");
+            assert!(err.contains(&format!("`{want} (missing)`")), "{err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! simulating only what no earlier run paid for.
 
 use crate::constraints::Constraints;
+use crate::journal::{JournalLine, ProgressLine};
 use crate::metrics::{grade, performance, Measurement};
 use crate::params::ParamSpace;
 use crate::validator::Validator;
@@ -162,44 +163,33 @@ pub struct IterationRecord {
     /// Bottleneck fingerprint of the simulator work this iteration performed
     /// (all zeros when telemetry is off or the iteration was a full cache
     /// hit). Deterministic for a given tuning problem at any thread count.
-    #[serde(default)]
     pub bottleneck: ssdsim::BottleneckReport,
     /// Surrogate's predicted grade mean for the chosen candidate, read
-    /// before validation (0 when no surrogate scored it). New in schema v3;
-    /// the defaults keep v2 reports parseable.
-    #[serde(default)]
+    /// before validation (0 when no surrogate scored it).
     pub predicted_mean: f64,
     /// Surrogate's predicted grade standard deviation for the chosen
     /// candidate (0 for the variance-free surrogates).
-    #[serde(default)]
     pub predicted_std: f64,
     /// Whether this iteration produced a calibration pair: a surrogate
     /// prediction for the chosen candidate *and* a realized grade from its
     /// validation (power-rejected or already-seen candidates realize none).
-    #[serde(default)]
     pub calibrated: bool,
     /// Grade validation realized for the chosen candidate (meaningful only
     /// when `calibrated`).
-    #[serde(default)]
     pub realized_grade: f64,
     /// Exploration share of the chosen UCB: `σ / (|μ| + σ)` at β = 1
     /// (0 when nothing was predicted).
-    #[serde(default)]
     pub explore_share: f64,
     /// Exploitation share of the chosen UCB: `|μ| / (|μ| + σ)`.
-    #[serde(default)]
     pub exploit_share: f64,
     /// Chosen candidate's UCB minus the runner-up's (0 without one).
-    #[serde(default)]
     pub decision_margin: f64,
     /// Lengthscale of the fitted GPR kernel (`exp` of its first
     /// log-parameter; 0 when no GPR was fitted or the sweep was skipped).
-    #[serde(default)]
     pub kernel_length_scale: f64,
     /// Normalized per-parameter sensitivity of the surrogate around the
     /// incumbent (sums to 1; empty when model observability was off or no
     /// surrogate was fitted).
-    #[serde(default)]
     pub importance: Vec<f64>,
 }
 
@@ -534,11 +524,11 @@ impl<'a> Tuner<'a> {
             iterations: 0,
             records: Vec::new(),
         };
-        self.record_progress(target, &state, "init_set");
+        self.journal_progress(target, &state, "init_set");
         self.validate_init_set(target, &mut state, &init_set);
         let mut done = self.opts.max_iterations == 0;
         loop {
-            self.record_progress(target, &state, if done { "done" } else { "iterating" });
+            self.journal_progress(target, &state, if done { "done" } else { "iterating" });
             if done {
                 return state;
             }
@@ -552,35 +542,37 @@ impl<'a> Tuner<'a> {
     /// ETA extrapolates from per-iteration wall-clock timing (zero with
     /// telemetry off) and is therefore excluded from determinism
     /// fingerprints by consumers.
-    fn record_progress(&self, target: TuningTarget<'_>, state: &TuneState, stage: &str) {
-        let total = self.opts.max_iterations.max(1) as u64;
-        // The warm-up stage is a flat-rate estimate; the BO loop owns the
-        // 0.10..1.00 band proportionally to its iteration counter.
-        let percent = match stage {
-            "init_set" => 0.05,
-            "done" => 1.0,
-            _ => 0.10 + 0.90 * (state.iterations as f64 / total as f64).min(1.0),
-        };
-        let timed: Vec<u64> = state
-            .records
-            .iter()
-            .map(|r| r.wall_ns)
-            .filter(|&ns| ns > 0)
-            .collect();
-        let eta_ns = if stage == "done" || timed.is_empty() {
-            0
-        } else {
-            let mean = timed.iter().sum::<u64>() / timed.len() as u64;
-            mean * total.saturating_sub(state.iterations)
-        };
-        crate::telemetry::global().record_progress(
-            target.name(),
-            stage,
-            state.iterations,
-            total,
-            percent,
-            eta_ns,
-        );
+    fn journal_progress(&self, target: TuningTarget<'_>, state: &TuneState, stage: &str) {
+        crate::telemetry::global().journal(|| {
+            let total = self.opts.max_iterations.max(1) as u64;
+            // The warm-up stage is a flat-rate estimate; the BO loop owns the
+            // 0.10..1.00 band proportionally to its iteration counter.
+            let percent = match stage {
+                "init_set" => 0.05,
+                "done" => 1.0,
+                _ => 0.10 + 0.90 * (state.iterations as f64 / total as f64).min(1.0),
+            };
+            let timed: Vec<u64> = state
+                .records
+                .iter()
+                .map(|r| r.wall_ns)
+                .filter(|&ns| ns > 0)
+                .collect();
+            let eta_ns = if stage == "done" || timed.is_empty() {
+                0
+            } else {
+                let mean = timed.iter().sum::<u64>() / timed.len() as u64;
+                mean * total.saturating_sub(state.iterations)
+            };
+            JournalLine::Progress(ProgressLine {
+                workload: target.name().to_string(),
+                phase: stage.to_string(),
+                iteration: state.iterations,
+                total,
+                percent,
+                eta_ns,
+            })
+        });
     }
 
     /// Measures the reference on the target and every non-target workload.
@@ -909,9 +901,10 @@ impl<'a> Tuner<'a> {
         };
         // Stream the record to an attached run journal (no-op without
         // one) so a live tuning run is observable before it finishes.
-        crate::telemetry::global().record_iteration(target.name(), &record);
+        let sink = crate::telemetry::global();
+        sink.journal(|| JournalLine::Iteration((target.name(), &record).into()));
         if has_prediction {
-            crate::telemetry::global().record_model(target.name(), &record);
+            sink.journal(|| JournalLine::Model((target.name(), &record).into()));
         }
         state.records.push(record);
         converged || state.iterations as usize >= self.opts.max_iterations

@@ -6,7 +6,8 @@
 //! current picture: per-workload phase/iteration/best-grade/ETA (from
 //! `progress` and `iteration` lines), aggregated bottleneck shares (from
 //! `bottleneck` lines), completed pipeline phases, and per-kind line
-//! counts. Malformed or truncated lines are counted and skipped, never
+//! counts. Lines that yield no [`JournalLine`] — torn, untagged, or a
+//! known kind whose members do not decode — are counted and skipped, never
 //! fatal: a tail may legitimately observe a half-written line, and a
 //! crashed producer leaves one behind.
 //!
@@ -18,7 +19,7 @@
 //! two journals of the same pinned run taken at different thread counts
 //! snapshot byte-identically (the vendored JSON shim sorts object keys).
 
-use crate::journal::{get_f64, get_str, get_u64};
+use crate::journal::{JournalLine, Skipped};
 use crate::report::bar;
 use serde_json::Value;
 use ssdsim::BottleneckReport;
@@ -108,8 +109,8 @@ pub struct LineCounts {
     pub summary: u64,
     /// Parsed lines with an unrecognized `"t"` tag (newer producers).
     pub unknown: u64,
-    /// Unparseable (truncated/garbage) lines, skipped with this count as
-    /// the warning.
+    /// Lines that yield no kind (torn, untagged, or a known kind whose
+    /// members do not decode), skipped with this count as the warning.
     pub skipped: u64,
 }
 
@@ -159,91 +160,72 @@ impl WatchState {
     /// state (parsed as a known kind), `false` when it was counted as
     /// unknown or skipped. Never fails: garbage is the tail's normal diet.
     pub fn ingest(&mut self, line: &str) -> bool {
-        let line = line.trim();
-        if line.is_empty() {
-            return false;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
-            self.counts.skipped += 1;
-            return false;
-        };
-        match get_str(&v, "t") {
-            "meta" => {
-                self.counts.meta += 1;
-                self.journal_schema = get_str(&v, "schema").to_string();
+        let line = match JournalLine::parse(line) {
+            Ok(line) => line,
+            Err(Skipped::Blank) => return false,
+            Err(Skipped::Unknown(_)) => {
+                self.counts.unknown += 1;
+                return false;
             }
-            "span" => self.counts.spans += 1,
-            "iteration" => {
+            Err(_) => {
+                self.counts.skipped += 1;
+                return false;
+            }
+        };
+        match line {
+            JournalLine::Meta(m) => {
+                self.counts.meta += 1;
+                self.journal_schema = m.schema;
+            }
+            JournalLine::Span(_) => self.counts.spans += 1,
+            JournalLine::Iteration(r) => {
                 self.counts.iterations += 1;
-                let w = self
-                    .workloads
-                    .entry(get_str(&v, "workload").to_string())
-                    .or_default();
-                w.iteration = get_u64(&v, "iteration");
-                w.best_grade = get_f64(&v, "best_grade");
-                w.best_grade_max = w.best_grade_max.max(w.best_grade);
-                w.convergence_delta = get_f64(&v, "convergence_delta");
-                w.validations += get_u64(&v, "validations");
+                let w = self.workloads.entry(r.workload).or_default();
+                w.iteration = r.iteration;
+                w.best_grade = r.best_grade;
+                w.best_grade_max = w.best_grade_max.max(r.best_grade);
+                w.convergence_delta = r.convergence_delta;
+                w.validations += r.validations;
                 w.iteration_lines += 1;
             }
-            "model" => {
+            JournalLine::Model(m) => {
                 self.counts.models += 1;
-                let w = self
-                    .workloads
-                    .entry(get_str(&v, "workload").to_string())
-                    .or_default();
+                let w = self.workloads.entry(m.workload).or_default();
                 w.model_lines += 1;
-                w.explore_share_sum += get_f64(&v, "explore_share");
-                if matches!(v.get("calibrated"), Some(Value::Bool(true))) {
+                w.explore_share_sum += m.explore_share;
+                if m.calibrated {
                     w.calibration_points += 1;
-                    let z = crate::model_obs::prediction(
-                        get_f64(&v, "predicted_mean"),
-                        get_f64(&v, "predicted_std"),
-                    )
-                    .z_score(get_f64(&v, "realized_grade"));
+                    let z = crate::model_obs::prediction(m.predicted_mean, m.predicted_std)
+                        .z_score(m.realized_grade);
                     if z.abs() <= 1.0 {
                         w.calibration_covered_1s += 1;
                     }
                 }
             }
-            "progress" => {
+            JournalLine::Progress(p) => {
                 self.counts.progress += 1;
-                let w = self
-                    .workloads
-                    .entry(get_str(&v, "workload").to_string())
-                    .or_default();
-                w.phase = get_str(&v, "phase").to_string();
-                w.iteration = get_u64(&v, "iteration");
-                w.total = get_u64(&v, "total");
-                w.percent = get_f64(&v, "percent");
-                w.eta_ns = get_u64(&v, "eta_ns");
+                let w = self.workloads.entry(p.workload).or_default();
+                w.phase = p.phase;
+                w.iteration = p.iteration;
+                w.total = p.total;
+                w.percent = p.percent;
+                w.eta_ns = p.eta_ns;
             }
-            "phase" => {
+            JournalLine::Phase(p) => {
                 self.counts.phases += 1;
-                self.phase_names.push(get_str(&v, "name").to_string());
+                self.phase_names.push(p.name);
             }
-            "series" => self.counts.series += 1,
-            "bottleneck" => {
+            JournalLine::Series(_) => self.counts.series += 1,
+            JournalLine::Bottleneck(b) => {
                 self.counts.bottlenecks += 1;
-                let report = v.get("report").cloned().map(serde_json::from_value);
-                if let Some(Ok(report)) = report {
-                    self.bottleneck = self.bottleneck.plus(&report);
-                }
+                self.bottleneck = self.bottleneck.plus(&b.report);
             }
-            "placement" => self.counts.placements += 1,
-            "summary" => {
+            JournalLine::Placement(_) => self.counts.placements += 1,
+            JournalLine::Summary(s) => {
                 self.counts.summary += 1;
                 self.summary_seen = true;
-                self.spans_dropped = get_u64(&v, "spans_dropped");
-                self.events_dropped = get_u64(&v, "events_dropped");
-            }
-            "" => {
-                self.counts.skipped += 1;
-                return false;
-            }
-            _ => {
-                self.counts.unknown += 1;
-                return false;
+                self.spans_dropped = s.spans_dropped;
+                self.events_dropped = s.events_dropped;
             }
         }
         true
@@ -260,17 +242,19 @@ impl WatchState {
         self.summary_seen
     }
 
-    /// The `meta` line's schema string, empty until a `meta` line was
-    /// ingested.
-    pub fn journal_schema(&self) -> &str {
-        &self.journal_schema
-    }
-
-    /// Whether the journal identified itself with a schema this consumer
-    /// understands (a missing meta line — e.g. a tail that attached late —
-    /// is tolerated).
-    pub fn schema_ok(&self) -> bool {
-        self.journal_schema.is_empty() || self.journal_schema.starts_with("autoblox.journal.v")
+    /// Checks the `meta` line's schema with
+    /// [`crate::journal::check_schema`]; a journal whose meta line was not
+    /// seen (a tail that attached late) passes.
+    ///
+    /// # Errors
+    ///
+    /// Names a foreign schema.
+    pub fn check_schema(&self) -> Result<(), String> {
+        if self.journal_schema.is_empty() {
+            Ok(())
+        } else {
+            crate::journal::check_schema(&self.journal_schema)
+        }
     }
 
     /// The bottleneck attribution aggregated over every `bottleneck` line.
@@ -475,43 +459,100 @@ fn share_marks(b: &BottleneckReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{
+        BottleneckLine, IterationLine, MetaLine, ModelLine, ProgressLine, SeriesLine, SpanLine,
+        SummaryLine, JOURNAL_SCHEMA,
+    };
+    use crate::telemetry::PhaseRecord;
 
-    const META: &str = r#"{"t":"meta","schema":"autoblox.journal.v1","threads":4,"argv":["x"]}"#;
+    fn meta() -> String {
+        JournalLine::Meta(MetaLine {
+            schema: JOURNAL_SCHEMA.to_string(),
+            threads: 4,
+            argv: vec!["x".to_string()],
+        })
+        .to_line()
+    }
 
-    /// A `bottleneck` line as the journal writes it: the serialized report
-    /// of `[total, channel, plane, gc, cache_miss, queue]` nanoseconds.
+    fn iteration(
+        iteration: u64,
+        best_grade: f64,
+        convergence_delta: f64,
+        validations: u64,
+    ) -> String {
+        JournalLine::Iteration(IterationLine {
+            workload: "Database".to_string(),
+            iteration,
+            best_grade,
+            convergence_delta,
+            validations,
+            ..Default::default()
+        })
+        .to_line()
+    }
+
+    fn progress(phase: &str, iteration: u64, total: u64, percent: f64, eta_ns: u64) -> String {
+        JournalLine::Progress(ProgressLine {
+            workload: "Database".to_string(),
+            phase: phase.to_string(),
+            iteration,
+            total,
+            percent,
+            eta_ns,
+        })
+        .to_line()
+    }
+
+    /// A `model` line predicting 0.5 ± 0.1.
+    fn model(iteration: u64, calibrated: bool, realized_grade: f64, explore_share: f64) -> String {
+        JournalLine::Model(ModelLine {
+            workload: "Database".to_string(),
+            iteration,
+            predicted_mean: 0.5,
+            predicted_std: 0.1,
+            calibrated,
+            realized_grade,
+            explore_share,
+            exploit_share: 1.0 - explore_share,
+            decision_margin: 0.01,
+            kernel_length_scale: 1.0,
+        })
+        .to_line()
+    }
+
+    /// A `bottleneck` line of `[total, channel, plane, gc, cache_miss,
+    /// queue]` nanoseconds.
     fn bottleneck_line(replay: &str, ns: [u64; 6]) -> String {
-        let report = BottleneckReport::from_totals(ns[0], ns[1], ns[2], ns[3], ns[4], ns[5], 0);
-        serde_json::to_string(&serde_json::json!({
-            "t": "bottleneck",
-            "trace": "Database",
-            "replay": replay,
-            "report": report,
-        }))
-        .unwrap()
+        JournalLine::Bottleneck(BottleneckLine {
+            trace: "Database".to_string(),
+            replay: replay.to_string(),
+            report: BottleneckReport::from_totals(ns[0], ns[1], ns[2], ns[3], ns[4], ns[5], 0),
+        })
+        .to_line()
     }
 
     #[test]
     fn ingest_builds_the_picture_and_skips_garbage() {
         let mut w = WatchState::new();
-        assert!(w.ingest(META));
-        assert!(w.ingest(
-            r#"{"t":"iteration","workload":"Database","iteration":1,"best_grade":0.4,"convergence_delta":0.4,"validations":7,"wall_ns":0}"#
-        ));
-        assert!(w.ingest(
-            r#"{"t":"iteration","workload":"Database","iteration":2,"best_grade":0.3,"convergence_delta":0.1,"validations":5,"wall_ns":0}"#
-        ));
-        assert!(w.ingest(
-            r#"{"t":"progress","workload":"Database","phase":"iterating","iteration":2,"total":8,"percent":0.325,"eta_ns":5000}"#
-        ));
+        assert!(w.ingest(&meta()));
+        assert!(w.ingest(&iteration(1, 0.4, 0.4, 7)));
+        assert!(w.ingest(&iteration(2, 0.3, 0.1, 5)));
+        assert!(w.ingest(&progress("iterating", 2, 8, 0.325, 5000)));
         assert!(w.ingest(&bottleneck_line("timed", [1000, 400, 200, 100, 100, 100])));
         assert!(!w.ingest("this is not json"));
         assert!(!w.ingest(r#"{"t":"span","id":"trunca"#)); // torn tail write
         assert!(!w.ingest(r#"{"t":"hologram","x":1}"#)); // newer producer
         assert!(!w.ingest(r#"{"no_tag":true}"#));
-        assert!(w.ingest(
-            r#"{"t":"summary","spans_written":1,"events_written":4,"spans_dropped":0,"events_dropped":2}"#
-        ));
+        // A known kind with a mistyped member is damage, not zeros.
+        let mistyped = iteration(3, 0.9, 0.0, 1).replace(r#""iteration":3"#, r#""iteration":"3""#);
+        assert!(!w.ingest(&mistyped));
+        let summary = JournalLine::Summary(SummaryLine {
+            spans_written: 1,
+            events_written: 4,
+            spans_dropped: 0,
+            events_dropped: 2,
+        });
+        assert!(w.ingest(&summary.to_line()));
 
         let ww = &w.workloads["Database"];
         assert_eq!(ww.iteration, 2);
@@ -521,11 +562,11 @@ mod tests {
         assert_eq!(ww.phase, "iterating");
         assert_eq!(ww.total, 8);
         let c = w.counts();
-        assert_eq!((c.skipped, c.unknown), (3, 1));
-        assert_eq!(c.total(), 10);
+        assert_eq!((c.skipped, c.unknown), (4, 1));
+        assert_eq!(c.total(), 11);
         assert!(w.summary_seen());
         assert_eq!(w.events_dropped, 2);
-        assert!(w.schema_ok());
+        assert_eq!(w.check_schema(), Ok(()));
         let b = w.bottleneck();
         assert_eq!(b.total_latency_ns, 1000);
         assert!((b.channel_wait_frac - 0.4).abs() < 1e-12);
@@ -534,20 +575,14 @@ mod tests {
     #[test]
     fn model_lines_feed_coverage_and_explore_share() {
         let mut w = WatchState::new();
-        w.ingest(META);
+        w.ingest(&meta());
         // Covered pair: realized within 1σ of the prediction.
-        assert!(w.ingest(
-            r#"{"t":"model","workload":"Database","iteration":1,"predicted_mean":0.5,"predicted_std":0.1,"calibrated":true,"realized_grade":0.55,"explore_share":0.4,"exploit_share":0.6,"decision_margin":0.01,"kernel_length_scale":1.0}"#
-        ));
+        assert!(w.ingest(&model(1, true, 0.55, 0.4)));
         // Missed pair: realized 3σ away.
-        assert!(w.ingest(
-            r#"{"t":"model","workload":"Database","iteration":2,"predicted_mean":0.5,"predicted_std":0.1,"calibrated":true,"realized_grade":0.8,"explore_share":0.2,"exploit_share":0.8,"decision_margin":0.02,"kernel_length_scale":1.0}"#
-        ));
+        assert!(w.ingest(&model(2, true, 0.8, 0.2)));
         // Uncalibrated line (validation rejected): counts toward explore
         // share only.
-        assert!(w.ingest(
-            r#"{"t":"model","workload":"Database","iteration":3,"predicted_mean":0.5,"predicted_std":0.1,"calibrated":false,"realized_grade":0.0,"explore_share":0.6,"exploit_share":0.4,"decision_margin":0.03,"kernel_length_scale":1.0}"#
-        ));
+        assert!(w.ingest(&model(3, false, 0.0, 0.6)));
         let ww = &w.workloads["Database"];
         assert_eq!(ww.model_lines, 3);
         assert_eq!(ww.calibration_points, 2);
@@ -567,10 +602,8 @@ mod tests {
     #[test]
     fn snapshot_excludes_timing_unless_asked() {
         let mut w = WatchState::new();
-        w.ingest(META);
-        w.ingest(
-            r#"{"t":"progress","workload":"Database","phase":"iterating","iteration":1,"total":4,"percent":0.325,"eta_ns":123456}"#,
-        );
+        w.ingest(&meta());
+        w.ingest(&progress("iterating", 1, 4, 0.325, 123456));
         let bare = serde_json::to_string(&w.snapshot(false)).unwrap();
         assert!(!bare.contains("eta_ns"), "{bare}");
         assert!(!bare.contains("123456"), "{bare}");
@@ -584,22 +617,37 @@ mod tests {
 
     #[test]
     fn snapshot_is_identical_however_concurrent_lines_interleave() {
+        let span = JournalLine::Span(SpanLine {
+            id: "aa".to_string(),
+            parent: "00".to_string(),
+            name: "sim.run".to_string(),
+            disc: "00".to_string(),
+            start_ns: 5,
+            dur_ns: 9,
+            thread: 2,
+        });
+        let series = JournalLine::Series(SeriesLine {
+            trace: "Database".to_string(),
+            replay: "timed".to_string(),
+            interval_ns: 100,
+            ..Default::default()
+        });
         let lines = [
-            META,
-            r#"{"t":"span","id":"aa","parent":"00","name":"sim.run","disc":"00","start_ns":5,"dur_ns":9,"thread":2}"#,
-            &bottleneck_line("timed", [600, 100, 50, 25, 25, 0]),
-            &bottleneck_line("saturated", [400, 300, 50, 25, 25, 0]),
-            r#"{"t":"series","trace":"Database","replay":"timed","interval_ns":100,"dropped":0,"samples":[]}"#,
+            meta(),
+            span.to_line(),
+            bottleneck_line("timed", [600, 100, 50, 25, 25, 0]),
+            bottleneck_line("saturated", [400, 300, 50, 25, 25, 0]),
+            series.to_line(),
         ];
         // The concurrent producers (spans, series, bottlenecks) may land in
         // any order; the driver lines (meta first) are fixed. Compare the
         // original order against a reversed concurrent suffix.
         let mut a = WatchState::new();
-        for l in lines {
+        for l in &lines {
             a.ingest(l);
         }
         let mut b = WatchState::new();
-        b.ingest(lines[0]);
+        b.ingest(&lines[0]);
         for l in lines[1..].iter().rev() {
             b.ingest(l);
         }
@@ -612,11 +660,13 @@ mod tests {
     #[test]
     fn renderers_cover_the_populated_state() {
         let mut w = WatchState::new();
-        w.ingest(META);
-        w.ingest(r#"{"t":"phase","name":"tune","wall_ns":500}"#);
-        w.ingest(
-            r#"{"t":"progress","workload":"Database","phase":"done","iteration":4,"total":4,"percent":1.0,"eta_ns":0}"#,
-        );
+        w.ingest(&meta());
+        let phase = PhaseRecord {
+            name: "tune".to_string(),
+            wall_ns: 500,
+        };
+        w.ingest(&JournalLine::Phase(phase).to_line());
+        w.ingest(&progress("done", 4, 4, 1.0, 0));
         w.ingest(&bottleneck_line("timed", [100, 80, 0, 0, 0, 0]));
         let line = w.status_line();
         assert!(line.contains("Database done 4/4"), "{line}");
@@ -631,8 +681,13 @@ mod tests {
     #[test]
     fn unknown_schema_is_reported_not_fatal() {
         let mut w = WatchState::new();
-        assert!(w.ingest(r#"{"t":"meta","schema":"somethingelse.v9","threads":1,"argv":[]}"#));
-        assert!(!w.schema_ok());
-        assert_eq!(w.journal_schema(), "somethingelse.v9");
+        assert_eq!(w.check_schema(), Ok(()), "a tail that attached late");
+        let foreign = JournalLine::Meta(MetaLine {
+            schema: "somethingelse.v9".to_string(),
+            ..Default::default()
+        });
+        assert!(w.ingest(&foreign.to_line()));
+        let err = w.check_schema().unwrap_err();
+        assert!(err.contains("somethingelse.v9"), "{err}");
     }
 }

@@ -1,0 +1,333 @@
+//! The run journal's line format.
+//!
+//! Every [`JournalLine`] kind round-trips through `to_line` / `parse`, and a
+//! line of a known kind with one member missing or mistyped is a counted
+//! skip in `watch` and a line-numbered exit-2 error in `trace export`.
+//!
+//! `fixtures/journal_parent/journal.jsonl` was written by the build before
+//! journal lines had a type: a pinned single-threaded `tune database
+//! --iterations 3 --events 300 --speculate 1 --telemetry … --journal …`
+//! followed by `place --devices 2 --traces Database:300:11,WebSearch:300:11
+//! --journal …`. Beside it is what that build printed for it: `trace export
+//! --chrome` (`chrome.json`), `trace export --csv` (`samples.csv`), `trace
+//! export --csv` of the journal without its `series` lines
+//! (`calibration.csv`) and `watch --replay --json` (`watch.json`). This
+//! build must print the same bytes, and a fresh journal of the same tune
+//! must carry the same lines once the members that vary by host are masked.
+
+use autoblox::journal::{
+    BottleneckLine, IterationLine, JournalLine, MetaLine, ModelLine, PlacementLine, ProgressLine,
+    SeriesLine, Skipped, SpanLine, SummaryLine, JOURNAL_SCHEMA,
+};
+use autoblox::telemetry::PhaseRecord;
+use autoblox::WatchState;
+use serde_json::Value;
+use ssdsim::{BottleneckReport, DeviceSample};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/journal_parent")
+        .join(name)
+}
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("abx-journal-lines-{}-{name}", std::process::id()))
+}
+
+fn autoblox(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_autoblox"))
+        .env("AUTOBLOX_THREADS", "1")
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// One line of every kind, no member at its default.
+fn every_kind() -> Vec<JournalLine> {
+    let report = BottleneckReport::from_totals(1_000, 400, 200, 100, 100, 100, 50);
+    vec![
+        JournalLine::Meta(MetaLine {
+            schema: JOURNAL_SCHEMA.to_string(),
+            threads: 4,
+            argv: vec!["autoblox".to_string(), "tune".to_string()],
+        }),
+        JournalLine::Span(SpanLine {
+            id: "00000000000000aa".to_string(),
+            parent: "0000000000000001".to_string(),
+            name: "sim.run".to_string(),
+            disc: "0000000000000007".to_string(),
+            start_ns: 1_000,
+            dur_ns: 5_000,
+            thread: 2,
+        }),
+        JournalLine::Iteration(IterationLine {
+            workload: "Database".to_string(),
+            iteration: 3,
+            candidates_considered: 40,
+            sgd_steps: 5,
+            surrogate_fit_ns: 9_000,
+            exploration_distance: 4,
+            best_grade: 0.25,
+            convergence_delta: -1.0,
+            validations: 6,
+            wall_ns: 70_000,
+            bottleneck: report,
+        }),
+        JournalLine::Model(ModelLine {
+            workload: "Database".to_string(),
+            iteration: 3,
+            predicted_mean: 0.5,
+            predicted_std: 0.1,
+            calibrated: true,
+            realized_grade: 0.55,
+            explore_share: 0.2,
+            exploit_share: 0.8,
+            decision_margin: 0.05,
+            kernel_length_scale: 1.5,
+        }),
+        JournalLine::Phase(PhaseRecord {
+            name: "tune".to_string(),
+            wall_ns: 123,
+        }),
+        JournalLine::Series(SeriesLine {
+            trace: "Database".to_string(),
+            replay: "timed".to_string(),
+            interval_ns: 100_000,
+            dropped: 1,
+            samples: vec![DeviceSample {
+                t_ns: 100_000,
+                channel_busy: 0.5,
+                plane_busy: 0.25,
+                gc_activity: 0.125,
+                queue_depth: 3,
+                data_cache_occupancy: 0.75,
+                data_cache_hit_rate: 0.5,
+                cmt_occupancy: 0.5,
+                cmt_hit_rate: 0.875,
+                gc_backlog_pages: 12,
+                write_amplification: 1.5,
+            }],
+        }),
+        JournalLine::Bottleneck(BottleneckLine {
+            trace: "Database".to_string(),
+            replay: "saturated".to_string(),
+            report,
+        }),
+        JournalLine::Progress(ProgressLine {
+            workload: "Database".to_string(),
+            phase: "iterating".to_string(),
+            iteration: 2,
+            total: 8,
+            percent: 0.325,
+            eta_ns: 5_000,
+        }),
+        JournalLine::Placement(PlacementLine {
+            device: 1,
+            tenants: vec!["t0:Database".to_string(), "t1:WebSearch".to_string()],
+            cost: 0.125,
+            config_source: "preset".to_string(),
+        }),
+        JournalLine::Summary(SummaryLine {
+            spans_written: 10,
+            events_written: 20,
+            spans_dropped: 1,
+            events_dropped: 2,
+        }),
+    ]
+}
+
+#[test]
+fn every_kind_round_trips() {
+    let mut tags = Vec::new();
+    for line in every_kind() {
+        let text = line.to_line();
+        assert_eq!(JournalLine::parse(&text), Ok(line), "{text}");
+        let value: Value = serde_json::from_str(&text).expect("a line is JSON");
+        tags.push(value["t"].as_str().expect("a tag").to_string());
+    }
+    tags.sort();
+    tags.dedup();
+    assert_eq!(tags.len(), 10, "one line per kind: {tags:?}");
+}
+
+/// `line` with its alphabetically first member removed, then mistyped.
+fn damaged(line: &JournalLine) -> [String; 2] {
+    let Ok(Value::Object(members)) = serde_json::from_str::<Value>(&line.to_line()) else {
+        panic!("a line is an object")
+    };
+    let key = members
+        .keys()
+        .find(|k| *k != "t")
+        .expect("a member")
+        .clone();
+    let mut missing = members.clone();
+    missing.remove(&key);
+    let mut mistyped = members;
+    mistyped.insert(key, Value::Array(vec![Value::Null]));
+    [missing, mistyped].map(|m| serde_json::to_string(&Value::Object(m)).unwrap())
+}
+
+#[test]
+fn a_damaged_line_is_skipped_by_watch_and_rejected_by_trace_export() {
+    let meta = every_kind()[0].to_line();
+    let (input, out) = (scratch("damaged.jsonl"), scratch("damaged.json"));
+    for line in every_kind() {
+        for bad in damaged(&line) {
+            assert!(
+                matches!(JournalLine::parse(&bad), Err(Skipped::Malformed(..))),
+                "{bad}"
+            );
+            let mut state = WatchState::new();
+            assert!(!state.ingest(&bad), "{bad}");
+            assert_eq!(state.counts().skipped, 1, "{bad}");
+
+            // A damaged meta line is the journal's first line; any other
+            // follows a good one.
+            let (journal, lineno) = match line {
+                JournalLine::Meta(_) => (format!("{bad}\n"), 1),
+                _ => (format!("{meta}\n{bad}\n"), 2),
+            };
+            std::fs::write(&input, journal).unwrap();
+            let run = autoblox(&[
+                "trace",
+                "export",
+                "--chrome",
+                input.to_str().unwrap(),
+                out.to_str().unwrap(),
+            ]);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{bad}: {stderr}");
+            assert!(
+                stderr.contains(&format!("journal line {lineno}:")),
+                "{stderr}"
+            );
+        }
+    }
+    std::fs::remove_file(input).ok();
+}
+
+/// Names the first line where two outputs differ.
+fn assert_same_bytes(ours: &[u8], parent: &[u8], what: &str) {
+    if ours != parent {
+        let (ours, parent) = (
+            String::from_utf8_lossy(ours),
+            String::from_utf8_lossy(parent),
+        );
+        let line = ours.lines().zip(parent.lines()).position(|(a, b)| a != b);
+        panic!(
+            "{what} differs from the parent's: first differing line {line:?}, {} vs {} bytes",
+            ours.len(),
+            parent.len()
+        );
+    }
+}
+
+#[test]
+fn the_parent_journal_reads_back_byte_for_byte() {
+    let journal = fixture("journal.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("fixture journal");
+    let mut state = WatchState::new();
+    for line in text.lines() {
+        assert!(state.ingest(line), "line does not parse: {line}");
+    }
+    let counts = state.counts();
+    assert!(counts.series > 0 && counts.models > 0 && counts.placements > 0);
+
+    let series_free = scratch("series-free.jsonl");
+    let kept: String = text
+        .lines()
+        .filter(|l| !matches!(JournalLine::parse(l), Ok(JournalLine::Series(_))))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&series_free, kept).unwrap();
+    for (flag, input, expected) in [
+        ("--chrome", &journal, "chrome.json"),
+        ("--csv", &journal, "samples.csv"),
+        ("--csv", &series_free, "calibration.csv"),
+    ] {
+        let out = scratch(expected);
+        let args = [
+            "trace",
+            "export",
+            flag,
+            input.to_str().unwrap(),
+            out.to_str().unwrap(),
+        ];
+        let run = autoblox(&args);
+        assert!(run.status.success(), "{args:?}: {:?}", run.stderr);
+        let ours = std::fs::read(&out).expect("export written");
+        assert_same_bytes(&ours, &std::fs::read(fixture(expected)).unwrap(), expected);
+        std::fs::remove_file(out).ok();
+    }
+    std::fs::remove_file(series_free).ok();
+
+    let run = autoblox(&["watch", journal.to_str().unwrap(), "--replay", "--json"]);
+    assert!(run.status.success(), "{:?}", run.stderr);
+    let parent = std::fs::read(fixture("watch.json")).unwrap();
+    assert_same_bytes(&run.stdout, &parent, "watch.json");
+}
+
+/// Members whose values vary by host, clock or command line.
+const HOST_VARYING: [&str; 7] = [
+    "start_ns",
+    "dur_ns",
+    "thread",
+    "wall_ns",
+    "eta_ns",
+    "surrogate_fit_ns",
+    "argv",
+];
+
+/// A journal's lines up to its first `summary`, host-varying members
+/// nulled, sorted.
+fn masked_tune_lines(journal: &str) -> Vec<String> {
+    let mut lines = Vec::new();
+    for line in journal.lines() {
+        let Ok(Value::Object(mut members)) = serde_json::from_str::<Value>(line) else {
+            panic!("not a JSON object: {line}");
+        };
+        for key in HOST_VARYING {
+            if let Some(v) = members.get_mut(key) {
+                *v = Value::Null;
+            }
+        }
+        let last = members.get("t") == Some(&Value::Str("summary".to_string()));
+        lines.push(serde_json::to_string(&Value::Object(members)).unwrap());
+        if last {
+            break;
+        }
+    }
+    lines.sort();
+    lines
+}
+
+#[test]
+fn a_fresh_tune_journal_carries_the_parent_lines() {
+    let parent = std::fs::read_to_string(fixture("journal.jsonl")).expect("fixture journal");
+    let (journal, telemetry) = (scratch("tune.jsonl"), scratch("tune.json"));
+    let run = autoblox(&[
+        "tune",
+        "database",
+        "--iterations",
+        "3",
+        "--events",
+        "300",
+        "--speculate",
+        "1",
+        "--telemetry",
+        telemetry.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{:?}", run.stderr);
+    let ours = std::fs::read_to_string(&journal).expect("journal written");
+    std::fs::remove_file(journal).ok();
+    std::fs::remove_file(telemetry).ok();
+    let (ours, parent) = (masked_tune_lines(&ours), masked_tune_lines(&parent));
+    assert_eq!(ours.len(), parent.len(), "line count");
+    for (a, b) in ours.iter().zip(&parent) {
+        assert_eq!(a, b);
+    }
+}

@@ -10,7 +10,7 @@
 
 use autoblox::constraints::Constraints;
 use autoblox::explain;
-use autoblox::journal::Journal;
+use autoblox::journal::{Journal, JournalLine};
 use autoblox::parallel;
 use autoblox::report::Thresholds;
 use autoblox::report_diff::diff_reports;
@@ -74,6 +74,9 @@ fn journaled_observatory(threads: usize) -> (Vec<String>, RunReport) {
 
     let text = std::fs::read_to_string(&path).expect("journal readable");
     std::fs::remove_file(&path).ok();
+    for line in text.lines() {
+        assert!(JournalLine::parse(line).is_ok(), "unparsed line: {line}");
+    }
     let mut lines: Vec<String> = text
         .lines()
         .filter(|l| l.contains("\"t\":\"series\"") || l.contains("\"t\":\"bottleneck\""))

@@ -10,7 +10,7 @@
 //! on concurrent threads within one process).
 
 use autoblox::constraints::Constraints;
-use autoblox::journal::Journal;
+use autoblox::journal::{Journal, JournalLine};
 use autoblox::obs;
 use autoblox::parallel;
 use autoblox::report::{Summary, Thresholds};
@@ -75,6 +75,9 @@ fn journaled_tune(threads: usize) -> String {
 
     let text = std::fs::read_to_string(&path).expect("journal readable");
     std::fs::remove_file(&path).ok();
+    for line in text.lines() {
+        assert!(JournalLine::parse(line).is_ok(), "unparsed line: {line}");
+    }
     text
 }
 
@@ -86,7 +89,7 @@ fn replay_snapshot(journal: &str) -> String {
     for line in journal.lines() {
         state.ingest(line);
     }
-    assert!(state.schema_ok(), "journal schema recognized");
+    assert_eq!(state.check_schema(), Ok(()), "journal schema recognized");
     assert!(state.summary_seen(), "journal is complete");
     serde_json::to_string_pretty(&state.snapshot(false)).expect("snapshot serializes")
 }
@@ -275,6 +278,9 @@ fn placement_journal_exports_chrome_and_csv() {
 
     let text = std::fs::read_to_string(&path).expect("journal readable");
     std::fs::remove_file(&path).ok();
+    for line in text.lines() {
+        assert!(JournalLine::parse(line).is_ok(), "unparsed line: {line}");
+    }
 
     for phase in ["place.classify", "place.search", "place.attribute"] {
         assert!(

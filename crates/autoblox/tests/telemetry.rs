@@ -7,7 +7,7 @@
 //! concurrent threads within one process).
 
 use autoblox::constraints::Constraints;
-use autoblox::journal::Journal;
+use autoblox::journal::{Journal, JournalLine};
 use autoblox::metrics::Measurement;
 use autoblox::parallel;
 use autoblox::telemetry::{self, RunReport, TelemetrySink};
@@ -325,6 +325,9 @@ fn journal_streams_run_and_exports_chrome_trace() {
 
     let text = std::fs::read_to_string(&path).expect("journal readable");
     let lines: Vec<&str> = text.lines().collect();
+    for line in &lines {
+        assert!(JournalLine::parse(line).is_ok(), "unparsed line: {line}");
+    }
     assert!(lines.len() > 3, "journal has meta + spans + summary");
     assert!(lines[0].contains("\"t\":\"meta\""), "first line is meta");
     assert!(

@@ -496,18 +496,7 @@ impl FlashArray {
         let mut moved = 0u16;
         while moved < valid {
             if self.planes[pidx].write_ptr >= self.pages_per_block {
-                self.seal_active(pidx);
-                if !self.open_new_active(pidx) {
-                    if let Some(op) = self.collect_garbage(plane) {
-                        ops.push(op);
-                    }
-                    if !self.open_new_active(pidx) {
-                        self.emergency_erase(pidx);
-                        if !self.open_new_active(pidx) {
-                            break;
-                        }
-                    }
-                }
+                self.reopen_active(plane, ops);
             }
             moved += self.land_in_open_block(pidx, valid - moved);
         }
@@ -557,20 +546,7 @@ impl FlashArray {
 
         // Ensure the active block has room.
         if self.planes[pidx].write_ptr >= ppb {
-            self.seal_active(pidx);
-            if !self.open_new_active(pidx) {
-                // No free block: force a GC cycle to make room.
-                if let Some(op) = self.collect_garbage(plane) {
-                    ops.push(op);
-                }
-                if !self.open_new_active(pidx) {
-                    // Device is truly full; reuse the fullest block after an
-                    // emergency erase (degenerate but keeps the sim alive).
-                    self.emergency_erase(pidx);
-                    let opened = self.open_new_active(pidx);
-                    debug_assert!(opened, "emergency erase must free a block");
-                }
-            }
+            self.reopen_active(plane, &mut ops);
         }
 
         let block = self.planes[pidx].active;
@@ -622,6 +598,23 @@ impl FlashArray {
             if self.blocks.invalidate_if_full(pidx, idx) {
                 return;
             }
+        }
+    }
+
+    /// Seals `plane`'s full capacity-tier active block and opens a fresh
+    /// one, running a GC cycle first when no block is free. That cycle
+    /// always frees one: it erases its victim, and the block just sealed is
+    /// a candidate.
+    fn reopen_active(&mut self, plane: u32, ops: &mut Vec<BackgroundOp>) {
+        let pidx = plane as usize;
+        self.seal_active(pidx);
+        if !self.open_new_active(pidx) {
+            let op = self
+                .collect_garbage(plane)
+                .expect("the block just sealed is a GC candidate");
+            ops.push(op);
+            let opened = self.open_new_active(pidx);
+            debug_assert!(opened, "a GC cycle erases its victim");
         }
     }
 
@@ -713,22 +706,6 @@ impl FlashArray {
             }
         }
         spread
-    }
-
-    fn emergency_erase(&mut self, pidx: usize) {
-        self.note_capacity_walk();
-        // Erase the fullest non-active capacity block regardless of valid
-        // data (cache blocks are reclaimed by folds, never sacrificed).
-        let tier = self.capacity_tier();
-        if let Some((idx, _)) = self
-            .blocks
-            .walk(pidx, tier)
-            .filter(|(_, b)| b.state == BlockState::Full)
-            .max_by_key(|(_, b)| b.valid)
-        {
-            self.erase_block(pidx, idx);
-            self.planes[pidx].free_pages += u64::from(self.pages_per_block);
-        }
     }
 
     /// Runs one GC cycle on `plane`: select a victim, account for the
@@ -1267,8 +1244,6 @@ mod tests {
                 }
             }
         }
-        // (`emergency_erase` is not on the list: a GC cycle always frees its
-        // victim, so no sequence of public calls reaches it.)
         assert!(gc_cycles > 0 && swaps > 0 && folded_pages > 0);
     }
 
@@ -1372,8 +1347,9 @@ mod tests {
 
     #[test]
     fn device_survives_saturation() {
-        // Writing far beyond capacity without invalidations must not panic
-        // (emergency erase path).
+        // Writing far beyond capacity without invalidations must not panic:
+        // each full active block is replaced after a GC cycle, whose victim
+        // may be the block just sealed.
         let cfg = SsdConfig {
             blocks_per_plane: 4,
             pages_per_block: 8,
