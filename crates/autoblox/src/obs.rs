@@ -145,8 +145,8 @@ pub struct CategoryTrend {
 }
 
 /// The machine-readable verdict of [`trend`] (schema [`TREND_SCHEMA`]);
-/// what `autoblox report trend` prints and CI's `trend-smoke` stage acts
-/// on.
+/// what `autoblox report trend` prints and the CLI contract's registry row
+/// (`crates/autoblox/tests/cli_contract.rs`) acts on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrendReport {
     /// Always [`TREND_SCHEMA`].

@@ -33,8 +33,9 @@
 //!    solo run is reported.
 //!
 //! The result is a [`PlacementReport`] (`autoblox.place.v1`), the JSON
-//! contract the `place-smoke` CI stage pins byte-identical across thread
-//! counts.
+//! contract the CLI contract's `place_is_identical_at_every_width` row
+//! (`crates/autoblox/tests/cli_contract.rs`) pins byte-identical across
+//! thread counts.
 
 use crate::clustering::{ClusterDecision, WorkloadClusterer};
 use crate::framework::StoredConfig;

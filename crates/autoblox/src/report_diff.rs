@@ -6,11 +6,11 @@
 //! histogram-derived tail-latency percentiles, the bottleneck shares and the
 //! surrogate's calibration, each judged against the shared [`Thresholds`].
 //! The result is a machine-readable [`ReportDiff`] with a single `pass`
-//! verdict. This is what `autoblox report diff` prints and what the
-//! `regression-gate` CI stage acts on: a pinned-seed smoke tune diffed
-//! against a checked-in golden report catches behavioural drift (more
-//! simulator runs, a worse converged grade, a fatter latency tail) the
-//! unit-test suite cannot see.
+//! verdict. This is what `autoblox report diff` prints. The same metric
+//! table is what the CLI contract (`crates/autoblox/tests/cli_contract.rs`)
+//! holds pinned-seed tunes to against the checked-in golden reports: it
+//! catches behavioural drift (more simulator runs, a worse converged grade,
+//! a fatter latency tail) that unit tests cannot see.
 //!
 //! Wall-clock metrics vary by host, so the gate runs with
 //! `ignore_time = true`; deterministic metrics (grades, validation counts)

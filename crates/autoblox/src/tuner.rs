@@ -21,7 +21,6 @@ use mlkit::gpr::{Gpr, GprBuilder};
 use mlkit::kernel::{Kernel as _, Rbf, SumKernel, White};
 use mlkit::linalg::Matrix;
 use mlkit::nn::{Mlp, TrainOptions};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -243,6 +242,9 @@ struct TuneState {
     grade_history: Vec<f64>,
     iterations: u64,
     records: Vec<IterationRecord>,
+    /// The GPR surrogate grown over `observations`: the model fitted on
+    /// the first `.0` of them (see [`GPR_RETUNE_EVERY`]).
+    gpr_chain: Option<(usize, Gpr)>,
 }
 
 impl TuneState {
@@ -317,34 +319,16 @@ impl From<WorkloadKind> for TuningTarget<'static> {
 /// [`Gpr::extend`] per new observation — O(n²) instead of the O(n³)
 /// refactorization — keeping the hyperparameters frozen at the last
 /// scheduled fit. The schedule is a pure function of the observation count,
-/// so a chain that is gone (the tuner moved on to another stream) is
-/// rebuilt identically: full fit on the last scheduled prefix, then the
-/// same extends.
+/// so when an iteration validates past a scheduled count the chain restarts
+/// identically: full fit on the last scheduled prefix, then the same
+/// extends.
 const GPR_RETUNE_EVERY: usize = 16;
 
-/// The incrementally grown GPR chain: the model fitted on the first
-/// `count` observations, plus a prefix hash guarding against feeding it a
-/// different observation stream (a different tuning target sharing the
-/// tuner).
-#[derive(Debug)]
-struct SurrogateCache {
-    hash: u64,
-    count: usize,
-    gpr: Gpr,
-}
-
-/// FNV-1a over the bit patterns of each observation's normalized vector and
-/// grade — the exact inputs the surrogate trains on.
-fn observation_prefix_hash(obs: &[Observation]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: &mut u64, w: u64| *h = (*h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    for o in obs {
-        for &x in &o.normalized {
-            mix(&mut h, x.to_bits());
-        }
-        mix(&mut h, o.grade.to_bits());
-    }
-    h
+/// The surrogate's training set: normalized vectors as rows, and grades.
+fn design(observations: &[Observation]) -> (Matrix, Vec<f64>) {
+    let rows: Vec<Vec<f64>> = observations.iter().map(|o| o.normalized.clone()).collect();
+    let ys = observations.iter().map(|o| o.grade).collect();
+    (Matrix::from_rows(&rows), ys)
 }
 
 /// A fitted grade surrogate used inside one search iteration.
@@ -397,10 +381,6 @@ pub struct Tuner<'a> {
     /// and flash technology, plus the flash timings unless
     /// `explore_flash_timing`.
     pinned: Vec<usize>,
-    /// Incrementally grown GPR chain (see [`GPR_RETUNE_EVERY`]). Purely a
-    /// memoization of a deterministic computation: dropping it at any point
-    /// replays the identical chain.
-    gpr_cache: Mutex<Option<SurrogateCache>>,
 }
 
 impl<'a> Tuner<'a> {
@@ -413,7 +393,6 @@ impl<'a> Tuner<'a> {
             constraints,
             validator,
             opts,
-            gpr_cache: Mutex::new(None),
         }
     }
 
@@ -523,6 +502,7 @@ impl<'a> Tuner<'a> {
             grade_history: Vec::new(),
             iterations: 0,
             records: Vec::new(),
+            gpr_chain: None,
         };
         self.journal_progress(target, &state, "init_set");
         self.validate_init_set(target, &mut state, &init_set);
@@ -1087,20 +1067,14 @@ impl<'a> Tuner<'a> {
         (raw, length_scale)
     }
 
-    fn fit_surrogate(&self, state: &TuneState) -> Option<FittedSurrogate> {
+    fn fit_surrogate(&self, state: &mut TuneState) -> Option<FittedSurrogate> {
         if state.observations.len() < 2 || self.opts.surrogate == SurrogateKind::Random {
             return None;
         }
-        let rows: Vec<Vec<f64>> = state
-            .observations
-            .iter()
-            .map(|o| o.normalized.clone())
-            .collect();
-        let ys: Vec<f64> = state.observations.iter().map(|o| o.grade).collect();
-        let x = Matrix::from_rows(&rows);
         match self.opts.surrogate {
-            SurrogateKind::Gpr => self.fit_gpr(state, &x, &ys).map(FittedSurrogate::Gpr),
+            SurrogateKind::Gpr => self.fit_gpr(state).map(FittedSurrogate::Gpr),
             SurrogateKind::Neural => {
+                let (x, ys) = design(&state.observations);
                 let mut net = Mlp::new(&[x.cols(), 32, 16, 1], self.opts.seed).ok()?;
                 net.fit(
                     &x,
@@ -1119,94 +1093,59 @@ impl<'a> Tuner<'a> {
         }
     }
 
-    /// Fits the GPR surrogate, growing the cached chain incrementally
+    /// Fits the GPR surrogate, growing the run's chain incrementally
     /// between scheduled hyperparameter refits (see [`GPR_RETUNE_EVERY`]).
     ///
-    /// `x`/`ys` are the full observation design matrix and grades; the
-    /// incremental path only touches the rows the cache has not absorbed
-    /// yet. Every branch is a deterministic function of the observation
-    /// stream alone, so the fitted model — and with it the whole search
-    /// trajectory — is identical whether the chain was kept in memory or
-    /// rebuilt.
-    fn fit_gpr(&self, state: &TuneState, x: &Matrix, ys: &[f64]) -> Option<Gpr> {
+    /// The incremental path only touches the rows the chain has not
+    /// absorbed yet. Every branch is a deterministic function of the
+    /// observation stream alone.
+    fn fit_gpr(&self, state: &mut TuneState) -> Option<Gpr> {
         let paper_kernel = || {
             SumKernel::new(vec![
                 Box::new(Rbf::new(0.5, 1.0)) as Box<dyn mlkit::kernel::Kernel>,
                 Box::new(White::new(1e-4)),
             ])
         };
-        let n = state.observations.len();
+        let TuneState {
+            observations,
+            gpr_chain,
+            ..
+        } = state;
+        let fit = |count: usize, kernel: SumKernel, rounds: usize| {
+            let (x, ys) = design(&observations[..count]);
+            GprBuilder::new()
+                .kernel(kernel)
+                .optimize_rounds(rounds)
+                .fit(&x, &ys)
+                .ok()
+        };
+        let n = observations.len();
         if n < GPR_RETUNE_EVERY || n.is_multiple_of(GPR_RETUNE_EVERY) {
             // Scheduled full fit: re-tune hyperparameters from scratch and
             // restart the chain from here.
-            let g = GprBuilder::new()
-                .kernel(paper_kernel())
-                .optimize_rounds(1)
-                .fit(x, ys)
-                .ok()?;
-            *self.gpr_cache.lock() = Some(SurrogateCache {
-                hash: observation_prefix_hash(&state.observations),
-                count: n,
-                gpr: g.clone(),
-            });
+            let g = fit(n, paper_kernel(), 1)?;
+            *gpr_chain = Some((n, g.clone()));
             return Some(g);
         }
         let base = n - n % GPR_RETUNE_EVERY;
-        let frozen_refit = |kernel: SumKernel, count: usize| {
-            let rows: Vec<Vec<f64>> = state.observations[..count]
-                .iter()
-                .map(|o| o.normalized.clone())
-                .collect();
-            let yb: Vec<f64> = state.observations[..count]
-                .iter()
-                .map(|o| o.grade)
-                .collect();
-            GprBuilder::new()
-                .kernel(kernel)
-                .optimize_rounds(0)
-                .fit(&Matrix::from_rows(&rows), &yb)
-                .ok()
-        };
-        let mut cache = self.gpr_cache.lock();
-        let usable = cache.as_ref().is_some_and(|c| {
-            c.count >= base
-                && c.count <= n
-                && c.hash == observation_prefix_hash(&state.observations[..c.count])
-        });
-        if !usable {
-            // Cache miss (a different observation stream): replay the chain
-            // from its last scheduled refit — bit-identical to having kept
-            // it in memory.
-            let rows: Vec<Vec<f64>> = state.observations[..base]
-                .iter()
-                .map(|o| o.normalized.clone())
-                .collect();
-            let yb: Vec<f64> = state.observations[..base].iter().map(|o| o.grade).collect();
-            let g = GprBuilder::new()
-                .kernel(paper_kernel())
-                .optimize_rounds(1)
-                .fit(&Matrix::from_rows(&rows), &yb)
-                .ok()?;
-            *cache = Some(SurrogateCache {
-                hash: observation_prefix_hash(&state.observations[..base]),
-                count: base,
-                gpr: g,
-            });
+        if gpr_chain.as_ref().is_none_or(|(count, _)| *count < base) {
+            // This iteration validated past the last scheduled count:
+            // restart the chain from that scheduled refit.
+            *gpr_chain = Some((base, fit(base, paper_kernel(), 1)?));
         }
-        let c = cache.as_mut().expect("chain was just (re)built");
-        while c.count < n {
-            let o = &state.observations[c.count];
-            c.gpr = match c.gpr.extend(&o.normalized, o.grade) {
+        let (count, gpr) = gpr_chain.as_mut().expect("chain was just (re)built");
+        while *count < n {
+            let o = &observations[*count];
+            *gpr = match gpr.extend(&o.normalized, o.grade) {
                 Ok(g) => g,
                 // Numerically degenerate extension: refit from scratch with
                 // the chain's frozen hyperparameters — still a deterministic
                 // function of the observation stream.
-                Err(_) => frozen_refit(c.gpr.kernel().clone(), c.count + 1)?,
+                Err(_) => fit(*count + 1, gpr.kernel().clone(), 0)?,
             };
-            c.count += 1;
-            c.hash = observation_prefix_hash(&state.observations[..c.count]);
+            *count += 1;
         }
-        Some(c.gpr.clone())
+        Some(gpr.clone())
     }
 
     /// Validates `cfg` (steps 5-6): measures the target workload, optionally

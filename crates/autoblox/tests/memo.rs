@@ -4,7 +4,9 @@
 //! earlier run paid for — after a finished run, an interrupted one, or a
 //! crash that tore the store's last line. Anything that changes what a
 //! measurement means (device family, trace length or content, simulator
-//! model) misses the memo instead of being served stale numbers.
+//! model) misses the memo instead of being served stale numbers. That a
+//! replay is byte-identical at every width and speculation depth is a row
+//! of the CLI contract (`cli_contract.rs`).
 
 use autoblox::constraints::Constraints;
 use autoblox::metrics::Measurement;
@@ -68,58 +70,6 @@ fn tune_cli(
 
 fn count(validator: &Value, key: &str) -> u64 {
     validator[key].as_u64().expect("counter")
-}
-
-/// Running the same command twice prints the same configuration, and the
-/// second run simulates nothing — not even look-ahead — at every worker
-/// width and speculation depth; its telemetry diffs clean against the
-/// fresh run's with no `--ignore`.
-#[test]
-fn replay_is_byte_identical_at_every_width() {
-    let dir = scratch("widths");
-    let mut reference: Option<Vec<u8>> = None;
-    for threads in [1, 4] {
-        for speculate in ["1", "4"] {
-            let label = format!("threads={threads} speculate={speculate}");
-            let db = dir.join(format!("t{threads}-k{speculate}.db"));
-            let (fresh, _, paid) = tune_cli(&db, threads, "4", &["--speculate", speculate]);
-            let fresh_report = db.with_extension("fresh.json");
-            std::fs::rename(db.with_extension("telemetry.json"), &fresh_report).unwrap();
-            if speculate == "4" {
-                assert!(
-                    count(&paid, "speculative_runs") > 0,
-                    "{label}: never speculated"
-                );
-            }
-            let (replay, stderr, replayed) =
-                tune_cli(&db, threads, "4", &["--speculate", speculate]);
-            assert_eq!(fresh, replay, "{label}: replayed configuration differs");
-            assert_eq!(reference.get_or_insert(fresh.clone()), &fresh, "{label}");
-            assert_eq!(count(&replayed, "simulator_runs"), 0, "{label}");
-            assert_eq!(count(&replayed, "speculative_runs"), 0, "{label}");
-            let runs = count(&paid, "simulator_runs");
-            assert!(
-                stderr.contains(&format!("{runs} validations, {runs} from the store")),
-                "{label}: {stderr}"
-            );
-            let diff = autoblox(
-                1,
-                &[
-                    "report",
-                    "diff",
-                    fresh_report.to_str().unwrap(),
-                    db.with_extension("telemetry.json").to_str().unwrap(),
-                    "--ignore-time",
-                ],
-            );
-            assert!(
-                diff.status.success(),
-                "{label}: {}",
-                String::from_utf8_lossy(&diff.stderr)
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A 2-iteration run followed by a 4-iteration run on one store lands on

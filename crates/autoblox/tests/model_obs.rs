@@ -1,99 +1,39 @@
-//! Model-observatory invariants: with telemetry enabled (so the importance
-//! sweep and timings are collected), the serialized tuning trajectory —
-//! including every new calibration/provenance field — must stay
-//! byte-identical across thread counts and speculation depths once the
-//! wall-clock timings are normalized out; and the derived calibration and
-//! importance summaries must be well-formed for arbitrary records.
+//! Model-observatory invariants: with telemetry on (so the importance
+//! sweep runs), the tuning trajectory is byte-identical across thread
+//! counts and speculation depths once wall-clock timings are masked, and
+//! its records are substantive; the derived summaries are well-formed for
+//! arbitrary records. The same invariance through the binary is the `tune`
+//! row of the CLI contract (`cli_contract.rs`).
 
-use autoblox::constraints::Constraints;
-use autoblox::model_obs;
-use autoblox::parallel;
-use autoblox::tuner::{IterationRecord, Tuner, TunerOptions};
-use autoblox::validator::{Validator, ValidatorOptions};
-use iotrace::gen::WorkloadKind;
+mod common;
+
+use autoblox::tuner::IterationRecord;
+use autoblox::{model_obs, parallel, telemetry};
 use proptest::prelude::*;
-use ssdsim::config::presets;
 
-fn quick_validator() -> Validator {
-    Validator::new(ValidatorOptions {
-        trace_events: 300,
-        ..Default::default()
-    })
-}
-
-fn opts(k: usize) -> TunerOptions {
-    TunerOptions {
-        max_iterations: 6,
-        sgd_iterations: 3,
-        convergence_window: 4,
-        non_target: vec![WorkloadKind::WebSearch],
-        speculative_batch: k,
-        ..Default::default()
-    }
-}
-
-/// One short tuning run at batch width `k`, with the two wall-clock
-/// timings zeroed (telemetry is on, so they are collected and
-/// host-dependent). Everything else in the outcome — including predicted
-/// mean/σ, calibration pairs, explore/exploit shares, decision margins,
-/// and the importance sweep — must be bit-identical across the grid.
-fn fingerprint(k: usize) -> (String, Vec<IterationRecord>) {
-    let v = quick_validator();
-    let tuner = Tuner::new(Constraints::paper_default(), &v, opts(k));
-    let mut outcome = tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None);
-    for r in &mut outcome.iteration_records {
-        r.wall_ns = 0;
-        r.surrogate_fit_ns = 0;
-    }
-    let records = outcome.iteration_records.clone();
-    (
-        serde_json::to_string(&outcome).expect("outcome serializes"),
-        records,
-    )
-}
-
-/// The tentpole acceptance criterion: the model-observatory fields are
-/// byte-identical at threads {1, 4} x speculation {1, 4}, and they are
-/// substantive (real predictions, calibration pairs, normalized importance
-/// sweeps) rather than vacuously zero.
+/// Threads {1, 4} x speculation {1, 4} record the same predictions,
+/// calibration pairs, UCB shares and importance sweeps, and these are
+/// real rather than vacuously zero.
 ///
-/// This is the only test in this binary that touches the process-wide
-/// thread override and telemetry switch, so it cannot race other tests
-/// over them.
+/// The only test in this binary that touches the process-wide thread
+/// override and telemetry switch, so nothing races it over them.
 #[test]
 fn model_records_are_thread_and_speculation_invariant() {
-    autoblox::telemetry::set_enabled(true);
-    autoblox::telemetry::global().clear();
+    telemetry::set_enabled(true);
     parallel::set_max_threads(1);
-    let base = fingerprint(1);
-    let grid = [
-        ("k=4 threads=1", 4, 1),
-        ("k=1 threads=4", 1, 4),
-        ("k=4 threads=4", 4, 4),
-    ];
-    for (label, k, threads) in grid {
+    let (base, records, _) = common::short_tune(1);
+    for (label, k, threads) in [("k=4 t=1", 4, 1), ("k=1 t=4", 1, 4), ("k=4 t=4", 4, 4)] {
         parallel::set_max_threads(threads);
-        let run = fingerprint(k);
-        assert_eq!(base.0, run.0, "model-observatory state diverged at {label}");
+        let (run, _, _) = common::short_tune(k);
+        assert_eq!(base, run, "model state diverged at {label}");
     }
     parallel::set_max_threads(0);
-    autoblox::telemetry::set_enabled(false);
+    telemetry::set_enabled(false);
 
-    // Substance: the invariance above is not an equality of empty runs.
-    let records = &base.1;
-    assert!(
-        records.iter().any(|r| r.calibrated),
-        "no iteration ever recorded a calibration pair"
-    );
-    assert!(
-        records.iter().any(|r| r.predicted_std > 0.0),
-        "no iteration carried a surrogate prediction"
-    );
-    assert!(
-        records.iter().any(|r| !r.importance.is_empty()),
-        "telemetry was on, so the importance sweep must have run"
-    );
-    for r in records {
+    assert!(records.iter().any(|r| r.calibrated));
+    assert!(records.iter().any(|r| r.predicted_std > 0.0));
+    assert!(records.iter().any(|r| !r.importance.is_empty()));
+    for r in &records {
         if !r.importance.is_empty() {
             let sum: f64 = r.importance.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "importance must normalize: {sum}");
@@ -101,21 +41,14 @@ fn model_records_are_thread_and_speculation_invariant() {
             assert!(r.kernel_length_scale > 0.0);
         }
         if r.predicted_std > 0.0 {
-            assert!(
-                (r.explore_share + r.exploit_share - 1.0).abs() < 1e-9,
-                "UCB shares must decompose the decision"
-            );
+            assert!((r.explore_share + r.exploit_share - 1.0).abs() < 1e-9);
         }
     }
-    // The derived calibration summary is coherent with the raw records.
-    let cal = model_obs::calibration_of(records);
-    assert_eq!(
-        cal.points,
-        records.iter().filter(|r| r.calibrated).count() as u64
-    );
+    let cal = model_obs::calibration_of(&records);
+    let calibrated = records.iter().filter(|r| r.calibrated).count() as u64;
+    assert_eq!(cal.points, calibrated);
     assert!((0.0..=1.0).contains(&cal.coverage_1s));
-    assert!((0.0..=1.0).contains(&cal.coverage_2s));
-    assert!(cal.coverage_2s >= cal.coverage_1s);
+    assert!(cal.coverage_2s >= cal.coverage_1s && cal.coverage_2s <= 1.0);
     assert!(cal.rmse.is_finite() && cal.mean_nlpd.is_finite());
 }
 

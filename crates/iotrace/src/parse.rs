@@ -46,6 +46,30 @@ impl fmt::Display for ParseTraceError {
 
 impl Error for ParseTraceError {}
 
+/// The one bound every parser checks before an event reaches the
+/// simulator: a request moves at least one byte, and its byte range
+/// `lba·512 .. lba·512 + size_bytes` fits in a `u64`.
+fn checked_event(
+    line: usize,
+    timestamp_ns: u64,
+    lba: u64,
+    size_bytes: u32,
+    op: OpKind,
+) -> Result<TraceEvent, ParseTraceError> {
+    if size_bytes == 0 {
+        return Err(ParseTraceError::new(line, "zero-size request"));
+    }
+    lba.checked_mul(512)
+        .and_then(|start| start.checked_add(u64::from(size_bytes)))
+        .ok_or_else(|| {
+            ParseTraceError::new(
+                line,
+                format!("lba {lba} + {size_bytes} bytes overflows the 64-bit byte address space"),
+            )
+        })?;
+    Ok(TraceEvent::new(timestamp_ns, lba, size_bytes, op))
+}
+
 fn parse_op(token: &str, line: usize) -> Result<OpKind, ParseTraceError> {
     match token {
         "R" | "r" | "RA" | "RM" => Ok(OpKind::Read),
@@ -105,7 +129,7 @@ pub fn parse_csv<R: BufRead>(name: &str, reader: R) -> Result<Trace, Box<dyn Err
             .parse()
             .map_err(|e| ParseTraceError::new(lineno, format!("bad size: {e}")))?;
         let op = parse_op(next("op")?, lineno)?;
-        trace.push(TraceEvent::new(ts, lba, size, op));
+        trace.push(checked_event(lineno, ts, lba, size, op)?);
     }
     Ok(trace)
 }
@@ -157,7 +181,13 @@ pub fn parse_blkparse<R: BufRead>(name: &str, reader: R) -> Result<Trace, Box<dy
             .parse()
             .map_err(|e| ParseTraceError::new(lineno, format!("bad sector count: {e}")))?;
         let op = parse_op(tokens[4], lineno)?;
-        trace.push(TraceEvent::new((secs * 1e9) as u64, lba, sectors * 512, op));
+        let size = sectors.checked_mul(512).ok_or_else(|| {
+            ParseTraceError::new(
+                lineno,
+                format!("{sectors} sectors overflow a 32-bit byte size"),
+            )
+        })?;
+        trace.push(checked_event(lineno, (secs * 1e9) as u64, lba, size, op)?);
     }
     Ok(trace)
 }
@@ -228,8 +258,13 @@ pub fn parse_msr<R: BufRead>(name: &str, reader: R) -> Result<Trace, Box<dyn Err
             .map_err(|e| ParseTraceError::new(lineno, format!("bad size: {e}")))?;
         let base = *base_ticks.get_or_insert(ticks);
         // Windows filetime ticks are 100 ns.
-        let ts_ns = ticks.saturating_sub(base) * 100;
-        events.push(TraceEvent::new(ts_ns, offset / 512, size, op));
+        let ts_ns = ticks.saturating_sub(base).checked_mul(100).ok_or_else(|| {
+            ParseTraceError::new(
+                lineno,
+                format!("timestamp {ticks} is too far past the first record's {base}"),
+            )
+        })?;
+        events.push(checked_event(lineno, ts_ns, offset / 512, size, op)?);
     }
     Ok(Trace::from_events(name, events))
 }

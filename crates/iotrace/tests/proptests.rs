@@ -1,7 +1,7 @@
 //! Property-based tests for trace generation, parsing, and windowing.
 
 use iotrace::gen::WorkloadKind;
-use iotrace::parse::{parse_blkparse, parse_csv, write_csv};
+use iotrace::parse::{parse_blkparse, parse_csv, parse_msr, write_csv};
 use iotrace::window::{window_features, WindowOptions, FEATURE_DIM};
 use iotrace::{OpKind, Trace, TraceEvent};
 use proptest::prelude::*;
@@ -35,8 +35,79 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     })
 }
 
+/// `u64`s at the edges of the byte address space (`u64::MAX / 512`).
+fn arb_u64() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec![
+        "0",
+        "1",
+        "8",
+        "4096",
+        "36028797018963967",
+        "36028797018963968",
+        "18446744073709551615",
+    ])
+}
+
+/// `u32`s, zero and `u32::MAX` among them.
+fn arb_u32() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec!["0", "1", "8", "4096", "8388608", "4294967295"])
+}
+
+/// Arbitrary bytes shaped like a trace: mostly well-formed lines built by
+/// `line` from fields at the edges of their types, one in four a line of
+/// random bytes.
+fn arb_trace_bytes(line: impl Strategy<Value = String>) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        (0u8..4, line, prop::collection::vec(any::<u8>(), 0..12))
+            .prop_map(|(pick, line, bytes)| if pick == 0 { bytes } else { line.into_bytes() }),
+        1..6,
+    )
+    .prop_map(|lines| lines.join(&b'\n'))
+}
+
+/// What every parser guarantees of a trace it accepts: each request moves
+/// at least one byte and its byte range fits in a `u64`.
+fn assert_in_bounds(parsed: Result<Trace, Box<dyn std::error::Error>>) {
+    if let Ok(t) = parsed {
+        for e in &t {
+            assert!(e.size_bytes > 0, "{e:?}");
+            assert!(
+                e.lba
+                    .checked_mul(512)
+                    .and_then(|b| b.checked_add(u64::from(e.size_bytes)))
+                    .is_some(),
+                "{e:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn csv_parser_never_panics_and_bounds_what_it_accepts(bytes in arb_trace_bytes(
+        (arb_u64(), arb_u64(), arb_u32(), prop::sample::select(vec!["R", "W"]))
+            .prop_map(|(t, lba, size, op)| format!("{t},{lba},{size},{op}")),
+    )) {
+        assert_in_bounds(parse_csv("p", bytes.as_slice()));
+    }
+
+    #[test]
+    fn blkparse_parser_never_panics_and_bounds_what_it_accepts(bytes in arb_trace_bytes(
+        (arb_u64(), arb_u64(), arb_u32(), prop::sample::select(vec!["R", "WS"]))
+            .prop_map(|(t, lba, sectors, op)| format!("{t}.5 {lba} + {sectors} {op}")),
+    )) {
+        assert_in_bounds(parse_blkparse("p", bytes.as_slice()));
+    }
+
+    #[test]
+    fn msr_parser_never_panics_and_bounds_what_it_accepts(bytes in arb_trace_bytes(
+        (arb_u64(), prop::sample::select(vec!["Read", "Write"]), arb_u64(), arb_u32())
+            .prop_map(|(ticks, op, offset, size)| format!("{ticks},h,0,{op},{offset},{size},1")),
+    )) {
+        assert_in_bounds(parse_msr("p", bytes.as_slice()));
+    }
 
     #[test]
     fn generated_traces_satisfy_invariants(kind in arb_kind(), n in 10usize..500, seed in 0u64..1000) {
