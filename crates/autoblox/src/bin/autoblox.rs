@@ -11,7 +11,7 @@
 //! decision provenance; `report diff` compares two reports over the same
 //! summary.
 //!
-//! A `tune`/`whatif`/`place` invocation with `--db` (or the opt-in
+//! A `tune`/`whatif` invocation with `--db` (or the opt-in
 //! `--record`, which uses the default store `autoblox.db`) keeps every
 //! measurement it paid for in that store — running the same command again
 //! replays the run instead of re-simulating it, so an interrupted run is
@@ -28,7 +28,7 @@
 //! can consume the JSON without scraping.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (missing
-//! operands, unknown flags, bad flag values, a zero device budget) or a
+//! operands, unknown flags, bad flag values, malformed run keys) or a
 //! malformed input file (unreadable/unparseable trace, telemetry report,
 //! config, run journal, or AutoDB store), `3` a `report diff` regression.
 
@@ -58,7 +58,7 @@ use std::sync::Arc;
 /// usage errors and malformed user input exit `2`, anything else `1`.
 enum CliError {
     /// The command line itself is wrong: missing operands, an unknown
-    /// flag value, a zero device budget, and so on.
+    /// flag value, and so on.
     Usage(String),
     /// A user-supplied input file (trace, config JSON, telemetry report,
     /// run journal, or AutoDB store) could not be read or failed validation.
@@ -110,15 +110,6 @@ fn usage_text() -> String {
          \x20          [--events N] [--capacity ...] (constraint flags as for tune)\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db] [--record]\n\
-         \x20 place    --devices M --traces <spec|file>[,...]  consolidate tenant workloads\n\
-         \x20          [--db store.db] [--record]              onto M virtual devices\n\
-         \x20          [--json out.json]\n\
-         \x20          [--alpha F] [--rounds N] [--no-classify]\n\
-         \x20          [--capacity GIB] [--interface nvme|sata] [--flash slc|mlc|tlc|qlc]\n\
-         \x20          [--family homogeneous|hybrid] [--power W]\n\
-         \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          (a trace spec is <workload>:<events>:<seed>;\n\
-         \x20           --db/--record also register a run summary in the registry)\n\
          \x20 runs     list [--db store.db] [--json]           browse the run registry\n\
          \x20          [--category <name>] [--limit N]         (filter by category; keep the\n\
          \x20                                                  N most recent, N >= 1)\n\
@@ -148,8 +139,8 @@ fn usage_text() -> String {
          exit codes:\n\
          \x20 0  success\n\
          \x20 1  runtime failure\n\
-         \x20 2  usage error (missing operands, unknown flags, bad flag values, zero\n\
-         \x20    device budget, malformed run keys) or a malformed/unreadable input\n\
+         \x20 2  usage error (missing operands, unknown flags, bad flag values,\n\
+         \x20    malformed run keys) or a malformed/unreadable input\n\
          \x20    file (a store whose last line was torn by a crash is repaired)\n\
          \x20 3  `report diff` found a regression / `report trend` found drift\n\
          \n\
@@ -721,7 +712,7 @@ fn cmd_report_trend(rest: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// Flags every writer command (`tune`/`whatif`/`place`) takes besides
+/// Flags every writer command (`tune`/`whatif`) takes besides
 /// `--record`: the device constraints, the observability sinks and the
 /// store.
 const WRITER_FLAGS: [&str; 8] = [
@@ -765,8 +756,7 @@ impl RunRecorder {
 
     /// Reports how much of the run the store answered, then summarises the
     /// finished run from its telemetry and registers it. `identify` assigns
-    /// what only the command knows (its name, device family and seed; for
-    /// `place` also the category and cost-as-grade).
+    /// what only the command knows: its name, device family and seed.
     fn record(
         &self,
         validator: &Validator,
@@ -1190,143 +1180,6 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_place(args: &[String]) -> Result<(), CliError> {
-    let valued = [
-        &WRITER_FLAGS[..],
-        &["--devices", "--traces", "--json", "--alpha", "--rounds"],
-    ]
-    .concat();
-    let parsed = ReaderArgs::parse("place", args, &["--record", "--no-classify"], &valued)?;
-    if !parsed.positional.is_empty() {
-        return Err("place takes only flags".into());
-    }
-    let devices: usize = parse_flag(args, "--devices")?
-        .ok_or_else(|| CliError::Usage(String::from("place needs --devices <M>")))?;
-    if devices == 0 {
-        return Err(CliError::Usage(String::from(
-            "--devices must be at least 1",
-        )));
-    }
-    // `--traces` is repeatable and each occurrence is comma-separable; an
-    // entry is either a generator spec (<workload>:<events>:<seed>) or a
-    // trace file path.
-    let entries: Vec<&str> = parsed
-        .flags
-        .iter()
-        .filter(|(flag, _)| *flag == "--traces")
-        .flat_map(|(_, value)| value.split(','))
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if entries.is_empty() {
-        return Err(CliError::Usage(String::from(
-            "place needs --traces <spec|file>[,...]",
-        )));
-    }
-    let constraints = constraints_from(args)?;
-    let alpha: f64 = parse_flag(args, "--alpha")?.unwrap_or(autoblox::metrics::DEFAULT_ALPHA);
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(CliError::Usage(String::from("--alpha must be in [0, 1]")));
-    }
-    let rounds: usize = parse_flag(args, "--rounds")?.unwrap_or(16);
-    let json_path: Option<String> = parse_flag(args, "--json")?;
-    let no_classify = parsed.has("--no-classify");
-    let validator = Validator::new(ValidatorOptions::default());
-    let recorder = RunRecorder::open(args, &validator)?;
-    let sinks = SinkConfig::from_args(args)?;
-    let db = recorder.db.as_deref();
-    if let Some(db) = db {
-        let families =
-            db.keys_with_prefix("category:").len() + db.keys_with_prefix("cluster:").len();
-        eprintln!(
-            "{} learned config famil{} available in the store",
-            families,
-            if families == 1 { "y" } else { "ies" },
-        );
-    }
-
-    // Tenant names are `t<i>:<label>`: unique per mix (the validator keys
-    // its caches by trace name) and stable across runs.
-    let mut tenants: Vec<Arc<Trace>> = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let trace = match entry.parse::<iotrace::TenantSpec>() {
-            Ok(spec) => spec.generate(format!("t{i}:{}", spec.kind.name())),
-            Err(_) => {
-                let raw = load_trace(entry, None).map_err(CliError::Input)?;
-                let label = entry.rsplit('/').next().unwrap_or(entry);
-                Trace::from_events(format!("t{i}:{label}"), raw.events().to_vec())
-            }
-        };
-        tenants.push(Arc::new(trace));
-    }
-
-    let fallback = reference_for(&constraints);
-    let opts = autoblox::place::PlacementOptions {
-        devices,
-        alpha,
-        max_rounds: rounds,
-        classify: !no_classify,
-        ..Default::default()
-    };
-    eprintln!(
-        "placing {} tenant(s) onto {} device(s) ...",
-        tenants.len(),
-        devices
-    );
-    let report = autoblox::place::place(&tenants, &fallback, db, &validator, &opts)
-        .map_err(CliError::Other)?;
-
-    // Human-oriented summary to stderr; the machine-readable report to
-    // stdout (and to --json when given).
-    for d in &report.device_reports {
-        if d.tenants.is_empty() {
-            eprintln!("device {}: idle", d.device);
-        } else {
-            eprintln!(
-                "device {}: {} (cost {:.4}, config {}, bottleneck {})",
-                d.device,
-                d.tenants.join(" + "),
-                d.cost,
-                d.config_source,
-                d.bottleneck.dominant(),
-            );
-        }
-    }
-    for t in &report.tenants {
-        eprintln!(
-            "  {} -> device {}: solo {:.0} ns, co-located {:.0} ns ({:+.1}% degradation)",
-            t.name,
-            t.device,
-            t.solo_latency_ns,
-            t.co_latency_ns,
-            t.degradation_frac * 100.0,
-        );
-    }
-    eprintln!(
-        "greedy cost {:.4} -> final cost {:.4} after {} move(s) in {} round(s)",
-        report.greedy_cost, report.final_cost, report.moves_applied, report.search_rounds,
-    );
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    if let Some(path) = &json_path {
-        std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("placement report written to {path}");
-    }
-    println!("{json}");
-    recorder.record(&validator, |s| {
-        s.command = "place".to_string();
-        s.category = "place".to_string();
-        s.device_family = constraints.family.label().to_string();
-        s.seed = opts.train_seed;
-        // Placement has no tuning grade: the registry gets the negated
-        // final placement cost so "higher is better" still holds for the
-        // trend gate's grade-drop rule.
-        s.best_grade = Some(-report.final_cost);
-        s.iterations = report.search_rounds;
-    })?;
-    sinks.finish(&validator)?;
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -1344,7 +1197,6 @@ fn main() -> ExitCode {
         "simulate" => cmd_simulate(rest),
         "tune" => cmd_tune(rest),
         "whatif" => cmd_whatif(rest),
-        "place" => cmd_place(rest),
         "runs" => cmd_runs(rest),
         "watch" => cmd_watch(rest),
         "telemetry-check" => cmd_telemetry_check(rest),
@@ -1393,7 +1245,7 @@ mod tests {
             .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
             .collect();
         assert!(
-            dispatched.len() >= 13,
+            dispatched.len() >= 12,
             "parsed the match arms: {dispatched:?}"
         );
 

@@ -10,7 +10,7 @@
 //! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
 //! the kind and whose other members are that kind's struct. The tag is
 //! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
-//! and nowhere else. The ten kinds:
+//! and nowhere else. The nine kinds:
 //!
 //! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
 //!   limit, argv.
@@ -31,13 +31,13 @@
 //!   [`ssdsim::BottleneckReport`].
 //! - `progress` ([`ProgressLine`]) — one driver progress estimate (phase,
 //!   iteration, percent complete, ETA); consumed by `autoblox watch`.
-//! - `placement` ([`PlacementLine`]) — one fleet placement decision.
 //! - `summary` ([`SummaryLine`]) — last line; totals and drop counters.
 //!
 //! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
-//! an unknown tag (a newer producer), or a known tag whose members do not
-//! decode. `watch` counts those; the exporters pass over untagged and
-//! unknown lines and reject the others with the line number.
+//! an unknown tag (a newer producer's, or a kind this build has retired),
+//! or a known tag whose members do not decode. `watch` counts those; the
+//! exporters pass over untagged and unknown lines and reject the others
+//! with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
 //! Perfetto JSON format (`trace export --chrome`); [`export_csv`] flattens
@@ -89,14 +89,12 @@ pub enum JournalLine {
     Bottleneck(BottleneckLine),
     /// `progress`: one driver progress estimate.
     Progress(ProgressLine),
-    /// `placement`: one placement decision.
-    Placement(PlacementLine),
     /// `summary`: the journal's last line.
     Summary(SummaryLine),
 }
 
 /// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
-const KINDS: [&str; 10] = [
+const KINDS: [&str; 9] = [
     "meta",
     "span",
     "iteration",
@@ -105,7 +103,6 @@ const KINDS: [&str; 10] = [
     "series",
     "bottleneck",
     "progress",
-    "placement",
     "summary",
 ];
 
@@ -118,7 +115,8 @@ pub enum Skipped {
     Torn(String),
     /// JSON, but not an object with a string `"t"` tag.
     Untagged,
-    /// A tag this build does not know, from a newer producer.
+    /// A tag this build does not know: a newer producer's, or a kind this
+    /// build has retired (old journals' `placement` lines read as this).
     Unknown(String),
     /// A known tag whose members do not decode: the tag and the error.
     Malformed(String, String),
@@ -322,8 +320,7 @@ impl From<(&str, &IterationRecord)> for ModelLine {
 }
 
 /// The `series` line: one simulator run's [`DeviceSeries`], keyed by the
-/// trace it ran and the replay (`timed`, `saturated`, `placement`) that
-/// produced it.
+/// trace it ran and the replay (`timed` or `saturated`) that produced it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SeriesLine {
     /// Trace name.
@@ -378,20 +375,6 @@ pub struct ProgressLine {
     pub percent: f64,
     /// ETA extrapolation, ns.
     pub eta_ns: u64,
-}
-
-/// The `placement` line: which tenants share a device, its interference
-/// cost, and where its compromise configuration came from.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PlacementLine {
-    /// Device index.
-    pub device: u64,
-    /// Tenant names placed on it.
-    pub tenants: Vec<String>,
-    /// Interference cost.
-    pub cost: f64,
-    /// Origin of the device's configuration.
-    pub config_source: String,
 }
 
 /// The `summary` line: totals and drop counters.
@@ -582,10 +565,8 @@ fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>
 
 /// Converts a JSONL run journal into Chrome `about://tracing` / Perfetto
 /// trace JSON: spans and pipeline phases become complete (`"X"`) duration
-/// events (phases laid end-to-end on the pipeline track, so placement
-/// journals export their classify/search/attribute stages cleanly),
-/// iteration and progress records become instant (`"i"`) events on the
-/// tuner track.
+/// events (phases laid end-to-end on the pipeline track), iteration and
+/// progress records become instant (`"i"`) events on the tuner track.
 ///
 /// # Errors
 ///
@@ -594,8 +575,8 @@ fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>
 pub fn export_chrome(journal: &str) -> Result<String, String> {
     let mut events: Vec<Value> = Vec::new();
     // Pipeline phases carry a duration but no start timestamp; lay them
-    // end-to-end on their own track so `place.classify` / `place.search` /
-    // `place.attribute` (and `tune`) render as a contiguous timeline.
+    // end-to-end on their own track so a run's stages render as a
+    // contiguous timeline.
     let mut phase_clock_us = 0.0f64;
     for line in read_lines(journal) {
         match line? {
@@ -708,7 +689,7 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                     "percent": p.percent,
                 }),
             })),
-            // Device, placement and summary lines carry no timeline position.
+            // Device and summary lines carry no timeline position.
             _ => {}
         }
     }
@@ -932,16 +913,16 @@ mod tests {
         });
         let journal = [
             meta(),
-            phase("place.classify", 2000),
-            phase("place.search", 3000),
+            phase("coarse_prune", 2000),
+            phase("fine_prune", 3000),
             progress.to_line(),
         ]
         .join("\n");
         let events = trace_events(&export_chrome(&journal).expect("valid journal"));
         assert_eq!(events.len(), 4);
-        assert_eq!(events[1]["name"], "place.classify");
+        assert_eq!(events[1]["name"], "coarse_prune");
         assert_eq!(events[1]["ts"], 0.0);
-        assert_eq!(events[2]["name"], "place.search");
+        assert_eq!(events[2]["name"], "fine_prune");
         // Second phase starts where the first ended (2000 ns = 2 us).
         assert_eq!(events[2]["ts"], 2.0);
         assert_eq!(events[3]["name"], "tuner.progress");

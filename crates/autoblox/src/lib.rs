@@ -57,7 +57,6 @@ pub mod metrics;
 pub mod model_obs;
 pub mod obs;
 pub mod params;
-pub mod place;
 pub mod pruning;
 pub mod report;
 pub mod report_diff;
@@ -73,7 +72,6 @@ pub use metrics::{grade, performance, Measurement};
 pub use mlkit::parallel;
 pub use obs::{record_run, trend, TrendReport};
 pub use params::ParamSpace;
-pub use place::{place, PlacementOptions, PlacementReport};
 pub use report::{Summary, Thresholds};
 pub use tuner::{SurrogateKind, Tuner, TunerOptions, TuningOutcome, TuningTarget};
 pub use validator::{Validator, ValidatorOptions};

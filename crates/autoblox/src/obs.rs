@@ -1,9 +1,9 @@
 //! Run observatory: persistent multi-run history and the trend gate.
 //!
-//! One tuning (or what-if, or placement) invocation is ephemeral; the
-//! paper's pipeline is a fleet activity that runs per workload category,
-//! per cluster, per placement round, again and again. This module gives
-//! those runs a durable, queryable history:
+//! One tuning (or what-if) invocation is ephemeral; the paper's pipeline
+//! is a fleet activity that runs per workload category and per cluster,
+//! again and again. This module gives those runs a durable, queryable
+//! history:
 //!
 //! - The record one invocation leaves behind is the report core's
 //!   [`Summary`]: command, seed, category, converged grade, simulator-run
@@ -128,7 +128,7 @@ pub fn list_runs(db: &Store) -> Result<Vec<(String, Summary)>, String> {
 /// One category's aggregated trend verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CategoryTrend {
-    /// The history family (workload name or `place`).
+    /// The history family: the first tuned workload's name.
     pub category: String,
     /// Total runs recorded for the category.
     pub runs: u64,
@@ -415,7 +415,7 @@ mod tests {
         // Runs without calibration pairs are never judged by the floor.
         let db2 = Store::in_memory();
         for _ in 0..2 {
-            let mut s = summary("place", -0.1, 50);
+            let mut s = summary("WebSearch", 0.1, 50);
             s.calibration.coverage_1s = 0.0;
             s.calibration.points = 0;
             record_run(&db2, &s).unwrap();

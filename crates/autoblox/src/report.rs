@@ -34,11 +34,10 @@ pub const RUNS_SCHEMA: &str = "autoblox.runs.v1";
 pub struct Summary {
     /// Always [`RUNS_SCHEMA`].
     pub schema: String,
-    /// The command that produced the run (`tune`, `whatif`, `place`); empty
-    /// when summarising a bare report.
+    /// The command that produced the run (`tune`, `whatif`); empty when
+    /// summarising a bare report.
     pub command: String,
-    /// History family: the first tuned workload, `place` for placement
-    /// rounds.
+    /// History family: the first tuned workload.
     pub category: String,
     /// Device-family label of the configuration space the run explored
     /// (`homogeneous` or `hybrid-slc-cache`); empty reads as `homogeneous`.
@@ -48,11 +47,9 @@ pub struct Summary {
     pub seed: u64,
     /// Workloads the run tuned, in recording order.
     pub workloads: Vec<String>,
-    /// Best grade over every recorded tuning run, `None` when none ran
-    /// (for placement: the negated final interference cost, so "higher is
-    /// better" holds for every category).
+    /// Best grade over every recorded tuning run, `None` when none ran.
     pub best_grade: Option<f64>,
-    /// Outer iterations (for placement: search rounds) executed.
+    /// Outer tuner iterations executed.
     pub iterations: u64,
     /// Charged simulator runs the invocation performed.
     pub simulator_runs: u64,
@@ -412,7 +409,7 @@ fn metric_table(t: &Thresholds) -> Vec<Metric> {
         ),
         // A drifting surrogate under-covers regardless of history, so the
         // coverage is held to an absolute floor — only when the candidate
-        // recorded calibration pairs (placement rounds record none).
+        // recorded calibration pairs.
         metric(
             "calibration_coverage_1s",
             move |s| calibrated(s, s.calibration.coverage_1s),

@@ -552,6 +552,23 @@ mod tests {
         let missing = r#"{"schema":"autoblox.telemetry.v3"}"#;
         let err = RunReport::parse_checked(missing).unwrap_err();
         assert!(err.contains("missing required key"), "{err}");
+        // Reports recorded before the hybrid family lack the fold time;
+        // they are refused, not read as zero.
+        let mut value = serde_json::to_value(RunReport {
+            schema: RunReport::SCHEMA.to_string(),
+            ..Default::default()
+        })
+        .expect("to value");
+        if let serde_json::Value::Object(root) = &mut value {
+            if let Some(serde_json::Value::Object(validator)) = root.get_mut("validator") {
+                if let Some(serde_json::Value::Object(sim)) = validator.get_mut("sim") {
+                    sim.remove("slc_migration_ns").expect("member exists");
+                }
+            }
+        }
+        let err = RunReport::parse_checked(&serde_json::to_string(&value).unwrap()).unwrap_err();
+        assert!(err.contains("validator.sim.slc_migration_ns"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
     }
 
     #[test]

@@ -141,9 +141,6 @@ pub struct SimAggregate {
     /// Simulated ns of flash service caused by cache/CMT misses.
     pub cache_miss_ns: u64,
     /// Simulated ns of die time consumed by SLC-cache fold migrations.
-    /// Defaulted: reports recorded before the hybrid family lack it (two of
-    /// the goldens under `scripts/golden/`).
-    #[serde(default)]
     pub slc_migration_ns: u64,
     /// Total arrival-to-completion simulated ns over all requests.
     pub total_latency_ns: u64,

@@ -103,11 +103,10 @@ pub struct LineCounts {
     pub series: u64,
     /// `bottleneck` lines.
     pub bottlenecks: u64,
-    /// `placement` lines.
-    pub placements: u64,
     /// `summary` lines.
     pub summary: u64,
-    /// Parsed lines with an unrecognized `"t"` tag (newer producers).
+    /// Parsed lines with an unrecognized `"t"` tag (newer producers, or
+    /// kinds this build has retired).
     pub unknown: u64,
     /// Lines that yield no kind (torn, untagged, or a known kind whose
     /// members do not decode), skipped with this count as the warning.
@@ -125,7 +124,6 @@ impl LineCounts {
             + self.phases
             + self.series
             + self.bottlenecks
-            + self.placements
             + self.summary
             + self.unknown
             + self.skipped
@@ -220,7 +218,6 @@ impl WatchState {
                 self.counts.bottlenecks += 1;
                 self.bottleneck = self.bottleneck.plus(&b.report);
             }
-            JournalLine::Placement(_) => self.counts.placements += 1,
             JournalLine::Summary(s) => {
                 self.counts.summary += 1;
                 self.summary_seen = true;
@@ -314,7 +311,6 @@ impl WatchState {
                 "phases": c.phases,
                 "series": c.series,
                 "bottlenecks": c.bottlenecks,
-                "placements": c.placements,
                 "summary": c.summary,
                 "unknown": c.unknown,
                 "skipped": c.skipped,
@@ -415,7 +411,7 @@ impl WatchState {
         let c = self.counts;
         out.push_str(&format!(
             "lines: {} total ({} spans, {} iterations, {} models, {} progress, {} series, \
-             {} bottlenecks, {} placements, {} unknown, {} skipped)\n",
+             {} bottlenecks, {} unknown, {} skipped)\n",
             c.total(),
             c.spans,
             c.iterations,
@@ -423,7 +419,6 @@ impl WatchState {
             c.progress,
             c.series,
             c.bottlenecks,
-            c.placements,
             c.unknown,
             c.skipped,
         ));

@@ -309,28 +309,6 @@ fn hybrid_tune_is_identical_at_every_width_and_depth() {
     .run("hybrid");
 }
 
-/// Fleet placement of a pinned 4-tenant mix is identical at 1 and 4
-/// threads (the report carries no wall-clock or thread fields) and matches
-/// the placement golden.
-#[test]
-fn place_is_identical_at_every_width() {
-    Row {
-        widths: &[1, 4],
-        steps: vec![Step {
-            same_stdout: true,
-            same_files: vec!["p.json"],
-            golden: Some("placement-smoke"),
-            ..step(
-                "place --devices 2 --traces \
-                 Database:1500:11,WebSearch:1500:11,KVStore:1500:11,BatchAnalytics:1500:11 \
-                 --json p.json --telemetry tel.json",
-            )
-        }],
-        ..ROW
-    }
-    .run("place");
-}
-
 /// The same command run twice against one store prints the same
 /// configuration at every width and depth, the second run simulates
 /// nothing — not even look-ahead — and its telemetry diffs clean against
@@ -632,31 +610,25 @@ fn whatif_rejects_unknown_flags_and_missing_values() {
     );
 }
 
+/// Commands retired in earlier releases get the usage text like any
+/// unknown command, and never run.
 #[test]
-fn place_rejects_unknown_flags_and_missing_values() {
-    usage_errors(
-        "place-flags",
-        &[
-            (
-                "place --devices 2 --traces Database:100:1 --resume",
-                "unknown place flag \"--resume\"",
-            ),
-            ("place --devices 2 --traces", "--traces needs a value"),
-        ],
-    );
-}
-
-#[test]
-fn checkpoint_inspect_is_a_retired_command() {
+fn retired_commands_print_usage() {
+    let retired = |args, name| Step {
+        exit: 2,
+        absent: vec![name],
+        ..step(args)
+    };
     let variants = Row {
-        steps: vec![Step {
-            exit: 2,
-            absent: vec!["checkpoint"],
-            ..step("checkpoint inspect checkpoint-Database.json")
-        }],
+        steps: vec![
+            retired("checkpoint inspect checkpoint-Database.json", "checkpoint"),
+            retired("place --devices 2 --traces Database:100:1", "place"),
+        ],
         ..ROW
     }
-    .run("checkpoint");
-    let stderr = variants[0].stderr(0);
-    assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
+    .run("retired");
+    for i in 0..2 {
+        let stderr = variants[0].stderr(i);
+        assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Run-observatory invariants: the trend verdict must
 //! reproduce exactly from the same registry, the run registry must list
-//! in recording order, malformed journal lines must be counted rather
-//! than fatal, and placement journals must export cleanly.
+//! in recording order, and malformed journal lines must be counted rather
+//! than fatal.
 //!
 //! These tests toggle the process-wide telemetry switch, so every test
 //! that touches it serializes on one lock (test binaries run their tests
@@ -16,9 +16,7 @@ use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
 use autoblox::WatchState;
 use iotrace::gen::WorkloadKind;
-use iotrace::Trace;
 use ssdsim::config::presets;
-use std::sync::Arc;
 use std::sync::Mutex;
 
 static SWITCH_LOCK: Mutex<()> = Mutex::new(());
@@ -134,7 +132,7 @@ fn runs_list_order_is_stable_and_fingerprints_drop_host_fields() {
     // Interleave categories — per-category sequences stay independent —
     // and include a category containing the key separator.
     obs::record_run(&db, &summary("Database", 0.5, 10, 1, 1)).expect("records");
-    obs::record_run(&db, &summary("place", -0.2, 30, 2, 2)).expect("records");
+    obs::record_run(&db, &summary("WebSearch", 0.2, 30, 2, 2)).expect("records");
     obs::record_run(&db, &summary("Database", 0.6, 11, 3, 4)).expect("records");
     obs::record_run(&db, &summary("odd:category", 0.1, 5, 4, 8)).expect("records");
 
@@ -146,8 +144,8 @@ fn runs_list_order_is_stable_and_fingerprints_drop_host_fields() {
         vec![
             "run:Database:000001",
             "run:Database:000002",
+            "run:WebSearch:000001",
             "run:odd:category:000001",
-            "run:place:000001",
         ]
     );
     assert_eq!(first, second, "listing is read-only and stable");
@@ -187,82 +185,4 @@ fn garbage_journal_lines_are_counted_not_fatal() {
     assert!(state.summary_seen(), "the real stream still parsed");
     let snap = serde_json::to_string_pretty(&state.snapshot(false)).expect("serializes");
     assert!(snap.contains("\"skipped\": 3"), "snapshot reports skips");
-}
-
-/// Placement journals — which carry `place.classify` / `place.search` /
-/// `place.attribute` phases and placement decision records — export
-/// cleanly to both the Chrome trace and CSV formats.
-#[test]
-fn placement_journal_exports_chrome_and_csv() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
-    autoblox::telemetry::global().clear();
-
-    let path = std::env::temp_dir().join(format!(
-        "autoblox-test-placejournal-{}.jsonl",
-        std::process::id()
-    ));
-    let path_str = path.to_string_lossy().into_owned();
-    let journal = Journal::create(&path_str).expect("journal opens");
-    autoblox::telemetry::global().attach_journal(journal.handle());
-
-    let tenants: Vec<Arc<Trace>> = [WorkloadKind::Database, WorkloadKind::WebSearch]
-        .iter()
-        .enumerate()
-        .map(|(i, kind)| {
-            let raw = kind.spec().generate(200, 7);
-            Arc::new(Trace::from_events(
-                format!("t{i}:{}", kind.name()),
-                raw.events().to_vec(),
-            ))
-        })
-        .collect();
-    let validator = Validator::new(ValidatorOptions::default());
-    let opts = autoblox::place::PlacementOptions {
-        devices: 2,
-        max_rounds: 2,
-        classify: false,
-        ..Default::default()
-    };
-    let report = autoblox::place::place(&tenants, &presets::intel_750(), None, &validator, &opts)
-        .expect("placement succeeds");
-    assert!(report.final_cost.is_finite());
-
-    autoblox::telemetry::global().detach_journal();
-    journal.finish(&path_str).expect("journal closes");
-    telemetry::set_enabled(false);
-
-    let text = std::fs::read_to_string(&path).expect("journal readable");
-    std::fs::remove_file(&path).ok();
-    for line in text.lines() {
-        assert!(JournalLine::parse(line).is_ok(), "unparsed line: {line}");
-    }
-
-    for phase in ["place.classify", "place.search", "place.attribute"] {
-        assert!(
-            text.contains(&format!("\"name\":\"{phase}\"")),
-            "journal records the {phase} phase"
-        );
-    }
-    assert!(text.contains("\"t\":\"placement\""), "decisions recorded");
-
-    let chrome = autoblox::journal::export_chrome(&text).expect("chrome export succeeds");
-    for phase in ["place.classify", "place.search", "place.attribute"] {
-        assert!(
-            chrome.contains(phase),
-            "chrome trace carries the {phase} phase lane"
-        );
-    }
-    let csv = autoblox::journal::export_csv(&text).expect("csv export succeeds");
-    assert!(csv.lines().count() > 1, "csv has device samples");
-
-    // The placement journal also replays through the watcher without a
-    // single skipped line.
-    let mut state = WatchState::new();
-    for line in text.lines() {
-        state.ingest(line);
-    }
-    assert_eq!(state.counts().skipped, 0);
-    assert!(state.counts().placements > 0);
-    assert!(state.summary_seen());
 }

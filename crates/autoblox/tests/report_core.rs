@@ -2,7 +2,7 @@
 //!
 //! `tests/fixtures/report_core_parent.json` holds what the commit before
 //! the merge printed — `report diff`, `explain`, `explain diff`, `inspect`
-//! and `inspect diff` over the pairs of the three goldens under
+//! and `inspect diff` over the pairs of the two goldens under
 //! `scripts/golden/`, and `report trend` over a synthetic ten-run registry
 //! (two categories of five). Every number that survives the merge must be
 //! equal: all diff rows and verdicts, share fractions, the dominant
@@ -26,7 +26,7 @@ use ssdsim::{BottleneckReport, DeviceSample};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const GOLDENS: [&str; 3] = ["telemetry-database", "family-smoke", "placement-smoke"];
+const GOLDENS: [&str; 2] = ["telemetry-database", "family-smoke"];
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scripts/golden/{name}.json"))
@@ -162,7 +162,7 @@ fn pairwise_comparisons_reproduce_the_parent() {
     let Value::Object(pairs) = &fx["pairs"] else {
         panic!("pairs object expected")
     };
-    assert_eq!(pairs.len(), 6, "every ordered pair of the three goldens");
+    assert_eq!(pairs.len(), 2, "every ordered pair of the two goldens");
     let thresholds = Thresholds {
         ignore_time: true,
         ..Thresholds::default()

@@ -23,12 +23,10 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod mix;
 pub mod parse;
 pub mod stats;
 pub mod trace;
 pub mod window;
 
 pub use gen::{WorkloadKind, WorkloadSpec};
-pub use mix::{merge_partitioned, TenantSpec};
-pub use trace::{merge_traces, OpKind, Trace, TraceEvent};
+pub use trace::{OpKind, Trace, TraceEvent};

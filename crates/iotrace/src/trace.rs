@@ -194,26 +194,6 @@ impl Trace {
     }
 }
 
-/// Merges multiple traces into one timeline, as a multi-tenant device would
-/// observe them. Events keep their timestamps and are interleaved in time
-/// order; addresses are offset so tenants occupy disjoint ranges.
-///
-/// # Examples
-///
-/// ```
-/// use iotrace::{merge_traces, OpKind, Trace, TraceEvent};
-/// let a = Trace::from_events("a", vec![TraceEvent::new(0, 0, 512, OpKind::Read)]);
-/// let b = Trace::from_events("b", vec![TraceEvent::new(5, 0, 512, OpKind::Write)]);
-/// let merged = merge_traces("ab", &[a, b]);
-/// assert_eq!(merged.len(), 2);
-/// // Tenant b's addresses are offset past tenant a's range.
-/// assert!(merged.events()[1].lba > merged.events()[0].lba);
-/// ```
-pub fn merge_traces(name: impl Into<String>, tenants: &[Trace]) -> Trace {
-    let refs: Vec<&Trace> = tenants.iter().collect();
-    crate::mix::merge_partitioned(name, &refs).0
-}
-
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a TraceEvent;
     type IntoIter = std::slice::Iter<'a, TraceEvent>;
@@ -329,25 +309,6 @@ mod tests {
         let s = t.slice(2, 3);
         assert_eq!(s.len(), 3);
         assert_eq!(s.events()[0].timestamp_ns, 2);
-    }
-
-    #[test]
-    fn merge_interleaves_and_offsets() {
-        let a = Trace::from_events(
-            "a",
-            vec![ev(0, 0, 512, OpKind::Read), ev(100, 8, 512, OpKind::Read)],
-        );
-        let b = Trace::from_events("b", vec![ev(50, 0, 512, OpKind::Write)]);
-        let m = merge_traces("m", &[a.clone(), b.clone()]);
-        assert_eq!(m.len(), 3);
-        // Time-ordered interleave.
-        let ts: Vec<u64> = m.events().iter().map(|e| e.timestamp_ns).collect();
-        assert_eq!(ts, vec![0, 50, 100]);
-        // Tenant b sits past tenant a's range plus the guard band.
-        let b_event = m.events().iter().find(|e| e.op == OpKind::Write).unwrap();
-        assert!(b_event.lba >= 9 + 2048);
-        // Merging nothing yields an empty trace.
-        assert!(merge_traces("e", &[]).is_empty());
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub mod sim;
 pub const SIM_MODEL: u32 = 1;
 
 pub use config::{FlashTechnology, Interface, SsdConfig};
-pub use observe::{BottleneckReport, DeviceSample, DeviceSeries, LaneReport, TenantLanes};
+pub use observe::{BottleneckReport, DeviceSample, DeviceSeries};
 pub use report::SimReport;
 pub use sim::{RunScratch, Simulator};

@@ -248,146 +248,9 @@ impl BottleneckReport {
     }
 }
 
-/// Per-tenant latency accounting for one lane of a merged multi-tenant
-/// trace.
-///
-/// A *lane* is a half-open LBA range `[start_lba, next start)` produced by
-/// `iotrace`'s partitioned merge: each tenant's address space is relocated
-/// to a disjoint window, so the pre-modulo LBA of every request identifies
-/// its tenant. Lane totals are simple sums over the requests that landed in
-/// the lane — deterministic, no sampling — which is what lets the placement
-/// report compare a tenant's co-located latency against its solo run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LaneReport {
-    /// First LBA of the lane (inclusive).
-    pub start_lba: u64,
-    /// Requests that landed in the lane.
-    pub requests: u64,
-    /// Host bytes moved by those requests.
-    pub bytes: u64,
-    /// Summed device response time, ns.
-    pub total_latency_ns: u64,
-    /// Mean device response time, ns (0 for an idle lane).
-    pub mean_latency_ns: f64,
-    /// Worst device response time, ns.
-    pub max_latency_ns: u64,
-}
-
-/// Accumulates per-lane latency totals during a simulator run.
-///
-/// Built from the ascending lane start offsets returned by the partitioned
-/// merge; [`TenantLanes::observe`] bins each request by its pre-modulo LBA
-/// with a binary search, so the hot-loop cost is `O(log lanes)` and zero
-/// when no lanes are armed.
-#[derive(Debug, Clone, Default)]
-pub struct TenantLanes {
-    starts: Vec<u64>,
-    requests: Vec<u64>,
-    bytes: Vec<u64>,
-    total_latency_ns: Vec<u64>,
-    max_latency_ns: Vec<u64>,
-}
-
-impl TenantLanes {
-    /// Creates an accumulator for lanes beginning at `starts` (ascending;
-    /// the first lane implicitly starts at 0 regardless).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `starts` is not sorted ascending.
-    pub fn new(starts: &[u64]) -> Self {
-        assert!(
-            starts.windows(2).all(|w| w[0] <= w[1]),
-            "lane starts must be sorted ascending"
-        );
-        let n = starts.len();
-        TenantLanes {
-            starts: starts.to_vec(),
-            requests: vec![0; n],
-            bytes: vec![0; n],
-            total_latency_ns: vec![0; n],
-            max_latency_ns: vec![0; n],
-        }
-    }
-
-    /// Lane count.
-    pub fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// `true` when no lanes are configured.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
-
-    /// Charges one request to the lane containing `lba`. LBAs below the
-    /// first lane start are charged to lane 0.
-    pub fn observe(&mut self, lba: u64, bytes: u64, latency_ns: u64) {
-        if self.starts.is_empty() {
-            return;
-        }
-        let i = self
-            .starts
-            .partition_point(|&s| s <= lba)
-            .saturating_sub(1)
-            .min(self.starts.len() - 1);
-        self.requests[i] += 1;
-        self.bytes[i] += bytes;
-        self.total_latency_ns[i] += latency_ns;
-        self.max_latency_ns[i] = self.max_latency_ns[i].max(latency_ns);
-    }
-
-    /// Finalizes the accumulated totals into one [`LaneReport`] per lane,
-    /// in lane order.
-    pub fn reports(&self) -> Vec<LaneReport> {
-        (0..self.starts.len())
-            .map(|i| LaneReport {
-                start_lba: self.starts[i],
-                requests: self.requests[i],
-                bytes: self.bytes[i],
-                total_latency_ns: self.total_latency_ns[i],
-                mean_latency_ns: if self.requests[i] == 0 {
-                    0.0
-                } else {
-                    self.total_latency_ns[i] as f64 / self.requests[i] as f64
-                },
-                max_latency_ns: self.max_latency_ns[i],
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lanes_bin_by_start_offsets() {
-        let mut lanes = TenantLanes::new(&[0, 1_000, 5_000]);
-        lanes.observe(0, 512, 10);
-        lanes.observe(999, 512, 30);
-        lanes.observe(1_000, 4_096, 100);
-        lanes.observe(4_999, 512, 50);
-        lanes.observe(1 << 40, 512, 7); // far past the last lane start
-        let r = lanes.reports();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].requests, 2);
-        assert_eq!(r[0].total_latency_ns, 40);
-        assert!((r[0].mean_latency_ns - 20.0).abs() < 1e-12);
-        assert_eq!(r[0].max_latency_ns, 30);
-        assert_eq!(r[1].requests, 2);
-        assert_eq!(r[1].bytes, 4_608);
-        assert_eq!(r[2].requests, 1);
-        assert_eq!(r[2].max_latency_ns, 7);
-    }
-
-    #[test]
-    fn idle_lane_reports_zero_mean() {
-        let lanes = TenantLanes::new(&[0, 100]);
-        let r = lanes.reports();
-        assert_eq!(r[1].requests, 0);
-        assert_eq!(r[1].mean_latency_ns, 0.0);
-    }
 
     #[test]
     fn empty_series_and_bounded_pushes() {

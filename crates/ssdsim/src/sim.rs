@@ -11,8 +11,7 @@ use crate::config::{CacheMode, FlashTechnology, SsdConfig};
 use crate::flash::{splitmix64, BackgroundOp, FlashArray};
 use crate::lru::LruCache;
 use crate::observe::{
-    BottleneckReport, DeviceSample, DeviceSeries, TenantLanes, DEFAULT_SAMPLE_CAP,
-    DEFAULT_SAMPLE_INTERVAL_NS,
+    BottleneckReport, DeviceSample, DeviceSeries, DEFAULT_SAMPLE_CAP, DEFAULT_SAMPLE_INTERVAL_NS,
 };
 use crate::power::{compute_energy, ActivityCounters};
 use crate::report::{LatencyBuckets, LatencySummary, ReadBreakdown, SimReport, WriteBreakdown};
@@ -222,9 +221,6 @@ pub struct Simulator {
     sampled_channel_busy_ns: u64,
     sampled_die_busy_ns: u64,
     sampled_gc_stall_ns: u64,
-    /// Optional per-tenant lane accounting for merged traces (armed via
-    /// [`Simulator::set_lanes`], harvested via [`Simulator::take_lanes`]).
-    lanes: Option<TenantLanes>,
     /// SLC-cache blocks per plane (0 = homogeneous device family).
     slc_cache_blocks: u32,
     /// Hybrid only: logical pages currently mapped into each cache block
@@ -301,26 +297,11 @@ impl Simulator {
             sampled_channel_busy_ns: 0,
             sampled_die_busy_ns: 0,
             sampled_gc_stall_ns: 0,
-            lanes: None,
             slc_cache_blocks,
             slc_resident: Vec::new(),
             flash,
             cfg,
         }
-    }
-
-    /// Arms per-tenant lane accounting: every subsequent request is binned
-    /// by its pre-modulo LBA into the lane whose start offset it falls in
-    /// (see [`TenantLanes`]). Pass the ascending lane starts returned by
-    /// the partitioned trace merge.
-    pub fn set_lanes(&mut self, starts: &[u64]) {
-        self.lanes = Some(TenantLanes::new(starts));
-    }
-
-    /// Takes the accumulated lane totals, disarming lane accounting.
-    /// Returns `None` when [`Simulator::set_lanes`] was never called.
-    pub fn take_lanes(&mut self) -> Option<TenantLanes> {
-        self.lanes.take()
     }
 
     /// Reconfigures device-observatory sampling: samples are taken every
@@ -514,9 +495,6 @@ impl Simulator {
             let queue_wait = admit.saturating_sub(arrival);
             self.diag_queue_wait_ns += queue_wait;
             self.diag_total_latency_ns += latency + queue_wait;
-            if let Some(lanes) = &mut self.lanes {
-                lanes.observe(event.lba, u64::from(event.size_bytes), latency);
-            }
             latencies.push(latency);
             latency_buckets.observe(latency);
             match event.op {
