@@ -16,7 +16,22 @@ const MIN_SLOTS: usize = 16;
 
 /// 2^64 / golden ratio: consecutive keys (logical page numbers) land far
 /// apart in the top bits the table indexes by.
-const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `HASH_MULTIPLIER`'s inverse modulo 2^64 (the multiplicative hash is a
+/// bijection), by Newton's iteration from the multiplier itself, which is
+/// correct to 3 bits for any odd number. Tests build keys with a chosen
+/// hash through it.
+#[cfg(test)]
+pub(crate) const HASH_INVERSE: u64 = {
+    let mut inverse = HASH_MULTIPLIER;
+    let mut i = 0;
+    while i < 5 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(HASH_MULTIPLIER.wrapping_mul(inverse)));
+        i += 1;
+    }
+    inverse
+};
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -487,16 +502,9 @@ mod tests {
     /// A key whose hash has all-ones top 16 bits: every such key has the
     /// last slot as its home at every table size up to 2^16 slots, so they
     /// pile into one cluster that wraps around the end of the table and
-    /// stays one cluster across every growth. (The multiplicative hash is a
-    /// bijection; this maps the wanted hash back through the multiplier's
-    /// inverse.)
+    /// stays one cluster across every growth.
     fn colliding_key(i: u64) -> u64 {
-        let mut inverse = HASH_MULTIPLIER; // correct to 3 bits for any odd number
-        for _ in 0..5 {
-            inverse =
-                inverse.wrapping_mul(2u64.wrapping_sub(HASH_MULTIPLIER.wrapping_mul(inverse)));
-        }
-        let key = (0xFFFF << 48 | i).wrapping_mul(inverse);
+        let key = (0xFFFF << 48 | i).wrapping_mul(HASH_INVERSE);
         assert_eq!(key.wrapping_mul(HASH_MULTIPLIER) >> 48, 0xFFFF);
         key
     }

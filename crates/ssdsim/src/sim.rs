@@ -16,8 +16,11 @@ use crate::observe::{
 use crate::power::{compute_energy, ActivityCounters};
 use crate::report::{LatencyBuckets, LatencySummary, ReadBreakdown, SimReport, WriteBreakdown};
 use iotrace::{OpKind, Trace};
+use lpn_map::{LpnMap, MappedPage};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+mod lpn_map;
 
 /// Maximum pages a single host request may span (guards degenerate traces).
 const MAX_PAGES_PER_REQUEST: u64 = 2048;
@@ -61,61 +64,13 @@ impl Timing {
     }
 }
 
-/// A mapped physical page: flat plane index plus block within the plane.
-#[derive(Debug, Clone, Copy)]
-struct MappedPage {
-    plane: u32,
-    block: u32,
-}
-
 /// Block sentinel for "page folded into the capacity tier, exact block
 /// unknown". Reads to such pages pay capacity-technology latency;
 /// overwrites invalidate a hashed capacity block (the same approximation
 /// used for warm-up resident data). Never collides with a real cache block
-/// and, combined with any valid plane index, never encodes to `LPN_EMPTY`.
+/// and, combined with any valid plane index, never encodes to the mapping
+/// table's unmapped sentinel.
 const CAPACITY_RESIDENT: u32 = u32::MAX - 1;
-
-/// Entries per lazily allocated mapping chunk (32 KiB of `u64`s).
-const LPN_CHUNK: usize = 4096;
-/// Sentinel for "logical page never mapped" (a real entry would need plane
-/// and block both at `u32::MAX`, far beyond any valid geometry).
-const LPN_EMPTY: u64 = u64::MAX;
-
-/// Chunked logical-to-physical mapping table.
-///
-/// Logical page numbers are pre-reduced modulo `logical_pages`, so the key
-/// space is dense and bounded; a two-level array of lazily allocated
-/// 4096-entry chunks replaces the former `HashMap<u64, MappedPage>` on the
-/// simulator's hottest path — a mapping probe is one shift and two indexed
-/// loads instead of a SipHash computation plus bucket walk, and memory
-/// stays proportional to the touched fraction of the address space.
-#[derive(Debug, Clone, Default)]
-struct LpnMap {
-    chunks: Vec<Option<Box<[u64]>>>,
-}
-
-impl LpnMap {
-    #[inline]
-    fn get(&self, lpn: u64) -> Option<MappedPage> {
-        let chunk = self.chunks.get((lpn as usize) / LPN_CHUNK)?.as_ref()?;
-        let v = chunk[(lpn as usize) % LPN_CHUNK];
-        (v != LPN_EMPTY).then_some(MappedPage {
-            plane: (v >> 32) as u32,
-            block: v as u32,
-        })
-    }
-
-    #[inline]
-    fn insert(&mut self, lpn: u64, m: MappedPage) {
-        let ci = (lpn as usize) / LPN_CHUNK;
-        if ci >= self.chunks.len() {
-            self.chunks.resize_with(ci + 1, || None);
-        }
-        let chunk =
-            self.chunks[ci].get_or_insert_with(|| vec![LPN_EMPTY; LPN_CHUNK].into_boxed_slice());
-        chunk[(lpn as usize) % LPN_CHUNK] = (u64::from(m.plane) << 32) | u64::from(m.block);
-    }
-}
 
 /// Reusable per-run buffers: the latency vectors and the outstanding-request
 /// heap [`Simulator::run`] needs. A validator evaluating thousands of

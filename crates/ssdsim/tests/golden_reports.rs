@@ -2,6 +2,11 @@
 //! `sim_sweep` cell shapes of `bench_pipeline` (one of them the saturated
 //! replay followed by `drain`).
 //!
+//! A second table pins the validator's own shape — build, warm, clone, a
+//! timed replay, a saturated replay on the clone, drain — for every studied
+//! workload at 500 events on both device families, the traffic a tuning
+//! search pays for.
+//!
 //! The simulator is the oracle the tuner trusts, so a change to its data
 //! structures must not move one simulated number. Every field of every
 //! report is folded into an FNV-1a hash (floats by `to_bits`) and compared
@@ -267,6 +272,33 @@ fn fold_device(policy: MigrationPolicy) -> SsdConfig {
     }
 }
 
+/// `trace` with every timestamp zeroed, as in the validator's saturated
+/// replay.
+fn saturated(trace: &Trace) -> Trace {
+    let zeroed = trace
+        .events()
+        .iter()
+        .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
+    Trace::from_events(trace.name(), zeroed.collect())
+}
+
+/// The validator's replay of `kind` at 500 events on `cfg`: a hash of the
+/// timed and the saturated report, and the drained ns.
+fn validation(kind: WorkloadKind, cfg: SsdConfig) -> (u64, u64) {
+    let trace = kind.spec().generate(500, SEED);
+    let sat_trace = saturated(&trace);
+    let mut sim = Simulator::new(cfg);
+    sim.warm_up(0.5);
+    let mut sat_sim = sim.clone();
+    let timed = sim.run(&trace);
+    let sat = sat_sim.run(&sat_trace);
+    let drained_ns = sat_sim.drain(sat.makespan_ns);
+    let mut h = Fnv::new();
+    h.report(&timed);
+    h.report(&sat);
+    (h.0, drained_ns)
+}
+
 struct Cell {
     name: &'static str,
     kind: WorkloadKind,
@@ -363,11 +395,7 @@ fn sim_sweep_cell_reports_match_golden() {
     for cell in cells() {
         let mut trace = cell.kind.spec().generate(cell.events, SEED);
         if cell.saturated {
-            let zeroed = trace
-                .events()
-                .iter()
-                .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
-            trace = Trace::from_events(trace.name(), zeroed.collect());
+            trace = saturated(&trace);
         }
         let mut sim = Simulator::new(cell.cfg);
         sim.warm_up(cell.warm_fill);
@@ -397,5 +425,60 @@ fn sim_sweep_cell_reports_match_golden() {
             .map(|(name, hash, drained)| format!("    ({name:?}, {hash:#018x}, {drained}),\n"))
             .collect();
         panic!("simulated reports moved; actual table:\n{table}");
+    }
+}
+
+/// `(workload, device, hash, drained ns)` of [`validation`] on every studied
+/// workload, recorded before the mapping table's hashed chunks. Not part of
+/// `GOLDEN_MODEL`'s pin: a change here that is meant asks for the same
+/// `SIM_MODEL` bump the cell table's pin asks for.
+const VALIDATION_GOLDEN: [(&str, &str, u64, u64); 14] = [
+    ("Recomm", "intel_750", 0x03ddb8b6f7474854, 3135786),
+    ("Recomm", "hybrid_slc_qlc", 0x8bb0cdb73638bf82, 2349782),
+    ("KVStore", "intel_750", 0x90861671008752b5, 4965525),
+    ("KVStore", "hybrid_slc_qlc", 0x8b1085ea25f7b327, 4129597),
+    ("Database", "intel_750", 0x05eee1edc7ebed46, 3963351),
+    ("Database", "hybrid_slc_qlc", 0x47e4033a17d259e3, 3346070),
+    ("WebSearch", "intel_750", 0x6645750a8322407f, 4848367),
+    ("WebSearch", "hybrid_slc_qlc", 0x5222c819c08b2083, 5858587),
+    ("BatchAnalytics", "intel_750", 0xcd5b5cb098657428, 23026310),
+    (
+        "BatchAnalytics",
+        "hybrid_slc_qlc",
+        0x4c4626bc870f1956,
+        21778864,
+    ),
+    ("CloudStorage", "intel_750", 0x15a62b6fe0574406, 19136524),
+    (
+        "CloudStorage",
+        "hybrid_slc_qlc",
+        0x9406cf11f8a33eab,
+        13380924,
+    ),
+    ("LiveMaps", "intel_750", 0x4a4b7fce0b61b7be, 8371926),
+    ("LiveMaps", "hybrid_slc_qlc", 0xcba5c17b353b6206, 6455112),
+];
+
+#[test]
+fn validator_shaped_replays_match_golden() {
+    let devices = [
+        ("intel_750", presets::intel_750()),
+        ("hybrid_slc_qlc", presets::hybrid_slc_qlc()),
+    ];
+    let mut actual = Vec::new();
+    for kind in WorkloadKind::STUDIED {
+        for (device, cfg) in &devices {
+            let (hash, drained) = validation(kind, cfg.clone());
+            actual.push((kind.name(), *device, hash, drained));
+        }
+    }
+    if actual != VALIDATION_GOLDEN {
+        let table: String = actual
+            .iter()
+            .map(|(kind, device, hash, drained)| {
+                format!("    ({kind:?}, {device:?}, {hash:#018x}, {drained}),\n")
+            })
+            .collect();
+        panic!("validator-shaped replays moved; actual table:\n{table}");
     }
 }
