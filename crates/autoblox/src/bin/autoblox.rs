@@ -101,9 +101,10 @@ fn usage_text() -> String {
          \x20          [--family homogeneous|hybrid] [--speculate K]\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db] [--record]\n\
-         \x20          (--speculate K prefetches K candidates per iteration; 0, the\n\
-         \x20           default, is min(worker threads, CPUs); results are identical\n\
-         \x20           for every K. --db/--record keep every measurement in the\n\
+         \x20          (--speculate K prefetches up to K candidates per iteration,\n\
+         \x20           at most one per two worker threads; 0, the default, is one\n\
+         \x20           per CPU; results are identical for every K.\n\
+         \x20           --db/--record keep every measurement in the\n\
          \x20           store: the same command run again replays instead of\n\
          \x20           simulating, which is how an interrupted run resumes)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
@@ -1062,19 +1063,16 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     let iterations: usize = parse_flag(args, "--iterations")?.unwrap_or(20);
     let trace_events: usize =
         parse_flag(args, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
-    // Speculative batch width: `--speculate 0` (the default) means "one
-    // candidate per worker thread that has a CPU to run on", which degrades
-    // to sequential on one thread or one CPU: lookahead beyond the
-    // machine's parallelism only queues simulator runs most of which are
-    // never demanded. An explicit K is taken as given. Any k produces
-    // byte-identical results; k only affects how much simulator work runs
-    // ahead of demand.
-    let speculate: usize = parse_flag(args, "--speculate")?.unwrap_or(0);
-    let speculative_batch = if speculate == 0 {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        autoblox::parallel::max_threads().min(cpus)
-    } else {
-        speculate
+    // Speculative batch width: `--speculate 0` (the default) asks for one
+    // candidate per CPU, since lookahead beyond the machine's parallelism
+    // only queues simulator runs most of which are never demanded. The
+    // tuner caps any K at half the worker threads (each validation keeps
+    // two busy), so below four threads nothing is prefetched. Any k
+    // produces byte-identical results; k only affects how much simulator
+    // work runs ahead of demand.
+    let speculative_batch = match parse_flag(args, "--speculate")?.unwrap_or(0) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        k => k,
     };
     let validator = Validator::new(ValidatorOptions {
         trace_events,

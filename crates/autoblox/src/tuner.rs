@@ -83,13 +83,17 @@ pub struct TunerOptions {
     pub non_target: Vec<WorkloadKind>,
     /// RNG seed for root selection.
     pub seed: u64,
-    /// Speculative batch width `k`: besides validating the walk's chosen
-    /// candidate, prefetch the `k - 1` next-best scored candidates on the
-    /// worker pool. Prefetched measurements sit in the validator's side
-    /// store without touching any sequential-visible accounting, so the
-    /// search trajectory and fingerprints are byte-identical at every `k` —
-    /// later iterations that would re-simulate one of them hit the warm
-    /// cache instead. `0` and `1` both disable speculation.
+    /// Upper bound on the speculative batch width `k`: besides validating
+    /// the walk's chosen candidate, prefetch the `k - 1` next-best scored
+    /// candidates on the worker pool. Prefetched measurements sit in the
+    /// validator's side store without touching any sequential-visible
+    /// accounting, so the search trajectory and fingerprints are
+    /// byte-identical at every `k` — later iterations that would
+    /// re-simulate one of them hit the warm cache instead. The tuner caps
+    /// `k` at half the pool width ([`mlkit::parallel::max_threads`]),
+    /// because each validation runs its two replays on two threads: below
+    /// four threads nothing is prefetched. `0` and `1` both disable
+    /// speculation.
     pub speculative_batch: usize,
 }
 
@@ -784,8 +788,18 @@ impl<'a> Tuner<'a> {
         // acquisition scores, so the Random ablation never speculates. A
         // replay speculates nothing either: when the store already holds the
         // chosen candidate, look-ahead could only re-simulate what the run
-        // that paid for it threw away.
-        let k = self.opts.speculative_batch.max(1);
+        // that paid for it threw away. A validation alone keeps two pool
+        // threads busy (its timed and saturated replays run side by side),
+        // so the batch only gets the spare width: one candidate per two
+        // threads, and no look-ahead at all below four. At two threads,
+        // no look-ahead beat a batch of two in every measured pair. At
+        // four or more the cap is unmeasured: inside a speculating batch
+        // each validation's replays are nested and run one after the
+        // other, so the demanded candidate loses its split.
+        let k = self
+            .opts
+            .speculative_batch
+            .clamp(1, (mlkit::parallel::max_threads() / 2).max(1));
         if k > 1 && surrogate.is_some() {
             if let Some(best_vec) = chosen.as_ref().filter(|v| !state.seen.contains(*v)) {
                 let mut batch: Vec<SsdConfig> = Vec::with_capacity(k);

@@ -600,9 +600,10 @@ impl Validator {
         // 15-240 h traces move TBs). The DRAM capacity parameters are
         // therefore near-insensitive at this scale; see DESIGN.md §9.
         // Per-thread scratch: the latency vectors and the outstanding heap
-        // grow once per worker thread and are reused by every replay after
-        // that (reports are pure functions of config + trace; the scratch
-        // only carries capacity).
+        // grow once per thread and are reused by every replay after that,
+        // on pool helpers too, because the pool parks its helpers between
+        // batches instead of letting them exit (reports are pure functions
+        // of config + trace; the scratch only carries capacity).
         thread_local! {
             static SCRATCH: std::cell::RefCell<ssdsim::RunScratch> =
                 std::cell::RefCell::new(ssdsim::RunScratch::default());
@@ -611,14 +612,43 @@ impl Validator {
         sim.warm_up(self.opts.warm_fill);
         // Both replays start from the same warmed device: build and warm it
         // once, and hand the saturated replay a copy.
-        let mut sat_sim = sim.clone();
-        let report = SCRATCH.with(|s| sim.run_scratch(trace, &mut s.borrow_mut()));
-        let mut m = Measurement::from_report(&report);
-        // Saturated replay: throughput capability.
+        let sat_sim = sim.clone();
         let saturated = self.saturated_for(trace);
-        let sat_report = SCRATCH.with(|s| sat_sim.run_scratch(&saturated, &mut s.borrow_mut()));
-        // Sustained throughput includes draining the write-back cache.
-        let drained_ns = sat_sim.drain(sat_report.makespan_ns).max(1);
+        // Saturated replay: throughput capability. Its drain — sustained
+        // throughput includes emptying the write-back cache — is the second
+        // value; the timed replay has none. Each replay gets a keyed span so
+        // both keep one identity whichever thread runs them.
+        let replay = |(mut sim, sat): (Simulator, bool)| -> (SimReport, u64) {
+            let (name, events) = if sat {
+                ("validator.saturated", &*saturated)
+            } else {
+                ("validator.timed", trace)
+            };
+            let _span = telemetry::span::Span::enter_keyed(name, 0);
+            let report = SCRATCH.with(|s| sim.run_scratch(events, &mut s.borrow_mut()));
+            let drained_ns = if sat {
+                sim.drain(report.makespan_ns).max(1)
+            } else {
+                0
+            };
+            (report, drained_ns)
+        };
+        // The two replays run side by side on the pool: the search waits on
+        // this validation, so the second thread shortens it directly. Under
+        // a fan-out (pruning, non-target batches) the call is nested and
+        // runs inline. At one thread `parallel_map` would run the two
+        // replays inline too; the branch exists only so that a one-thread
+        // run's inline pool counters, pinned by the `pool` block of
+        // `scripts/golden/telemetry-database.json`, do not move.
+        let replays = vec![(sim, false), (sat_sim, true)];
+        let mut done = if mlkit::parallel::max_threads() > 1 {
+            mlkit::parallel::parallel_map(replays, replay)
+        } else {
+            replays.into_iter().map(replay).collect()
+        };
+        let (sat_report, drained_ns) = done.pop().expect("saturated replay");
+        let (report, _) = done.pop().expect("timed replay");
+        let mut m = Measurement::from_report(&report);
         m.throughput_bps = (sat_report.host_bytes as f64 / (drained_ns as f64 / 1e9)).max(1.0);
         if telemetry::enabled() {
             self.counters

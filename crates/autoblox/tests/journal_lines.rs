@@ -15,7 +15,12 @@
 //! --json` (`watch.json`, whose `lines` counts have since lost `placements`
 //! and count those two lines as `unknown`). This build must print the same
 //! bytes, and a fresh journal of the same tune must carry the same lines
-//! once the members that vary by host are masked.
+//! once the members that vary by host are masked — except its span lines
+//! and the summary that counts them. Each validation's timed and saturated
+//! replays have since got a keyed span of their own (`validator.timed`,
+//! `validator.saturated`, the new parents of `sim.run` and `sim.drain`), so
+//! those lines are pinned to `fixtures/tune_spans.jsonl`, the same tune's
+//! span and summary lines as the first build with those spans wrote them.
 
 use autoblox::journal::{
     BottleneckLine, IterationLine, JournalLine, MetaLine, ModelLine, ProgressLine, SeriesLine,
@@ -325,9 +330,25 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     let ours = std::fs::read_to_string(&journal).expect("journal written");
     std::fs::remove_file(journal).ok();
     std::fs::remove_file(telemetry).ok();
-    let (ours, parent) = (masked_tune_lines(&ours), masked_tune_lines(&parent));
-    assert_eq!(ours.len(), parent.len(), "line count");
-    for (a, b) in ours.iter().zip(&parent) {
-        assert_eq!(a, b);
+    let spans = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tune_spans.jsonl");
+    let spans = std::fs::read_to_string(spans).expect("span fixture");
+    // Span and summary lines against the span fixture, the rest against
+    // the parent's journal.
+    let is_span =
+        |line: &String| line.contains(r#""t":"span""#) || line.contains(r#""t":"summary""#);
+    let (ours_spans, ours_rest): (Vec<_>, Vec<_>) =
+        masked_tune_lines(&ours).into_iter().partition(is_span);
+    let parent_rest: Vec<_> = masked_tune_lines(&parent)
+        .into_iter()
+        .filter(|l| !is_span(l))
+        .collect();
+    for (ours, expected) in [
+        (ours_rest, parent_rest),
+        (ours_spans, masked_tune_lines(&spans)),
+    ] {
+        assert_eq!(ours.len(), expected.len(), "line count");
+        for (a, b) in ours.iter().zip(&expected) {
+            assert_eq!(a, b);
+        }
     }
 }

@@ -198,6 +198,9 @@ fn changed_inputs_miss_the_memo() {
 /// out of the store, and a replay of a speculating run speculates nothing.
 #[test]
 fn undemanded_speculation_is_not_persisted() {
+    // Look-ahead needs spare pool width (one candidate per two threads);
+    // pinned, so the test does not depend on the host's CPU count.
+    autoblox::parallel::set_max_threads(4);
     let db = Arc::new(Store::in_memory());
     let v = validator(300);
     v.attach_store(Arc::clone(&db));

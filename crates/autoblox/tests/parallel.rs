@@ -136,11 +136,11 @@ fn parallel_map_evaluations_match_sequential_order() {
     assert_eq!(par, seq);
 }
 
-/// `tune --speculate 0` (the default) widens to `min(worker threads, CPUs)`,
-/// not to the worker-thread count alone: with `AUTOBLOX_THREADS=8` on a
+/// `tune --speculate 0` (the default) asks for one candidate per CPU, which
+/// the tuner caps at half the worker threads: with `AUTOBLOX_THREADS=8` on a
 /// smaller machine it used to queue eight candidates per iteration and throw
-/// most of them away. An explicit `--speculate K` is taken as given, and the
-/// tune's output is byte-identical whatever the width.
+/// most of them away. An explicit `--speculate K` is capped the same way,
+/// and the tune's output is byte-identical whatever the width.
 #[test]
 fn default_speculation_is_capped_at_the_machine() {
     use std::process::Command;
@@ -187,7 +187,7 @@ fn default_speculation_is_capped_at_the_machine() {
     );
     assert_eq!(
         auto.1, capped.1,
-        "auto must speculate exactly as --speculate min(threads, cpus) does"
+        "auto must speculate exactly as --speculate <cpus> does"
     );
     assert!(
         auto.1 <= wide.1,

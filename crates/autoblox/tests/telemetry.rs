@@ -135,45 +135,108 @@ fn disabled_sink_is_free() {
     assert_eq!(report.validator.shard_entries.iter().sum::<u64>(), 1);
 }
 
+/// What one validation at `threads` pool threads measured, absorbed and
+/// journaled: the measurement, the simulator aggregate, and the device
+/// lines (`series`, `bottleneck`) in journal order.
+fn validate_at(
+    threads: usize,
+    cfg: &SsdConfig,
+    kind: WorkloadKind,
+) -> (Measurement, SimAggregate, Vec<String>, Trace) {
+    parallel::set_max_threads(threads);
+    let path = std::env::temp_dir().join(format!(
+        "autoblox-test-device-{}-{threads}.jsonl",
+        std::process::id()
+    ));
+    let path = path.to_string_lossy().into_owned();
+    let journal = Journal::create(&path).expect("journal opens");
+    autoblox::telemetry::global().attach_journal(journal.handle());
+    let v = quick_validator(400);
+    let trace = v.trace_for(kind);
+    let pool_before = parallel::pool_stats();
+    let measured = v.evaluate_trace(cfg, &trace);
+    let pool_batches = parallel::pool_stats().batches - pool_before.batches;
+    autoblox::telemetry::global().detach_journal();
+    journal.finish(&path).expect("journal closes");
+    // One thread makes no pool call; two split the replays in one batch.
+    assert_eq!(
+        pool_batches,
+        u64::from(threads > 1),
+        "{kind:?} at {threads}"
+    );
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    std::fs::remove_file(&path).ok();
+    let device = text
+        .lines()
+        .filter(|l| {
+            matches!(
+                JournalLine::parse(l),
+                Ok(JournalLine::Series(_) | JournalLine::Bottleneck(_))
+            )
+        })
+        .map(str::to_string)
+        .collect();
+    (measured, v.sim_aggregate(), device, (*trace).clone())
+}
+
 /// A validation warms one simulator and replays the saturated trace on a
-/// clone of it. With telemetry on (device sampling active in both replays)
-/// the measurement and everything the validator absorbs from the two
-/// reports must equal what two independently built and warmed simulators
-/// produce, on a homogeneous and on a hybrid device.
+/// clone of it, the two replays side by side on two pool threads. With
+/// telemetry on (device sampling active in both replays), for every studied
+/// workload and the write-heavy FIU trace, on a homogeneous and on a hybrid
+/// device, one thread and two must measure, absorb and journal the same —
+/// device lines timed first — and equal what two independently built and
+/// warmed simulators produce.
 #[test]
 fn warm_once_reports_match_independent_simulators() {
     let _guard = SWITCH_LOCK.lock().unwrap();
     telemetry::set_enabled(true);
     for cfg in [presets::intel_750(), presets::hybrid_slc_qlc()] {
-        let v = quick_validator(400);
-        let trace = v.trace_for(WorkloadKind::Fiu);
-        let measured = v.evaluate_trace(&cfg, &trace);
+        for kind in WorkloadKind::STUDIED.into_iter().chain([WorkloadKind::Fiu]) {
+            let (measured, agg, device, trace) = validate_at(1, &cfg, kind);
+            let split = validate_at(2, &cfg, kind);
+            assert_eq!(split.0, measured, "{kind:?}: measurement");
+            assert_eq!(split.1, agg, "{kind:?}: simulator aggregate");
+            assert_eq!(split.2, device, "{kind:?}: device lines");
+            let replays: Vec<_> = device
+                .iter()
+                .filter_map(|l| match JournalLine::parse(l) {
+                    Ok(JournalLine::Series(s)) => Some(s.replay),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(replays, ["timed", "saturated"], "{kind:?}");
 
-        let replay = |trace: &Trace| -> (SimReport, u64) {
-            let mut sim = Simulator::new(cfg.clone());
-            sim.warm_up(v.options().warm_fill);
-            let report = sim.run(trace);
-            let drained_ns = sim.drain(report.makespan_ns).max(1);
-            (report, drained_ns)
-        };
-        let (timed, _) = replay(&trace);
-        let zeroed = trace
-            .events()
-            .iter()
-            .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
-        let (saturated, drained_ns) = replay(&Trace::from_events(trace.name(), zeroed.collect()));
+            let replay = |trace: &Trace| -> (SimReport, u64) {
+                let mut sim = Simulator::new(cfg.clone());
+                sim.warm_up(ValidatorOptions::default().warm_fill);
+                let report = sim.run(trace);
+                let drained_ns = sim.drain(report.makespan_ns).max(1);
+                (report, drained_ns)
+            };
+            let (timed, _) = replay(&trace);
+            let zeroed = trace
+                .events()
+                .iter()
+                .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
+            let (saturated, drained_ns) =
+                replay(&Trace::from_events(trace.name(), zeroed.collect()));
 
-        let mut expected = Measurement::from_report(&timed);
-        expected.throughput_bps =
-            (saturated.host_bytes as f64 / (drained_ns as f64 / 1e9)).max(1.0);
-        assert_eq!(measured, expected);
+            let mut expected = Measurement::from_report(&timed);
+            expected.throughput_bps =
+                (saturated.host_bytes as f64 / (drained_ns as f64 / 1e9)).max(1.0);
+            assert_eq!(measured, expected, "{kind:?}");
 
-        let mut agg = SimAggregate::default();
-        agg.absorb(&timed);
-        agg.absorb(&saturated);
-        assert!(agg.device_samples > 0, "sampling was on in both replays");
-        assert_eq!(v.sim_aggregate(), agg);
+            let mut expected_agg = SimAggregate::default();
+            expected_agg.absorb(&timed);
+            expected_agg.absorb(&saturated);
+            assert!(
+                expected_agg.device_samples > 0,
+                "sampling was on in both replays"
+            );
+            assert_eq!(agg, expected_agg, "{kind:?}");
+        }
     }
+    parallel::set_max_threads(0);
     telemetry::set_enabled(false);
 }
 

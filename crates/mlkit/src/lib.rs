@@ -14,8 +14,8 @@
 //!   RBF + RationalQuadratic + White kernels (grade prediction, §3.4);
 //! - [`nn`]: a small MLP regressor, the DNN comparison point of §3.2;
 //! - [`metrics`]: clustering quality scores (silhouette, adjusted Rand);
-//! - [`parallel`]: a scoped worker pool for deterministic data-parallel
-//!   fan-out (kernel matrices here; simulator validation downstream).
+//! - [`parallel`]: a persistent worker pool for deterministic data-parallel
+//!   fan-out (simulator validation downstream).
 //!
 //! # Examples
 //!

@@ -161,12 +161,20 @@ pub fn dropped_spans() -> u64 {
 
 /// Clears the ring buffer, the drop counter, and the **calling thread's**
 /// sequence counters, so two runs traced back-to-back in one process
-/// produce identical span ids. Worker threads are scoped (they die with
-/// their batch), so resetting the calling thread is sufficient for the
-/// sequential pipeline.
+/// produce identical span ids. Worker-pool helpers outlive their batches
+/// but clear their own counters as each batch starts
+/// ([`clear_thread_sequences`]), so resetting the calling thread is
+/// sufficient for the sequential pipeline.
 pub fn reset_tracing_state() {
     lock_ring().buf.clear();
     DROPPED.reset();
+    clear_thread_sequences();
+}
+
+/// Clears the calling thread's [`Span::enter`] sequence counters, so its
+/// next sequential spans are numbered as on a freshly spawned thread. A
+/// persistent pool helper calls this as it joins each batch.
+pub fn clear_thread_sequences() {
     CTX.with(|ctx| ctx.borrow_mut().seq.clear());
 }
 
