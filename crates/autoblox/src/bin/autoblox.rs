@@ -11,13 +11,10 @@
 //! decision provenance; `report diff` compares two reports over the same
 //! summary.
 //!
-//! A `tune`/`whatif` invocation with `--db` (or the opt-in
-//! `--record`, which uses the default store `autoblox.db`) keeps every
-//! measurement it paid for in that store — running the same command again
-//! replays the run instead of re-simulating it, so an interrupted run is
-//! resumed by starting it again — and registers a compact run summary
-//! under `run:<category>:<seq>`, the persistent history `runs list/show`
-//! queries and `report trend` judges.
+//! A `tune`/`whatif` invocation with `--db` keeps every measurement it
+//! paid for in that store — running the same command again replays the
+//! run instead of re-simulating it, so an interrupted run is resumed by
+//! starting it again.
 //!
 //! Trace files are auto-detected by extension when the format argument is
 //! omitted (`.csv`, `.blk`, `.msr`).
@@ -28,14 +25,15 @@
 //! can consume the JSON without scraping.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (missing
-//! operands, unknown flags, bad flag values, malformed run keys) or a
-//! malformed input file (unreadable/unparseable trace, telemetry report,
-//! config, run journal, or AutoDB store), `3` a `report diff` regression.
+//! operands, unknown flags, bad flag values), a malformed input file
+//! (unreadable/unparseable trace, telemetry report, config, run journal,
+//! or AutoDB store) or constraints no search can start from, `3` a
+//! `report diff` regression.
 
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
-use autoblox::report::{render_rows, Summary, Thresholds};
+use autoblox::report::{render_rows, Thresholds};
 use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::RunReport;
 use autoblox::tuner::{Tuner, TunerOptions};
@@ -61,7 +59,9 @@ enum CliError {
     /// flag value, and so on.
     Usage(String),
     /// A user-supplied input file (trace, config JSON, telemetry report,
-    /// run journal, or AutoDB store) could not be read or failed validation.
+    /// run journal, or AutoDB store) could not be read or failed
+    /// validation, or the constraints or goal of `tune`/`whatif` admit no
+    /// search.
     Input(String),
     /// Any other runtime failure.
     Other(String),
@@ -100,23 +100,17 @@ fn usage_text() -> String {
          \x20          [--interface nvme|sata] [--flash slc|mlc|tlc|qlc] [--power W]\n\
          \x20          [--family homogeneous|hybrid] [--speculate K]\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          [--db store.db] [--record]\n\
+         \x20          [--db store.db]\n\
          \x20          (--speculate K prefetches up to K candidates per iteration,\n\
          \x20           at most one per two worker threads; 0, the default, is one\n\
          \x20           per CPU; results are identical for every K.\n\
-         \x20           --db/--record keep every measurement in the\n\
-         \x20           store: the same command run again replays instead of\n\
-         \x20           simulating, which is how an interrupted run resumes)\n\
+         \x20           --db keeps every measurement in the store: the same\n\
+         \x20           command run again replays instead of simulating, which\n\
+         \x20           is how an interrupted run resumes)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
          \x20          [--events N] [--capacity ...] (constraint flags as for tune)\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          [--db store.db] [--record]\n\
-         \x20 runs     list [--db store.db] [--json]           browse the run registry\n\
-         \x20          [--category <name>] [--limit N]         (filter by category; keep the\n\
-         \x20                                                  N most recent, N >= 1)\n\
-         \x20 runs     show <run-key> [--db store.db] [--json] one recorded run in full\n\
-         \x20 watch    <journal.jsonl> [--replay] [--json]     live progress dashboard over\n\
-         \x20          [--interval-ms N]                       a streaming run journal\n\
+         \x20          [--db store.db]\n\
          \x20 telemetry-check <report.json>                   validate a telemetry report\n\
          \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
          \x20                                                 bottleneck shares, surrogate\n\
@@ -131,19 +125,15 @@ fn usage_text() -> String {
          \x20          [--max-validation-increase F] [--max-hit-rate-drop F]\n\
          \x20          [--max-sim-time-increase F] [--max-tail-shift F]\n\
          \x20          [--max-bottleneck-shift F] [--ignore <metric>]...\n\
-         \x20 report   trend [--db store.db] [--window N]      judge the newest recorded run\n\
-         \x20          [--category C] [--max-grade-drop F]     against the registry's recent\n\
-         \x20          [--max-run-inflation F]                 history (exit 3 on drift)\n\
-         \x20          [--max-bottleneck-shift F]\n\
-         \x20          [--min-calibration-coverage F] [--json]\n\
          \n\
          exit codes:\n\
          \x20 0  success\n\
          \x20 1  runtime failure\n\
-         \x20 2  usage error (missing operands, unknown flags, bad flag values,\n\
-         \x20    malformed run keys) or a malformed/unreadable input\n\
-         \x20    file (a store whose last line was torn by a crash is repaired)\n\
-         \x20 3  `report diff` found a regression / `report trend` found drift\n\
+         \x20 2  usage error (missing operands, unknown flags, bad flag values),\n\
+         \x20    a malformed/unreadable input file (a store whose last line\n\
+         \x20    was torn by a crash is repaired) or constraints no search\n\
+         \x20    can start from\n\
+         \x20 3  `report diff` found a regression\n\
          \n\
          workloads: {}",
         WorkloadKind::STUDIED
@@ -564,39 +554,29 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Exit code returned by `report diff` on regression and `report trend`
-/// on drift (distinct from `1` = usage/parse error so CI can tell them
-/// apart).
+/// Exit code returned by `report diff` on regression (distinct from `1` =
+/// runtime failure and `2` = usage/parse error so CI can tell them apart).
 const EXIT_REGRESSION: u8 = 3;
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
     let [sub, rest @ ..] = args else {
-        return Err(
-            "report needs: diff <baseline.json> <candidate.json> [flags] or trend [flags]".into(),
-        );
+        return Err("report needs: diff <baseline.json> <candidate.json> [flags]".into());
     };
     match sub.as_str() {
         "diff" => cmd_report_diff(rest),
-        "trend" => cmd_report_trend(rest),
         other => Err(CliError::Usage(format!(
-            "unknown report subcommand {other:?} (expected `diff` or `trend`)"
+            "unknown report subcommand {other:?} (expected `diff`)"
         ))),
     }
 }
 
-/// The threshold flags of `report diff` and `report trend`, parsed into
-/// the one [`Thresholds`] (each command's [`ReaderArgs::parse`] list admits only
-/// its own subset; the validation-count threshold keeps both of its
-/// historical flag names).
+/// The threshold flags of `report diff`, parsed into [`Thresholds`].
 fn thresholds_from(args: &[String]) -> Result<Thresholds, CliError> {
     let d = Thresholds::default();
-    let validation_increase = match parse_flag(args, "--max-validation-increase")? {
-        Some(v) => Some(v),
-        None => parse_flag(args, "--max-run-inflation")?,
-    };
-    let t = Thresholds {
+    Ok(Thresholds {
         max_grade_drop: parse_flag(args, "--max-grade-drop")?.unwrap_or(d.max_grade_drop),
-        max_validation_increase: validation_increase.unwrap_or(d.max_validation_increase),
+        max_validation_increase: parse_flag(args, "--max-validation-increase")?
+            .unwrap_or(d.max_validation_increase),
         max_hit_rate_drop: parse_flag(args, "--max-hit-rate-drop")?.unwrap_or(d.max_hit_rate_drop),
         max_sim_time_increase: parse_flag(args, "--max-sim-time-increase")?
             .unwrap_or(d.max_sim_time_increase),
@@ -604,18 +584,9 @@ fn thresholds_from(args: &[String]) -> Result<Thresholds, CliError> {
             .unwrap_or(d.max_tail_latency_shift),
         max_bottleneck_shift: parse_flag(args, "--max-bottleneck-shift")?
             .unwrap_or(d.max_bottleneck_shift),
-        min_calibration_coverage: parse_flag(args, "--min-calibration-coverage")?
-            .unwrap_or(d.min_calibration_coverage),
         ignore_time: args.iter().any(|a| a == "--ignore-time"),
-        window: parse_flag(args, "--window")?.unwrap_or(d.window),
-    };
-    if t.window < 2 {
-        return Err("--window must be at least 2 (a run needs history to drift from)".into());
-    }
-    if !(0.0..=1.0).contains(&t.min_calibration_coverage) {
-        return Err("--min-calibration-coverage must be in [0, 1]".into());
-    }
-    Ok(t)
+        ..d
+    })
 }
 
 fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
@@ -657,65 +628,8 @@ fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// Default AutoDB store used by `--record` (and by `runs`/`report trend`
-/// when `--db` is omitted) so the zero-config path "record a few runs,
-/// then ask about them" works without threading a path around.
-const DEFAULT_RUN_STORE: &str = "autoblox.db";
-
-/// Opens an existing run-registry store. `Store::open` would create the
-/// file, which is never what a read-only query wants — a missing registry
-/// is an input error, not an empty history.
-fn open_run_store(db_path: &str) -> Result<autodb::Store, CliError> {
-    if !std::path::Path::new(db_path).exists() {
-        return Err(CliError::Input(format!(
-            "no run registry at {db_path} (record runs with --db/--record first)"
-        )));
-    }
-    autodb::Store::open(db_path)
-        .map_err(|e| CliError::Input(format!("cannot open store {db_path}: {e}")))
-}
-
-fn cmd_report_trend(rest: &[String]) -> Result<ExitCode, CliError> {
-    let valued = [
-        "--db",
-        "--category",
-        "--window",
-        "--max-grade-drop",
-        "--max-run-inflation",
-        "--max-bottleneck-shift",
-        "--min-calibration-coverage",
-    ];
-    let parsed = ReaderArgs::parse("report trend", rest, &["--json"], &valued)?;
-    if !parsed.positional.is_empty() {
-        return Err("report trend takes only flags".into());
-    }
-    let json_only = parsed.has("--json");
-    let db_path: String =
-        parse_flag(rest, "--db")?.unwrap_or_else(|| DEFAULT_RUN_STORE.to_string());
-    let thresholds = thresholds_from(rest)?;
-    let category: Option<String> = parse_flag(rest, "--category")?;
-    let db = open_run_store(&db_path)?;
-    let report = autoblox::trend(&db, &thresholds, category.as_deref()).map_err(CliError::Input)?;
-    // Machine-readable verdict to stdout; the human summary to stderr
-    // (suppressed by --json so scripted callers get a quiet channel).
-    print_json(&report)?;
-    if !json_only {
-        eprint!("{}", autoblox::obs::render_trend(&report));
-    }
-    if report.pass {
-        if !json_only {
-            eprintln!("verdict: PASS");
-        }
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("verdict: DRIFT ({})", report.drifts.join(", "));
-        Ok(ExitCode::from(EXIT_REGRESSION))
-    }
-}
-
-/// Flags every writer command (`tune`/`whatif`) takes besides
-/// `--record`: the device constraints, the observability sinks and the
-/// store.
+/// Flags every writer command (`tune`/`whatif`) takes: the device
+/// constraints, the observability sinks and the store.
 const WRITER_FLAGS: [&str; 8] = [
     "--capacity",
     "--interface",
@@ -727,280 +641,41 @@ const WRITER_FLAGS: [&str; 8] = [
     "--db",
 ];
 
-/// The AutoDB store of a writer command: `--db <store>`, or
-/// [`DEFAULT_RUN_STORE`] with bare `--record`. Opening it makes it the
-/// validator's measurement memo — so the same command run again replays
-/// what was already simulated — and arms the telemetry switch (the run
-/// summary is taken from the run's telemetry report, which only accumulates
-/// under it); `record` registers one [`Summary`] when the command
-/// completes.
-struct RunRecorder {
-    db: Option<Arc<autodb::Store>>,
+/// Opens the `--db <store>` of a writer command, if given, and attaches it
+/// as the validator's measurement memo, so the same command run again
+/// replays what was already simulated. Returns whether a store is attached.
+fn attach_store(args: &[String], validator: &Validator) -> Result<bool, CliError> {
+    let Some(path) = parse_flag::<String>(args, "--db")? else {
+        return Ok(false);
+    };
+    let db = autodb::Store::open(&path)
+        .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
+    validator.attach_store(Arc::new(db));
+    Ok(true)
 }
 
-impl RunRecorder {
-    fn open(args: &[String], validator: &Validator) -> Result<RunRecorder, CliError> {
-        let path = match parse_flag::<String>(args, "--db")? {
-            None if args.iter().any(|a| a == "--record") => Some(DEFAULT_RUN_STORE.to_string()),
-            path => path,
-        };
-        let Some(path) = path else {
-            return Ok(RunRecorder { db: None });
-        };
-        autoblox::telemetry::set_enabled(true);
-        let db = autodb::Store::open(&path)
-            .map_err(|e| CliError::Input(format!("cannot open store {path}: {e}")))?;
-        let db = Arc::new(db);
-        validator.attach_store(Arc::clone(&db));
-        Ok(RunRecorder { db: Some(db) })
-    }
-
-    /// Reports how much of the run the store answered, then summarises the
-    /// finished run from its telemetry and registers it. `identify` assigns
-    /// what only the command knows: its name, device family and seed.
-    fn record(
-        &self,
-        validator: &Validator,
-        identify: impl FnOnce(&mut Summary),
-    ) -> Result<(), CliError> {
-        let Some(db) = &self.db else {
-            return Ok(());
-        };
-        let recalled = validator.memo_hits();
-        eprintln!(
-            "{} validations, {recalled} from the store",
-            validator.simulator_runs() + recalled
-        );
-        let mut summary = Summary::of(&autoblox::telemetry::global().report(Some(validator)));
-        identify(&mut summary);
-        let key = autoblox::record_run(db, &summary).map_err(CliError::Other)?;
-        eprintln!("run recorded as {key}");
-        Ok(())
-    }
-}
-
-fn cmd_runs(args: &[String]) -> Result<(), CliError> {
-    let [sub, rest @ ..] = args else {
-        return Err(
-            "runs needs: list [--db store.db] [--json] [--category <name>] [--limit N] \
-             or show <run-key> [--db] [--json]"
-                .into(),
-        );
-    };
-    let valued: &[&str] = match sub.as_str() {
-        "list" => &["--db", "--category", "--limit"],
-        "show" => &["--db"],
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown runs subcommand {other:?} (expected `list` or `show`)"
-            )))
-        }
-    };
-    let parsed = ReaderArgs::parse("runs", rest, &["--json"], valued)?;
-    let json_out = parsed.has("--json");
-    let db_path: String =
-        parse_flag(rest, "--db")?.unwrap_or_else(|| DEFAULT_RUN_STORE.to_string());
-    // `key` joins a summary's JSON form: the listing emits fingerprints
-    // (host-varying fields stripped) so diffing two listings compares
-    // substance; `show` emits the record in full.
-    let keyed = |key: &str, mut value: serde_json::Value| {
-        if let serde_json::Value::Object(map) = &mut value {
-            map.insert("key".to_string(), serde_json::json!(key));
-        }
-        value
-    };
-    if sub == "list" {
-        if !parsed.positional.is_empty() {
-            return Err("runs list takes only flags".into());
-        }
-        let category: Option<String> = parse_flag(rest, "--category")?;
-        if category.as_deref() == Some("") {
-            return Err("--category needs a non-empty name".into());
-        }
-        let limit: Option<u64> = parse_flag(rest, "--limit")?;
-        if limit == Some(0) {
-            return Err("--limit must be at least 1".into());
-        }
-        let db = open_run_store(&db_path)?;
-        let mut runs = autoblox::obs::list_runs(&db).map_err(CliError::Input)?;
-        if let Some(cat) = &category {
-            runs.retain(|(_, s)| s.category == *cat);
-            if runs.is_empty() {
-                return Err(CliError::Input(format!(
-                    "no recorded runs for category `{cat}` in {db_path}"
-                )));
-            }
-        }
-        if let Some(n) = limit {
-            // Keep the newest N entries of the (oldest-first) listing.
-            let drop = runs.len().saturating_sub(n as usize);
-            runs.drain(..drop);
-        }
-        if json_out {
-            let entries: Vec<serde_json::Value> = runs
-                .iter()
-                .map(|(key, summary)| keyed(key, summary.fingerprint()))
-                .collect();
-            print_json(&serde_json::json!({
-                "schema": autoblox::report::RUNS_SCHEMA,
-                "runs": entries,
-            }))?;
-        } else {
-            print!("{}", autoblox::obs::render_runs(&runs));
-        }
-    } else {
-        let [key] = parsed.positional.as_slice() else {
-            return Err("runs show needs <run-key> [--db store.db] [--json]".into());
-        };
-        // Malformed keys are usage errors (exit 2) before any I/O.
-        autoblox::obs::parse_run_key(key).map_err(CliError::Usage)?;
-        let db = open_run_store(&db_path)?;
-        let summary = autoblox::obs::read_run(&db, key)
-            .map_err(CliError::Input)?
-            .ok_or_else(|| CliError::Input(format!("no run {key} in {db_path}")))?;
-        if json_out {
-            let value = serde_json::to_value(&summary).map_err(|e| e.to_string())?;
-            print_json(&keyed(key, value))?;
-        } else {
-            print!(
-                "{}",
-                autoblox::obs::render_runs(&[(key.to_string(), summary)])
-            );
-        }
-    }
-    Ok(())
-}
-
-fn cmd_watch(args: &[String]) -> Result<(), CliError> {
-    let parsed = ReaderArgs::parse("watch", args, &["--json", "--replay"], &["--interval-ms"])?;
-    let (json_out, replay) = (parsed.has("--json"), parsed.has("--replay"));
-    let interval_ms: u64 = parse_flag(args, "--interval-ms")?.unwrap_or(250);
-    let [path] = parsed.positional.as_slice() else {
-        return Err("watch needs <journal.jsonl> [--replay] [--json] [--interval-ms N]".into());
-    };
-    if replay {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-        let mut state = autoblox::WatchState::new();
-        for line in text.lines() {
-            state.ingest(line);
-        }
-        // A foreign schema is an input error: rendering zeros would look
-        // like a stalled run.
-        state
-            .check_schema()
-            .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-        if state.counts().total() == 0 {
-            return Err(CliError::Input(format!(
-                "{path}: no journal lines recognized"
-            )));
-        }
-        if state.counts().skipped > 0 {
-            eprintln!(
-                "warning: {path}: {} malformed line(s) skipped",
-                state.counts().skipped
-            );
-        }
-        if json_out {
-            // Timing excluded: the replay snapshot is a fingerprint, and
-            // byte-comparing it across hosts/thread counts is the point.
-            print_json(&state.snapshot(false))?;
-        } else {
-            print!("{}", state.render());
-        }
-        return Ok(());
-    }
-    // Live mode: poll the file for appended bytes (no notify dependency),
-    // carrying partial trailing lines until the writer finishes them.
-    use std::io::Read as _;
-    let interval = std::time::Duration::from_millis(interval_ms.max(20));
-    let mut state = autoblox::WatchState::new();
-    let mut carry = String::new();
-    let mut file: Option<File> = None;
-    let mut announced_wait = false;
-    let mut opened_ino: u64 = 0;
-    let mut consumed: u64 = 0;
-    loop {
-        // A producer that truncates or replaces the journal leaves the old
-        // handle stalled at its EOF forever; detect that and start over on
-        // the new file.
-        if file.is_some() {
-            match journal_identity(path) {
-                Some((ino, len)) if ino == opened_ino && len >= consumed => {}
-                _ => {
-                    eprintln!("{path}: journal truncated or replaced; restarting watch");
-                    file = None;
-                    state = autoblox::WatchState::new();
-                    carry.clear();
-                    consumed = 0;
-                }
-            }
-        }
-        if file.is_none() {
-            match File::open(path) {
-                Ok(f) => {
-                    opened_ino = journal_identity(path).map(|(ino, _)| ino).unwrap_or(0);
-                    file = Some(f);
-                }
-                Err(_) if !announced_wait => {
-                    eprintln!("waiting for {path} to appear ...");
-                    announced_wait = true;
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some(f) = &mut file {
-            // The handle keeps its offset, so each pass reads only what the
-            // producer appended since the previous tick.
-            let mut fresh = String::new();
-            f.read_to_string(&mut fresh)
-                .map_err(|e| CliError::Other(format!("read error on {path}: {e}")))?;
-            if !fresh.is_empty() {
-                consumed += fresh.len() as u64;
-                carry.push_str(&fresh);
-                while let Some(end) = carry.find('\n') {
-                    let line: String = carry[..end].to_string();
-                    state.ingest(&line);
-                    carry.drain(..=end);
-                }
-            }
-            state
-                .check_schema()
-                .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-            if json_out {
-                // One compact snapshot per tick: a machine-readable ticker.
-                println!(
-                    "{}",
-                    serde_json::to_string(&state.snapshot(true)).map_err(|e| e.to_string())?
-                );
-            } else {
-                eprint!("\r\x1b[2K{}", state.status_line());
-            }
-            if state.summary_seen() {
-                if !json_out {
-                    eprintln!();
-                }
-                return Ok(());
-            }
-        }
-        std::thread::sleep(interval);
-    }
-}
-
-/// Identity (inode, length) of the journal at `path`, for the live
-/// watcher's rotation/truncation detection.
-fn journal_identity(path: &str) -> Option<(u64, u64)> {
-    let md = std::fs::metadata(path).ok()?;
-    #[cfg(unix)]
-    let ino = std::os::unix::fs::MetadataExt::ino(&md);
-    #[cfg(not(unix))]
-    let ino = 0;
-    Some((ino, md.len()))
+/// Reports how much of a run with an attached store the store answered.
+fn report_recalls(validator: &Validator) {
+    let recalled = validator.memo_hits();
+    eprintln!(
+        "{} validations, {recalled} from the store",
+        validator.simulator_runs() + recalled
+    );
 }
 
 fn constraints_from(args: &[String]) -> Result<Constraints, CliError> {
     let capacity: u64 = parse_flag(args, "--capacity")?.unwrap_or(512);
+    if capacity.checked_mul(1 << 30).is_none() {
+        return Err(CliError::Input(format!(
+            "--capacity {capacity} GiB does not fit in 64-bit bytes"
+        )));
+    }
     let power: f64 = parse_flag(args, "--power")?.unwrap_or(25.0);
+    if !(power.is_finite() && power > 0.0) {
+        return Err(CliError::Input(
+            "--power must be a finite number of watts above 0".to_string(),
+        ));
+    }
     let interface = match parse_flag::<String>(args, "--interface")?.as_deref() {
         None | Some("nvme") => Interface::Nvme,
         Some("sata") => Interface::Sata,
@@ -1054,7 +729,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         &["--iterations", "--events", "--speculate"],
     ]
     .concat();
-    let parsed = ReaderArgs::parse("tune", args, &["--record"], &valued)?;
+    let parsed = ReaderArgs::parse("tune", args, &[], &valued)?;
     let [workload] = parsed.positional.as_slice() else {
         return Err("tune needs <workload> [flags]".into());
     };
@@ -1078,7 +753,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         trace_events,
         ..ValidatorOptions::default()
     });
-    let recorder = RunRecorder::open(args, &validator)?;
+    let stored = attach_store(args, &validator)?;
     let sinks = SinkConfig::from_args(args)?;
     let opts = TunerOptions {
         max_iterations: iterations,
@@ -1091,12 +766,12 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
             .collect(),
         ..TunerOptions::default()
     };
-    let seed = opts.seed;
     let reference = reference_for(&constraints);
     let sink = autoblox::telemetry::global();
     let tuner = Tuner::new(constraints, &validator, opts);
-    eprintln!("tuning {kind} for up to {iterations} iterations ...");
-    let outcome = sink.phase("tune", || tuner.tune(kind, &reference, &[], None));
+    let outcome = sink
+        .phase("tune", || tuner.try_tune(kind, &reference, &[], None))
+        .map_err(CliError::Input)?;
     sink.record_outcome(&outcome);
     eprintln!(
         "converged after {} iterations ({} validations); grade {:+.4}; \
@@ -1114,23 +789,26 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&outcome.best.config).map_err(|e| e.to_string())?
     );
-    recorder.record(&validator, |s| {
-        s.command = "tune".to_string();
-        s.device_family = constraints.family.label().to_string();
-        s.seed = seed;
-    })?;
+    if stored {
+        report_recalls(&validator);
+    }
     sinks.finish(&validator)?;
     Ok(())
 }
 
 fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
     let valued = [&WRITER_FLAGS[..], &["--goal", "--factor", "--events"]].concat();
-    let parsed = ReaderArgs::parse("whatif", args, &["--record"], &valued)?;
+    let parsed = ReaderArgs::parse("whatif", args, &[], &valued)?;
     let [workload] = parsed.positional.as_slice() else {
         return Err("whatif needs <workload> --goal latency|throughput --factor F".into());
     };
     let kind = parse_workload(workload).map_err(CliError::Usage)?;
     let factor: f64 = parse_flag(args, "--factor")?.unwrap_or(3.0);
+    if !(factor.is_finite() && factor > 0.0) {
+        return Err(CliError::Input(
+            "--factor must be a finite number above 0".to_string(),
+        ));
+    }
     let goal = match parse_flag::<String>(args, "--goal")?.as_deref() {
         None | Some("latency") => WhatIfGoal::LatencyReduction(factor),
         Some("throughput") => WhatIfGoal::ThroughputImprovement(factor),
@@ -1143,21 +821,22 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
         trace_events,
         ..ValidatorOptions::default()
     });
-    let recorder = RunRecorder::open(args, &validator)?;
+    let stored = attach_store(args, &validator)?;
     let sinks = SinkConfig::from_args(args)?;
     let reference = reference_for(&constraints);
-    eprintln!("running what-if analysis for {kind} ...");
     let sink = autoblox::telemetry::global();
-    let out = sink.phase("whatif", || {
-        what_if(
-            kind,
-            goal,
-            constraints,
-            &reference,
-            &validator,
-            WhatIfOptions::default(),
-        )
-    });
+    let out = sink
+        .phase("whatif", || {
+            what_if(
+                kind,
+                goal,
+                constraints,
+                &reference,
+                &validator,
+                WhatIfOptions::default(),
+            )
+        })
+        .map_err(CliError::Input)?;
     sink.record_outcome(&out.tuning);
     eprintln!(
         "achieved {:.2}x ({}) in {} iterations",
@@ -1169,11 +848,9 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
         "{}",
         serde_json::to_string_pretty(&out.tuning.best.config).map_err(|e| e.to_string())?
     );
-    recorder.record(&validator, |s| {
-        s.command = "whatif".to_string();
-        s.device_family = constraints.family.label().to_string();
-        s.seed = TunerOptions::default().seed;
-    })?;
+    if stored {
+        report_recalls(&validator);
+    }
     sinks.finish(&validator)?;
     Ok(())
 }
@@ -1185,9 +862,8 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match command.as_str() {
-        // `report diff`/`report trend` distinguish "regression/drift
-        // found" (exit 3) from plain success/failure, so they return an
-        // ExitCode directly.
+        // `report diff` distinguishes "regression found" (exit 3) from
+        // plain success/failure, so it returns an ExitCode directly.
         "report" => return cmd_report(rest).unwrap_or_else(fail),
         "generate" => cmd_generate(rest),
         "profile" => cmd_profile(rest),
@@ -1195,8 +871,6 @@ fn main() -> ExitCode {
         "simulate" => cmd_simulate(rest),
         "tune" => cmd_tune(rest),
         "whatif" => cmd_whatif(rest),
-        "runs" => cmd_runs(rest),
-        "watch" => cmd_watch(rest),
         "telemetry-check" => cmd_telemetry_check(rest),
         // Two reports are compared by `report diff`; the retired `explain
         // diff` form gets the usage text like any unknown command.
@@ -1243,7 +917,7 @@ mod tests {
             .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
             .collect();
         assert!(
-            dispatched.len() >= 12,
+            dispatched.len() >= 10,
             "parsed the match arms: {dispatched:?}"
         );
 

@@ -78,9 +78,30 @@ pub enum Violation {
     Invalid(String),
 }
 
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Violation::Capacity { actual, target } => write!(
+                f,
+                "capacity {actual} B is outside ±{}% of the {target} B target",
+                CAPACITY_TOLERANCE * 100.0
+            ),
+            Violation::DieTooSmall { actual } => {
+                write!(f, "a die of {actual} B is below the manufacturable floor")
+            }
+            Violation::Interface => f.write_str("wrong host interface"),
+            Violation::FlashType => f.write_str("wrong flash technology"),
+            Violation::Family => f.write_str("wrong device family"),
+            Violation::Invalid(e) => write!(f, "invalid configuration: {e}"),
+        }
+    }
+}
+
 impl Constraints {
     /// Creates constraints; capacity is in gibibytes, mirroring the paper's
-    /// `set_cons(capacity, interface, flash_type, power_budget)` API.
+    /// `set_cons(capacity, interface, flash_type, power_budget)` API. A
+    /// capacity whose byte count exceeds `u64` saturates, so no
+    /// configuration meets it (it never wraps to a small one).
     pub fn new(
         capacity_gib: u64,
         interface: Interface,
@@ -88,7 +109,7 @@ impl Constraints {
         power_budget_w: f64,
     ) -> Self {
         Constraints {
-            capacity_bytes: capacity_gib << 30,
+            capacity_bytes: capacity_gib.saturating_mul(1 << 30),
             interface,
             flash_type,
             power_budget_w,

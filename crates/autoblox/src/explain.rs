@@ -37,7 +37,7 @@ pub struct Explain {
     pub schema: String,
     /// Schema of the report explained.
     pub source_schema: String,
-    /// The run's summary — the same record the run registry stores.
+    /// The run's summary — the same record `report diff` compares.
     pub summary: Summary,
     /// Pipeline stages in completion order, with their wall time.
     pub phases: Vec<PhaseRecord>,

@@ -10,7 +10,7 @@
 //! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
 //! the kind and whose other members are that kind's struct. The tag is
 //! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
-//! and nowhere else. The nine kinds:
+//! and nowhere else. The eight kinds:
 //!
 //! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
 //!   limit, argv.
@@ -29,15 +29,12 @@
 //!   nondeterministically).
 //! - `bottleneck` ([`BottleneckLine`]) — one simulator run's
 //!   [`ssdsim::BottleneckReport`].
-//! - `progress` ([`ProgressLine`]) — one driver progress estimate (phase,
-//!   iteration, percent complete, ETA); consumed by `autoblox watch`.
 //! - `summary` ([`SummaryLine`]) — last line; totals and drop counters.
 //!
 //! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
 //! an unknown tag (a newer producer's, or a kind this build has retired),
-//! or a known tag whose members do not decode. `watch` counts those; the
-//! exporters pass over untagged and unknown lines and reject the others
-//! with the line number.
+//! or a known tag whose members do not decode. The exporters pass over
+//! untagged and unknown lines and reject the others with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
 //! Perfetto JSON format (`trace export --chrome`); [`export_csv`] flattens
@@ -87,14 +84,12 @@ pub enum JournalLine {
     Series(SeriesLine),
     /// `bottleneck`: one simulator run's latency attribution.
     Bottleneck(BottleneckLine),
-    /// `progress`: one driver progress estimate.
-    Progress(ProgressLine),
     /// `summary`: the journal's last line.
     Summary(SummaryLine),
 }
 
 /// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
-const KINDS: [&str; 9] = [
+const KINDS: [&str; 8] = [
     "meta",
     "span",
     "iteration",
@@ -102,7 +97,6 @@ const KINDS: [&str; 9] = [
     "phase",
     "series",
     "bottleneck",
-    "progress",
     "summary",
 ];
 
@@ -116,7 +110,8 @@ pub enum Skipped {
     /// JSON, but not an object with a string `"t"` tag.
     Untagged,
     /// A tag this build does not know: a newer producer's, or a kind this
-    /// build has retired (old journals' `placement` lines read as this).
+    /// build has retired (old journals' `placement` and `progress` lines
+    /// read as this).
     Unknown(String),
     /// A known tag whose members do not decode: the tag and the error.
     Malformed(String, String),
@@ -168,7 +163,7 @@ impl JournalLine {
 }
 
 /// Accepts the schema of a journal this build reads: any
-/// `autoblox.journal.v*`. The exporters and `watch` both apply it.
+/// `autoblox.journal.v*`. Every exporter applies it.
 ///
 /// # Errors
 ///
@@ -356,25 +351,6 @@ pub struct BottleneckLine {
     pub replay: String,
     /// The attribution.
     pub report: BottleneckReport,
-}
-
-/// The `progress` line. `percent` (0.0 ..= 1.0) is a deterministic function
-/// of the tuner stage and iteration; `eta_ns` is a wall-clock extrapolation
-/// (0 with telemetry off), the one member determinism fingerprints exclude.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProgressLine {
-    /// Target workload.
-    pub workload: String,
-    /// Tuner stage: `init_set`, `iterating` or `done`.
-    pub phase: String,
-    /// Iterations completed.
-    pub iteration: u64,
-    /// Iteration cap.
-    pub total: u64,
-    /// Percent-complete estimate.
-    pub percent: f64,
-    /// ETA extrapolation, ns.
-    pub eta_ns: u64,
 }
 
 /// The `summary` line: totals and drop counters.
@@ -565,8 +541,8 @@ fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>
 
 /// Converts a JSONL run journal into Chrome `about://tracing` / Perfetto
 /// trace JSON: spans and pipeline phases become complete (`"X"`) duration
-/// events (phases laid end-to-end on the pipeline track), iteration and
-/// progress records become instant (`"i"`) events on the tuner track.
+/// events (phases laid end-to-end on the pipeline track), iteration
+/// records become instant (`"i"`) events on the tuner track.
 ///
 /// # Errors
 ///
@@ -670,25 +646,6 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                 }));
                 phase_clock_us += dur_us;
             }
-            // Same iteration-index anchoring as iteration records, offset
-            // half a tick so a progress marker sorts after the iteration
-            // that produced it.
-            JournalLine::Progress(p) => events.push(serde_json::json!({
-                "name": "tuner.progress",
-                "cat": "progress",
-                "ph": "i",
-                "s": "g",
-                "ts": p.iteration as f64 * 1_000.0 + 500.0,
-                "pid": 1,
-                "tid": 0,
-                "args": serde_json::json!({
-                    "workload": p.workload,
-                    "phase": p.phase,
-                    "iteration": p.iteration,
-                    "total": p.total,
-                    "percent": p.percent,
-                }),
-            })),
             // Device and summary lines carry no timeline position.
             _ => {}
         }
@@ -898,35 +855,31 @@ mod tests {
     }
 
     #[test]
-    fn export_chrome_lays_phases_end_to_end_and_anchors_progress() {
+    fn export_chrome_lays_phases_end_to_end_and_skips_retired_kinds() {
         let phase = |name: &str, wall_ns| {
             let name = name.to_string();
             JournalLine::Phase(PhaseRecord { name, wall_ns }).to_line()
         };
-        let progress = JournalLine::Progress(ProgressLine {
-            workload: "Database".to_string(),
-            phase: "iterating".to_string(),
-            iteration: 3,
-            total: 8,
-            percent: 0.4375,
-            eta_ns: 0,
-        });
+        // A `progress` line as older builds wrote it.
+        let progress = r#"{"eta_ns":0,"iteration":3,"percent":0.4375,"phase":"iterating","t":"progress","total":8,"workload":"Database"}"#;
+        assert_eq!(
+            JournalLine::parse(progress),
+            Err(Skipped::Unknown("progress".to_string()))
+        );
         let journal = [
             meta(),
             phase("coarse_prune", 2000),
             phase("fine_prune", 3000),
-            progress.to_line(),
+            progress.to_string(),
         ]
         .join("\n");
         let events = trace_events(&export_chrome(&journal).expect("valid journal"));
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[1]["name"], "coarse_prune");
         assert_eq!(events[1]["ts"], 0.0);
         assert_eq!(events[2]["name"], "fine_prune");
         // Second phase starts where the first ended (2000 ns = 2 us).
         assert_eq!(events[2]["ts"], 2.0);
-        assert_eq!(events[3]["name"], "tuner.progress");
-        assert_eq!(events[3]["ph"], "i");
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod framework;
 pub mod journal;
 pub mod metrics;
 pub mod model_obs;
-pub mod obs;
 pub mod params;
 pub mod pruning;
 pub mod report;
@@ -63,16 +62,13 @@ pub mod report_diff;
 pub mod telemetry;
 pub mod tuner;
 pub mod validator;
-pub mod watch;
 pub mod whatif;
 
 pub use constraints::Constraints;
 pub use framework::{AutoBlox, AutoBloxOptions, Recommendation};
 pub use metrics::{grade, performance, Measurement};
 pub use mlkit::parallel;
-pub use obs::{record_run, trend, TrendReport};
 pub use params::ParamSpace;
 pub use report::{Summary, Thresholds};
 pub use tuner::{SurrogateKind, Tuner, TunerOptions, TuningOutcome, TuningTarget};
 pub use validator::{Validator, ValidatorOptions};
-pub use watch::WatchState;

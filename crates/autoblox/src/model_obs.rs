@@ -111,10 +111,10 @@ pub struct ModelReport {
     pub mean_explore_share: f64,
 }
 
-/// The predictive distribution `N(mean, std^2)` a journal `model` line or
-/// an iteration record describes; its `z_score` is the one calibration
-/// residual every reader (`explain`, `watch`) computes.
-pub fn prediction(mean: f64, std: f64) -> Prediction {
+/// The predictive distribution `N(mean, std^2)` an iteration record
+/// describes; its `z_score` is the one calibration residual `explain`
+/// reads.
+fn prediction(mean: f64, std: f64) -> Prediction {
     Prediction {
         mean,
         variance: std * std,

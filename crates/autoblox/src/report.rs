@@ -5,12 +5,10 @@
 //! - [`Summary::of`] condenses a telemetry [`RunReport`] once — headline
 //!   numbers, tail latency, bottleneck attribution, the surrogate's
 //!   calibration and importance lead. It is what `explain` prints first,
-//!   what the run registry stores, and what every comparison reads.
+//!   what `report diff` compares.
 //! - [`compare`] runs the one metric table over a candidate summary and its
-//!   baseline runs, judging each row with [`judge`]. `report diff` is that
-//!   table with one baseline; `report trend` is the same table with the
-//!   recent same-family history as the baseline (judged against its
-//!   median).
+//!   baseline, judging each row with [`judge`]. `report diff` is that
+//!   table over two telemetry reports.
 //!
 //! Everything is a pure function of its inputs, so rows — and the verdicts
 //! built from them — are bit-identical whenever the summaries are.
@@ -18,7 +16,6 @@
 use crate::model_obs::{self, CalibrationSummary};
 use crate::telemetry::RunReport;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use ssdsim::report::HistogramPercentiles;
 use ssdsim::BottleneckReport;
 
@@ -28,8 +25,8 @@ pub const RUNS_SCHEMA: &str = "autoblox.runs.v1";
 /// The compact record of one run (schema [`RUNS_SCHEMA`]).
 ///
 /// [`Summary::of`] fills everything a telemetry report knows; the identity
-/// fields only the invoking command knows (`command`, `device_family`,
-/// `seed`) are assigned by the recorder before the summary is registered.
+/// fields a report does not carry (`command`, `device_family`, `seed`)
+/// stay empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Always [`RUNS_SCHEMA`].
@@ -121,37 +118,11 @@ impl Summary {
             wall_ns: report.phases.iter().map(|p| p.wall_ns).sum(),
         }
     }
-
-    /// The deterministic identity of a run: every field except the
-    /// host-varying `threads`, `simulate_ns` and `wall_ns`. Two runs of the
-    /// same pinned command produce equal fingerprints on any machine at any
-    /// thread count, which is what the trend gate and CI byte-compares rely
-    /// on.
-    pub fn fingerprint(&self) -> Value {
-        let mut v = serde_json::to_value(self).expect("summary serializes");
-        if let Value::Object(map) = &mut v {
-            for host_varying in ["threads", "simulate_ns", "wall_ns"] {
-                map.remove(host_varying);
-            }
-        }
-        v
-    }
-
-    /// The device-family label the run is judged under (an empty label is
-    /// homogeneous by construction).
-    pub fn family(&self) -> &str {
-        if self.device_family.is_empty() {
-            "homogeneous"
-        } else {
-            &self.device_family
-        }
-    }
 }
 
-/// Thresholds of the metric table, shared by `report diff` and `report
-/// trend`. Relative thresholds are fractions (0.05 = 5%); the hit-rate,
-/// bottleneck and calibration thresholds are absolute values of a 0..=1
-/// rate or share.
+/// Thresholds of the metric table `report diff` judges. Relative
+/// thresholds are fractions (0.05 = 5%); the hit-rate, bottleneck and
+/// calibration thresholds are absolute values of a 0..=1 rate or share.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Thresholds {
     /// Maximum tolerated relative drop of the best grade.
@@ -174,11 +145,8 @@ pub struct Thresholds {
     pub min_calibration_coverage: f64,
     /// When `true`, wall-clock-derived metrics (simulate time) are reported
     /// but never judged — the right setting when baseline and candidate ran
-    /// on different machines. The trend gate always sets it.
+    /// on different machines.
     pub ignore_time: bool,
-    /// How many most-recent runs per category enter a trend window (the
-    /// newest is judged against the rest).
-    pub window: u64,
 }
 
 impl Default for Thresholds {
@@ -192,7 +160,6 @@ impl Default for Thresholds {
             max_bottleneck_shift: 0.15,
             min_calibration_coverage: 0.45,
             ignore_time: false,
-            window: 8,
         }
     }
 }
@@ -216,19 +183,14 @@ pub enum Rule {
     Advisory,
 }
 
-/// One judged metric: the only row type of `report diff` and `report
-/// trend`.
+/// One judged metric: the row type of `report diff`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Row {
     /// Metric name (e.g. `best_grade`, `validations`, `p95_latency_ns`).
     pub metric: String,
-    /// Median of the baseline runs (the baseline's own value for a
-    /// pairwise diff).
+    /// The baseline run's value.
     pub baseline: f64,
-    /// EWMA (alpha 0.3, oldest first) over the baseline runs — an advisory
-    /// smoothed trajectory; the verdict judges against the median.
-    pub ewma: f64,
-    /// The candidate (newest) run's value.
+    /// The candidate run's value.
     pub candidate: f64,
     /// `candidate - baseline`.
     pub delta: f64,
@@ -243,50 +205,26 @@ pub struct Row {
     pub regressed: bool,
 }
 
-/// Median of a non-empty, unsorted slice (mean of the middle pair for even
-/// lengths).
-pub(crate) fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// EWMA with alpha 0.3, oldest value first.
-pub(crate) fn ewma(values: &[f64]) -> f64 {
-    const ALPHA: f64 = 0.3;
-    let mut acc = values.first().copied().unwrap_or(0.0);
-    for &v in values.iter().skip(1) {
-        acc = ALPHA * v + (1.0 - ALPHA) * acc;
-    }
-    acc
-}
-
-/// Builds one row: `candidate` against the median of the `baseline` values
-/// (oldest first), judged by `rule` at `threshold`. A row nobody measured —
-/// no baseline value, or no candidate value — reports zeros and is never
-/// checked, so a run without tuner records or attribution cannot fail on
-/// it.
+/// Builds one row: `candidate` against `baseline`, judged by `rule` at
+/// `threshold`. A row nobody measured — no baseline value, or no candidate
+/// value — reports zeros and is never checked, so a run without tuner
+/// records or attribution cannot fail on it.
 pub fn judge(
     metric: &str,
-    baseline: &[f64],
+    baseline: Option<f64>,
     candidate: Option<f64>,
     rule: Rule,
     threshold: f64,
 ) -> Row {
-    let (median, ewma, candidate, measured) = match candidate {
-        Some(c) if !baseline.is_empty() => (median(baseline), ewma(baseline), c, true),
-        _ => (0.0, 0.0, 0.0, false),
+    let (baseline, candidate, measured) = match (baseline, candidate) {
+        (Some(b), Some(c)) => (b, c, true),
+        _ => (0.0, 0.0, false),
     };
-    let delta = candidate - median;
-    let relative = if median.abs() < 1e-12 {
+    let delta = candidate - baseline;
+    let relative = if baseline.abs() < 1e-12 {
         0.0
     } else {
-        delta / median.abs()
+        delta / baseline.abs()
     };
     let checked = measured && rule != Rule::Advisory;
     let regressed = checked
@@ -301,8 +239,7 @@ pub fn judge(
         };
     Row {
         metric: metric.to_string(),
-        baseline: median,
-        ewma,
+        baseline,
         candidate,
         delta,
         relative,
@@ -450,14 +387,12 @@ fn metric_table(t: &Thresholds) -> Vec<Metric> {
     table
 }
 
-/// Runs the metric table: `candidate` against the `baseline` runs (oldest
-/// first; one for a pairwise diff, the recent history for a trend).
-pub fn compare(baseline: &[&Summary], candidate: &Summary, t: &Thresholds) -> Vec<Row> {
+/// Runs the metric table: `candidate` against `baseline`.
+pub fn compare(baseline: &Summary, candidate: &Summary, t: &Thresholds) -> Vec<Row> {
     metric_table(t)
         .into_iter()
         .map(|(name, get, rule, threshold)| {
-            let series: Vec<f64> = baseline.iter().filter_map(|s| get(s)).collect();
-            judge(&name, &series, get(candidate), rule, threshold)
+            judge(&name, get(baseline), get(candidate), rule, threshold)
         })
         .collect()
 }
@@ -471,7 +406,7 @@ pub fn regressions(rows: &[Row]) -> Vec<String> {
 }
 
 /// Renders judged rows as an aligned human-readable table (what `report
-/// diff` and `report trend` write to stderr next to the JSON verdict).
+/// diff` writes to stderr next to the JSON verdict).
 pub fn render_rows(rows: &[Row]) -> String {
     let mut out = format!(
         "  {:<30} {:>16} {:>16} {:>8}  verdict\n",

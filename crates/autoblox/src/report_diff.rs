@@ -73,7 +73,7 @@ pub fn diff_reports(
     ignore: &[String],
 ) -> ReportDiff {
     let (base, cand) = (Summary::of(baseline), Summary::of(candidate));
-    let mut metrics = compare(&[&base], &cand, t);
+    let mut metrics = compare(&base, &cand, t);
     // Trajectory divergence is informational: it localizes where two runs
     // drifted apart, but convergence order may legitimately differ. It is
     // the one row that needs both reports rather than two summaries.
@@ -82,7 +82,7 @@ pub fn diff_reports(
         1,
         judge(
             "grade_trajectory_divergence",
-            &[0.0],
+            Some(0.0),
             Some(divergence),
             Rule::Advisory,
             0.0,

@@ -11,7 +11,7 @@
 //! simulating only what no earlier run paid for.
 
 use crate::constraints::Constraints;
-use crate::journal::{JournalLine, ProgressLine};
+use crate::journal::JournalLine;
 use crate::metrics::{grade, performance, Measurement};
 use crate::params::ParamSpace;
 use crate::validator::Validator;
@@ -440,13 +440,12 @@ impl<'a> Tuner<'a> {
     /// recalled from AutoDB, optionally following a pruning-derived
     /// `tuning_order` (parameter names, most important first): measure the
     /// reference, validate the initial set, then iterate until convergence
-    /// or the iteration cap. One `progress` journal line follows each of
-    /// those stages.
+    /// or the iteration cap.
     ///
     /// # Panics
     ///
-    /// Panics if the reference configuration violates the constraints — the
-    /// caller must pass a baseline consistent with `set_cons`.
+    /// Panics where [`Tuner::try_tune`] returns an error — the caller must
+    /// pass a baseline consistent with `set_cons`.
     pub fn tune<'t>(
         &self,
         target: impl Into<TuningTarget<'t>>,
@@ -454,28 +453,49 @@ impl<'a> Tuner<'a> {
         initial: &[SsdConfig],
         tuning_order: Option<&[&str]>,
     ) -> TuningOutcome {
+        self.try_tune(target, reference, initial, tuning_order)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Tuner::tune`] for constraints that may admit no answer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description, before any simulation, when the
+    /// pinned reference violates the structural constraints, and after
+    /// the initial set when no configuration of it met the power budget
+    /// (the search has nothing to start from).
+    pub fn try_tune<'t>(
+        &self,
+        target: impl Into<TuningTarget<'t>>,
+        reference: &SsdConfig,
+        initial: &[SsdConfig],
+        tuning_order: Option<&[&str]>,
+    ) -> Result<TuningOutcome, String> {
         let target = target.into();
         let runs_before = self.validator.simulator_runs();
-        let state = self.run(target, reference, initial, tuning_order);
-        TuningOutcome {
+        let state = self.run(target, reference, initial, tuning_order)?;
+        Ok(TuningOutcome {
             workload: target.name().to_string(),
-            best: state.best.expect("at least the reference was validated"),
+            best: state
+                .best
+                .expect("the initial set validated a configuration"),
             reference: state.ref_target,
             grade_history: state.grade_history,
             iterations: state.iterations as usize,
             validations: self.validator.simulator_runs() - runs_before,
             iteration_records: state.records,
-        }
+        })
     }
 
-    /// The loop behind [`Tuner::tune`], returning its final state.
+    /// The loop behind [`Tuner::try_tune`], returning its final state.
     fn run(
         &self,
         target: TuningTarget<'_>,
         reference: &SsdConfig,
         initial: &[SsdConfig],
         tuning_order: Option<&[&str]>,
-    ) -> TuneState {
+    ) -> Result<TuneState, String> {
         let _tune_span = telemetry::span::Span::enter_keyed(
             "tuner.tune",
             telemetry::span::key_str(target.name()),
@@ -484,7 +504,7 @@ impl<'a> Tuner<'a> {
         self.constraints.pin(&mut reference);
         self.constraints
             .check_structural(&reference)
-            .expect("reference configuration must satisfy the constraints");
+            .map_err(|v| format!("the reference configuration violates the constraints: {v}"))?;
         let mut rng = StdRng::seed_from_u64(
             self.opts.seed ^ target.name().bytes().map(u64::from).sum::<u64>(),
         );
@@ -508,55 +528,18 @@ impl<'a> Tuner<'a> {
             records: Vec::new(),
             gpr_chain: None,
         };
-        self.journal_progress(target, &state, "init_set");
         self.validate_init_set(target, &mut state, &init_set);
+        if state.observations.is_empty() {
+            return Err(format!(
+                "no configuration met the {} W power budget (the reference draws {:.3} W)",
+                self.constraints.power_budget_w, state.ref_target.power_w
+            ));
+        }
         let mut done = self.opts.max_iterations == 0;
-        loop {
-            self.journal_progress(target, &state, if done { "done" } else { "iterating" });
-            if done {
-                return state;
-            }
+        while !done {
             done = self.iterate(target, &mut state, &mut rng);
         }
-    }
-
-    /// Streams one `progress` journal line after a stage of the loop. The
-    /// percent-complete estimate is a pure function of the stage and the
-    /// iteration counter — deterministic at any thread count — while the
-    /// ETA extrapolates from per-iteration wall-clock timing (zero with
-    /// telemetry off) and is therefore excluded from determinism
-    /// fingerprints by consumers.
-    fn journal_progress(&self, target: TuningTarget<'_>, state: &TuneState, stage: &str) {
-        crate::telemetry::global().journal(|| {
-            let total = self.opts.max_iterations.max(1) as u64;
-            // The warm-up stage is a flat-rate estimate; the BO loop owns the
-            // 0.10..1.00 band proportionally to its iteration counter.
-            let percent = match stage {
-                "init_set" => 0.05,
-                "done" => 1.0,
-                _ => 0.10 + 0.90 * (state.iterations as f64 / total as f64).min(1.0),
-            };
-            let timed: Vec<u64> = state
-                .records
-                .iter()
-                .map(|r| r.wall_ns)
-                .filter(|&ns| ns > 0)
-                .collect();
-            let eta_ns = if stage == "done" || timed.is_empty() {
-                0
-            } else {
-                let mean = timed.iter().sum::<u64>() / timed.len() as u64;
-                mean * total.saturating_sub(state.iterations)
-            };
-            JournalLine::Progress(ProgressLine {
-                workload: target.name().to_string(),
-                phase: stage.to_string(),
-                iteration: state.iterations,
-                total,
-                percent,
-                eta_ns,
-            })
-        });
+        Ok(state)
     }
 
     /// Measures the reference on the target and every non-target workload.
@@ -1468,7 +1451,9 @@ mod tests {
         kind: WorkloadKind,
         order: Option<&[&str]>,
     ) {
-        let state = tuner.run(kind.into(), &presets::intel_750(), &[], order);
+        let state = tuner
+            .run(kind.into(), &presets::intel_750(), &[], order)
+            .expect("the paper's constraints admit a search");
         assert!(state.observations.len() >= 3, "{kind:?}: a populated state");
         let mut compared = 0;
         for o in &state.observations {

@@ -81,6 +81,11 @@ impl Default for WhatIfOptions {
 /// The search reuses the automated tuner with the goal-slanted α and no
 /// non-target penalty, mirroring §4.5 ("set more aggressive bounds ... to
 /// explore a larger design space").
+///
+/// # Errors
+///
+/// Returns [`Tuner::try_tune`]'s error when the constraints admit no
+/// search.
 pub fn what_if(
     workload: WorkloadKind,
     goal: WhatIfGoal,
@@ -88,7 +93,7 @@ pub fn what_if(
     reference: &SsdConfig,
     validator: &Validator,
     opts: WhatIfOptions,
-) -> WhatIfOutcome {
+) -> Result<WhatIfOutcome, String> {
     // §4.5 explores bounds that "may not be realistic today": flash timing
     // becomes tunable and the manufacturable-die floor is relaxed to a
     // quarter of its production value.
@@ -108,7 +113,7 @@ pub fn what_if(
         ..opts.tuner
     };
     let tuner = Tuner::new(constraints, validator, tuner_opts);
-    let tuning = tuner.tune(workload, reference, &[], None);
+    let tuning = tuner.try_tune(workload, reference, &[], None)?;
     let achieved = match goal {
         WhatIfGoal::LatencyReduction(_) => {
             tuning.reference.latency_ns / tuning.best.measurement.latency_ns
@@ -117,13 +122,13 @@ pub fn what_if(
             tuning.best.measurement.throughput_bps / tuning.reference.throughput_bps
         }
     };
-    WhatIfOutcome {
+    Ok(WhatIfOutcome {
         workload: workload.name().to_string(),
         goal,
         achieved,
         met: achieved >= goal.factor(),
         tuning,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -159,7 +164,8 @@ mod tests {
             &presets::intel_750(),
             &v,
             opts,
-        );
+        )
+        .expect("the paper's constraints admit a search");
         // The achieved factor is at worst 1.0 (the reference itself).
         assert!(out.achieved >= 0.99, "achieved {}", out.achieved);
         assert_eq!(out.met, out.achieved >= 1.05);

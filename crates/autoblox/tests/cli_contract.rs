@@ -2,7 +2,7 @@
 //! `autoblox` binary, each its own `#[test]`.
 //!
 //! A row is a command, or a short sequence sharing a scratch directory (a
-//! `--db` registry, a journal fed to `watch`), run once per variant: every
+//! `--db` store, a report fed to `explain`), run once per variant: every
 //! `AUTOBLOX_THREADS` width in `widths` times every `--speculate` depth in
 //! `speculate` (appended to `tune` steps). Per step `Row::run` checks the
 //! exit code (a refusal, exit 2, prints nothing on stdout), stdout/stderr
@@ -14,7 +14,6 @@
 //! their wall-clock fields masked. What only one row claims is asserted in
 //! its test after `Row::run` returned.
 
-use autoblox::journal::JournalLine;
 use autoblox::report::{self, Summary, Thresholds};
 use autoblox::telemetry::RunReport;
 use autoblox::validator::ValidatorStats;
@@ -134,7 +133,7 @@ fn assert_matches_golden(name: &str, report: &RunReport, at: &str) {
         ignore_time: true,
         ..Thresholds::default()
     };
-    for row in report::compare(&[&Summary::of(&golden)], &Summary::of(report), &t) {
+    for row in report::compare(&Summary::of(&golden), &Summary::of(report), &t) {
         assert!(
             !row.regressed,
             "{at}: {} regressed against {name}",
@@ -352,14 +351,11 @@ fn replay_is_byte_identical_at_every_width() {
     }
 }
 
-/// One report explained: `telemetry-check` echoes the v3 schema, `explain`
-/// renders the bottleneck shares and all three model views in text and
-/// JSON, and `report trend` over two recorded runs passes at the default
-/// calibration floor but exits 3 — the regression code — when the floor is
-/// raised above the pinned run's coverage (0.80).
+/// One report explained: `telemetry-check` echoes the v3 schema, and
+/// `explain` renders the bottleneck shares and all three model views in
+/// text and JSON.
 #[test]
-fn explain_renders_one_report_and_trend_gates_calibration() {
-    let tune = "tune database --iterations 6 --events 300 --speculate 1 --db runs.db";
+fn explain_renders_one_report() {
     let views = [
         "dominant",
         "calibration over",
@@ -368,8 +364,7 @@ fn explain_renders_one_report_and_trend_gates_calibration() {
     ];
     Row {
         steps: vec![
-            step(&format!("{tune} --telemetry cand.json")),
-            step(tune),
+            step("tune database --iterations 6 --events 300 --speculate 1 --telemetry cand.json"),
             Step {
                 stdout: vec!["\"autoblox.telemetry.v3\""],
                 ..step("telemetry-check cand.json")
@@ -382,71 +377,10 @@ fn explain_renders_one_report_and_trend_gates_calibration() {
                 stdout: vec!["\"autoblox.explain.v1\"", "\"timeline\""],
                 ..step("explain --json cand.json")
             },
-            step("report trend --db runs.db"),
-            Step {
-                exit: 3,
-                ..step("report trend --db runs.db --min-calibration-coverage 0.9")
-            },
         ],
         ..ROW
     }
     .run("explain");
-}
-
-/// Two recorded tunes land in the registry under stable keys, and the
-/// trend over that stable two-run history passes.
-#[test]
-fn recorded_runs_list_in_order_and_trend_passes() {
-    let tune = "tune database --iterations 2 --events 300 --speculate 1 --db runs.db";
-    Row {
-        steps: vec![
-            step(tune),
-            step(tune),
-            Step {
-                stdout: vec!["run:Database:000001", "run:Database:000002"],
-                ..step("runs list --db runs.db")
-            },
-            Step {
-                stdout: vec!["\"pass\": true"],
-                ..step("report trend --db runs.db --json")
-            },
-        ],
-        ..ROW
-    }
-    .run("registry");
-}
-
-/// The `watch --replay --json` snapshot is a fingerprint of the run, not
-/// of the machine: identical at 1 and 4 threads, complete, every journal
-/// line parsed, and free of timing fields. Speculation is pinned at depth 1: wasted look-ahead is
-/// journaled, so a thread-derived depth would change the line multiset.
-#[test]
-fn watch_replay_snapshot_identical_across_thread_counts() {
-    let variants = Row {
-        widths: &[1, 4],
-        steps: vec![
-            step("tune database --iterations 2 --events 300 --speculate 1 --journal j.jsonl"),
-            Step {
-                stdout: vec![
-                    "\"autoblox.watch.v1\"",
-                    "\"Database\"",
-                    "\"percent\": 1.0",
-                    "\"summary_seen\": true",
-                    "\"skipped\": 0",
-                ],
-                absent: vec!["eta_ns"],
-                same_stdout: true,
-                ..step("watch j.jsonl --replay --json")
-            },
-        ],
-        ..ROW
-    }
-    .run("watch");
-    for v in &variants {
-        for line in v.read("j.jsonl").lines() {
-            assert!(JournalLine::parse(line).is_ok(), "{}: {line}", v.label);
-        }
-    }
 }
 
 /// `simulate fiu <cfg>` refuses a configuration the simulator cannot hold:

@@ -69,7 +69,8 @@ fn hybrid_whatif_bit_identical_across_threads_and_speculation() {
             &presets::hybrid_slc_qlc(),
             &v,
             opts,
-        );
+        )
+        .expect("the hybrid constraints admit a search");
         assert!(out.tuning.best.config.device_family.is_hybrid());
         serde_json::to_string(&out).expect("outcome serializes")
     };

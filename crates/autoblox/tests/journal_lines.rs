@@ -1,33 +1,33 @@
 //! The run journal's line format.
 //!
 //! Every [`JournalLine`] kind round-trips through `to_line` / `parse`, and a
-//! line of a known kind with one member missing or mistyped is a counted
-//! skip in `watch` and a line-numbered exit-2 error in `trace export`.
+//! line of a known kind with one member missing or mistyped is a
+//! line-numbered exit-2 error in `trace export`.
 //!
 //! `fixtures/journal_parent/journal.jsonl` was written by the build before
 //! journal lines had a type: a pinned single-threaded `tune database
 //! --iterations 3 --events 300 --speculate 1 --telemetry … --journal …`
-//! followed by a run of the since-retired `place` command, whose two
-//! `placement` lines now read as unknown kinds. Beside it is what that
-//! build printed for it: `trace export --chrome` (`chrome.json`), `trace
-//! export --csv` (`samples.csv`), `trace export --csv` of the journal
-//! without its `series` lines (`calibration.csv`) and `watch --replay
-//! --json` (`watch.json`, whose `lines` counts have since lost `placements`
-//! and count those two lines as `unknown`). This build must print the same
-//! bytes, and a fresh journal of the same tune must carry the same lines
-//! once the members that vary by host are masked — except its span lines
-//! and the summary that counts them. Each validation's timed and saturated
+//! followed by a run of the since-retired `place` command. Its two
+//! `placement` lines and its five `progress` lines (a kind retired with the
+//! `watch` dashboard that read it) now read as unknown kinds. Beside it is
+//! what that build printed for it: `trace export --chrome` (`chrome.json`),
+//! `trace export --csv` (`samples.csv`) and `trace export --csv` of the
+//! journal without its `series` lines (`calibration.csv`). This build must
+//! print the same bytes — the Chrome trace less the `tuner.progress`
+//! instants the retired lines became — and a fresh journal of the same
+//! tune must carry the same lines, `progress` aside, once the members that
+//! vary by host are masked — except its span lines and the summary that
+//! counts them. Each validation's timed and saturated
 //! replays have since got a keyed span of their own (`validator.timed`,
 //! `validator.saturated`, the new parents of `sim.run` and `sim.drain`), so
 //! those lines are pinned to `fixtures/tune_spans.jsonl`, the same tune's
 //! span and summary lines as the first build with those spans wrote them.
 
 use autoblox::journal::{
-    BottleneckLine, IterationLine, JournalLine, MetaLine, ModelLine, ProgressLine, SeriesLine,
-    Skipped, SpanLine, SummaryLine, JOURNAL_SCHEMA,
+    BottleneckLine, IterationLine, JournalLine, MetaLine, ModelLine, SeriesLine, Skipped, SpanLine,
+    SummaryLine, JOURNAL_SCHEMA,
 };
 use autoblox::telemetry::PhaseRecord;
-use autoblox::WatchState;
 use serde_json::Value;
 use ssdsim::{BottleneckReport, DeviceSample};
 use std::path::{Path, PathBuf};
@@ -122,14 +122,6 @@ fn every_kind() -> Vec<JournalLine> {
             replay: "saturated".to_string(),
             report,
         }),
-        JournalLine::Progress(ProgressLine {
-            workload: "Database".to_string(),
-            phase: "iterating".to_string(),
-            iteration: 2,
-            total: 8,
-            percent: 0.325,
-            eta_ns: 5_000,
-        }),
         JournalLine::Summary(SummaryLine {
             spans_written: 10,
             events_written: 20,
@@ -150,7 +142,7 @@ fn every_kind_round_trips() {
     }
     tags.sort();
     tags.dedup();
-    assert_eq!(tags.len(), 9, "one line per kind: {tags:?}");
+    assert_eq!(tags.len(), 8, "one line per kind: {tags:?}");
 }
 
 /// `line` with its alphabetically first member removed, then mistyped.
@@ -171,7 +163,7 @@ fn damaged(line: &JournalLine) -> [String; 2] {
 }
 
 #[test]
-fn a_damaged_line_is_skipped_by_watch_and_rejected_by_trace_export() {
+fn a_damaged_line_is_rejected_by_trace_export() {
     let meta = every_kind()[0].to_line();
     let (input, out) = (scratch("damaged.jsonl"), scratch("damaged.json"));
     for line in every_kind() {
@@ -180,9 +172,6 @@ fn a_damaged_line_is_skipped_by_watch_and_rejected_by_trace_export() {
                 matches!(JournalLine::parse(&bad), Err(Skipped::Malformed(..))),
                 "{bad}"
             );
-            let mut state = WatchState::new();
-            assert!(!state.ingest(&bad), "{bad}");
-            assert_eq!(state.counts().skipped, 1, "{bad}");
 
             // A damaged meta line is the journal's first line; any other
             // follows a good one.
@@ -229,16 +218,26 @@ fn assert_same_bytes(ours: &[u8], parent: &[u8], what: &str) {
 fn the_parent_journal_reads_back_byte_for_byte() {
     let journal = fixture("journal.jsonl");
     let text = std::fs::read_to_string(&journal).expect("fixture journal");
-    let mut state = WatchState::new();
+    let mut retired: Vec<String> = Vec::new();
+    let (mut series, mut models) = (0, 0);
     for line in text.lines() {
-        if !state.ingest(line) {
-            let retired = Skipped::Unknown("placement".to_string());
-            assert_eq!(JournalLine::parse(line), Err(retired), "{line}");
+        match JournalLine::parse(line) {
+            Ok(JournalLine::Series(_)) => series += 1,
+            Ok(JournalLine::Model(_)) => models += 1,
+            Ok(_) => {}
+            Err(Skipped::Unknown(kind)) => retired.push(kind),
+            Err(e) => panic!("{line}: {e:?}"),
         }
     }
-    let counts = state.counts();
-    assert!(counts.series > 0 && counts.models > 0);
-    assert_eq!((counts.unknown, counts.skipped), (2, 0));
+    assert!(series > 0 && models > 0);
+    retired.sort();
+    retired.dedup_by(|a, b| a == b);
+    assert_eq!(retired, ["placement", "progress"]);
+    let retired_lines = |kind: &str| text.matches(&format!(r#""t":"{kind}""#)).count();
+    assert_eq!(
+        (retired_lines("placement"), retired_lines("progress")),
+        (2, 5)
+    );
 
     let series_free = scratch("series-free.jsonl");
     let kept: String = text
@@ -263,24 +262,40 @@ fn the_parent_journal_reads_back_byte_for_byte() {
         let run = autoblox(&args);
         assert!(run.status.success(), "{args:?}: {:?}", run.stderr);
         let ours = std::fs::read(&out).expect("export written");
-        assert_same_bytes(&ours, &std::fs::read(fixture(expected)).unwrap(), expected);
+        let mut parent = std::fs::read(fixture(expected)).unwrap();
+        if expected == "chrome.json" {
+            parent = without_progress_events(&parent);
+        }
+        assert_same_bytes(&ours, &parent, expected);
         std::fs::remove_file(out).ok();
     }
     std::fs::remove_file(series_free).ok();
+}
 
-    let run = autoblox(&["watch", journal.to_str().unwrap(), "--replay", "--json"]);
-    assert!(run.status.success(), "{:?}", run.stderr);
-    let parent = std::fs::read(fixture("watch.json")).unwrap();
-    assert_same_bytes(&run.stdout, &parent, "watch.json");
+/// A Chrome trace without its `tuner.progress` instants, serialized as the
+/// exporter writes it.
+fn without_progress_events(chrome: &[u8]) -> Vec<u8> {
+    let text = std::str::from_utf8(chrome).expect("a Chrome trace is UTF-8");
+    let Ok(Value::Object(mut doc)) = serde_json::from_str::<Value>(text) else {
+        panic!("a Chrome trace is an object")
+    };
+    let Some(Value::Array(events)) = doc.get_mut("traceEvents") else {
+        panic!("traceEvents array expected")
+    };
+    let before = events.len();
+    events.retain(|e| e["name"] != "tuner.progress");
+    assert_eq!(before - events.len(), 5, "one instant per progress line");
+    serde_json::to_string(&Value::Object(doc))
+        .unwrap()
+        .into_bytes()
 }
 
 /// Members whose values vary by host, clock or command line.
-const HOST_VARYING: [&str; 7] = [
+const HOST_VARYING: [&str; 6] = [
     "start_ns",
     "dur_ns",
     "thread",
     "wall_ns",
-    "eta_ns",
     "surrogate_fit_ns",
     "argv",
 ];
@@ -333,14 +348,27 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     let spans = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tune_spans.jsonl");
     let spans = std::fs::read_to_string(spans).expect("span fixture");
     // Span and summary lines against the span fixture, the rest against
-    // the parent's journal.
+    // the parent's journal, less the retired `progress` lines — which the
+    // fixture's summary still counts among the events written.
     let is_span =
         |line: &String| line.contains(r#""t":"span""#) || line.contains(r#""t":"summary""#);
+    let is_progress = |line: &String| line.contains(r#""t":"progress""#);
     let (ours_spans, ours_rest): (Vec<_>, Vec<_>) =
         masked_tune_lines(&ours).into_iter().partition(is_span);
-    let parent_rest: Vec<_> = masked_tune_lines(&parent)
+    let (parent_progress, parent_rest): (Vec<_>, Vec<_>) = masked_tune_lines(&parent)
         .into_iter()
         .filter(|l| !is_span(l))
+        .partition(is_progress);
+    assert_eq!(parent_progress.len(), 5);
+    let spans: String = spans
+        .lines()
+        .map(|line| match JournalLine::parse(line) {
+            Ok(JournalLine::Summary(mut summary)) => {
+                summary.events_written -= parent_progress.len() as u64;
+                JournalLine::Summary(summary).to_line() + "\n"
+            }
+            _ => format!("{line}\n"),
+        })
         .collect();
     for (ours, expected) in [
         (ours_rest, parent_rest),

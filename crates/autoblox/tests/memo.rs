@@ -234,7 +234,8 @@ fn undemanded_speculation_is_not_persisted() {
     assert_eq!(replay.memo_hits(), stats.simulator_runs);
 }
 
-/// A store holding registry, `category:` and `memo:` records, cut at every
+/// A store holding `run:` records (as the retired run registry wrote
+/// them), `category:` and `memo:` records, cut at every
 /// byte offset, reopens to exactly the records that were whole at the cut;
 /// re-running the tune on a cut store simulates exactly what was lost.
 #[test]
@@ -254,11 +255,11 @@ fn truncated_store_reopens_and_replays_what_was_lost() {
     );
     let mut summary = Summary::of(&autoblox::telemetry::TelemetrySink::new().report(None));
     summary.category = "Database".to_string();
-    autoblox::record_run(fw.db(), &summary).unwrap();
+    fw.db().put_record("run:Database:000001", &summary).unwrap();
     let grades = fw
         .tune_category(WorkloadKind::Database, &presets::intel_750(), None)
         .grade_history;
-    autoblox::record_run(fw.db(), &summary).unwrap();
+    fw.db().put_record("run:Database:000002", &summary).unwrap();
     drop(fw);
     let paid = v.simulator_runs();
     let full = std::fs::read(&path).unwrap();
@@ -301,7 +302,7 @@ fn truncated_store_reopens_and_replays_what_was_lost() {
 
     // Re-run on a sample of cuts: inside the first memo record, halfway
     // through them, just before the last one's newline, and in the last
-    // registry record.
+    // `run:` record.
     let first_memo = records
         .iter()
         .position(|(_, k)| k.starts_with("memo:"))
@@ -331,8 +332,8 @@ fn truncated_store_reopens_and_replays_what_was_lost() {
 }
 
 /// A byte flipped in the middle of a store is corruption, not a torn tail:
-/// exit 2 with one stderr line and no panic, from a writer and a reader
-/// alike. A torn tail alone is repaired and the run goes on.
+/// exit 2 with one stderr line and no panic, from either writer. A torn
+/// tail alone is repaired and the run goes on.
 #[test]
 fn corrupt_store_is_a_clean_cli_error() {
     let dir = scratch("corrupt");
@@ -357,8 +358,8 @@ fn corrupt_store_is_a_clean_cli_error() {
     let mut flipped = good.clone();
     let second = flipped.iter().position(|&b| b == b'\n').unwrap() + 1;
     flipped[second] ^= 0x01;
-    let list: &[&str] = &["runs", "list", "--db"];
-    for args in [&tune[..], list] {
+    let whatif: &[&str] = &["whatif", "database", "--events", "60", "--db"];
+    for args in [&tune[..], whatif] {
         std::fs::write(&db, &flipped).unwrap();
         let out = with_db(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -3,26 +3,23 @@
 //! `tests/fixtures/report_core_parent.json` holds what the commit before
 //! the merge printed — `report diff`, `explain`, `explain diff`, `inspect`
 //! and `inspect diff` over the pairs of the two goldens under
-//! `scripts/golden/`, and `report trend` over a synthetic ten-run registry
-//! (two categories of five). Every number that survives the merge must be
-//! equal: all diff rows and verdicts, share fractions, the dominant
-//! resource, calibration, the importance ranking, trend medians and drifts,
-//! and the 0/3 exit codes.
+//! `scripts/golden/`. Every number that survives the merge must be equal:
+//! all diff rows and verdicts, share fractions, the dominant resource,
+//! calibration, the importance ranking, and the 0/3 exit codes.
 //!
-//! The same file holds the CLI contract of the reader commands: malformed
-//! input of every kind is a one-line exit-2 error, retired commands and
-//! mistyped flags are usage errors.
+//! The same file holds the CLI contract of the reader commands and of the
+//! writers' inputs: malformed input of every kind is a one-line exit-2
+//! error, retired commands and mistyped flags are usage errors.
 
 use autoblox::explain::explain;
 use autoblox::journal::{
     IterationLine, JournalLine, MetaLine, SeriesLine, SummaryLine, JOURNAL_SCHEMA,
 };
-use autoblox::obs;
 use autoblox::report::{Row, Summary, Thresholds};
 use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::{PhaseRecord, RunReport};
 use serde_json::Value;
-use ssdsim::{BottleneckReport, DeviceSample};
+use ssdsim::DeviceSample;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -81,21 +78,10 @@ fn assert_same(ours: &Value, parent: &Value, path: &str) {
     }
 }
 
-/// A row of ours against the parent's row of either engine (`report diff`
-/// called the columns baseline/candidate/regressed, `report trend`
-/// median/latest/drifted).
+/// A row of ours against the parent's `report diff` row.
 fn assert_row(ours: &Row, parent: &Value, path: &str) {
-    let pick = |a: &'static str, b: &'static str| if parent.get(a).is_some() { a } else { b };
-    assert_eq!(
-        ours.baseline,
-        num(parent, pick("baseline", "median")),
-        "{path} baseline"
-    );
-    assert_eq!(
-        ours.candidate,
-        num(parent, pick("candidate", "latest")),
-        "{path} candidate"
-    );
+    assert_eq!(ours.baseline, num(parent, "baseline"), "{path} baseline");
+    assert_eq!(ours.candidate, num(parent, "candidate"), "{path} candidate");
     assert_eq!(ours.delta, num(parent, "delta"), "{path} delta");
     assert_eq!(ours.relative, num(parent, "relative"), "{path} relative");
     assert_eq!(ours.threshold, num(parent, "threshold"), "{path} threshold");
@@ -106,12 +92,9 @@ fn assert_row(ours: &Row, parent: &Value, path: &str) {
     );
     assert_eq!(
         Some(ours.regressed),
-        parent[pick("regressed", "drifted")].as_bool(),
+        parent["regressed"].as_bool(),
         "{path} verdict"
     );
-    if let Some(ewma) = parent.get("ewma") {
-        assert_eq!(Some(ours.ewma), ewma.as_f64(), "{path} ewma");
-    }
 }
 
 fn row<'a>(rows: &'a [Row], metric: &str) -> &'a Row {
@@ -283,92 +266,6 @@ fn pairwise_comparisons_reproduce_the_parent() {
     }
 }
 
-/// The parent's trend row names in the metric table's spelling.
-fn table_name(parent: &str) -> String {
-    match parent {
-        "simulator_runs" => "validations".to_string(),
-        "calibration.coverage_1s" => "calibration_coverage_1s".to_string(),
-        other => match other.strip_prefix("bottleneck.") {
-            Some(share) => format!("bottleneck_{}_frac", share.replace('-', "_")),
-            None => other.to_string(),
-        },
-    }
-}
-
-#[test]
-fn trend_reproduces_the_parent() {
-    let fx = fixture();
-    let path = std::env::temp_dir().join(format!("abx-report-core-{}.db", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let db = autodb::Store::open(&path).expect("store opens");
-    let Value::Array(runs) = &fx["trend"]["runs"] else {
-        panic!("runs array expected")
-    };
-    assert_eq!(runs.len(), 10);
-    for run in runs {
-        let mut s = Summary::of(&Default::default());
-        s.command = run["command"].as_str().unwrap().to_string();
-        s.category = run["category"].as_str().unwrap().to_string();
-        s.device_family = run["device_family"].as_str().unwrap().to_string();
-        s.seed = run["seed"].as_u64().unwrap();
-        s.best_grade = run["best_grade"].as_f64();
-        s.iterations = run["iterations"].as_u64().unwrap();
-        s.simulator_runs = run["simulator_runs"].as_u64().unwrap();
-        s.bottleneck = serde_json::from_value::<BottleneckReport>(run["bottleneck"].clone())
-            .expect("bottleneck parses");
-        s.calibration.coverage_1s = num(run, "calibration_coverage_1s");
-        s.calibration.points = run["calibration_points"].as_u64().unwrap();
-        let key = obs::record_run(&db, &s).expect("records");
-        assert_eq!(Some(key.as_str()), run["key"].as_str());
-    }
-
-    for (label, category) in [("all", None), ("KVStore", Some("KVStore"))] {
-        let parent = &fx["trend"][label];
-        let report = obs::trend(&db, &Thresholds::default(), category).expect("trend computes");
-        let Value::Array(parent_cats) = &parent["report"]["categories"] else {
-            panic!("categories array expected")
-        };
-        assert_eq!(report.categories.len(), parent_cats.len(), "{label}");
-        let mut drifts = Vec::new();
-        for (cat, p) in report.categories.iter().zip(parent_cats) {
-            assert_eq!(Some(cat.category.as_str()), p["category"].as_str());
-            assert_eq!(Some(cat.runs), p["runs"].as_u64());
-            assert_eq!(Some(cat.window_used), p["window_used"].as_u64());
-            assert_eq!(Some(cat.latest_key.as_str()), p["latest_key"].as_str());
-            assert_eq!(Some(cat.pass), p["pass"].as_bool());
-            let Value::Array(parent_rows) = &p["metrics"] else {
-                panic!("metrics array expected")
-            };
-            for pr in parent_rows {
-                let name = table_name(pr["metric"].as_str().unwrap());
-                let path = format!("{label}/{}/{name}", cat.category);
-                assert_row(row(&cat.metrics, &name), pr, &path);
-                if pr["drifted"].as_bool() == Some(true) {
-                    drifts.push(format!("{}/{name}", cat.category));
-                }
-            }
-        }
-        // Same drifts (the table orders the calibration row after the
-        // shares, so compare as sets).
-        let mut ours = report.drifts.clone();
-        ours.sort();
-        drifts.sort();
-        assert_eq!(ours, drifts, "{label}");
-        assert_eq!(Some(report.pass), parent["report"]["pass"].as_bool());
-
-        let mut args = vec!["report", "trend", "--json", "--db", path.to_str().unwrap()];
-        if let Some(c) = category {
-            args.extend(["--category", c]);
-        }
-        assert_eq!(
-            autoblox(&args).status.code().map(f64::from),
-            parent["exit"].as_f64(),
-            "{label} exit code"
-        );
-    }
-    std::fs::remove_file(&path).ok();
-}
-
 // --- CLI contract of the reader commands ---------------------------------
 
 /// What a reader command is handed.
@@ -376,7 +273,6 @@ fn trend_reproduces_the_parent() {
 enum Kind {
     Report,
     Journal,
-    Registry,
 }
 
 /// A small complete journal: meta, a phase, an iteration, a device series
@@ -419,18 +315,6 @@ fn journal() -> String {
     lines.iter().map(|l| l.to_line() + "\n").collect()
 }
 
-fn registry_bytes(dir: &Path, mutate: impl Fn(&mut Value)) -> Vec<u8> {
-    let path = dir.join("build.db");
-    std::fs::remove_file(&path).ok();
-    let db = autodb::Store::open(&path).expect("store opens");
-    let mut value = serde_json::to_value(Summary::of(&golden("telemetry-database"))).unwrap();
-    mutate(&mut value);
-    db.put("run:Database:000001", &value).unwrap();
-    db.put("run:Database:000002", &value).unwrap();
-    drop(db);
-    std::fs::read(&path).expect("store readable")
-}
-
 /// 16 truncation points spread over `bytes`, none on a line boundary (a
 /// line-structured file cut between records is a shorter valid file).
 fn truncations(bytes: &[u8]) -> Vec<Vec<u8>> {
@@ -460,12 +344,13 @@ fn set(doc: &mut Value, path: &[&str], value: Value) {
     map.insert(last.to_string(), value);
 }
 
-/// Every command that loads a report, journal or registry turns truncated,
+/// Every command that loads a report or journal turns truncated,
 /// wrong-schema and wrong-typed input into exit 2 and one stderr line —
-/// never a panic. The exceptions are by design: a tail may observe torn
-/// and mistyped journal lines, so `watch` counts and skips them (`trace
-/// export` rejects them with the line number); and a registry cut inside
-/// its last record is a crash's torn tail, read as the records before it.
+/// never a panic. The AutoDB store `tune --db` reads is held to its own
+/// rules: a store cut inside its last record is a crash's torn tail, read
+/// as the records before it; an undecodable `memo:` record is a miss; a
+/// bad line anywhere else is exit 2 and one line. A store the retired run
+/// registry also wrote `run:` records into replays in full and keeps them.
 #[test]
 fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let dir = std::env::temp_dir().join(format!("abx-readers-{}", std::process::id()));
@@ -502,14 +387,6 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
                     .into_bytes(),
             ],
         ),
-        (
-            Kind::Registry,
-            [
-                registry_bytes(&dir, |_| {}),
-                registry_bytes(&dir, |v| set(v, &["schema"], str_value("autoblox.runs.v9"))),
-                registry_bytes(&dir, |v| set(v, &["simulator_runs"], str_value("many"))),
-            ],
-        ),
     ];
 
     let input = dir.join("input");
@@ -517,7 +394,7 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let out_file = dir.join("out");
     let out_file = out_file.to_str().unwrap();
     // (command line, what it reads, tolerates torn lines / mistyped fields)
-    let readers: [(Vec<&str>, Kind, bool, bool); 7] = [
+    let readers: [(Vec<&str>, Kind, bool, bool); 4] = [
         (vec!["explain", input], Kind::Report, false, false),
         (
             vec!["report", "diff", good_report, input, "--ignore-time"],
@@ -526,24 +403,6 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
             false,
         ),
         (vec!["telemetry-check", input], Kind::Report, false, false),
-        (
-            vec!["report", "trend", "--json", "--db", input],
-            Kind::Registry,
-            true,
-            false,
-        ),
-        (
-            vec!["runs", "show", "run:Database:000001", "--db", input],
-            Kind::Registry,
-            true,
-            false,
-        ),
-        (
-            vec!["watch", input, "--replay", "--json"],
-            Kind::Journal,
-            true,
-            true,
-        ),
         (
             vec!["trace", "export", "--chrome", input, out_file],
             Kind::Journal,
@@ -590,6 +449,85 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     }
+
+    // The store: two `run:` records as the run registry wrote them, then
+    // what one tune paid for.
+    let tune = [
+        "tune",
+        "database",
+        "--iterations",
+        "1",
+        "--events",
+        "50",
+        "--db",
+        input,
+    ];
+    let summary = serde_json::to_value(Summary::of(&golden("telemetry-database"))).unwrap();
+    let run_keys = ["run:Database:000001", "run:Database:000002"];
+    let db = autodb::Store::open(input).expect("store opens");
+    for key in run_keys {
+        db.put(key, &summary).unwrap();
+    }
+    drop(db);
+    let fresh = autoblox(&tune);
+    let fresh_stderr = String::from_utf8_lossy(&fresh.stderr).into_owned();
+    assert_eq!(fresh.status.code(), Some(0), "{fresh_stderr}");
+    let paid: u64 = fresh_stderr
+        .lines()
+        .find_map(|l| l.strip_suffix(" validations, 0 from the store"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("a fresh store answers nothing: {fresh_stderr}"));
+    let store = std::fs::read(input).unwrap();
+    let run = |bytes: &[u8]| {
+        std::fs::write(input, bytes).unwrap();
+        let out = autoblox(&tune);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        (out, stderr)
+    };
+    let (replay, stderr) = run(&store);
+    assert_eq!(replay.status.code(), Some(0), "{stderr}");
+    assert_eq!(replay.stdout, fresh.stdout);
+    assert!(
+        stderr.contains(&format!("{paid} validations, {paid} from the store")),
+        "{stderr}"
+    );
+    let keys = autodb::Store::open(input).unwrap().keys();
+    assert!(
+        run_keys.iter().all(|k| keys.contains(&k.to_string())),
+        "{keys:?}"
+    );
+
+    for (i, cut) in truncations(&store).iter().enumerate() {
+        let (out, stderr) = run(cut);
+        assert_eq!(out.status.code(), Some(0), "truncation {i}: {stderr}");
+        assert_eq!(out.stdout, fresh.stdout, "truncation {i}");
+    }
+
+    let memo_key = {
+        std::fs::write(input, &store).unwrap();
+        let db = autodb::Store::open(input).unwrap();
+        let key = db.keys_with_prefix("memo:").pop().expect("a memo record");
+        db.put(&key, &str_value("not a measurement")).unwrap();
+        key
+    };
+    let undecodable = std::fs::read(input).unwrap();
+    let (out, stderr) = run(&undecodable);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "undecodable {memo_key}: {stderr}"
+    );
+    assert_eq!(out.stdout, fresh.stdout, "undecodable {memo_key}");
+
+    let second_line = store.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut garbled = store[..second_line].to_vec();
+    garbled.extend_from_slice(b"not json\n");
+    garbled.extend_from_slice(&store[second_line..]);
+    let (out, stderr) = run(&garbled);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -625,26 +563,6 @@ fn report_diff_rejects_an_unknown_flag() {
 }
 
 #[test]
-fn report_trend_rejects_unknown_flags_and_missing_values() {
-    let stderr = usage_error(&["report", "trend", "--max-grade-dorp", "0.5"]);
-    assert!(
-        stderr.starts_with("error: unknown report trend flag"),
-        "{stderr}"
-    );
-    // A diff-only threshold is unknown to the trend gate, not ignored.
-    let stderr = usage_error(&["report", "trend", "--max-hit-rate-drop", "0.5"]);
-    assert!(
-        stderr.starts_with("error: unknown report trend flag"),
-        "{stderr}"
-    );
-    let stderr = usage_error(&["report", "trend", "--window"]);
-    assert!(
-        stderr.starts_with("error: --window needs a value\n"),
-        "{stderr}"
-    );
-}
-
-#[test]
 fn retired_commands_exit_2_with_the_usage_text() {
     let g = golden_path("telemetry-database");
     let g = g.to_str().unwrap();
@@ -652,10 +570,67 @@ fn retired_commands_exit_2_with_the_usage_text() {
         vec!["inspect", g],
         vec!["inspect", "diff", g, g],
         vec!["explain", "diff", g, g],
+        vec!["watch", g],
+        vec!["runs", "list"],
+        vec!["runs", "show", "run:Database:000001"],
     ] {
         let stderr = usage_error(&args);
         assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
         assert!(stderr.contains("explain  <telemetry.json>"), "{stderr}");
-        assert!(!stderr.contains("inspect  "), "{stderr}");
+        for retired in ["inspect  ", "watch", "runs", "trend", "--record"] {
+            assert!(!stderr.contains(retired), "{retired}: {stderr}");
+        }
+    }
+    // A retired subcommand or flag of a live command is a usage error.
+    for (args, message) in [
+        (
+            vec!["report", "trend"],
+            "error: unknown report subcommand \"trend\"",
+        ),
+        (
+            vec!["tune", "database", "--record"],
+            "error: unknown tune flag \"--record\"",
+        ),
+        (
+            vec!["whatif", "database", "--record"],
+            "error: unknown whatif flag \"--record\"",
+        ),
+    ] {
+        let stderr = usage_error(&args);
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+    }
+}
+
+/// Constraints or a goal no search can start from are refused before the
+/// tune with one line, never a panic: a capacity the pinned reference
+/// misses (or that no `u64` byte count holds), a power budget that is not
+/// a positive finite number or that nothing validated meets, a what-if
+/// factor that is not a positive finite number.
+#[test]
+fn infeasible_constraints_exit_2_with_one_line() {
+    let tune = ["tune", "database", "--events", "50", "--iterations", "1"];
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for (flag, value) in [
+        ("--capacity", "0"),
+        ("--capacity", "100000000"),
+        ("--capacity", "17179869185"),
+        ("--power", "0"),
+        ("--power", "-1"),
+        ("--power", "nan"),
+        ("--power", "inf"),
+        ("--power", "1"),
+    ] {
+        cases.push([&tune[..], &[flag, value]].concat());
+    }
+    for factor in ["nan", "0", "-2"] {
+        cases.push(vec![
+            "whatif", "database", "--events", "50", "--factor", factor,
+        ]);
+    }
+    for args in &cases {
+        let stderr = usage_error(args);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

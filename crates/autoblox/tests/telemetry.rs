@@ -408,37 +408,22 @@ fn journal_streams_run_and_exports_chrome_trace() {
         "per-iteration records streamed"
     );
 
-    // The loop emits one progress line per stage, in order: after the
-    // reference (init set next), after the init set, then one per
-    // iteration, the last one `done`.
-    let stages: Vec<String> = lines
-        .iter()
-        .filter(|l| l.contains("\"t\":\"progress\""))
-        .map(|l| {
-            let v: serde_json::Value = serde_json::from_str(l).expect("progress line parses");
-            v["phase"].as_str().expect("phase").to_string()
-        })
-        .collect();
-    let mut expected = vec!["init_set".to_string()];
-    expected.extend(std::iter::repeat_n(
-        "iterating".to_string(),
-        outcome.iterations,
-    ));
-    expected.push("done".to_string());
-    assert_eq!(stages, expected, "one progress line per stage");
-    let progress_lines = stages.len();
+    assert!(
+        !text.contains("\"t\":\"progress\""),
+        "the retired progress kind is not written"
+    );
 
     let chrome = autoblox::journal::export_chrome(&text).expect("chrome export succeeds");
     assert!(chrome.contains("traceEvents"));
     assert!(chrome.contains("tuner.iteration"));
-    // Every tuner iteration, progress line, and model line produced one
-    // instant event (model lines also emit a counter, not an instant).
+    // Every tuner iteration and model line produced one instant event
+    // (model lines also emit a counter, not an instant).
     let model_lines = text.matches("\"t\":\"model\"").count();
     let instants = chrome.matches("\"ph\":\"i\"").count();
     assert_eq!(
         instants,
-        outcome.iterations + progress_lines + model_lines,
-        "one instant per iteration, progress, and model line"
+        outcome.iterations + model_lines,
+        "one instant per iteration and model line"
     );
 
     std::fs::remove_file(&path).ok();

@@ -299,21 +299,6 @@ impl Store {
             .collect()
     }
 
-    /// The lexicographically greatest live key beginning with `prefix`, if
-    /// any. With zero-padded fixed-width sequence suffixes (as the run
-    /// registry uses) this is the newest record of a family, found without
-    /// materializing the whole family's key list.
-    pub fn last_key_with_prefix(&self, prefix: &str) -> Option<String> {
-        self.inner
-            .lock()
-            .index
-            .range(prefix.to_string()..)
-            .map(|(k, _)| k)
-            .take_while(|k| k.starts_with(prefix))
-            .last()
-            .cloned()
-    }
-
     /// Number of live keys.
     pub fn len(&self) -> usize {
         self.inner.lock().index.len()
@@ -588,25 +573,6 @@ mod tests {
         db.put("b", &json!(1)).unwrap();
         db.put("a", &json!(2)).unwrap();
         assert_eq!(db.keys(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn last_key_with_prefix_picks_the_family_maximum() {
-        let db = Store::in_memory();
-        assert_eq!(db.last_key_with_prefix("run:"), None);
-        db.put("run:Database:000002", &json!(1)).unwrap();
-        db.put("run:Database:000010", &json!(2)).unwrap();
-        db.put("run:KVStore:000001", &json!(3)).unwrap();
-        db.put("sib:zzz", &json!(4)).unwrap();
-        assert_eq!(
-            db.last_key_with_prefix("run:Database:").as_deref(),
-            Some("run:Database:000010")
-        );
-        assert_eq!(
-            db.last_key_with_prefix("run:").as_deref(),
-            Some("run:KVStore:000001")
-        );
-        assert_eq!(db.last_key_with_prefix("zzz"), None);
     }
 
     #[test]

@@ -49,7 +49,8 @@ fn main() {
     let mut configs = Vec::new();
     for (kind, goal) in goals {
         eprintln!("what-if for {kind} ...");
-        let out = what_if(kind, goal, constraints, &reference, &v, opts.clone());
+        let out = what_if(kind, goal, constraints, &reference, &v, opts.clone())
+            .expect("the paper's constraints admit a search");
         rows.push(vec![
             kind.name().to_string(),
             match goal {

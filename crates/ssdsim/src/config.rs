@@ -145,15 +145,6 @@ impl DeviceFamily {
         matches!(self, DeviceFamily::HybridSlcCache { .. })
     }
 
-    /// Stable short label (`homogeneous` / `hybrid-slc-cache`), used by the
-    /// run registry so histories are never compared across families.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeviceFamily::Homogeneous => "homogeneous",
-            DeviceFamily::HybridSlcCache { .. } => "hybrid-slc-cache",
-        }
-    }
-
     /// Canonical four-word encoding (discriminant, cache pct bits, policy,
     /// threshold bits); the tail of [`SsdConfig::canonical_words`].
     pub fn canonical_words(self) -> [u64; 4] {
@@ -1112,8 +1103,6 @@ mod tests {
         homogeneous.device_family = DeviceFamily::Homogeneous;
         assert_ne!(base.canonical_words(), homogeneous.canonical_words());
         assert_eq!(base.canonical_words().len(), CONFIG_WORDS);
-        assert_eq!(DeviceFamily::Homogeneous.label(), "homogeneous");
-        assert_eq!(base.device_family.label(), "hybrid-slc-cache");
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn main() {
             &presets::intel_750(),
             &validator,
             opts.clone(),
-        );
+        )
+        .expect("the paper's constraints admit a search");
         let goal_desc = match goal {
             WhatIfGoal::LatencyReduction(f) => format!("{f:.1}x lower latency"),
             WhatIfGoal::ThroughputImprovement(f) => format!("{f:.1}x higher throughput"),

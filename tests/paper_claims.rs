@@ -215,7 +215,8 @@ fn what_if_unlocks_flash_timing() {
         &presets::intel_750(),
         &v,
         opts,
-    );
+    )
+    .expect("the paper's constraints admit a search");
     // The what-if search may tune chip timings (normal tuning may not).
     assert!(out.tuning.best.config.read_latency_ns <= presets::intel_750().read_latency_ns);
     assert!(out.achieved >= 1.0);
