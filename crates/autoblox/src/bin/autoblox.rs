@@ -33,6 +33,7 @@
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
+use autoblox::params::ParamSpace;
 use autoblox::report::{render_rows, Thresholds};
 use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::RunReport;
@@ -720,6 +721,26 @@ fn reference_for(constraints: &Constraints) -> SsdConfig {
         }
     };
     constraints.pin(&mut reference);
+    // Rescale the preset to the requested capacity: blocks and pages first
+    // (a no-op inside the band), then, where the die-size floor stops them,
+    // the channel count nearest the target and blocks and pages again. A
+    // capacity no layout reaches is refused by the tuner with one line.
+    let space = ParamSpace::new();
+    if !constraints.repair_capacity(&space, &mut reference) {
+        if let Some(channels) = space.param("channel_count") {
+            let target = constraints.capacity_bytes as f64;
+            let miss = |i| {
+                let mut cfg = reference.clone();
+                channels.set(&mut cfg, i);
+                (cfg.effective_capacity_bytes() as f64 - target).abs()
+            };
+            let nearest = (0..channels.cardinality()).min_by(|&a, &b| miss(a).total_cmp(&miss(b)));
+            if let Some(i) = nearest {
+                channels.set(&mut reference, i);
+                constraints.repair_capacity(&space, &mut reference);
+            }
+        }
+    }
     reference
 }
 

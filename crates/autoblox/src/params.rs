@@ -102,7 +102,17 @@ fn clamped(grid: &[f64], index: usize) -> f64 {
     grid[index.min(grid.len() - 1)]
 }
 
+/// The grid index nearest `value`, the lower one on a tie.
+///
+/// Every grid is strictly ascending, so a value that is exactly a grid
+/// point (what `set` writes, hence every vectorized candidate) is found by
+/// binary search: it is the only index at distance 0, and the scan below
+/// would return it too.
 fn nearest(grid: &[f64], value: f64) -> usize {
+    let hit = grid.partition_point(|&g| g < value);
+    if grid.get(hit) == Some(&value) {
+        return hit;
+    }
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (i, &g) in grid.iter().enumerate() {
@@ -543,7 +553,21 @@ impl ParamSpace {
 
     /// Vectorizes a configuration as one grid index per parameter.
     pub fn vectorize(&self, cfg: &SsdConfig) -> Vec<usize> {
-        self.params.iter().map(|p| p.get(cfg)).collect()
+        let mut out = vec![0; self.params.len()];
+        self.vectorize_into(cfg, &mut out);
+        out
+    }
+
+    /// [`ParamSpace::vectorize`] into a caller-owned vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the parameter count.
+    pub fn vectorize_into(&self, cfg: &SsdConfig, out: &mut [usize]) {
+        assert_eq!(out.len(), self.params.len(), "vector length mismatch");
+        for (slot, p) in out.iter_mut().zip(&self.params) {
+            *slot = p.get(cfg);
+        }
     }
 
     /// Normalizes a grid-index vector to floats in `[0, 1]` per parameter
@@ -553,18 +577,24 @@ impl ParamSpace {
     ///
     /// Panics if `vec.len()` differs from the parameter count.
     pub fn normalize(&self, vec: &[usize]) -> Vec<f64> {
+        self.normalized(vec).collect()
+    }
+
+    /// [`ParamSpace::normalize`] as an iterator, for callers that append
+    /// many vectors to one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vec.len()` differs from the parameter count.
+    pub fn normalized<'s>(&'s self, vec: &'s [usize]) -> impl Iterator<Item = f64> + 's {
         assert_eq!(vec.len(), self.params.len(), "vector length mismatch");
-        self.params
-            .iter()
-            .zip(vec)
-            .map(|(p, &idx)| {
-                if p.cardinality() > 1 {
-                    idx as f64 / (p.cardinality() - 1) as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+        self.params.iter().zip(vec).map(|(p, &idx)| {
+            if p.cardinality() > 1 {
+                idx as f64 / (p.cardinality() - 1) as f64
+            } else {
+                0.0
+            }
+        })
     }
 
     /// Vectorizes as normalized floats in `[0, 1]` (GPR feature space).
@@ -606,33 +636,31 @@ impl ParamSpace {
     /// `param_idx`: ±1 for ordered kinds, every other category for
     /// categoricals. Returns full neighbor vectors.
     pub fn neighbors_of_param(&self, vec: &[usize], param_idx: usize) -> Vec<Vec<usize>> {
-        let p = &self.params[param_idx];
+        self.neighbor_indices(vec, param_idx)
+            .map(|alt| {
+                let mut v = vec.to_vec();
+                v[param_idx] = alt;
+                v
+            })
+            .collect()
+    }
+
+    /// The grid indices [`ParamSpace::neighbors_of_param`] moves parameter
+    /// `param_idx` to, in the same order: `+1` then `-1` for ordered kinds,
+    /// every other category ascending for categoricals.
+    pub fn neighbor_indices(&self, vec: &[usize], param_idx: usize) -> impl Iterator<Item = usize> {
+        let card = self.params[param_idx].cardinality();
         let cur = vec[param_idx];
-        let mut out = Vec::new();
-        match p.kind {
-            ParamKind::Categorical => {
-                for alt in 0..p.cardinality() {
-                    if alt != cur {
-                        let mut v = vec.to_vec();
-                        v[param_idx] = alt;
-                        out.push(v);
-                    }
-                }
-            }
-            _ => {
-                if cur + 1 < p.cardinality() {
-                    let mut v = vec.to_vec();
-                    v[param_idx] = cur + 1;
-                    out.push(v);
-                }
-                if cur > 0 {
-                    let mut v = vec.to_vec();
-                    v[param_idx] = cur - 1;
-                    out.push(v);
-                }
-            }
-        }
-        out
+        let (others, steps) = match self.params[param_idx].kind {
+            ParamKind::Categorical => (0..card, [None, None]),
+            _ => (
+                0..0,
+                [(cur + 1 < card).then_some(cur + 1), cur.checked_sub(1)],
+            ),
+        };
+        others
+            .filter(move |&alt| alt != cur)
+            .chain(steps.into_iter().flatten())
     }
 
     /// Total size of the search space (product of cardinalities), saturating.
@@ -1008,6 +1036,80 @@ mod tests {
                     .map(|p| twin_of(p.name).map_or_else(|| p.get(&theirs), |t| (t.get)(&theirs)))
                     .collect();
                 assert_eq!(space.vectorize(&ours), twin_vec);
+            }
+        }
+    }
+
+    /// `nearest`'s binary-searched exact hit equals its scan only on a
+    /// strictly ascending grid.
+    #[test]
+    fn every_grid_is_strictly_ascending() {
+        for p in catalog() {
+            assert!(p.grid.windows(2).all(|w| w[0] < w[1]), "{}", p.name);
+        }
+    }
+
+    /// The exact-hit shortcut returns what the scan alone returns: on grid
+    /// points, between them, at their integer truncations, at random
+    /// values, and at the non-finite and far-off values where rounding
+    /// ties the distances and the scan keeps the first.
+    #[test]
+    fn nearest_matches_the_scan_alone() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6e61);
+        let scan = |grid: &[f64], value: f64| {
+            let mut best = (0, f64::INFINITY);
+            for (i, &g) in grid.iter().enumerate() {
+                if (g - value).abs() < best.1 {
+                    best = (i, (g - value).abs());
+                }
+            }
+            best.0
+        };
+        for p in catalog() {
+            let g = &p.grid;
+            let mut values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+            let (lo, hi) = (g[0], g[g.len() - 1]);
+            let span = hi - lo;
+            values.extend((0..200).map(|_| rng.gen_range(lo - span..hi + span)));
+            values.extend([1e17, -1e17, hi * 1e16, f64::MAX, f64::MIN_POSITIVE]);
+            for (i, &x) in g.iter().enumerate() {
+                values.extend([x, x.trunc(), -x, x * 1.5]);
+                if let Some(&next) = g.get(i + 1) {
+                    values.extend([(x + next) / 2.0, x + (next - x) / 3.0]);
+                }
+            }
+            for v in values {
+                assert_eq!(nearest(g, v), scan(g, v), "{} at {v}", p.name);
+            }
+        }
+    }
+
+    /// Reading back what `set` wrote gives the index that was set, for every
+    /// parameter and index, on both families and both interfaces. The
+    /// hybrid knobs are inert on a homogeneous device and read 0 there.
+    #[test]
+    fn get_reads_back_every_index_set() {
+        use ssdsim::config::presets;
+        let space = ParamSpace::new();
+        for base in [
+            presets::intel_750(),
+            presets::samsung_850_pro(),
+            presets::hybrid_slc_qlc(),
+        ] {
+            let inert = base.device_family == DeviceFamily::Homogeneous;
+            for p in space.params() {
+                for i in 0..p.cardinality() {
+                    let mut cfg = base.clone();
+                    p.set(&mut cfg, i);
+                    let want = if inert && p.name.starts_with("slc_") {
+                        0
+                    } else {
+                        i
+                    };
+                    assert_eq!(p.get(&cfg), want, "{} index {i}", p.name);
+                }
             }
         }
     }

@@ -25,7 +25,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ssdsim::config::SsdConfig;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The surrogate model predicting configuration grades in the search loop.
 ///
@@ -335,6 +337,126 @@ fn design(observations: &[Observation]) -> (Matrix, Vec<f64>) {
     (Matrix::from_rows(&rows), ys)
 }
 
+/// A surrogate's score of one candidate: `(acquisition value, predicted
+/// mean, predicted standard deviation)`.
+type Score = (f64, f64, f64);
+
+/// A grid vector packed one byte per index and zero-padded, the walk
+/// memo's key. It compares in the vector's order, hashes as 9 words instead
+/// of 51, and lives inline in the memo: scoring a candidate allocates
+/// nothing that outlives its pool item.
+type Packed = [u8; 64];
+
+/// Surrogate scores memoized across one SGD walk, keyed by [`pack`]ed
+/// grid vector.
+type Memo = HashMap<Packed, Score, BuildHasherDefault<WordHasher>>;
+
+/// Packs a grid vector (the catalog has 51 parameters, each grid far fewer
+/// than 256 points).
+fn pack(v: &[usize]) -> Packed {
+    let mut key = [0; 64];
+    assert!(v.len() <= key.len(), "a grid vector fits a packed key");
+    for (k, &i) in key.iter_mut().zip(v) {
+        *k = u8::try_from(i).expect("a grid index fits a byte");
+    }
+    key
+}
+
+/// The first `len` indices of a [`pack`]ed vector.
+fn unpack(key: &Packed, len: usize) -> Vec<usize> {
+    key[..len].iter().map(|&i| usize::from(i)).collect()
+}
+
+/// The walk memo's hash: multiply-rotate over the 8-byte words of a packed
+/// vector. With no random key the memo's iteration order is a pure function
+/// of its inserts; its keys are built by the program, never read from
+/// input, so a key crafted to collide cannot reach it.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// What a walk step found over some of its candidates: the pool item of
+/// one run of parameters, or the whole step once the items are merged.
+#[derive(Debug, Default)]
+struct StepPicks {
+    /// The smallest candidate vector, with its score.
+    first: Option<(Packed, Score)>,
+    /// The highest non-NaN acquisition value, the smaller vector on a tie.
+    best: Option<(Packed, Score)>,
+}
+
+impl StepPicks {
+    /// Folds one scored candidate in.
+    fn consider(&mut self, cand: Packed, s: Score) {
+        if self.first.is_none_or(|(v, _)| cand < v) {
+            self.first = Some((cand, s));
+        }
+        let better = |(v, b): (Packed, Score)| s.0 > b.0 || (s.0 == b.0 && cand < v);
+        if !s.0.is_nan() && self.best.is_none_or(better) {
+            self.best = Some((cand, s));
+        }
+    }
+
+    /// The candidate a strict-`>` argmax over the ascending candidate order
+    /// picks, as a vector of `len` indices: the smallest one when its value
+    /// is NaN (nothing compares greater), otherwise the highest non-NaN
+    /// value, the smallest vector on a tie. `None` when no candidate was
+    /// considered.
+    fn pick(self, len: usize) -> Option<(Vec<usize>, Score)> {
+        let (v, s) = match self.first {
+            Some(first) if first.1 .0.is_nan() => first,
+            first => self.best.or(first)?,
+        };
+        Some((unpack(&v, len), s))
+    }
+}
+
+/// Fewest neighbours a walk step splits across the pool. Below it, waking
+/// a helper costs more than the half step it takes over: the pruned
+/// twelve-knob walk of `tune_read_homog` took 4.1 ms split and 2.0 ms
+/// whole (traced, 2 CPUs), while the full-space steps of
+/// `search_many_short` (about 90 neighbours) halve.
+const MIN_SPLIT_NEIGHBOURS: usize = 64;
+
+/// Splits `params` into at most `runs` contiguous runs of roughly equal
+/// total weight, `weights[i]` being the weight of `params[i]`.
+fn split_runs<'p>(params: &'p [usize], weights: &[usize], runs: usize) -> Vec<&'p [usize]> {
+    let total: usize = weights.iter().sum();
+    let mut out = Vec::with_capacity(runs);
+    let (mut start, mut acc) = (0, 0);
+    for (i, &w) in weights.iter().enumerate() {
+        acc += w;
+        // Close a run once it holds its share of the total weight.
+        if out.len() + 1 < runs && acc * runs >= total * (out.len() + 1) {
+            out.push(&params[start..=i]);
+            start = i + 1;
+        }
+    }
+    out.push(&params[start..]);
+    out
+}
+
 /// A fitted grade surrogate used inside one search iteration.
 #[derive(Debug)]
 enum FittedSurrogate {
@@ -343,9 +465,9 @@ enum FittedSurrogate {
 }
 
 impl FittedSurrogate {
-    /// Returns `(acquisition_value, predicted_mean, predicted_std)` for each
-    /// row of `points`; a failed prediction scores `(-inf, -inf, 0)`.
-    fn predict_batch(&self, points: &Matrix) -> Vec<(f64, f64, f64)> {
+    /// Returns the [`Score`] of each row of `points`; a failed prediction
+    /// scores `(-inf, -inf, 0)`.
+    fn predict_batch(&self, points: &Matrix) -> Vec<Score> {
         match self {
             FittedSurrogate::Gpr(g) => match g.predict_batch(points) {
                 Ok(batch) => batch
@@ -654,53 +776,19 @@ impl<'a> Tuner<'a> {
         let mut candidates_considered: u64 = 0;
         // Surrogate scores memoized across the walk: neighbor sets of
         // consecutive positions overlap heavily, and a revisited candidate
-        // costs one map probe instead of a second GPR prediction.
+        // costs one map probe instead of a second prediction.
         // `candidates_considered` counts unique configurations accordingly.
-        let mut scored: BTreeMap<Vec<usize>, (f64, f64, f64)> = BTreeMap::new();
+        let mut scored = Memo::default();
         let sgd_span = telemetry::span::Span::enter("tuner.sgd_walk");
         for _ in 0..self.opts.sgd_iterations {
             sgd_steps += 1;
-            let candidates = self.candidates(state, &cur);
-            if candidates.is_empty() {
-                break;
-            }
-            let mut best_cand: Option<(Vec<usize>, f64, f64)> = None;
-            match &surrogate {
+            let pick = match &surrogate {
                 Some(model) => {
-                    // One batch call scores every neighbor this walk has
-                    // not met yet; the ranking below then reads the memo.
-                    let fresh: Vec<&Vec<usize>> = candidates
-                        .iter()
-                        .filter(|c| !scored.contains_key(*c))
-                        .collect();
-                    candidates_considered += fresh.len() as u64;
-                    let scores = model.predict_batch(&self.normalized_rows(&fresh));
-                    for (cand, s) in fresh.into_iter().zip(scores) {
-                        scored.insert(cand.clone(), s);
-                    }
-                    for cand in candidates {
-                        let (ucb, mean, _std) = scored[&cand];
-                        if best_cand.as_ref().is_none_or(|(_, u, _)| ucb > *u) {
-                            best_cand = Some((cand, ucb, mean));
-                        }
-                    }
+                    self.walk_step(state, &cur, model, &mut scored, &mut candidates_considered)
                 }
-                None => {
-                    // Random-proposal ablation: no surrogate guidance. The
-                    // pick still consumes exactly one RNG draw per step;
-                    // only the unique-candidate accounting is shared with
-                    // the surrogate branch.
-                    for cand in &candidates {
-                        if !scored.contains_key(cand) {
-                            candidates_considered += 1;
-                            scored.insert(cand.clone(), (0.0, f64::NEG_INFINITY, 0.0));
-                        }
-                    }
-                    let pick = rng.gen_range(0..candidates.len());
-                    best_cand = Some((candidates[pick].clone(), 0.0, f64::NEG_INFINITY));
-                }
-            }
-            let Some((cand, _ucb, mean)) = best_cand else {
+                None => self.random_step(state, &cur, rng, &mut scored, &mut candidates_considered),
+            };
+            let Some((cand, (_ucb, mean, _std))) = pick else {
                 break;
             };
             chosen = Some(cand.clone());
@@ -729,7 +817,8 @@ impl<'a> Tuner<'a> {
         let mut has_prediction = false;
         if surrogate.is_some() {
             if let Some(c) = chosen.as_ref() {
-                if let Some(&(ucb, mean, std)) = scored.get(c) {
+                let c_key = pack(c);
+                if let Some(&(ucb, mean, std)) = scored.get(&c_key) {
                     if mean.is_finite() {
                         has_prediction = true;
                         predicted_mean = mean;
@@ -742,7 +831,7 @@ impl<'a> Tuner<'a> {
                         }
                         let runner_up = scored
                             .iter()
-                            .filter(|(v, _)| *v != c)
+                            .filter(|(v, _)| **v != c_key)
                             .map(|(_, &(u, _, _))| u)
                             .fold(f64::NEG_INFINITY, f64::max);
                         if runner_up.is_finite() {
@@ -790,17 +879,17 @@ impl<'a> Tuner<'a> {
                 let replay = batch.first().is_some_and(|cfg| {
                     self.with_trace(target, |t| self.validator.stored(cfg, t).is_some())
                 });
-                let mut extras: Vec<(f64, &Vec<usize>)> = scored
-                    .iter()
-                    .filter(|(v, _)| *v != best_vec && !state.seen.contains(*v))
-                    .map(|(v, &(ucb, _, _))| (ucb, v))
-                    .collect();
-                // Highest acquisition value first; the BTreeMap iteration
-                // order makes ascending vector order the deterministic
-                // tiebreak (sort_by is stable).
-                extras.sort_by(|a, b| b.0.total_cmp(&a.0));
-                for (_, v) in extras.into_iter().take(k - 1) {
-                    batch.extend(self.materialize_vec(&state.reference, v));
+                let mut ranked: Vec<(f64, &Packed)> =
+                    scored.iter().map(|(v, &(ucb, _, _))| (ucb, v)).collect();
+                // Highest acquisition value first, ascending vector on a
+                // tie: the memo's own order must not leak into the batch.
+                ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+                let extras = ranked
+                    .into_iter()
+                    .map(|(_, v)| unpack(v, best_vec.len()))
+                    .filter(|v| v != best_vec && !state.seen.contains(v));
+                for v in extras.take(k - 1) {
+                    batch.extend(self.materialize_vec(&state.reference, &v));
                 }
                 if batch.len() > 1 && !replay {
                     let _spec_span = telemetry::span::Span::enter("tuner.speculate");
@@ -918,51 +1007,186 @@ impl<'a> Tuner<'a> {
         }
     }
 
-    /// Generates constraint-respecting neighbor vectors of `cur`, exploring
-    /// parameters in order (and only the leading ones when an order is
-    /// enforced).
-    fn candidates(&self, state: &TuneState, cur: &[usize]) -> Vec<Vec<usize>> {
-        // Distance from `cur` to every observation, once per step: a
-        // neighbor's distances differ only in the coordinates it changed.
-        let cur_dist: Vec<u64> = state
-            .observations
+    /// One SGD step of the surrogate-guided walk from `cur`: scores every
+    /// candidate the walk memo does not hold yet, records it there (counted
+    /// in `considered`), and returns the candidate a strict-`>` argmax of
+    /// the acquisition value over the sorted, deduplicated candidates
+    /// ([`Tuner::candidates`]) picks; `None` when `cur` has none.
+    ///
+    /// The step is one pool batch: the walk's parameters are split into one
+    /// contiguous run per pool thread (one run below
+    /// [`MIN_SPLIT_NEIGHBOURS`]) of roughly equal neighbor count, and each
+    /// item generates its run's candidates, scores its fresh ones with one
+    /// surrogate batch and folds its own picks. Every score is a function
+    /// of its candidate alone and the picks merge by value, so the result
+    /// is the same at any pool width. The memo sees its inserts in
+    /// generation order, which does not depend on the split either.
+    fn walk_step(
+        &self,
+        state: &TuneState,
+        cur: &[usize],
+        model: &FittedSurrogate,
+        memo: &mut Memo,
+        considered: &mut u64,
+    ) -> Option<(Vec<usize>, Score)> {
+        let cur_dist = self.distances_from(state, cur);
+        let params = self.walk_params(state);
+        let weights: Vec<usize> = params
             .iter()
-            .map(|o| self.space.manhattan(&o.vector, cur))
+            .map(|&pi| self.space.neighbor_indices(cur, pi).count())
             .collect();
-        let params = self.space.params();
-        let mut changed: Vec<usize> = Vec::new();
-        // With a pruning-derived order, focus the walk on the leading
-        // parameters (Fig. 9's efficiency mechanism). Without one, every
-        // parameter — numeric, boolean, and categorical — is explorable.
+        let width = if weights.iter().sum::<usize>() < MIN_SPLIT_NEIGHBOURS {
+            1
+        } else {
+            mlkit::parallel::max_threads()
+        };
+        let runs = split_runs(&params, &weights, width);
+        let known: &Memo = memo;
+        let parts = mlkit::parallel::parallel_map(runs, |run| {
+            let mut picks = StepPicks::default();
+            let (mut fresh, mut rows) = (Vec::new(), Vec::new());
+            self.for_each_candidate(state, cur, &cur_dist, run, |cand| {
+                let key = pack(cand);
+                match known.get(&key) {
+                    Some(&s) => picks.consider(key, s),
+                    None => {
+                        rows.extend(self.space.normalized(cand));
+                        fresh.push(key);
+                    }
+                }
+            });
+            let points = Matrix::from_vec(fresh.len(), self.space.len(), rows);
+            let scores = model.predict_batch(&points);
+            for (&cand, &s) in fresh.iter().zip(&scores) {
+                picks.consider(cand, s);
+            }
+            (fresh, scores, picks)
+        });
+        let mut step = StepPicks::default();
+        for (fresh, scores, picks) in parts {
+            // A vector two moves (or two runs) reached is counted once.
+            for (cand, s) in fresh.into_iter().zip(scores) {
+                if let Entry::Vacant(slot) = memo.entry(cand) {
+                    slot.insert(s);
+                    *considered += 1;
+                }
+            }
+            for (cand, s) in picks.first.into_iter().chain(picks.best) {
+                step.consider(cand, s);
+            }
+        }
+        step.pick(cur.len())
+    }
+
+    /// One step of the Random ablation from `cur`: a uniform draw over the
+    /// sorted candidates, which records each unseen one in the memo
+    /// (counted in `considered`) with no prediction.
+    fn random_step(
+        &self,
+        state: &TuneState,
+        cur: &[usize],
+        rng: &mut StdRng,
+        memo: &mut Memo,
+        considered: &mut u64,
+    ) -> Option<(Vec<usize>, Score)> {
+        const UNPREDICTED: Score = (0.0, f64::NEG_INFINITY, 0.0);
+        let candidates = self.candidates(state, cur);
+        if candidates.is_empty() {
+            return None;
+        }
+        for cand in &candidates {
+            if let Entry::Vacant(slot) = memo.entry(pack(cand)) {
+                slot.insert(UNPREDICTED);
+                *considered += 1;
+            }
+        }
+        let pick = rng.gen_range(0..candidates.len());
+        Some((candidates[pick].clone(), UNPREDICTED))
+    }
+
+    /// The parameters a walk step moves, in exploration order and never a
+    /// pinned one. With a pruning-derived order only the leading twelve
+    /// (Fig. 9's efficiency mechanism); without one every parameter —
+    /// numeric, boolean, and categorical — is explorable.
+    fn walk_params(&self, state: &TuneState) -> Vec<usize> {
         let order = &state.order_indices;
         let limit = if state.explicit_order && self.opts.use_tuning_order {
             order.len().min(12)
         } else {
             order.len()
         };
+        order
+            .iter()
+            .take(limit)
+            .copied()
+            .filter(|pi| !self.pinned.contains(pi))
+            .collect()
+    }
+
+    /// Distance from `cur` to every observation, in validation order.
+    fn distances_from(&self, state: &TuneState, cur: &[usize]) -> Vec<u64> {
+        state
+            .observations
+            .iter()
+            .map(|o| self.space.manhattan(&o.vector, cur))
+            .collect()
+    }
+
+    /// Constraint-respecting neighbor vectors of `cur` over every walk
+    /// parameter, sorted and deduplicated.
+    fn candidates(&self, state: &TuneState, cur: &[usize]) -> Vec<Vec<usize>> {
+        let cur_dist = self.distances_from(state, cur);
         let mut out = Vec::new();
-        for &pi in order.iter().take(limit) {
-            if self.pinned.contains(&pi) {
-                continue;
-            }
-            for mut cand in self.space.neighbors_of_param(cur, pi) {
-                // Repair dependent parameters to hold the capacity
-                // constraint, then re-vectorize.
-                let Some(cfg) = self.materialize_vec(&state.reference, &cand) else {
+        let params = self.walk_params(state);
+        self.for_each_candidate(state, cur, &cur_dist, &params, |cand| {
+            out.push(cand.to_vec());
+        });
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// Visits the constraint-respecting neighbors of `cur` that move one
+    /// parameter of `run`, in order: each move is materialized (dependent
+    /// parameters repaired to hold the capacity constraint) and
+    /// re-vectorized, and vectors already seen, equal to `cur`, or beyond
+    /// the Manhattan bound from every observation are skipped. A repair can
+    /// land two moves on one vector, which is then visited twice.
+    /// `cur_dist` holds [`Tuner::distances_from`]`(cur)`. Nothing is
+    /// allocated per neighbor.
+    fn for_each_candidate(
+        &self,
+        state: &TuneState,
+        cur: &[usize],
+        cur_dist: &[u64],
+        run: &[usize],
+        mut visit: impl FnMut(&[usize]),
+    ) {
+        let params = self.space.params();
+        let mut moved = cur.to_vec();
+        let mut cand = vec![0; cur.len()];
+        let mut changed: Vec<usize> = Vec::new();
+        for &pi in run {
+            for alt in self.space.neighbor_indices(cur, pi) {
+                moved[pi] = alt;
+                let cfg = self.materialize_vec(&state.reference, &moved);
+                moved[pi] = cur[pi];
+                let Some(cfg) = cfg else {
                     continue;
                 };
-                cand = self.space.vectorize(&cfg);
-                if state.seen.contains(&cand) || cand == cur {
+                self.space.vectorize_into(&cfg, &mut cand);
+                if cand == cur || state.seen.contains(cand.as_slice()) {
                     continue;
                 }
-                // Exact integer update over the moved coordinate and any
-                // the repair touched.
+                // A neighbor's distances differ from `cur_dist` only in the
+                // moved coordinate and any the repair touched: an exact
+                // integer update.
                 changed.clear();
                 changed.extend((0..cur.len()).filter(|&k| cand[k] != cur[k]));
                 let min_dist = state
                     .observations
                     .iter()
-                    .zip(&cur_dist)
+                    .zip(cur_dist)
                     .map(|(o, &d)| {
                         changed.iter().fold(d, |d, &k| {
                             d + params[k].distance(cand[k], o.vector[k])
@@ -972,15 +1196,11 @@ impl<'a> Tuner<'a> {
                     .min()
                     .unwrap_or(0);
                 debug_assert_eq!(min_dist, state.min_manhattan(&self.space, &cand));
-                if min_dist > self.opts.manhattan_limit {
-                    continue;
+                if min_dist <= self.opts.manhattan_limit {
+                    visit(&cand);
                 }
-                out.push(cand);
             }
         }
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// Applies a vector onto the reference base (so parameters outside a

@@ -536,6 +536,35 @@ fn tune_rejects_unknown_flags_and_missing_values() {
     );
 }
 
+/// A capacity outside the reference preset's band rescales the preset
+/// instead of refusing it, and the tuned configuration lands in the band;
+/// a capacity no layout reaches is still one line, exit 2.
+#[test]
+fn tune_rescales_the_reference_to_the_capacity() {
+    let tune = "tune database --events 50 --iterations 1 --capacity";
+    let steps = vec![
+        step(&format!("{tune} 256")),
+        step(&format!("{tune} 2048")),
+        Step {
+            exit: 2,
+            ..step(&format!("{tune} 16"))
+        },
+    ];
+    let variants = Row { steps, ..ROW }.run("capacity");
+    for (i, gib) in [(0, 256u64), (1, 2048)] {
+        let best: SsdConfig = serde_json::from_str(&variants[0].stdout(i)).unwrap();
+        let band = (gib << 30) as f64 * 0.75..=(gib << 30) as f64 * 1.25;
+        let actual = best.effective_capacity_bytes();
+        assert!(band.contains(&(actual as f64)), "{gib} GiB: {actual} B");
+    }
+    let stderr = variants[0].stderr(2);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: the reference configuration violates the constraints"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn whatif_rejects_unknown_flags_and_missing_values() {
     usage_errors(

@@ -4,10 +4,15 @@
 use autoblox::constraints::Constraints;
 use autoblox::parallel;
 use autoblox::pruning::coarse_prune;
-use autoblox::tuner::{Tuner, TunerOptions};
+use autoblox::tuner::{SurrogateKind, Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
 use iotrace::gen::WorkloadKind;
 use ssdsim::config::{presets, SsdConfig};
+use std::sync::Mutex;
+
+/// Held by every test that sets the process-wide thread override, so no two
+/// of them race over it.
+static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn quick_validator(events: usize) -> Validator {
     Validator::new(ValidatorOptions {
@@ -43,14 +48,11 @@ fn pipeline_fingerprint() -> (String, String, u64) {
     )
 }
 
-/// The tentpole acceptance criterion: coarse pruning and a short tuning run
-/// produce identical results — and identical simulator-run counts — at
-/// 1 thread and at 4 threads.
-///
-/// This is the only test in this binary that touches the process-wide thread
-/// override, so it cannot race other tests over it.
+/// Coarse pruning and a short tuning run produce identical results — and
+/// identical simulator-run counts — at 1 thread and at 4 threads.
 #[test]
 fn pipeline_is_deterministic_across_thread_counts() {
+    let _override = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
     parallel::set_max_threads(1);
     let sequential = pipeline_fingerprint();
     parallel::set_max_threads(4);
@@ -68,6 +70,62 @@ fn pipeline_is_deterministic_across_thread_counts() {
         sequential.2, parallel4.2,
         "the simulator-run count must not depend on the thread count"
     );
+}
+
+/// A full-space tune long enough to cross the surrogate's scheduled refit
+/// (`GPR_RETUNE_EVERY`, 16 observations) with the paper's ten SGD steps,
+/// serialized with every iteration record, plus the charged simulator runs.
+fn walk_fingerprint(surrogate: SurrogateKind, iterations: usize) -> (String, u64) {
+    let v = quick_validator(200);
+    let opts = TunerOptions {
+        max_iterations: iterations,
+        // Convergence never fires: every tune runs all its iterations.
+        convergence_window: iterations + 1,
+        non_target: vec![WorkloadKind::WebSearch],
+        surrogate,
+        ..Default::default()
+    };
+    assert_eq!(opts.sgd_iterations, 10);
+    let tuner = Tuner::new(Constraints::paper_default(), &v, opts);
+    let out = tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None);
+    assert_eq!(out.iterations, iterations);
+    assert!(out.iteration_records.iter().any(|r| r.sgd_steps > 1));
+    (
+        serde_json::to_string(&out).expect("outcome serializes"),
+        v.simulator_runs(),
+    )
+}
+
+/// Each SGD step is one pool batch split into one run of parameters per
+/// thread, so the split changes with the width: the walk must not. Every
+/// iteration record (candidates, steps, predictions, decision margins) and
+/// the charged runs are bit-identical at 1 to 4 threads, for the GPR walk
+/// and the neural ablation.
+#[test]
+fn walk_is_deterministic_across_pool_widths() {
+    let _override = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    let cases = [
+        (SurrogateKind::Gpr, 24, &[1, 2, 3, 4][..]),
+        (SurrogateKind::Neural, 6, &[1, 3][..]),
+    ];
+    for (surrogate, iterations, widths) in cases {
+        let mut runs = widths.iter().map(|&threads| {
+            parallel::set_max_threads(threads);
+            (threads, walk_fingerprint(surrogate, iterations))
+        });
+        let (_, sequential) = runs.next().expect("a width");
+        for (threads, parallel) in runs {
+            assert_eq!(
+                parallel.0, sequential.0,
+                "{surrogate:?}: the outcome at {threads} threads differs"
+            );
+            assert_eq!(
+                parallel.1, sequential.1,
+                "{surrogate:?}: charged runs at {threads} threads differ"
+            );
+        }
+    }
+    parallel::set_max_threads(0);
 }
 
 /// Concurrency smoke test: many threads hammering one shared validator over

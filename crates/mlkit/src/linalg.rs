@@ -10,6 +10,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
+/// Columns the lock-step kernels ([`Cholesky::solve_matrix`],
+/// [`crate::gpr::Gpr::predict_batch`]) keep in registers at once.
+pub(crate) const LANES: usize = 8;
+
 /// A dense row-major matrix of `f64`.
 ///
 /// # Examples
@@ -525,43 +529,60 @@ impl Cholesky {
     /// Forward then back substitution over `m` right-hand sides stored as a
     /// row-major `n x m` block (`rhs[i * m + c]` is entry `i` of column
     /// `c`), overwritten with the solutions. Per column the subtractions
-    /// run in ascending `j` and end in one division, forward and back; the
-    /// inner loops run across columns, which are independent.
-    fn solve_in_place(&self, rhs: &mut [f64], m: usize) {
-        let n = self.l.rows();
-        debug_assert_eq!(rhs.len(), n * m);
-        if m == 0 {
-            return;
+    /// run in ascending `j` and end in one division, forward and back. The
+    /// columns are independent, so they are solved [`LANES`] at a time
+    /// with the block's partial sums held in registers across `j`; the
+    /// last `m % LANES` columns go one by one through the same code.
+    pub(crate) fn solve_in_place(&self, rhs: &mut [f64], m: usize) {
+        debug_assert_eq!(rhs.len(), self.l.rows() * m);
+        let full = m - m % LANES;
+        for c0 in (0..full).step_by(LANES) {
+            self.solve_columns::<LANES>(rhs, m, c0);
         }
+        for c0 in full..m {
+            self.solve_columns::<1>(rhs, m, c0);
+        }
+    }
+
+    /// [`Cholesky::solve_in_place`] for columns `c0..c0 + W`.
+    fn solve_columns<const W: usize>(&self, rhs: &mut [f64], m: usize, c0: usize) {
+        let n = self.l.rows();
+        let block = |rhs: &[f64], i: usize| -> [f64; W] {
+            rhs[i * m + c0..i * m + c0 + W]
+                .try_into()
+                .expect("a block is W wide")
+        };
         // Forward substitution: L Y = B.
         for i in 0..n {
-            let (solved, rest) = rhs.split_at_mut(i * m);
-            let row = &mut rest[..m];
-            for (j, yj) in solved.chunks_exact(m).enumerate() {
-                let lij = self.l[(i, j)];
-                for (s, &y) in row.iter_mut().zip(yj) {
+            let mut s = block(rhs, i);
+            let l_row = self.l.row(i);
+            for (j, &lij) in l_row[..i].iter().enumerate() {
+                let y = block(rhs, j);
+                for (s, y) in s.iter_mut().zip(y) {
                     *s -= lij * y;
                 }
             }
-            let lii = self.l[(i, i)];
-            for s in row {
+            let lii = l_row[i];
+            for s in &mut s {
                 *s /= lii;
             }
+            rhs[i * m + c0..i * m + c0 + W].copy_from_slice(&s);
         }
         // Back substitution: L^T X = Y.
         for i in (0..n).rev() {
-            let (head, solved) = rhs.split_at_mut((i + 1) * m);
-            let row = &mut head[i * m..];
-            for (k, xj) in solved.chunks_exact(m).enumerate() {
-                let lji = self.l[(i + 1 + k, i)];
-                for (s, &x) in row.iter_mut().zip(xj) {
+            let mut s = block(rhs, i);
+            for j in i + 1..n {
+                let lji = self.l[(j, i)];
+                let x = block(rhs, j);
+                for (s, x) in s.iter_mut().zip(x) {
                     *s -= lji * x;
                 }
             }
             let lii = self.l[(i, i)];
-            for s in row {
+            for s in &mut s {
                 *s /= lii;
             }
+            rhs[i * m + c0..i * m + c0 + W].copy_from_slice(&s);
         }
     }
 
@@ -786,7 +807,11 @@ mod tests {
     #[test]
     fn solve_matrix_is_bit_identical_to_per_column_solve() {
         let mut rng = StdRng::seed_from_u64(0x5017e);
-        for (n, m) in [(1, 1), (2, 5), (7, 1), (13, 9), (40, 33)] {
+        // Column counts at and around the multiples of the register block,
+        // so full blocks, the one-by-one tail and both together all run.
+        let widths = [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES, 4 * LANES - 1];
+        let sizes = [1, 2, 7, 13, 40];
+        for (n, m) in sizes.into_iter().flat_map(|n| widths.map(|m| (n, m))) {
             let b = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect());
             let mut a = b.matmul(&b.transpose()).unwrap();
             for i in 0..n {
