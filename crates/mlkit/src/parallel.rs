@@ -1,7 +1,8 @@
 //! A minimal persistent worker pool for deterministic data-parallel fan-out.
 //!
-//! One process-wide pool of helper threads, spawned lazily and parked on a
-//! condition variable between batches, serves every [`parallel_map`] call.
+//! One process-wide pool of helper threads, spawned lazily, serves every
+//! [`parallel_map`] call. Between batches a helper spins for 50 µs and
+//! then parks on a condition variable.
 //! The calling thread claims items too, so a batch at `T` threads uses
 //! `T - 1` helpers. Jobs may borrow from the caller's stack (validators,
 //! parameter spaces, matrices) without `'static` bounds: a batch does not
@@ -28,6 +29,7 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use telemetry::Counter;
 
 /// Process-wide thread-count override; `0` means "not set".
@@ -180,6 +182,38 @@ where
 /// The process-wide pool every [`parallel_map`] call shares.
 static POOL: Pool = Pool::new();
 
+/// How long a pool thread spins before it sleeps: a helper that finished a
+/// batch, waiting for the next, and a caller whose items are done, waiting
+/// for its helpers. A sleeping thread's CPU halts, and the wake-up that
+/// follows is the slow and erratic part of a batch on a virtual machine: on
+/// a 2-vCPU guest a two-item batch of 60 µs of work took 46 µs median when
+/// both sides slept (15 µs of it waking) and 32 µs when both spun, with a
+/// narrower spread from run to run. The SGD walk sends its steps a few
+/// microseconds apart, so a spinning helper catches every step of a walk
+/// and sleeps only between search iterations.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Spins until `ready` holds or [`SPIN`] has passed; returns whether it
+/// holds. It yields the CPU every 32 probes, so on a host with more pool
+/// threads than CPUs a spinner hands its CPU to the thread it waits for:
+/// four threads on two CPUs ran 60 µs batches in 22 µs median this way, 33
+/// µs when spinning without yielding and 40 µs when sleeping at once.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..32 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        std::thread::yield_now();
+        if start.elapsed() >= SPIN {
+            return false;
+        }
+    }
+}
+
 /// A set of parked helper threads plus the one batch they may be serving.
 struct Pool {
     /// Set while a batch holds the pool. Taken with `Acquire` and released
@@ -190,6 +224,13 @@ struct Pool {
     wake: Condvar,
     /// A batch's caller waits here for the helpers that joined it.
     done: Condvar,
+    /// Batches offered so far, bumped under the state lock; a helper
+    /// spinning between batches watches it.
+    offers: AtomicUsize,
+    /// Helpers that joined the current batch and have not finished,
+    /// changed only under the state lock; a caller spinning at the end of
+    /// its batch watches it.
+    unfinished: AtomicUsize,
 }
 
 struct State {
@@ -199,8 +240,6 @@ struct State {
     job: Option<&'static (dyn Fn() + Sync)>,
     /// Helpers that may still join the current batch.
     tickets: usize,
-    /// Helpers that joined (or may still join) and have not finished.
-    pending: usize,
     /// Helper threads created so far.
     helpers: usize,
 }
@@ -220,11 +259,16 @@ struct Join<'a>(&'a Pool);
 
 impl Drop for Join<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.lock();
-        st.pending -= st.tickets;
+        let pool = self.0;
+        let mut st = pool.lock();
         st.tickets = 0;
-        while st.pending > 0 {
-            st = self.0.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        if pool.unfinished.load(Ordering::Relaxed) > 0 {
+            drop(st);
+            spin_until(|| pool.unfinished.load(Ordering::Relaxed) == 0);
+            st = pool.lock();
+        }
+        while pool.unfinished.load(Ordering::Relaxed) > 0 {
+            st = pool.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.job = None;
     }
@@ -237,11 +281,12 @@ impl Pool {
             state: std::sync::Mutex::new(State {
                 job: None,
                 tickets: 0,
-                pending: 0,
                 helpers: 0,
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
+            offers: AtomicUsize::new(0),
+            unfinished: AtomicUsize::new(0),
         }
     }
 
@@ -350,8 +395,8 @@ impl Pool {
     fn run(&self, helpers: usize, helper: &(dyn Fn() + Sync), own: impl FnOnce()) {
         // SAFETY: the erased reference is stored in `State::job` only until
         // `Join` drops, and a helper calls it only after taking a ticket
-        // under the state lock, which also counts it in `pending`. `Join`
-        // revokes the untaken tickets, waits until `pending` is zero and
+        // under the state lock, which also counts it in `unfinished`. `Join`
+        // revokes the untaken tickets, waits until `unfinished` is zero and
         // clears `job` before this function returns or unwinds, so no helper
         // touches `helper` — or anything it borrows — after the borrow ends.
         let job = unsafe {
@@ -361,30 +406,37 @@ impl Pool {
             let mut st = self.lock();
             st.job = Some(job);
             st.tickets = helpers;
-            st.pending = helpers;
+            self.offers.fetch_add(1, Ordering::Relaxed);
         }
         let _join = Join(self);
         self.wake.notify_all();
         own();
     }
 
-    /// A helper's life: park, take a ticket, work the batch, report back.
-    /// Helpers are never joined: they live as long as the process, and a
-    /// batch's job catches its items' panics, so a helper never unwinds.
+    /// A helper's life: spin, then park, until a batch is offered; take a
+    /// ticket, work the batch, report back. Helpers are never joined: they
+    /// live as long as the process, and a batch's job catches its items'
+    /// panics, so a helper never unwinds.
     fn serve(&self) {
         let mut st = self.lock();
         loop {
             if st.tickets == 0 {
-                st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                let seen = self.offers.load(Ordering::Relaxed);
+                drop(st);
+                let offered = spin_until(|| self.offers.load(Ordering::Relaxed) != seen);
+                st = self.lock();
+                if !offered && st.tickets == 0 {
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
                 continue;
             }
             st.tickets -= 1;
+            self.unfinished.fetch_add(1, Ordering::Relaxed);
             let job = st.job.expect("a ticket comes with a job");
             drop(st);
             job();
             st = self.lock();
-            st.pending -= 1;
-            if st.pending == 0 {
+            if self.unfinished.fetch_sub(1, Ordering::Relaxed) == 1 {
                 self.done.notify_all();
             }
         }
@@ -480,6 +532,28 @@ mod tests {
         assert_eq!(pool.lock().helpers, 1);
         let out = pool.map(2, (0..50).collect(), |i: u32| i + 1);
         assert_eq!(out, (1..51).collect::<Vec<_>>());
+    }
+
+    /// The two slow paths of a batch: a helper that slept past its spin
+    /// still takes the next batch, and a caller whose helper outlasts the
+    /// caller's spin sleeps until the helper is done.
+    #[test]
+    fn sleepers_on_both_sides_still_meet() {
+        let pool = own_pool();
+        let helper = helper_id(pool);
+        std::thread::sleep(SPIN * 100);
+        assert_eq!(helper_id(pool), helper, "the parked helper served");
+        let caller = std::thread::current().id();
+        let meet = std::sync::Barrier::new(2);
+        let out = pool.map(2, vec![0, 1], |i: u32| {
+            meet.wait();
+            if std::thread::current().id() != caller {
+                std::thread::sleep(SPIN * 100);
+            }
+            i + 1
+        });
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(pool.unfinished.load(Ordering::Relaxed), 0);
     }
 
     #[test]
