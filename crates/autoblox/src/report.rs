@@ -24,24 +24,13 @@ pub const RUNS_SCHEMA: &str = "autoblox.runs.v1";
 
 /// The compact record of one run (schema [`RUNS_SCHEMA`]).
 ///
-/// [`Summary::of`] fills everything a telemetry report knows; the identity
-/// fields a report does not carry (`command`, `device_family`, `seed`)
-/// stay empty.
+/// [`Summary::of`] fills every field from the telemetry report alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Always [`RUNS_SCHEMA`].
     pub schema: String,
-    /// The command that produced the run (`tune`, `whatif`); empty when
-    /// summarising a bare report.
-    pub command: String,
     /// History family: the first tuned workload.
     pub category: String,
-    /// Device-family label of the configuration space the run explored
-    /// (`homogeneous` or `hybrid-slc-cache`); empty reads as `homogeneous`.
-    #[serde(default)]
-    pub device_family: String,
-    /// Tuner seed the run was pinned to.
-    pub seed: u64,
     /// Workloads the run tuned, in recording order.
     pub workloads: Vec<String>,
     /// Best grade over every recorded tuning run, `None` when none ran.
@@ -88,14 +77,11 @@ impl Summary {
         let lead = model.importance.first();
         Summary {
             schema: RUNS_SCHEMA.to_string(),
-            command: String::new(),
             category: report
                 .tuner
                 .first()
                 .map(|t| t.workload.clone())
                 .unwrap_or_default(),
-            device_family: String::new(),
-            seed: 0,
             workloads: report.tuner.iter().map(|t| t.workload.clone()).collect(),
             best_grade: report.tuner.iter().map(|t| t.best_grade).reduce(f64::max),
             iterations: report.tuner.iter().map(|t| t.iterations).sum(),

@@ -18,7 +18,6 @@ use crate::validator::Validator;
 use iotrace::gen::WorkloadKind;
 use iotrace::Trace;
 use mlkit::gpr::{Gpr, GprBuilder};
-use mlkit::kernel::{Kernel as _, Rbf, SumKernel, White};
 use mlkit::linalg::Matrix;
 use mlkit::nn::{Mlp, TrainOptions};
 use rand::rngs::StdRng;
@@ -490,7 +489,7 @@ impl FittedSurrogate {
     /// log-parameter); 0 for the variance-free surrogates.
     fn length_scale(&self) -> f64 {
         match self {
-            FittedSurrogate::Gpr(g) => g.kernel().params().first().map(|&p| p.exp()).unwrap_or(0.0),
+            FittedSurrogate::Gpr(g) => g.kernel().params()[0].exp(),
             FittedSurrogate::Neural(_) => 0.0,
         }
     }
@@ -1317,30 +1316,21 @@ impl<'a> Tuner<'a> {
     /// absorbed yet. Every branch is a deterministic function of the
     /// observation stream alone.
     fn fit_gpr(&self, state: &mut TuneState) -> Option<Gpr> {
-        let paper_kernel = || {
-            SumKernel::new(vec![
-                Box::new(Rbf::new(0.5, 1.0)) as Box<dyn mlkit::kernel::Kernel>,
-                Box::new(White::new(1e-4)),
-            ])
-        };
         let TuneState {
             observations,
             gpr_chain,
             ..
         } = state;
-        let fit = |count: usize, kernel: SumKernel, rounds: usize| {
+        let fit = |count: usize, builder: GprBuilder| {
             let (x, ys) = design(&observations[..count]);
-            GprBuilder::new()
-                .kernel(kernel)
-                .optimize_rounds(rounds)
-                .fit(&x, &ys)
-                .ok()
+            builder.fit(&x, &ys).ok()
         };
+        let retune = || GprBuilder::new().optimize_rounds(1);
         let n = observations.len();
         if n < GPR_RETUNE_EVERY || n.is_multiple_of(GPR_RETUNE_EVERY) {
             // Scheduled full fit: re-tune hyperparameters from scratch and
             // restart the chain from here.
-            let g = fit(n, paper_kernel(), 1)?;
+            let g = fit(n, retune())?;
             *gpr_chain = Some((n, g.clone()));
             return Some(g);
         }
@@ -1348,7 +1338,7 @@ impl<'a> Tuner<'a> {
         if gpr_chain.as_ref().is_none_or(|(count, _)| *count < base) {
             // This iteration validated past the last scheduled count:
             // restart the chain from that scheduled refit.
-            *gpr_chain = Some((base, fit(base, paper_kernel(), 1)?));
+            *gpr_chain = Some((base, fit(base, retune())?));
         }
         let (count, gpr) = gpr_chain.as_mut().expect("chain was just (re)built");
         while *count < n {
@@ -1358,7 +1348,12 @@ impl<'a> Tuner<'a> {
                 // Numerically degenerate extension: refit from scratch with
                 // the chain's frozen hyperparameters — still a deterministic
                 // function of the observation stream.
-                Err(_) => fit(*count + 1, gpr.kernel().clone(), 0)?,
+                Err(_) => fit(
+                    *count + 1,
+                    GprBuilder::new()
+                        .kernel(gpr.kernel().clone())
+                        .optimize_rounds(0),
+                )?,
             };
             *count += 1;
         }

@@ -6,7 +6,6 @@
 #![warn(missing_docs)]
 
 use autoblox::constraints::Constraints;
-use autoblox::metrics::Measurement;
 use autoblox::tuner::{Tuner, TunerOptions, TuningOutcome};
 use autoblox::validator::{Validator, ValidatorOptions};
 use iotrace::gen::WorkloadKind;
@@ -173,17 +172,6 @@ pub fn print_table(title: &str, headers: &[String], rows: &[Vec<String>]) {
 /// Formats a latency/throughput cell the way the paper's tables do.
 pub fn fmt_cell((lat, tp): (f64, f64)) -> String {
     format!("{lat:.2}/{tp:.2}")
-}
-
-/// Convenience: the reference measurement of every studied workload.
-pub fn reference_measurements(
-    reference: &SsdConfig,
-    validator: &Validator,
-) -> Vec<(WorkloadKind, Measurement)> {
-    let meas = autoblox::parallel::parallel_map(WorkloadKind::STUDIED.to_vec(), |w| {
-        validator.evaluate(reference, w)
-    });
-    WorkloadKind::STUDIED.iter().copied().zip(meas).collect()
 }
 
 /// Builds and prints a Table-1-style cross matrix: one learned configuration

@@ -1,5 +1,5 @@
-//! Gaussian-process regression with a trainable mean and composite kernel,
-//! the grade predictor in AutoBlox's tuning loop (§3.4).
+//! Gaussian-process regression with a trainable mean and an RBF + white-noise
+//! kernel, the grade predictor in AutoBlox's tuning loop (§3.4).
 //!
 //! Hyperparameters (kernel log-parameters and the constant mean) are tuned by
 //! maximizing the log marginal likelihood with a derivative-free coordinate
@@ -7,13 +7,17 @@
 //! validated configurations) the tuner produces.
 
 use crate::error::{MlError, Result};
-use crate::kernel::{Kernel, SumKernel};
+use crate::kernel::Kernel;
 use crate::linalg::{Cholesky, Matrix, LANES};
 
 /// What `Iterator::sum::<f64>()` starts from: the per-point accumulators of
 /// [`Gpr::predict_batch`] start there too, so each equals the `.sum()` over
 /// the same terms.
 const SUM_IDENTITY: f64 = -0.0;
+
+/// Diagonal jitter every fit starts from, escalated tenfold until the
+/// kernel matrix factorizes.
+const JITTER: f64 = 1e-8;
 
 /// Prediction from a Gaussian process: posterior mean and variance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,14 +86,14 @@ impl Prediction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gpr {
-    kernel: SumKernel,
+    kernel: Kernel,
     train_x: Matrix,
     train_y: Vec<f64>,
     alpha: Vec<f64>,
     chol: Cholesky,
     mean: f64,
     log_marginal_likelihood: f64,
-    /// Diagonal jitter the factorization actually used (the builder's value
+    /// Diagonal jitter the factorization actually used (`JITTER`
     /// after any escalation); [`Gpr::extend`] adds the same amount to the
     /// new diagonal entry so the bordered matrix matches a full refit.
     jitter: f64,
@@ -98,8 +102,7 @@ pub struct Gpr {
 /// Builder configuring and fitting a [`Gpr`].
 #[derive(Debug)]
 pub struct GprBuilder {
-    kernel: SumKernel,
-    jitter: f64,
+    kernel: Kernel,
     optimize_rounds: usize,
 }
 
@@ -110,25 +113,19 @@ impl Default for GprBuilder {
 }
 
 impl GprBuilder {
-    /// Starts from the AutoBlox default kernel
-    /// (`Rbf + RationalQuadratic + White`).
+    /// Starts from the kernel the tuner fits: `Kernel::new(0.5, 1.0, 1e-4)`
+    /// (RBF with ℓ = 0.5 and s² = 1, white noise 1e-4).
     pub fn new() -> Self {
         GprBuilder {
-            kernel: SumKernel::autoblox_default(),
-            jitter: 1e-8,
+            kernel: Kernel::new(0.5, 1.0, 1e-4),
             optimize_rounds: 3,
         }
     }
 
-    /// Replaces the covariance kernel.
-    pub fn kernel(mut self, kernel: SumKernel) -> Self {
+    /// Replaces the starting kernel — with `optimize_rounds(0)`, a refit
+    /// under a fitted model's frozen hyperparameters ([`Gpr::kernel`]).
+    pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the diagonal jitter added for numerical stability.
-    pub fn jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
         self
     }
 
@@ -165,9 +162,9 @@ impl GprBuilder {
         let mean = y.iter().sum::<f64>() / y.len() as f64;
 
         if self.optimize_rounds > 0 && x.rows() >= 3 {
-            Self::tune(&mut kernel, x, y, mean, self.jitter, self.optimize_rounds);
+            Self::tune(&mut kernel, x, y, mean, self.optimize_rounds);
         }
-        let (chol, alpha, lml, jitter) = Self::factorize(&kernel, x, y, mean, self.jitter)?;
+        let (chol, alpha, lml, jitter) = Self::factorize(&kernel, x, y, mean)?;
         Ok(Gpr {
             kernel,
             train_x: x.clone(),
@@ -181,15 +178,14 @@ impl GprBuilder {
     }
 
     fn factorize(
-        kernel: &SumKernel,
+        kernel: &Kernel,
         x: &Matrix,
         y: &[f64],
         mean: f64,
-        jitter: f64,
     ) -> Result<(Cholesky, Vec<f64>, f64, f64)> {
         let n = x.rows();
         let mut k = kernel.gram(x);
-        let mut j = jitter;
+        let mut j = JITTER;
         let chol = loop {
             let mut kj = k.clone();
             for i in 0..n {
@@ -218,9 +214,9 @@ impl GprBuilder {
     }
 
     /// Derivative-free coordinate search over log hyperparameters.
-    fn tune(kernel: &mut SumKernel, x: &Matrix, y: &[f64], mean: f64, jitter: f64, rounds: usize) {
+    fn tune(kernel: &mut Kernel, x: &Matrix, y: &[f64], mean: f64, rounds: usize) {
         let mut best_p = kernel.params();
-        let mut best_lml = match Self::factorize(kernel, x, y, mean, jitter) {
+        let mut best_lml = match Self::factorize(kernel, x, y, mean) {
             Ok((_, _, lml, _)) => lml,
             Err(_) => f64::NEG_INFINITY,
         };
@@ -228,13 +224,13 @@ impl GprBuilder {
         for _ in 0..rounds {
             for i in 0..best_p.len() {
                 for dir in [-1.0, 1.0] {
-                    let mut cand = best_p.clone();
+                    let mut cand = best_p;
                     cand[i] += dir * step;
                     // Clamp log-params to a sane window to avoid degenerate
                     // kernels (e.g. zero-length scales).
                     cand[i] = cand[i].clamp(-10.0, 10.0);
                     kernel.set_params(&cand);
-                    if let Ok((_, _, lml, _)) = Self::factorize(kernel, x, y, mean, jitter) {
+                    if let Ok((_, _, lml, _)) = Self::factorize(kernel, x, y, mean) {
                         if lml > best_lml {
                             best_lml = lml;
                             best_p = cand;
@@ -293,10 +289,10 @@ impl Gpr {
         let mut scratch = (Vec::new(), Vec::new());
         let full = m - m % LANES;
         for c0 in (0..full).step_by(LANES) {
-            self.predict_columns::<LANES>(x, &xt, c0, &mut scratch, &mut out);
+            self.predict_columns::<LANES>(&xt, c0, &mut scratch, &mut out);
         }
         for c0 in full..m {
-            self.predict_columns::<1>(x, &xt, c0, &mut scratch, &mut out);
+            self.predict_columns::<1>(&xt, c0, &mut scratch, &mut out);
         }
         Ok(out)
     }
@@ -306,7 +302,6 @@ impl Gpr {
     /// kernel rows and solves, `n x W` each.
     fn predict_columns<const W: usize>(
         &self,
-        x: &Matrix,
         xt: &Matrix,
         c0: usize,
         (k_star, v): &mut (Vec<f64>, Vec<f64>),
@@ -343,10 +338,10 @@ impl Gpr {
                 *acc += k * w;
             }
         }
-        for (b, (mu, ex)) in mean.into_iter().zip(explained).enumerate() {
+        for (mu, ex) in mean.into_iter().zip(explained) {
             out.push(Prediction {
                 mean: self.mean + mu,
-                variance: (self.kernel.diag(x.row(c0 + b)) - ex).max(0.0),
+                variance: (self.kernel.diag() - ex).max(0.0),
             });
         }
     }
@@ -370,7 +365,7 @@ impl Gpr {
     /// full fit). Callers that need an exact from-scratch refit with the
     /// same hyperparameters clone this into a [`GprBuilder`] with
     /// `optimize_rounds(0)`.
-    pub fn kernel(&self) -> &SumKernel {
+    pub fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
@@ -404,7 +399,7 @@ impl Gpr {
         let cross: Vec<f64> = (0..n)
             .map(|i| self.kernel.eval(x_new, self.train_x.row(i)))
             .collect();
-        let diag = self.kernel.diag(x_new) + self.jitter;
+        let diag = self.kernel.diag() + self.jitter;
         let chol = self.chol.extend(&cross, diag)?;
 
         let mut train_x = self.train_x.clone();
@@ -435,7 +430,6 @@ impl Gpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Rbf, White};
     use crate::linalg::reference_solve;
     use proptest::prelude::*;
 
@@ -449,10 +443,7 @@ mod tests {
     fn interpolates_training_points() {
         let (x, y) = toy();
         let gp = GprBuilder::new()
-            .kernel(SumKernel::new(vec![
-                Box::new(Rbf::new(1.0, 1.0)),
-                Box::new(White::new(1e-6)),
-            ]))
+            .kernel(Kernel::new(1.0, 1.0, 1e-6))
             .optimize_rounds(0)
             .fit(&x, &y)
             .unwrap();
@@ -563,7 +554,7 @@ mod tests {
                 .map(|(k, a)| k * a)
                 .sum::<f64>();
         let v = reference_solve(&gp.chol, &k_star);
-        let k_ss = gp.kernel.diag(point);
+        let k_ss = gp.kernel.diag();
         let variance = (k_ss - k_star.iter().zip(&v).map(|(k, w)| k * w).sum::<f64>()).max(0.0);
         Prediction { mean, variance }
     }
@@ -620,11 +611,9 @@ mod tests {
             let x = Matrix::from_vec(n, d, x);
             let queries = Matrix::from_vec(m, d, q);
             let widths = [0, 1, LANES - 1, LANES, LANES + 1, 4 * LANES - 1, m];
-            let tuner_kernel = SumKernel::new(vec![
-                Box::new(Rbf::new(0.5, 1.0)),
-                Box::new(White::new(1e-4)),
-            ]);
-            for (kernel, rounds) in [(SumKernel::autoblox_default(), 0), (tuner_kernel, 1)] {
+            // A fixed kernel, and the default one tuned as the tuner does.
+            let fixed = Kernel::new(1.0, 1.0, 1e-4);
+            for (kernel, rounds) in [(fixed, 0), (GprBuilder::new().kernel, 1)] {
                 let gp = GprBuilder::new()
                     .kernel(kernel)
                     .optimize_rounds(rounds)

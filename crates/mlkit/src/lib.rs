@@ -6,14 +6,14 @@
 //!
 //! - [`linalg`]: dense matrices, Cholesky factorization, symmetric (Jacobi)
 //!   eigendecomposition, and distance helpers;
-//! - [`scale`]: z-score and min-max feature scaling;
+//! - [`scale`]: z-score feature scaling;
 //! - [`pca`]: principal component analysis (workload clustering, §3.1);
 //! - [`kmeans`]: k-means++ clustering (workload clustering, §3.1);
 //! - [`ridge`]: ridge regression (fine-grained parameter pruning, §3.3);
-//! - [`kernel`] and [`gpr`]: Gaussian-process regression with
-//!   RBF + RationalQuadratic + White kernels (grade prediction, §3.4);
+//! - [`kernel`] and [`gpr`]: Gaussian-process regression with an
+//!   RBF + white-noise kernel (grade prediction, §3.4);
 //! - [`nn`]: a small MLP regressor, the DNN comparison point of §3.2;
-//! - [`metrics`]: clustering quality scores (silhouette, adjusted Rand);
+//! - [`metrics`]: clustering quality (silhouette score);
 //! - [`parallel`]: a persistent worker pool for deterministic data-parallel
 //!   fan-out (simulator validation downstream).
 //!

@@ -1,8 +1,7 @@
-//! Clustering quality metrics: silhouette score and adjusted Rand index.
+//! Clustering quality: the silhouette score.
 //!
-//! Used by the clustering ablations to compare window/PCA settings beyond
-//! raw purity, and by tests to validate that the workload clusters are
-//! well-separated (Figure 2).
+//! Workload clustering uses it to pick the number of clusters, and tests use
+//! it to check that the workload clusters are well separated (Figure 2).
 
 use crate::error::{MlError, Result};
 use crate::linalg::{sq_dist, Matrix};
@@ -83,48 +82,6 @@ pub fn silhouette_score(x: &Matrix, labels: &[usize]) -> Result<f64> {
     Ok(total / scored.max(1) as f64)
 }
 
-/// Adjusted Rand index between two labelings, in `[-1, 1]` (1 = identical
-/// partitions, ~0 = random agreement). Labels need not use the same ids.
-///
-/// # Errors
-///
-/// Returns [`MlError::ShapeMismatch`] if the labelings differ in length and
-/// [`MlError::InsufficientData`] for empty input.
-pub fn adjusted_rand_index(a: &[usize], b: &[usize]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(MlError::ShapeMismatch {
-            left: (a.len(), 1),
-            right: (b.len(), 1),
-            op: "adjusted_rand_index",
-        });
-    }
-    if a.is_empty() {
-        return Err(MlError::InsufficientData("empty labelings".into()));
-    }
-    let ka = a.iter().copied().max().unwrap_or(0) + 1;
-    let kb = b.iter().copied().max().unwrap_or(0) + 1;
-    let mut table = vec![vec![0u64; kb]; ka];
-    for (&x, &y) in a.iter().zip(b) {
-        table[x][y] += 1;
-    }
-    let choose2 = |v: u64| -> f64 { (v * v.saturating_sub(1)) as f64 / 2.0 };
-    let sum_ij: f64 = table.iter().flatten().map(|&v| choose2(v)).sum();
-    let sum_a: f64 = table
-        .iter()
-        .map(|row| choose2(row.iter().sum::<u64>()))
-        .sum();
-    let sum_b: f64 = (0..kb)
-        .map(|j| choose2(table.iter().map(|row| row[j]).sum::<u64>()))
-        .sum();
-    let total = choose2(a.len() as u64);
-    let expected = sum_a * sum_b / total;
-    let max_index = (sum_a + sum_b) / 2.0;
-    if (max_index - expected).abs() < 1e-12 {
-        return Ok(1.0); // degenerate: both partitions trivial
-    }
-    Ok((sum_ij - expected) / (max_index - expected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,34 +125,5 @@ mod tests {
         let (x, _) = blobs();
         assert!(silhouette_score(&x, &[0, 0]).is_err());
         assert!(silhouette_score(&x, &[0; 6]).is_err());
-    }
-
-    #[test]
-    fn ari_identical_partitions() {
-        let a = vec![0, 0, 1, 1, 2, 2];
-        assert!((adjusted_rand_index(&a, &a).unwrap() - 1.0).abs() < 1e-12);
-        // Renamed labels still count as identical.
-        let renamed = vec![2, 2, 0, 0, 1, 1];
-        assert!((adjusted_rand_index(&a, &renamed).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ari_near_zero_for_random() {
-        let a = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        let b = vec![0, 0, 1, 1, 0, 0, 1, 1];
-        let s = adjusted_rand_index(&a, &b).unwrap();
-        assert!(s.abs() < 0.5, "{s}");
-    }
-
-    #[test]
-    fn ari_errors() {
-        assert!(adjusted_rand_index(&[0, 1], &[0]).is_err());
-        assert!(adjusted_rand_index(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn ari_degenerate_single_cluster() {
-        let a = vec![0, 0, 0];
-        assert_eq!(adjusted_rand_index(&a, &a).unwrap(), 1.0);
     }
 }

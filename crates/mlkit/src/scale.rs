@@ -1,4 +1,4 @@
-//! Feature scaling utilities (z-score standardization, min-max scaling).
+//! Feature scaling: z-score standardization.
 
 use crate::error::{MlError, Result};
 use crate::linalg::Matrix;
@@ -147,74 +147,6 @@ impl StandardScaler {
     }
 }
 
-/// Per-column min-max scaler mapping each feature into `[0, 1]`.
-///
-/// Constant columns map to 0.0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    ranges: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Learns per-column minimum and range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InsufficientData`] if `x` has no rows.
-    pub fn fit(x: &Matrix) -> Result<Self> {
-        if x.rows() == 0 {
-            return Err(MlError::InsufficientData(
-                "cannot fit a scaler on zero samples".into(),
-            ));
-        }
-        let mut mins = vec![f64::INFINITY; x.cols()];
-        let mut maxs = vec![f64::NEG_INFINITY; x.cols()];
-        for r in 0..x.rows() {
-            for c in 0..x.cols() {
-                mins[c] = mins[c].min(x[(r, c)]);
-                maxs[c] = maxs[c].max(x[(r, c)]);
-            }
-        }
-        let ranges = mins
-            .iter()
-            .zip(&maxs)
-            .map(|(lo, hi)| {
-                let r = hi - lo;
-                if r > 0.0 {
-                    r
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Ok(MinMaxScaler { mins, ranges })
-    }
-
-    /// Applies the learned transform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ShapeMismatch`] if the column count differs from
-    /// the fitted data.
-    pub fn transform(&self, x: &Matrix) -> Result<Matrix> {
-        if x.cols() != self.mins.len() {
-            return Err(MlError::ShapeMismatch {
-                left: (x.rows(), x.cols()),
-                right: (1, self.mins.len()),
-                op: "minmax_transform",
-            });
-        }
-        let mut out = x.clone();
-        for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                out[(r, c)] = (out[(r, c)] - self.mins[c]) / self.ranges[c];
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,29 +191,5 @@ mod tests {
         assert!(s.transform(&Matrix::zeros(1, 3)).is_err());
         assert!(s.transform_row(&[0.0]).is_err());
         assert!(s.inverse_transform_row(&[0.0]).is_err());
-    }
-
-    #[test]
-    fn minmax_bounds() {
-        let x = Matrix::from_rows(&[vec![2.0, -1.0], vec![4.0, 3.0], vec![3.0, 1.0]]);
-        let s = MinMaxScaler::fit(&x).unwrap();
-        let t = s.transform(&x).unwrap();
-        for r in 0..3 {
-            for c in 0..2 {
-                assert!((0.0..=1.0).contains(&t[(r, c)]));
-            }
-        }
-        assert_eq!(t[(0, 0)], 0.0);
-        assert_eq!(t[(1, 0)], 1.0);
-    }
-
-    #[test]
-    fn minmax_constant_column_and_errors() {
-        let x = Matrix::from_rows(&[vec![5.0], vec![5.0]]);
-        let s = MinMaxScaler::fit(&x).unwrap();
-        let t = s.transform(&x).unwrap();
-        assert_eq!(t[(0, 0)], 0.0);
-        assert!(MinMaxScaler::fit(&Matrix::zeros(0, 1)).is_err());
-        assert!(s.transform(&Matrix::zeros(1, 2)).is_err());
     }
 }

@@ -206,21 +206,6 @@ impl BottleneckReport {
         report
     }
 
-    /// The attribution of both runs together: raw totals add, fractions are
-    /// renormalized over the sum. Addition is order-insensitive, so an
-    /// aggregate is identical however its parts were interleaved.
-    pub fn plus(&self, other: &BottleneckReport) -> Self {
-        BottleneckReport::from_totals(
-            self.total_latency_ns + other.total_latency_ns,
-            self.channel_wait_ns + other.channel_wait_ns,
-            self.plane_wait_ns + other.plane_wait_ns,
-            self.gc_stall_ns + other.gc_stall_ns,
-            self.cache_miss_ns + other.cache_miss_ns,
-            self.queue_wait_ns + other.queue_wait_ns,
-            self.slc_migration_ns + other.slc_migration_ns,
-        )
-    }
-
     /// The six attributed resources and their fractions, in a stable
     /// order (`other` excluded).
     pub fn fractions(&self) -> [(&'static str, f64); 6] {
