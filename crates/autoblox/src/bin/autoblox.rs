@@ -119,13 +119,9 @@ fn usage_text() -> String {
          \x20                                                 decision provenance\n\
          \x20 trace    export --chrome|--csv <journal.jsonl> <out-file>\n\
          \x20                                                 convert a run journal to Perfetto\n\
-         \x20                                                 or a device-sample CSV (model\n\
-         \x20                                                 calibration rows when no series)\n\
+         \x20                                                 or a model-calibration CSV\n\
          \x20 report   diff <baseline.json> <candidate.json>  regression-diff two telemetry\n\
-         \x20          [--ignore-time] [--max-grade-drop F]   reports (exit 3 on regression)\n\
-         \x20          [--max-validation-increase F] [--max-hit-rate-drop F]\n\
-         \x20          [--max-sim-time-increase F] [--max-tail-shift F]\n\
-         \x20          [--max-bottleneck-shift F] [--ignore <metric>]...\n\
+         \x20          [--ignore-time] [--ignore <metric>]... reports (exit 3 on regression)\n\
          \n\
          exit codes:\n\
          \x20 0  success\n\
@@ -530,19 +526,11 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
             );
         }
         "--csv" => {
-            // Device series are the primary export; a journal recorded
-            // without the sampler can still export its model-observatory
-            // calibration records.
-            let (csv, kind) = match autoblox::journal::export_csv(&journal) {
-                Ok(csv) => (csv, "device-sample"),
-                Err(series_err) => match autoblox::journal::export_calibration_csv(&journal) {
-                    Ok(csv) => (csv, "calibration"),
-                    Err(_) => return Err(CliError::Input(series_err)),
-                },
-            };
+            let csv =
+                autoblox::journal::export_calibration_csv(&journal).map_err(CliError::Input)?;
             std::fs::write(out_path, &csv).map_err(|e| format!("cannot write {out_path}: {e}"))?;
             eprintln!(
-                "wrote {out_path} ({} {kind} row(s))",
+                "wrote {out_path} ({} calibration row(s))",
                 csv.lines().count().saturating_sub(1)
             );
         }
@@ -571,40 +559,15 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// The threshold flags of `report diff`, parsed into [`Thresholds`].
-fn thresholds_from(args: &[String]) -> Result<Thresholds, CliError> {
-    let d = Thresholds::default();
-    Ok(Thresholds {
-        max_grade_drop: parse_flag(args, "--max-grade-drop")?.unwrap_or(d.max_grade_drop),
-        max_validation_increase: parse_flag(args, "--max-validation-increase")?
-            .unwrap_or(d.max_validation_increase),
-        max_hit_rate_drop: parse_flag(args, "--max-hit-rate-drop")?.unwrap_or(d.max_hit_rate_drop),
-        max_sim_time_increase: parse_flag(args, "--max-sim-time-increase")?
-            .unwrap_or(d.max_sim_time_increase),
-        max_tail_latency_shift: parse_flag(args, "--max-tail-shift")?
-            .unwrap_or(d.max_tail_latency_shift),
-        max_bottleneck_shift: parse_flag(args, "--max-bottleneck-shift")?
-            .unwrap_or(d.max_bottleneck_shift),
-        ignore_time: args.iter().any(|a| a == "--ignore-time"),
-        ..d
-    })
-}
-
 fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
-    let valued = [
-        "--max-grade-drop",
-        "--max-validation-increase",
-        "--max-hit-rate-drop",
-        "--max-sim-time-increase",
-        "--max-tail-shift",
-        "--max-bottleneck-shift",
-        "--ignore",
-    ];
-    let parsed = ReaderArgs::parse("report diff", rest, &["--ignore-time"], &valued)?;
+    let parsed = ReaderArgs::parse("report diff", rest, &["--ignore-time"], &["--ignore"])?;
     let [baseline_path, candidate_path] = parsed.positional.as_slice() else {
         return Err("report diff needs <baseline.json> <candidate.json>".into());
     };
-    let thresholds = thresholds_from(rest)?;
+    let thresholds = Thresholds {
+        ignore_time: parsed.has("--ignore-time"),
+        ..Thresholds::default()
+    };
     let ignore: Vec<String> = parsed
         .flags
         .iter()

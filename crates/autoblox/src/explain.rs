@@ -132,10 +132,6 @@ pub fn render(doc: &Explain) -> String {
         s.latency_percentiles.p95_ns / 1_000,
         s.latency_percentiles.p99_ns / 1_000
     ));
-    out.push_str(&format!(
-        "  device samples: {} retained, {} dropped\n",
-        s.device_samples, s.device_samples_dropped
-    ));
     for phase in &doc.phases {
         out.push_str(&format!(
             "  phase {:<20} {:>10.1} ms\n",

@@ -10,7 +10,7 @@
 //! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
 //! the kind and whose other members are that kind's struct. The tag is
 //! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
-//! and nowhere else. The eight kinds:
+//! and nowhere else. The six kinds:
 //!
 //! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
 //!   limit, argv.
@@ -23,31 +23,24 @@
 //!   shares, decision margin, and the calibration pair once validation
 //!   realized a grade.
 //! - `phase` ([`PhaseRecord`]) — one completed pipeline stage.
-//! - `series` ([`SeriesLine`]) — one simulator run's sampled
-//!   [`ssdsim::DeviceSeries`] (samples embedded, one line per run — never
-//!   one line per sample, so queue pressure cannot drop part of a series
-//!   nondeterministically).
-//! - `bottleneck` ([`BottleneckLine`]) — one simulator run's
-//!   [`ssdsim::BottleneckReport`].
 //! - `summary` ([`SummaryLine`]) — last line; totals and drop counters.
 //!
 //! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
-//! an unknown tag (a newer producer's, or a kind this build has retired),
+//! an unknown tag (a newer producer's, or a kind this build has retired:
+//! `placement`, `progress`, `series`, `bottleneck`),
 //! or a known tag whose members do not decode. The exporters pass over
 //! untagged and unknown lines and reject the others with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
-//! Perfetto JSON format (`trace export --chrome`); [`export_csv`] flattens
-//! the `series` lines into a spreadsheet-friendly table
-//! (`trace export --csv`), and [`export_calibration_csv`] does the same for
-//! `model` lines when a journal carries calibration records but no device
-//! series.
+//! Perfetto JSON format (`trace export --chrome`); [`export_calibration_csv`]
+//! flattens the `model` lines into a spreadsheet-friendly table
+//! (`trace export --csv`).
 
 use crate::telemetry::PhaseRecord;
 use crate::tuner::IterationRecord;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use ssdsim::{BottleneckReport, DeviceSample, DeviceSeries};
+use ssdsim::BottleneckReport;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,25 +73,12 @@ pub enum JournalLine {
     Model(ModelLine),
     /// `phase`: one completed pipeline stage.
     Phase(PhaseRecord),
-    /// `series`: one simulator run's device samples.
-    Series(SeriesLine),
-    /// `bottleneck`: one simulator run's latency attribution.
-    Bottleneck(BottleneckLine),
     /// `summary`: the journal's last line.
     Summary(SummaryLine),
 }
 
 /// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
-const KINDS: [&str; 8] = [
-    "meta",
-    "span",
-    "iteration",
-    "model",
-    "phase",
-    "series",
-    "bottleneck",
-    "summary",
-];
+const KINDS: [&str; 6] = ["meta", "span", "iteration", "model", "phase", "summary"];
 
 /// Why [`JournalLine::parse`] returned no line.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,8 +90,8 @@ pub enum Skipped {
     /// JSON, but not an object with a string `"t"` tag.
     Untagged,
     /// A tag this build does not know: a newer producer's, or a kind this
-    /// build has retired (old journals' `placement` and `progress` lines
-    /// read as this).
+    /// build has retired (old journals' `placement`, `progress`, `series`
+    /// and `bottleneck` lines read as this).
     Unknown(String),
     /// A known tag whose members do not decode: the tag and the error.
     Malformed(String, String),
@@ -312,45 +292,6 @@ impl From<(&str, &IterationRecord)> for ModelLine {
             kernel_length_scale: r.kernel_length_scale,
         }
     }
-}
-
-/// The `series` line: one simulator run's [`DeviceSeries`], keyed by the
-/// trace it ran and the replay (`timed` or `saturated`) that produced it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SeriesLine {
-    /// Trace name.
-    pub trace: String,
-    /// Which replay of the trace.
-    pub replay: String,
-    /// Simulated-time spacing between samples, ns.
-    pub interval_ns: u64,
-    /// Samples the bounded buffer dropped.
-    pub dropped: u64,
-    /// Retained samples, oldest first.
-    pub samples: Vec<DeviceSample>,
-}
-
-impl From<(&str, &str, &DeviceSeries)> for SeriesLine {
-    fn from((trace, replay, series): (&str, &str, &DeviceSeries)) -> Self {
-        SeriesLine {
-            trace: trace.to_string(),
-            replay: replay.to_string(),
-            interval_ns: series.interval_ns,
-            dropped: series.dropped,
-            samples: series.samples.clone(),
-        }
-    }
-}
-
-/// The `bottleneck` line: one simulator run's latency attribution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BottleneckLine {
-    /// Trace name.
-    pub trace: String,
-    /// Which replay of the trace.
-    pub replay: String,
-    /// The attribution.
-    pub report: BottleneckReport,
 }
 
 /// The `summary` line: totals and drop counters.
@@ -646,8 +587,8 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                 }));
                 phase_clock_us += dur_us;
             }
-            // Device and summary lines carry no timeline position.
-            _ => {}
+            // The summary line carries no timeline position.
+            JournalLine::Summary(_) => {}
         }
     }
     if events.is_empty() {
@@ -660,59 +601,9 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
     serde_json::to_string(&doc).map_err(|e| format!("cannot serialize trace: {e}"))
 }
 
-/// Flattens the `series` lines of a JSONL run journal into CSV: one row per
-/// device sample, keyed by the trace and replay that produced it.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line, or an error when the
-/// journal contains no `series` lines at all (e.g. it was recorded with the
-/// telemetry switch off).
-pub fn export_csv(journal: &str) -> Result<String, String> {
-    let mut out = String::from(
-        "trace,replay,sample,t_ns,channel_busy,plane_busy,gc_activity,queue_depth,\
-         data_cache_occupancy,data_cache_hit_rate,cmt_occupancy,cmt_hit_rate,\
-         gc_backlog_pages,write_amplification\n",
-    );
-    let mut rows = 0u64;
-    for line in read_lines(journal) {
-        let JournalLine::Series(series) = line? else {
-            continue;
-        };
-        for (i, s) in series.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{i},{},{},{},{},{},{},{},{},{},{},{}\n",
-                series.trace,
-                series.replay,
-                s.t_ns,
-                s.channel_busy,
-                s.plane_busy,
-                s.gc_activity,
-                s.queue_depth,
-                s.data_cache_occupancy,
-                s.data_cache_hit_rate,
-                s.cmt_occupancy,
-                s.cmt_hit_rate,
-                s.gc_backlog_pages,
-                s.write_amplification,
-            ));
-            rows += 1;
-        }
-    }
-    if rows == 0 {
-        return Err(
-            "journal contains no device series (was the run recorded with --telemetry \
-             and the sampler enabled?)"
-                .to_string(),
-        );
-    }
-    Ok(out)
-}
-
 /// Flattens the `model` lines of a JSONL run journal into CSV: one row per
-/// iteration's surrogate prediction/calibration record. Used by
-/// `trace export --csv` as a fallback when a journal carries model
-/// observatory records but no device series.
+/// iteration's surrogate prediction/calibration record (`trace export
+/// --csv`).
 ///
 /// # Errors
 ///

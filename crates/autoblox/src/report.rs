@@ -45,10 +45,6 @@ pub struct Summary {
     pub latency_percentiles: HistogramPercentiles,
     /// Bottleneck attribution aggregated over every simulator run.
     pub bottleneck: BottleneckReport,
-    /// Device-observatory samples retained across all simulator runs.
-    pub device_samples: u64,
-    /// Samples dropped by the bounded per-run buffers.
-    pub device_samples_dropped: u64,
     /// Surrogate calibration pooled over every tuning run's iterations.
     pub calibration: CalibrationSummary,
     /// Mean exploration share pooled over every tuning run.
@@ -93,8 +89,6 @@ impl Summary {
             },
             latency_percentiles: report.latency_percentiles,
             bottleneck: report.bottleneck,
-            device_samples: v.sim.device_samples,
-            device_samples_dropped: v.sim.device_samples_dropped,
             calibration: model.calibration,
             mean_explore_share: model.mean_explore_share,
             importance_lead: lead.map(|p| p.name.clone()).unwrap_or_default(),

@@ -27,14 +27,14 @@
 //! assert_eq!(report.schema, RunReport::SCHEMA);
 //! ```
 
-use crate::journal::{BottleneckLine, JournalHandle, JournalLine};
+use crate::journal::{JournalHandle, JournalLine};
 use crate::pruning::{CoarseReport, FineReport};
 use crate::tuner::{IterationRecord, TuningOutcome};
 use crate::validator::{Validator, ValidatorStats};
 use mlkit::parallel::PoolStats;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use ssdsim::report::{HistogramPercentiles, SimReport};
+use ssdsim::report::HistogramPercentiles;
 use ssdsim::BottleneckReport;
 use std::sync::{Arc, OnceLock};
 
@@ -415,32 +415,6 @@ impl TelemetrySink {
     pub fn journal(&self, line: impl FnOnce() -> JournalLine) {
         if let Some(j) = &self.inner.lock().journal {
             j.push(line());
-        }
-    }
-
-    /// Whether a run journal is currently attached — the tuner uses this
-    /// (besides the telemetry switch) to decide whether the model
-    /// observatory's importance sweep is worth paying for.
-    pub fn has_journal(&self) -> bool {
-        self.inner.lock().journal.is_some()
-    }
-
-    /// Streams one simulator run's device observatory output — the sampled
-    /// [`ssdsim::DeviceSeries`] and the per-run bottleneck attribution — to
-    /// the attached journal; a no-op without one. `replay` distinguishes the
-    /// timed from the saturated replay of a validation.
-    pub fn record_device(&self, trace: &str, replay: &str, report: &SimReport) {
-        if !report.device.is_empty() {
-            self.journal(|| JournalLine::Series((trace, replay, &report.device).into()));
-        }
-        if report.bottleneck.total_latency_ns > 0 {
-            self.journal(|| {
-                JournalLine::Bottleneck(BottleneckLine {
-                    trace: trace.to_string(),
-                    replay: replay.to_string(),
-                    report: report.bottleneck,
-                })
-            });
         }
     }
 

@@ -841,14 +841,13 @@ impl<'a> Tuner<'a> {
             }
         }
         // The per-parameter sensitivity sweep costs ~one surrogate
-        // prediction per neighbor; it runs only while someone is watching
-        // (telemetry on or a journal attached), like the gated timings.
-        let (importance, kernel_length_scale) =
-            if telemetry::enabled() || crate::telemetry::global().has_journal() {
-                self.model_importance(state, surrogate.as_ref())
-            } else {
-                (Vec::new(), 0.0)
-            };
+        // prediction per neighbor; it runs only while telemetry is on, like
+        // the gated timings (`--journal` turns telemetry on in the CLI).
+        let (importance, kernel_length_scale) = if telemetry::enabled() {
+            self.model_importance(state, surrogate.as_ref())
+        } else {
+            (Vec::new(), 0.0)
+        };
 
         // Speculative batch (k > 1): while the chosen candidate is about to
         // be validated anyway, prefetch it together with the k-1 next-best

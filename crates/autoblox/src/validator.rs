@@ -144,10 +144,6 @@ pub struct SimAggregate {
     pub slc_migration_ns: u64,
     /// Total arrival-to-completion simulated ns over all requests.
     pub total_latency_ns: u64,
-    /// Device-observatory samples retained across all runs.
-    pub device_samples: u64,
-    /// Device-observatory samples dropped by the bounded buffers.
-    pub device_samples_dropped: u64,
 }
 
 impl SimAggregate {
@@ -176,8 +172,6 @@ impl SimAggregate {
         self.cache_miss_ns += r.bottleneck.cache_miss_ns;
         self.slc_migration_ns += r.bottleneck.slc_migration_ns;
         self.total_latency_ns += r.bottleneck.total_latency_ns;
-        self.device_samples += r.device.len() as u64;
-        self.device_samples_dropped += r.device.dropped;
     }
 
     /// Bottleneck attribution over everything absorbed so far.
@@ -467,7 +461,7 @@ impl Validator {
             ran = true;
             let m = if let Some(p) = self.take_speculative(&key) {
                 self.spec_hits.fetch_add(1, Ordering::SeqCst);
-                self.commit_reports(trace.name(), p.reports.as_deref());
+                self.commit_reports(p.reports.as_deref());
                 p.measurement
             } else {
                 self.simulate(cfg, trace)
@@ -548,18 +542,13 @@ impl Validator {
         p
     }
 
-    /// Absorbs and journals a simulation's reports — the telemetry side
-    /// effects of one charged simulator evaluation.
-    fn commit_reports(&self, trace_name: &str, reports: Option<&(SimReport, SimReport)>) {
+    /// Absorbs a simulation's reports into the aggregate — the telemetry
+    /// side effect of one charged simulator evaluation.
+    fn commit_reports(&self, reports: Option<&(SimReport, SimReport)>) {
         if let Some((timed, saturated)) = reports {
-            {
-                let mut agg = self.counters.sim_agg.lock();
-                agg.absorb(timed);
-                agg.absorb(saturated);
-            }
-            let sink = crate::telemetry::global();
-            sink.record_device(trace_name, "timed", timed);
-            sink.record_device(trace_name, "saturated", saturated);
+            let mut agg = self.counters.sim_agg.lock();
+            agg.absorb(timed);
+            agg.absorb(saturated);
         }
     }
 
@@ -567,13 +556,13 @@ impl Validator {
     /// telemetry side effects committed immediately (demand path).
     fn simulate(&self, cfg: &SsdConfig, trace: &Trace) -> Measurement {
         let (m, reports) = self.simulate_core(cfg, trace);
-        self.commit_reports(trace.name(), reports.as_deref());
+        self.commit_reports(reports.as_deref());
         m
     }
 
     /// Runs the timed and saturated replays for `(cfg, trace)`. Pure with
     /// respect to run accounting: neither the run counter nor the aggregate
-    /// nor the journal is touched, so both the demand and the speculative
+    /// is touched, so both the demand and the speculative
     /// path can share it. Returns the two reports while telemetry is
     /// enabled so the caller can commit (or defer) them.
     fn simulate_core(
@@ -755,7 +744,7 @@ mod tests {
         m
     }
 
-    /// The telemetry-on half (both `SimReport`s, device series included) is
+    /// The telemetry-on half (both `SimReport`s absorbed) is
     /// `warm_once_reports_match_independent_simulators` in
     /// `tests/telemetry.rs`: unit tests never flip the process-wide switch.
     #[test]

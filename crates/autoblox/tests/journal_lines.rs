@@ -8,28 +8,29 @@
 //! journal lines had a type: a pinned single-threaded `tune database
 //! --iterations 3 --events 300 --speculate 1 --telemetry … --journal …`
 //! followed by a run of the since-retired `place` command. Its two
-//! `placement` lines and its five `progress` lines (a kind retired with the
-//! `watch` dashboard that read it) now read as unknown kinds. Beside it is
-//! what that build printed for it: `trace export --chrome` (`chrome.json`),
-//! `trace export --csv` (`samples.csv`) and `trace export --csv` of the
+//! `placement` lines, its five `progress` lines (a kind retired with the
+//! `watch` dashboard that read it) and its forty `series` and forty
+//! `bottleneck` lines (retired with the device time-series sampler) now
+//! read as unknown kinds. Beside it is what that build printed for it:
+//! `trace export --chrome` (`chrome.json`) and `trace export --csv` of the
 //! journal without its `series` lines (`calibration.csv`). This build must
-//! print the same bytes — the Chrome trace less the `tuner.progress`
-//! instants the retired lines became — and a fresh journal of the same
-//! tune must carry the same lines, `progress` aside, once the members that
-//! vary by host are masked — except its span lines and the summary that
-//! counts them. Each validation's timed and saturated
-//! replays have since got a keyed span of their own (`validator.timed`,
-//! `validator.saturated`, the new parents of `sim.run` and `sim.drain`), so
-//! those lines are pinned to `fixtures/tune_spans.jsonl`, the same tune's
-//! span and summary lines as the first build with those spans wrote them.
+//! print the same bytes for the whole journal — the Chrome trace less the
+//! `tuner.progress` instants the retired lines became — and a fresh
+//! journal of the same tune must carry the same lines, the retired kinds
+//! aside, once the members that vary by host are masked — except its span
+//! lines and the summary that counts them. Each validation's timed and
+//! saturated replays have since got a keyed span of their own
+//! (`validator.timed`, `validator.saturated`, the new parents of `sim.run`
+//! and `sim.drain`), so those lines are pinned to
+//! `fixtures/tune_spans.jsonl`, the same tune's span and summary lines as
+//! the first build with those spans wrote them.
 
 use autoblox::journal::{
-    BottleneckLine, IterationLine, JournalLine, MetaLine, ModelLine, SeriesLine, Skipped, SpanLine,
-    SummaryLine, JOURNAL_SCHEMA,
+    IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, SummaryLine, JOURNAL_SCHEMA,
 };
 use autoblox::telemetry::PhaseRecord;
 use serde_json::Value;
-use ssdsim::{BottleneckReport, DeviceSample};
+use ssdsim::BottleneckReport;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -98,30 +99,6 @@ fn every_kind() -> Vec<JournalLine> {
             name: "tune".to_string(),
             wall_ns: 123,
         }),
-        JournalLine::Series(SeriesLine {
-            trace: "Database".to_string(),
-            replay: "timed".to_string(),
-            interval_ns: 100_000,
-            dropped: 1,
-            samples: vec![DeviceSample {
-                t_ns: 100_000,
-                channel_busy: 0.5,
-                plane_busy: 0.25,
-                gc_activity: 0.125,
-                queue_depth: 3,
-                data_cache_occupancy: 0.75,
-                data_cache_hit_rate: 0.5,
-                cmt_occupancy: 0.5,
-                cmt_hit_rate: 0.875,
-                gc_backlog_pages: 12,
-                write_amplification: 1.5,
-            }],
-        }),
-        JournalLine::Bottleneck(BottleneckLine {
-            trace: "Database".to_string(),
-            replay: "saturated".to_string(),
-            report,
-        }),
         JournalLine::Summary(SummaryLine {
             spans_written: 10,
             events_written: 20,
@@ -142,7 +119,7 @@ fn every_kind_round_trips() {
     }
     tags.sort();
     tags.dedup();
-    assert_eq!(tags.len(), 8, "one line per kind: {tags:?}");
+    assert_eq!(tags.len(), 6, "one line per kind: {tags:?}");
 }
 
 /// `line` with its alphabetically first member removed, then mistyped.
@@ -219,44 +196,32 @@ fn the_parent_journal_reads_back_byte_for_byte() {
     let journal = fixture("journal.jsonl");
     let text = std::fs::read_to_string(&journal).expect("fixture journal");
     let mut retired: Vec<String> = Vec::new();
-    let (mut series, mut models) = (0, 0);
+    let mut models = 0;
     for line in text.lines() {
         match JournalLine::parse(line) {
-            Ok(JournalLine::Series(_)) => series += 1,
             Ok(JournalLine::Model(_)) => models += 1,
             Ok(_) => {}
             Err(Skipped::Unknown(kind)) => retired.push(kind),
             Err(e) => panic!("{line}: {e:?}"),
         }
     }
-    assert!(series > 0 && models > 0);
+    assert!(models > 0);
     retired.sort();
     retired.dedup_by(|a, b| a == b);
-    assert_eq!(retired, ["placement", "progress"]);
+    assert_eq!(retired, ["bottleneck", "placement", "progress", "series"]);
     let retired_lines = |kind: &str| text.matches(&format!(r#""t":"{kind}""#)).count();
     assert_eq!(
-        (retired_lines("placement"), retired_lines("progress")),
-        (2, 5)
+        ["placement", "progress", "series", "bottleneck"].map(retired_lines),
+        [2, 5, 40, 40]
     );
 
-    let series_free = scratch("series-free.jsonl");
-    let kept: String = text
-        .lines()
-        .filter(|l| !matches!(JournalLine::parse(l), Ok(JournalLine::Series(_))))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(&series_free, kept).unwrap();
-    for (flag, input, expected) in [
-        ("--chrome", &journal, "chrome.json"),
-        ("--csv", &journal, "samples.csv"),
-        ("--csv", &series_free, "calibration.csv"),
-    ] {
+    for (flag, expected) in [("--chrome", "chrome.json"), ("--csv", "calibration.csv")] {
         let out = scratch(expected);
         let args = [
             "trace",
             "export",
             flag,
-            input.to_str().unwrap(),
+            journal.to_str().unwrap(),
             out.to_str().unwrap(),
         ];
         let run = autoblox(&args);
@@ -269,7 +234,6 @@ fn the_parent_journal_reads_back_byte_for_byte() {
         assert_same_bytes(&ours, &parent, expected);
         std::fs::remove_file(out).ok();
     }
-    std::fs::remove_file(series_free).ok();
 }
 
 /// A Chrome trace without its `tuner.progress` instants, serialized as the
@@ -348,23 +312,28 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     let spans = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tune_spans.jsonl");
     let spans = std::fs::read_to_string(spans).expect("span fixture");
     // Span and summary lines against the span fixture, the rest against
-    // the parent's journal, less the retired `progress` lines — which the
-    // fixture's summary still counts among the events written.
+    // the parent's journal, less the retired `progress`, `series` and
+    // `bottleneck` lines — which the fixture's summary still counts among
+    // the events written.
     let is_span =
         |line: &String| line.contains(r#""t":"span""#) || line.contains(r#""t":"summary""#);
-    let is_progress = |line: &String| line.contains(r#""t":"progress""#);
+    let is_retired = |line: &String| {
+        ["progress", "series", "bottleneck"]
+            .iter()
+            .any(|kind| line.contains(&format!(r#""t":"{kind}""#)))
+    };
     let (ours_spans, ours_rest): (Vec<_>, Vec<_>) =
         masked_tune_lines(&ours).into_iter().partition(is_span);
-    let (parent_progress, parent_rest): (Vec<_>, Vec<_>) = masked_tune_lines(&parent)
+    let (parent_retired, parent_rest): (Vec<_>, Vec<_>) = masked_tune_lines(&parent)
         .into_iter()
         .filter(|l| !is_span(l))
-        .partition(is_progress);
-    assert_eq!(parent_progress.len(), 5);
+        .partition(is_retired);
+    assert_eq!(parent_retired.len(), 5 + 32 + 32);
     let spans: String = spans
         .lines()
         .map(|line| match JournalLine::parse(line) {
             Ok(JournalLine::Summary(mut summary)) => {
-                summary.events_written -= parent_progress.len() as u64;
+                summary.events_written -= parent_retired.len() as u64;
                 JournalLine::Summary(summary).to_line() + "\n"
             }
             _ => format!("{line}\n"),

@@ -12,14 +12,11 @@
 //! error, retired commands and mistyped flags are usage errors.
 
 use autoblox::explain::explain;
-use autoblox::journal::{
-    IterationLine, JournalLine, MetaLine, SeriesLine, SummaryLine, JOURNAL_SCHEMA,
-};
+use autoblox::journal::{IterationLine, JournalLine, MetaLine, SummaryLine, JOURNAL_SCHEMA};
 use autoblox::report::{Row, Summary, Thresholds};
 use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::{PhaseRecord, RunReport};
 use serde_json::Value;
-use ssdsim::DeviceSample;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -107,7 +104,20 @@ fn row<'a>(rows: &'a [Row], metric: &str) -> &'a Row {
 fn single_report_views_reproduce_the_parent() {
     let fx = fixture();
     for name in GOLDENS {
-        let doc = explain(&golden(name));
+        let report = golden(name);
+        // The parent build also wrote the retired device-sample counters;
+        // its report still reads, as the same report.
+        let mut parent_doc: Value =
+            serde_json::from_str(&std::fs::read_to_string(golden_path(name)).unwrap()).unwrap();
+        for (key, n) in [("device_samples", 3028u64), ("device_samples_dropped", 0)] {
+            let n = serde_json::to_value(n).unwrap();
+            set(&mut parent_doc, &["validator", "sim", key], n);
+        }
+        let parent_json = serde_json::to_string_pretty(&parent_doc).unwrap();
+        let parent_report = RunReport::parse_checked(&parent_json).expect("parent report parses");
+        assert_eq!(parent_report, report, "{name}: parent-shaped report");
+
+        let doc = explain(&report);
         let s = &doc.summary;
         // `explain` printed this fingerprint; it is now read off the summary.
         let fingerprint = serde_json::json!({
@@ -118,8 +128,6 @@ fn single_report_views_reproduce_the_parent() {
             "dominant": doc.dominant,
             "shares": doc.shares,
             "latency_percentiles": s.latency_percentiles,
-            "device_samples": s.device_samples,
-            "device_samples_dropped": s.device_samples_dropped,
         });
         let parent = &fx["reports"][name];
         assert_same(&fingerprint, &parent["explain"], &format!("{name}.explain"));
@@ -275,8 +283,7 @@ enum Kind {
     Journal,
 }
 
-/// A small complete journal: meta, a phase, an iteration, a device series
-/// and the summary.
+/// A small complete journal: meta, a phase, an iteration and the summary.
 fn journal() -> String {
     let lines = [
         JournalLine::Meta(MetaLine {
@@ -295,20 +302,8 @@ fn journal() -> String {
             validations: 2,
             ..Default::default()
         }),
-        JournalLine::Series(SeriesLine {
-            trace: "Database".to_string(),
-            replay: "timed".to_string(),
-            interval_ns: 100,
-            dropped: 0,
-            samples: vec![DeviceSample {
-                t_ns: 100,
-                channel_busy: 0.5,
-                queue_depth: 3,
-                ..Default::default()
-            }],
-        }),
         JournalLine::Summary(SummaryLine {
-            events_written: 3,
+            events_written: 2,
             ..Default::default()
         }),
     ];
@@ -554,12 +549,23 @@ fn report_diff_ignore_without_a_value_is_a_usage_error() {
 fn report_diff_rejects_an_unknown_flag() {
     let g = golden_path("telemetry-database");
     let g = g.to_str().unwrap();
-    // A mistyped threshold must not run the gate at the default.
-    let stderr = usage_error(&["report", "diff", g, g, "--max-grade-dorp", "0.5"]);
-    assert!(
-        stderr.starts_with("error: unknown report diff flag \"--max-grade-dorp\"\n"),
-        "{stderr}"
-    );
+    // A mistyped threshold must not run the gate at the default, nor a
+    // retired threshold flag (the gate runs at `Thresholds::default()`).
+    for flag in [
+        "--max-grade-dorp",
+        "--max-grade-drop",
+        "--max-validation-increase",
+        "--max-hit-rate-drop",
+        "--max-sim-time-increase",
+        "--max-tail-shift",
+        "--max-bottleneck-shift",
+    ] {
+        let stderr = usage_error(&["report", "diff", g, g, flag, "0.5"]);
+        assert!(
+            stderr.starts_with(&format!("error: unknown report diff flag {flag:?}\n")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

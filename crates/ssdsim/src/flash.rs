@@ -357,17 +357,6 @@ impl FlashArray {
             .sum()
     }
 
-    /// Pages the array is short of its per-plane GC free-page target,
-    /// summed over planes (`sum(max(0, threshold - free))`). A rising
-    /// backlog means allocation is outrunning garbage collection; the
-    /// device observatory samples this as GC pressure.
-    pub fn gc_backlog_pages(&self) -> u64 {
-        self.planes
-            .iter()
-            .map(|p| self.gc_threshold_pages.saturating_sub(p.free_pages))
-            .sum()
-    }
-
     /// Pre-fills the array so that only `1 - fill_fraction` of each plane's
     /// pages remain free, modeling the paper's warm-up ("occupy at least 50%
     /// of the storage capacity"): every `Free` block among the first

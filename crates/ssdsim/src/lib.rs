@@ -14,9 +14,8 @@
 //!   mapping table;
 //! - [`sim`]: the simulator that drives a block I/O [`iotrace::Trace`]
 //!   through host interface → FTL → flash back end;
-//! - [`observe`]: the device observatory — bounded time-series sampling of
-//!   channel/die utilization, caches, queue depth, and GC pressure, plus
-//!   per-run bottleneck attribution ([`observe::BottleneckReport`]);
+//! - [`observe`]: the device observatory — per-run attribution of request
+//!   latency to device resources ([`observe::BottleneckReport`]);
 //! - [`power`]: the flash/DRAM/controller energy model the paper adds to
 //!   MQSim;
 //! - [`report`]: latency/throughput/energy results.
@@ -53,6 +52,6 @@ pub mod sim;
 pub const SIM_MODEL: u32 = 1;
 
 pub use config::{FlashTechnology, Interface, SsdConfig};
-pub use observe::{BottleneckReport, DeviceSample, DeviceSeries};
+pub use observe::BottleneckReport;
 pub use report::SimReport;
 pub use sim::{RunScratch, Simulator};

@@ -115,15 +115,6 @@ impl LruCache {
         self.dirty_len
     }
 
-    /// Fill fraction, `len / capacity` (0.0 for a zero-capacity cache).
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.len as f64 / self.capacity as f64
-        }
-    }
-
     /// Removes and returns the least-recently-used `(key, dirty)` entry.
     pub fn pop_lru(&mut self) -> Option<(u64, bool)> {
         if self.tail == NIL {

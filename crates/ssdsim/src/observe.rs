@@ -1,109 +1,14 @@
-//! Device observatory: in-simulator time-series sampling and bottleneck
-//! attribution.
+//! Device observatory: per-run bottleneck attribution.
 //!
-//! Two complementary views of where a run's time went:
-//!
-//! - [`DeviceSeries`] — a bounded, deterministic time series of
-//!   [`DeviceSample`]s taken every `interval_ns` of *simulated* time while
-//!   the process-wide telemetry switch is on. Each sample snapshots channel
-//!   and die busy fractions over the elapsed interval plus instantaneous
-//!   cache occupancy/hit rates, host queue depth, GC backlog/activity, and
-//!   cumulative write amplification. The buffer is drop-counting: once
-//!   `max` samples exist, later ones are dropped (newest-dropped) and
-//!   counted, so a pathological interval cannot balloon memory and a
-//!   truncated series is visibly truncated.
-//! - [`BottleneckReport`] — an end-of-run attribution of total request
-//!   latency into channel-wait / plane-busy / GC-stall / cache-miss /
-//!   host-queueing fractions, built from the simulator's always-on wait
-//!   counters (so it is populated even with telemetry off).
-//!
-//! Both are pure functions of the (configuration, trace) pair — no wall
-//! clock, no randomness — so they are bit-identical across thread counts
-//! and back-to-back runs, which is what lets the regression gate assert on
-//! them.
+//! [`BottleneckReport`] is an end-of-run attribution of total request
+//! latency into channel-wait / plane-busy / GC-stall / cache-miss /
+//! host-queueing / SLC-migration fractions, built from the simulator's
+//! always-on wait counters (so it is populated even with telemetry off).
+//! It is a pure function of the (configuration, trace) pair — no wall
+//! clock, no randomness — so it is bit-identical across thread counts and
+//! back-to-back runs, which is what lets the regression gate assert on it.
 
 use serde::{Deserialize, Serialize};
-
-/// Default simulated-time spacing between device samples (100 µs).
-pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 100_000;
-
-/// Default bound on retained samples per run.
-pub const DEFAULT_SAMPLE_CAP: usize = 512;
-
-/// One snapshot of device state at a simulated instant.
-///
-/// Busy fractions cover the interval that *ended* at `t_ns`; occupancy,
-/// queue depth, and backlog are instantaneous; hit rates and write
-/// amplification are cumulative since the simulator was built.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct DeviceSample {
-    /// Simulated time of the sample, ns.
-    pub t_ns: u64,
-    /// Fraction of aggregate channel capacity busy over the interval
-    /// (clamped to 1.0 — background work is charged in bursts).
-    pub channel_busy: f64,
-    /// Fraction of aggregate die/plane capacity busy over the interval.
-    pub plane_busy: f64,
-    /// Of the die busy fraction, the part consumed by GC / wear leveling.
-    pub gc_activity: f64,
-    /// Outstanding host requests in the device queue.
-    pub queue_depth: u64,
-    /// Data-cache fill fraction (0 when the cache has zero capacity).
-    pub data_cache_occupancy: f64,
-    /// Cumulative data-cache read hit rate.
-    pub data_cache_hit_rate: f64,
-    /// Cached-mapping-table fill fraction.
-    pub cmt_occupancy: f64,
-    /// Cumulative CMT hit rate.
-    pub cmt_hit_rate: f64,
-    /// Pages the device is short of its per-plane GC free-page target,
-    /// summed over planes (0 when every plane is above threshold).
-    pub gc_backlog_pages: u64,
-    /// Cumulative write amplification (physical programs / host writes).
-    pub write_amplification: f64,
-}
-
-/// A bounded, drop-counting series of [`DeviceSample`]s from one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DeviceSeries {
-    /// Simulated-time spacing between samples, ns.
-    pub interval_ns: u64,
-    /// Retained samples, oldest first.
-    pub samples: Vec<DeviceSample>,
-    /// Samples dropped after the buffer filled (drop-newest).
-    pub dropped: u64,
-}
-
-impl DeviceSeries {
-    /// Creates an empty series with the given sampling interval.
-    pub fn new(interval_ns: u64) -> Self {
-        DeviceSeries {
-            interval_ns,
-            samples: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Appends a sample unless the series already holds `max`; a rejected
-    /// sample is counted in [`DeviceSeries::dropped`].
-    pub fn push_bounded(&mut self, max: usize, sample: DeviceSample) {
-        if self.samples.len() >= max {
-            self.dropped += 1;
-        } else {
-            self.samples.push(sample);
-        }
-    }
-
-    /// Retained sample count.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when no sample was retained.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
 
 /// Attribution of one run's total request latency to device resources.
 ///
@@ -236,24 +141,6 @@ impl BottleneckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_series_and_bounded_pushes() {
-        let mut s = DeviceSeries::new(50);
-        assert!(s.is_empty());
-        for i in 0..10 {
-            s.push_bounded(
-                4,
-                DeviceSample {
-                    t_ns: i * 50,
-                    ..Default::default()
-                },
-            );
-        }
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.dropped, 6);
-        assert_eq!(s.samples[3].t_ns, 150, "drop-newest keeps the oldest");
-    }
 
     #[test]
     fn zero_total_is_all_zero() {

@@ -2,7 +2,7 @@
 //! GC activity, and energy.
 
 use crate::flash::FlashStats;
-use crate::observe::{BottleneckReport, DeviceSeries};
+use crate::observe::BottleneckReport;
 use crate::power::EnergyReport;
 use serde::{Deserialize, Serialize};
 
@@ -221,10 +221,6 @@ pub struct SimReport {
     /// built from the always-on wait counters).
     #[serde(default)]
     pub bottleneck: BottleneckReport,
-    /// Sampled device time series; empty unless telemetry was enabled
-    /// while the run executed (see [`crate::observe`]).
-    #[serde(default)]
-    pub device: DeviceSeries,
     /// Write amplification: physical programs / host page-writes (0 when
     /// the host wrote nothing).
     pub write_amplification: f64,

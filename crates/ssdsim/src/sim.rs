@@ -10,9 +10,7 @@
 use crate::config::{CacheMode, FlashTechnology, SsdConfig};
 use crate::flash::{splitmix64, BackgroundOp, FlashArray};
 use crate::lru::LruCache;
-use crate::observe::{
-    BottleneckReport, DeviceSample, DeviceSeries, DEFAULT_SAMPLE_CAP, DEFAULT_SAMPLE_INTERVAL_NS,
-};
+use crate::observe::BottleneckReport;
 use crate::power::{compute_energy, ActivityCounters};
 use crate::report::{LatencyBuckets, LatencySummary, ReadBreakdown, SimReport, WriteBreakdown};
 use iotrace::{OpKind, Trace};
@@ -163,19 +161,6 @@ pub struct Simulator {
     pub diag_queue_wait_ns: u64,
     /// Diagnostic: total end-to-end request time (arrival → completion), ns.
     pub diag_total_latency_ns: u64,
-    /// Cumulative channel time consumed (transfers + GC traffic), ns.
-    channel_busy_ns: u64,
-    /// Cumulative die time consumed (reads, programs, background work), ns.
-    die_busy_ns: u64,
-    // --- device-observatory sampling state (active only while the
-    // telemetry switch is on at `run()` entry) ---------------------------
-    sample_interval_ns: u64,
-    sample_cap: usize,
-    series: DeviceSeries,
-    next_sample_at: u64,
-    sampled_channel_busy_ns: u64,
-    sampled_die_busy_ns: u64,
-    sampled_gc_stall_ns: u64,
     /// SLC-cache blocks per plane (0 = homogeneous device family).
     slc_cache_blocks: u32,
     /// Hybrid only: logical pages currently mapped into each cache block
@@ -243,30 +228,11 @@ impl Simulator {
             diag_cache_miss_ns: 0,
             diag_queue_wait_ns: 0,
             diag_total_latency_ns: 0,
-            channel_busy_ns: 0,
-            die_busy_ns: 0,
-            sample_interval_ns: DEFAULT_SAMPLE_INTERVAL_NS,
-            sample_cap: DEFAULT_SAMPLE_CAP,
-            series: DeviceSeries::default(),
-            next_sample_at: u64::MAX,
-            sampled_channel_busy_ns: 0,
-            sampled_die_busy_ns: 0,
-            sampled_gc_stall_ns: 0,
             slc_cache_blocks,
             slc_resident: Vec::new(),
             flash,
             cfg,
         }
-    }
-
-    /// Reconfigures device-observatory sampling: samples are taken every
-    /// `interval_ns` of simulated time, at most `max_samples` per run
-    /// (later boundaries are counted as dropped). An interval of `0`
-    /// disables sampling entirely. Sampling only occurs while the
-    /// process-wide telemetry switch is on.
-    pub fn set_sampling(&mut self, interval_ns: u64, max_samples: usize) {
-        self.sample_interval_ns = interval_ns;
-        self.sample_cap = max_samples;
     }
 
     /// The configuration being simulated.
@@ -326,17 +292,6 @@ impl Simulator {
     /// over between runs.
     pub fn run_scratch(&mut self, trace: &Trace, scratch: &mut RunScratch) -> SimReport {
         let _span = telemetry::span::Span::enter("sim.run");
-        // Device-observatory sampling: decided once per run, so the hot
-        // loop pays one branch on a cached local when disabled (the
-        // switch probe itself is a single relaxed atomic load).
-        let sampling = telemetry::enabled() && self.sample_interval_ns > 0;
-        if sampling {
-            self.series = DeviceSeries::new(self.sample_interval_ns);
-            self.next_sample_at = u64::MAX;
-            self.sampled_channel_busy_ns = self.channel_busy_ns;
-            self.sampled_die_busy_ns = self.die_busy_ns;
-            self.sampled_gc_stall_ns = self.diag_gc_stall_ns;
-        }
         scratch.latencies.clear();
         scratch.latencies.reserve(trace.len());
         scratch.read_lat.clear();
@@ -364,18 +319,6 @@ impl Simulator {
         for event in trace {
             let arrival = event.timestamp_ns;
             first_arrival.get_or_insert(arrival);
-
-            // Emit device samples for every interval boundary the simulated
-            // clock crossed since the previous event. The state at a
-            // boundary is "after every event that arrived before it" —
-            // a pure function of the trace, so series are deterministic.
-            if sampling {
-                if self.next_sample_at == u64::MAX {
-                    self.next_sample_at = arrival.saturating_add(self.sample_interval_ns);
-                } else {
-                    self.sample_up_to(arrival, outstanding.len() as u64);
-                }
-            }
 
             // Queue admission: drain completions that happened before now.
             while let Some(&Reverse(t)) = outstanding.peek() {
@@ -462,11 +405,6 @@ impl Simulator {
             outstanding_time_ns += u128::from(latency);
         }
 
-        if sampling {
-            // Flush interval boundaries up to the end of the run so the
-            // series covers the whole makespan.
-            self.sample_up_to(last_completion, 0);
-        }
         let makespan = last_completion
             .saturating_sub(first_arrival.unwrap_or(0))
             .max(1);
@@ -540,7 +478,6 @@ impl Simulator {
                 self.diag_queue_wait_ns,
                 self.diag_slc_migration_ns,
             ),
-            device: std::mem::take(&mut self.series),
             write_amplification: if self.host_page_writes > 0 {
                 (flash_stats.programs + flash_stats.migrated_pages + flash_stats.slc_migrated_pages)
                     as f64
@@ -564,7 +501,6 @@ impl Simulator {
         let capacity = self.channel_free[ch].max(now);
         let start = earliest.max(capacity);
         self.channel_free[ch] = capacity + self.timing.transfer_ns;
-        self.channel_busy_ns += self.timing.transfer_ns;
         start + self.timing.transfer_ns
     }
 
@@ -668,12 +604,10 @@ impl Simulator {
             let remaining = self.die_free[didx] - t;
             let wait = self.timing.suspend_program_ns + remaining / 2;
             self.die_free[didx] += read_ns + self.timing.suspend_program_ns;
-            self.die_busy_ns += read_ns + self.timing.suspend_program_ns;
             t + wait
         } else {
             let s = t.max(self.die_free[didx]);
             self.die_free[didx] = s + read_ns;
-            self.die_busy_ns += read_ns;
             s
         };
         self.diag_plane_wait_ns += sense_start.saturating_sub(t);
@@ -885,7 +819,6 @@ impl Simulator {
         let done = prog_start + program_ns;
         self.diag_write_plane_wait_ns += prog_start.saturating_sub(data_in);
         self.die_free[didx] = die_capacity + program_ns;
-        self.die_busy_ns += program_ns;
         self.mp_window_end[didx] = done;
         self.mp_used[didx] = 1;
         done
@@ -924,12 +857,10 @@ impl Simulator {
         };
         self.die_free[didx] = self.die_free[didx].max(t) + die_add;
         self.diag_gc_stall_ns += die_add;
-        self.die_busy_ns += die_add;
         // Channel time for the migrated pages' transfers.
         let ch_add = u64::from(pages) * 2 * self.timing.transfer_ns / 4;
         let ch = self.channel_of_plane(plane);
         self.channel_free[ch] = self.channel_free[ch].max(t) + ch_add;
-        self.channel_busy_ns += ch_add;
     }
 
     /// Charges one SLC-cache fold (`pages` SLC reads + capacity programs,
@@ -976,86 +907,9 @@ impl Simulator {
         };
         self.die_free[didx] = self.die_free[didx].max(t) + die_add;
         self.diag_slc_migration_ns += die_add;
-        self.die_busy_ns += die_add;
         let ch_add = u64::from(pages) * 2 * self.timing.transfer_ns / 4;
         let ch = self.channel_of_plane(plane);
         self.channel_free[ch] = self.channel_free[ch].max(t) + ch_add;
-        self.channel_busy_ns += ch_add;
-    }
-
-    /// Emits one [`DeviceSample`] per elapsed interval boundary up to `now`.
-    ///
-    /// The simulator has no stepped clock, so sampling is backfill-driven:
-    /// each arriving event flushes every boundary it skipped past. Busy
-    /// fractions are deltas of cumulative busy-time counters over the
-    /// interval normalized by resource count; occupancy, queue depth, and
-    /// backlog are the instantaneous values at flush time (the state has not
-    /// changed since the previous event, so this is exact).
-    fn sample_up_to(&mut self, now: u64, queue_depth: u64) {
-        while self.next_sample_at <= now {
-            if self.series.samples.len() >= self.sample_cap {
-                // Buffer full: account every remaining boundary arithmetically
-                // so a pathologically small interval stays O(1) per event.
-                let skipped = (now - self.next_sample_at) / self.sample_interval_ns + 1;
-                self.series.dropped += skipped;
-                self.next_sample_at = self
-                    .next_sample_at
-                    .saturating_add(skipped.saturating_mul(self.sample_interval_ns));
-                self.sampled_channel_busy_ns = self.channel_busy_ns;
-                self.sampled_die_busy_ns = self.die_busy_ns;
-                self.sampled_gc_stall_ns = self.diag_gc_stall_ns;
-                return;
-            }
-            let t = self.next_sample_at;
-            let channels = self.channel_free.len().max(1) as u64;
-            let dies = self.die_free.len().max(1) as u64;
-            let ch_window = (self.sample_interval_ns * channels).max(1) as f64;
-            let die_window = (self.sample_interval_ns * dies).max(1) as f64;
-            let flash_stats = self.flash.stats();
-            let denom_reads = self.cache_read_hits + self.cache_read_misses;
-            let denom_cmt = self.cmt_hits + self.cmt_misses;
-            let sample = DeviceSample {
-                t_ns: t,
-                channel_busy: ((self.channel_busy_ns - self.sampled_channel_busy_ns) as f64
-                    / ch_window)
-                    .min(1.0),
-                plane_busy: ((self.die_busy_ns - self.sampled_die_busy_ns) as f64 / die_window)
-                    .min(1.0),
-                gc_activity: ((self.diag_gc_stall_ns - self.sampled_gc_stall_ns) as f64
-                    / die_window)
-                    .min(1.0),
-                queue_depth,
-                data_cache_occupancy: self.data_cache.occupancy(),
-                data_cache_hit_rate: if denom_reads > 0 {
-                    self.cache_read_hits as f64 / denom_reads as f64
-                } else {
-                    0.0
-                },
-                cmt_occupancy: self.cmt.occupancy(),
-                cmt_hit_rate: if denom_cmt > 0 {
-                    self.cmt_hits as f64 / denom_cmt as f64
-                } else {
-                    0.0
-                },
-                gc_backlog_pages: self.flash.gc_backlog_pages(),
-                write_amplification: if self.host_page_writes > 0 {
-                    (flash_stats.programs
-                        + flash_stats.migrated_pages
-                        + flash_stats.slc_migrated_pages) as f64
-                        / self.host_page_writes as f64
-                } else {
-                    0.0
-                },
-            };
-            self.sampled_channel_busy_ns = self.channel_busy_ns;
-            self.sampled_die_busy_ns = self.die_busy_ns;
-            self.sampled_gc_stall_ns = self.diag_gc_stall_ns;
-            self.series.push_bounded(self.sample_cap, sample);
-            self.next_sample_at = t.saturating_add(self.sample_interval_ns);
-            if self.next_sample_at == u64::MAX {
-                return;
-            }
-        }
     }
 }
 

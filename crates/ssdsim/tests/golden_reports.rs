@@ -27,7 +27,7 @@ use ssdsim::power::EnergyReport;
 use ssdsim::report::{
     HistogramPercentiles, LatencyBuckets, LatencySummary, ReadBreakdown, WriteBreakdown,
 };
-use ssdsim::{BottleneckReport, DeviceSample, DeviceSeries, SimReport, Simulator};
+use ssdsim::{BottleneckReport, SimReport, Simulator};
 
 const SEED: u64 = 7;
 
@@ -61,37 +61,6 @@ impl Fnv {
         self.float(mean_ns);
         for w in [p50_ns, p95_ns, p99_ns, max_ns] {
             self.word(w);
-        }
-    }
-
-    fn sample(&mut self, s: &DeviceSample) {
-        let DeviceSample {
-            t_ns,
-            channel_busy,
-            plane_busy,
-            gc_activity,
-            queue_depth,
-            data_cache_occupancy,
-            data_cache_hit_rate,
-            cmt_occupancy,
-            cmt_hit_rate,
-            gc_backlog_pages,
-            write_amplification,
-        } = *s;
-        for w in [t_ns, queue_depth, gc_backlog_pages] {
-            self.word(w);
-        }
-        for f in [
-            channel_busy,
-            plane_busy,
-            gc_activity,
-            data_cache_occupancy,
-            data_cache_hit_rate,
-            cmt_occupancy,
-            cmt_hit_rate,
-            write_amplification,
-        ] {
-            self.float(f);
         }
     }
 
@@ -153,12 +122,6 @@ impl Fnv {
                     slc_migration_frac,
                     other_frac,
                 },
-            device:
-                DeviceSeries {
-                    interval_ns,
-                    samples,
-                    dropped,
-                },
             write_amplification,
             energy:
                 EnergyReport {
@@ -171,6 +134,9 @@ impl Fnv {
         self.latency(latency);
         self.latency(read_latency);
         self.latency(write_latency);
+        // The retired device series hashed its interval and dropped count
+        // here and its length below, all 0 with telemetry off; the zeros
+        // keep every pinned hash.
         for &w in [
             makespan_ns,
             host_bytes,
@@ -195,8 +161,8 @@ impl Fnv {
             cache_miss_ns,
             queue_wait_ns,
             slc_migration_ns,
-            interval_ns,
-            dropped,
+            &0,
+            &0,
         ]
         .into_iter()
         .chain(counts)
@@ -226,10 +192,7 @@ impl Fnv {
         ] {
             self.float(f);
         }
-        self.word(samples.len() as u64);
-        for s in samples {
-            self.sample(s);
-        }
+        self.word(0);
     }
 }
 
