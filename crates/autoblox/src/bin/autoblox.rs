@@ -99,13 +99,10 @@ fn usage_text() -> String {
          \x20 simulate <workload|trace-file> [config.json]    run the SSD simulator\n\
          \x20 tune     <workload> [--iterations N] [--events N] [--capacity GIB]\n\
          \x20          [--interface nvme|sata] [--flash slc|mlc|tlc|qlc] [--power W]\n\
-         \x20          [--family homogeneous|hybrid] [--speculate K]\n\
+         \x20          [--family homogeneous|hybrid]\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db]\n\
-         \x20          (--speculate K prefetches up to K candidates per iteration,\n\
-         \x20           at most one per two worker threads; 0, the default, is one\n\
-         \x20           per CPU; results are identical for every K.\n\
-         \x20           --db keeps every measurement in the store: the same\n\
+         \x20          (--db keeps every measurement in the store: the same\n\
          \x20           command run again replays instead of simulating, which\n\
          \x20           is how an interrupted run resumes)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
@@ -411,25 +408,15 @@ impl SinkConfig {
                  (latency p50 {} ns, p95 {} ns, p99 {} ns)",
                 p.p50_ns, p.p95_ns, p.p99_ns
             );
-            // Optimization-visibility summary: total surrogate fitting time
-            // (the incremental GPR chain should keep this flat as the
-            // observation set grows) and the speculation ledger (hits =
-            // prefetched results a demand later consumed; wasted = bounded
-            // extra simulator work that never got used).
+            // Total surrogate fitting time: the incremental GPR chain should
+            // keep this flat as the observation set grows.
             let fit_ns: u64 = report
                 .tuner
                 .iter()
                 .flat_map(|t| t.records.iter())
                 .map(|r| r.surrogate_fit_ns)
                 .sum();
-            let v = &report.validator;
-            eprintln!(
-                "surrogate fit {:.3} ms total; speculation: {} run(s), {} hit(s), {} wasted",
-                fit_ns as f64 / 1e6,
-                v.speculative_runs,
-                v.speculative_hits,
-                v.speculative_wasted,
-            );
+            eprintln!("surrogate fit {:.3} ms total", fit_ns as f64 / 1e6);
         }
         if let Some(j) = self.journal.take() {
             autoblox::telemetry::global().detach_journal();
@@ -708,11 +695,7 @@ fn reference_for(constraints: &Constraints) -> SsdConfig {
 }
 
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
-    let valued = [
-        &WRITER_FLAGS[..],
-        &["--iterations", "--events", "--speculate"],
-    ]
-    .concat();
+    let valued = [&WRITER_FLAGS[..], &["--iterations", "--events"]].concat();
     let parsed = ReaderArgs::parse("tune", args, &[], &valued)?;
     let [workload] = parsed.positional.as_slice() else {
         return Err("tune needs <workload> [flags]".into());
@@ -722,17 +705,6 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     let iterations: usize = parse_flag(args, "--iterations")?.unwrap_or(20);
     let trace_events: usize =
         parse_flag(args, "--events")?.unwrap_or(ValidatorOptions::default().trace_events);
-    // Speculative batch width: `--speculate 0` (the default) asks for one
-    // candidate per CPU, since lookahead beyond the machine's parallelism
-    // only queues simulator runs most of which are never demanded. The
-    // tuner caps any K at half the worker threads (each validation keeps
-    // two busy), so below four threads nothing is prefetched. Any k
-    // produces byte-identical results; k only affects how much simulator
-    // work runs ahead of demand.
-    let speculative_batch = match parse_flag(args, "--speculate")?.unwrap_or(0) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        k => k,
-    };
     let validator = Validator::new(ValidatorOptions {
         trace_events,
         ..ValidatorOptions::default()
@@ -741,7 +713,6 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     let sinks = SinkConfig::from_args(args)?;
     let opts = TunerOptions {
         max_iterations: iterations,
-        speculative_batch,
         non_target: WorkloadKind::STUDIED
             .iter()
             .copied()

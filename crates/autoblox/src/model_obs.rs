@@ -15,9 +15,9 @@
 //! Everything here is a pure function of the parsed [`RunReport`]: no
 //! clocks, no environment, so the model section is bit-identical whenever
 //! its inputs are — the determinism suite asserts this across thread
-//! counts and speculation depths. Rendering lives with the rest of the
-//! single-report view in [`crate::explain`]; comparing two runs' model
-//! aggregates is [`crate::report`]'s metric table.
+//! counts. Rendering lives with the rest of the single-report view in
+//! [`crate::explain`]; comparing two runs' model aggregates is
+//! [`crate::report`]'s metric table.
 
 use crate::telemetry::RunReport;
 use crate::tuner::IterationRecord;

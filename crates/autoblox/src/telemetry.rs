@@ -664,7 +664,7 @@ mod tests {
         };
         for path in [
             &["tuner", "0", "records", "0", "predicted_mean"][..],
-            &["validator", "speculative_runs"],
+            &["validator", "simulator_runs"],
             &["validator", "sim", "channel_wait_ns"],
         ] {
             let mut value = serde_json::to_value(&report).expect("to value");

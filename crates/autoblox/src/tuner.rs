@@ -47,7 +47,8 @@ pub enum SurrogateKind {
 }
 
 /// Options controlling the tuning loop; defaults mirror the paper. The
-/// search trajectory is a function of every field but `speculative_batch`.
+/// search trajectory is a function of every field but `speculative_batch`,
+/// which nothing reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunerOptions {
     /// Latency/throughput balance (Formula 1).
@@ -84,17 +85,7 @@ pub struct TunerOptions {
     pub non_target: Vec<WorkloadKind>,
     /// RNG seed for root selection.
     pub seed: u64,
-    /// Upper bound on the speculative batch width `k`: besides validating
-    /// the walk's chosen candidate, prefetch the `k - 1` next-best scored
-    /// candidates on the worker pool. Prefetched measurements sit in the
-    /// validator's side store without touching any sequential-visible
-    /// accounting, so the search trajectory and fingerprints are
-    /// byte-identical at every `k` — later iterations that would
-    /// re-simulate one of them hit the warm cache instead. The tuner caps
-    /// `k` at half the pool width ([`mlkit::parallel::max_threads`]),
-    /// because each validation runs its two replays on two threads: below
-    /// four threads nothing is prefetched. `0` and `1` both disable
-    /// speculation.
+    /// Inert; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
     pub speculative_batch: usize,
 }
 
@@ -136,13 +127,13 @@ pub struct GradedConfig {
 /// Per-iteration diagnostics from the outer BO loop.
 ///
 /// Every field except the two timings and the importance sweep is
-/// deterministic for a given tuning problem (identical at any thread count
-/// and speculation depth); `surrogate_fit_ns` and `wall_ns` are collected
-/// only while telemetry is enabled and are `0` otherwise, and `importance`
-/// (plus `kernel_length_scale`) is swept only while model observability is
-/// wanted (telemetry enabled or a journal attached) and is empty otherwise
-/// — so serialized outcomes stay byte-identical across thread counts at
-/// either setting.
+/// deterministic for a given tuning problem (identical at any thread count);
+/// `surrogate_fit_ns` and `wall_ns` are collected only while telemetry is
+/// enabled and are `0` otherwise, and `importance` (plus
+/// `kernel_length_scale`) is swept only while telemetry is enabled and is
+/// empty otherwise — so
+/// serialized outcomes stay byte-identical across thread counts at either
+/// setting.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationRecord {
     /// 1-based outer-iteration index.
@@ -732,17 +723,15 @@ impl<'a> Tuner<'a> {
     }
 
     /// One outer BO iteration — pick a root, fit the surrogate, walk,
-    /// speculate, validate, check convergence. Returns whether the search
-    /// is done (converged or at the iteration cap).
+    /// validate, check convergence. Returns whether the search is done
+    /// (converged or at the iteration cap).
     ///
-    /// The outer loop stays logically sequential: iteration N's surrogate
-    /// is fitted on every validation from iterations 0..N-1, a strict data
-    /// dependency — identical results at any thread count is a design
-    /// invariant. Speculation (`speculative_batch > 1`) respects it by
-    /// construction: extra candidates are simulated ahead of time into the
-    /// validator's uncharged side store, and a result only becomes visible
-    /// (counted, aggregated, journaled, stored) at the exact point a
-    /// sequential execution would have computed it.
+    /// The outer loop is sequential, as in the paper (§3.4): iteration N's
+    /// surrogate is fitted on every validation from iterations 0..N-1, a
+    /// strict data dependency, and each iteration validates one candidate.
+    /// The pool shortens a step (the walk's neighbour scoring, a
+    /// validation's two replays), never the loop; identical results at any
+    /// thread count is a design invariant.
     fn iterate(&self, target: TuningTarget<'_>, state: &mut TuneState, rng: &mut StdRng) -> bool {
         state.iterations += 1;
         // Keyed by the iteration index: the loop is sequential, but a
@@ -806,8 +795,7 @@ impl<'a> Tuner<'a> {
         // Model observatory: read the surrogate's beliefs about the chosen
         // candidate. Every value here is a pure function of the
         // deterministic observation stream (no RNG, no clocks), so
-        // fingerprints stay bit-identical at any thread count and
-        // speculation depth.
+        // fingerprints stay bit-identical at any thread count.
         let mut predicted_mean = 0.0;
         let mut predicted_std = 0.0;
         let mut explore_share = 0.0;
@@ -848,55 +836,6 @@ impl<'a> Tuner<'a> {
         } else {
             (Vec::new(), 0.0)
         };
-
-        // Speculative batch (k > 1): while the chosen candidate is about to
-        // be validated anyway, prefetch it together with the k-1 next-best
-        // scored candidates on the worker pool. Prefetches land in the
-        // validator's side store and charge nothing until demanded, so the
-        // trajectory is byte-identical at every k; extras the search later
-        // validates become warm cache hits. The extras ranking needs real
-        // acquisition scores, so the Random ablation never speculates. A
-        // replay speculates nothing either: when the store already holds the
-        // chosen candidate, look-ahead could only re-simulate what the run
-        // that paid for it threw away. A validation alone keeps two pool
-        // threads busy (its timed and saturated replays run side by side),
-        // so the batch only gets the spare width: one candidate per two
-        // threads, and no look-ahead at all below four. At two threads,
-        // no look-ahead beat a batch of two in every measured pair. At
-        // four or more the cap is unmeasured: inside a speculating batch
-        // each validation's replays are nested and run one after the
-        // other, so the demanded candidate loses its split.
-        let k = self
-            .opts
-            .speculative_batch
-            .clamp(1, (mlkit::parallel::max_threads() / 2).max(1));
-        if k > 1 && surrogate.is_some() {
-            if let Some(best_vec) = chosen.as_ref().filter(|v| !state.seen.contains(*v)) {
-                let mut batch: Vec<SsdConfig> = Vec::with_capacity(k);
-                batch.extend(self.materialize_vec(&state.reference, best_vec));
-                let replay = batch.first().is_some_and(|cfg| {
-                    self.with_trace(target, |t| self.validator.stored(cfg, t).is_some())
-                });
-                let mut ranked: Vec<(f64, &Packed)> =
-                    scored.iter().map(|(v, &(ucb, _, _))| (ucb, v)).collect();
-                // Highest acquisition value first, ascending vector on a
-                // tie: the memo's own order must not leak into the batch.
-                ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
-                let extras = ranked
-                    .into_iter()
-                    .map(|(_, v)| unpack(v, best_vec.len()))
-                    .filter(|v| v != best_vec && !state.seen.contains(v));
-                for v in extras.take(k - 1) {
-                    batch.extend(self.materialize_vec(&state.reference, &v));
-                }
-                if batch.len() > 1 && !replay {
-                    let _spec_span = telemetry::span::Span::enter("tuner.speculate");
-                    mlkit::parallel::parallel_map(batch, |cfg| {
-                        self.with_trace(target, |t| self.validator.prefetch_trace(&cfg, t))
-                    });
-                }
-            }
-        }
 
         // Step 5: validate the explored configuration.
         let exploration_distance = chosen

@@ -24,23 +24,9 @@ use ssdsim::config::SsdConfig;
 use ssdsim::report::{LatencyBuckets, SimReport};
 use ssdsim::{BottleneckReport, Simulator};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use telemetry::Counter;
-
-/// A speculative result produced by [`Validator::prefetch_trace`] that no
-/// demand evaluation has consumed yet. It is invisible to every piece of
-/// sequential-exact accounting: the run counter, the simulator aggregate,
-/// the device journal, and the measurement memo all ignore it until the
-/// entry is promoted on first demand access.
-#[derive(Debug)]
-struct PendingSpec {
-    measurement: Measurement,
-    /// The timed and saturated reports, retained only while telemetry is
-    /// enabled so a later promotion can absorb and journal them exactly as
-    /// a demand-time simulation would have.
-    reports: Option<Box<(SimReport, SimReport)>>,
-}
 
 /// Options controlling validation runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,15 +217,11 @@ pub struct ValidatorStats {
     pub shard_probes: [u64; CACHE_SHARDS],
     /// Memoized entries currently resident per shard.
     pub shard_entries: [u64; CACHE_SHARDS],
-    /// Speculative (prefetch) simulator evaluations performed. Exact
-    /// regardless of the telemetry switch, like `simulator_runs`.
+    /// Inert, always 0; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
     pub speculative_runs: u64,
-    /// Speculative results a demand evaluation later consumed — work the
-    /// batched tuner reused instead of re-simulating. Exact.
+    /// Inert, always 0; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
     pub speculative_hits: u64,
-    /// Speculative results still unconsumed — wasted work if the run ends
-    /// now. Exact; `speculative_runs - speculative_hits - speculative_wasted`
-    /// entries were dropped by `clear_cache` or lost duplicate races.
+    /// Inert, always 0; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
     pub speculative_wasted: u64,
     /// Simulator activity summed over the uncached evaluations.
     pub sim: SimAggregate,
@@ -295,13 +277,6 @@ pub struct Validator {
     sat_traces: RwLock<HashMap<String, Arc<Trace>>>,
     shards: [Shard; CACHE_SHARDS],
     runs: AtomicU64,
-    /// Speculative results awaiting their first demand access.
-    spec: Mutex<HashMap<CacheKey, PendingSpec>>,
-    /// Relaxed mirror of `spec.len()`, so the demand fast path skips the
-    /// store lock entirely when nothing was ever prefetched.
-    spec_pending: AtomicUsize,
-    spec_runs: AtomicU64,
-    spec_hits: AtomicU64,
     counters: ValidatorCounters,
     /// The measurement memo, if a store is attached.
     memo: RwLock<Option<Arc<Store>>>,
@@ -320,10 +295,6 @@ impl Validator {
             sat_traces: RwLock::new(HashMap::new()),
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             runs: AtomicU64::new(0),
-            spec: Mutex::new(HashMap::new()),
-            spec_pending: AtomicUsize::new(0),
-            spec_runs: AtomicU64::new(0),
-            spec_hits: AtomicU64::new(0),
             counters: ValidatorCounters::default(),
             memo: RwLock::new(None),
             memo_prefixes: RwLock::new(HashMap::new()),
@@ -335,7 +306,6 @@ impl Validator {
     /// earlier one. Each charged measurement is appended under
     /// `memo:<SIM_MODEL>:<options hash>:<trace-content hash>:<ConfigKey>`
     /// (every word in hex), and a miss reads the store before simulating.
-    /// Speculative results are written only once demanded.
     pub fn attach_store(&self, store: Arc<Store>) {
         *self.memo.write() = Some(store);
     }
@@ -382,11 +352,6 @@ impl Validator {
     fn recall(slot: &Option<(Arc<Store>, String)>) -> Option<Measurement> {
         let (store, key) = slot.as_ref()?;
         store.get_record(key).ok().flatten()
-    }
-
-    /// The measurement the attached store holds for `(cfg, trace)`, if any.
-    pub(crate) fn stored(&self, cfg: &SsdConfig, trace: &Trace) -> Option<Measurement> {
-        Self::recall(&self.memo_slot(ConfigKey::of(cfg), trace))
     }
 
     /// The (cached) validation trace for a workload category, shared
@@ -446,10 +411,7 @@ impl Validator {
         };
         // First caller simulates; concurrent callers for the same key block
         // here and reuse the result, keeping the run count sequential-exact.
-        // A measurement the store already holds is recalled, uncharged. A
-        // speculative prefetch of this key is promoted instead of
-        // re-simulated: the run is charged and its reports absorbed/journaled
-        // here — the exact point a sequential execution would have paid.
+        // A measurement the store already holds is recalled, uncharged.
         let (mut ran, mut recalled) = (false, false);
         let m = *cell.get_or_init(|| {
             let memo = self.memo_slot(key.0, trace);
@@ -459,13 +421,7 @@ impl Validator {
                 return m;
             }
             ran = true;
-            let m = if let Some(p) = self.take_speculative(&key) {
-                self.spec_hits.fetch_add(1, Ordering::SeqCst);
-                self.commit_reports(p.reports.as_deref());
-                p.measurement
-            } else {
-                self.simulate(cfg, trace)
-            };
+            let m = self.simulate(cfg, trace);
             self.runs.fetch_add(1, Ordering::SeqCst);
             // Best effort: a failed append costs one re-simulation later.
             if let Some((db, k)) = &memo {
@@ -473,9 +429,6 @@ impl Validator {
             }
             m
         });
-        // A promoted speculation still counts as a miss: the demand probe
-        // found no completed entry, exactly as in a sequential run — which
-        // keeps the hit/miss counters independent of the speculation depth.
         if instrument {
             if ran {
                 self.counters.misses.inc();
@@ -486,90 +439,11 @@ impl Validator {
         m
     }
 
-    /// Speculatively evaluates `(cfg, kind)` without charging the run
-    /// accounting; see [`Validator::prefetch_trace`].
-    pub fn prefetch(&self, cfg: &SsdConfig, kind: WorkloadKind) {
-        let trace = self.trace_for(kind);
-        self.prefetch_trace(cfg, &trace);
-    }
-
-    /// Speculatively evaluates a `(configuration, trace)` pair.
-    ///
-    /// The simulation happens now (typically on a worker thread), but every
-    /// piece of sequential-exact accounting — [`Validator::simulator_runs`],
-    /// the simulator aggregate, the device journal, and the measurement
-    /// memo — is deferred until a demand [`Validator::evaluate_trace`]
-    /// consumes the result. A speculation that is never demanded therefore
-    /// leaves all of them untouched, which is what keeps batched tuning
-    /// byte-identical to sequential tuning at any speculation depth. Keys
-    /// already evaluated, speculated or stored are skipped.
-    pub fn prefetch_trace(&self, cfg: &SsdConfig, trace: &Trace) {
-        let key = (ConfigKey::of(cfg), trace.name().to_string());
-        // Already demanded — completed or in flight — or already speculated:
-        // nothing useful to do.
-        if self.shards[key.0.shard()].read().contains_key(&key) {
-            return;
-        }
-        if self.spec_pending.load(Ordering::Relaxed) > 0 && self.spec.lock().contains_key(&key) {
-            return;
-        }
-        if Self::recall(&self.memo_slot(key.0, trace)).is_some() {
-            return;
-        }
-        let (m, reports) = self.simulate_core(cfg, trace);
-        self.spec_runs.fetch_add(1, Ordering::SeqCst);
-        let mut spec = self.spec.lock();
-        // A racing prefetch of the same key keeps the first result; a demand
-        // evaluation that started meanwhile leaves this entry to age out as
-        // wasted work (it will never be promoted past the completed cell).
-        spec.entry(key).or_insert(PendingSpec {
-            measurement: m,
-            reports,
-        });
-        self.spec_pending.store(spec.len(), Ordering::Relaxed);
-    }
-
-    /// Removes and returns the speculative entry for `key`, if any. The
-    /// relaxed `spec_pending` probe keeps this a single atomic load for
-    /// validators that never speculate.
-    fn take_speculative(&self, key: &CacheKey) -> Option<PendingSpec> {
-        if self.spec_pending.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        let mut spec = self.spec.lock();
-        let p = spec.remove(key);
-        self.spec_pending.store(spec.len(), Ordering::Relaxed);
-        p
-    }
-
-    /// Absorbs a simulation's reports into the aggregate — the telemetry
-    /// side effect of one charged simulator evaluation.
-    fn commit_reports(&self, reports: Option<&(SimReport, SimReport)>) {
-        if let Some((timed, saturated)) = reports {
-            let mut agg = self.counters.sim_agg.lock();
-            agg.absorb(timed);
-            agg.absorb(saturated);
-        }
-    }
-
-    /// The two uncached simulator runs behind one measurement, with the
-    /// telemetry side effects committed immediately (demand path).
+    /// The two uncached simulator runs behind one measurement: the timed and
+    /// the saturated replay of `(cfg, trace)`. While telemetry is enabled
+    /// both reports are absorbed into the simulator aggregate. The run
+    /// counter is the caller's.
     fn simulate(&self, cfg: &SsdConfig, trace: &Trace) -> Measurement {
-        let (m, reports) = self.simulate_core(cfg, trace);
-        self.commit_reports(reports.as_deref());
-        m
-    }
-
-    /// Runs the timed and saturated replays for `(cfg, trace)`. Pure with
-    /// respect to run accounting: neither the run counter nor the aggregate
-    /// is touched, so both the demand and the speculative
-    /// path can share it. Returns the two reports while telemetry is
-    /// enabled so the caller can commit (or defer) them.
-    fn simulate_core(
-        &self,
-        cfg: &SsdConfig,
-        trace: &Trace,
-    ) -> (Measurement, Option<Box<(SimReport, SimReport)>>) {
         // Keyed by (configuration, trace) content, so the span id does not
         // depend on which thread won the `OnceLock` race to simulate.
         let _span = telemetry::span::Span::enter_keyed(
@@ -643,10 +517,11 @@ impl Validator {
             self.counters
                 .simulate_ns
                 .add(telemetry::elapsed_ns(sim_start));
-            (m, Some(Box::new((report, sat_report))))
-        } else {
-            (m, None)
+            let mut agg = self.counters.sim_agg.lock();
+            agg.absorb(&report);
+            agg.absorb(&sat_report);
         }
+        m
     }
 
     /// The cached saturated (timestamps-compressed) variant of `trace`.
@@ -677,16 +552,12 @@ impl Validator {
     }
 
     /// Drops all in-process measurements (used between experiments that
-    /// reset the model, e.g. the α/β sweeps of §4.6). Unconsumed speculative
-    /// results are dropped too — they must not outlive the cache they were
-    /// meant to warm. An attached store keeps its records.
+    /// reset the model, e.g. the α/β sweeps of §4.6). An attached store
+    /// keeps its records.
     pub fn clear_cache(&self) {
         for shard in &self.shards {
             shard.write().clear();
         }
-        let mut spec = self.spec.lock();
-        spec.clear();
-        self.spec_pending.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot of this validator's cache and simulator activity.
@@ -711,10 +582,8 @@ impl Validator {
             simulate_ns: self.counters.simulate_ns.get(),
             shard_probes,
             shard_entries,
-            speculative_runs: self.spec_runs.load(Ordering::SeqCst),
-            speculative_hits: self.spec_hits.load(Ordering::SeqCst),
-            speculative_wasted: self.spec.lock().len() as u64,
             sim: *self.counters.sim_agg.lock(),
+            ..Default::default()
         }
     }
 }
@@ -730,7 +599,7 @@ mod tests {
         })
     }
 
-    /// What `simulate_core` did before it warmed one device and cloned it:
+    /// What `simulate` did before it warmed one device and cloned it:
     /// two simulators, each built and warmed on its own.
     fn two_simulator_reference(v: &Validator, cfg: &SsdConfig, trace: &Trace) -> Measurement {
         let mut sim = Simulator::new(cfg.clone());
@@ -756,7 +625,7 @@ mod tests {
             // drain both have work to do.
             for kind in [WorkloadKind::Database, WorkloadKind::Fiu] {
                 let trace = v.trace_for(kind);
-                let (m, _) = v.simulate_core(&cfg, &trace);
+                let m = v.simulate(&cfg, &trace);
                 assert_eq!(m, two_simulator_reference(&v, &cfg, &trace), "{kind:?}");
             }
         }
@@ -857,11 +726,9 @@ mod tests {
         // without a single simulator run, and writes nothing new.
         let w = quick();
         w.attach_store(Arc::clone(&store));
-        assert_eq!(
-            w.stored(&base, &w.trace_for(WorkloadKind::Database)),
-            Some(a)
-        );
-        assert_eq!(w.evaluate(&base, WorkloadKind::Database), a);
+        let trace = w.trace_for(WorkloadKind::Database);
+        assert_eq!(w.evaluate_trace(&base, &trace), a);
+        assert_eq!(w.memo_hits(), 1, "the store answered the first probe");
         assert_eq!(w.evaluate(&other, WorkloadKind::Database), b);
         assert_eq!(w.evaluate(&other, WorkloadKind::Database), b);
         assert_eq!(w.simulator_runs(), 0, "stored measurements are not charged");
@@ -895,67 +762,5 @@ mod tests {
         assert_eq!(w.evaluate(&cfg, WorkloadKind::Database), m);
         assert_eq!((w.simulator_runs(), w.memo_hits()), (1, 0));
         assert_eq!(store.get_record::<Measurement>(&key).unwrap(), Some(m));
-    }
-
-    #[test]
-    fn prefetch_defers_run_charging_until_demand() {
-        let store = Arc::new(Store::in_memory());
-        let v = quick();
-        v.attach_store(Arc::clone(&store));
-        let cfg = SsdConfig::default();
-        v.prefetch(&cfg, WorkloadKind::Database);
-        // The simulation happened but nothing sequential-visible moved.
-        assert_eq!(v.simulator_runs(), 0, "prefetch must not charge runs");
-        assert_eq!(memo_records(&store), 0, "prefetch must not be stored");
-        let s = v.stats();
-        assert_eq!(s.speculative_runs, 1);
-        assert_eq!(s.speculative_hits, 0);
-        assert_eq!(s.speculative_wasted, 1);
-
-        // Demand access promotes: charged now, and bit-identical to a
-        // validator that never speculated.
-        let m = v.evaluate(&cfg, WorkloadKind::Database);
-        assert_eq!(v.simulator_runs(), 1);
-        assert_eq!(memo_records(&store), 1);
-        let s = v.stats();
-        assert_eq!(s.speculative_hits, 1);
-        assert_eq!(s.speculative_wasted, 0);
-
-        let w = quick();
-        assert_eq!(w.evaluate(&cfg, WorkloadKind::Database), m);
-    }
-
-    #[test]
-    fn prefetch_skips_known_keys_and_clear_drops_pending() {
-        let v = quick();
-        let cfg = SsdConfig::default();
-        v.evaluate(&cfg, WorkloadKind::Database);
-        v.prefetch(&cfg, WorkloadKind::Database);
-        assert_eq!(
-            v.stats().speculative_runs,
-            0,
-            "prefetch of an evaluated key must be a no-op"
-        );
-        v.prefetch(&cfg, WorkloadKind::WebSearch);
-        v.prefetch(&cfg, WorkloadKind::WebSearch);
-        assert_eq!(
-            v.stats().speculative_runs,
-            1,
-            "re-prefetch of a pending key must be a no-op"
-        );
-        v.clear_cache();
-        assert_eq!(v.stats().speculative_wasted, 0);
-        // After the clear the speculation is gone: demand must re-simulate.
-        v.evaluate(&cfg, WorkloadKind::WebSearch);
-        assert_eq!(v.simulator_runs(), 2);
-        assert_eq!(v.stats().speculative_hits, 0);
-        // A stored key is never speculated.
-        let store = Arc::new(Store::in_memory());
-        v.attach_store(Arc::clone(&store));
-        v.evaluate(&cfg, WorkloadKind::Fiu);
-        let w = quick();
-        w.attach_store(store);
-        w.prefetch(&cfg, WorkloadKind::Fiu);
-        assert_eq!(w.stats().speculative_runs, 0);
     }
 }

@@ -2,17 +2,15 @@
 //! `autoblox` binary, each its own `#[test]`.
 //!
 //! A row is a command, or a short sequence sharing a scratch directory (a
-//! `--db` store, a report fed to `explain`), run once per variant: every
-//! `AUTOBLOX_THREADS` width in `widths` times every `--speculate` depth in
-//! `speculate` (appended to `tune` steps). Per step `Row::run` checks the
+//! `--db` store, a report fed to `explain`), run once per variant: one per
+//! `AUTOBLOX_THREADS` width in `widths`. Per step `Row::run` checks the
 //! exit code (a refusal, exit 2, prints nothing on stdout), stdout/stderr
 //! substrings, and the step's `--telemetry` report against a golden (see
 //! [`assert_matches_golden`]). Across variants it checks the outputs a step
 //! marks identical, the host-independent validator counters
-//! (`simulator_runs`, `cache_misses`, `cache_hits + dedup_waits`), the
-//! speculation ledger's balance and the tuner's iteration records with
-//! their wall-clock fields masked. What only one row claims is asserted in
-//! its test after `Row::run` returned.
+//! (`simulator_runs`, `cache_misses`, `cache_hits + dedup_waits`) and the
+//! tuner's iteration records with their wall-clock fields masked. What only
+//! one row claims is asserted in its test after `Row::run` returned.
 
 use autoblox::report::{self, Summary, Thresholds};
 use autoblox::telemetry::RunReport;
@@ -58,7 +56,6 @@ fn step(args: &str) -> Step {
 
 struct Row {
     widths: &'static [usize],
-    speculate: &'static [&'static str],
     /// Input files written to the scratch directory before the first step.
     files: Vec<(&'static str, String)>,
     steps: Vec<Step>,
@@ -66,7 +63,6 @@ struct Row {
 
 const ROW: Row = Row {
     widths: &[1],
-    speculate: &[],
     files: Vec::new(),
     steps: Vec::new(),
 };
@@ -75,8 +71,6 @@ const ROW: Row = Row {
 /// directory.
 struct Variant {
     label: String,
-    threads: usize,
-    depth: Option<&'static str>,
     dir: PathBuf,
     /// One output per step.
     outputs: Vec<Output>,
@@ -145,8 +139,8 @@ fn assert_matches_golden(name: &str, report: &RunReport, at: &str) {
     }
 }
 
-/// The counters and iteration records that must not depend on the width
-/// or depth: the hits/dedup split is timing-dependent, their sum is not.
+/// The counters and iteration records that must not depend on the width:
+/// the hits/dedup split is timing-dependent, their sum is not.
 fn deterministic_part(report: &RunReport) -> ([u64; 3], String) {
     let v = &report.validator;
     let mut tuner = report.tuner.clone();
@@ -172,71 +166,52 @@ impl Row {
             NAMES.lock().unwrap().insert(name.to_string()),
             "row {name} twice"
         );
-        let depths: Vec<Option<&'static str>> = if self.speculate.is_empty() {
-            vec![None]
-        } else {
-            self.speculate.iter().copied().map(Some).collect()
-        };
         let mut variants: Vec<Variant> = Vec::new();
         for &threads in self.widths {
-            for &depth in &depths {
-                let dir = std::env::temp_dir().join(format!(
-                    "abx-contract-{}-{name}-t{threads}-k{}",
-                    std::process::id(),
-                    depth.unwrap_or("-")
-                ));
-                std::fs::remove_dir_all(&dir).ok();
-                std::fs::create_dir_all(&dir).unwrap();
-                for (file, contents) in &self.files {
-                    std::fs::write(dir.join(file), contents).unwrap();
-                }
-                let mut v = Variant {
-                    label: format!("{name} threads={threads} speculate={depth:?}"),
-                    threads,
-                    depth,
-                    dir,
-                    outputs: Vec::new(),
-                    reports: Vec::new(),
-                };
-                for step in &self.steps {
-                    let mut args: Vec<&str> = step.args.split_whitespace().collect();
-                    if let (Some(k), Some(&"tune")) = (depth, args.first()) {
-                        args.extend(["--speculate", k]);
-                    }
-                    let out = autoblox(&v.dir, threads, &args);
-                    let stdout = String::from_utf8_lossy(&out.stdout);
-                    let stderr = String::from_utf8_lossy(&out.stderr);
-                    let at = format!("{}: {args:?}", v.label);
-                    assert_eq!(out.status.code(), Some(step.exit), "{at}: {stderr}");
-                    assert!(step.exit != 2 || stdout.is_empty(), "{at} ran: {stdout}");
-                    for s in &step.stdout {
-                        assert!(stdout.contains(s), "{at}: stdout lacks {s:?}: {stdout}");
-                    }
-                    for s in &step.stderr {
-                        assert!(stderr.contains(s), "{at}: stderr lacks {s:?}: {stderr}");
-                    }
-                    for s in &step.absent {
-                        assert!(!stdout.contains(s) && !stderr.contains(s), "{at}: {s:?}");
-                    }
-                    let tel = args.iter().position(|a| *a == "--telemetry");
-                    let report = tel.map(|i| {
-                        let r: RunReport = serde_json::from_str(&v.read(args[i + 1])).unwrap();
-                        let spec = &r.validator;
-                        assert_eq!(
-                            spec.speculative_runs,
-                            spec.speculative_hits + spec.speculative_wasted,
-                            "{at}: speculation ledger must balance"
-                        );
-                        if let Some(name) = step.golden {
-                            assert_matches_golden(name, &r, &at);
-                        }
-                        r
-                    });
-                    v.outputs.push(out);
-                    v.reports.push(report);
-                }
-                variants.push(v);
+            let dir = std::env::temp_dir().join(format!(
+                "abx-contract-{}-{name}-t{threads}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            for (file, contents) in &self.files {
+                std::fs::write(dir.join(file), contents).unwrap();
             }
+            let mut v = Variant {
+                label: format!("{name} threads={threads}"),
+                dir,
+                outputs: Vec::new(),
+                reports: Vec::new(),
+            };
+            for step in &self.steps {
+                let args: Vec<&str> = step.args.split_whitespace().collect();
+                let out = autoblox(&v.dir, threads, &args);
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let at = format!("{}: {args:?}", v.label);
+                assert_eq!(out.status.code(), Some(step.exit), "{at}: {stderr}");
+                assert!(step.exit != 2 || stdout.is_empty(), "{at} ran: {stdout}");
+                for s in &step.stdout {
+                    assert!(stdout.contains(s), "{at}: stdout lacks {s:?}: {stdout}");
+                }
+                for s in &step.stderr {
+                    assert!(stderr.contains(s), "{at}: stderr lacks {s:?}: {stderr}");
+                }
+                for s in &step.absent {
+                    assert!(!stdout.contains(s) && !stderr.contains(s), "{at}: {s:?}");
+                }
+                let tel = args.iter().position(|a| *a == "--telemetry");
+                let report = tel.map(|i| {
+                    let r: RunReport = serde_json::from_str(&v.read(args[i + 1])).unwrap();
+                    if let Some(name) = step.golden {
+                        assert_matches_golden(name, &r, &at);
+                    }
+                    r
+                });
+                v.outputs.push(out);
+                v.reports.push(report);
+            }
+            variants.push(v);
         }
         let first = &variants[0];
         for v in &variants[1..] {
@@ -259,17 +234,14 @@ impl Row {
     }
 }
 
-/// A tune at every width and speculation depth prints one configuration,
-/// matches the golden, charges the same simulations and records the same
-/// surrogate trajectory. Speculation only moves simulator work earlier: the
-/// batched runs really speculate where the pool has spare width (4 threads)
-/// and not at all on one thread. That the model-observatory fields are
-/// real, not vacuous, is checked in `model_obs.rs`.
+/// A tune at every width prints one configuration, matches the golden,
+/// charges the same simulations and records the same surrogate trajectory.
+/// That the model-observatory fields are real, not vacuous, is checked in
+/// `model_obs.rs`.
 #[test]
-fn tune_is_identical_at_every_width_and_depth() {
+fn tune_is_identical_at_every_width() {
     let variants = Row {
         widths: &[1, 4],
-        speculate: &["1", "4"],
         steps: vec![Step {
             same_stdout: true,
             golden: Some("telemetry-database"),
@@ -279,24 +251,16 @@ fn tune_is_identical_at_every_width_and_depth() {
     }
     .run("tune");
     for v in &variants {
-        let spec = v.validator(0);
-        assert!(spec.cache_misses > 0, "{}", v.label);
-        if v.depth == Some("4") && v.threads == 4 {
-            assert!(spec.speculative_runs > 0, "{} never speculated", v.label);
-            assert!(spec.speculative_hits > 0, "{} used no prefetch", v.label);
-        } else {
-            assert_eq!(spec.speculative_runs, 0, "{}", v.label);
-        }
+        assert!(v.validator(0).cache_misses > 0, "{}", v.label);
     }
 }
 
 /// The hybrid SLC/QLC family end to end: the same tuned configuration,
-/// still hybrid, at every width and depth, and the family golden.
+/// still hybrid, at every width, and the family golden.
 #[test]
-fn hybrid_tune_is_identical_at_every_width_and_depth() {
+fn hybrid_tune_is_identical_at_every_width() {
     Row {
         widths: &[1, 4],
-        speculate: &["1", "4"],
         steps: vec![Step {
             stdout: vec!["\"HybridSlcCache\""],
             same_stdout: true,
@@ -312,10 +276,8 @@ fn hybrid_tune_is_identical_at_every_width_and_depth() {
 }
 
 /// The same command run twice against one store prints the same
-/// configuration at every width and depth, the second run simulates
-/// nothing — not even look-ahead — and its telemetry diffs clean against
-/// the fresh run's. The fresh run looks ahead only where the pool has
-/// spare width (4 threads).
+/// configuration at every width, the second run simulates nothing, and its
+/// telemetry diffs clean against the fresh run's.
 #[test]
 fn replay_is_byte_identical_at_every_width() {
     let tune = |tel| Step {
@@ -326,7 +288,6 @@ fn replay_is_byte_identical_at_every_width() {
     };
     let variants = Row {
         widths: &[1, 4],
-        speculate: &["1", "4"],
         steps: vec![
             tune("fresh.json"),
             tune("replay.json"),
@@ -338,12 +299,6 @@ fn replay_is_byte_identical_at_every_width() {
     for v in &variants {
         assert_eq!(v.stdout(0), v.stdout(1), "{}: replay differs", v.label);
         assert_eq!(v.validator(1).simulator_runs, 0, "{}", v.label);
-        assert_eq!(v.validator(1).speculative_runs, 0, "{}", v.label);
-        if v.depth == Some("4") && v.threads == 4 {
-            assert!(v.validator(0).speculative_runs > 0, "{}", v.label);
-        } else {
-            assert_eq!(v.validator(0).speculative_runs, 0, "{}", v.label);
-        }
         let runs = v.validator(0).simulator_runs;
         let stderr = v.stderr(1);
         let replayed = format!("{runs} validations, {runs} from the store");
@@ -364,7 +319,7 @@ fn explain_renders_one_report() {
     ];
     Row {
         steps: vec![
-            step("tune database --iterations 6 --events 300 --speculate 1 --telemetry cand.json"),
+            step("tune database --iterations 6 --events 300 --telemetry cand.json"),
             Step {
                 stdout: vec!["\"autoblox.telemetry.v3\""],
                 ..step("telemetry-check cand.json")

@@ -1,5 +1,5 @@
-//! The short in-process tune that `speculation.rs` and `model_obs.rs`
-//! repeat across thread counts and speculation depths.
+//! The short in-process tune that `model_obs.rs` repeats across thread
+//! counts.
 
 use autoblox::constraints::Constraints;
 use autoblox::tuner::{IterationRecord, Tuner, TunerOptions};
@@ -7,11 +7,11 @@ use autoblox::validator::{Validator, ValidatorOptions, ValidatorStats};
 use iotrace::gen::WorkloadKind;
 use ssdsim::config::presets;
 
-/// One short database tune at speculation depth `k`: the outcome as JSON
-/// with the wall-clock fields that telemetry fills in zeroed (f64s must be
-/// bit-identical for two serializations to match), its iteration records
-/// and the validator's stats.
-pub fn short_tune(k: usize) -> (String, Vec<IterationRecord>, ValidatorStats) {
+/// One short database tune: the outcome as JSON with the wall-clock fields
+/// that telemetry fills in zeroed (f64s must be bit-identical for two
+/// serializations to match), its iteration records and the validator's
+/// stats.
+pub fn short_tune() -> (String, Vec<IterationRecord>, ValidatorStats) {
     let v = Validator::new(ValidatorOptions {
         trace_events: 300,
         ..Default::default()
@@ -21,7 +21,6 @@ pub fn short_tune(k: usize) -> (String, Vec<IterationRecord>, ValidatorStats) {
         sgd_iterations: 3,
         convergence_window: 4,
         non_target: vec![WorkloadKind::WebSearch],
-        speculative_batch: k,
         ..Default::default()
     };
     let tuner = Tuner::new(Constraints::paper_default(), &v, opts);

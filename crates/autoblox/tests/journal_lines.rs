@@ -6,12 +6,13 @@
 //!
 //! `fixtures/journal_parent/journal.jsonl` was written by the build before
 //! journal lines had a type: a pinned single-threaded `tune database
-//! --iterations 3 --events 300 --speculate 1 --telemetry … --journal …`
-//! followed by a run of the since-retired `place` command. Its two
-//! `placement` lines, its five `progress` lines (a kind retired with the
-//! `watch` dashboard that read it) and its forty `series` and forty
-//! `bottleneck` lines (retired with the device time-series sampler) now
-//! read as unknown kinds. Beside it is what that build printed for it:
+//! --iterations 3 --events 300 --telemetry … --journal …` (its masked
+//! `argv` also names the since-retired speculation flag) followed by a
+//! run of the since-retired `place` command. Its two `placement` lines,
+//! its five `progress` lines (a kind retired with the `watch` dashboard
+//! that read it) and its forty `series` and forty `bottleneck` lines
+//! (retired with the device time-series sampler) now read as unknown
+//! kinds. Beside it is what that build printed for it:
 //! `trace export --chrome` (`chrome.json`) and `trace export --csv` of the
 //! journal without its `series` lines (`calibration.csv`). This build must
 //! print the same bytes for the whole journal — the Chrome trace less the
@@ -298,8 +299,6 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
         "3",
         "--events",
         "300",
-        "--speculate",
-        "1",
         "--telemetry",
         telemetry.to_str().unwrap(),
         "--journal",

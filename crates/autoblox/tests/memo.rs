@@ -5,8 +5,8 @@
 //! crash that tore the store's last line. Anything that changes what a
 //! measurement means (device family, trace length or content, simulator
 //! model) misses the memo instead of being served stale numbers. That a
-//! replay is byte-identical at every width and speculation depth is a row
-//! of the CLI contract (`cli_contract.rs`).
+//! replay is byte-identical at every width is a row of the CLI contract
+//! (`cli_contract.rs`).
 
 use autoblox::constraints::Constraints;
 use autoblox::metrics::Measurement;
@@ -107,13 +107,12 @@ fn validator(events: usize) -> Validator {
     })
 }
 
-fn opts(speculate: usize, non_target: Vec<WorkloadKind>) -> TunerOptions {
+fn opts(non_target: Vec<WorkloadKind>) -> TunerOptions {
     TunerOptions {
         max_iterations: 3,
         sgd_iterations: 3,
         convergence_window: 4,
         non_target,
-        speculative_batch: speculate,
         ..Default::default()
     }
 }
@@ -145,17 +144,10 @@ fn changed_inputs_miss_the_memo() {
     let path = dir.join("store.db");
     let db = Arc::new(Store::open(&path).unwrap());
     let database = TuningTarget::Category(WorkloadKind::Database);
-    let (grades, runs, _) = tune_on(&db, 120, database, opts(1, vec![]));
+    let (grades, runs, _) = tune_on(&db, 120, database, opts(vec![]));
     assert!(runs > 0);
-    assert_eq!(
-        tune_on(&db, 120, database, opts(1, vec![])),
-        (grades, 0, runs)
-    );
-    assert_eq!(
-        tune_on(&db, 121, database, opts(1, vec![])).2,
-        0,
-        "--events"
-    );
+    assert_eq!(tune_on(&db, 120, database, opts(vec![])), (grades, 0, runs));
+    assert_eq!(tune_on(&db, 121, database, opts(vec![])).2, 0, "--events");
 
     let tenant = |seed| {
         let events = WorkloadKind::Fiu
@@ -166,14 +158,14 @@ fn changed_inputs_miss_the_memo() {
         Trace::from_events("tenant", events)
     };
     let (a, b) = (tenant(1), tenant(2));
-    let (_, runs_a, _) = tune_on(&db, 120, TuningTarget::Trace(&a), opts(1, vec![]));
+    let (_, runs_a, _) = tune_on(&db, 120, TuningTarget::Trace(&a), opts(vec![]));
     assert_eq!(
-        tune_on(&db, 120, TuningTarget::Trace(&b), opts(1, vec![])).2,
+        tune_on(&db, 120, TuningTarget::Trace(&b), opts(vec![])).2,
         0,
         "content"
     );
     assert_eq!(
-        tune_on(&db, 120, TuningTarget::Trace(&a), opts(1, vec![])).1,
+        tune_on(&db, 120, TuningTarget::Trace(&a), opts(vec![])).1,
         0
     );
     assert!(runs_a > 0);
@@ -186,52 +178,8 @@ fn changed_inputs_miss_the_memo() {
     let older = log.replace(&model(ssdsim::SIM_MODEL), &model(ssdsim::SIM_MODEL + 1));
     std::fs::write(&path, older).unwrap();
     let db = Arc::new(Store::open(&path).unwrap());
-    assert_eq!(
-        tune_on(&db, 120, database, opts(1, vec![])).2,
-        0,
-        "SIM_MODEL"
-    );
+    assert_eq!(tune_on(&db, 120, database, opts(vec![])).2, 0, "SIM_MODEL");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Only charged measurements are written: look-ahead nobody demanded stays
-/// out of the store, and a replay of a speculating run speculates nothing.
-#[test]
-fn undemanded_speculation_is_not_persisted() {
-    // Look-ahead needs spare pool width (one candidate per two threads);
-    // pinned, so the test does not depend on the host's CPU count.
-    autoblox::parallel::set_max_threads(4);
-    let db = Arc::new(Store::in_memory());
-    let v = validator(300);
-    v.attach_store(Arc::clone(&db));
-    let k4 = opts(4, vec![WorkloadKind::WebSearch]);
-    Tuner::new(Constraints::paper_default(), &v, k4.clone()).tune(
-        WorkloadKind::Database,
-        &presets::intel_750(),
-        &[],
-        None,
-    );
-    let stats = v.stats();
-    assert!(
-        stats.speculative_wasted > 0,
-        "some look-ahead was never demanded"
-    );
-    assert_eq!(
-        db.keys_with_prefix("memo:").len() as u64,
-        stats.simulator_runs
-    );
-
-    let replay = validator(300);
-    replay.attach_store(Arc::clone(&db));
-    Tuner::new(Constraints::paper_default(), &replay, k4).tune(
-        WorkloadKind::Database,
-        &presets::intel_750(),
-        &[],
-        None,
-    );
-    assert_eq!(replay.simulator_runs(), 0);
-    assert_eq!(replay.stats().speculative_runs, 0);
-    assert_eq!(replay.memo_hits(), stats.simulator_runs);
 }
 
 /// A store holding `run:` records (as the retired run registry wrote
@@ -242,7 +190,7 @@ fn undemanded_speculation_is_not_persisted() {
 fn truncated_store_reopens_and_replays_what_was_lost() {
     let dir = scratch("torn");
     let path = dir.join("store.db");
-    let tuner_opts = opts(1, vec![WorkloadKind::WebSearch]);
+    let tuner_opts = opts(vec![WorkloadKind::WebSearch]);
     let v = validator(120);
     let fw = AutoBlox::new(
         Constraints::paper_default(),

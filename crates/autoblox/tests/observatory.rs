@@ -18,7 +18,7 @@ use autoblox::validator::{Validator, ValidatorOptions};
 use iotrace::gen::WorkloadKind;
 use ssdsim::config::{presets, SsdConfig};
 use ssdsim::Simulator;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
@@ -61,7 +61,7 @@ fn observed_tune(threads: usize) -> RunReport {
 /// attribute latency (they are plain adds, not worth gating).
 #[test]
 fn attribution_is_live_with_telemetry_off() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(false);
 
     let trace = WorkloadKind::Database.spec().generate(500, 7);
@@ -89,7 +89,7 @@ fn attribution_is_live_with_telemetry_off() {
 /// their aggregated bottleneck attributions included.
 #[test]
 fn explain_fingerprint_reproduces_across_thread_counts() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
     let serial_report = observed_tune(1);
     let threaded_report = observed_tune(4);

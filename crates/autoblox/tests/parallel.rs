@@ -193,64 +193,3 @@ fn parallel_map_evaluations_match_sequential_order() {
     let seq: Vec<_> = kinds.iter().map(|&k| v.evaluate(&cfg, k)).collect();
     assert_eq!(par, seq);
 }
-
-/// `tune --speculate 0` (the default) asks for one candidate per CPU, which
-/// the tuner caps at half the worker threads: with `AUTOBLOX_THREADS=8` on a
-/// smaller machine it used to queue eight candidates per iteration and throw
-/// most of them away. An explicit `--speculate K` is capped the same way,
-/// and the tune's output is byte-identical whatever the width.
-#[test]
-fn default_speculation_is_capped_at_the_machine() {
-    use std::process::Command;
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let dir = std::env::temp_dir().join(format!("abx-cli-speculate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    // Runs the CLI; returns its stdout and the speculative simulator runs
-    // its telemetry report counted.
-    let tune = |tag: &str, threads: &str, speculate: Option<usize>| -> (String, u64) {
-        let telemetry = dir.join(format!("{tag}.json"));
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_autoblox"));
-        cmd.env("AUTOBLOX_THREADS", threads)
-            .args(["tune", "database", "--iterations", "3", "--events", "300"])
-            .arg("--telemetry")
-            .arg(&telemetry);
-        if let Some(k) = speculate {
-            cmd.arg("--speculate").arg(k.to_string());
-        }
-        let out = cmd.output().expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{tag}: {stderr}");
-        let report = std::fs::read_to_string(&telemetry).expect("telemetry written");
-        let report = autoblox::telemetry::RunReport::parse_checked(&report).expect("parses");
-        (
-            String::from_utf8(out.stdout).expect("utf-8 stdout"),
-            report.validator.speculative_runs,
-        )
-    };
-    let sequential = tune("sequential", "1", Some(1));
-    let auto = tune("auto", "8", None);
-    let capped = tune("capped", "8", Some(cpus.min(8)));
-    let wide = tune("wide", "8", Some(8));
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    assert_eq!(
-        sequential.1, 0,
-        "one candidate per iteration is no lookahead"
-    );
-    assert_eq!(auto.0, sequential.0, "auto width changed the tune output");
-    assert_eq!(
-        wide.0, sequential.0,
-        "explicit width changed the tune output"
-    );
-    assert_eq!(
-        auto.1, capped.1,
-        "auto must speculate exactly as --speculate <cpus> does"
-    );
-    assert!(
-        auto.1 <= wide.1,
-        "auto ({}) must not speculate beyond an explicit --speculate 8 ({})",
-        auto.1,
-        wide.1
-    );
-}

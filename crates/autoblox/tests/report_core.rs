@@ -601,6 +601,10 @@ fn retired_commands_exit_2_with_the_usage_text() {
             vec!["whatif", "database", "--record"],
             "error: unknown whatif flag \"--record\"",
         ),
+        (
+            vec!["tune", "database", "--speculate", "2"],
+            "error: unknown tune flag \"--speculate\"",
+        ),
     ] {
         let stderr = usage_error(&args);
         assert!(stderr.starts_with(message), "{args:?}: {stderr}");

@@ -17,7 +17,7 @@ use iotrace::gen::WorkloadKind;
 use iotrace::{Trace, TraceEvent};
 use ssdsim::config::{presets, SsdConfig};
 use ssdsim::{SimReport, Simulator};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 // The standalone `telemetry` crate (span tracing) vs the `autoblox::telemetry`
 // module imported as `telemetry` above — disambiguate with a crate path.
 use ::telemetry::span;
@@ -68,7 +68,7 @@ fn hammer(workers: usize) -> ValidatorStats {
 /// same total, at 1 worker and at 8.
 #[test]
 fn cache_counters_exact_under_hammering() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(true);
     let single = hammer(1);
     let hammered = hammer(8);
@@ -107,7 +107,7 @@ fn cache_counters_exact_under_hammering() {
 /// nothing into a sink, and trigger no extra simulator work.
 #[test]
 fn disabled_sink_is_free() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(false);
 
     let v = quick_validator(200);
@@ -165,7 +165,7 @@ fn validate_at(
 /// simulators produce.
 #[test]
 fn warm_once_reports_match_independent_simulators() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(true);
     for cfg in [presets::intel_750(), presets::hybrid_slc_qlc()] {
         for kind in WorkloadKind::STUDIED.into_iter().chain([WorkloadKind::Fiu]) {
@@ -208,7 +208,7 @@ fn warm_once_reports_match_independent_simulators() {
 /// — must survive serde round-tripping bit-exactly.
 #[test]
 fn populated_report_round_trips_through_json() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(true);
     parallel::reset_pool_stats();
 
@@ -284,7 +284,7 @@ fn traced_span_tree(threads: usize) -> Vec<(u64, u64, &'static str, u64)> {
 /// ids, parents, names, and discriminators all match.
 #[test]
 fn span_tree_identical_across_thread_counts() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(false);
 
     let serial = traced_span_tree(1);
@@ -319,7 +319,7 @@ fn span_tree_identical_across_thread_counts() {
 /// Chrome exporter accepts.
 #[test]
 fn journal_streams_run_and_exports_chrome_trace() {
-    let _guard = SWITCH_LOCK.lock().unwrap();
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(true);
     autoblox::telemetry::global().clear();
 
