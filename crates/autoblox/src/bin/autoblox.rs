@@ -8,8 +8,7 @@
 //! renders the pipeline phases, the device's bottleneck shares and the
 //! surrogate's calibration record (±1σ/±2σ coverage, RMSE, NLPD),
 //! per-parameter importance ranking and per-iteration explore-vs-exploit
-//! decision provenance; `report diff` compares two reports over the same
-//! summary.
+//! decision provenance. It is the one reader of a run report.
 //!
 //! A `tune`/`whatif` invocation with `--db` keeps every measurement it
 //! paid for in that store — running the same command again replays the
@@ -27,15 +26,12 @@
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (missing
 //! operands, unknown flags, bad flag values), a malformed input file
 //! (unreadable/unparseable trace, telemetry report, config, run journal,
-//! or AutoDB store) or constraints no search can start from, `3` a
-//! `report diff` regression.
+//! or AutoDB store) or constraints no search can start from.
 
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
 use autoblox::journal::Journal;
 use autoblox::params::ParamSpace;
-use autoblox::report::{render_rows, Thresholds};
-use autoblox::report_diff::diff_reports;
 use autoblox::telemetry::RunReport;
 use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
@@ -45,7 +41,6 @@ use iotrace::parse::{parse_blkparse, parse_csv, parse_msr, write_csv};
 use iotrace::stats::TraceProfile;
 use iotrace::window::WindowOptions;
 use iotrace::Trace;
-use serde::Serialize;
 use ssdsim::config::{presets, DeviceFamily, FlashTechnology, Interface, SsdConfig};
 use ssdsim::Simulator;
 use std::fs::File;
@@ -109,7 +104,6 @@ fn usage_text() -> String {
          \x20          [--events N] [--capacity ...] (constraint flags as for tune)\n\
          \x20          [--telemetry out.json] [--journal out.jsonl]\n\
          \x20          [--db store.db]\n\
-         \x20 telemetry-check <report.json>                   validate a telemetry report\n\
          \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
          \x20                                                 bottleneck shares, surrogate\n\
          \x20                                                 calibration, parameter importance,\n\
@@ -117,8 +111,6 @@ fn usage_text() -> String {
          \x20 trace    export --chrome|--csv <journal.jsonl> <out-file>\n\
          \x20                                                 convert a run journal to Perfetto\n\
          \x20                                                 or a model-calibration CSV\n\
-         \x20 report   diff <baseline.json> <candidate.json>  regression-diff two telemetry\n\
-         \x20          [--ignore-time] [--ignore <metric>]... reports (exit 3 on regression)\n\
          \n\
          exit codes:\n\
          \x20 0  success\n\
@@ -127,7 +119,6 @@ fn usage_text() -> String {
          \x20    a malformed/unreadable input file (a store whose last line\n\
          \x20    was torn by a crash is repaired) or constraints no search\n\
          \x20    can start from\n\
-         \x20 3  `report diff` found a regression\n\
          \n\
          workloads: {}",
         WorkloadKind::STUDIED
@@ -301,19 +292,19 @@ where
     Ok(None)
 }
 
-/// What a command was given: positional operands and `(flag, value)` pairs
-/// in command-line order (a switch's value is empty).
+/// What a command was given: positional operands and the flags named, in
+/// command-line order (a valued flag's value is read by [`parse_flag`]).
 struct ReaderArgs<'a> {
     positional: Vec<&'a str>,
-    flags: Vec<(&'a str, &'a str)>,
+    flags: Vec<&'a str>,
 }
 
 impl<'a> ReaderArgs<'a> {
     /// The one flag parser of every command that takes flags. `switches`
     /// take no value, `valued` flags take exactly one and may repeat; any
     /// other `--flag` or a missing value is a usage error, so a mistyped
-    /// threshold can never silently run a gate at its default, nor a stale
-    /// flag silently start a different run.
+    /// flag can never be silently ignored, nor a stale flag silently start
+    /// a different run.
     fn parse(
         command: &str,
         args: &'a [String],
@@ -327,12 +318,11 @@ impl<'a> ReaderArgs<'a> {
         let mut it = args.iter().map(String::as_str);
         while let Some(arg) = it.next() {
             if switches.contains(&arg) {
-                parsed.flags.push((arg, ""));
+                parsed.flags.push(arg);
             } else if valued.contains(&arg) {
-                let value = it
-                    .next()
+                it.next()
                     .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?;
-                parsed.flags.push((arg, value));
+                parsed.flags.push(arg);
             } else if arg.starts_with("--") {
                 return Err(CliError::Usage(format!("unknown {command} flag {arg:?}")));
             } else {
@@ -343,17 +333,8 @@ impl<'a> ReaderArgs<'a> {
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(f, _)| *f == flag)
+        self.flags.contains(&flag)
     }
-}
-
-/// Prints `value` to stdout as pretty JSON.
-fn print_json<T: Serialize>(value: &T) -> Result<(), CliError> {
-    println!(
-        "{}",
-        serde_json::to_string_pretty(value).map_err(|e| e.to_string())?
-    );
-    Ok(())
 }
 
 /// Shared observability sink configuration for the `tune` and `whatif`
@@ -428,63 +409,25 @@ impl SinkConfig {
     }
 }
 
-fn cmd_telemetry_check(args: &[String]) -> Result<(), CliError> {
-    let [path] = args else {
-        return Err("telemetry-check needs <report.json>".into());
-    };
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-    let checked = autoblox::telemetry::RunReport::parse_checked_verbose(&json)
-        .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-    for w in &checked.warnings {
-        eprintln!("warning: {path}: {w}");
-    }
-    let report = checked.report;
-    let p = report.latency_percentiles;
-    eprintln!(
-        "{path}: valid {} report ({} phase(s), {} tuner run(s), {} simulator run(s); \
-         latency p50 {} ns, p95 {} ns, p99 {} ns)",
-        report.schema,
-        report.phases.len(),
-        report.tuner.len(),
-        report.validator.simulator_runs,
-        p.p50_ns,
-        p.p95_ns,
-        p.p99_ns,
-    );
-    // Machine-readable verdict (with the accepted schema version echoed)
-    // to stdout so CI can assert on it without scraping stderr.
-    let verdict = serde_json::json!({
-        "path": path.clone(),
-        "schema": report.schema.clone(),
-        "valid": true,
-        "warnings": checked.warnings,
-        "phases": report.phases.len() as u64,
-        "tuner_runs": report.tuner.len() as u64,
-        "simulator_runs": report.validator.simulator_runs,
-    });
-    print_json(&verdict)
-}
-
-/// Reads and validates a telemetry report; any failure is an input error.
-fn load_report(path: &str) -> Result<RunReport, CliError> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-    RunReport::parse_checked(&json).map_err(|e| CliError::Input(format!("{path}: {e}")))
-}
-
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let parsed = ReaderArgs::parse("explain", args, &["--json"], &[])?;
     let [path] = parsed.positional.as_slice() else {
         return Err("explain needs <telemetry.json> [--json]".into());
     };
-    let doc = autoblox::explain::explain(&load_report(path)?);
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
+    let report =
+        RunReport::parse_checked(&json).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+    let doc = autoblox::explain::explain(&report);
     if parsed.has("--json") {
-        print_json(&doc)
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
+        );
     } else {
         print!("{}", autoblox::explain::render(&doc));
-        Ok(())
     }
+    Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
@@ -528,55 +471,6 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// Exit code returned by `report diff` on regression (distinct from `1` =
-/// runtime failure and `2` = usage/parse error so CI can tell them apart).
-const EXIT_REGRESSION: u8 = 3;
-
-fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
-    let [sub, rest @ ..] = args else {
-        return Err("report needs: diff <baseline.json> <candidate.json> [flags]".into());
-    };
-    match sub.as_str() {
-        "diff" => cmd_report_diff(rest),
-        other => Err(CliError::Usage(format!(
-            "unknown report subcommand {other:?} (expected `diff`)"
-        ))),
-    }
-}
-
-fn cmd_report_diff(rest: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = ReaderArgs::parse("report diff", rest, &["--ignore-time"], &["--ignore"])?;
-    let [baseline_path, candidate_path] = parsed.positional.as_slice() else {
-        return Err("report diff needs <baseline.json> <candidate.json>".into());
-    };
-    let thresholds = Thresholds {
-        ignore_time: parsed.has("--ignore-time"),
-        ..Thresholds::default()
-    };
-    let ignore: Vec<String> = parsed
-        .flags
-        .iter()
-        .filter(|(flag, _)| *flag == "--ignore")
-        .map(|(_, metric)| metric.to_string())
-        .collect();
-    let baseline = load_report(baseline_path)?;
-    let candidate = load_report(candidate_path)?;
-    let diff = diff_reports(&baseline, &candidate, &thresholds, &ignore);
-    // Machine-readable verdict to stdout; the human summary to stderr.
-    print_json(&diff)?;
-    eprint!("{}", render_rows(&diff.metrics));
-    for note in &diff.notes {
-        eprintln!("{note}");
-    }
-    if diff.pass {
-        eprintln!("verdict: PASS");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("verdict: REGRESSION ({})", diff.regressions.join(", "));
-        Ok(ExitCode::from(EXIT_REGRESSION))
-    }
 }
 
 /// Flags every writer command (`tune`/`whatif`) takes: the device
@@ -817,18 +711,14 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match command.as_str() {
-        // `report diff` distinguishes "regression found" (exit 3) from
-        // plain success/failure, so it returns an ExitCode directly.
-        "report" => return cmd_report(rest).unwrap_or_else(fail),
         "generate" => cmd_generate(rest),
         "profile" => cmd_profile(rest),
         "classify" => cmd_classify(rest),
         "simulate" => cmd_simulate(rest),
         "tune" => cmd_tune(rest),
         "whatif" => cmd_whatif(rest),
-        "telemetry-check" => cmd_telemetry_check(rest),
-        // Two reports are compared by `report diff`; the retired `explain
-        // diff` form gets the usage text like any unknown command.
+        // The retired `explain diff` form gets the usage text like any
+        // unknown command.
         "explain" if rest.first().map(String::as_str) != Some("diff") => cmd_explain(rest),
         "trace" => cmd_trace(rest),
         _ => return usage(),
@@ -872,7 +762,7 @@ mod tests {
             .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
             .collect();
         assert!(
-            dispatched.len() >= 10,
+            dispatched.len() >= 8,
             "parsed the match arms: {dispatched:?}"
         );
 

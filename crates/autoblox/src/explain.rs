@@ -6,8 +6,8 @@
 //! the per-resource latency attribution the device observatory collects —
 //! and can the surrogate that picked the configuration be trusted — its
 //! calibration, parameter importance and decision timeline
-//! ([`crate::model_obs`]). Two runs are compared by `report diff`, over the
-//! same [`Summary`].
+//! ([`crate::model_obs`]). It is the one reader of a run report; the
+//! headline numbers come from the report core's [`Summary`].
 //!
 //! Everything here is a pure function of the input report: no clocks, no
 //! environment, so `explain` output is bit-identical whenever its inputs
@@ -19,7 +19,7 @@ use crate::telemetry::{PhaseRecord, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// Schema identifier of the `explain --json` document.
-pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v1";
+pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v2";
 
 /// One resource's share of the attributed request time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub struct Explain {
     pub schema: String,
     /// Schema of the report explained.
     pub source_schema: String,
-    /// The run's summary — the same record `report diff` compares.
+    /// The run's summary.
     pub summary: Summary,
     /// Pipeline stages in completion order, with their wall time.
     pub phases: Vec<PhaseRecord>,
@@ -205,8 +205,6 @@ pub fn render(doc: &Explain) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Thresholds;
-    use crate::report_diff::diff_reports;
     use crate::validator::ValidatorStats;
     use ssdsim::BottleneckReport;
 
@@ -247,37 +245,21 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_a_moved_bottleneck() {
-        let a = report_with(
+    fn dominant_resource_follows_the_largest_share() {
+        let a = explain(&report_with(
             BottleneckReport::from_totals(1_000, 600, 100, 0, 0, 0, 0),
             0.4,
-        );
-        let b = report_with(
+        ));
+        let b = explain(&report_with(
             BottleneckReport::from_totals(1_000, 100, 0, 700, 0, 0, 0),
             0.6,
-        );
-        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
-        assert_eq!(
-            d.notes,
-            vec!["bottleneck moved: channel-wait -> gc-stall".to_string()]
-        );
-        let row = |name: &str| d.metrics.iter().find(|m| m.metric == name).unwrap();
-        assert!((row("best_grade").delta - 0.2).abs() < 1e-12);
-        assert!((row("bottleneck_gc_stall_frac").delta - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diff_of_identical_reports_is_stable() {
-        let a = report_with(
-            BottleneckReport::from_totals(1_000, 200, 100, 50, 25, 100, 25),
-            0.4,
-        );
-        let d = diff_reports(&a, &a.clone(), &Thresholds::default(), &[]);
-        assert!(d.notes.is_empty(), "{:?}", d.notes);
-        for row in &d.metrics {
-            assert_eq!(row.delta, 0.0, "{}", row.metric);
-        }
-        assert!(d.pass);
+        ));
+        assert_eq!(a.dominant, "channel-wait");
+        assert_eq!(b.dominant, "gc-stall");
+        assert_eq!(b.shares[0].resource, "gc-stall");
+        assert!((b.shares[0].frac - 0.7).abs() < 1e-12);
+        assert_eq!(a.summary.best_grade, Some(0.4));
+        assert_eq!(b.summary.best_grade, Some(0.6));
     }
 
     #[test]

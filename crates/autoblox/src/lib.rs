@@ -58,7 +58,6 @@ pub mod model_obs;
 pub mod params;
 pub mod pruning;
 pub mod report;
-pub mod report_diff;
 pub mod telemetry;
 pub mod tuner;
 pub mod validator;
@@ -69,6 +68,6 @@ pub use framework::{AutoBlox, AutoBloxOptions, Recommendation};
 pub use metrics::{grade, performance, Measurement};
 pub use mlkit::parallel;
 pub use params::ParamSpace;
-pub use report::{Summary, Thresholds};
+pub use report::Summary;
 pub use tuner::{SurrogateKind, Tuner, TunerOptions, TuningOutcome, TuningTarget};
 pub use validator::{Validator, ValidatorOptions};

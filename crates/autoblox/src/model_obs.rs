@@ -292,8 +292,6 @@ pub fn inspect(report: &RunReport) -> ModelReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Thresholds;
-    use crate::report_diff::diff_reports;
     use crate::telemetry::TunerRunTelemetry;
 
     fn record(iteration: u64, mean: f64, std: f64, realized: f64) -> IterationRecord {
@@ -407,38 +405,33 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_calibration_movement() {
+    fn calibration_comes_from_the_iteration_records() {
         let a = report_with(vec![record(1, 0.0, 1.0, 0.5), record(2, 0.0, 1.0, 0.5)]);
         let b = report_with(vec![record(1, 0.0, 1.0, 3.0), record(2, 0.0, 1.0, 3.0)]);
-        let d = diff_reports(&a, &b, &Thresholds::default(), &[]);
-        let row = |name: &str| d.metrics.iter().find(|m| m.metric == name).unwrap();
-        assert!((row("calibration_coverage_1s").delta + 1.0).abs() < 1e-12);
-        assert!(row("calibration_rmse").delta > 0.0);
-        // The candidate's 0% coverage is under the absolute floor.
-        assert_eq!(d.regressions, vec!["calibration_coverage_1s".to_string()]);
-        let rendered = crate::report::render_rows(&d.metrics);
-        assert!(rendered.contains("calibration_coverage_1s"), "{rendered}");
-        assert_eq!(crate::report::render_rows(&d.metrics), rendered);
+        let (ca, cb) = (inspect(&a).calibration, inspect(&b).calibration);
+        assert_eq!((ca.points, cb.points), (2, 2));
+        // Realized grades 0.5σ off are all covered, 3σ off none.
+        assert_eq!(ca.coverage_1s, 1.0);
+        assert_eq!(cb.coverage_1s, 0.0);
+        assert!((ca.rmse - 0.5).abs() < 1e-12, "{}", ca.rmse);
+        assert!((cb.rmse - 3.0).abs() < 1e-12, "{}", cb.rmse);
     }
 
     #[test]
-    fn diff_tracks_importance_lead() {
+    fn summary_names_the_importance_lead() {
         let mut ra = record(1, 0.1, 0.05, 0.12);
         ra.importance = vec![0.8, 0.2];
         let mut rb = record(1, 0.1, 0.05, 0.12);
         rb.importance = vec![0.2, 0.8];
-        let d = diff_reports(
-            &report_with(vec![ra]),
-            &report_with(vec![rb]),
-            &Thresholds::default(),
-            &[],
-        );
+        let a = crate::report::Summary::of(&report_with(vec![ra]));
+        let b = crate::report::Summary::of(&report_with(vec![rb]));
+        assert_eq!(a.importance_lead, "p00");
+        assert_eq!(b.importance_lead, "p01");
+        assert!((a.importance_lead_share - 0.8).abs() < 1e-12);
         assert_eq!(
-            d.notes,
-            vec!["importance lead moved: p00 -> p01".to_string()]
+            a.importance_lead_share, b.importance_lead_share,
+            "both hold 80%"
         );
-        let lead = d.metrics.iter().find(|m| m.metric == "importance_lead");
-        assert_eq!(lead.unwrap().delta, 0.0, "both leads hold 80%");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! pruning reports are recorded into, and a [`RunReport`] that serializes
 //! the whole picture — per-iteration tuner records, validator cache
 //! statistics, simulator activity, and worker-pool utilization — to JSON
-//! (the `--telemetry out.json` CLI flag).
+//! (the `--telemetry out.json` CLI flag). `autoblox explain` is its one
+//! reader, through [`RunReport::parse_checked`].
 //!
 //! Everything is gated on the process-wide switch: while telemetry is
 //! disabled (the default) a sink records nothing and instrumented call
@@ -160,13 +161,12 @@ impl RunReport {
     /// every required top-level key, match the schema identifier, and
     /// deserialize back into a [`RunReport`].
     ///
-    /// Only the current schema (`autoblox.telemetry.v3`) parses silently.
+    /// Only the current schema (`autoblox.telemetry.v3`) is read as is.
     /// Older minor versions (`.v1`, `.v2`) lack fields every reader now
     /// relies on and are rejected with a "re-record" message — no
     /// checked-in report uses them. Newer minor versions (`.v4` and up)
-    /// parse with a warning (see [`RunReport::parse_checked_verbose`] to
-    /// observe it) rather than failing, so a new producer and an old
-    /// checker can coexist.
+    /// are read best-effort, unknown fields ignored, so a new producer and
+    /// an old reader can coexist.
     ///
     /// # Errors
     ///
@@ -174,16 +174,6 @@ impl RunReport {
     /// field-level mismatches the message names the exact field path (e.g.
     /// `validator.simulate_ns`).
     pub fn parse_checked(json: &str) -> Result<RunReport, String> {
-        Self::parse_checked_verbose(json).map(|c| c.report)
-    }
-
-    /// Like [`RunReport::parse_checked`], also returning any non-fatal
-    /// warnings (currently: a newer minor schema version was accepted).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RunReport::parse_checked`].
-    pub fn parse_checked_verbose(json: &str) -> Result<CheckedReport, String> {
         let value: serde_json::Value =
             serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
         let obj = match &value {
@@ -195,10 +185,8 @@ impl RunReport {
                 return Err(format!("missing required key `{key}`"));
             }
         }
-        let schema = value["schema"].as_str().unwrap_or("").to_string();
-        let mut warnings = Vec::new();
-        match schema_minor_version(&schema) {
-            Some(3) => {}
+        let schema = value["schema"].as_str().unwrap_or("");
+        match schema_minor_version(schema) {
             Some(1 | 2) => {
                 return Err(format!(
                     "schema `{schema}` is no longer read (expected `{}`); re-record the \
@@ -206,19 +194,16 @@ impl RunReport {
                     Self::SCHEMA
                 ))
             }
-            Some(v) if v > 3 => warnings.push(format!(
-                "report uses newer schema `{schema}`; parsing best-effort as `{}` \
-                 (unknown fields ignored)",
-                Self::SCHEMA
-            )),
-            _ => {
+            // The current version, or a newer one read best-effort.
+            Some(_) => {}
+            None => {
                 return Err(format!(
                     "unknown schema `{schema}` (expected `{}`)",
                     Self::SCHEMA
                 ))
             }
         }
-        let report: RunReport = serde_json::from_str(json).map_err(|e| {
+        serde_json::from_str(json).map_err(|e| {
             let e = e.to_string();
             let missing = e
                 .strip_prefix("missing field `")
@@ -227,18 +212,8 @@ impl RunReport {
                 Some(path) => format!("schema mismatch at `{path}`: {e}"),
                 None => format!("schema mismatch: {e}"),
             }
-        })?;
-        Ok(CheckedReport { report, warnings })
+        })
     }
-}
-
-/// A successfully validated report plus any non-fatal warnings.
-#[derive(Debug, Clone)]
-pub struct CheckedReport {
-    /// The parsed report.
-    pub report: RunReport,
-    /// Non-fatal validation warnings (e.g. a newer minor schema version).
-    pub warnings: Vec<String>,
 }
 
 /// Extracts `N` from `autoblox.telemetry.vN`; `None` for anything else.
@@ -268,16 +243,22 @@ fn schema_template() -> serde_json::Value {
 }
 
 /// Walks `candidate` against the template and names the first field that
-/// does not fit the schema: a wrong type, or an absent member named
-/// `missing` (the field serde reported missing, without its path). `None`
-/// when the document is structurally conformant — then the deserializer's
-/// own error message is the best description available.
+/// does not fit the schema: a wrong type, a number an integer member cannot
+/// hold, or an absent member named `missing` (the field serde reported
+/// missing, without its path). `None` when the document is structurally
+/// conformant — then the deserializer's own error message is the best
+/// description available.
+///
+/// Every integer member of a [`RunReport`] is a `u64`, so an integer in the
+/// template stands for an unsigned one.
 fn locate_schema_mismatch(candidate: &serde_json::Value, missing: Option<&str>) -> Option<String> {
-    fn kind(v: &serde_json::Value) -> &'static str {
+    fn kind(v: &serde_json::Value, template: bool) -> &'static str {
         use serde_json::Value::*;
         match v {
             Null => "null",
             Bool(_) => "boolean",
+            Int(_) if template => "unsigned integer",
+            Int(i) if *i < 0 => "negative integer",
             Int(_) => "integer",
             Float(_) => "number",
             Str(_) => "string",
@@ -326,15 +307,17 @@ fn locate_schema_mismatch(candidate: &serde_json::Value, missing: Option<&str>) 
                 }
                 None
             }
-            // Numbers are interchangeable where integral; everything else
-            // must match the template's kind exactly.
-            (Int(_), Int(_)) | (Float(_), Float(_)) | (Float(_), Int(_)) => None,
-            (Int(_), Float(f)) if f.fract() == 0.0 => None,
+            // Numbers are interchangeable where an unsigned integer member
+            // can hold them (the deserializer's `i64` view, then `u64`);
+            // everything else must match the template's kind exactly.
+            (Int(_), Int(i)) if *i >= 0 => None,
+            (Int(_), Float(f)) if f.fract() == 0.0 && (0.0..9.2e18).contains(f) => None,
+            (Float(_), Float(_)) | (Float(_), Int(_)) => None,
             (Bool(_), Bool(_)) | (Str(_), Str(_)) | (Null, _) => None,
             _ => Some(format!(
                 "{path} (expected {}, got {})",
-                kind(tpl),
-                kind(got)
+                kind(tpl, true),
+                kind(got, false)
             )),
         }
     }
@@ -568,29 +551,19 @@ mod tests {
     }
 
     #[test]
-    fn newer_minor_schema_parses_with_warning() {
+    fn newer_minor_schema_parses_best_effort() {
         let report = RunReport {
             schema: "autoblox.telemetry.v4".to_string(),
             ..Default::default()
         };
-        let json = serde_json::to_string(&report).expect("serializes");
-        let checked = RunReport::parse_checked_verbose(&json)
-            .expect("a newer minor version must still parse");
-        assert_eq!(checked.report.schema, "autoblox.telemetry.v4");
-        assert_eq!(checked.warnings.len(), 1, "exactly one version warning");
-        assert!(
-            checked.warnings[0].contains("newer schema"),
-            "{}",
-            checked.warnings[0]
-        );
-        // The strict entry point stays warning-free on the current version.
-        let current = serde_json::to_string(&RunReport {
-            schema: RunReport::SCHEMA.to_string(),
-            ..Default::default()
-        })
-        .expect("serializes");
-        let checked = RunReport::parse_checked_verbose(&current).expect("parses");
-        assert!(checked.warnings.is_empty());
+        let mut value = serde_json::to_value(&report).expect("to value");
+        if let serde_json::Value::Object(map) = &mut value {
+            map.insert("added_in_v4".to_string(), serde_json::Value::Bool(true));
+        }
+        let json = serde_json::to_string(&value).expect("serializes");
+        let parsed =
+            RunReport::parse_checked(&json).expect("a newer minor version must still parse");
+        assert_eq!(parsed, report, "unknown members are ignored");
     }
 
     #[test]
@@ -634,22 +607,27 @@ mod tests {
             schema: RunReport::SCHEMA.to_string(),
             ..Default::default()
         };
-        let mut value = serde_json::to_value(&report).expect("to value");
-        // Corrupt one deeply nested field: validator.cache_hits: u64 -> str.
-        if let serde_json::Value::Object(map) = &mut value {
-            if let Some(serde_json::Value::Object(v)) = map.get_mut("validator") {
-                v.insert(
-                    "cache_hits".to_string(),
-                    serde_json::Value::Str("lots".to_string()),
-                );
+        // Corrupt one deeply nested u64: a string, a fraction, a negative
+        // integer, and an integral float past every integer type.
+        for bad in [
+            serde_json::Value::Str("lots".to_string()),
+            serde_json::Value::Float(1.5),
+            serde_json::Value::Int(-1),
+            serde_json::Value::Float(1e300),
+        ] {
+            let mut value = serde_json::to_value(&report).expect("to value");
+            if let serde_json::Value::Object(map) = &mut value {
+                if let Some(serde_json::Value::Object(v)) = map.get_mut("validator") {
+                    v.insert("cache_hits".to_string(), bad.clone());
+                }
             }
+            let err = RunReport::parse_checked(&serde_json::to_string(&value).unwrap())
+                .expect_err("a corrupted field must not parse");
+            assert!(
+                err.contains("`validator.cache_hits (expected unsigned integer"),
+                "{bad:?}: error must name the exact field path: {err}"
+            );
         }
-        let err = RunReport::parse_checked(&serde_json::to_string(&value).unwrap())
-            .expect_err("a corrupted field must not parse");
-        assert!(
-            err.contains("validator.cache_hits"),
-            "error must name the exact field path: {err}"
-        );
     }
 
     #[test]

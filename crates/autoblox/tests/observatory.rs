@@ -10,8 +10,7 @@
 use autoblox::constraints::Constraints;
 use autoblox::explain;
 use autoblox::parallel;
-use autoblox::report::Thresholds;
-use autoblox::report_diff::diff_reports;
+use autoblox::report::Summary;
 use autoblox::telemetry::{self, RunReport};
 use autoblox::tuner::{Tuner, TunerOptions};
 use autoblox::validator::{Validator, ValidatorOptions};
@@ -118,19 +117,13 @@ fn explain_fingerprint_reproduces_across_thread_counts() {
         "fingerprint must not depend on thread count"
     );
 
-    // Rendering is deterministic and a self-diff is clean.
+    // Rendering is deterministic and the two runs summarise identically.
     assert_eq!(explain::render(&fp), explain::render(&fp_threaded));
-    let diff = diff_reports(
-        &serial_report,
-        &threaded_report,
-        &Thresholds::default(),
-        &[],
+    assert_eq!(
+        Summary::of(&serial_report),
+        Summary::of(&threaded_report),
+        "identical runs: same summary, bottleneck included"
     );
-    assert!(
-        diff.notes.is_empty(),
-        "identical runs: bottleneck stays put"
-    );
-    assert!(diff.metrics.iter().all(|d| d.delta.abs() < 1e-12));
 }
 
 /// A report with every host-varying field (thread limit, wall-clock and

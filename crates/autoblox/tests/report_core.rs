@@ -1,20 +1,20 @@
-//! The report core answers what its four predecessors answered.
+//! The report core answers what its predecessors answered.
 //!
 //! `tests/fixtures/report_core_parent.json` holds what the commit before
-//! the merge printed — `report diff`, `explain`, `explain diff`, `inspect`
-//! and `inspect diff` over the pairs of the two goldens under
+//! the merge printed — `explain` and `inspect` over the two goldens under
 //! `scripts/golden/`. Every number that survives the merge must be equal:
-//! all diff rows and verdicts, share fractions, the dominant resource,
-//! calibration, the importance ranking, and the 0/3 exit codes.
+//! share fractions, the dominant resource, calibration, the importance
+//! ranking and the decision timeline.
 //!
 //! The same file holds the CLI contract of the reader commands and of the
 //! writers' inputs: malformed input of every kind is a one-line exit-2
 //! error, retired commands and mistyped flags are usage errors.
 
 use autoblox::explain::explain;
-use autoblox::journal::{IterationLine, JournalLine, MetaLine, SummaryLine, JOURNAL_SCHEMA};
-use autoblox::report::{Row, Summary, Thresholds};
-use autoblox::report_diff::diff_reports;
+use autoblox::journal::{
+    IterationLine, JournalLine, MetaLine, ModelLine, SummaryLine, JOURNAL_SCHEMA,
+};
+use autoblox::report::Summary;
 use autoblox::telemetry::{PhaseRecord, RunReport};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -75,31 +75,6 @@ fn assert_same(ours: &Value, parent: &Value, path: &str) {
     }
 }
 
-/// A row of ours against the parent's `report diff` row.
-fn assert_row(ours: &Row, parent: &Value, path: &str) {
-    assert_eq!(ours.baseline, num(parent, "baseline"), "{path} baseline");
-    assert_eq!(ours.candidate, num(parent, "candidate"), "{path} candidate");
-    assert_eq!(ours.delta, num(parent, "delta"), "{path} delta");
-    assert_eq!(ours.relative, num(parent, "relative"), "{path} relative");
-    assert_eq!(ours.threshold, num(parent, "threshold"), "{path} threshold");
-    assert_eq!(
-        Some(ours.checked),
-        parent["checked"].as_bool(),
-        "{path} checked"
-    );
-    assert_eq!(
-        Some(ours.regressed),
-        parent["regressed"].as_bool(),
-        "{path} verdict"
-    );
-}
-
-fn row<'a>(rows: &'a [Row], metric: &str) -> &'a Row {
-    rows.iter()
-        .find(|r| r.metric == metric)
-        .unwrap_or_else(|| panic!("no `{metric}` row"))
-}
-
 #[test]
 fn single_report_views_reproduce_the_parent() {
     let fx = fixture();
@@ -147,133 +122,6 @@ fn single_report_views_reproduce_the_parent() {
     }
 }
 
-#[test]
-fn pairwise_comparisons_reproduce_the_parent() {
-    let fx = fixture();
-    let Value::Object(pairs) = &fx["pairs"] else {
-        panic!("pairs object expected")
-    };
-    assert_eq!(pairs.len(), 2, "every ordered pair of the two goldens");
-    let thresholds = Thresholds {
-        ignore_time: true,
-        ..Thresholds::default()
-    };
-    for (pair, parent) in pairs {
-        let (a, b) = pair.split_once('|').expect("pair key");
-        let (base, cand) = (golden(a), golden(b));
-        let diff = diff_reports(&base, &cand, &thresholds, &[]);
-
-        // `report diff`: every parent row, in the parent's order, then the
-        // verdict and the exit code.
-        let Value::Array(parent_rows) = &parent["diff"]["metrics"] else {
-            panic!("metrics array expected")
-        };
-        let parent_names: Vec<&str> = parent_rows
-            .iter()
-            .map(|r| r["metric"].as_str().unwrap())
-            .collect();
-        let ours: Vec<&Row> = diff
-            .metrics
-            .iter()
-            .filter(|r| parent_names.contains(&r.metric.as_str()))
-            .collect();
-        assert_eq!(
-            ours.iter().map(|r| r.metric.as_str()).collect::<Vec<_>>(),
-            parent_names,
-            "{pair}: row names and order"
-        );
-        for (r, p) in ours.iter().zip(parent_rows) {
-            assert_row(r, p, &format!("{pair}/{}", r.metric));
-        }
-        assert_same(
-            &serde_json::to_value(&diff.regressions).unwrap(),
-            &parent["diff"]["regressions"],
-            &format!("{pair} regressions"),
-        );
-        assert_eq!(Some(diff.pass), parent["diff"]["pass"].as_bool(), "{pair}");
-        let out = autoblox(&[
-            "report",
-            "diff",
-            golden_path(a).to_str().unwrap(),
-            golden_path(b).to_str().unwrap(),
-            "--ignore-time",
-        ]);
-        assert_eq!(
-            out.status.code().map(f64::from),
-            parent["diff_exit"].as_f64(),
-            "{pair} exit code"
-        );
-
-        // `explain diff`: the share movements are the share rows, the grade
-        // delta the grade row, the moved-bottleneck verdict a note.
-        let (sb, sc) = (Summary::of(&base), Summary::of(&cand));
-        let ed = &parent["explain_diff"];
-        let Value::Array(deltas) = &ed["deltas"] else {
-            panic!("deltas array expected")
-        };
-        for d in deltas {
-            let resource = d["resource"].as_str().unwrap();
-            if resource == "other" {
-                continue;
-            }
-            let name = format!("bottleneck_{}_frac", resource.replace('-', "_"));
-            let r = row(&diff.metrics, &name);
-            assert_eq!(r.baseline, num(d, "baseline_frac"), "{pair}/{name}");
-            assert_eq!(r.candidate, num(d, "candidate_frac"), "{pair}/{name}");
-            assert_eq!(r.delta, num(d, "delta"), "{pair}/{name}");
-        }
-        if let (Some(gb), Some(gc)) = (sb.best_grade, sc.best_grade) {
-            assert_eq!(gc - gb, num(ed, "grade_delta"), "{pair} grade delta");
-            assert_eq!(row(&diff.metrics, "best_grade").delta, gc - gb);
-        }
-        let moved = format!(
-            "bottleneck moved: {} -> {}",
-            ed["moved_from"].as_str().unwrap(),
-            ed["moved_to"].as_str().unwrap()
-        );
-        assert_eq!(
-            Some(diff.notes.contains(&moved)),
-            ed["bottleneck_moved"].as_bool(),
-            "{pair}: {:?}",
-            diff.notes
-        );
-
-        // `inspect diff`: calibration and explore-share movement are rows
-        // (where both runs calibrated at all), the importance lead a note.
-        let md = &parent["inspect_diff"];
-        if sb.calibration.points > 0 && sc.calibration.points > 0 {
-            for (name, key) in [
-                ("calibration_coverage_1s", "coverage_1s_delta"),
-                ("calibration_coverage_2s", "coverage_2s_delta"),
-                ("calibration_rmse", "rmse_delta"),
-                ("calibration_nlpd", "nlpd_delta"),
-            ] {
-                assert_eq!(
-                    row(&diff.metrics, name).delta,
-                    num(md, key),
-                    "{pair}/{name}"
-                );
-            }
-        }
-        assert_eq!(
-            row(&diff.metrics, "explore_share").delta,
-            num(md, "explore_share_delta"),
-            "{pair}/explore_share"
-        );
-        let moved = format!(
-            "importance lead moved: {} -> {}",
-            md["moved_from"].as_str().unwrap(),
-            md["moved_to"].as_str().unwrap()
-        );
-        assert_eq!(
-            Some(diff.notes.contains(&moved)),
-            md["top_param_moved"].as_bool(),
-            "{pair}: {:?}",
-            diff.notes
-        );
-    }
-}
-
 // --- CLI contract of the reader commands ---------------------------------
 
 /// What a reader command is handed.
@@ -283,7 +131,8 @@ enum Kind {
     Journal,
 }
 
-/// A small complete journal: meta, a phase, an iteration and the summary.
+/// A small complete journal: meta, a phase, an iteration with its model
+/// line (what `trace export --csv` reads) and the summary.
 fn journal() -> String {
     let lines = [
         JournalLine::Meta(MetaLine {
@@ -302,6 +151,15 @@ fn journal() -> String {
             validations: 2,
             ..Default::default()
         }),
+        JournalLine::Model(ModelLine {
+            workload: "Database".to_string(),
+            iteration: 1,
+            predicted_mean: 0.4,
+            predicted_std: 0.1,
+            calibrated: true,
+            realized_grade: 0.5,
+            ..Default::default()
+        }),
         JournalLine::Summary(SummaryLine {
             events_written: 2,
             ..Default::default()
@@ -310,13 +168,14 @@ fn journal() -> String {
     lines.iter().map(|l| l.to_line() + "\n").collect()
 }
 
-/// 16 truncation points spread over `bytes`, none on a line boundary (a
-/// line-structured file cut between records is a shorter valid file).
+/// 16 truncation points spread over `bytes`, none on either side of a
+/// newline (a line-structured file cut between records, or only its last
+/// newline lost, is a shorter valid file).
 fn truncations(bytes: &[u8]) -> Vec<Vec<u8>> {
     (1..=16)
         .map(|i| {
             let mut at = bytes.len() * i / 17;
-            while at == 0 || bytes[at - 1] == b'\n' || bytes[at..].iter().all(|b| *b == b'\n') {
+            while at == 0 || bytes[at - 1] == b'\n' || bytes[at] == b'\n' {
                 at += 1;
             }
             bytes[..at].to_vec()
@@ -350,9 +209,7 @@ fn set(doc: &mut Value, path: &[&str], value: Value) {
 fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let dir = std::env::temp_dir().join(format!("abx-readers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let good_report = golden_path("telemetry-database");
-    let good_report = good_report.to_str().unwrap();
-    let report_json = std::fs::read_to_string(good_report).unwrap();
+    let report_json = std::fs::read_to_string(golden_path("telemetry-database")).unwrap();
     let mutated_report = |path: &[&str], value: Value| {
         let mut doc: Value = serde_json::from_str(&report_json).unwrap();
         set(&mut doc, path, value);
@@ -389,17 +246,16 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let out_file = dir.join("out");
     let out_file = out_file.to_str().unwrap();
     // (command line, what it reads, tolerates torn lines / mistyped fields)
-    let readers: [(Vec<&str>, Kind, bool, bool); 4] = [
+    let readers: [(Vec<&str>, Kind, bool, bool); 3] = [
         (vec!["explain", input], Kind::Report, false, false),
         (
-            vec!["report", "diff", good_report, input, "--ignore-time"],
-            Kind::Report,
+            vec!["trace", "export", "--chrome", input, out_file],
+            Kind::Journal,
             false,
             false,
         ),
-        (vec!["telemetry-check", input], Kind::Report, false, false),
         (
-            vec!["trace", "export", "--chrome", input, out_file],
+            vec!["trace", "export", "--csv", input, out_file],
             Kind::Journal,
             false,
             false,
@@ -445,8 +301,9 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     }
 
-    // The store: two `run:` records as the run registry wrote them, then
-    // what one tune paid for.
+    // The store: two `run:` records as the retired run registry wrote them
+    // (a run summary tagged `autoblox.runs.v1`), then what one tune paid
+    // for.
     let tune = [
         "tune",
         "database",
@@ -457,7 +314,8 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
         "--db",
         input,
     ];
-    let summary = serde_json::to_value(Summary::of(&golden("telemetry-database"))).unwrap();
+    let mut summary = serde_json::to_value(Summary::of(&golden("telemetry-database"))).unwrap();
+    set(&mut summary, &["schema"], str_value("autoblox.runs.v1"));
     let run_keys = ["run:Database:000001", "run:Database:000002"];
     let db = autodb::Store::open(input).expect("store opens");
     for key in run_keys {
@@ -530,42 +388,8 @@ fn usage_error(args: &[&str]) -> String {
     let out = autoblox(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} printed a verdict");
+    assert!(out.stdout.is_empty(), "{args:?} ran");
     stderr
-}
-
-#[test]
-fn report_diff_ignore_without_a_value_is_a_usage_error() {
-    let g = golden_path("telemetry-database");
-    let g = g.to_str().unwrap();
-    let stderr = usage_error(&["report", "diff", g, g, "--ignore"]);
-    assert!(
-        stderr.starts_with("error: --ignore needs a value\n"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn report_diff_rejects_an_unknown_flag() {
-    let g = golden_path("telemetry-database");
-    let g = g.to_str().unwrap();
-    // A mistyped threshold must not run the gate at the default, nor a
-    // retired threshold flag (the gate runs at `Thresholds::default()`).
-    for flag in [
-        "--max-grade-dorp",
-        "--max-grade-drop",
-        "--max-validation-increase",
-        "--max-hit-rate-drop",
-        "--max-sim-time-increase",
-        "--max-tail-shift",
-        "--max-bottleneck-shift",
-    ] {
-        let stderr = usage_error(&["report", "diff", g, g, flag, "0.5"]);
-        assert!(
-            stderr.starts_with(&format!("error: unknown report diff flag {flag:?}\n")),
-            "{stderr}"
-        );
-    }
 }
 
 #[test]
@@ -579,20 +403,30 @@ fn retired_commands_exit_2_with_the_usage_text() {
         vec!["watch", g],
         vec!["runs", "list"],
         vec!["runs", "show", "run:Database:000001"],
+        vec!["report", "diff", g, g],
+        vec!["report", "diff", g, g, "--ignore-time"],
+        vec!["report", "trend"],
+        vec!["telemetry-check", g],
     ] {
         let stderr = usage_error(&args);
         assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
         assert!(stderr.contains("explain  <telemetry.json>"), "{stderr}");
-        for retired in ["inspect  ", "watch", "runs", "trend", "--record"] {
+        for retired in [
+            "inspect  ",
+            "watch",
+            "runs",
+            "report",
+            "diff",
+            "trend",
+            "telemetry-check",
+            "--ignore",
+            "--record",
+        ] {
             assert!(!stderr.contains(retired), "{retired}: {stderr}");
         }
     }
-    // A retired subcommand or flag of a live command is a usage error.
+    // A retired flag of a live command is a usage error.
     for (args, message) in [
-        (
-            vec!["report", "trend"],
-            "error: unknown report subcommand \"trend\"",
-        ),
         (
             vec!["tune", "database", "--record"],
             "error: unknown tune flag \"--record\"",
