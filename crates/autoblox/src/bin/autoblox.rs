@@ -6,9 +6,9 @@
 //!
 //! `explain` is the single-report view: from one `--telemetry` report it
 //! renders the pipeline phases, the device's bottleneck shares and the
-//! surrogate's calibration record (±1σ/±2σ coverage, RMSE, NLPD),
-//! per-parameter importance ranking and per-iteration explore-vs-exploit
-//! decision provenance. It is the one reader of a run report.
+//! surrogate's calibration record (±1σ/±2σ coverage, RMSE, NLPD) and
+//! per-iteration explore-vs-exploit decision provenance. It is the one
+//! reader of a run report.
 //!
 //! A `tune`/`whatif` invocation with `--db` keeps every measurement it
 //! paid for in that store — running the same command again replays the
@@ -106,11 +106,9 @@ fn usage_text() -> String {
          \x20          [--db store.db]\n\
          \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
          \x20                                                 bottleneck shares, surrogate\n\
-         \x20                                                 calibration, parameter importance,\n\
-         \x20                                                 decision provenance\n\
-         \x20 trace    export --chrome|--csv <journal.jsonl> <out-file>\n\
+         \x20                                                 calibration, decision provenance\n\
+         \x20 trace    export --chrome <journal.jsonl> <out-file>\n\
          \x20                                                 convert a run journal to Perfetto\n\
-         \x20                                                 or a model-calibration CSV\n\
          \n\
          exit codes:\n\
          \x20 0  success\n\
@@ -432,7 +430,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let [sub, rest @ ..] = args else {
-        return Err("trace needs: export --chrome|--csv <journal.jsonl> <out-file>".into());
+        return Err("trace needs: export --chrome <journal.jsonl> <out-file>".into());
     };
     if sub != "export" {
         return Err(CliError::Usage(format!(
@@ -440,36 +438,21 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         )));
     }
     let [flag, journal_path, out_path] = rest else {
-        return Err("trace export needs: --chrome|--csv <journal.jsonl> <out-file>".into());
+        return Err("trace export needs: --chrome <journal.jsonl> <out-file>".into());
     };
+    if flag != "--chrome" {
+        return Err(CliError::Usage(format!(
+            "unknown trace export format {flag:?} (expected `--chrome`)"
+        )));
+    }
     let journal = std::fs::read_to_string(journal_path)
         .map_err(|e| CliError::Input(format!("cannot read {journal_path}: {e}")))?;
-    match flag.as_str() {
-        "--chrome" => {
-            let chrome = autoblox::journal::export_chrome(&journal).map_err(CliError::Input)?;
-            std::fs::write(out_path, &chrome)
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            eprintln!(
-                "wrote {out_path} ({} bytes); open it in https://ui.perfetto.dev or \
-                 chrome://tracing",
-                chrome.len()
-            );
-        }
-        "--csv" => {
-            let csv =
-                autoblox::journal::export_calibration_csv(&journal).map_err(CliError::Input)?;
-            std::fs::write(out_path, &csv).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            eprintln!(
-                "wrote {out_path} ({} calibration row(s))",
-                csv.lines().count().saturating_sub(1)
-            );
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown trace export format {other:?} (expected `--chrome` or `--csv`)"
-            )))
-        }
-    }
+    let chrome = autoblox::journal::export_chrome(&journal).map_err(CliError::Input)?;
+    std::fs::write(out_path, &chrome).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    eprintln!(
+        "wrote {out_path} ({} bytes); open it in https://ui.perfetto.dev or chrome://tracing",
+        chrome.len()
+    );
     Ok(())
 }
 

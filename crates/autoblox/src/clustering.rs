@@ -78,55 +78,6 @@ impl WorkloadClusterer {
         Self::fit_with_dims(traces, k, window, seed, PCA_DIMS)
     }
 
-    /// Fits the pipeline choosing `k` automatically within `k_range` by
-    /// maximizing the silhouette score of the projected windows — useful
-    /// when the number of workload categories is unknown (the paper sets k
-    /// to the known category count; this is the natural extension).
-    ///
-    /// Returns the fitted model and the chosen `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidArgument`] for an empty range, and
-    /// propagates fitting errors if no candidate `k` fits.
-    pub fn fit_auto_k(
-        traces: &[Trace],
-        k_range: std::ops::RangeInclusive<usize>,
-        window: WindowOptions,
-        seed: u64,
-    ) -> Result<(Self, usize)> {
-        if k_range.is_empty() {
-            return Err(MlError::InvalidArgument("empty k range".into()));
-        }
-        let mut best: Option<(Self, usize, f64)> = None;
-        let mut last_err = None;
-        for k in k_range {
-            match Self::fit(traces, k, window, seed) {
-                Ok(model) => {
-                    let labels = match model.kmeans.predict(&model.training) {
-                        Ok(l) => l,
-                        Err(e) => {
-                            last_err = Some(e);
-                            continue;
-                        }
-                    };
-                    let score = mlkit::metrics::silhouette_score(&model.training, &labels)
-                        .unwrap_or(f64::NEG_INFINITY);
-                    if best.as_ref().is_none_or(|(_, _, s)| score > *s) {
-                        best = Some((model, k, score));
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match best {
-            Some((model, k, _)) => Ok((model, k)),
-            None => Err(last_err.unwrap_or_else(|| {
-                MlError::InsufficientData("no k in range could be fitted".into())
-            })),
-        }
-    }
-
     /// Like [`WorkloadClusterer::fit`] but with an explicit PCA output
     /// dimensionality (used by the clustering-parameter ablation).
     ///
@@ -420,24 +371,6 @@ mod tests {
     fn fit_rejects_insufficient_windows() {
         let traces = vec![WorkloadKind::Vdi.spec().generate(600, 1)];
         assert!(WorkloadClusterer::fit(&traces, 3, small_window(), 0).is_err());
-    }
-
-    #[test]
-    fn auto_k_recovers_category_count() {
-        let kinds = [
-            WorkloadKind::WebSearch,
-            WorkloadKind::BatchAnalytics,
-            WorkloadKind::Fiu,
-        ];
-        let traces = train_traces(&kinds, 4_000);
-        let (model, k) = WorkloadClusterer::fit_auto_k(&traces, 2..=6, small_window(), 11).unwrap();
-        // Three well-separated categories: silhouette should pick ~3.
-        assert!((2..=4).contains(&k), "picked k={k}");
-        assert_eq!(model.k(), k);
-        // An intentionally empty k range must error, not panic.
-        #[allow(clippy::reversed_empty_ranges)]
-        let empty = 9..=8;
-        assert!(WorkloadClusterer::fit_auto_k(&traces, empty, small_window(), 1).is_err());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! configuration: where did this run's time go — the pipeline phases and
 //! the per-resource latency attribution the device observatory collects —
 //! and can the surrogate that picked the configuration be trusted — its
-//! calibration, parameter importance and decision timeline
-//! ([`crate::model_obs`]). It is the one reader of a run report; the
-//! headline numbers come from the report core's [`Summary`].
+//! calibration and decision timeline ([`crate::model_obs`]). It is the one
+//! reader of a run report; the headline numbers come from the report core's
+//! [`Summary`].
 //!
 //! Everything here is a pure function of the input report: no clocks, no
 //! environment, so `explain` output is bit-identical whenever its inputs
@@ -19,7 +19,7 @@ use crate::telemetry::{PhaseRecord, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// Schema identifier of the `explain --json` document.
-pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v2";
+pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v3";
 
 /// One resource's share of the attributed request time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,9 +81,6 @@ pub fn explain(report: &RunReport) -> Explain {
 /// Width of the ASCII bars in [`render`].
 const BAR_WIDTH: usize = 40;
 
-/// How many importance rows [`render`] prints per run.
-const IMPORTANCE_ROWS: usize = 12;
-
 fn render_calibration(out: &mut String, c: &CalibrationSummary) {
     if c.points == 0 {
         out.push_str("  calibration: no calibrated iterations\n");
@@ -108,7 +105,7 @@ fn render_calibration(out: &mut String, c: &CalibrationSummary) {
 
 /// Renders the whole view for humans: the run's headline numbers, its
 /// phases, one bar per resource share, then per tuning run the surrogate's
-/// calibration, importance bars and explore/exploit decision timeline.
+/// calibration and explore/exploit decision timeline.
 pub fn render(doc: &Explain) -> String {
     let s = &doc.summary;
     let mut out = String::new();
@@ -162,23 +159,6 @@ pub fn render(doc: &Explain) -> String {
                 "  kernel lengthscale: {:.4}\n",
                 run.kernel_length_scale
             ));
-        }
-        if run.importance.is_empty() {
-            out.push_str("  importance: not recorded (run with --telemetry)\n");
-        } else {
-            out.push_str(&format!(
-                "  parameter importance (top {} of {})\n",
-                IMPORTANCE_ROWS.min(run.importance.len()),
-                run.importance.len()
-            ));
-            for p in run.importance.iter().take(IMPORTANCE_ROWS) {
-                out.push_str(&format!(
-                    "  {:<28} {} {:5.1}%\n",
-                    p.name,
-                    bar(p.importance, BAR_WIDTH),
-                    p.importance * 100.0
-                ));
-            }
         }
         out.push_str(&format!(
             "  decision timeline (mean explore share {:5.1}%)\n",

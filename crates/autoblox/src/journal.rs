@@ -32,9 +32,7 @@
 //! untagged and unknown lines and reject the others with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
-//! Perfetto JSON format (`trace export --chrome`); [`export_calibration_csv`]
-//! flattens the `model` lines into a spreadsheet-friendly table
-//! (`trace export --csv`).
+//! Perfetto JSON format (`trace export --chrome`).
 
 use crate::telemetry::PhaseRecord;
 use crate::tuner::IterationRecord;
@@ -204,8 +202,7 @@ impl From<&SpanRecord> for SpanLine {
 }
 
 /// The `iteration` line: an [`IterationRecord`]'s search fields (its model
-/// fields ride on the `model` line; importance stays in the telemetry
-/// report).
+/// fields ride on the `model` line).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationLine {
     /// Target workload.
@@ -601,49 +598,6 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
     serde_json::to_string(&doc).map_err(|e| format!("cannot serialize trace: {e}"))
 }
 
-/// Flattens the `model` lines of a JSONL run journal into CSV: one row per
-/// iteration's surrogate prediction/calibration record (`trace export
-/// --csv`).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line, or an error when the
-/// journal contains no `model` lines at all.
-pub fn export_calibration_csv(journal: &str) -> Result<String, String> {
-    let mut out = String::from(
-        "workload,iteration,predicted_mean,predicted_std,calibrated,realized_grade,\
-         explore_share,exploit_share,decision_margin,kernel_length_scale\n",
-    );
-    let mut rows = 0u64;
-    for line in read_lines(journal) {
-        let JournalLine::Model(m) = line? else {
-            continue;
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            m.workload,
-            m.iteration,
-            m.predicted_mean,
-            m.predicted_std,
-            m.calibrated,
-            m.realized_grade,
-            m.explore_share,
-            m.exploit_share,
-            m.decision_margin,
-            m.kernel_length_scale,
-        ));
-        rows += 1;
-    }
-    if rows == 0 {
-        return Err(
-            "journal contains no model lines (was the run recorded by a build with \
-             the model observatory?)"
-                .to_string(),
-        );
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,31 +740,6 @@ mod tests {
         assert_eq!(events[2]["ph"], "i");
         assert_eq!(events[2]["args"]["realized_grade"], 0.75);
         assert_eq!(events[2]["args"]["calibrated"], Value::Bool(true));
-    }
-
-    #[test]
-    fn calibration_csv_flattens_model_lines_only() {
-        let iteration = JournalLine::Iteration(IterationLine {
-            workload: "Database".to_string(),
-            iteration: 2,
-            best_grade: 0.75,
-            validations: 1,
-            ..Default::default()
-        })
-        .to_line();
-        let journal = [meta(), model_line(), iteration.clone()].join("\n");
-        let csv = export_calibration_csv(&journal).expect("model lines present");
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2, "header + one model row");
-        assert!(lines[0].starts_with("workload,iteration,predicted_mean"));
-        assert!(
-            lines[1].starts_with("Database,2,0.8,0.1,true,0.75"),
-            "{}",
-            lines[1]
-        );
-        // A journal without model lines is an explicit error, not empty CSV.
-        let err = export_calibration_csv(&iteration).unwrap_err();
-        assert!(err.contains("no model lines"), "{err}");
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! Where the bottleneck bars answer "where did this run's simulated time
 //! go?", this module answers "what did the surrogate believe, and should we
-//! trust it?" Three views over the per-iteration model fields the tuner
+//! trust it?" Two views over the per-iteration model fields the tuner
 //! records:
 //!
 //! - **calibration** — z-scores of realized grades under the surrogate's
 //!   predictive distribution, ±1σ/±2σ coverage, RMSE, and mean NLPD;
-//! - **parameter importance** — the per-iteration sensitivity sweeps around
-//!   the incumbent, averaged and renormalized into one vector per run;
 //! - **decision provenance** — the explore/exploit decomposition of each
 //!   chosen candidate's acquisition value and its margin over the runner-up.
 //!
@@ -16,8 +14,7 @@
 //! clocks, no environment, so the model section is bit-identical whenever
 //! its inputs are — the determinism suite asserts this across thread
 //! counts. Rendering lives with the rest of the single-report view in
-//! [`crate::explain`]; comparing two runs' model aggregates is
-//! [`crate::report`]'s metric table.
+//! [`crate::explain`].
 
 use crate::telemetry::RunReport;
 use crate::tuner::IterationRecord;
@@ -67,16 +64,6 @@ pub struct DecisionPoint {
     pub z: f64,
 }
 
-/// One parameter's averaged, normalized importance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ParamImportance {
-    /// Parameter name (catalog name, or `p<i>` for a pruned space whose
-    /// layout the report does not carry).
-    pub name: String,
-    /// Normalized importance in `[0, 1]`; all entries sum to 1.
-    pub importance: f64,
-}
-
 /// The model fingerprint of one recorded tuning run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelRun {
@@ -86,8 +73,6 @@ pub struct ModelRun {
     pub iterations: u64,
     /// Calibration over this run's iterations.
     pub calibration: CalibrationSummary,
-    /// Averaged normalized importances, sorted descending (ties by name).
-    pub importance: Vec<ParamImportance>,
     /// Per-iteration decision provenance, in iteration order.
     pub timeline: Vec<DecisionPoint>,
     /// Mean exploration share over iterations with a prediction.
@@ -105,8 +90,6 @@ pub struct ModelReport {
     pub runs: Vec<ModelRun>,
     /// Calibration pooled over every run's iterations.
     pub calibration: CalibrationSummary,
-    /// Importances averaged over every run, sorted descending.
-    pub importance: Vec<ParamImportance>,
     /// Mean exploration share pooled over every run.
     pub mean_explore_share: f64,
 }
@@ -157,62 +140,6 @@ pub fn calibration_of(records: &[IterationRecord]) -> CalibrationSummary {
         mean_nlpd: nlpd_sum / nf,
         mean_abs_z: abs_z_sum / nf,
     }
-}
-
-/// Maps an importance-vector length onto parameter labels: the full catalog
-/// names when the length matches, positional `p<i>` labels otherwise (a
-/// pruned space whose layout the telemetry report does not carry).
-fn param_labels(len: usize) -> Vec<String> {
-    let space = crate::params::ParamSpace::new();
-    if space.len() == len {
-        space.params().iter().map(|p| p.name.to_string()).collect()
-    } else {
-        (0..len).map(|i| format!("p{i:02}")).collect()
-    }
-}
-
-/// Averages the non-empty per-iteration importance vectors and renormalizes
-/// to sum 1; empty when no iteration recorded one.
-pub fn averaged_importance(records: &[IterationRecord]) -> Vec<ParamImportance> {
-    let vectors: Vec<&Vec<f64>> = records
-        .iter()
-        .map(|r| &r.importance)
-        .filter(|v| !v.is_empty())
-        .collect();
-    let Some(first) = vectors.first() else {
-        return Vec::new();
-    };
-    let len = first.len();
-    let mut acc = vec![0.0f64; len];
-    let mut count = 0usize;
-    for v in &vectors {
-        if v.len() != len {
-            continue;
-        }
-        for (a, &x) in acc.iter_mut().zip(v.iter()) {
-            *a += x;
-        }
-        count += 1;
-    }
-    let total: f64 = acc.iter().sum();
-    if count == 0 || total <= 1e-12 {
-        return Vec::new();
-    }
-    for a in &mut acc {
-        *a /= total;
-    }
-    let labels = param_labels(len);
-    let mut out: Vec<ParamImportance> = labels
-        .into_iter()
-        .zip(acc)
-        .map(|(name, importance)| ParamImportance { name, importance })
-        .collect();
-    out.sort_by(|a, b| {
-        b.importance
-            .total_cmp(&a.importance)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    out
 }
 
 fn timeline_of(records: &[IterationRecord]) -> Vec<DecisionPoint> {
@@ -269,7 +196,6 @@ pub fn inspect(report: &RunReport) -> ModelReport {
                 workload: t.workload.clone(),
                 iterations: t.iterations,
                 calibration: calibration_of(&t.records),
-                importance: averaged_importance(&t.records),
                 timeline: timeline_of(&t.records),
                 mean_explore_share: mean_explore_share(&t.records),
                 kernel_length_scale,
@@ -283,7 +209,6 @@ pub fn inspect(report: &RunReport) -> ModelReport {
         .collect();
     ModelReport {
         calibration: calibration_of(&pooled),
-        importance: averaged_importance(&pooled),
         mean_explore_share: mean_explore_share(&pooled),
         runs,
     }
@@ -357,33 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn importance_averages_and_normalizes() {
-        let mut a = record(1, 0.1, 0.05, 0.12);
-        a.importance = vec![0.5, 0.3, 0.2];
-        let mut b = record(2, 0.1, 0.05, 0.12);
-        b.importance = vec![0.1, 0.6, 0.3];
-        let imp = averaged_importance(&[a, b]);
-        assert_eq!(imp.len(), 3);
-        let total: f64 = imp.iter().map(|p| p.importance).sum();
-        assert!((total - 1.0).abs() < 1e-9, "sums to 1, got {total}");
-        // Sorted descending: p01 averaged (0.45) leads.
-        assert_eq!(imp[0].name, "p01");
-        for w in imp.windows(2) {
-            assert!(w[0].importance >= w[1].importance);
-        }
-    }
-
-    #[test]
-    fn importance_labels_full_catalog() {
-        let len = crate::params::ParamSpace::new().len();
-        let mut r = record(1, 0.1, 0.05, 0.12);
-        r.importance = vec![1.0 / len as f64; len];
-        let imp = averaged_importance(&[r]);
-        assert_eq!(imp.len(), len);
-        assert!(imp.iter().any(|p| p.name == "channel_count"));
-    }
-
-    #[test]
     fn inspect_builds_runs_and_aggregates() {
         let report = report_with(vec![record(1, 0.0, 1.0, 0.5), record(2, 0.0, 1.0, 1.5)]);
         let m = inspect(&report);
@@ -415,23 +313,6 @@ mod tests {
         assert_eq!(cb.coverage_1s, 0.0);
         assert!((ca.rmse - 0.5).abs() < 1e-12, "{}", ca.rmse);
         assert!((cb.rmse - 3.0).abs() < 1e-12, "{}", cb.rmse);
-    }
-
-    #[test]
-    fn summary_names_the_importance_lead() {
-        let mut ra = record(1, 0.1, 0.05, 0.12);
-        ra.importance = vec![0.8, 0.2];
-        let mut rb = record(1, 0.1, 0.05, 0.12);
-        rb.importance = vec![0.2, 0.8];
-        let a = crate::report::Summary::of(&report_with(vec![ra]));
-        let b = crate::report::Summary::of(&report_with(vec![rb]));
-        assert_eq!(a.importance_lead, "p00");
-        assert_eq!(b.importance_lead, "p01");
-        assert!((a.importance_lead_share - 0.8).abs() < 1e-12);
-        assert_eq!(
-            a.importance_lead_share, b.importance_lead_share,
-            "both hold 80%"
-        );
     }
 
     #[test]

@@ -667,15 +667,6 @@ impl ParamSpace {
     pub fn search_space_size(&self) -> f64 {
         self.params.iter().map(|p| p.cardinality() as f64).product()
     }
-
-    /// Names of all parameters with a numeric (continuous/discrete) kind.
-    pub fn numeric_names(&self) -> Vec<&'static str> {
-        self.params
-            .iter()
-            .filter(|p| matches!(p.kind, ParamKind::Continuous | ParamKind::Discrete))
-            .map(|p| p.name)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -781,17 +772,6 @@ mod tests {
         assert_eq!(space.len(), 2);
         assert!(space.param("channel_count").is_some());
         assert!(space.param("bogus").is_none());
-    }
-
-    #[test]
-    fn numeric_names_excludes_flags() {
-        let space = ParamSpace::new();
-        let names = space.numeric_names();
-        assert!(names.contains(&"channel_count"));
-        assert!(!names.contains(&"greedy_gc"));
-        assert!(!names.contains(&"plane_allocation_scheme"));
-        // The paper's Figure 4 sweeps the numeric parameters.
-        assert!(names.len() >= 35);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! [`Summary::of`] condenses a telemetry [`RunReport`] once — headline
 //! numbers, tail latency, bottleneck attribution, the surrogate's
-//! calibration and importance lead. It is what `explain`, the one reader of
-//! a run report, prints first and nests in its `--json` document.
+//! calibration. It is what `explain`, the one reader of a run report,
+//! prints first and nests in its `--json` document.
 //!
 //! Both are pure functions of their inputs, so a summary is bit-identical
 //! whenever its report is.
@@ -40,10 +40,6 @@ pub struct Summary {
     pub calibration: CalibrationSummary,
     /// Mean exploration share pooled over every tuning run.
     pub mean_explore_share: f64,
-    /// The most important parameter (empty when no sweep was recorded).
-    pub importance_lead: String,
-    /// Its normalized importance.
-    pub importance_lead_share: f64,
     /// Worker-pool thread limit in effect. Host-varying: excluded from the
     /// fingerprint, since the run's results are thread-invariant.
     pub threads: u64,
@@ -61,7 +57,6 @@ impl Summary {
         let model = model_obs::inspect(report);
         let v = &report.validator;
         let lookups = v.cache_hits + v.cache_misses + v.dedup_waits;
-        let lead = model.importance.first();
         Summary {
             category: report
                 .tuner
@@ -81,8 +76,6 @@ impl Summary {
             bottleneck: report.bottleneck,
             calibration: model.calibration,
             mean_explore_share: model.mean_explore_share,
-            importance_lead: lead.map(|p| p.name.clone()).unwrap_or_default(),
-            importance_lead_share: lead.map_or(0.0, |p| p.importance),
             threads: report.threads,
             simulate_ns: v.simulate_ns,
             wall_ns: report.phases.iter().map(|p| p.wall_ns).sum(),

@@ -126,14 +126,11 @@ pub struct GradedConfig {
 
 /// Per-iteration diagnostics from the outer BO loop.
 ///
-/// Every field except the two timings and the importance sweep is
-/// deterministic for a given tuning problem (identical at any thread count);
-/// `surrogate_fit_ns` and `wall_ns` are collected only while telemetry is
-/// enabled and are `0` otherwise, and `importance` (plus
-/// `kernel_length_scale`) is swept only while telemetry is enabled and is
-/// empty otherwise — so
-/// serialized outcomes stay byte-identical across thread counts at either
-/// setting.
+/// Every field but the two timings is thread-invariant: deterministic for a
+/// given tuning problem at any thread count. `surrogate_fit_ns` and
+/// `wall_ns` are collected, and `kernel_length_scale` is read, only while
+/// telemetry is enabled, and are `0` otherwise — so serialized outcomes stay
+/// byte-identical across thread counts at either setting.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationRecord {
     /// 1-based outer-iteration index.
@@ -180,12 +177,8 @@ pub struct IterationRecord {
     /// Chosen candidate's UCB minus the runner-up's (0 without one).
     pub decision_margin: f64,
     /// Lengthscale of the fitted GPR kernel (`exp` of its first
-    /// log-parameter; 0 when no GPR was fitted or the sweep was skipped).
+    /// log-parameter; 0 when no GPR was fitted or telemetry was off).
     pub kernel_length_scale: f64,
-    /// Normalized per-parameter sensitivity of the surrogate around the
-    /// incumbent (sums to 1; empty when model observability was off or no
-    /// surrogate was fitted).
-    pub importance: Vec<f64>,
 }
 
 /// Result of one tuning run.
@@ -828,13 +821,14 @@ impl<'a> Tuner<'a> {
                 }
             }
         }
-        // The per-parameter sensitivity sweep costs ~one surrogate
-        // prediction per neighbor; it runs only while telemetry is on, like
-        // the gated timings (`--journal` turns telemetry on in the CLI).
-        let (importance, kernel_length_scale) = if telemetry::enabled() {
-            self.model_importance(state, surrogate.as_ref())
+        // Read only while telemetry is on, like the gated timings
+        // (`--journal` turns telemetry on in the CLI).
+        let kernel_length_scale = if telemetry::enabled() {
+            surrogate
+                .as_ref()
+                .map_or(0.0, FittedSurrogate::length_scale)
         } else {
-            (Vec::new(), 0.0)
+            0.0
         };
 
         // Step 5: validate the explored configuration.
@@ -900,7 +894,6 @@ impl<'a> Tuner<'a> {
             exploit_share,
             decision_margin,
             kernel_length_scale,
-            importance,
         };
         // Stream the record to an attached run journal (no-op without
         // one) so a live tuning run is observable before it finishes.
@@ -1153,74 +1146,6 @@ impl<'a> Tuner<'a> {
         Some(cfg)
     }
 
-    /// The surrogate's input for a set of grid vectors: one normalized row
-    /// each.
-    fn normalized_rows(&self, vecs: &[&Vec<usize>]) -> Matrix {
-        let mut data = Vec::with_capacity(vecs.len() * self.space.len());
-        for v in vecs {
-            data.extend(self.space.normalize(v));
-        }
-        Matrix::from_vec(vecs.len(), self.space.len(), data)
-    }
-
-    /// Deterministic per-parameter sensitivity sweep around the incumbent
-    /// (the best validated observation), using surrogate predictions only —
-    /// no extra simulator runs. Each parameter's raw importance is the mean
-    /// absolute change in predicted grade across its single-step neighbor
-    /// moves; the vector is normalized to sum 1. Returns the normalized
-    /// importances plus the fitted GPR kernel's lengthscale (0 without
-    /// one). Empty when no surrogate is fitted or the sweep degenerates.
-    fn model_importance(
-        &self,
-        state: &TuneState,
-        surrogate: Option<&FittedSurrogate>,
-    ) -> (Vec<f64>, f64) {
-        let Some(model) = surrogate else {
-            return (Vec::new(), 0.0);
-        };
-        let length_scale = model.length_scale();
-        let elite = state.elite(1);
-        let Some(&best_i) = elite.first() else {
-            return (Vec::new(), length_scale);
-        };
-        let incumbent = &state.observations[best_i].vector;
-        // One batch: the incumbent first, then every parameter's neighbors.
-        let neighbors: Vec<Vec<Vec<usize>>> = (0..self.space.len())
-            .map(|pi| self.space.neighbors_of_param(incumbent, pi))
-            .collect();
-        let points: Vec<&Vec<usize>> = std::iter::once(incumbent)
-            .chain(neighbors.iter().flatten())
-            .collect();
-        let mut means = model
-            .predict_batch(&self.normalized_rows(&points))
-            .into_iter()
-            .map(|(_, mean, _)| mean);
-        let center = means.next().expect("the incumbent's own prediction");
-        if !center.is_finite() {
-            return (Vec::new(), length_scale);
-        }
-        let mut raw = Vec::with_capacity(self.space.len());
-        for of_param in &neighbors {
-            let mut acc = 0.0;
-            let mut n = 0usize;
-            for mean in means.by_ref().take(of_param.len()) {
-                if mean.is_finite() {
-                    acc += (mean - center).abs();
-                    n += 1;
-                }
-            }
-            raw.push(if n > 0 { acc / n as f64 } else { 0.0 });
-        }
-        let total: f64 = raw.iter().sum();
-        if total <= 1e-12 {
-            return (Vec::new(), length_scale);
-        }
-        for r in &mut raw {
-            *r /= total;
-        }
-        (raw, length_scale)
-    }
-
     fn fit_surrogate(&self, state: &mut TuneState) -> Option<FittedSurrogate> {
         if state.observations.len() < 2 || self.opts.surrogate == SurrogateKind::Random {
             return None;
@@ -1421,10 +1346,10 @@ mod tests {
             assert_eq!(r.iteration, i as u64 + 1);
             // Telemetry is off by default, so gated timings must be zero —
             // this keeps serialized outcomes thread-count invariant — and
-            // the importance sweep must not have run.
+            // the kernel lengthscale must not have been read.
             assert_eq!(r.surrogate_fit_ns, 0);
             assert_eq!(r.wall_ns, 0);
-            assert!(r.importance.is_empty());
+            assert_eq!(r.kernel_length_scale, 0.0);
             assert!(r.convergence_delta >= -1.0);
         }
         let last = out

@@ -342,16 +342,11 @@ fn replay_is_byte_identical_at_every_width() {
     }
 }
 
-/// One report explained: `explain` renders the bottleneck shares and all
-/// three model views in text, and in JSON names both schemas.
+/// One report explained: `explain` renders the bottleneck shares and both
+/// model views in text, and in JSON names both schemas.
 #[test]
 fn explain_renders_one_report() {
-    let views = [
-        "dominant",
-        "calibration over",
-        "parameter importance",
-        "decision timeline",
-    ];
+    let views = ["dominant", "calibration over", "decision timeline"];
     Row {
         steps: vec![
             step("tune database --iterations 6 --events 300 --telemetry cand.json"),
@@ -361,7 +356,7 @@ fn explain_renders_one_report() {
             },
             Step {
                 stdout: vec![
-                    "\"autoblox.explain.v2\"",
+                    "\"autoblox.explain.v3\"",
                     "\"autoblox.telemetry.v3\"",
                     "\"timeline\"",
                 ],

@@ -12,11 +12,10 @@
 //! its five `progress` lines (a kind retired with the `watch` dashboard
 //! that read it) and its forty `series` and forty `bottleneck` lines
 //! (retired with the device time-series sampler) now read as unknown
-//! kinds. Beside it is what that build printed for it:
-//! `trace export --chrome` (`chrome.json`) and `trace export --csv` of the
-//! journal without its `series` lines (`calibration.csv`). This build must
-//! print the same bytes for the whole journal — the Chrome trace less the
-//! `tuner.progress` instants the retired lines became — and a fresh
+//! kinds. Beside it is what that build printed for it with
+//! `trace export --chrome` (`chrome.json`). This build must print the same
+//! bytes for the whole journal — less the `tuner.progress` instants the
+//! retired lines became — and a fresh
 //! journal of the same tune must carry the same lines, the retired kinds
 //! aside, once the members that vary by host are masked — except its span
 //! lines and the summary that counts them. Each validation's timed and
@@ -216,25 +215,20 @@ fn the_parent_journal_reads_back_byte_for_byte() {
         [2, 5, 40, 40]
     );
 
-    for (flag, expected) in [("--chrome", "chrome.json"), ("--csv", "calibration.csv")] {
-        let out = scratch(expected);
-        let args = [
-            "trace",
-            "export",
-            flag,
-            journal.to_str().unwrap(),
-            out.to_str().unwrap(),
-        ];
-        let run = autoblox(&args);
-        assert!(run.status.success(), "{args:?}: {:?}", run.stderr);
-        let ours = std::fs::read(&out).expect("export written");
-        let mut parent = std::fs::read(fixture(expected)).unwrap();
-        if expected == "chrome.json" {
-            parent = without_progress_events(&parent);
-        }
-        assert_same_bytes(&ours, &parent, expected);
-        std::fs::remove_file(out).ok();
-    }
+    let out = scratch("chrome.json");
+    let args = [
+        "trace",
+        "export",
+        "--chrome",
+        journal.to_str().unwrap(),
+        out.to_str().unwrap(),
+    ];
+    let run = autoblox(&args);
+    assert!(run.status.success(), "{args:?}: {:?}", run.stderr);
+    let ours = std::fs::read(&out).expect("export written");
+    let parent = without_progress_events(&std::fs::read(fixture("chrome.json")).unwrap());
+    assert_same_bytes(&ours, &parent, "chrome.json");
+    std::fs::remove_file(out).ok();
 }
 
 /// A Chrome trace without its `tuner.progress` instants, serialized as the

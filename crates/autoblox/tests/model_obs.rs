@@ -1,5 +1,5 @@
-//! Model-observatory invariants: with telemetry on (so the importance
-//! sweep runs), the tuning trajectory is byte-identical across thread
+//! Model-observatory invariants: with telemetry on (so the kernel
+//! lengthscale is read), the tuning trajectory is byte-identical across thread
 //! counts once wall-clock timings are masked, and its records are
 //! substantive; the derived summaries are well-formed for arbitrary
 //! records. The same invariance through the binary is the `tune` row of
@@ -17,8 +17,8 @@ use std::sync::{Mutex, PoisonError};
 static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
 /// Threads 1 and 4 record the same outcome, predictions, calibration
-/// pairs, UCB shares and importance sweeps, and these are real rather than
-/// vacuously zero.
+/// pairs, UCB shares and kernel lengthscales, and these are real rather
+/// than vacuously zero.
 #[test]
 fn model_records_are_thread_invariant() {
     let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -33,15 +33,11 @@ fn model_records_are_thread_invariant() {
 
     assert!(records.iter().any(|r| r.calibrated));
     assert!(records.iter().any(|r| r.predicted_std > 0.0));
-    assert!(records.iter().any(|r| !r.importance.is_empty()));
     for r in &records {
-        if !r.importance.is_empty() {
-            let sum: f64 = r.importance.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "importance must normalize: {sum}");
-            assert!(r.importance.iter().all(|&x| x >= 0.0));
-            assert!(r.kernel_length_scale > 0.0);
-        }
+        // Only the GPR predicts a standard deviation; every record it
+        // predicted carries its fitted kernel's lengthscale.
         if r.predicted_std > 0.0 {
+            assert!(r.kernel_length_scale > 0.0);
             assert!((r.explore_share + r.exploit_share - 1.0).abs() < 1e-9);
         }
     }
@@ -111,44 +107,6 @@ proptest! {
             prop_assert!(cal.rmse.is_finite());
             prop_assert!(cal.mean_nlpd.is_finite());
             prop_assert!(cal.mean_abs_z >= 0.0);
-        }
-    }
-
-    /// Averaged importance vectors are a probability distribution: every
-    /// weight non-negative, summing to 1 whenever any input sweep was
-    /// non-empty.
-    #[test]
-    fn importance_normalizes_for_arbitrary_sweeps(
-        sweeps in prop::collection::vec(
-            prop::collection::vec(0.0f64..10.0, 0..6),
-            1..8,
-        ),
-    ) {
-        let records: Vec<IterationRecord> = sweeps
-            .iter()
-            .map(|w| IterationRecord {
-                importance: w.clone(),
-                ..Default::default()
-            })
-            .collect();
-        let ranked = model_obs::averaged_importance(&records);
-        prop_assert!(ranked.iter().all(|p| p.importance >= 0.0));
-        let total: f64 = ranked.iter().map(|p| p.importance).sum();
-        // Sweeps whose length disagrees with the first non-empty one are
-        // skipped by the averager, so only same-length mass must normalize.
-        let first_len = sweeps.iter().find(|w| !w.is_empty()).map(Vec::len);
-        let any_mass = first_len.is_some_and(|len| {
-            sweeps
-                .iter()
-                .filter(|w| w.len() == len)
-                .any(|w| w.iter().sum::<f64>() > 1e-12)
-        });
-        if any_mass {
-            prop_assert!((total - 1.0).abs() < 1e-9, "total {total}");
-        }
-        // Ranking is descending.
-        for pair in ranked.windows(2) {
-            prop_assert!(pair[0].importance >= pair[1].importance - 1e-12);
         }
     }
 }

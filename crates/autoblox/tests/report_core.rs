@@ -3,8 +3,10 @@
 //! `tests/fixtures/report_core_parent.json` holds what the commit before
 //! the merge printed — `explain` and `inspect` over the two goldens under
 //! `scripts/golden/`. Every number that survives the merge must be equal:
-//! share fractions, the dominant resource, calibration, the importance
-//! ranking and the decision timeline.
+//! share fractions, the dominant resource, calibration and the decision
+//! timeline. `tests/fixtures/parent_sweeps.json` holds the per-iteration
+//! sensitivity vectors the parent goldens also carried, one list per
+//! record; a report that still has them reads as the same report.
 //!
 //! The same file holds the CLI contract of the reader commands and of the
 //! writers' inputs: malformed input of every kind is a one-line exit-2
@@ -17,6 +19,7 @@ use autoblox::journal::{
 use autoblox::report::Summary;
 use autoblox::telemetry::{PhaseRecord, RunReport};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -33,6 +36,28 @@ fn golden(name: &str) -> RunReport {
 
 fn fixture() -> Value {
     serde_json::from_str(include_str!("fixtures/report_core_parent.json")).expect("fixture parses")
+}
+
+/// `name`'s golden as the parent build wrote it: with the retired
+/// device-sample counters and each record's sensitivity vector.
+fn parent_shaped(name: &str) -> String {
+    let mut doc: Value =
+        serde_json::from_str(&std::fs::read_to_string(golden_path(name)).unwrap()).unwrap();
+    for (key, n) in [("device_samples", 3028u64), ("device_samples_dropped", 0)] {
+        let n = serde_json::to_value(n).unwrap();
+        set(&mut doc, &["validator", "sim", key], n);
+    }
+    let sweeps: BTreeMap<String, Vec<Value>> =
+        serde_json::from_str(include_str!("fixtures/parent_sweeps.json")).expect("sweeps parse");
+    let Value::Array(records) = &doc["tuner"][0]["records"] else {
+        panic!("{name}: records expected")
+    };
+    assert_eq!(records.len(), sweeps[name].len());
+    for (i, sweep) in sweeps[name].iter().enumerate() {
+        let path = ["tuner", "0", "records", &i.to_string(), "importance"];
+        set(&mut doc, &path, sweep.clone());
+    }
+    serde_json::to_string_pretty(&doc).unwrap()
 }
 
 fn autoblox(args: &[&str]) -> Output {
@@ -80,16 +105,10 @@ fn single_report_views_reproduce_the_parent() {
     let fx = fixture();
     for name in GOLDENS {
         let report = golden(name);
-        // The parent build also wrote the retired device-sample counters;
-        // its report still reads, as the same report.
-        let mut parent_doc: Value =
-            serde_json::from_str(&std::fs::read_to_string(golden_path(name)).unwrap()).unwrap();
-        for (key, n) in [("device_samples", 3028u64), ("device_samples_dropped", 0)] {
-            let n = serde_json::to_value(n).unwrap();
-            set(&mut parent_doc, &["validator", "sim", key], n);
-        }
-        let parent_json = serde_json::to_string_pretty(&parent_doc).unwrap();
-        let parent_report = RunReport::parse_checked(&parent_json).expect("parent report parses");
+        // The parent build also wrote members this build has retired; its
+        // report still reads, as the same report.
+        let parent_report =
+            RunReport::parse_checked(&parent_shaped(name)).expect("parent report parses");
         assert_eq!(parent_report, report, "{name}: parent-shaped report");
 
         let doc = explain(&report);
@@ -107,8 +126,8 @@ fn single_report_views_reproduce_the_parent() {
         let parent = &fx["reports"][name];
         assert_same(&fingerprint, &parent["explain"], &format!("{name}.explain"));
         // `inspect --json` is the nested model document (the fixture drops
-        // its two schema lines): calibration, importance ranking, decision
-        // timeline, per run and pooled.
+        // its two schema lines): calibration and decision timeline, per run
+        // and pooled.
         assert_same(
             &serde_json::to_value(&doc.model).unwrap(),
             &parent["inspect"],
@@ -132,7 +151,7 @@ enum Kind {
 }
 
 /// A small complete journal: meta, a phase, an iteration with its model
-/// line (what `trace export --csv` reads) and the summary.
+/// line and the summary.
 fn journal() -> String {
     let lines = [
         JournalLine::Meta(MetaLine {
@@ -183,14 +202,16 @@ fn truncations(bytes: &[u8]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Sets the member at `path`; a numeric key indexes an array.
 fn set(doc: &mut Value, path: &[&str], value: Value) {
     let (last, parents) = path.split_last().unwrap();
     let mut at = doc;
     for key in parents {
-        let Value::Object(map) = at else {
-            panic!("object expected at {key}")
+        at = match at {
+            Value::Object(map) => map.get_mut(*key).expect("member exists"),
+            Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+            _ => panic!("object or array expected at {key}"),
         };
-        at = map.get_mut(*key).expect("member exists");
     }
     let Value::Object(map) = at else {
         panic!("object expected")
@@ -246,16 +267,10 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let out_file = dir.join("out");
     let out_file = out_file.to_str().unwrap();
     // (command line, what it reads, tolerates torn lines / mistyped fields)
-    let readers: [(Vec<&str>, Kind, bool, bool); 3] = [
+    let readers: [(Vec<&str>, Kind, bool, bool); 2] = [
         (vec!["explain", input], Kind::Report, false, false),
         (
             vec!["trace", "export", "--chrome", input, out_file],
-            Kind::Journal,
-            false,
-            false,
-        ),
-        (
-            vec!["trace", "export", "--csv", input, out_file],
             Kind::Journal,
             false,
             false,
@@ -421,6 +436,8 @@ fn retired_commands_exit_2_with_the_usage_text() {
             "telemetry-check",
             "--ignore",
             "--record",
+            "--csv",
+            "importance",
         ] {
             assert!(!stderr.contains(retired), "{retired}: {stderr}");
         }
@@ -438,6 +455,10 @@ fn retired_commands_exit_2_with_the_usage_text() {
         (
             vec!["tune", "database", "--speculate", "2"],
             "error: unknown tune flag \"--speculate\"",
+        ),
+        (
+            vec!["trace", "export", "--csv", "j", "out"],
+            "error: unknown trace export format \"--csv\"",
         ),
     ] {
         let stderr = usage_error(&args);

@@ -2,7 +2,7 @@
 //! characterization reports (the "traditional methods" of §3.1 that
 //! AutoBlox's learned clustering is compared against).
 
-use crate::trace::{OpKind, Trace};
+use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -61,16 +61,6 @@ impl Log2Histogram {
             }
         }
         u64::MAX
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-            .collect()
     }
 }
 
@@ -152,12 +142,6 @@ impl TraceProfile {
             address_span_sectors: max_lba.saturating_sub(min_lba.min(max_lba)),
         }
     }
-
-    /// Per-operation breakdown: `(reads, writes)`.
-    pub fn op_counts(trace: &Trace) -> (u64, u64) {
-        let reads = trace.iter().filter(|e| e.op == OpKind::Read).count() as u64;
-        (reads, trace.len() as u64 - reads)
-    }
 }
 
 impl fmt::Display for TraceProfile {
@@ -189,7 +173,7 @@ impl fmt::Display for TraceProfile {
 mod tests {
     use super::*;
     use crate::gen::WorkloadKind;
-    use crate::trace::TraceEvent;
+    use crate::trace::{OpKind, TraceEvent};
 
     #[test]
     fn histogram_buckets_and_quantiles() {
@@ -201,9 +185,6 @@ mod tests {
         // p50 falls in the 4-bucket -> upper bound 8.
         assert_eq!(h.quantile(0.5), 8);
         assert!(h.quantile(1.0) >= 2048);
-        let nz = h.nonzero_buckets();
-        assert_eq!(nz.len(), 4);
-        assert_eq!(nz[0], (1, 1));
     }
 
     #[test]
@@ -212,7 +193,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0);
         h.record(0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.nonzero_buckets()[0].0, 1);
     }
 
     #[test]
@@ -224,8 +204,6 @@ mod tests {
         assert_eq!(p.total_bytes, t.total_bytes());
         assert_eq!(p.duration_ns, t.duration_ns());
         assert!(p.offered_bps > 0.0);
-        let (r, w) = TraceProfile::op_counts(&t);
-        assert_eq!(r + w, 2_000);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! - [`kernel`] and [`gpr`]: Gaussian-process regression with an
 //!   RBF + white-noise kernel (grade prediction, §3.4);
 //! - [`nn`]: a small MLP regressor, the DNN comparison point of §3.2;
-//! - [`metrics`]: clustering quality (silhouette score);
 //! - [`parallel`]: a persistent worker pool for deterministic data-parallel
 //!   fan-out (simulator validation downstream).
 //!
@@ -43,7 +42,6 @@ pub mod gpr;
 pub mod kernel;
 pub mod kmeans;
 pub mod linalg;
-pub mod metrics;
 pub mod nn;
 pub mod parallel;
 pub mod pca;

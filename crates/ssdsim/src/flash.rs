@@ -31,11 +31,6 @@ impl PhysicalLocation {
             * cfg.planes_per_die
             + self.plane
     }
-
-    /// Flat die index within the whole device.
-    pub fn die_index(&self, cfg: &SsdConfig) -> u32 {
-        (self.channel * cfg.chips_per_channel + self.chip) * cfg.dies_per_chip + self.die
-    }
 }
 
 /// Per-plane flash bookkeeping: write pointers and free-page counts (the
@@ -971,7 +966,6 @@ mod tests {
             assert!(a.block < cfg.blocks_per_plane);
             assert!(a.page < cfg.pages_per_block);
             assert!(a.plane_index(&cfg) < cfg.total_planes() as u32);
-            assert!(a.die_index(&cfg) < cfg.total_dies() as u32);
         }
     }
 
