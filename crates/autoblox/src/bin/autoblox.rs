@@ -341,8 +341,7 @@ impl<'a> ReaderArgs<'a> {
 /// added here can never drift between the two commands.
 struct SinkConfig {
     telemetry: Option<String>,
-    journal_path: Option<String>,
-    journal: Option<Journal>,
+    journal: Option<(String, Journal)>,
 }
 
 impl SinkConfig {
@@ -357,26 +356,21 @@ impl SinkConfig {
             autoblox::parallel::reset_pool_stats();
             autoblox::telemetry::global().clear();
         }
-        let journal = match &journal_path {
+        let journal = match journal_path {
             Some(path) => {
-                let j = Journal::create(path).map_err(CliError::Other)?;
-                autoblox::telemetry::global().attach_journal(j.handle());
+                let j = Journal::create(&path).map_err(CliError::Other)?;
                 eprintln!("streaming run journal to {path}");
-                Some(j)
+                Some((path, j))
             }
             None => None,
         };
-        Ok(SinkConfig {
-            telemetry,
-            journal_path,
-            journal,
-        })
+        Ok(SinkConfig { telemetry, journal })
     }
 
     /// Writes the telemetry report (if requested) and closes the journal
     /// (if open), printing the histogram-derived latency percentiles the
     /// run observed.
-    fn finish(mut self, validator: &Validator) -> Result<(), String> {
+    fn finish(self, validator: &Validator) -> Result<(), String> {
         if let Some(path) = &self.telemetry {
             let report = autoblox::telemetry::global().report(Some(validator));
             let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -397,10 +391,8 @@ impl SinkConfig {
                 .sum();
             eprintln!("surrogate fit {:.3} ms total", fit_ns as f64 / 1e6);
         }
-        if let Some(j) = self.journal.take() {
-            autoblox::telemetry::global().detach_journal();
-            let path = self.journal_path.as_deref().expect("journal has a path");
-            j.finish(path)?;
+        if let Some((path, j)) = self.journal {
+            j.finish()?;
             eprintln!("run journal closed: {path}");
         }
         Ok(())
@@ -599,12 +591,10 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         ..TunerOptions::default()
     };
     let reference = reference_for(&constraints);
-    let sink = autoblox::telemetry::global();
     let tuner = Tuner::new(constraints, &validator, opts);
-    let outcome = sink
+    let outcome = autoblox::telemetry::global()
         .phase("tune", || tuner.try_tune(kind, &reference, &[], None))
         .map_err(CliError::Input)?;
-    sink.record_outcome(&outcome);
     eprintln!(
         "converged after {} iterations ({} validations); grade {:+.4}; \
          latency {:.2}x, throughput {:.2}x vs reference",
@@ -656,8 +646,7 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
     let stored = attach_store(args, &validator)?;
     let sinks = SinkConfig::from_args(args)?;
     let reference = reference_for(&constraints);
-    let sink = autoblox::telemetry::global();
-    let out = sink
+    let out = autoblox::telemetry::global()
         .phase("whatif", || {
             what_if(
                 kind,
@@ -669,7 +658,6 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
             )
         })
         .map_err(CliError::Input)?;
-    sink.record_outcome(&out.tuning);
     eprintln!(
         "achieved {:.2}x ({}) in {} iterations",
         out.achieved,

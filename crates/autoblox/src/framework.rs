@@ -162,7 +162,6 @@ impl<'v> AutoBlox<'v> {
         let coarse = sink.phase("coarse_prune", || {
             coarse_prune(&space, base, kind, self.validator)
         });
-        sink.record_coarse(&coarse);
         let sensitive = coarse.sensitive();
         let fine = sink.phase("fine_prune", || {
             fine_prune(
@@ -174,7 +173,6 @@ impl<'v> AutoBlox<'v> {
                 self.opts.fine,
             )
         });
-        sink.record_fine(&fine);
         (coarse, fine)
     }
 
@@ -206,11 +204,9 @@ impl<'v> AutoBlox<'v> {
     ) -> TuningOutcome {
         let sink = crate::telemetry::global();
         let tuner = Tuner::new(self.constraints, self.validator, self.opts.tuner.clone());
-        let outcome = sink.phase("tune", || {
+        sink.phase("tune", || {
             tuner.tune(target, reference, initial, tuning_order)
-        });
-        sink.record_outcome(&outcome);
-        outcome
+        })
     }
 
     /// The full new-workload flow of Figure 3: classify the trace; recall a

@@ -1,29 +1,38 @@
-//! Streaming run journal: line-buffered JSONL of spans, iteration records,
-//! and pipeline phases, written while a run executes.
+//! Run journal: line-buffered JSONL of spans, iteration records, tuning
+//! runs and pipeline phases, written while a run executes.
 //!
 //! A [`Journal`] owns a background writer thread that periodically drains
-//! the span ring buffer (`telemetry::span`) and the journal's own bounded
-//! line queue to a JSONL file, so the instrumented hot path never blocks
-//! on file I/O: producers push into in-memory buffers (dropping, with a
-//! count, on overflow) and only the writer thread touches the disk.
+//! the span ring buffer (`telemetry::span`) and writes the lines the
+//! process-wide [`TelemetrySink`](crate::telemetry::TelemetrySink) recorded
+//! since its last pass (a cursor into the sink's one line log), so the
+//! instrumented hot path never blocks on file I/O: producers append to
+//! in-memory buffers and only the writer thread touches the disk.
 //!
 //! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
 //! the kind and whose other members are that kind's struct. The tag is
 //! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
-//! and nowhere else. The six kinds:
+//! and nowhere else. The seven kinds:
 //!
 //! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
 //!   limit, argv.
 //! - `span` ([`SpanLine`]) — one completed span (ids as 16-hex-digit
 //!   strings, since the vendored JSON shim carries integers as `i64`).
-//! - `iteration` ([`IterationLine`]) — one tuner [`IterationRecord`],
-//!   streamed as it happens.
+//! - `iteration` ([`IterationLine`]) — one tuner [`IterationRecord`]'s
+//!   search fields, recorded as it happens.
 //! - `model` ([`ModelLine`]) — one iteration's model-observatory view: the
 //!   surrogate's prediction for the chosen candidate, explore/exploit
-//!   shares, decision margin, and the calibration pair once validation
-//!   realized a grade.
+//!   shares, decision margin, kernel lengthscale, and the calibration pair
+//!   once validation realized a grade. Written only when one of these is
+//!   set.
+//! - `tune` ([`TuneLine`]) — one finished tuning run's totals; it closes
+//!   the run's `iteration` lines.
 //! - `phase` ([`PhaseRecord`]) — one completed pipeline stage.
-//! - `summary` ([`SummaryLine`]) — last line; totals and drop counters.
+//! - `summary` ([`SummaryLine`]) — last line; totals and the span drop
+//!   counter.
+//!
+//! [`RunReport::fold`](crate::telemetry::RunReport::fold) turns the
+//! `phase`, `iteration`, `model` and `tune` lines into a report's phases
+//! and tuning runs.
 //!
 //! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
 //! an unknown tag (a newer producer's, or a kind this build has retired:
@@ -35,23 +44,21 @@
 //! Perfetto JSON format (`trace export --chrome`).
 
 use crate::telemetry::PhaseRecord;
-use crate::tuner::IterationRecord;
+use crate::tuner::{IterationRecord, TuningOutcome};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use ssdsim::BottleneckReport;
-use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{LineWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::span::SpanRecord;
-use telemetry::Counter;
 
 /// Schema identifier written into every journal's `meta` line.
 pub const JOURNAL_SCHEMA: &str = "autoblox.journal.v1";
-
-/// Maximum buffered (not yet written) non-span lines.
-const EVENT_QUEUE_CAP: usize = 1 << 14;
 
 /// How often the writer thread drains the buffers.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(25);
@@ -69,6 +76,8 @@ pub enum JournalLine {
     Iteration(IterationLine),
     /// `model`: one iteration's surrogate view.
     Model(ModelLine),
+    /// `tune`: one finished tuning run.
+    Tune(TuneLine),
     /// `phase`: one completed pipeline stage.
     Phase(PhaseRecord),
     /// `summary`: the journal's last line.
@@ -76,7 +85,15 @@ pub enum JournalLine {
 }
 
 /// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
-const KINDS: [&str; 6] = ["meta", "span", "iteration", "model", "phase", "summary"];
+const KINDS: [&str; 7] = [
+    "meta",
+    "span",
+    "iteration",
+    "model",
+    "tune",
+    "phase",
+    "summary",
+];
 
 /// Why [`JournalLine::parse`] returned no line.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,7 +308,66 @@ impl From<(&str, &IterationRecord)> for ModelLine {
     }
 }
 
-/// The `summary` line: totals and drop counters.
+impl From<&IterationLine> for IterationRecord {
+    /// The record's search fields; its model fields stay at their
+    /// defaults until its iteration's `model` line fills them.
+    fn from(l: &IterationLine) -> Self {
+        IterationRecord {
+            iteration: l.iteration,
+            candidates_considered: l.candidates_considered,
+            sgd_steps: l.sgd_steps,
+            surrogate_fit_ns: l.surrogate_fit_ns,
+            exploration_distance: l.exploration_distance,
+            best_grade: l.best_grade,
+            convergence_delta: l.convergence_delta,
+            validations: l.validations,
+            wall_ns: l.wall_ns,
+            bottleneck: l.bottleneck,
+            ..IterationRecord::default()
+        }
+    }
+}
+
+impl ModelLine {
+    /// Sets `record`'s model fields from this line.
+    pub(crate) fn fill(&self, record: &mut IterationRecord) {
+        record.predicted_mean = self.predicted_mean;
+        record.predicted_std = self.predicted_std;
+        record.calibrated = self.calibrated;
+        record.realized_grade = self.realized_grade;
+        record.explore_share = self.explore_share;
+        record.exploit_share = self.exploit_share;
+        record.decision_margin = self.decision_margin;
+        record.kernel_length_scale = self.kernel_length_scale;
+    }
+}
+
+/// The `tune` line: one finished tuning run's totals. Its per-iteration
+/// records are the run's `iteration` and `model` lines before it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct TuneLine {
+    /// Target workload.
+    pub workload: String,
+    /// Outer iterations executed.
+    pub iterations: u64,
+    /// Simulator validations the run performed.
+    pub validations: u64,
+    /// Final best grade.
+    pub best_grade: f64,
+}
+
+impl From<&TuningOutcome> for TuneLine {
+    fn from(o: &TuningOutcome) -> Self {
+        TuneLine {
+            workload: o.workload.clone(),
+            iterations: o.iterations as u64,
+            validations: o.validations,
+            best_grade: o.best.grade,
+        }
+    }
+}
+
+/// The `summary` line: totals and the span drop counter.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SummaryLine {
     /// Span lines written.
@@ -300,73 +376,37 @@ pub struct SummaryLine {
     pub events_written: u64,
     /// Spans the ring dropped.
     pub spans_dropped: u64,
-    /// Lines the queue dropped.
-    pub events_dropped: u64,
-}
-
-/// The producer-facing half of a journal: a bounded in-memory line queue
-/// shared (via `Arc`) between the telemetry sink and the writer thread.
-///
-/// Pushes never block on I/O and never grow without bound — when the queue
-/// is full the line is dropped and counted, mirroring the span ring.
-#[derive(Debug, Default)]
-pub struct JournalHandle {
-    queue: Mutex<VecDeque<JournalLine>>,
-    dropped: Counter,
-}
-
-impl JournalHandle {
-    /// Queues one line for the writer thread.
-    pub fn push(&self, line: JournalLine) {
-        let mut q = lock(&self.queue);
-        if q.len() >= EVENT_QUEUE_CAP {
-            self.dropped.inc();
-        } else {
-            q.push_back(line);
-        }
-    }
-
-    /// Lines dropped because the queue was full.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.get()
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A live run journal; create with [`Journal::create`], close with
-/// [`Journal::finish`] (dropping without finishing still stops the writer
-/// but skips the `summary` line).
+/// [`Journal::finish`]. Dropping it without finishing stops the writer and
+/// disarms span tracing, but writes no `summary` line.
 #[derive(Debug)]
 pub struct Journal {
-    handle: Arc<JournalHandle>,
     stop: Arc<AtomicBool>,
-    writer: Option<std::thread::JoinHandle<std::io::Result<JournalTotals>>>,
+    writer: Option<JoinHandle<Written>>,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct JournalTotals {
-    spans: u64,
-    events: u64,
-}
+/// What the writer thread hands back: its file and the counts of the
+/// lines it wrote.
+type Written = std::io::Result<(LineWriter<File>, SummaryLine)>;
 
 impl Journal {
     /// Opens `path`, writes the `meta` line, **arms span tracing** (clearing
     /// any previously buffered spans so the journal covers exactly this
-    /// run), and starts the writer thread.
+    /// run), and starts the writer thread, which writes every line the
+    /// process-wide telemetry sink holds or records until [`Journal::finish`].
     ///
     /// # Errors
     ///
     /// Returns a description of the I/O failure if the file cannot be
     /// created or the meta line cannot be written.
     pub fn create(path: &str) -> Result<Journal, String> {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create journal `{path}`: {e}"))?;
+        let file =
+            File::create(path).map_err(|e| format!("cannot create journal `{path}`: {e}"))?;
         // Line buffering: every completed line is written promptly, so a
         // tail -f (or a crash) sees whole JSON objects only.
-        let mut out = std::io::LineWriter::new(file);
+        let mut out = LineWriter::new(file);
         let meta = JournalLine::Meta(MetaLine {
             schema: JOURNAL_SCHEMA.to_string(),
             threads: mlkit::parallel::max_threads() as u64,
@@ -378,12 +418,11 @@ impl Journal {
         telemetry::span::reset_tracing_state();
         telemetry::span::set_tracing(true);
 
-        let handle = Arc::new(JournalHandle::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let writer_handle = Arc::clone(&handle);
         let writer_stop = Arc::clone(&stop);
-        let writer = std::thread::spawn(move || -> std::io::Result<JournalTotals> {
-            let mut totals = JournalTotals::default();
+        let writer = std::thread::spawn(move || -> Written {
+            let sink = crate::telemetry::global();
+            let mut written = SummaryLine::default();
             let mut spans: Vec<SpanRecord> = Vec::new();
             loop {
                 let stopping = writer_stop.load(Ordering::Relaxed);
@@ -391,72 +430,62 @@ impl Journal {
                 telemetry::span::drain_spans(&mut spans);
                 for s in &spans {
                     writeln!(out, "{}", JournalLine::Span(s.into()).to_line())?;
-                    totals.spans += 1;
+                    written.spans_written += 1;
                 }
-                let lines: Vec<JournalLine> = lock(&writer_handle.queue).drain(..).collect();
-                for line in &lines {
+                // Every sink line written so far is one of its first
+                // `events_written`: the count is the cursor.
+                for line in sink.lines_from(written.events_written as usize) {
                     writeln!(out, "{}", line.to_line())?;
-                    totals.events += 1;
+                    written.events_written += 1;
                 }
                 if stopping {
-                    out.flush()?;
-                    return Ok(totals);
+                    return Ok((out, written));
                 }
                 std::thread::sleep(FLUSH_INTERVAL);
             }
         });
         Ok(Journal {
-            handle,
             stop,
             writer: Some(writer),
         })
     }
 
-    /// The producer handle to share with the telemetry sink.
-    pub fn handle(&self) -> Arc<JournalHandle> {
-        Arc::clone(&self.handle)
+    /// Disarms tracing and stops the writer thread once it has written
+    /// everything still buffered.
+    fn stop_writer(&mut self) -> Result<(LineWriter<File>, SummaryLine), String> {
+        telemetry::span::set_tracing(false);
+        self.stop.store(true, Ordering::Relaxed);
+        self.writer
+            .take()
+            .ok_or("the journal writer has already stopped")?
+            .join()
+            .map_err(|_| "journal writer thread panicked")?
+            .map_err(|e| format!("journal write failed: {e}"))
     }
 
-    /// Disarms tracing, drains everything still buffered, appends the
-    /// `summary` line, and closes the file.
+    /// Disarms tracing, drains everything still buffered, and appends the
+    /// `summary` line through the writer's own file handle.
     ///
     /// # Errors
     ///
     /// Returns a description of any I/O failure the writer thread hit.
-    pub fn finish(mut self, path: &str) -> Result<(), String> {
-        telemetry::span::set_tracing(false);
-        self.stop.store(true, Ordering::Relaxed);
-        let totals = match self.writer.take() {
-            Some(w) => w
-                .join()
-                .map_err(|_| "journal writer thread panicked".to_string())?
-                .map_err(|e| format!("journal write failed: {e}"))?,
-            None => JournalTotals::default(),
-        };
+    pub fn finish(mut self) -> Result<(), String> {
+        let (mut out, summary) = self.stop_writer()?;
         let summary = JournalLine::Summary(SummaryLine {
-            spans_written: totals.spans,
-            events_written: totals.events,
             spans_dropped: telemetry::span::dropped_spans(),
-            events_dropped: self.handle.dropped_events(),
+            ..summary
         });
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot reopen journal `{path}`: {e}"))?;
-        writeln!(file, "{}", summary.to_line())
-            .map_err(|e| format!("cannot write journal summary: {e}"))?;
-        Ok(())
+        writeln!(out, "{}", summary.to_line())
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("cannot write journal summary: {e}"))
     }
 }
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        // finish() already joined; otherwise stop the writer so the thread
-        // does not outlive the journal (no summary line in that case).
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
+        // finish() already stopped the writer; otherwise stop it so neither
+        // the thread nor armed tracing outlives the journal.
+        let _ = self.stop_writer();
     }
 }
 
@@ -584,8 +613,8 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                 }));
                 phase_clock_us += dur_us;
             }
-            // The summary line carries no timeline position.
-            JournalLine::Summary(_) => {}
+            // The tune and summary lines carry no timeline position.
+            JournalLine::Tune(_) | JournalLine::Summary(_) => {}
         }
     }
     if events.is_empty() {
@@ -646,16 +675,6 @@ mod tests {
             panic!("traceEvents array expected");
         };
         events.clone()
-    }
-
-    #[test]
-    fn handle_queue_is_bounded() {
-        let h = JournalHandle::default();
-        for _ in 0..(EVENT_QUEUE_CAP + 10) {
-            h.push(JournalLine::Phase(PhaseRecord::default()));
-        }
-        assert_eq!(h.dropped_events(), 10);
-        assert_eq!(lock(&h.queue).len(), EVENT_QUEUE_CAP);
     }
 
     #[test]

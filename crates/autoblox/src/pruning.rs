@@ -16,7 +16,7 @@ use mlkit::linalg::Matrix;
 use mlkit::ridge::Ridge;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssdsim::config::SsdConfig;
 
 /// Relative performance deviation below which a parameter counts as
@@ -32,7 +32,7 @@ pub const FINE_COEF_THRESHOLD: f64 = 0.001;
 pub const COARSE_MULTIPLIERS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 
 /// One parameter's coarse sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CoarseSweep {
     /// Parameter name.
     pub name: String,
@@ -49,25 +49,21 @@ pub struct CoarseSweep {
     /// `true` if the parameter is flat (insensitive) for this workload.
     pub insensitive: bool,
     /// Simulator probes this parameter's sweep issued (after dedup).
-    #[serde(default)]
     pub probes: u64,
     /// Summed probe time for this parameter, ns (0 when telemetry is off).
-    #[serde(default)]
     pub sweep_ns: u64,
 }
 
 /// Result of the coarse-grained pruning stage for one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CoarseReport {
     /// Workload the sweep was run against.
     pub workload: String,
     /// Per-parameter sweeps (Figure 4's lines).
     pub sweeps: Vec<CoarseSweep>,
     /// Total deduplicated probes fanned out across all parameters.
-    #[serde(default)]
     pub probe_count: u64,
     /// Wall-clock time of the whole stage, ns (0 when telemetry is off).
-    #[serde(default)]
     pub wall_ns: u64,
 }
 
@@ -233,7 +229,7 @@ pub fn coarse_prune(
 }
 
 /// One parameter's fine-grained regression result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FineCoefficient {
     /// Parameter name.
     pub name: String,
@@ -244,7 +240,7 @@ pub struct FineCoefficient {
 }
 
 /// Result of the fine-grained pruning stage for one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FineReport {
     /// Workload the regression was fitted for.
     pub workload: String,
@@ -253,16 +249,12 @@ pub struct FineReport {
     /// R² of the fitted regression on its training samples.
     pub r_squared: f64,
     /// Valid samples the regression was fitted on.
-    #[serde(default)]
     pub samples_used: u64,
     /// Sampling attempts, including constraint-rejected draws.
-    #[serde(default)]
     pub attempts: u64,
     /// Time spent fitting the Ridge model, ns (0 when telemetry is off).
-    #[serde(default)]
     pub fit_ns: u64,
     /// Wall-clock time of the whole stage, ns (0 when telemetry is off).
-    #[serde(default)]
     pub wall_ns: u64,
 }
 

@@ -2,12 +2,15 @@
 //!
 //! The low-level switch and primitives live in the workspace-root
 //! `telemetry` crate (re-exported here); this module adds the collection
-//! layer: a thread-safe [`TelemetrySink`] that phases, tuning outcomes, and
-//! pruning reports are recorded into, and a [`RunReport`] that serializes
-//! the whole picture — per-iteration tuner records, validator cache
-//! statistics, simulator activity, and worker-pool utilization — to JSON
-//! (the `--telemetry out.json` CLI flag). `autoblox explain` is its one
-//! reader, through [`RunReport::parse_checked`].
+//! layer: a thread-safe [`TelemetrySink`] that keeps one run's record as
+//! one log of [`JournalLine`]s (pipeline phases, tuner iterations, model
+//! views, finished tuning runs), and a [`RunReport`] that is a fold over
+//! that log plus snapshots of the validator's cache and simulator
+//! statistics and the worker pool's utilization, serialized to JSON by the
+//! `--telemetry out.json` CLI flag. A [`Journal`](crate::journal::Journal)
+//! writes the same lines to disk, so the report and the journal of a run
+//! cannot disagree. `autoblox explain` is the report's one reader, through
+//! [`RunReport::parse_checked`].
 //!
 //! Everything is gated on the process-wide switch: while telemetry is
 //! disabled (the default) a sink records nothing and instrumented call
@@ -28,16 +31,16 @@
 //! assert_eq!(report.schema, RunReport::SCHEMA);
 //! ```
 
-use crate::journal::{JournalHandle, JournalLine};
-use crate::pruning::{CoarseReport, FineReport};
-use crate::tuner::{IterationRecord, TuningOutcome};
+use crate::journal::JournalLine;
+use crate::tuner::IterationRecord;
 use crate::validator::{Validator, ValidatorStats};
 use mlkit::parallel::PoolStats;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use ssdsim::report::HistogramPercentiles;
 use ssdsim::BottleneckReport;
-use std::sync::{Arc, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 pub use telemetry::{elapsed_ns, enabled, set_enabled, start, Counter};
 
@@ -65,51 +68,6 @@ pub struct TunerRunTelemetry {
     pub records: Vec<IterationRecord>,
 }
 
-/// Summary of one coarse-pruning stage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CoarsePruneTelemetry {
-    /// Workload the sweep ran against.
-    pub workload: String,
-    /// Deduplicated simulator probes fanned out.
-    pub probe_count: u64,
-    /// Stage wall-clock, ns.
-    pub wall_ns: u64,
-    /// Parameters classified insensitive.
-    pub insensitive: u64,
-    /// Parameters that survived.
-    pub sensitive: u64,
-}
-
-/// Summary of one fine-pruning stage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FinePruneTelemetry {
-    /// Workload the regression was fitted for.
-    pub workload: String,
-    /// Valid samples the regression used.
-    pub samples_used: u64,
-    /// Sampling attempts including rejected draws.
-    pub attempts: u64,
-    /// Ridge fit time, ns.
-    pub fit_ns: u64,
-    /// Stage wall-clock, ns.
-    pub wall_ns: u64,
-    /// Parameters pruned by the coefficient threshold.
-    pub pruned: u64,
-    /// Parameters surviving into the tuning order.
-    pub survivors: u64,
-    /// R² of the fitted regression.
-    pub r_squared: f64,
-}
-
-/// Both pruning stages' summaries, in recording order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PruningTelemetry {
-    /// Coarse sweeps recorded.
-    pub coarse: Vec<CoarsePruneTelemetry>,
-    /// Fine regressions recorded.
-    pub fine: Vec<FinePruneTelemetry>,
-}
-
 /// The full structured telemetry report for one run.
 ///
 /// This is what `--telemetry out.json` writes: a versioned, self-describing
@@ -126,8 +84,6 @@ pub struct RunReport {
     pub phases: Vec<PhaseRecord>,
     /// One entry per recorded tuning run.
     pub tuner: Vec<TunerRunTelemetry>,
-    /// Pruning-stage summaries.
-    pub pruning: PruningTelemetry,
     /// Validator cache/simulator statistics.
     pub validator: ValidatorStats,
     /// Worker-pool utilization counters.
@@ -146,16 +102,53 @@ impl RunReport {
     pub const SCHEMA: &'static str = "autoblox.telemetry.v3";
 
     /// Top-level keys every serialized report must carry.
-    pub const REQUIRED_KEYS: [&'static str; 8] = [
+    pub const REQUIRED_KEYS: [&'static str; 7] = [
         "schema",
         "enabled",
         "threads",
         "phases",
         "tuner",
-        "pruning",
         "validator",
         "pool",
     ];
+
+    /// Folds recorded lines into a report's phases and tuning runs, in
+    /// recording order; every other member is left at its default. A `tune`
+    /// line closes its workload's run: the `iteration` lines of that
+    /// workload since its previous `tune` line become the run's records,
+    /// each completed by the `model` line of the same iteration that
+    /// follows it. `meta`, `span` and `summary` lines fold to nothing.
+    pub fn fold<'a>(lines: impl IntoIterator<Item = &'a JournalLine>) -> RunReport {
+        let mut report = RunReport {
+            schema: RunReport::SCHEMA.to_string(),
+            ..RunReport::default()
+        };
+        // Each workload's records not yet closed by a `tune` line.
+        let mut open: BTreeMap<&str, Vec<IterationRecord>> = BTreeMap::new();
+        for line in lines {
+            match line {
+                JournalLine::Phase(p) => report.phases.push(p.clone()),
+                JournalLine::Iteration(i) => {
+                    open.entry(i.workload.as_str()).or_default().push(i.into())
+                }
+                JournalLine::Model(m) => {
+                    let last = open.get_mut(m.workload.as_str()).and_then(|r| r.last_mut());
+                    if let Some(record) = last.filter(|r| r.iteration == m.iteration) {
+                        m.fill(record);
+                    }
+                }
+                JournalLine::Tune(t) => report.tuner.push(TunerRunTelemetry {
+                    workload: t.workload.clone(),
+                    iterations: t.iterations,
+                    validations: t.validations,
+                    best_grade: t.best_grade,
+                    records: open.remove(t.workload.as_str()).unwrap_or_default(),
+                }),
+                JournalLine::Meta(_) | JournalLine::Span(_) | JournalLine::Summary(_) => {}
+            }
+        }
+        report
+    }
 
     /// Parses and validates a serialized report: the JSON must parse, carry
     /// every required top-level key, match the schema identifier, and
@@ -233,10 +226,6 @@ fn schema_template() -> serde_json::Value {
             records: vec![IterationRecord::default()],
             ..Default::default()
         }],
-        pruning: PruningTelemetry {
-            coarse: vec![CoarsePruneTelemetry::default()],
-            fine: vec![FinePruneTelemetry::default()],
-        },
         ..Default::default()
     };
     serde_json::to_value(&report).expect("template serializes")
@@ -324,24 +313,16 @@ fn locate_schema_mismatch(candidate: &serde_json::Value, missing: Option<&str>) 
     walk(&schema_template(), candidate, "", missing)
 }
 
-#[derive(Debug, Default)]
-struct SinkInner {
-    phases: Vec<PhaseRecord>,
-    tuner: Vec<TunerRunTelemetry>,
-    coarse: Vec<CoarsePruneTelemetry>,
-    fine: Vec<FinePruneTelemetry>,
-    journal: Option<Arc<JournalHandle>>,
-}
-
-/// Thread-safe collector for structured telemetry.
+/// Thread-safe collector for structured telemetry: one log of
+/// [`JournalLine`]s in recording order.
 ///
-/// All recording methods are no-ops while the process-wide switch is off,
-/// so a sink can sit on the hot path unconditionally. Reports are taken
-/// with [`TelemetrySink::report`], which also snapshots the worker pool
-/// and (optionally) a validator.
+/// Recording is a no-op while the process-wide switch is off (the line is
+/// not even built), so a sink can sit on the hot path unconditionally.
+/// Reports are taken with [`TelemetrySink::report`], which folds the log
+/// and snapshots the worker pool and (optionally) a validator.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    inner: Mutex<SinkInner>,
+    lines: Mutex<Vec<JournalLine>>,
 }
 
 impl TelemetrySink {
@@ -350,129 +331,58 @@ impl TelemetrySink {
         TelemetrySink::default()
     }
 
-    /// Runs `f` as a named pipeline stage, recording its wall-clock time
-    /// when telemetry is enabled and opening a span around it when tracing
-    /// is armed. The closure's result passes through.
+    /// Appends the line `line` builds when telemetry is enabled; otherwise
+    /// `line` is never called.
+    pub fn push(&self, line: impl FnOnce() -> JournalLine) {
+        if enabled() {
+            self.lines.lock().push(line());
+        }
+    }
+
+    /// Runs `f` as a named pipeline stage, recording a `phase` line with
+    /// its wall-clock time when telemetry is enabled and opening a span
+    /// around it when tracing is armed. The closure's result passes through.
     pub fn phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let _span = telemetry::span::Span::enter_keyed(name, telemetry::span::key_str(name));
         let t = start();
         let out = f();
-        if enabled() {
-            self.record_phase_ns(name, elapsed_ns(t));
-        }
+        self.push(|| {
+            JournalLine::Phase(PhaseRecord {
+                name: name.to_string(),
+                wall_ns: elapsed_ns(t),
+            })
+        });
         out
     }
 
-    /// Records an already-measured stage duration, streaming it to an
-    /// attached journal.
-    pub fn record_phase_ns(&self, name: &str, wall_ns: u64) {
-        if enabled() {
-            let record = PhaseRecord {
-                name: name.to_string(),
-                wall_ns,
-            };
-            let mut inner = self.inner.lock();
-            if let Some(j) = &inner.journal {
-                j.push(JournalLine::Phase(record.clone()));
-            }
-            inner.phases.push(record);
-        }
-    }
-
-    /// Attaches a run journal: subsequent phase completions and tuner
-    /// iteration records stream into it as they happen.
-    pub fn attach_journal(&self, handle: Arc<JournalHandle>) {
-        self.inner.lock().journal = Some(handle);
-    }
-
-    /// Detaches the journal, if any (the handle's writer keeps draining
-    /// whatever was already queued).
-    pub fn detach_journal(&self) {
-        self.inner.lock().journal = None;
-    }
-
-    /// Streams the line `line` builds to the attached journal. Without a
-    /// journal this is a no-op and `line` is never called, so nothing is
-    /// built. Unlike the other recorders this is not gated on the telemetry
-    /// switch — a journal is an explicit opt-in of its own.
-    pub fn journal(&self, line: impl FnOnce() -> JournalLine) {
-        if let Some(j) = &self.inner.lock().journal {
-            j.push(line());
-        }
-    }
-
-    /// Records one tuning run's outcome (including its iteration records).
-    pub fn record_outcome(&self, outcome: &TuningOutcome) {
-        if enabled() {
-            self.inner.lock().tuner.push(TunerRunTelemetry {
-                workload: outcome.workload.clone(),
-                iterations: outcome.iterations as u64,
-                validations: outcome.validations,
-                best_grade: outcome.best.grade,
-                records: outcome.iteration_records.clone(),
-            });
-        }
-    }
-
-    /// Records a coarse-pruning stage.
-    pub fn record_coarse(&self, report: &CoarseReport) {
-        if enabled() {
-            self.inner.lock().coarse.push(CoarsePruneTelemetry {
-                workload: report.workload.clone(),
-                probe_count: report.probe_count,
-                wall_ns: report.wall_ns,
-                insensitive: report.insensitive().len() as u64,
-                sensitive: report.sensitive().len() as u64,
-            });
-        }
-    }
-
-    /// Records a fine-pruning stage.
-    pub fn record_fine(&self, report: &FineReport) {
-        if enabled() {
-            let pruned = report.coefficients.iter().filter(|c| c.pruned).count() as u64;
-            self.inner.lock().fine.push(FinePruneTelemetry {
-                workload: report.workload.clone(),
-                samples_used: report.samples_used,
-                attempts: report.attempts,
-                fit_ns: report.fit_ns,
-                wall_ns: report.wall_ns,
-                pruned,
-                survivors: report.coefficients.len() as u64 - pruned,
-                r_squared: report.r_squared,
-            });
-        }
+    /// The lines recorded after the first `from`, in recording order (none
+    /// when `from` is at or past the end).
+    pub(crate) fn lines_from(&self, from: usize) -> Vec<JournalLine> {
+        self.lines
+            .lock()
+            .get(from..)
+            .map_or_else(Vec::new, <[_]>::to_vec)
     }
 
     /// Drops everything recorded so far (used at the start of an
     /// instrumented run so the report covers exactly that run).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let journal = inner.journal.take();
-        *inner = SinkInner::default();
-        inner.journal = journal;
+        self.lines.lock().clear();
     }
 
-    /// Snapshots everything recorded into a serializable [`RunReport`],
-    /// folding in the worker pool's counters and, when given, the
-    /// validator's cache statistics.
+    /// Snapshots everything recorded into a serializable [`RunReport`]: the
+    /// fold of the recorded lines plus the worker pool's counters and, when
+    /// given, the validator's cache and simulator statistics.
     pub fn report(&self, validator: Option<&Validator>) -> RunReport {
-        let inner = self.inner.lock();
         let validator = validator.map(Validator::stats).unwrap_or_default();
         RunReport {
-            schema: RunReport::SCHEMA.to_string(),
             enabled: enabled(),
             threads: mlkit::parallel::max_threads() as u64,
-            phases: inner.phases.clone(),
-            tuner: inner.tuner.clone(),
-            pruning: PruningTelemetry {
-                coarse: inner.coarse.clone(),
-                fine: inner.fine.clone(),
-            },
             latency_percentiles: validator.sim.latency_buckets.percentiles(),
             bottleneck: validator.sim.bottleneck(),
             validator,
             pool: mlkit::parallel::pool_stats(),
+            ..RunReport::fold(self.lines.lock().iter())
         }
     }
 }
@@ -495,7 +405,7 @@ mod tests {
         let sink = TelemetrySink::new();
         let v = sink.phase("noop", || 7);
         assert_eq!(v, 7);
-        sink.record_phase_ns("direct", 123);
+        sink.push(|| unreachable!("a disabled sink builds no line"));
         let report = sink.report(None);
         assert!(report.phases.is_empty());
         assert!(report.tuner.is_empty());

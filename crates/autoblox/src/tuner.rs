@@ -181,6 +181,21 @@ pub struct IterationRecord {
     pub kernel_length_scale: f64,
 }
 
+impl IterationRecord {
+    /// Whether any model field is set, i.e. the iteration has a `model`
+    /// journal line.
+    pub(crate) fn has_model(&self) -> bool {
+        self.predicted_mean != 0.0
+            || self.predicted_std != 0.0
+            || self.calibrated
+            || self.realized_grade != 0.0
+            || self.explore_share != 0.0
+            || self.exploit_share != 0.0
+            || self.decision_margin != 0.0
+            || self.kernel_length_scale != 0.0
+    }
+}
+
 /// Result of one tuning run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TuningOutcome {
@@ -580,7 +595,7 @@ impl<'a> Tuner<'a> {
         let target = target.into();
         let runs_before = self.validator.simulator_runs();
         let state = self.run(target, reference, initial, tuning_order)?;
-        Ok(TuningOutcome {
+        let outcome = TuningOutcome {
             workload: target.name().to_string(),
             best: state
                 .best
@@ -590,7 +605,9 @@ impl<'a> Tuner<'a> {
             iterations: state.iterations as usize,
             validations: self.validator.simulator_runs() - runs_before,
             iteration_records: state.records,
-        })
+        };
+        crate::telemetry::global().push(|| JournalLine::Tune((&outcome).into()));
+        Ok(outcome)
     }
 
     /// The loop behind [`Tuner::try_tune`], returning its final state.
@@ -895,12 +912,12 @@ impl<'a> Tuner<'a> {
             decision_margin,
             kernel_length_scale,
         };
-        // Stream the record to an attached run journal (no-op without
-        // one) so a live tuning run is observable before it finishes.
+        // Record the iteration (a no-op with telemetry off); a run journal
+        // streams it, so a live tuning run is observable before it finishes.
         let sink = crate::telemetry::global();
-        sink.journal(|| JournalLine::Iteration((target.name(), &record).into()));
-        if has_prediction {
-            sink.journal(|| JournalLine::Model((target.name(), &record).into()));
+        sink.push(|| JournalLine::Iteration((target.name(), &record).into()));
+        if record.has_model() {
+            sink.push(|| JournalLine::Model((target.name(), &record).into()));
         }
         state.records.push(record);
         converged || state.iterations as usize >= self.opts.max_iterations

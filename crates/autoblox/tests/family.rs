@@ -4,9 +4,10 @@
 //! SLC-migration stalls on a write-heavy trace, and measurements stored
 //! under one device family must never be served to the other.
 //!
-//! One test toggles the process-wide telemetry switch, so every test
-//! that touches it serializes on one lock (test binaries run their
-//! tests on concurrent threads within one process). The what-if
+//! One test toggles the process-wide telemetry switch, and every tune
+//! records into the process-wide sink while it is on, so every test that
+//! touches either serializes on one lock (test binaries run their tests on
+//! concurrent threads within one process). The what-if
 //! determinism test also owns the process-wide thread override while it
 //! runs.
 
@@ -135,9 +136,11 @@ fn explain_attributes_slc_migration_on_write_heavy_trace() {
 /// the other — every configuration carries its family into its memo key,
 /// so dropping `--family` re-simulates instead of inheriting another
 /// device's measurements — while the same family replays entirely from the
-/// store.
+/// store. Its tunes record into the process-wide sink whenever the switch
+/// is on, so it too holds the lock.
 #[test]
 fn family_change_misses_the_memo() {
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let store = Arc::new(autodb::Store::in_memory());
     let tune = |constraints: Constraints, reference: SsdConfig| {
         let v = quick_validator(60);

@@ -23,12 +23,16 @@
 //! (`validator.timed`, `validator.saturated`, the new parents of `sim.run`
 //! and `sim.drain`), so those lines are pinned to
 //! `fixtures/tune_spans.jsonl`, the same tune's span and summary lines as
-//! the first build with those spans wrote them.
+//! the first build with those spans wrote them. The fresh journal must
+//! also fold to the phases and tuning runs of the report the same command
+//! wrote, its one `tune` line (a kind the parent did not write) agreeing
+//! with the report's run.
 
 use autoblox::journal::{
-    IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, SummaryLine, JOURNAL_SCHEMA,
+    IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, SummaryLine, TuneLine,
+    JOURNAL_SCHEMA,
 };
-use autoblox::telemetry::PhaseRecord;
+use autoblox::telemetry::{PhaseRecord, RunReport};
 use serde_json::Value;
 use ssdsim::BottleneckReport;
 use std::path::{Path, PathBuf};
@@ -95,6 +99,12 @@ fn every_kind() -> Vec<JournalLine> {
             decision_margin: 0.05,
             kernel_length_scale: 1.5,
         }),
+        JournalLine::Tune(TuneLine {
+            workload: "Database".to_string(),
+            iterations: 3,
+            validations: 12,
+            best_grade: 0.25,
+        }),
         JournalLine::Phase(PhaseRecord {
             name: "tune".to_string(),
             wall_ns: 123,
@@ -103,7 +113,6 @@ fn every_kind() -> Vec<JournalLine> {
             spans_written: 10,
             events_written: 20,
             spans_dropped: 1,
-            events_dropped: 2,
         }),
     ]
 }
@@ -119,7 +128,7 @@ fn every_kind_round_trips() {
     }
     tags.sort();
     tags.dedup();
-    assert_eq!(tags.len(), 6, "one line per kind: {tags:?}");
+    assert_eq!(tags.len(), 7, "one line per kind: {tags:?}");
 }
 
 /// `line` with its alphabetically first member removed, then mistyped.
@@ -300,14 +309,46 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     ]);
     assert!(run.status.success(), "{:?}", run.stderr);
     let ours = std::fs::read_to_string(&journal).expect("journal written");
+    let report = std::fs::read_to_string(&telemetry).expect("report written");
+    let report = RunReport::parse_checked(&report).expect("report parses");
     std::fs::remove_file(journal).ok();
     std::fs::remove_file(telemetry).ok();
+
+    // The journal folds to the report's phases and tuning runs: the two
+    // are one recording.
+    let lines: Vec<JournalLine> = ours
+        .lines()
+        .map(|line| JournalLine::parse(line).expect("every line parses"))
+        .collect();
+    let folded = RunReport::fold(&lines);
+    assert_eq!(folded.phases, report.phases, "phases");
+    assert_eq!(folded.tuner, report.tuner, "tuning runs");
+    assert_eq!(report.tuner.len(), 1);
+    let tunes: Vec<&TuneLine> = lines
+        .iter()
+        .filter_map(|line| match line {
+            JournalLine::Tune(t) => Some(t),
+            _ => None,
+        })
+        .collect();
+    let [tune] = tunes.as_slice() else {
+        panic!("one tune line, not {}", tunes.len())
+    };
+    let run = &report.tuner[0];
+    assert_eq!(
+        (&tune.workload, tune.iterations, tune.validations),
+        (&run.workload, run.iterations, run.validations)
+    );
+    assert_eq!(tune.best_grade.to_bits(), run.best_grade.to_bits());
+    assert_eq!(tune.iterations, 3);
+
     let spans = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tune_spans.jsonl");
     let spans = std::fs::read_to_string(spans).expect("span fixture");
     // Span and summary lines against the span fixture, the rest against
     // the parent's journal, less the retired `progress`, `series` and
     // `bottleneck` lines — which the fixture's summary still counts among
-    // the events written.
+    // the events written — and less the `tune` line, which the parent did
+    // not write and this build's summary counts.
     let is_span =
         |line: &String| line.contains(r#""t":"span""#) || line.contains(r#""t":"summary""#);
     let is_retired = |line: &String| {
@@ -317,6 +358,10 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     };
     let (ours_spans, ours_rest): (Vec<_>, Vec<_>) =
         masked_tune_lines(&ours).into_iter().partition(is_span);
+    let (ours_tune, ours_rest): (Vec<_>, Vec<_>) = ours_rest
+        .into_iter()
+        .partition(|line| line.contains(r#""t":"tune""#));
+    assert_eq!(ours_tune.len(), 1);
     let (parent_retired, parent_rest): (Vec<_>, Vec<_>) = masked_tune_lines(&parent)
         .into_iter()
         .filter(|l| !is_span(l))
@@ -327,6 +372,7 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
         .map(|line| match JournalLine::parse(line) {
             Ok(JournalLine::Summary(mut summary)) => {
                 summary.events_written -= parent_retired.len() as u64;
+                summary.events_written += ours_tune.len() as u64;
                 JournalLine::Summary(summary).to_line() + "\n"
             }
             _ => format!("{line}\n"),

@@ -47,10 +47,9 @@ fn observed_tune(threads: usize) -> RunReport {
 
     let v = quick_validator(200);
     let tuner = Tuner::new(Constraints::paper_default(), &v, smoke_options());
-    let outcome = autoblox::telemetry::global().phase("tune", || {
+    autoblox::telemetry::global().phase("tune", || {
         tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None)
     });
-    autoblox::telemetry::global().record_outcome(&outcome);
     let report = autoblox::telemetry::global().report(Some(&v));
     telemetry::set_enabled(false);
     report

@@ -39,10 +39,13 @@ fn fixture() -> Value {
 }
 
 /// `name`'s golden as the parent build wrote it: with the retired
-/// device-sample counters and each record's sensitivity vector.
+/// device-sample counters, each record's sensitivity vector and the empty
+/// pruning summaries.
 fn parent_shaped(name: &str) -> String {
     let mut doc: Value =
         serde_json::from_str(&std::fs::read_to_string(golden_path(name)).unwrap()).unwrap();
+    let pruning = serde_json::from_str(r#"{"coarse": [], "fine": []}"#).unwrap();
+    set(&mut doc, &["pruning"], pruning);
     for (key, n) in [("device_samples", 3028u64), ("device_samples_dropped", 0)] {
         let n = serde_json::to_value(n).unwrap();
         set(&mut doc, &["validator", "sim", key], n);

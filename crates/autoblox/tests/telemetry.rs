@@ -205,7 +205,8 @@ fn warm_once_reports_match_independent_simulators() {
 }
 
 /// A fully populated report — tuner records, validator stats, pool counters
-/// — must survive serde round-tripping bit-exactly.
+/// — must survive serde round-tripping bit-exactly. The tuner records into
+/// the process-wide sink, so the report is taken from it.
 #[test]
 fn populated_report_round_trips_through_json() {
     let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -213,7 +214,8 @@ fn populated_report_round_trips_through_json() {
     parallel::reset_pool_stats();
 
     let v = quick_validator(200);
-    let sink = TelemetrySink::new();
+    let sink = telemetry::global();
+    sink.clear();
     let opts = TunerOptions {
         max_iterations: 3,
         sgd_iterations: 2,
@@ -225,7 +227,6 @@ fn populated_report_round_trips_through_json() {
     let outcome = sink.phase("tune", || {
         tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None)
     });
-    sink.record_outcome(&outcome);
     let report = sink.report(Some(&v));
     telemetry::set_enabled(false);
 
@@ -235,7 +236,8 @@ fn populated_report_round_trips_through_json() {
     assert_eq!(report.phases[0].name, "tune");
     assert!(report.phases[0].wall_ns > 0);
     assert_eq!(report.tuner.len(), 1);
-    assert_eq!(report.tuner[0].records.len(), outcome.iterations);
+    assert_eq!(report.tuner[0].iterations, outcome.iterations as u64);
+    assert_eq!(report.tuner[0].records, outcome.iteration_records);
     assert!(report.tuner[0].records.iter().all(|r| r.wall_ns > 0));
     assert!(report.validator.simulator_runs > 0);
     assert!(report.validator.cache_misses > 0);
@@ -315,8 +317,8 @@ fn span_tree_identical_across_thread_counts() {
 }
 
 /// End-to-end journal: a tuning run streamed to disk must produce a valid
-/// JSONL file (meta first, summary last, zero drops at this scale) that the
-/// Chrome exporter accepts.
+/// JSONL file (meta first, summary last, no span dropped at this scale)
+/// that the Chrome exporter accepts.
 #[test]
 fn journal_streams_run_and_exports_chrome_trace() {
     let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -331,7 +333,6 @@ fn journal_streams_run_and_exports_chrome_trace() {
     let path_str = path.to_string_lossy().into_owned();
 
     let journal = Journal::create(&path_str).expect("journal opens");
-    autoblox::telemetry::global().attach_journal(journal.handle());
 
     let v = quick_validator(200);
     let opts = TunerOptions {
@@ -346,8 +347,7 @@ fn journal_streams_run_and_exports_chrome_trace() {
         tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None)
     });
 
-    autoblox::telemetry::global().detach_journal();
-    journal.finish(&path_str).expect("journal closes");
+    journal.finish().expect("journal closes");
     telemetry::set_enabled(false);
 
     let text = std::fs::read_to_string(&path).expect("journal readable");
@@ -364,12 +364,17 @@ fn journal_streams_run_and_exports_chrome_trace() {
     let last = lines.last().unwrap();
     assert!(last.contains("\"t\":\"summary\""), "last line is summary");
     assert!(
-        last.contains("\"spans_dropped\":0") && last.contains("\"events_dropped\":0"),
+        last.contains("\"spans_dropped\":0"),
         "nothing dropped at this scale: {last}"
     );
     assert!(
         text.contains("\"t\":\"iteration\""),
         "per-iteration records streamed"
+    );
+    assert_eq!(
+        text.matches("\"t\":\"tune\"").count(),
+        1,
+        "one tune line closes the run"
     );
 
     assert!(
@@ -390,5 +395,21 @@ fn journal_streams_run_and_exports_chrome_trace() {
         "one instant per iteration and model line"
     );
 
+    std::fs::remove_file(&path).ok();
+}
+
+/// A journal dropped without `finish` — an early return or a panic between
+/// the two — must not leave span tracing armed for the rest of the process.
+#[test]
+fn dropping_an_unfinished_journal_disarms_tracing() {
+    let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let path = std::env::temp_dir().join(format!(
+        "autoblox-test-dropped-journal-{}.jsonl",
+        std::process::id()
+    ));
+    let journal = Journal::create(&path.to_string_lossy()).expect("journal opens");
+    assert!(span::tracing_enabled(), "a journal arms tracing");
+    drop(journal);
+    assert!(!span::tracing_enabled(), "dropping it disarms tracing");
     std::fs::remove_file(&path).ok();
 }
