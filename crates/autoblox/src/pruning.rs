@@ -48,7 +48,9 @@ pub struct CoarseSweep {
     pub sensitivity: f64,
     /// `true` if the parameter is flat (insensitive) for this workload.
     pub insensitive: bool,
-    /// Simulator probes this parameter's sweep issued (after dedup).
+    /// Validations this parameter's sweep issued (after dedup). The
+    /// validator's cache answers some of them: a probe of a knob the
+    /// simulator cannot see is the baseline's measurement.
     pub probes: u64,
     /// Summed probe time for this parameter, ns (0 when telemetry is off).
     pub sweep_ns: u64,
@@ -61,7 +63,8 @@ pub struct CoarseReport {
     pub workload: String,
     /// Per-parameter sweeps (Figure 4's lines).
     pub sweeps: Vec<CoarseSweep>,
-    /// Total deduplicated probes fanned out across all parameters.
+    /// Total deduplicated validations fanned out across all parameters,
+    /// cache hits included (the charged runs are the validator's count).
     pub probe_count: u64,
     /// Wall-clock time of the whole stage, ns (0 when telemetry is off).
     pub wall_ns: u64,

@@ -51,11 +51,13 @@ impl Default for ValidatorOptions {
 
 /// Compact memoization key for one [`SsdConfig`].
 ///
-/// 128 bits of FNV-1a over [`SsdConfig::canonical_words`] — two independent
+/// 128 bits of FNV-1a over [`SsdConfig::sim_words`] — two independent
 /// 64-bit streams — replacing the seed's `serde_json::to_string(cfg)` key,
 /// which serialized ~50 fields to a heap string on every cache probe.
 /// Hashing actual field values (not parameter-grid indices) keeps off-grid
-/// configurations such as presets collision-distinct too.
+/// configurations such as presets collision-distinct too. The key is the
+/// device the simulator models, so configurations that differ only in a
+/// knob the simulator cannot observe share one measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigKey([u64; 2]);
 
@@ -72,7 +74,7 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 impl ConfigKey {
     /// Fingerprints a configuration.
     pub fn of(cfg: &SsdConfig) -> Self {
-        let words = cfg.canonical_words();
+        let words = cfg.sim_words();
         let mut h0 = FNV_OFFSET;
         // Second stream: offset basis perturbed so the two hashes are
         // independent even over identical input words.
@@ -249,8 +251,8 @@ struct ValidatorCounters {
 /// queue depth drives submission) that yields the device's throughput
 /// capability — the same methodology MQSim-based studies use for bandwidth.
 ///
-/// The cache key is the exact configuration plus the workload name, so the
-/// tuner never pays twice for the same (configuration, workload) pair — the
+/// The cache key is the simulated device ([`ConfigKey`]) plus the workload
+/// name, so the tuner never pays twice for the same (device, workload) pair — the
 /// dominant cost in the paper's Table 6. Concurrent callers asking for the
 /// same pair block on a per-key `OnceLock` instead of duplicating simulator
 /// work, so [`Validator::simulator_runs`] is identical under any thread
@@ -691,9 +693,12 @@ mod tests {
         let mut tweaked = base.clone();
         tweaked.gc_threshold += 1e-9;
         assert_ne!(a, ConfigKey::of(&tweaked));
-        let mut flipped = base;
+        let mut flipped = base.clone();
         flipped.preemptible_gc = !flipped.preemptible_gc;
         assert_ne!(a, ConfigKey::of(&flipped));
+        let mut inert = base;
+        inert.init_delay_us += 1;
+        assert_eq!(a, ConfigKey::of(&inert), "the simulator cannot see it");
     }
 
     #[test]

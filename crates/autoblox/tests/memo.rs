@@ -182,6 +182,34 @@ fn changed_inputs_miss_the_memo() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The memo is keyed by the device the simulator models: two configurations
+/// that differ only in a knob the simulator never reads cost one charged
+/// run and one record, and a fresh validator on that store charges none.
+#[test]
+fn inert_knobs_share_one_measurement() {
+    let db = Arc::new(Store::in_memory());
+    let base = presets::intel_750();
+    let other = ssdsim::config::SsdConfig {
+        init_delay_us: base.init_delay_us * 2,
+        ..base.clone()
+    };
+    let measure = |cfgs: &[&ssdsim::config::SsdConfig]| {
+        let v = validator(120);
+        v.attach_store(Arc::clone(&db));
+        let ms: Vec<Measurement> = cfgs
+            .iter()
+            .map(|cfg| v.evaluate(cfg, WorkloadKind::Database))
+            .collect();
+        (ms, v.simulator_runs())
+    };
+    let (paid, runs) = measure(&[&base, &other]);
+    assert_eq!(runs, 1);
+    assert_eq!(paid[0], paid[1]);
+    assert_eq!(db.keys_with_prefix("memo:").len(), 1);
+    assert_eq!(measure(&[&other, &base]), (paid, 0));
+    assert_eq!(db.log_records(), 1);
+}
+
 /// A store holding `run:` records (as the retired run registry wrote
 /// them), `category:` and `memo:` records, cut at every
 /// byte offset, reopens to exactly the records that were whole at the cut;

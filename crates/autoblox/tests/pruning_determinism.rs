@@ -54,8 +54,10 @@ const ALL_FIVE: Recorded = Recorded {
         "init_delay",
         "data_cache_size",
     ],
-    simulator_runs: 25,
-    cache_misses: 25,
+    // Two pairs of draws differ only in the inert parameters, which the
+    // simulator cannot see: they share one measurement each.
+    simulator_runs: 23,
+    cache_misses: 23,
 };
 
 /// Two parameters: the 24 draws land on 17 distinct configurations (plus the
@@ -70,8 +72,10 @@ const TWO_WITH_DUPLICATES: Recorded = Recorded {
     samples_used: 24,
     attempts: 24,
     tuning_order: &["channel_count", "page_metadata_capacity"],
-    simulator_runs: 18,
-    cache_misses: 18,
+    // `page_metadata_capacity` is inert: the 17 configurations and the
+    // baseline are 9 simulated devices.
+    simulator_runs: 9,
+    cache_misses: 9,
 };
 
 /// One case on a fresh validator: the report, the simulator-run count and

@@ -410,7 +410,7 @@ pub struct SsdConfig {
     // ---- Performance-inert parameters ----------------------------------
     // These exist in real SSD configuration files but do not influence the
     // modeled datapath; the paper's coarse pruning (Figure 4) identifies
-    // them as insensitive.
+    // them as insensitive. `SsdConfig::sim_words` leaves them out.
     /// Per-page metadata (OOB) capacity in bytes.
     pub page_metadata_bytes: u32,
     /// Number of ECC engines in the controller.
@@ -506,6 +506,10 @@ impl Error for InvalidConfigError {}
 /// Number of `u64` words in [`SsdConfig::canonical_words`].
 pub const CONFIG_WORDS: usize = 52;
 
+/// Number of `u64` words in [`SsdConfig::sim_words`]: [`CONFIG_WORDS`]
+/// less the twelve fields the simulator never reads.
+pub const SIM_WORDS: usize = 40;
+
 /// Largest `pages_per_block` the flash array can track: per-block valid-page
 /// counts are 16-bit.
 pub const MAX_PAGES_PER_BLOCK: u32 = u16::MAX as u32;
@@ -514,10 +518,12 @@ impl SsdConfig {
     /// Encodes every field as one `u64` word, in declaration order.
     ///
     /// Two configurations produce the same words iff they are field-for-field
-    /// identical (floats are compared by bit pattern), so the encoding is a
-    /// sound basis for memoization keys — unlike grid indices, it also
-    /// distinguishes off-grid configurations such as presets. Keep this in
-    /// sync when adding fields: the array length is a compile-time check.
+    /// identical (floats are compared by bit pattern), so the encoding
+    /// identifies a configuration — unlike grid indices, it also
+    /// distinguishes off-grid configurations such as presets. Measurements
+    /// are keyed by [`SsdConfig::sim_words`] instead, which leaves out what
+    /// the simulator cannot observe. Keep this in sync when adding fields:
+    /// the array length is a compile-time check.
     pub fn canonical_words(&self) -> [u64; CONFIG_WORDS] {
         let family = self.device_family.canonical_words();
         [
@@ -573,6 +579,124 @@ impl SsdConfig {
             u64::from(self.pfail_flush_budget_uj),
             u64::from(self.dram_refresh_interval_us),
             u64::from(self.nand_vcc_mv),
+        ]
+    }
+
+    /// Encodes the device the simulator models: the fields that
+    /// [`crate::Simulator::new`], a replay, [`crate::Simulator::drain`] and
+    /// [`crate::power::compute_energy`] can observe, in declaration order.
+    ///
+    /// Two configurations with equal words produce identical
+    /// [`crate::SimReport`]s for every trace, so the encoding is the sound
+    /// basis for memoizing measurements. It differs from
+    /// [`SsdConfig::canonical_words`] in three ways:
+    /// - the twelve catalog knobs no simulator code reads are left out:
+    ///   `suspend_erase_ns`, `dram_burst_bytes` and the ten
+    ///   performance-inert parameters;
+    /// - `suspend_program_ns` reads 0 unless `program_suspension_enabled`;
+    /// - `static_wearleveling_threshold` reads 0 unless
+    ///   `static_wearleveling_enabled`.
+    ///
+    /// The destructuring below names every field, so a new field does not
+    /// compile until it is classified here.
+    pub fn sim_words(&self) -> [u64; SIM_WORDS] {
+        let SsdConfig {
+            channel_count,
+            chips_per_channel,
+            dies_per_chip,
+            planes_per_die,
+            blocks_per_plane,
+            pages_per_block,
+            page_size_bytes,
+            flash_technology,
+            device_family,
+            read_latency_ns,
+            program_latency_ns,
+            erase_latency_ns,
+            channel_transfer_rate_mts,
+            channel_width_bits,
+            flash_cmd_overhead_ns,
+            suspend_program_ns,
+            suspend_erase_ns: _,
+            program_suspension_enabled,
+            erase_suspension_enabled,
+            data_cache_mb,
+            cmt_capacity_mb,
+            dram_data_rate_mts,
+            dram_burst_bytes: _,
+            cmt_entry_bytes,
+            cache_mode,
+            overprovisioning_ratio,
+            gc_threshold,
+            gc_hard_threshold,
+            gc_policy,
+            preemptible_gc,
+            static_wearleveling_enabled,
+            static_wearleveling_threshold,
+            plane_allocation_scheme,
+            interface,
+            io_queue_depth,
+            queue_count,
+            pcie_lane_count,
+            pcie_lane_gtps,
+            host_cmd_overhead_ns,
+            page_metadata_bytes: _,
+            ecc_engine_count: _,
+            read_retry_limit: _,
+            background_scan_interval_ms: _,
+            init_delay_us: _,
+            firmware_sram_kb: _,
+            thermal_throttle_c: _,
+            pfail_flush_budget_uj: _,
+            dram_refresh_interval_us: _,
+            nand_vcc_mv: _,
+        } = *self;
+        let family = device_family.canonical_words();
+        let gated = |enabled: bool, word: u64| if enabled { word } else { 0 };
+        [
+            u64::from(channel_count),
+            u64::from(chips_per_channel),
+            u64::from(dies_per_chip),
+            u64::from(planes_per_die),
+            u64::from(blocks_per_plane),
+            u64::from(pages_per_block),
+            u64::from(page_size_bytes),
+            flash_technology as u64,
+            family[0],
+            family[1],
+            family[2],
+            family[3],
+            read_latency_ns,
+            program_latency_ns,
+            erase_latency_ns,
+            u64::from(channel_transfer_rate_mts),
+            u64::from(channel_width_bits),
+            flash_cmd_overhead_ns,
+            gated(program_suspension_enabled, suspend_program_ns),
+            u64::from(program_suspension_enabled),
+            u64::from(erase_suspension_enabled),
+            u64::from(data_cache_mb),
+            u64::from(cmt_capacity_mb),
+            u64::from(dram_data_rate_mts),
+            u64::from(cmt_entry_bytes),
+            cache_mode as u64,
+            overprovisioning_ratio.to_bits(),
+            gc_threshold.to_bits(),
+            gc_hard_threshold.to_bits(),
+            gc_policy as u64,
+            u64::from(preemptible_gc),
+            u64::from(static_wearleveling_enabled),
+            gated(
+                static_wearleveling_enabled,
+                u64::from(static_wearleveling_threshold),
+            ),
+            plane_allocation_scheme as u64,
+            interface as u64,
+            u64::from(io_queue_depth),
+            u64::from(queue_count),
+            u64::from(pcie_lane_count),
+            u64::from(pcie_lane_gtps),
+            host_cmd_overhead_ns,
         ]
     }
 
@@ -1103,6 +1227,120 @@ mod tests {
         homogeneous.device_family = DeviceFamily::Homogeneous;
         assert_ne!(base.canonical_words(), homogeneous.canonical_words());
         assert_eq!(base.canonical_words().len(), CONFIG_WORDS);
+    }
+
+    /// Every field `sim_words` keeps moves the words when it changes: the
+    /// encoding collapses only what the simulator cannot observe. The
+    /// gated fields are changed with their gates on.
+    #[test]
+    fn sim_words_see_every_observable_field() {
+        type Change = fn(&mut SsdConfig);
+        let changes: [(&str, Change); SIM_WORDS] = [
+            ("channel_count", |c| c.channel_count += 1),
+            ("chips_per_channel", |c| c.chips_per_channel += 1),
+            ("dies_per_chip", |c| c.dies_per_chip += 1),
+            ("planes_per_die", |c| c.planes_per_die += 1),
+            ("blocks_per_plane", |c| c.blocks_per_plane += 1),
+            ("pages_per_block", |c| c.pages_per_block += 1),
+            ("page_size_bytes", |c| c.page_size_bytes *= 2),
+            ("flash_technology", |c| {
+                c.flash_technology = FlashTechnology::Tlc
+            }),
+            ("device_family", |c| {
+                c.device_family = if c.device_family.is_hybrid() {
+                    DeviceFamily::Homogeneous
+                } else {
+                    presets::hybrid_slc_qlc().device_family
+                }
+            }),
+            ("cache_blocks_pct", |c| {
+                c.device_family = DeviceFamily::HybridSlcCache {
+                    cache_blocks_pct: 20.0,
+                    migration_policy: MigrationPolicy::Watermark,
+                    migration_threshold_pct: 25.0,
+                }
+            }),
+            ("migration_policy", |c| {
+                c.device_family = DeviceFamily::HybridSlcCache {
+                    cache_blocks_pct: 10.0,
+                    migration_policy: MigrationPolicy::Idle,
+                    migration_threshold_pct: 25.0,
+                }
+            }),
+            ("migration_threshold_pct", |c| {
+                c.device_family = DeviceFamily::HybridSlcCache {
+                    cache_blocks_pct: 10.0,
+                    migration_policy: MigrationPolicy::Watermark,
+                    migration_threshold_pct: 30.0,
+                }
+            }),
+            ("read_latency_ns", |c| c.read_latency_ns += 1),
+            ("program_latency_ns", |c| c.program_latency_ns += 1),
+            ("erase_latency_ns", |c| c.erase_latency_ns += 1),
+            ("channel_transfer_rate_mts", |c| {
+                c.channel_transfer_rate_mts += 1
+            }),
+            ("channel_width_bits", |c| c.channel_width_bits *= 2),
+            ("flash_cmd_overhead_ns", |c| c.flash_cmd_overhead_ns += 1),
+            ("suspend_program_ns", |c| {
+                c.program_suspension_enabled = true;
+                c.suspend_program_ns += 1;
+            }),
+            ("program_suspension_enabled", |c| {
+                c.program_suspension_enabled ^= true
+            }),
+            ("erase_suspension_enabled", |c| {
+                c.erase_suspension_enabled ^= true
+            }),
+            ("data_cache_mb", |c| c.data_cache_mb += 1),
+            ("cmt_capacity_mb", |c| c.cmt_capacity_mb += 1),
+            ("dram_data_rate_mts", |c| c.dram_data_rate_mts += 1),
+            ("cmt_entry_bytes", |c| c.cmt_entry_bytes += 1),
+            ("cache_mode", |c| c.cache_mode = CacheMode::WriteThrough),
+            ("overprovisioning_ratio", |c| {
+                c.overprovisioning_ratio += 0.01
+            }),
+            ("gc_threshold", |c| c.gc_threshold += 0.01),
+            ("gc_hard_threshold", |c| c.gc_hard_threshold += 0.001),
+            ("gc_policy", |c| c.gc_policy = GcPolicy::Random),
+            ("preemptible_gc", |c| c.preemptible_gc ^= true),
+            ("static_wearleveling_enabled", |c| {
+                c.static_wearleveling_enabled ^= true
+            }),
+            ("static_wearleveling_threshold", |c| {
+                c.static_wearleveling_enabled = true;
+                c.static_wearleveling_threshold += 1;
+            }),
+            ("plane_allocation_scheme", |c| {
+                c.plane_allocation_scheme = PlaneAllocationScheme::Pcdw
+            }),
+            ("interface", |c| c.interface = Interface::Sata),
+            ("io_queue_depth", |c| c.io_queue_depth += 1),
+            ("queue_count", |c| c.queue_count += 1),
+            ("pcie_lane_count", |c| c.pcie_lane_count += 1),
+            ("pcie_lane_gtps", |c| c.pcie_lane_gtps += 1),
+            ("host_cmd_overhead_ns", |c| c.host_cmd_overhead_ns += 1),
+        ];
+        // Suspension off and wear leveling on by default: the gates are
+        // exercised in both states.
+        for base in [
+            presets::intel_750(),
+            SsdConfig {
+                static_wearleveling_enabled: false,
+                program_suspension_enabled: true,
+                ..presets::hybrid_slc_qlc()
+            },
+        ] {
+            let mut seen = std::collections::HashSet::new();
+            assert!(seen.insert(base.sim_words()));
+            for (name, change) in changes {
+                let mut changed = base.clone();
+                change(&mut changed);
+                assert!(seen.insert(changed.sim_words()), "{name}");
+                // Every kept field is also a canonical field.
+                assert_ne!(changed.canonical_words(), base.canonical_words());
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property-based tests for the flash array and the simulator: allocation
 //! must conserve pages, GC must reclaim what it erases, and the simulator
-//! must stay internally consistent for arbitrary configurations.
+//! must stay internally consistent for arbitrary configurations, and it
+//! must not observe the fields `SsdConfig::sim_words` collapses.
 
+use iotrace::gen::WorkloadKind;
+use iotrace::{Trace, TraceEvent};
 use proptest::prelude::*;
 use ssdsim::config::{
-    DeviceFamily, FlashTechnology, GcPolicy, MigrationPolicy, PlaneAllocationScheme, SsdConfig,
+    presets, DeviceFamily, FlashTechnology, GcPolicy, MigrationPolicy, PlaneAllocationScheme,
+    SsdConfig,
 };
 use ssdsim::flash::{pseudo_location, FlashArray};
-use ssdsim::BottleneckReport;
+use ssdsim::{BottleneckReport, SimReport, Simulator};
 
 fn arb_layout() -> impl Strategy<Value = SsdConfig> {
     (
@@ -57,6 +61,116 @@ fn arb_hybrid_layout() -> impl Strategy<Value = SsdConfig> {
             ..cfg
         },
     )
+}
+
+/// The 4-channel/64-block device of `sim_sweep`'s `gc_small` cell. Warmed
+/// to `GC_WARM_FILL` it collects garbage from the first writes, and over
+/// 5,000 FIU events the erase spread usually grows enough for wear leveling
+/// to swap.
+fn gc_device() -> SsdConfig {
+    SsdConfig {
+        channel_count: 4,
+        chips_per_channel: 2,
+        dies_per_chip: 2,
+        planes_per_die: 2,
+        blocks_per_plane: 64,
+        pages_per_block: 64,
+        data_cache_mb: 64,
+        cmt_capacity_mb: 64,
+        overprovisioning_ratio: 0.07,
+        gc_threshold: 0.15,
+        gc_hard_threshold: 0.01,
+        ..SsdConfig::default()
+    }
+}
+
+const GC_WARM_FILL: f64 = 0.95;
+
+/// What the validator observes of one device: the timed replay, the
+/// saturated replay of the same warmed device, and that replay's drain.
+fn validator_replays(
+    cfg: &SsdConfig,
+    warm_fill: f64,
+    trace: &Trace,
+) -> (SimReport, SimReport, u64) {
+    let mut timed = Simulator::new(cfg.clone());
+    timed.warm_up(warm_fill);
+    let mut saturated = timed.clone();
+    let zeroed = trace
+        .events()
+        .iter()
+        .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op));
+    let sat_report = saturated.run(&Trace::from_events(trace.name(), zeroed.collect()));
+    let drained_ns = saturated.drain(sat_report.makespan_ns);
+    (timed.run(trace), sat_report, drained_ns)
+}
+
+/// Values for the fields `sim_words` collapses: the twelve the simulator
+/// never reads, then `suspend_program_ns` and `static_wearleveling_threshold`.
+fn arb_collapsed() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..100_000, 14)
+}
+
+/// `cfg` with every collapsed field set from `v`, each within its gate.
+fn perturbed(cfg: &SsdConfig, v: &[u32]) -> SsdConfig {
+    let mut out = SsdConfig {
+        suspend_erase_ns: u64::from(v[0]),
+        dram_burst_bytes: v[1],
+        page_metadata_bytes: v[2],
+        ecc_engine_count: v[3],
+        read_retry_limit: v[4],
+        background_scan_interval_ms: v[5],
+        init_delay_us: v[6],
+        firmware_sram_kb: v[7],
+        thermal_throttle_c: v[8],
+        pfail_flush_budget_uj: v[9],
+        dram_refresh_interval_us: v[10],
+        nand_vcc_mv: v[11],
+        ..cfg.clone()
+    };
+    if !cfg.program_suspension_enabled {
+        out.suspend_program_ns = u64::from(v[12]);
+    }
+    if !cfg.static_wearleveling_enabled {
+        out.static_wearleveling_threshold = v[13];
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Configurations with equal `sim_words` simulate identically: on four
+    /// devices (GC-bound among them), with suspension and wear leveling
+    /// each on and off, perturbing every collapsed field changes none of
+    /// the validator's three observations.
+    #[test]
+    fn collapsed_fields_do_not_change_any_replay(v in arb_collapsed(), seed in 0u64..1_000) {
+        let devices = [
+            (presets::intel_750(), WorkloadKind::Database, 400, 0.5),
+            (presets::hybrid_slc_qlc(), WorkloadKind::Fiu, 400, 0.5),
+            (presets::samsung_850_pro(), WorkloadKind::Database, 400, 0.5),
+            (gc_device(), WorkloadKind::Fiu, 5_000, GC_WARM_FILL),
+        ];
+        for (device, kind, events, warm_fill) in devices {
+            let trace = kind.spec().generate(events, seed);
+            for (suspend, wear_level) in [(false, false), (false, true), (true, false), (true, true)] {
+                let base = SsdConfig {
+                    program_suspension_enabled: suspend,
+                    static_wearleveling_enabled: wear_level,
+                    static_wearleveling_threshold: 1,
+                    ..device.clone()
+                };
+                let other = perturbed(&base, &v);
+                prop_assert_eq!(other.sim_words(), base.sim_words());
+                let replays = validator_replays(&base, warm_fill, &trace);
+                if warm_fill == GC_WARM_FILL {
+                    prop_assert!(replays.0.flash.gc_invocations > 0, "GC never ran");
+                }
+                prop_assert_eq!(validator_replays(&other, warm_fill, &trace), replays);
+            }
+        }
+    }
 }
 
 proptest! {
