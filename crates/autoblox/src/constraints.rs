@@ -45,9 +45,7 @@ pub struct Constraints {
     /// Required device family. Candidates of the other family kind are
     /// rejected structurally; for hybrid families the knob *values*
     /// (cache share, policy, threshold) stay tunable — only the kind is
-    /// pinned. `#[serde(default)]` (homogeneous) keeps constraint
-    /// documents from before the field parseable.
-    #[serde(default)]
+    /// pinned.
     pub family: DeviceFamily,
 }
 

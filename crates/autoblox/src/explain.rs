@@ -81,6 +81,12 @@ pub fn explain(report: &RunReport) -> Explain {
 /// Width of the ASCII bars in [`render`].
 const BAR_WIDTH: usize = 40;
 
+/// A best grade below ln 1.01 (a 1 % speedup) reads as a search that never
+/// left its reference.
+fn stalled(best_grade: f64) -> bool {
+    best_grade < 1.01f64.ln()
+}
+
 fn render_calibration(out: &mut String, c: &CalibrationSummary) {
     if c.points == 0 {
         out.push_str("  calibration: no calibrated iterations\n");
@@ -105,7 +111,10 @@ fn render_calibration(out: &mut String, c: &CalibrationSummary) {
 
 /// Renders the whole view for humans: the run's headline numbers, its
 /// phases, one bar per resource share, then per tuning run the surrogate's
-/// calibration and explore/exploit decision timeline.
+/// calibration, how many of its decisions were ties (a zero margin over
+/// the runner-up, among iterations with a prediction), whether the search
+/// stalled at the reference (the report's best grade, the best over its
+/// runs, below ln 1.01), and the explore/exploit decision timeline.
 pub fn render(doc: &Explain) -> String {
     let s = &doc.summary;
     let mut out = String::new();
@@ -154,6 +163,18 @@ pub fn render(doc: &Explain) -> String {
             run.workload, run.iterations
         ));
         render_calibration(&mut out, &run.calibration);
+        let predicted = run.timeline.iter().filter(|d| d.predicted_std > 0.0);
+        let ties = predicted
+            .clone()
+            .filter(|d| d.decision_margin == 0.0)
+            .count();
+        out.push_str(&format!(
+            "  {ties} of {} decisions were ties, picked by candidate order\n",
+            predicted.count()
+        ));
+        if stalled(s.best_grade.unwrap_or(0.0)) {
+            out.push_str("  stalled at the reference (best grade below ln 1.01)\n");
+        }
         if run.kernel_length_scale > 0.0 {
             out.push_str(&format!(
                 "  kernel lengthscale: {:.4}\n",
@@ -185,6 +206,7 @@ pub fn render(doc: &Explain) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuner::IterationRecord;
     use crate::validator::ValidatorStats;
     use ssdsim::BottleneckReport;
 
@@ -256,6 +278,45 @@ mod tests {
             assert!(a.contains(name), "render must mention {name}:\n{a}");
         }
         assert!(a.contains("model observatory"), "{a}");
+    }
+
+    /// One run of three iterations, the first without a prediction.
+    fn tuned(margin: f64, best_grade: f64) -> RunReport {
+        let record = |iteration, predicted_std| IterationRecord {
+            iteration,
+            predicted_std,
+            decision_margin: margin,
+            ..Default::default()
+        };
+        RunReport {
+            schema: RunReport::SCHEMA.to_string(),
+            tuner: vec![crate::telemetry::TunerRunTelemetry {
+                workload: "database".to_string(),
+                iterations: 3,
+                best_grade,
+                records: vec![record(1, 0.0), record(2, 0.1), record(3, 0.1)],
+                ..Default::default()
+            }],
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn render_says_when_decisions_were_ties() {
+        let tied = render(&explain(&tuned(0.0, 0.002)));
+        assert!(
+            tied.contains("  2 of 2 decisions were ties, picked by candidate order\n"),
+            "{tied}"
+        );
+        assert!(tied.contains("stalled at the reference"), "{tied}");
+        let decided = render(&explain(&tuned(0.05, 0.2)));
+        assert!(
+            decided.contains("  0 of 2 decisions were ties"),
+            "{decided}"
+        );
+        assert!(!decided.contains("stalled"), "{decided}");
+        // ln 1.01 is the boundary: a 1 % speedup is progress.
+        assert!(stalled(0.0099) && !stalled(1.01f64.ln()));
     }
 
     #[test]

@@ -529,6 +529,51 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// AutoDB stores outlive the build that wrote them: a learned config
+    /// from before the device family existed, in a log line from before
+    /// tombstones, is recalled as the homogeneous device it described.
+    #[test]
+    fn a_pre_family_store_recalls_a_homogeneous_config() {
+        use serde_json::Value;
+        let mut stored = serde_json::to_value(StoredConfig {
+            workload: "pre-family".to_string(),
+            config: presets::intel_750(),
+            grade: 0.5,
+        })
+        .unwrap();
+        let Value::Object(members) = &mut stored else {
+            panic!("a stored config is an object")
+        };
+        let Some(Value::Object(config)) = members.get_mut("config") else {
+            panic!("its config is an object")
+        };
+        config.remove("device_family").expect("member exists");
+        let line = serde_json::json!({"key": "category:Database", "value": [stored]});
+        let path = std::env::temp_dir().join(format!("abx-pre-family-{}.db", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&line).unwrap() + "\n").unwrap();
+
+        let v = validator();
+        let fw = AutoBlox::new(
+            Constraints::paper_default(),
+            &v,
+            Store::open(&path).unwrap(),
+            quick_opts(),
+        );
+        fw.tune_category(WorkloadKind::Database, &presets::intel_750(), None);
+        let stored: Vec<StoredConfig> = fw.db().get_record("category:Database").unwrap().unwrap();
+        assert_eq!(stored.len(), 2, "the old config was recalled and kept");
+        let old = stored
+            .iter()
+            .find(|s| s.workload == "pre-family")
+            .expect("recalled");
+        assert_eq!(
+            old.config.device_family,
+            ssdsim::config::DeviceFamily::Homogeneous
+        );
+        assert_eq!(old.config, presets::intel_750());
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     #[should_panic(expected = "train_clustering")]
     fn recommend_requires_training() {

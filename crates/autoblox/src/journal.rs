@@ -34,11 +34,12 @@
 //! `phase`, `iteration`, `model` and `tune` lines into a report's phases
 //! and tuning runs.
 //!
-//! A line that yields no kind is a [`Skipped`] saying why: torn, untagged,
-//! an unknown tag (a newer producer's, or a kind this build has retired:
-//! `placement`, `progress`, `series`, `bottleneck`),
-//! or a known tag whose members do not decode. The exporters pass over
-//! untagged and unknown lines and reject the others with the line number.
+//! A journal is one run's output, so it is read only at the schema and
+//! the kinds this build writes. A line that yields no kind is a
+//! [`Skipped`] saying why: blank, torn, untagged, or malformed (a tag this
+//! build does not write, or a known tag whose members do not decode). The
+//! exporter passes over blank and untagged lines and rejects the others
+//! with the line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
 //! Perfetto JSON format (`trace export --chrome`).
@@ -104,12 +105,9 @@ pub enum Skipped {
     Torn(String),
     /// JSON, but not an object with a string `"t"` tag.
     Untagged,
-    /// A tag this build does not know: a newer producer's, or a kind this
-    /// build has retired (old journals' `placement`, `progress`, `series`
-    /// and `bottleneck` lines read as this).
-    Unknown(String),
-    /// A known tag whose members do not decode: the tag and the error.
-    Malformed(String, String),
+    /// A tag this build does not write, or a known tag whose members do
+    /// not decode: a one-line message naming the kind.
+    Malformed(String),
 }
 
 impl JournalLine {
@@ -129,8 +127,7 @@ impl JournalLine {
         serde_json::to_string(&Value::Object(members)).expect("journal lines serialize")
     }
 
-    /// Reads one journal line. Members a kind does not know are ignored, so
-    /// a newer producer's extra fields still read.
+    /// Reads one journal line. Members a kind does not know are ignored.
     ///
     /// # Errors
     ///
@@ -149,26 +146,28 @@ impl JournalLine {
             return Err(Skipped::Untagged);
         };
         if !KINDS.contains(&tag.as_str()) {
-            return Err(Skipped::Unknown(tag));
+            return Err(Skipped::Malformed(format!("unknown line kind `{tag}`")));
         }
         let variant = tag[..1].to_ascii_uppercase() + &tag[1..];
         let tagged = Value::Object(BTreeMap::from([(variant, Value::Object(members))]));
-        JournalLine::deserialize_value(&tagged).map_err(|e| Skipped::Malformed(tag, e.to_string()))
+        JournalLine::deserialize_value(&tagged)
+            .map_err(|e| Skipped::Malformed(format!("`{tag}` line: {e}")))
     }
 }
 
-/// Accepts the schema of a journal this build reads: any
-/// `autoblox.journal.v*`. Every exporter applies it.
+/// Accepts the one journal schema this build reads: [`JOURNAL_SCHEMA`],
+/// the one it writes.
 ///
 /// # Errors
 ///
-/// Names the foreign schema.
+/// Names the schema it was given.
 pub fn check_schema(schema: &str) -> Result<(), String> {
-    if schema.starts_with("autoblox.journal.v") {
+    if schema == JOURNAL_SCHEMA {
         Ok(())
     } else {
         Err(format!(
-            "unknown journal schema `{schema}` (expected autoblox.journal.v*)"
+            "journal schema `{schema}` is not read by this build (expected \
+             `{JOURNAL_SCHEMA}`); re-record the journal with this build"
         ))
     }
 }
@@ -489,18 +488,17 @@ impl Drop for Journal {
     }
 }
 
-/// The lines of a journal the exporters read, in order. Blank, untagged
-/// and unknown-kind lines are passed over, so newer journals still export;
-/// a torn line, a known kind whose members do not decode, or a foreign
-/// schema is an error naming the line.
+/// The lines of a journal the exporter reads, in order. Blank and untagged
+/// lines are passed over; a torn or malformed line, or another schema, is
+/// an error naming the line.
 fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>> + '_ {
     journal.lines().enumerate().filter_map(|(i, text)| {
         let line = match JournalLine::parse(text) {
             Ok(JournalLine::Meta(m)) => check_schema(&m.schema).map(|()| JournalLine::Meta(m)),
             Ok(line) => Ok(line),
             Err(Skipped::Torn(e)) => Err(format!("invalid JSON: {e}")),
-            Err(Skipped::Malformed(tag, e)) => Err(format!("`{tag}` line: {e}")),
-            Err(Skipped::Blank | Skipped::Untagged | Skipped::Unknown(_)) => return None,
+            Err(Skipped::Malformed(e)) => Err(e),
+            Err(Skipped::Blank | Skipped::Untagged) => return None,
         };
         Some(line.map_err(|e| format!("journal line {}: {e}", i + 1)))
     })
@@ -513,8 +511,8 @@ fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line; unknown `"t"` tags
-/// are ignored so newer journals still export.
+/// Returns a description of the first line [`JournalLine::parse`] rejects
+/// as torn or malformed, or of another schema.
 pub fn export_chrome(journal: &str) -> Result<String, String> {
     let mut events: Vec<Value> = Vec::new();
     // Pipeline phases carry a duration but no start timestamp; lay them
@@ -719,22 +717,15 @@ mod tests {
     }
 
     #[test]
-    fn export_chrome_lays_phases_end_to_end_and_skips_retired_kinds() {
+    fn export_chrome_lays_phases_end_to_end() {
         let phase = |name: &str, wall_ns| {
             let name = name.to_string();
             JournalLine::Phase(PhaseRecord { name, wall_ns }).to_line()
         };
-        // A `progress` line as older builds wrote it.
-        let progress = r#"{"eta_ns":0,"iteration":3,"percent":0.4375,"phase":"iterating","t":"progress","total":8,"workload":"Database"}"#;
-        assert_eq!(
-            JournalLine::parse(progress),
-            Err(Skipped::Unknown("progress".to_string()))
-        );
         let journal = [
             meta(),
             phase("coarse_prune", 2000),
             phase("fine_prune", 3000),
-            progress.to_string(),
         ]
         .join("\n");
         let events = trace_events(&export_chrome(&journal).expect("valid journal"));
@@ -763,16 +754,27 @@ mod tests {
 
     #[test]
     fn export_rejects_unknown_schema() {
-        let journal = JournalLine::Meta(MetaLine {
-            schema: "somethingelse.v9".to_string(),
-            ..Default::default()
-        })
-        .to_line();
-        let err = export_chrome(&journal).unwrap_err();
-        assert!(
-            err.contains("journal line 1: unknown journal schema"),
-            "{err}"
-        );
+        for schema in ["somethingelse.v9", "autoblox.journal.v2", ""] {
+            let journal = JournalLine::Meta(MetaLine {
+                schema: schema.to_string(),
+                ..Default::default()
+            })
+            .to_line();
+            let err = export_chrome(&journal).unwrap_err();
+            assert!(
+                err.starts_with(&format!("journal line 1: journal schema `{schema}`")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn export_rejects_unknown_line_kinds() {
+        // A `progress` line as a build with the retired `watch` dashboard
+        // wrote it.
+        let progress = r#"{"eta_ns":0,"iteration":3,"percent":0.4375,"t":"progress","total":8}"#;
+        let err = export_chrome(&[meta(), progress.to_string()].join("\n")).unwrap_err();
+        assert_eq!(err, "journal line 2: unknown line kind `progress`");
     }
 
     #[test]
@@ -790,18 +792,20 @@ mod tests {
         assert_eq!(JournalLine::parse("[1]"), Err(Skipped::Untagged));
         assert_eq!(
             JournalLine::parse(r#"{"t":"hologram","x":1}"#),
-            Err(Skipped::Unknown("hologram".to_string()))
+            Err(Skipped::Malformed(
+                "unknown line kind `hologram`".to_string()
+            ))
         );
         // The tag is matched exactly: a variant name is not a tag.
         assert_eq!(
             JournalLine::parse(r#"{"t":"Phase","name":"p","wall_ns":1}"#),
-            Err(Skipped::Unknown("Phase".to_string()))
+            Err(Skipped::Malformed("unknown line kind `Phase`".to_string()))
         );
         assert!(matches!(
             JournalLine::parse(r#"{"t":"phase","name":"p"}"#),
-            Err(Skipped::Malformed(tag, _)) if tag == "phase"
+            Err(Skipped::Malformed(e)) if e.starts_with("`phase` line: ")
         ));
-        // Members a kind does not know are a newer producer's, not damage.
+        // Members a kind does not know are ignored.
         assert_eq!(
             JournalLine::parse(r#"{"t":"phase","name":"p","wall_ns":1,"extra":[]}"#),
             Ok(JournalLine::Phase(PhaseRecord {

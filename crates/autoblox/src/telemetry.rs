@@ -150,16 +150,12 @@ impl RunReport {
         report
     }
 
-    /// Parses and validates a serialized report: the JSON must parse, carry
-    /// every required top-level key, match the schema identifier, and
-    /// deserialize back into a [`RunReport`].
-    ///
-    /// Only the current schema (`autoblox.telemetry.v3`) is read as is.
-    /// Older minor versions (`.v1`, `.v2`) lack fields every reader now
-    /// relies on and are rejected with a "re-record" message — no
-    /// checked-in report uses them. Newer minor versions (`.v4` and up)
-    /// are read best-effort, unknown fields ignored, so a new producer and
-    /// an old reader can coexist.
+    /// Parses and validates a serialized report: the JSON must parse, be
+    /// tagged [`RunReport::SCHEMA`], carry every required top-level key, and
+    /// deserialize back into a [`RunReport`]. A report is one run's output,
+    /// so only the schema this build writes is read; any other is refused
+    /// with a "re-record" message. Members this build does not know are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -169,31 +165,22 @@ impl RunReport {
     pub fn parse_checked(json: &str) -> Result<RunReport, String> {
         let value: serde_json::Value =
             serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
-        let obj = match &value {
-            serde_json::Value::Object(map) => map,
-            _ => return Err("telemetry report must be a JSON object".to_string()),
+        let serde_json::Value::Object(obj) = &value else {
+            return Err("telemetry report must be a JSON object".to_string());
         };
+        if let Some(schema) = obj.get("schema") {
+            let schema = schema.as_str().unwrap_or("");
+            if schema != Self::SCHEMA {
+                return Err(format!(
+                    "schema `{schema}` is not read by this build (expected `{}`); re-record \
+                     the report with this build",
+                    Self::SCHEMA
+                ));
+            }
+        }
         for key in Self::REQUIRED_KEYS {
             if !obj.contains_key(key) {
                 return Err(format!("missing required key `{key}`"));
-            }
-        }
-        let schema = value["schema"].as_str().unwrap_or("");
-        match schema_minor_version(schema) {
-            Some(1 | 2) => {
-                return Err(format!(
-                    "schema `{schema}` is no longer read (expected `{}`); re-record the \
-                     report with this build",
-                    Self::SCHEMA
-                ))
-            }
-            // The current version, or a newer one read best-effort.
-            Some(_) => {}
-            None => {
-                return Err(format!(
-                    "unknown schema `{schema}` (expected `{}`)",
-                    Self::SCHEMA
-                ))
             }
         }
         serde_json::from_str(json).map_err(|e| {
@@ -207,13 +194,6 @@ impl RunReport {
             }
         })
     }
-}
-
-/// Extracts `N` from `autoblox.telemetry.vN`; `None` for anything else.
-fn schema_minor_version(schema: &str) -> Option<u64> {
-    let rest = schema.strip_prefix("autoblox.telemetry.v")?;
-    let n: u64 = rest.parse().ok()?;
-    (n >= 1).then_some(n)
 }
 
 /// A fully-populated report (one element in every list) used as the
@@ -270,9 +250,9 @@ fn locate_schema_mismatch(candidate: &serde_json::Value, missing: Option<&str>) 
                     } else {
                         format!("{path}.{k}")
                     };
-                    // Serde reports a missing field by name only and a type
-                    // mismatch without either; `default`ed members may be
-                    // absent, so only the member serde named is blamed.
+                    // Serde reports a missing field by name only, in its
+                    // own member order, and a type mismatch without either,
+                    // so only the member serde named is blamed.
                     match g.get(k) {
                         Some(gv) => {
                             if let Some(hit) = walk(tv, gv, &sub, missing) {
@@ -451,17 +431,35 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_rejected() {
-        let report = RunReport {
-            schema: "autoblox.telemetry.v0".to_string(),
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&report).expect("serializes");
-        let err = RunReport::parse_checked(&json).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
+        // Older and newer minor versions, a foreign tag and an empty one:
+        // a report is read only at the schema this build writes.
+        for schema in [
+            "autoblox.telemetry.v0",
+            "autoblox.telemetry.v1",
+            "autoblox.telemetry.v2",
+            "autoblox.telemetry.v4",
+            "",
+        ] {
+            let report = RunReport {
+                schema: schema.to_string(),
+                ..Default::default()
+            };
+            let json = serde_json::to_string(&report).expect("serializes");
+            let err = RunReport::parse_checked(&json).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "schema `{schema}` is not read by this build (expected \
+                     `autoblox.telemetry.v3`); re-record the report with this build"
+                )
+            );
+        }
     }
 
     #[test]
-    fn newer_minor_schema_parses_best_effort() {
+    fn newer_minor_schema_is_rejected() {
+        // A newer minor version with a member this build does not know is
+        // refused, not read with the unknown member dropped.
         let report = RunReport {
             schema: "autoblox.telemetry.v4".to_string(),
             ..Default::default()
@@ -471,16 +469,15 @@ mod tests {
             map.insert("added_in_v4".to_string(), serde_json::Value::Bool(true));
         }
         let json = serde_json::to_string(&value).expect("serializes");
-        let parsed =
-            RunReport::parse_checked(&json).expect("a newer minor version must still parse");
-        assert_eq!(parsed, report, "unknown members are ignored");
+        let err = RunReport::parse_checked(&json).unwrap_err();
+        assert!(err.starts_with("schema `autoblox.telemetry.v4`"), "{err}");
+        assert!(err.contains("re-record"), "{err}");
     }
 
     #[test]
     fn v1_reports_are_rejected() {
         // A v1 producer wrote no bottleneck attribution or latency
-        // percentiles; no checked-in report is that old, so the reader is
-        // gone and the error says what to do instead.
+        // percentiles; the error says what to do instead.
         let report = RunReport {
             schema: "autoblox.telemetry.v1".to_string(),
             ..Default::default()
@@ -509,6 +506,16 @@ mod tests {
         let err = RunReport::parse_checked(&json).unwrap_err();
         assert!(err.contains("re-record"), "{err}");
         assert!(err.contains("autoblox.telemetry.v2"), "{err}");
+    }
+
+    #[test]
+    fn the_schema_is_checked_before_the_members() {
+        // An older report lacks members this build requires; what it is
+        // told is to re-record, not which member is missing.
+        let err = RunReport::parse_checked(r#"{"schema":"autoblox.telemetry.v1"}"#).unwrap_err();
+        assert!(err.starts_with("schema `autoblox.telemetry.v1`"), "{err}");
+        let err = RunReport::parse_checked(r#"{"schema":3}"#).unwrap_err();
+        assert!(err.starts_with("schema `` is not read"), "{err}");
     }
 
     #[test]

@@ -501,16 +501,8 @@ impl Validator {
         // The two replays run side by side on the pool: the search waits on
         // this validation, so the second thread shortens it directly. Under
         // a fan-out (pruning, non-target batches) the call is nested and
-        // runs inline. At one thread `parallel_map` would run the two
-        // replays inline too; the branch exists only so that a one-thread
-        // run's inline pool counters, pinned by the `pool` block of
-        // `scripts/golden/telemetry-database.json`, do not move.
-        let replays = vec![(sim, false), (sat_sim, true)];
-        let mut done = if mlkit::parallel::max_threads() > 1 {
-            mlkit::parallel::parallel_map(replays, replay)
-        } else {
-            replays.into_iter().map(replay).collect()
-        };
+        // runs inline, as it does at one thread.
+        let mut done = mlkit::parallel::parallel_map(vec![(sim, false), (sat_sim, true)], replay);
         let (sat_report, drained_ns) = done.pop().expect("saturated replay");
         let (report, _) = done.pop().expect("timed replay");
         let mut m = Measurement::from_report(&report);

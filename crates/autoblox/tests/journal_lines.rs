@@ -4,29 +4,21 @@
 //! line of a known kind with one member missing or mistyped is a
 //! line-numbered exit-2 error in `trace export`.
 //!
-//! `fixtures/journal_parent/journal.jsonl` was written by the build before
-//! journal lines had a type: a pinned single-threaded `tune database
-//! --iterations 3 --events 300 --telemetry … --journal …` (its masked
-//! `argv` also names the since-retired speculation flag) followed by a
-//! run of the since-retired `place` command. Its two `placement` lines,
-//! its five `progress` lines (a kind retired with the `watch` dashboard
-//! that read it) and its forty `series` and forty `bottleneck` lines
-//! (retired with the device time-series sampler) now read as unknown
-//! kinds. Beside it is what that build printed for it with
-//! `trace export --chrome` (`chrome.json`). This build must print the same
-//! bytes for the whole journal — less the `tuner.progress` instants the
-//! retired lines became — and a fresh
-//! journal of the same tune must carry the same lines, the retired kinds
-//! aside, once the members that vary by host are masked — except its span
-//! lines and the summary that counts them. Each validation's timed and
-//! saturated replays have since got a keyed span of their own
-//! (`validator.timed`, `validator.saturated`, the new parents of `sim.run`
-//! and `sim.drain`), so those lines are pinned to
-//! `fixtures/tune_spans.jsonl`, the same tune's span and summary lines as
-//! the first build with those spans wrote them. The fresh journal must
-//! also fold to the phases and tuning runs of the report the same command
-//! wrote, its one `tune` line (a kind the parent did not write) agreeing
-//! with the report's run.
+//! `fixtures/tune_journal/` holds what the parent build — the one that
+//! last re-recorded it — wrote for a pinned tune. From `crates/autoblox`:
+//!
+//! ```text
+//! AUTOBLOX_THREADS=1 autoblox tune database --iterations 3 --events 300 \
+//!     --journal tests/fixtures/tune_journal/journal.jsonl
+//! autoblox trace export --chrome tests/fixtures/tune_journal/journal.jsonl \
+//!     tests/fixtures/tune_journal/chrome.json
+//! ```
+//!
+//! This build must print the same bytes for that journal, and a fresh
+//! journal of the same tune must carry the same lines once the members that
+//! vary by host are masked. The fresh journal must also fold to the phases
+//! and tuning runs of the report the same command wrote, its one `tune`
+//! line agreeing with the report's run.
 
 use autoblox::journal::{
     IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, SummaryLine, TuneLine,
@@ -40,7 +32,7 @@ use std::process::{Command, Output};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/journal_parent")
+        .join("tests/fixtures/tune_journal")
         .join(name)
 }
 
@@ -203,27 +195,6 @@ fn assert_same_bytes(ours: &[u8], parent: &[u8], what: &str) {
 #[test]
 fn the_parent_journal_reads_back_byte_for_byte() {
     let journal = fixture("journal.jsonl");
-    let text = std::fs::read_to_string(&journal).expect("fixture journal");
-    let mut retired: Vec<String> = Vec::new();
-    let mut models = 0;
-    for line in text.lines() {
-        match JournalLine::parse(line) {
-            Ok(JournalLine::Model(_)) => models += 1,
-            Ok(_) => {}
-            Err(Skipped::Unknown(kind)) => retired.push(kind),
-            Err(e) => panic!("{line}: {e:?}"),
-        }
-    }
-    assert!(models > 0);
-    retired.sort();
-    retired.dedup_by(|a, b| a == b);
-    assert_eq!(retired, ["bottleneck", "placement", "progress", "series"]);
-    let retired_lines = |kind: &str| text.matches(&format!(r#""t":"{kind}""#)).count();
-    assert_eq!(
-        ["placement", "progress", "series", "bottleneck"].map(retired_lines),
-        [2, 5, 40, 40]
-    );
-
     let out = scratch("chrome.json");
     let args = [
         "trace",
@@ -235,27 +206,9 @@ fn the_parent_journal_reads_back_byte_for_byte() {
     let run = autoblox(&args);
     assert!(run.status.success(), "{args:?}: {:?}", run.stderr);
     let ours = std::fs::read(&out).expect("export written");
-    let parent = without_progress_events(&std::fs::read(fixture("chrome.json")).unwrap());
+    let parent = std::fs::read(fixture("chrome.json")).expect("fixture export");
     assert_same_bytes(&ours, &parent, "chrome.json");
     std::fs::remove_file(out).ok();
-}
-
-/// A Chrome trace without its `tuner.progress` instants, serialized as the
-/// exporter writes it.
-fn without_progress_events(chrome: &[u8]) -> Vec<u8> {
-    let text = std::str::from_utf8(chrome).expect("a Chrome trace is UTF-8");
-    let Ok(Value::Object(mut doc)) = serde_json::from_str::<Value>(text) else {
-        panic!("a Chrome trace is an object")
-    };
-    let Some(Value::Array(events)) = doc.get_mut("traceEvents") else {
-        panic!("traceEvents array expected")
-    };
-    let before = events.len();
-    events.retain(|e| e["name"] != "tuner.progress");
-    assert_eq!(before - events.len(), 5, "one instant per progress line");
-    serde_json::to_string(&Value::Object(doc))
-        .unwrap()
-        .into_bytes()
 }
 
 /// Members whose values vary by host, clock or command line.
@@ -268,25 +221,23 @@ const HOST_VARYING: [&str; 6] = [
     "argv",
 ];
 
-/// A journal's lines up to its first `summary`, host-varying members
-/// nulled, sorted.
-fn masked_tune_lines(journal: &str) -> Vec<String> {
-    let mut lines = Vec::new();
-    for line in journal.lines() {
-        let Ok(Value::Object(mut members)) = serde_json::from_str::<Value>(line) else {
-            panic!("not a JSON object: {line}");
-        };
-        for key in HOST_VARYING {
-            if let Some(v) = members.get_mut(key) {
-                *v = Value::Null;
+/// A journal's lines, host-varying members nulled, sorted (the writer
+/// interleaves span lines with the others as it drains them).
+fn masked_lines(journal: &str) -> Vec<String> {
+    let mut lines: Vec<String> = journal
+        .lines()
+        .map(|line| {
+            let Ok(Value::Object(mut members)) = serde_json::from_str::<Value>(line) else {
+                panic!("not a JSON object: {line}");
+            };
+            for key in HOST_VARYING {
+                if let Some(v) = members.get_mut(key) {
+                    *v = Value::Null;
+                }
             }
-        }
-        let last = members.get("t") == Some(&Value::Str("summary".to_string()));
-        lines.push(serde_json::to_string(&Value::Object(members)).unwrap());
-        if last {
-            break;
-        }
-    }
+            serde_json::to_string(&Value::Object(members)).unwrap()
+        })
+        .collect();
     lines.sort();
     lines
 }
@@ -313,6 +264,12 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     let report = RunReport::parse_checked(&report).expect("report parses");
     std::fs::remove_file(journal).ok();
     std::fs::remove_file(telemetry).ok();
+
+    let (ours_masked, parent_masked) = (masked_lines(&ours), masked_lines(&parent));
+    assert_eq!(ours_masked.len(), parent_masked.len(), "line count");
+    for (a, b) in ours_masked.iter().zip(&parent_masked) {
+        assert_eq!(a, b);
+    }
 
     // The journal folds to the report's phases and tuning runs: the two
     // are one recording.
@@ -341,50 +298,4 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
     );
     assert_eq!(tune.best_grade.to_bits(), run.best_grade.to_bits());
     assert_eq!(tune.iterations, 3);
-
-    let spans = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tune_spans.jsonl");
-    let spans = std::fs::read_to_string(spans).expect("span fixture");
-    // Span and summary lines against the span fixture, the rest against
-    // the parent's journal, less the retired `progress`, `series` and
-    // `bottleneck` lines — which the fixture's summary still counts among
-    // the events written — and less the `tune` line, which the parent did
-    // not write and this build's summary counts.
-    let is_span =
-        |line: &String| line.contains(r#""t":"span""#) || line.contains(r#""t":"summary""#);
-    let is_retired = |line: &String| {
-        ["progress", "series", "bottleneck"]
-            .iter()
-            .any(|kind| line.contains(&format!(r#""t":"{kind}""#)))
-    };
-    let (ours_spans, ours_rest): (Vec<_>, Vec<_>) =
-        masked_tune_lines(&ours).into_iter().partition(is_span);
-    let (ours_tune, ours_rest): (Vec<_>, Vec<_>) = ours_rest
-        .into_iter()
-        .partition(|line| line.contains(r#""t":"tune""#));
-    assert_eq!(ours_tune.len(), 1);
-    let (parent_retired, parent_rest): (Vec<_>, Vec<_>) = masked_tune_lines(&parent)
-        .into_iter()
-        .filter(|l| !is_span(l))
-        .partition(is_retired);
-    assert_eq!(parent_retired.len(), 5 + 32 + 32);
-    let spans: String = spans
-        .lines()
-        .map(|line| match JournalLine::parse(line) {
-            Ok(JournalLine::Summary(mut summary)) => {
-                summary.events_written -= parent_retired.len() as u64;
-                summary.events_written += ours_tune.len() as u64;
-                JournalLine::Summary(summary).to_line() + "\n"
-            }
-            _ => format!("{line}\n"),
-        })
-        .collect();
-    for (ours, expected) in [
-        (ours_rest, parent_rest),
-        (ours_spans, masked_tune_lines(&spans)),
-    ] {
-        assert_eq!(ours.len(), expected.len(), "line count");
-        for (a, b) in ours.iter().zip(&expected) {
-            assert_eq!(a, b);
-        }
-    }
 }

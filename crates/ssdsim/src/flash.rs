@@ -86,7 +86,6 @@ pub struct FlashStats {
     pub wearleveling_swaps: u64,
     /// Pages folded from the SLC cache tier into capacity flash (hybrid
     /// devices only; always zero for homogeneous families).
-    #[serde(default)]
     pub slc_migrated_pages: u64,
 }
 

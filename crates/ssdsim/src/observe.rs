@@ -42,7 +42,6 @@ pub struct BottleneckReport {
     pub queue_wait_ns: u64,
     /// Die time consumed folding SLC-cache blocks into capacity flash, ns
     /// (hybrid device families only; always zero on homogeneous devices).
-    #[serde(default)]
     pub slc_migration_ns: u64,
     /// `channel_wait_ns` over the total, rescaled (see type docs).
     pub channel_wait_frac: f64,
@@ -55,7 +54,6 @@ pub struct BottleneckReport {
     /// `queue_wait_ns` over the total, rescaled.
     pub host_queue_frac: f64,
     /// `slc_migration_ns` over the total, rescaled.
-    #[serde(default)]
     pub slc_migration_frac: f64,
     /// Unattributed remainder of the total.
     pub other_frac: f64,

@@ -207,19 +207,15 @@ pub struct SimReport {
     /// Percentiles estimated from `latency_buckets` (not the exact
     /// per-request summaries above — these are what cross-run diffs use,
     /// because histograms aggregate losslessly across runs).
-    #[serde(default)]
     pub histogram_percentiles: HistogramPercentiles,
     /// Flash-array statistics (programs, erases, GC, wear leveling).
     pub flash: FlashStats,
     /// Read-path wait decomposition.
     pub read_breakdown: ReadBreakdown,
-    /// Write-path wait decomposition (absent in pre-observatory reports —
-    /// the default keeps those parseable).
-    #[serde(default)]
+    /// Write-path wait decomposition.
     pub write_breakdown: WriteBreakdown,
     /// Per-resource latency attribution for this run (always populated —
     /// built from the always-on wait counters).
-    #[serde(default)]
     pub bottleneck: BottleneckReport,
     /// Write amplification: physical programs / host page-writes (0 when
     /// the host wrote nothing).

@@ -128,7 +128,7 @@ if [[ $QUICK -eq 0 ]]; then
         }
         passed=$(echo "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
         echo "tier-1 ran $passed passing tests"
-        [[ $passed -ge 486 ]]
+        [[ $passed -ge 487 ]]
     }
     run_stage "tier1-width" tier1_width
 
