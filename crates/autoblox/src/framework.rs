@@ -177,7 +177,9 @@ impl<'v> AutoBlox<'v> {
     }
 
     /// Learns (or recalls) an optimized configuration for a workload
-    /// category and records it in AutoDB under `category:<name>`.
+    /// category and records it in AutoDB under `category:<name>`. A record
+    /// under that key this build cannot decode seeds nothing and is left
+    /// as it is.
     pub fn tune_category(
         &self,
         kind: WorkloadKind,
@@ -186,6 +188,7 @@ impl<'v> AutoBlox<'v> {
     ) -> TuningOutcome {
         let initial: Vec<SsdConfig> = self
             .stored_configs(&Self::category_key(kind))
+            .unwrap_or_default()
             .iter()
             .map(|s| s.config.clone())
             .collect();
@@ -298,22 +301,28 @@ impl<'v> AutoBlox<'v> {
         format!("cluster:{cluster}")
     }
 
-    fn stored_configs(&self, key: &str) -> Vec<StoredConfig> {
+    /// The configurations stored under `key` (none if nothing is), or
+    /// `None` if the record there does not decode in this build.
+    fn stored_configs(&self, key: &str) -> Option<Vec<StoredConfig>> {
         self.db
             .get_record::<Vec<StoredConfig>>(key)
             .ok()
-            .flatten()
-            .unwrap_or_default()
+            .map(Option::unwrap_or_default)
     }
 
     fn best_stored(&self, key: &str) -> Option<StoredConfig> {
-        self.stored_configs(key)
+        self.stored_configs(key)?
             .into_iter()
             .max_by(|a, b| a.grade.partial_cmp(&b.grade).expect("finite grades"))
     }
 
+    /// Adds `outcome`'s configuration to the record under `key`. A record
+    /// this build cannot decode is left in place untouched: rewriting it
+    /// with the new entry alone would silently drop what it holds.
     fn store(&self, key: &str, workload: &str, outcome: &TuningOutcome) {
-        let mut configs = self.stored_configs(key);
+        let Some(mut configs) = self.stored_configs(key) else {
+            return;
+        };
         configs.push(StoredConfig {
             workload: workload.to_string(),
             config: outcome.best.config.clone(),
@@ -571,6 +580,49 @@ mod tests {
             ssdsim::config::DeviceFamily::Homogeneous
         );
         assert_eq!(old.config, presets::intel_750());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A learned-config record this build cannot decode is neither read
+    /// nor replaced: tuning the category leaves it as it was, in the index
+    /// and in the log a reopened store reads.
+    #[test]
+    fn tune_category_keeps_an_undecodable_record() {
+        let record: serde_json::Value =
+            serde_json::from_str(r#"[{"workload": "future", "grade": "high"}]"#).unwrap();
+        let line = serde_json::json!({"key": "category:Database", "value": record});
+        let path = std::env::temp_dir().join(format!("abx-undecodable-{}.db", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&line).unwrap() + "\n").unwrap();
+
+        let v = validator();
+        let fw = AutoBlox::new(
+            Constraints::paper_default(),
+            &v,
+            Store::open(&path).unwrap(),
+            quick_opts(),
+        );
+        let outcome = fw.tune_category(WorkloadKind::Database, &presets::intel_750(), None);
+        assert!(outcome.best.grade.is_finite(), "the tune still runs");
+        assert!(fw
+            .db()
+            .get_record::<Vec<StoredConfig>>("category:Database")
+            .is_err());
+        assert_eq!(
+            fw.db().get("category:Database").unwrap(),
+            Some(record.clone())
+        );
+        fw.db().flush().unwrap();
+        drop(fw);
+        let reopened = Store::open(&path).unwrap();
+        assert_eq!(reopened.get("category:Database").unwrap(), Some(record));
+        let log = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            log.lines()
+                .filter(|l| l.contains("category:Database"))
+                .count(),
+            1,
+            "no second record was appended under the key"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -466,9 +466,10 @@ impl Validator {
         // therefore near-insensitive at this scale; see DESIGN.md §9.
         // Per-thread scratch: the latency vectors and the outstanding heap
         // grow once per thread and are reused by every replay after that,
-        // on pool helpers too, because the pool parks its helpers between
-        // batches instead of letting them exit (reports are pure functions
-        // of config + trace; the scratch only carries capacity).
+        // and the table sizes each replay hands back size the next one's
+        // tables, on pool helpers too, because the pool parks its helpers
+        // between batches instead of letting them exit (reports are pure
+        // functions of config + trace; the scratch only carries capacity).
         thread_local! {
             static SCRATCH: std::cell::RefCell<ssdsim::RunScratch> =
                 std::cell::RefCell::new(ssdsim::RunScratch::default());
@@ -490,13 +491,17 @@ impl Validator {
                 ("validator.timed", trace)
             };
             let _span = telemetry::span::Span::enter_keyed(name, 0);
-            let report = SCRATCH.with(|s| sim.run_scratch(events, &mut s.borrow_mut()));
-            let drained_ns = if sat {
-                sim.drain(report.makespan_ns).max(1)
-            } else {
-                0
-            };
-            (report, drained_ns)
+            SCRATCH.with(|s| {
+                let scratch = &mut s.borrow_mut();
+                let report = sim.run_scratch(events, scratch);
+                let drained_ns = if sat {
+                    sim.drain(report.makespan_ns).max(1)
+                } else {
+                    0
+                };
+                sim.recycle(scratch);
+                (report, drained_ns)
+            })
         };
         // The two replays run side by side on the pool: the search waits on
         // this validation, so the second thread shortens it directly. Under
@@ -665,6 +670,38 @@ mod tests {
         v.clear_cache();
         v.evaluate(&cfg, WorkloadKind::Fiu);
         assert_eq!(v.simulator_runs(), 2);
+    }
+
+    /// A configuration measured again after `clear_cache`, once other
+    /// configurations have grown the table sizes this thread's replays
+    /// record (a larger data cache, the other device family, the other
+    /// trace), gives the measurement it gave first, bit for bit.
+    #[test]
+    fn remeasuring_through_recycled_tables_is_bit_identical() {
+        use ssdsim::config::presets;
+        let v = quick();
+        let cells = [
+            (presets::intel_750(), WorkloadKind::WebSearch),
+            (presets::hybrid_slc_qlc(), WorkloadKind::Fiu),
+        ];
+        let first: Vec<Measurement> = cells
+            .iter()
+            .map(|(cfg, kind)| v.evaluate(cfg, *kind))
+            .collect();
+        for (cfg, kind) in &cells {
+            let wider = SsdConfig {
+                data_cache_mb: cfg.data_cache_mb * 4,
+                cmt_capacity_mb: cfg.cmt_capacity_mb * 4,
+                ..cfg.clone()
+            };
+            v.evaluate(&wider, *kind);
+        }
+        v.clear_cache();
+        for ((cfg, kind), m) in cells.iter().zip(&first) {
+            let again = v.evaluate(cfg, *kind);
+            assert_eq!(format!("{again:?}"), format!("{m:?}"), "{kind:?}");
+        }
+        assert_eq!(v.simulator_runs(), 6, "every measurement was simulated");
     }
 
     #[test]

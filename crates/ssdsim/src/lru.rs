@@ -6,7 +6,13 @@
 //! hash), 16-byte nodes linked into the recency list by `u32` indices, and
 //! a dirty bitset. All three grow with occupancy, never with the configured
 //! capacity, so a simulator that touches a few thousand pages of a
-//! multi-gigabyte cache pays for a few thousand entries.
+//! multi-gigabyte cache pays for a few thousand entries. A simulator that
+//! replays trace after trace sizes the slot table up front to the largest
+//! one its thread has grown (`LruCache::presize_slots`), so the table
+//! grows with the largest occupancy the thread has seen and a replay stops
+//! paying a dozen doublings, each a full rehash into fresh pages. Eviction
+//! follows the recency list and nothing iterates the slots, so no result
+//! depends on the table's size.
 
 /// "No node": list terminator and empty-slot marker.
 const NIL: u32 = u32::MAX;
@@ -219,6 +225,27 @@ impl LruCache {
         self.free_head = idx;
         self.len -= 1;
         Some(dirty)
+    }
+
+    /// Allocates a slot table of `slots` entries (a power of two), or of
+    /// the most this cache's capacity can use if that is fewer, if nothing
+    /// was ever inserted into this cache. Does nothing otherwise: a cache
+    /// with entries keeps its table, and a zero-capacity cache never
+    /// allocates one.
+    pub(crate) fn presize_slots(&mut self, slots: usize) {
+        if self.capacity == 0 || !self.slots.is_empty() || slots == 0 {
+            return;
+        }
+        // The table doubles before it is half full, so no occupancy this
+        // capacity allows needs more slots than this.
+        let len = slots.min((self.capacity * 2).next_power_of_two().max(MIN_SLOTS));
+        self.slots = vec![NIL; len];
+        self.shift = 64 - len.trailing_zeros();
+    }
+
+    /// Length of the slot table (zero before the first insert).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     // ---- slot table --------------------------------------------------------

@@ -70,18 +70,31 @@ impl Timing {
 /// table's unmapped sentinel.
 const CAPACITY_RESIDENT: u32 = u32::MAX - 1;
 
-/// Reusable per-run buffers: the latency vectors and the outstanding-request
-/// heap [`Simulator::run`] needs. A validator evaluating thousands of
-/// candidate configurations re-runs the simulator constantly; passing one
-/// scratch per worker thread to [`Simulator::run_scratch`] reuses the grown
-/// allocations across runs instead of paying four fresh heap allocations
-/// (plus their growth reallocations) per trace replay.
+/// Reusable per-run state: the latency vectors and the outstanding-request
+/// heap [`Simulator::run`] needs, and the sizes a simulator's hash tables
+/// reached (the data cache's and the cached mapping table's slot tables and
+/// the mapping table's directory).
+///
+/// A validator evaluating thousands of candidate configurations re-runs
+/// the simulator constantly. Passing one scratch per worker thread to
+/// [`Simulator::run_scratch`] reuses the buffers across runs, and a
+/// simulator handed back with [`Simulator::recycle`] records its table
+/// sizes here: the next simulator that thread runs allocates its tables at
+/// the largest size the thread has seen instead of regrowing them from
+/// empty, rehash by rehash. Only sizes are kept, not the tables: parking
+/// them between runs would hold their memory while the rest of the search
+/// runs, where pre-sizing reuses what the allocator got back from the
+/// previous replay. The scratch only carries capacity: a report is the
+/// same whichever scratch, if any, its run was given.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     latencies: Vec<u64>,
     read_lat: Vec<u64>,
     write_lat: Vec<u64>,
     outstanding: BinaryHeap<Reverse<u64>>,
+    data_cache_slots: usize,
+    cmt_slots: usize,
+    mapping_slots: usize,
 }
 
 /// The SSD simulator.
@@ -289,9 +302,16 @@ impl Simulator {
     /// [`Simulator::run`] with caller-provided scratch buffers, for callers
     /// that replay many traces back to back (the validator's hot path).
     /// The scratch is cleared on entry; its grown capacity is what carries
-    /// over between runs.
+    /// over between runs. A table nothing has been inserted into yet is
+    /// allocated at the size the scratch recorded (see
+    /// [`Simulator::recycle`]); one with entries keeps its own, so
+    /// back-to-back runs on one simulator still model a continuously
+    /// operating device.
     pub fn run_scratch(&mut self, trace: &Trace, scratch: &mut RunScratch) -> SimReport {
         let _span = telemetry::span::Span::enter("sim.run");
+        self.data_cache.presize_slots(scratch.data_cache_slots);
+        self.cmt.presize_slots(scratch.cmt_slots);
+        self.mapping.presize_slots(scratch.mapping_slots);
         scratch.latencies.clear();
         scratch.latencies.reserve(trace.len());
         scratch.read_lat.clear();
@@ -302,6 +322,7 @@ impl Simulator {
             read_lat,
             write_lat,
             outstanding,
+            ..
         } = scratch;
         let mut latency_buckets = LatencyBuckets::default();
         let qd = self.cfg.effective_queue_depth() as usize;
@@ -488,6 +509,17 @@ impl Simulator {
             average_power_w: energy.average_power_w(makespan),
             energy,
         }
+    }
+
+    /// Ends this simulator, recording in `scratch` the sizes the hash
+    /// tables of its data cache, cached mapping table and mapping table
+    /// grew to, so the next simulator run with that scratch starts at
+    /// them. Each recorded size is the largest the scratch was handed.
+    pub fn recycle(self, scratch: &mut RunScratch) {
+        let grown = |kept: &mut usize, size: usize| *kept = (*kept).max(size);
+        grown(&mut scratch.data_cache_slots, self.data_cache.slot_count());
+        grown(&mut scratch.cmt_slots, self.cmt.slot_count());
+        grown(&mut scratch.mapping_slots, self.mapping.slot_count());
     }
 
     // ---- internal helpers ------------------------------------------------
@@ -1094,6 +1126,121 @@ mod tests {
             assert!(lazy.0.flash.programs > 0, "the trace must write");
             assert_eq!(lazy, eager, "{:?}", cfg.device_family);
         }
+    }
+
+    /// The timed report, the saturated report and the drain time of a
+    /// validation-shaped run of `trace` on `cfg`, each replay through
+    /// `scratch` and handed back to it, as a validator runs them.
+    fn validate_recycled(
+        cfg: &SsdConfig,
+        trace: &Trace,
+        scratch: &mut RunScratch,
+    ) -> (SimReport, SimReport, u64) {
+        let mut sim = Simulator::new(cfg.clone());
+        sim.warm_up(0.5);
+        let mut sat_sim = sim.clone();
+        let report = sim.run_scratch(trace, scratch);
+        sim.recycle(scratch);
+        let sat_report = sat_sim.run_scratch(&saturated(trace), scratch);
+        let drained_ns = sat_sim.drain(sat_report.makespan_ns);
+        sat_sim.recycle(scratch);
+        (report, sat_report, drained_ns)
+    }
+
+    /// The same, each replay on a fresh simulator through [`Simulator::run`].
+    fn validate_fresh(cfg: &SsdConfig, trace: &Trace) -> (SimReport, SimReport, u64) {
+        let mut sim = Simulator::new(cfg.clone());
+        sim.warm_up(0.5);
+        let mut sat_sim = sim.clone();
+        let report = sim.run(trace);
+        let sat_report = sat_sim.run(&saturated(trace));
+        let drained_ns = sat_sim.drain(sat_report.makespan_ns);
+        (report, sat_report, drained_ns)
+    }
+
+    fn saturated(trace: &Trace) -> Trace {
+        let events = trace
+            .events()
+            .iter()
+            .map(|e| TraceEvent::new(0, e.lba, e.size_bytes, e.op))
+            .collect();
+        Trace::from_events(trace.name(), events)
+    }
+
+    /// One scratch carried through replays whose tables grow, then shrink,
+    /// across both device families, a read-heavy and a write-heavy trace
+    /// and a bypassed (zero-capacity) data cache: every report and drain
+    /// time equals a fresh simulator's, bit for bit, although later replays
+    /// start from tables sized by earlier ones.
+    #[test]
+    fn recycled_tables_replay_like_fresh_ones() {
+        let homog = crate::config::presets::intel_750();
+        let hybrid = crate::config::presets::hybrid_slc_qlc();
+        let bypass = SsdConfig {
+            data_cache_mb: 0,
+            ..homog.clone()
+        };
+        let tiny_cache = SsdConfig {
+            data_cache_mb: 1,
+            cmt_capacity_mb: 1,
+            ..hybrid.clone()
+        };
+        let cells = [
+            (&homog, WorkloadKind::WebSearch, 500),
+            (&homog, WorkloadKind::WebSearch, 4_000),
+            (&hybrid, WorkloadKind::Fiu, 3_000),
+            (&bypass, WorkloadKind::Fiu, 2_000),
+            (&tiny_cache, WorkloadKind::WebSearch, 1_500),
+            (&hybrid, WorkloadKind::Fiu, 400),
+            (&homog, WorkloadKind::WebSearch, 200),
+        ];
+        let mut scratch = RunScratch::default();
+        for (cfg, kind, events) in cells {
+            let trace = kind.spec().generate(events, 42);
+            let recycled = validate_recycled(cfg, &trace, &mut scratch);
+            assert_eq!(recycled, validate_fresh(cfg, &trace), "{kind:?} x {events}");
+        }
+        let sizes = [
+            scratch.data_cache_slots,
+            scratch.cmt_slots,
+            scratch.mapping_slots,
+        ];
+        assert!(
+            sizes.iter().all(|&n| n > 0),
+            "every table size was recorded"
+        );
+    }
+
+    /// Caches persist across runs on one simulator, so a second
+    /// `run_scratch` must keep the tables the first one filled, not start
+    /// new ones at the recorded sizes: two runs through one scratch equal
+    /// two runs through fresh scratches.
+    #[test]
+    fn back_to_back_runs_keep_their_tables() {
+        let mut scratch = RunScratch::default();
+        let warm_trace = WorkloadKind::WebSearch.spec().generate(3_000, 1);
+        validate_recycled(&SsdConfig::default(), &warm_trace, &mut scratch);
+        let recorded = scratch.data_cache_slots;
+        assert!(recorded > 0);
+
+        let (first, second) = (
+            WorkloadKind::Fiu.spec().generate(1_500, 2),
+            WorkloadKind::WebSearch.spec().generate(1_500, 3),
+        );
+        let mut fresh = Simulator::new(SsdConfig::default());
+        fresh.warm_up(0.5);
+        let mut recycled = fresh.clone();
+        let expected = (fresh.run(&first), fresh.run(&second));
+        let got = recycled.run_scratch(&first, &mut scratch);
+        assert_eq!(recycled.data_cache.slot_count(), recorded, "pre-sized");
+        assert_eq!(got, expected.0);
+        assert_eq!(recycled.run_scratch(&second, &mut scratch), expected.1);
+        assert_eq!(
+            recycled.drain(expected.1.makespan_ns),
+            fresh.drain(expected.1.makespan_ns)
+        );
+        recycled.recycle(&mut scratch);
+        assert!(scratch.data_cache_slots >= recorded);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! written: a write at the last page of a 1.87 G-page device costs one
 //! chunk, not an index sized by its page number.
 //!
+//! A simulator that replays trace after trace sizes the directory up front
+//! to the largest one its thread has grown ([`LpnMap::presize_slots`]), so
+//! it grows with the largest map the thread has seen, not from empty on
+//! every replay.
+//!
 //! The table only answers where a logical page lives; a probe's cost is
 //! the only thing its layout can change.
 
@@ -73,6 +78,21 @@ impl LpnMap {
             None => self.allocate_chunk(id),
         };
         self.chunks[chunk][lpn as usize % CHUNK] = (u64::from(m.plane) << 32) | u64::from(m.block);
+    }
+
+    /// Allocates a directory of `slots` entries (a power of two) if
+    /// nothing was ever inserted into this map; does nothing otherwise.
+    pub(super) fn presize_slots(&mut self, slots: usize) {
+        if !self.slots.is_empty() || slots == 0 {
+            return;
+        }
+        self.slots = vec![(VACANT, 0); slots];
+        self.shift = 64 - slots.trailing_zeros();
+    }
+
+    /// Length of the directory (zero before the first insert).
+    pub(super) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
