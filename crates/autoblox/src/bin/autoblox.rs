@@ -4,11 +4,10 @@
 //! (`autoblox` with no arguments prints it); a test keeps it in step with
 //! the commands `main` dispatches.
 //!
-//! `explain` is the single-report view: from one `--telemetry` report it
-//! renders the pipeline phases, the device's bottleneck shares and the
+//! `explain` is the single-report view: from one `--journal` run journal
+//! it renders the pipeline phases, the device's bottleneck shares and the
 //! surrogate's calibration record (±1σ/±2σ coverage, RMSE, NLPD) and
-//! per-iteration explore-vs-exploit decision provenance. It is the one
-//! reader of a run report.
+//! per-iteration explore-vs-exploit decision provenance.
 //!
 //! A `tune`/`whatif` invocation with `--db` keeps every measurement it
 //! paid for in that store — running the same command again replays the
@@ -19,14 +18,14 @@
 //! omitted (`.csv`, `.blk`, `.msr`).
 //!
 //! Output discipline: machine-readable results (tuned configurations,
-//! cluster decisions, simulator reports, telemetry) go to **stdout**;
+//! cluster decisions, simulator reports, explanations) go to **stdout**;
 //! progress and human-oriented commentary go to **stderr**, so pipelines
 //! can consume the JSON without scraping.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (missing
 //! operands, unknown flags, bad flag values), a malformed input file
-//! (unreadable/unparseable trace, telemetry report, config, run journal,
-//! or AutoDB store) or constraints no search can start from.
+//! (unreadable/unparseable trace, config, run journal or AutoDB store) or
+//! constraints no search can start from.
 
 use autoblox::clustering::{ClusterDecision, WorkloadClusterer};
 use autoblox::constraints::Constraints;
@@ -54,10 +53,9 @@ enum CliError {
     /// The command line itself is wrong: missing operands, an unknown
     /// flag value, and so on.
     Usage(String),
-    /// A user-supplied input file (trace, config JSON, telemetry report,
-    /// run journal, or AutoDB store) could not be read or failed
-    /// validation, or the constraints or goal of `tune`/`whatif` admit no
-    /// search.
+    /// A user-supplied input file (trace, config JSON, run journal or
+    /// AutoDB store) could not be read or failed validation, or the
+    /// constraints or goal of `tune`/`whatif` admit no search.
     Input(String),
     /// Any other runtime failure.
     Other(String),
@@ -95,16 +93,14 @@ fn usage_text() -> String {
          \x20 tune     <workload> [--iterations N] [--events N] [--capacity GIB]\n\
          \x20          [--interface nvme|sata] [--flash slc|mlc|tlc|qlc] [--power W]\n\
          \x20          [--family homogeneous|hybrid]\n\
-         \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          [--db store.db]\n\
+         \x20          [--journal out.jsonl] [--db store.db]\n\
          \x20          (--db keeps every measurement in the store: the same\n\
          \x20           command run again replays instead of simulating, which\n\
          \x20           is how an interrupted run resumes)\n\
          \x20 whatif   <workload> --goal latency|throughput --factor F\n\
          \x20          [--events N] [--capacity ...] (constraint flags as for tune)\n\
-         \x20          [--telemetry out.json] [--journal out.jsonl]\n\
-         \x20          [--db store.db]\n\
-         \x20 explain  <telemetry.json> [--json]              one run explained: phases, device\n\
+         \x20          [--journal out.jsonl] [--db store.db]\n\
+         \x20 explain  <journal.jsonl> [--json]               one run explained: phases, device\n\
          \x20                                                 bottleneck shares, surrogate\n\
          \x20                                                 calibration, decision provenance\n\
          \x20 trace    export --chrome <journal.jsonl> <out-file>\n\
@@ -335,80 +331,37 @@ impl<'a> ReaderArgs<'a> {
     }
 }
 
-/// Shared observability sink configuration for the `tune` and `whatif`
-/// subcommands: the `--telemetry` report path and the `--journal` stream
-/// path are parsed, armed, and flushed in exactly one place, so a flag
-/// added here can never drift between the two commands.
-struct SinkConfig {
-    telemetry: Option<String>,
-    journal: Option<(String, Journal)>,
-}
-
-impl SinkConfig {
-    /// Parses `--telemetry` / `--journal` and, when either is present, arms
-    /// telemetry collection (clearing prior state so the outputs cover
-    /// exactly this command) and opens the journal.
-    fn from_args(args: &[String]) -> Result<SinkConfig, CliError> {
-        let telemetry: Option<String> = parse_flag(args, "--telemetry")?;
-        let journal_path: Option<String> = parse_flag(args, "--journal")?;
-        if telemetry.is_some() || journal_path.is_some() {
-            autoblox::telemetry::set_enabled(true);
-            autoblox::parallel::reset_pool_stats();
-            autoblox::telemetry::global().clear();
-        }
-        let journal = match journal_path {
-            Some(path) => {
-                let j = Journal::create(&path).map_err(CliError::Other)?;
-                eprintln!("streaming run journal to {path}");
-                Some((path, j))
-            }
-            None => None,
-        };
-        Ok(SinkConfig { telemetry, journal })
-    }
-
-    /// Writes the telemetry report (if requested) and closes the journal
-    /// (if open), printing the histogram-derived latency percentiles the
-    /// run observed.
-    fn finish(self, validator: &Validator) -> Result<(), String> {
-        if let Some(path) = &self.telemetry {
-            let report = autoblox::telemetry::global().report(Some(validator));
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let p = report.latency_percentiles;
-            eprintln!(
-                "telemetry report written to {path} \
-                 (latency p50 {} ns, p95 {} ns, p99 {} ns)",
-                p.p50_ns, p.p95_ns, p.p99_ns
-            );
-            // Total surrogate fitting time: the incremental GPR chain should
-            // keep this flat as the observation set grows.
-            let fit_ns: u64 = report
-                .tuner
-                .iter()
-                .flat_map(|t| t.records.iter())
-                .map(|r| r.surrogate_fit_ns)
-                .sum();
-            eprintln!("surrogate fit {:.3} ms total", fit_ns as f64 / 1e6);
-        }
-        if let Some((path, j)) = self.journal {
-            j.finish()?;
-            eprintln!("run journal closed: {path}");
-        }
-        Ok(())
-    }
+/// Opens the `--journal <out.jsonl>` of a writer command, if given: arms
+/// telemetry collection (clearing prior state so the journal covers
+/// exactly this command) and starts the journal.
+fn open_journal(args: &[String]) -> Result<Option<Journal>, CliError> {
+    let Some(path) = parse_flag::<String>(args, "--journal")? else {
+        return Ok(None);
+    };
+    autoblox::telemetry::set_enabled(true);
+    autoblox::parallel::reset_pool_stats();
+    autoblox::telemetry::global().clear();
+    let journal = Journal::create(&path).map_err(CliError::Other)?;
+    eprintln!("streaming run journal to {path}");
+    Ok(Some(journal))
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let parsed = ReaderArgs::parse("explain", args, &["--json"], &[])?;
     let [path] = parsed.positional.as_slice() else {
-        return Err("explain needs <telemetry.json> [--json]".into());
+        return Err("explain needs <journal.jsonl> [--json]".into());
     };
-    let json = std::fs::read_to_string(path)
+    let journal = std::fs::read_to_string(path)
         .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-    let report =
-        RunReport::parse_checked(&json).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-    let doc = autoblox::explain::explain(&report);
+    let lines = autoblox::journal::read_lines(&journal)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+    if lines.is_empty() {
+        return Err(CliError::Input(format!(
+            "{path}: not a run journal: it has no `meta` line"
+        )));
+    }
+    let doc = autoblox::explain::explain(&RunReport::fold(&lines));
     if parsed.has("--json") {
         println!(
             "{}",
@@ -449,14 +402,13 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Flags every writer command (`tune`/`whatif`) takes: the device
-/// constraints, the observability sinks and the store.
-const WRITER_FLAGS: [&str; 8] = [
+/// constraints, the run journal and the store.
+const WRITER_FLAGS: [&str; 7] = [
     "--capacity",
     "--interface",
     "--flash",
     "--power",
     "--family",
-    "--telemetry",
     "--journal",
     "--db",
 ];
@@ -579,7 +531,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
         ..ValidatorOptions::default()
     });
     let stored = attach_store(args, &validator)?;
-    let sinks = SinkConfig::from_args(args)?;
+    let journal = open_journal(args)?;
     let opts = TunerOptions {
         max_iterations: iterations,
         non_target: WorkloadKind::STUDIED
@@ -614,7 +566,9 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
     if stored {
         report_recalls(&validator);
     }
-    sinks.finish(&validator)?;
+    if let Some(journal) = journal {
+        journal.finish(Some(&validator))?;
+    }
     Ok(())
 }
 
@@ -644,7 +598,7 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
         ..ValidatorOptions::default()
     });
     let stored = attach_store(args, &validator)?;
-    let sinks = SinkConfig::from_args(args)?;
+    let journal = open_journal(args)?;
     let reference = reference_for(&constraints);
     let out = autoblox::telemetry::global()
         .phase("whatif", || {
@@ -671,7 +625,9 @@ fn cmd_whatif(args: &[String]) -> Result<(), CliError> {
     if stored {
         report_recalls(&validator);
     }
-    sinks.finish(&validator)?;
+    if let Some(journal) = journal {
+        journal.finish(Some(&validator))?;
+    }
     Ok(())
 }
 

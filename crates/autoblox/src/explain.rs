@@ -1,13 +1,12 @@
 //! `autoblox explain`: the single-report view.
 //!
-//! Turns a serialized [`RunReport`] (the `--telemetry out.json` document)
-//! into one answer to the two questions asked of every learned
+//! Turns a [`RunReport`] — the fold of a `--journal out.jsonl` run journal
+//! — into one answer to the two questions asked of every learned
 //! configuration: where did this run's time go — the pipeline phases and
 //! the per-resource latency attribution the device observatory collects —
 //! and can the surrogate that picked the configuration be trusted — its
-//! calibration and decision timeline ([`crate::model_obs`]). It is the one
-//! reader of a run report; the headline numbers come from the report core's
-//! [`Summary`].
+//! calibration and decision timeline ([`crate::model_obs`]). The headline
+//! numbers come from the report core's [`Summary`].
 //!
 //! Everything here is a pure function of the input report: no clocks, no
 //! environment, so `explain` output is bit-identical whenever its inputs
@@ -19,7 +18,7 @@ use crate::telemetry::{PhaseRecord, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// Schema identifier of the `explain --json` document.
-pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v3";
+pub const EXPLAIN_SCHEMA: &str = "autoblox.explain.v4";
 
 /// One resource's share of the attributed request time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,13 +29,11 @@ pub struct ResourceShare {
     pub frac: f64,
 }
 
-/// The `explain --json` document of one telemetry report.
+/// The `explain --json` document of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Explain {
     /// Always [`EXPLAIN_SCHEMA`].
     pub schema: String,
-    /// Schema of the report explained.
-    pub source_schema: String,
     /// The run's summary.
     pub summary: Summary,
     /// Pipeline stages in completion order, with their wall time.
@@ -50,7 +47,7 @@ pub struct Explain {
     pub model: ModelReport,
 }
 
-/// Explains a parsed telemetry report.
+/// Explains a run report.
 pub fn explain(report: &RunReport) -> Explain {
     let b = &report.bottleneck;
     let mut shares: Vec<ResourceShare> = b
@@ -69,7 +66,6 @@ pub fn explain(report: &RunReport) -> Explain {
     });
     Explain {
         schema: EXPLAIN_SCHEMA.to_string(),
-        source_schema: report.schema.clone(),
         summary: Summary::of(report),
         phases: report.phases.clone(),
         dominant: b.dominant().to_string(),
@@ -113,8 +109,8 @@ fn render_calibration(out: &mut String, c: &CalibrationSummary) {
 /// phases, one bar per resource share, then per tuning run the surrogate's
 /// calibration, how many of its decisions were ties (a zero margin over
 /// the runner-up, among iterations with a prediction), whether the search
-/// stalled at the reference (the report's best grade, the best over its
-/// runs, below ln 1.01), and the explore/exploit decision timeline.
+/// stalled at the reference (the run's best grade below ln 1.01), and the
+/// explore/exploit decision timeline.
 pub fn render(doc: &Explain) -> String {
     let s = &doc.summary;
     let mut out = String::new();
@@ -172,7 +168,7 @@ pub fn render(doc: &Explain) -> String {
             "  {ties} of {} decisions were ties, picked by candidate order\n",
             predicted.count()
         ));
-        if stalled(s.best_grade.unwrap_or(0.0)) {
+        if stalled(run.best_grade) {
             out.push_str("  stalled at the reference (best grade below ln 1.01)\n");
         }
         if run.kernel_length_scale > 0.0 {
@@ -212,7 +208,6 @@ mod tests {
 
     fn report_with(b: BottleneckReport, grade: f64) -> RunReport {
         RunReport {
-            schema: RunReport::SCHEMA.to_string(),
             bottleneck: b,
             tuner: vec![crate::telemetry::TunerRunTelemetry {
                 workload: "database".to_string(),
@@ -289,7 +284,6 @@ mod tests {
             ..Default::default()
         };
         RunReport {
-            schema: RunReport::SCHEMA.to_string(),
             tuner: vec![crate::telemetry::TunerRunTelemetry {
                 workload: "database".to_string(),
                 iterations: 3,
@@ -317,6 +311,26 @@ mod tests {
         assert!(!decided.contains("stalled"), "{decided}");
         // ln 1.01 is the boundary: a 1 % speedup is progress.
         assert!(stalled(0.0099) && !stalled(1.01f64.ln()));
+    }
+
+    #[test]
+    fn each_run_is_judged_stalled_on_its_own_best_grade() {
+        // A run that left the reference, then one that stalled: the report's
+        // best grade is the first run's, yet the second gets its stall line.
+        let mut report = tuned(0.05, 0.2);
+        report.tuner[0].workload = "WebSearch".to_string();
+        report.tuner.extend(tuned(0.05, 0.002).tuner);
+        let text = render(&explain(&report));
+        assert_eq!(
+            text.matches("stalled at the reference").count(),
+            1,
+            "{text}"
+        );
+        let (moved, stalled_run) = text
+            .split_once("model observatory — database")
+            .expect("the stalled run's section");
+        assert!(!moved.contains("stalled"), "{text}");
+        assert!(stalled_run.contains("stalled at the reference"), "{text}");
     }
 
     #[test]

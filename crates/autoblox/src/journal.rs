@@ -1,5 +1,6 @@
 //! Run journal: line-buffered JSONL of spans, iteration records, tuning
-//! runs and pipeline phases, written while a run executes.
+//! runs, pipeline phases and the run's closing statistics, written while a
+//! run executes. It is a run's one output file.
 //!
 //! A [`Journal`] owns a background writer thread that periodically drains
 //! the span ring buffer (`telemetry::span`) and writes the lines the
@@ -11,7 +12,7 @@
 //! Every line is one [`JournalLine`]: a JSON object whose `"t"` tag names
 //! the kind and whose other members are that kind's struct. The tag is
 //! written by [`JournalLine::to_line`] and read by [`JournalLine::parse`]
-//! and nowhere else. The seven kinds:
+//! and nowhere else. The eight kinds:
 //!
 //! - `meta` ([`MetaLine`]) — first line; schema [`JOURNAL_SCHEMA`], thread
 //!   limit, argv.
@@ -27,25 +28,30 @@
 //! - `tune` ([`TuneLine`]) — one finished tuning run's totals; it closes
 //!   the run's `iteration` lines.
 //! - `phase` ([`PhaseRecord`]) — one completed pipeline stage.
+//! - `stats` ([`StatsLine`]) — the validator's cache and simulator
+//!   statistics and the worker pool's counters, taken as the run ends.
 //! - `summary` ([`SummaryLine`]) — last line; totals and the span drop
 //!   counter.
 //!
-//! [`RunReport::fold`](crate::telemetry::RunReport::fold) turns the
-//! `phase`, `iteration`, `model` and `tune` lines into a report's phases
-//! and tuning runs.
+//! [`RunReport::fold`](crate::telemetry::RunReport::fold) turns a journal's
+//! lines into the run's report; a journal cut before its `stats` line (a
+//! crash) folds to what it holds, with zero counters.
 //!
 //! A journal is one run's output, so it is read only at the schema and
 //! the kinds this build writes. A line that yields no kind is a
 //! [`Skipped`] saying why: blank, torn, untagged, or malformed (a tag this
-//! build does not write, or a known tag whose members do not decode). The
-//! exporter passes over blank and untagged lines and rejects the others
-//! with the line number.
+//! build does not write, or a known tag whose members do not decode).
+//! [`read_lines`], the one reader path of `explain` and `trace export`,
+//! passes over blank and untagged lines and rejects the others with the
+//! line number.
 //!
 //! [`export_chrome`] converts a journal into the Chrome `about://tracing` /
 //! Perfetto JSON format (`trace export --chrome`).
 
 use crate::telemetry::PhaseRecord;
 use crate::tuner::{IterationRecord, TuningOutcome};
+use crate::validator::{Validator, ValidatorStats};
+use mlkit::parallel::PoolStats;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use ssdsim::BottleneckReport;
@@ -58,8 +64,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::span::SpanRecord;
 
-/// Schema identifier written into every journal's `meta` line.
-pub const JOURNAL_SCHEMA: &str = "autoblox.journal.v1";
+/// Schema identifier written into every journal's `meta` line; it moves
+/// whenever the set of line kinds or their members does.
+pub const JOURNAL_SCHEMA: &str = "autoblox.journal.v2";
 
 /// How often the writer thread drains the buffers.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(25);
@@ -81,18 +88,21 @@ pub enum JournalLine {
     Tune(TuneLine),
     /// `phase`: one completed pipeline stage.
     Phase(PhaseRecord),
+    /// `stats`: the run's closing validator and pool statistics.
+    Stats(StatsLine),
     /// `summary`: the journal's last line.
     Summary(SummaryLine),
 }
 
 /// The `"t"` tag of every [`JournalLine`] variant: its name in lower case.
-const KINDS: [&str; 7] = [
+const KINDS: [&str; 8] = [
     "meta",
     "span",
     "iteration",
     "model",
     "tune",
     "phase",
+    "stats",
     "summary",
 ];
 
@@ -181,6 +191,18 @@ pub struct MetaLine {
     pub threads: u64,
     /// The producing command line.
     pub argv: Vec<String>,
+}
+
+impl MetaLine {
+    /// The `meta` line of a run in this process: this build's schema, the
+    /// pool's thread limit and the command line.
+    pub fn of_this_run() -> MetaLine {
+        MetaLine {
+            schema: JOURNAL_SCHEMA.to_string(),
+            threads: mlkit::parallel::max_threads() as u64,
+            argv: std::env::args().collect(),
+        }
+    }
 }
 
 /// The `span` line: one [`SpanRecord`], ids in hex.
@@ -366,6 +388,26 @@ impl From<&TuningOutcome> for TuneLine {
     }
 }
 
+/// The `stats` line: what the run's counters read as it ends.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct StatsLine {
+    /// The validator's cache and simulator statistics (all zeros without
+    /// a validator).
+    pub validator: ValidatorStats,
+    /// The worker pool's utilization counters.
+    pub pool: PoolStats,
+}
+
+impl StatsLine {
+    /// Snapshots the worker pool and, when given, `validator`.
+    pub fn of(validator: Option<&Validator>) -> StatsLine {
+        StatsLine {
+            validator: validator.map(Validator::stats).unwrap_or_default(),
+            pool: mlkit::parallel::pool_stats(),
+        }
+    }
+}
+
 /// The `summary` line: totals and the span drop counter.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SummaryLine {
@@ -379,7 +421,7 @@ pub struct SummaryLine {
 
 /// A live run journal; create with [`Journal::create`], close with
 /// [`Journal::finish`]. Dropping it without finishing stops the writer and
-/// disarms span tracing, but writes no `summary` line.
+/// disarms span tracing, but writes no `stats` or `summary` line.
 #[derive(Debug)]
 pub struct Journal {
     stop: Arc<AtomicBool>,
@@ -406,11 +448,7 @@ impl Journal {
         // Line buffering: every completed line is written promptly, so a
         // tail -f (or a crash) sees whole JSON objects only.
         let mut out = LineWriter::new(file);
-        let meta = JournalLine::Meta(MetaLine {
-            schema: JOURNAL_SCHEMA.to_string(),
-            threads: mlkit::parallel::max_threads() as u64,
-            argv: std::env::args().collect(),
-        });
+        let meta = JournalLine::Meta(MetaLine::of_this_run());
         writeln!(out, "{}", meta.to_line())
             .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
 
@@ -462,13 +500,15 @@ impl Journal {
             .map_err(|e| format!("journal write failed: {e}"))
     }
 
-    /// Disarms tracing, drains everything still buffered, and appends the
+    /// Records the run's `stats` line ([`StatsLine::of`] `validator`),
+    /// disarms tracing, drains everything still buffered, and appends the
     /// `summary` line through the writer's own file handle.
     ///
     /// # Errors
     ///
     /// Returns a description of any I/O failure the writer thread hit.
-    pub fn finish(mut self) -> Result<(), String> {
+    pub fn finish(mut self, validator: Option<&Validator>) -> Result<(), String> {
+        crate::telemetry::global().push(|| JournalLine::Stats(StatsLine::of(validator)));
         let (mut out, summary) = self.stop_writer()?;
         let summary = JournalLine::Summary(SummaryLine {
             spans_dropped: telemetry::span::dropped_spans(),
@@ -488,18 +528,22 @@ impl Drop for Journal {
     }
 }
 
-/// The lines of a journal the exporter reads, in order. Blank and untagged
-/// lines are passed over; a torn or malformed line, or another schema, is
-/// an error naming the line.
-fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>> + '_ {
-    journal.lines().enumerate().filter_map(|(i, text)| {
+/// The lines of a journal, in order: what `explain` folds and `trace
+/// export` converts. Blank and untagged lines are passed over; a torn or
+/// malformed line, another schema, or a first line that is not the `meta`
+/// line is an error naming the line.
+pub fn read_lines(journal: &str) -> impl Iterator<Item = Result<JournalLine, String>> + '_ {
+    let mut first = true;
+    journal.lines().enumerate().filter_map(move |(i, text)| {
         let line = match JournalLine::parse(text) {
             Ok(JournalLine::Meta(m)) => check_schema(&m.schema).map(|()| JournalLine::Meta(m)),
+            Ok(_) if first => Err("a journal starts with its `meta` line".to_string()),
             Ok(line) => Ok(line),
             Err(Skipped::Torn(e)) => Err(format!("invalid JSON: {e}")),
             Err(Skipped::Malformed(e)) => Err(e),
             Err(Skipped::Blank | Skipped::Untagged) => return None,
         };
+        first = false;
         Some(line.map_err(|e| format!("journal line {}: {e}", i + 1)))
     })
 }
@@ -611,8 +655,8 @@ pub fn export_chrome(journal: &str) -> Result<String, String> {
                 }));
                 phase_clock_us += dur_us;
             }
-            // The tune and summary lines carry no timeline position.
-            JournalLine::Tune(_) | JournalLine::Summary(_) => {}
+            // The tune, stats and summary lines carry no timeline position.
+            JournalLine::Tune(_) | JournalLine::Stats(_) | JournalLine::Summary(_) => {}
         }
     }
     if events.is_empty() {
@@ -679,7 +723,7 @@ mod tests {
     fn lines_keep_their_wire_format() {
         assert_eq!(
             meta(),
-            r#"{"argv":[],"schema":"autoblox.journal.v1","t":"meta","threads":1}"#
+            r#"{"argv":[],"schema":"autoblox.journal.v2","t":"meta","threads":1}"#
         );
         assert_eq!(
             span(7),
@@ -695,6 +739,10 @@ mod tests {
     fn export_rejects_garbage_and_accepts_minimal_journal() {
         assert!(export_chrome("not json").is_err());
         assert!(export_chrome("").is_err());
+        assert_eq!(
+            export_chrome(&span(0)).unwrap_err(),
+            "journal line 1: a journal starts with its `meta` line"
+        );
         let iteration = JournalLine::Iteration(IterationLine {
             workload: "database".to_string(),
             iteration: 1,
@@ -754,7 +802,7 @@ mod tests {
 
     #[test]
     fn export_rejects_unknown_schema() {
-        for schema in ["somethingelse.v9", "autoblox.journal.v2", ""] {
+        for schema in ["somethingelse.v9", "autoblox.journal.v1", ""] {
             let journal = JournalLine::Meta(MetaLine {
                 schema: schema.to_string(),
                 ..Default::default()

@@ -10,7 +10,7 @@
 //! - **decision provenance** — the explore/exploit decomposition of each
 //!   chosen candidate's acquisition value and its margin over the runner-up.
 //!
-//! Everything here is a pure function of the parsed [`RunReport`]: no
+//! Everything here is a pure function of a folded [`RunReport`]: no
 //! clocks, no environment, so the model section is bit-identical whenever
 //! its inputs are — the determinism suite asserts this across thread
 //! counts. Rendering lives with the rest of the single-report view in
@@ -71,6 +71,8 @@ pub struct ModelRun {
     pub workload: String,
     /// Iterations the run executed.
     pub iterations: u64,
+    /// The run's final best grade (from its `tune` line).
+    pub best_grade: f64,
     /// Calibration over this run's iterations.
     pub calibration: CalibrationSummary,
     /// Per-iteration decision provenance, in iteration order.
@@ -179,7 +181,7 @@ fn mean_explore_share(records: &[IterationRecord]) -> f64 {
     }
 }
 
-/// Extracts the model fingerprint of a parsed telemetry report.
+/// Extracts the model fingerprint of a run report.
 pub fn inspect(report: &RunReport) -> ModelReport {
     let runs: Vec<ModelRun> = report
         .tuner
@@ -195,6 +197,7 @@ pub fn inspect(report: &RunReport) -> ModelReport {
             ModelRun {
                 workload: t.workload.clone(),
                 iterations: t.iterations,
+                best_grade: t.best_grade,
                 calibration: calibration_of(&t.records),
                 timeline: timeline_of(&t.records),
                 mean_explore_share: mean_explore_share(&t.records),
@@ -236,7 +239,6 @@ mod tests {
 
     fn report_with(records: Vec<IterationRecord>) -> RunReport {
         RunReport {
-            schema: RunReport::SCHEMA.to_string(),
             tuner: vec![TunerRunTelemetry {
                 workload: "database".to_string(),
                 iterations: records.len() as u64,

@@ -1,10 +1,10 @@
 //! The report core: one [`Summary`] of a run and the one bar every view
 //! draws.
 //!
-//! [`Summary::of`] condenses a telemetry [`RunReport`] once — headline
-//! numbers, tail latency, bottleneck attribution, the surrogate's
-//! calibration. It is what `explain`, the one reader of a run report,
-//! prints first and nests in its `--json` document.
+//! [`Summary::of`] condenses a [`RunReport`] — the fold of a run's journal
+//! — once: headline numbers, tail latency, bottleneck attribution, the
+//! surrogate's calibration. It is what `explain` prints first and nests in
+//! its `--json` document.
 //!
 //! Both are pure functions of their inputs, so a summary is bit-identical
 //! whenever its report is.
@@ -17,7 +17,7 @@ use ssdsim::BottleneckReport;
 
 /// The compact record of one run.
 ///
-/// [`Summary::of`] fills every field from the telemetry report alone.
+/// [`Summary::of`] fills every field from the run report alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// History family: the first tuned workload.
@@ -51,8 +51,7 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarises a parsed telemetry report — the only place a summary is
-    /// assembled.
+    /// Summarises a run report — the only place a summary is assembled.
     pub fn of(report: &RunReport) -> Summary {
         let model = model_obs::inspect(report);
         let v = &report.validator;

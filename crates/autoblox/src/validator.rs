@@ -194,9 +194,9 @@ impl SimAggregate {
 
 /// Snapshot of one validator's cache and simulator activity.
 ///
-/// `simulator_runs` and `shard_entries` are always exact; the remaining
-/// counters accumulate only while telemetry is enabled (see the `telemetry`
-/// crate) and read zero otherwise. Cache misses are deterministic for a
+/// `simulator_runs` is always exact; the remaining counters accumulate
+/// only while telemetry is enabled (see the `telemetry` crate) and read
+/// zero otherwise. Cache misses are deterministic for a
 /// given evaluation set; under concurrency the split between `cache_hits`
 /// and `dedup_waits` depends on timing, but their sum is deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -209,16 +209,8 @@ pub struct ValidatorStats {
     pub cache_misses: u64,
     /// Probes that blocked on another thread's in-flight evaluation.
     pub dedup_waits: u64,
-    /// Validation traces generated (not served from the trace cache).
-    pub trace_builds: u64,
-    /// Time spent generating validation traces, ns.
-    pub trace_build_ns: u64,
     /// Time spent inside uncached simulator evaluations, ns.
     pub simulate_ns: u64,
-    /// Cache probes per shard (contention/distribution diagnostic).
-    pub shard_probes: [u64; CACHE_SHARDS],
-    /// Memoized entries currently resident per shard.
-    pub shard_entries: [u64; CACHE_SHARDS],
     /// Inert, always 0; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
     pub speculative_runs: u64,
     /// Inert, always 0; kept until a `benchmark` PR retires it (ROADMAP 7(d)).
@@ -236,10 +228,7 @@ struct ValidatorCounters {
     hits: Counter,
     misses: Counter,
     dedup_waits: Counter,
-    trace_builds: Counter,
-    trace_build_ns: Counter,
     simulate_ns: Counter,
-    shard_probes: [Counter; CACHE_SHARDS],
     sim_agg: Mutex<SimAggregate>,
 }
 
@@ -371,14 +360,7 @@ impl Validator {
             "validator.trace_build",
             telemetry::span::key_str(kind.name()),
         );
-        let built = telemetry::start();
         let fresh = Arc::new(kind.spec().generate(self.opts.trace_events, self.opts.seed));
-        if telemetry::enabled() {
-            self.counters.trace_builds.inc();
-            self.counters
-                .trace_build_ns
-                .add(telemetry::elapsed_ns(built));
-        }
         let mut traces = self.traces.write();
         Arc::clone(traces.entry(kind.name().to_string()).or_insert(fresh))
     }
@@ -394,11 +376,7 @@ impl Validator {
     pub fn evaluate_trace(&self, cfg: &SsdConfig, trace: &Trace) -> Measurement {
         let instrument = telemetry::enabled();
         let key = (ConfigKey::of(cfg), trace.name().to_string());
-        let shard_idx = key.0.shard();
-        let shard = &self.shards[shard_idx];
-        if instrument {
-            self.counters.shard_probes[shard_idx].inc();
-        }
+        let shard = &self.shards[key.0.shard()];
         if let Some(cell) = shard.read().get(&key) {
             if let Some(m) = cell.get() {
                 if instrument {
@@ -561,26 +539,16 @@ impl Validator {
 
     /// Snapshot of this validator's cache and simulator activity.
     ///
-    /// `simulator_runs` and `shard_entries` are exact regardless of the
-    /// telemetry switch; the remaining counters are zero unless telemetry
-    /// was enabled while the validator ran.
+    /// `simulator_runs` is exact regardless of the telemetry switch; the
+    /// remaining counters are zero unless telemetry was enabled while the
+    /// validator ran.
     pub fn stats(&self) -> ValidatorStats {
-        let mut shard_probes = [0u64; CACHE_SHARDS];
-        let mut shard_entries = [0u64; CACHE_SHARDS];
-        for i in 0..CACHE_SHARDS {
-            shard_probes[i] = self.counters.shard_probes[i].get();
-            shard_entries[i] = self.shards[i].read().len() as u64;
-        }
         ValidatorStats {
             simulator_runs: self.simulator_runs(),
             cache_hits: self.counters.hits.get(),
             cache_misses: self.counters.misses.get(),
             dedup_waits: self.counters.dedup_waits.get(),
-            trace_builds: self.counters.trace_builds.get(),
-            trace_build_ns: self.counters.trace_build_ns.get(),
             simulate_ns: self.counters.simulate_ns.get(),
-            shard_probes,
-            shard_entries,
             sim: *self.counters.sim_agg.lock(),
             ..Default::default()
         }

@@ -5,14 +5,15 @@
 //! `--db` store, a report fed to `explain`), run once per variant: one per
 //! `AUTOBLOX_THREADS` width in `widths`. Per step `Row::run` checks the
 //! exit code (a refusal, exit 2, prints nothing on stdout), stdout/stderr
-//! substrings, that the step's `--telemetry` report passes
-//! `RunReport::parse_checked`, and the report against a golden (see
-//! [`assert_matches_golden`]). Across variants it checks the outputs a step
+//! substrings, that the step's `--journal` reads back line by line, and the
+//! run it folds to against a fixture (see [`assert_matches_golden`]). Across variants it checks the outputs a step
 //! marks identical, the host-independent validator counters
 //! (`simulator_runs`, `cache_misses`, `cache_hits + dedup_waits`) and the
 //! tuner's iteration records with their wall-clock fields masked. What only
 //! one row claims is asserted in its test after `Row::run` returned.
 
+use autoblox::explain::Explain;
+use autoblox::journal::read_lines;
 use autoblox::report::Summary;
 use autoblox::telemetry::RunReport;
 use autoblox::validator::ValidatorStats;
@@ -37,7 +38,8 @@ struct Step {
     same_stdout: bool,
     /// Scratch-directory files byte-identical in every variant.
     same_files: Vec<&'static str>,
-    /// `scripts/golden/<name>.json`, which the step's telemetry must match.
+    /// `tests/fixtures/explain/<name>.json`, whose summary the step's
+    /// journal must match.
     golden: Option<&'static str>,
 }
 
@@ -75,7 +77,7 @@ struct Variant {
     dir: PathBuf,
     /// One output per step.
     outputs: Vec<Output>,
-    /// The telemetry report of each step that wrote one.
+    /// The fold of each step's journal, if it wrote one.
     reports: Vec<Option<RunReport>>,
 }
 
@@ -99,11 +101,11 @@ impl Variant {
     }
 
     fn validator(&self, step: usize) -> &ValidatorStats {
-        &self.reports[step].as_ref().expect("telemetry").validator
+        &self.reports[step].as_ref().expect("journal").validator
     }
 
     fn summary(&self, step: usize) -> Summary {
-        Summary::of(self.reports[step].as_ref().expect("telemetry"))
+        Summary::of(self.reports[step].as_ref().expect("journal"))
     }
 }
 
@@ -142,17 +144,18 @@ fn assert_calibrated_and_cached(baseline: &Summary, candidate: &Summary, at: &st
     );
 }
 
-/// The run summary of `report` against `scripts/golden/<name>.json`'s: the
-/// best grade, the simulator runs, the p95/p99 latency, every bottleneck
-/// share and the ±1σ calibration coverage are equal; wall clock is not
-/// compared, and the cache hit rate only within its drop bound.
+/// The run summary of `report` against the `summary` of
+/// `tests/fixtures/explain/<name>.json`: the best grade, the simulator runs,
+/// the p95/p99 latency, every bottleneck share and the ±1σ calibration
+/// coverage are equal; wall clock is not compared, and the cache hit rate
+/// only within its drop bound.
 fn assert_matches_golden(name: &str, report: &RunReport, at: &str) {
     let path = format!(
-        "{}/../../scripts/golden/{name}.json",
+        "{}/tests/fixtures/explain/{name}.json",
         env!("CARGO_MANIFEST_DIR")
     );
-    let golden: RunReport = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let (g, s) = (Summary::of(&golden), Summary::of(report));
+    let fixture: Explain = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let (g, s) = (fixture.summary, Summary::of(report));
     let at = format!("{at} against {name}");
     assert_eq!(s.best_grade, g.best_grade, "{at}: best grade");
     assert_eq!(s.simulator_runs, g.simulator_runs, "{at}: simulator runs");
@@ -184,7 +187,7 @@ fn deterministic_part(report: &RunReport) -> ([u64; 3], String) {
         v.cache_misses,
         v.cache_hits + v.dedup_waits,
     ];
-    (counters, serde_json::to_string(&tuner).unwrap())
+    (counters, format!("{tuner:?}"))
 }
 
 impl Row {
@@ -231,10 +234,12 @@ impl Row {
                 for s in &step.absent {
                     assert!(!stdout.contains(s) && !stderr.contains(s), "{at}: {s:?}");
                 }
-                let tel = args.iter().position(|a| *a == "--telemetry");
-                let report = tel.map(|i| {
-                    let r = RunReport::parse_checked(&v.read(args[i + 1]))
+                let journal = args.iter().position(|a| *a == "--journal");
+                let report = journal.map(|i| {
+                    let lines = read_lines(&v.read(args[i + 1]))
+                        .collect::<Result<Vec<_>, _>>()
                         .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    let r = RunReport::fold(&lines);
                     if let Some(name) = step.golden {
                         assert_matches_golden(name, &r, &at);
                     }
@@ -266,7 +271,7 @@ impl Row {
     }
 }
 
-/// A tune at every width prints one configuration, matches the golden,
+/// A tune at every width prints one configuration, matches its fixture,
 /// charges the same simulations and records the same surrogate trajectory.
 /// That the model-observatory fields are real, not vacuous, is checked in
 /// `model_obs.rs`.
@@ -277,7 +282,7 @@ fn tune_is_identical_at_every_width() {
         steps: vec![Step {
             same_stdout: true,
             golden: Some("telemetry-database"),
-            ..step("tune database --iterations 3 --events 300 --telemetry tel.json")
+            ..step("tune database --iterations 3 --events 300 --journal run.jsonl")
         }],
         ..ROW
     }
@@ -288,7 +293,7 @@ fn tune_is_identical_at_every_width() {
 }
 
 /// The hybrid SLC/QLC family end to end: the same tuned configuration,
-/// still hybrid, at every width, and the family golden.
+/// still hybrid, at every width, and the family fixture.
 #[test]
 fn hybrid_tune_is_identical_at_every_width() {
     Row {
@@ -299,7 +304,7 @@ fn hybrid_tune_is_identical_at_every_width() {
             golden: Some("family-smoke"),
             ..step(
                 "tune database --iterations 3 --events 300 --flash qlc --family hybrid \
-                 --telemetry tel.json",
+                 --journal run.jsonl",
             )
         }],
         ..ROW
@@ -312,15 +317,15 @@ fn hybrid_tune_is_identical_at_every_width() {
 /// summary keeps the fresh run's best grade and ±1σ coverage.
 #[test]
 fn replay_is_byte_identical_at_every_width() {
-    let tune = |tel| Step {
+    let tune = |journal| Step {
         same_stdout: true,
         ..step(&format!(
-            "tune database --iterations 4 --events 300 --db m.db --telemetry {tel}"
+            "tune database --iterations 4 --events 300 --db m.db --journal {journal}"
         ))
     };
     let variants = Row {
         widths: &[1, 4],
-        steps: vec![tune("fresh.json"), tune("replay.json")],
+        steps: vec![tune("fresh.jsonl"), tune("replay.jsonl")],
         ..ROW
     }
     .run("replay");
@@ -342,25 +347,22 @@ fn replay_is_byte_identical_at_every_width() {
     }
 }
 
-/// One report explained: `explain` renders the bottleneck shares and both
-/// model views in text, and in JSON names both schemas.
+/// One journal explained: `explain` renders the bottleneck shares and both
+/// model views in text, and in JSON names its schema.
 #[test]
 fn explain_renders_one_report() {
     let views = ["dominant", "calibration over", "decision timeline"];
     Row {
         steps: vec![
-            step("tune database --iterations 6 --events 300 --telemetry cand.json"),
+            step("tune database --iterations 6 --events 300 --journal cand.jsonl"),
             Step {
                 stdout: views.to_vec(),
-                ..step("explain cand.json")
+                ..step("explain cand.jsonl")
             },
             Step {
-                stdout: vec![
-                    "\"autoblox.explain.v3\"",
-                    "\"autoblox.telemetry.v3\"",
-                    "\"timeline\"",
-                ],
-                ..step("explain --json cand.json")
+                stdout: vec!["\"autoblox.explain.v4\"", "\"timeline\""],
+                absent: vec!["autoblox.telemetry"],
+                ..step("explain --json cand.jsonl")
             },
         ],
         ..ROW

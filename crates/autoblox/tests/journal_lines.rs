@@ -16,15 +16,16 @@
 //!
 //! This build must print the same bytes for that journal, and a fresh
 //! journal of the same tune must carry the same lines once the members that
-//! vary by host are masked. The fresh journal must also fold to the phases
-//! and tuning runs of the report the same command wrote, its one `tune`
-//! line agreeing with the report's run.
+//! vary by host are masked. The fresh journal must also fold to one run
+//! whose `tune` and `stats` lines agree.
 
 use autoblox::journal::{
-    IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, SummaryLine, TuneLine,
-    JOURNAL_SCHEMA,
+    IterationLine, JournalLine, MetaLine, ModelLine, Skipped, SpanLine, StatsLine, SummaryLine,
+    TuneLine, JOURNAL_SCHEMA,
 };
 use autoblox::telemetry::{PhaseRecord, RunReport};
+use autoblox::validator::ValidatorStats;
+use mlkit::parallel::PoolStats;
 use serde_json::Value;
 use ssdsim::BottleneckReport;
 use std::path::{Path, PathBuf};
@@ -101,6 +102,20 @@ fn every_kind() -> Vec<JournalLine> {
             name: "tune".to_string(),
             wall_ns: 123,
         }),
+        JournalLine::Stats(StatsLine {
+            validator: ValidatorStats {
+                simulator_runs: 12,
+                cache_hits: 3,
+                cache_misses: 12,
+                simulate_ns: 4_000,
+                ..Default::default()
+            },
+            pool: PoolStats {
+                batches: 2,
+                jobs: 4,
+                ..Default::default()
+            },
+        }),
         JournalLine::Summary(SummaryLine {
             spans_written: 10,
             events_written: 20,
@@ -120,7 +135,7 @@ fn every_kind_round_trips() {
     }
     tags.sort();
     tags.dedup();
-    assert_eq!(tags.len(), 7, "one line per kind: {tags:?}");
+    assert_eq!(tags.len(), 8, "one line per kind: {tags:?}");
 }
 
 /// `line` with its alphabetically first member removed, then mistyped.
@@ -211,15 +226,31 @@ fn the_parent_journal_reads_back_byte_for_byte() {
     std::fs::remove_file(out).ok();
 }
 
-/// Members whose values vary by host, clock or command line.
-const HOST_VARYING: [&str; 6] = [
+/// Members whose values vary by host, clock or command line, at any depth.
+const HOST_VARYING: [&str; 9] = [
     "start_ns",
     "dur_ns",
     "thread",
     "wall_ns",
     "surrogate_fit_ns",
     "argv",
+    "simulate_ns",
+    "busy_ns",
+    "worker_wall_ns",
 ];
+
+/// `value` with every [`HOST_VARYING`] member nulled.
+fn mask(value: &mut Value) {
+    if let Value::Object(members) = value {
+        for (key, v) in members.iter_mut() {
+            if HOST_VARYING.contains(&key.as_str()) {
+                *v = Value::Null;
+            } else {
+                mask(v);
+            }
+        }
+    }
+}
 
 /// A journal's lines, host-varying members nulled, sorted (the writer
 /// interleaves span lines with the others as it drains them).
@@ -227,15 +258,9 @@ fn masked_lines(journal: &str) -> Vec<String> {
     let mut lines: Vec<String> = journal
         .lines()
         .map(|line| {
-            let Ok(Value::Object(mut members)) = serde_json::from_str::<Value>(line) else {
-                panic!("not a JSON object: {line}");
-            };
-            for key in HOST_VARYING {
-                if let Some(v) = members.get_mut(key) {
-                    *v = Value::Null;
-                }
-            }
-            serde_json::to_string(&Value::Object(members)).unwrap()
+            let mut value: Value = serde_json::from_str(line).expect("a JSON line");
+            mask(&mut value);
+            serde_json::to_string(&value).unwrap()
         })
         .collect();
     lines.sort();
@@ -245,7 +270,7 @@ fn masked_lines(journal: &str) -> Vec<String> {
 #[test]
 fn a_fresh_tune_journal_carries_the_parent_lines() {
     let parent = std::fs::read_to_string(fixture("journal.jsonl")).expect("fixture journal");
-    let (journal, telemetry) = (scratch("tune.jsonl"), scratch("tune.json"));
+    let journal = scratch("tune.jsonl");
     let run = autoblox(&[
         "tune",
         "database",
@@ -253,17 +278,12 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
         "3",
         "--events",
         "300",
-        "--telemetry",
-        telemetry.to_str().unwrap(),
         "--journal",
         journal.to_str().unwrap(),
     ]);
     assert!(run.status.success(), "{:?}", run.stderr);
     let ours = std::fs::read_to_string(&journal).expect("journal written");
-    let report = std::fs::read_to_string(&telemetry).expect("report written");
-    let report = RunReport::parse_checked(&report).expect("report parses");
     std::fs::remove_file(journal).ok();
-    std::fs::remove_file(telemetry).ok();
 
     let (ours_masked, parent_masked) = (masked_lines(&ours), masked_lines(&parent));
     assert_eq!(ours_masked.len(), parent_masked.len(), "line count");
@@ -271,31 +291,20 @@ fn a_fresh_tune_journal_carries_the_parent_lines() {
         assert_eq!(a, b);
     }
 
-    // The journal folds to the report's phases and tuning runs: the two
-    // are one recording.
+    // The journal folds to its one run, and the run's `tune` line and the
+    // closing `stats` line count the same simulations.
     let lines: Vec<JournalLine> = ours
         .lines()
         .map(|line| JournalLine::parse(line).expect("every line parses"))
         .collect();
-    let folded = RunReport::fold(&lines);
-    assert_eq!(folded.phases, report.phases, "phases");
-    assert_eq!(folded.tuner, report.tuner, "tuning runs");
-    assert_eq!(report.tuner.len(), 1);
-    let tunes: Vec<&TuneLine> = lines
-        .iter()
-        .filter_map(|line| match line {
-            JournalLine::Tune(t) => Some(t),
-            _ => None,
-        })
-        .collect();
-    let [tune] = tunes.as_slice() else {
-        panic!("one tune line, not {}", tunes.len())
+    let report = RunReport::fold(&lines);
+    let [run] = report.tuner.as_slice() else {
+        panic!("one tuning run, not {}", report.tuner.len())
     };
-    let run = &report.tuner[0];
-    assert_eq!(
-        (&tune.workload, tune.iterations, tune.validations),
-        (&run.workload, run.iterations, run.validations)
-    );
-    assert_eq!(tune.best_grade.to_bits(), run.best_grade.to_bits());
-    assert_eq!(tune.iterations, 3);
+    assert_eq!((run.workload.as_str(), run.iterations), ("Database", 3));
+    assert_eq!(run.records.len(), 3);
+    assert_eq!(run.validations, report.validator.simulator_runs);
+    assert!(report.validator.cache_misses > 0);
+    assert_eq!(report.threads, 1);
+    assert_eq!(report.phases.len(), 1);
 }

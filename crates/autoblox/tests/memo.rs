@@ -9,7 +9,9 @@
 //! (`cli_contract.rs`).
 
 use autoblox::constraints::Constraints;
+use autoblox::journal::{read_lines, JournalLine};
 use autoblox::metrics::Measurement;
+use autoblox::telemetry::RunReport;
 use autoblox::tuner::{Tuner, TunerOptions, TuningTarget};
 use autoblox::validator::{Validator, ValidatorOptions};
 use autoblox::{AutoBlox, AutoBloxOptions, Summary};
@@ -40,14 +42,9 @@ fn autoblox(threads: usize, args: &[&str]) -> Output {
 }
 
 /// `tune database --events 300` against the store `db`: stdout, stderr and
-/// the telemetry report's validator section.
-fn tune_cli(
-    db: &Path,
-    threads: usize,
-    iterations: &str,
-    extra: &[&str],
-) -> (Vec<u8>, String, Value) {
-    let tel = db.with_extension("telemetry.json");
+/// the simulator runs its journal's `stats` line counts.
+fn tune_cli(db: &Path, threads: usize, iterations: &str, extra: &[&str]) -> (Vec<u8>, String, u64) {
+    let journal = db.with_extension("jsonl");
     let mut args = vec![
         "tune",
         "database",
@@ -57,19 +54,18 @@ fn tune_cli(
         "300",
         "--db",
         db.to_str().unwrap(),
-        "--telemetry",
-        tel.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
     ];
     args.extend_from_slice(extra);
     let out = autoblox(threads, &args);
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(out.status.success(), "{args:?}: {stderr}");
-    let report: Value = serde_json::from_str(&std::fs::read_to_string(&tel).unwrap()).unwrap();
-    (out.stdout, stderr, report["validator"].clone())
-}
-
-fn count(validator: &Value, key: &str) -> u64 {
-    validator[key].as_u64().expect("counter")
+    let lines: Vec<JournalLine> = read_lines(&std::fs::read_to_string(&journal).unwrap())
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let runs = RunReport::fold(&lines).validator.simulator_runs;
+    (out.stdout, stderr, runs)
 }
 
 /// A 2-iteration run followed by a 4-iteration run on one store lands on
@@ -81,15 +77,11 @@ fn iterations_2_then_4_simulates_only_the_tail() {
         let (full, _, full_runs) =
             tune_cli(&dir.join(format!("full-{threads}.db")), threads, "4", &[]);
         let db = dir.join(format!("resumed-{threads}.db"));
-        let (_, _, head) = tune_cli(&db, threads, "2", &[]);
-        let (resumed, stderr, tail) = tune_cli(&db, threads, "4", &[]);
+        let (_, _, head_runs) = tune_cli(&db, threads, "2", &[]);
+        let (resumed, stderr, tail_runs) = tune_cli(&db, threads, "4", &[]);
         assert_eq!(full, resumed, "threads={threads}");
-        let (full_runs, head_runs) = (
-            count(&full_runs, "simulator_runs"),
-            count(&head, "simulator_runs"),
-        );
         assert!(head_runs > 0 && head_runs < full_runs);
-        assert_eq!(count(&tail, "simulator_runs"), full_runs - head_runs);
+        assert_eq!(tail_runs, full_runs - head_runs);
         assert!(
             stderr.contains(&format!(
                 "{full_runs} validations, {head_runs} from the store"

@@ -1,7 +1,7 @@
 //! Device-observatory invariants: the bottleneck attribution must be a
 //! pure function of (config, trace) — bit-identical at any thread count —
 //! live even with telemetry off, and `explain` fingerprints must reproduce
-//! exactly from the same telemetry document.
+//! exactly from a run's journal.
 //!
 //! These tests toggle the process-wide telemetry switch, so every test
 //! that touches it serializes on one lock (test binaries run their tests
@@ -9,6 +9,7 @@
 
 use autoblox::constraints::Constraints;
 use autoblox::explain;
+use autoblox::journal::{read_lines, Journal, JournalLine};
 use autoblox::parallel;
 use autoblox::report::Summary;
 use autoblox::telemetry::{self, RunReport};
@@ -38,21 +39,35 @@ fn smoke_options() -> TunerOptions {
     }
 }
 
-/// Runs a telemetry-enabled smoke tune at the given thread count and
-/// returns its run report.
-fn observed_tune(threads: usize) -> RunReport {
+/// Runs a telemetry-enabled smoke tune at the given thread count, journaled
+/// as the CLI journals it, and returns the fold of the journal read back
+/// as `autoblox explain` reads it, and the report taken in process.
+fn observed_tune(threads: usize) -> (RunReport, RunReport) {
     parallel::set_max_threads(threads);
     telemetry::set_enabled(true);
-    autoblox::telemetry::global().clear();
+    let sink = autoblox::telemetry::global();
+    sink.clear();
+    let path = std::env::temp_dir().join(format!(
+        "abx-observatory-{}-t{threads}.jsonl",
+        std::process::id()
+    ));
+    let journal = Journal::create(path.to_str().unwrap()).expect("journal opens");
 
     let v = quick_validator(200);
     let tuner = Tuner::new(Constraints::paper_default(), &v, smoke_options());
-    autoblox::telemetry::global().phase("tune", || {
+    sink.phase("tune", || {
         tuner.tune(WorkloadKind::Database, &presets::intel_750(), &[], None)
     });
-    let report = autoblox::telemetry::global().report(Some(&v));
+    journal.finish(Some(&v)).expect("journal closes");
+    let in_process = sink.report(Some(&v));
     telemetry::set_enabled(false);
-    report
+
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    std::fs::remove_file(&path).ok();
+    let lines: Vec<JournalLine> = read_lines(&text)
+        .collect::<Result<_, _>>()
+        .expect("journal reads back");
+    (RunReport::fold(&lines), in_process)
 }
 
 /// With the telemetry switch off the always-on diagnostic counters still
@@ -81,26 +96,29 @@ fn attribution_is_live_with_telemetry_off() {
     assert!((frac_sum - 1.0).abs() < 1e-9, "shares cover the latency");
 }
 
-/// `explain` end-to-end: a telemetry document from a smoke tune must
-/// fingerprint reproducibly — the same document renders the same text,
-/// and documents produced at 1 and 4 threads fingerprint bit-identically,
-/// their aggregated bottleneck attributions included.
+/// `explain` end-to-end: the journal of a smoke tune must fingerprint
+/// reproducibly — it folds to the report taken in process, the same
+/// journal renders the same text, and journals written at 1 and 4 threads
+/// fingerprint bit-identically, their aggregated bottleneck attributions
+/// included.
 #[test]
 fn explain_fingerprint_reproduces_across_thread_counts() {
     let _guard = SWITCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
-    let serial_report = observed_tune(1);
-    let threaded_report = observed_tune(4);
+    let (serial_report, serial_in_process) = observed_tune(1);
+    let (threaded_report, _) = observed_tune(4);
     parallel::set_max_threads(0); // restore the default
     assert_eq!(serial_report.bottleneck, threaded_report.bottleneck);
+    assert!(serial_report.validator.simulator_runs > 0);
     // The single-report view also shows where the host's time went; blank
     // those fields so the comparison is about the run, not the machine.
     let (serial_report, threaded_report) = (timeless(serial_report), timeless(threaded_report));
-
-    // Round-trip through the on-disk format, as `autoblox explain` does.
-    let json = serde_json::to_string_pretty(&serial_report).expect("report serializes");
-    let parsed = RunReport::parse_checked(&json).expect("report parses");
-    let fp = explain::explain(&parsed);
+    assert_eq!(
+        serial_report,
+        timeless(serial_in_process),
+        "the journal folds to the in-process report"
+    );
+    let fp = explain::explain(&serial_report);
 
     assert!(fp.summary.bottleneck.total_latency_ns > 0);
     assert!(!fp.dominant.is_empty());

@@ -1,41 +1,53 @@
 //! `explain` prints what the parent build printed.
 //!
-//! `tests/fixtures/explain/<golden>.json` holds what `explain --json`
-//! printed for each report golden under `scripts/golden/` when the parent
-//! build — the one that last re-recorded them — wrote it. From
-//! `crates/autoblox`:
+//! `tests/fixtures/explain/<run>.json` holds what `explain --json` printed
+//! for the journal of each pinned run when the parent build — the one that
+//! last re-recorded them — wrote it. From `crates/autoblox`:
 //!
 //! ```text
-//! autoblox explain --json ../../scripts/golden/<golden>.json \
-//!     > tests/fixtures/explain/<golden>.json
+//! AUTOBLOX_THREADS=1 autoblox tune database --iterations 3 --events 300 \
+//!     --journal tests/fixtures/tune_journal/journal.jsonl
+//! autoblox explain --json tests/fixtures/tune_journal/journal.jsonl \
+//!     > tests/fixtures/explain/telemetry-database.json
+//! AUTOBLOX_THREADS=1 autoblox tune database --iterations 3 --events 300 \
+//!     --flash qlc --family hybrid --journal family-smoke.jsonl
+//! autoblox explain --json family-smoke.jsonl > tests/fixtures/explain/family-smoke.json
 //! ```
 //!
-//! This build must print the same bytes: the summary, phases, bottleneck
-//! shares and the model document with its calibration and decision
-//! timeline.
+//! This build must print the same bytes for the kept `telemetry-database`
+//! journal: the summary, phases, bottleneck shares and the model document
+//! with its calibration and decision timeline. The CLI contract holds a
+//! fresh run of each to its fixture's summary.
 //!
 //! The same file holds the CLI contract of the reader commands and of the
 //! writers' inputs: malformed input of every kind is a one-line exit-2
 //! error, retired commands and mistyped flags are usage errors.
 
+use autoblox::explain::{render, Explain};
 use autoblox::journal::{
-    IterationLine, JournalLine, MetaLine, ModelLine, SummaryLine, JOURNAL_SCHEMA,
+    IterationLine, JournalLine, MetaLine, ModelLine, StatsLine, SummaryLine, TuneLine,
+    JOURNAL_SCHEMA,
 };
-use autoblox::report::Summary;
-use autoblox::telemetry::{PhaseRecord, RunReport};
+use autoblox::telemetry::PhaseRecord;
+use autoblox::validator::ValidatorStats;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const GOLDENS: [&str; 2] = ["telemetry-database", "family-smoke"];
+const RUNS: [&str; 2] = ["telemetry-database", "family-smoke"];
 
-fn golden_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scripts/golden/{name}.json"))
+fn fixture_path(path: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(path)
 }
 
-fn golden(name: &str) -> RunReport {
-    let json = std::fs::read_to_string(golden_path(name)).expect("golden readable");
-    RunReport::parse_checked(&json).expect("golden parses")
+/// The `explain --json` document pinned for `run`.
+fn fixture(run: &str) -> (String, Explain) {
+    let json = std::fs::read_to_string(fixture_path(&format!("explain/{run}.json")))
+        .expect("explain fixture");
+    let doc = serde_json::from_str(&json).expect("explain fixture parses");
+    (json, doc)
 }
 
 fn autoblox(args: &[&str]) -> Output {
@@ -47,41 +59,31 @@ fn autoblox(args: &[&str]) -> Output {
 
 #[test]
 fn single_report_views_reproduce_the_parent() {
-    for name in GOLDENS {
-        let path = golden_path(name);
-        let out = autoblox(&["explain", "--json", path.to_str().unwrap()]);
-        assert!(out.status.success(), "{name}: {:?}", out.stderr);
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("tests/fixtures/explain/{name}.json"));
-        let parent = std::fs::read_to_string(fixture).expect("explain fixture");
-        let ours = String::from_utf8(out.stdout).expect("UTF-8");
-        if ours != parent {
-            let line = ours.lines().zip(parent.lines()).position(|(a, b)| a != b);
-            panic!("{name}: `explain --json` differs from the parent's at line {line:?}");
-        }
-        // Both goldens are stalled searches whose two model-picked
-        // decisions were ties.
-        let out = autoblox(&["explain", path.to_str().unwrap()]);
-        let text = String::from_utf8(out.stdout).expect("UTF-8");
+    let journal = fixture_path("tune_journal/journal.jsonl");
+    let out = autoblox(&["explain", "--json", journal.to_str().unwrap()]);
+    assert!(out.status.success(), "{:?}", out.stderr);
+    let ours = String::from_utf8(out.stdout).expect("UTF-8");
+    let (parent, _) = fixture("telemetry-database");
+    if ours != parent {
+        let line = ours.lines().zip(parent.lines()).position(|(a, b)| a != b);
+        panic!("`explain --json` differs from the parent's at line {line:?}");
+    }
+    // Both runs are stalled searches whose two model-picked decisions were
+    // ties.
+    for run in RUNS {
+        let text = render(&fixture(run).1);
         assert!(
             text.contains("  2 of 2 decisions were ties, picked by candidate order\n"),
-            "{name}: {text}"
+            "{run}: {text}"
         );
-        assert!(text.contains("stalled at the reference"), "{name}: {text}");
+        assert!(text.contains("stalled at the reference"), "{run}: {text}");
     }
 }
 
 // --- CLI contract of the reader commands ---------------------------------
 
-/// What a reader command is handed.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Kind {
-    Report,
-    Journal,
-}
-
 /// A small complete journal: meta, a phase, an iteration with its model
-/// line and the summary.
+/// line, the tune that closes it, the stats and the summary.
 fn journal() -> String {
     let lines = [
         JournalLine::Meta(MetaLine {
@@ -109,8 +111,21 @@ fn journal() -> String {
             realized_grade: 0.5,
             ..Default::default()
         }),
+        JournalLine::Tune(TuneLine {
+            workload: "Database".to_string(),
+            iterations: 1,
+            validations: 7,
+            best_grade: 0.5,
+        }),
+        JournalLine::Stats(StatsLine {
+            validator: ValidatorStats {
+                simulator_runs: 7,
+                ..Default::default()
+            },
+            ..Default::default()
+        }),
         JournalLine::Summary(SummaryLine {
-            events_written: 2,
+            events_written: 5,
             ..Default::default()
         }),
     ];
@@ -149,119 +164,106 @@ fn set(doc: &mut Value, path: &[&str], value: Value) {
     map.insert(last.to_string(), value);
 }
 
-/// Every command that loads a report or journal turns truncated,
-/// wrong-schema, wrong-kind and wrong-typed input into exit 2 and one
-/// stderr line naming the damage — never a panic. A report or journal is
-/// read only at the schema this build writes. The AutoDB store `tune --db` reads is held to its own
-/// rules: a store cut inside its last record is a crash's torn tail, read
-/// as the records before it; an undecodable `memo:` record is a miss; a
-/// bad line anywhere else is exit 2 and one line. A store the retired run
-/// registry also wrote `run:` records into replays in full and keeps them.
+/// Every command that loads a journal turns truncated, wrong-schema,
+/// wrong-kind and wrong-typed input into exit 2 and one stderr line naming
+/// the damage — never a panic. A journal is read only at the schema this
+/// build writes; one cut between lines before its `stats` line is a
+/// crash's output and reads as what it holds. The AutoDB store `tune --db`
+/// reads is held to its own rules: a store cut inside its last record is a
+/// crash's torn tail, read as the records before it; an undecodable
+/// `memo:` record is a miss; a bad line anywhere else is exit 2 and one
+/// line. A store the retired run registry also wrote `run:` records into
+/// replays in full and keeps them.
 #[test]
 fn malformed_input_is_a_clean_cli_error_for_every_reader() {
     let dir = std::env::temp_dir().join(format!("abx-readers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let report_json = std::fs::read_to_string(golden_path("telemetry-database")).unwrap();
-    let mutated_report = |path: &[&str], value: Value| {
-        let mut doc: Value = serde_json::from_str(&report_json).unwrap();
-        set(&mut doc, path, value);
-        serde_json::to_string_pretty(&doc).unwrap().into_bytes()
-    };
     let str_value = |s: &str| Value::Str(s.to_string());
-
-    let report_tagged = |schema: &str| mutated_report(&["schema"], str_value(schema));
+    let valid = journal();
+    let tagged = |schema: &str| valid.replace(JOURNAL_SCHEMA, schema).into_bytes();
     let progress = r#"{"iteration":3,"percent":0.4375,"t":"progress","total":8}"#;
+    let stats_at = valid
+        .lines()
+        .position(|l| l.contains(r#""t":"stats""#))
+        .unwrap();
+    assert_eq!(valid.matches(r#""cache_hits":0"#).count(), 1);
+    let stats_named = format!("journal line {}: `stats` line", stats_at + 1);
 
-    // (kind, valid input, [(damage, input, what the one stderr line names)])
-    let inputs = [
+    // (damage, input, what the one stderr line names)
+    let hostile = [
         (
-            Kind::Report,
-            report_json.clone().into_bytes(),
-            vec![
-                (
-                    "schema v0",
-                    report_tagged("autoblox.telemetry.v0"),
-                    "`autoblox.telemetry.v0`",
-                ),
-                (
-                    "schema v1",
-                    report_tagged("autoblox.telemetry.v1"),
-                    "`autoblox.telemetry.v1`",
-                ),
-                (
-                    "schema v2",
-                    report_tagged("autoblox.telemetry.v2"),
-                    "`autoblox.telemetry.v2`",
-                ),
-                (
-                    "schema v4",
-                    report_tagged("autoblox.telemetry.v4"),
-                    "`autoblox.telemetry.v4`",
-                ),
-                (
-                    "wrong field type",
-                    mutated_report(&["validator", "cache_hits"], str_value("lots")),
-                    "`validator.cache_hits",
-                ),
-            ],
+            "foreign schema",
+            tagged("somethingelse.v9"),
+            "`somethingelse.v9`",
         ),
         (
-            Kind::Journal,
-            journal().into_bytes(),
-            vec![
-                (
-                    "foreign schema",
-                    journal()
-                        .replace(JOURNAL_SCHEMA, "somethingelse.v9")
-                        .into_bytes(),
-                    "`somethingelse.v9`",
-                ),
-                (
-                    "schema v2",
-                    journal()
-                        .replace(JOURNAL_SCHEMA, "autoblox.journal.v2")
-                        .into_bytes(),
-                    "`autoblox.journal.v2`",
-                ),
-                (
-                    "retired line kind",
-                    (journal() + progress + "\n").into_bytes(),
-                    "unknown line kind `progress`",
-                ),
-                (
-                    "wrong field type",
-                    journal()
-                        .replace(r#""iteration":1"#, r#""iteration":"one""#)
-                        .into_bytes(),
-                    "`iteration` line",
-                ),
-            ],
+            "schema v1",
+            tagged("autoblox.journal.v1"),
+            "`autoblox.journal.v1` is not read by this build (expected \
+             `autoblox.journal.v2`); re-record the journal",
         ),
+        (
+            "retired line kind",
+            (valid.clone() + progress + "\n").into_bytes(),
+            "unknown line kind `progress`",
+        ),
+        (
+            "wrong field type",
+            valid
+                .replace(r#""iteration":1"#, r#""iteration":"one""#)
+                .into_bytes(),
+            "`iteration` line",
+        ),
+        (
+            "wrong-typed stats member",
+            valid
+                .replace(r#""cache_hits":0"#, r#""cache_hits":"lots""#)
+                .into_bytes(),
+            stats_named.as_str(),
+        ),
+        (
+            "no meta line",
+            valid
+                .lines()
+                .skip(1)
+                .map(|l| l.to_string() + "\n")
+                .collect::<String>()
+                .into_bytes(),
+            "journal line 1: a journal starts with its `meta` line",
+        ),
+        // Not an empty run: no journal line at all.
+        ("empty file", Vec::new(), "journal"),
     ];
+    // Cut between lines before the `stats` line: a crash's journal.
+    let crashed: String = valid
+        .lines()
+        .take(stats_at)
+        .map(|l| l.to_string() + "\n")
+        .collect();
 
     let input = dir.join("input");
     let input = input.to_str().unwrap();
     let out_file = dir.join("out");
     let out_file = out_file.to_str().unwrap();
-    let readers: [(Vec<&str>, Kind); 2] = [
-        (vec!["explain", input], Kind::Report),
-        (
-            vec!["trace", "export", "--chrome", input, out_file],
-            Kind::Journal,
-        ),
+    let readers: [Vec<&str>; 2] = [
+        vec!["explain", input],
+        vec!["trace", "export", "--chrome", input, out_file],
     ];
 
-    for (args, kind) in &readers {
-        let (_, valid, hostile) = inputs.iter().find(|(k, ..)| k == kind).expect("inputs");
+    for args in &readers {
         let run = |bytes: &[u8]| {
             std::fs::write(input, bytes).unwrap();
             let out = autoblox(args);
             let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-            (out.status.code(), stderr)
+            (
+                out.status.code(),
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                stderr,
+            )
         };
         let rejected = |label: &str, bytes: &[u8]| {
-            let (code, stderr) = run(bytes);
+            let (code, _, stderr) = run(bytes);
             let lines = stderr.lines().filter(|l| !l.trim().is_empty()).count();
             assert_eq!(code, Some(2), "{args:?} on {label}: {stderr}");
             assert_eq!(lines, 1, "{args:?} on {label}: {stderr}");
@@ -269,19 +271,29 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
         };
         // The intact input is accepted, so a rejection below is about the
         // damage and nothing else.
-        let (code, stderr) = run(valid);
+        let (code, stdout, stderr) = run(valid.as_bytes());
         assert_eq!(code, Some(0), "{args:?} on valid input: {stderr}");
-        for (i, cut) in truncations(valid).iter().enumerate() {
+        let (code, crash_stdout, stderr) = run(crashed.as_bytes());
+        assert_eq!(code, Some(0), "{args:?} on a crashed run: {stderr}");
+        if args[0] == "explain" {
+            assert!(stdout.contains("  validations: 7 "), "{stdout}");
+            assert!(crash_stdout.contains("  validations: 0 "), "{crash_stdout}");
+            assert!(
+                crash_stdout.contains("model observatory — Database"),
+                "{crash_stdout}"
+            );
+        }
+        for (i, cut) in truncations(valid.as_bytes()).iter().enumerate() {
             rejected(&format!("truncation {i}"), cut);
         }
-        for (label, bytes, named) in hostile {
+        for (label, bytes, named) in &hostile {
             let stderr = rejected(label, bytes);
             assert!(stderr.contains(named), "{args:?} on {label}: {stderr}");
         }
     }
     // A missing file is the same one-line input error.
     std::fs::remove_file(input).unwrap();
-    for (args, ..) in &readers {
+    for args in &readers {
         let out = autoblox(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
@@ -301,7 +313,7 @@ fn malformed_input_is_a_clean_cli_error_for_every_reader() {
         "--db",
         input,
     ];
-    let mut summary = serde_json::to_value(Summary::of(&golden("telemetry-database"))).unwrap();
+    let mut summary = serde_json::to_value(fixture("telemetry-database").1.summary).unwrap();
     set(&mut summary, &["schema"], str_value("autoblox.runs.v1"));
     let run_keys = ["run:Database:000001", "run:Database:000002"];
     let db = autodb::Store::open(input).expect("store opens");
@@ -381,7 +393,7 @@ fn usage_error(args: &[&str]) -> String {
 
 #[test]
 fn retired_commands_exit_2_with_the_usage_text() {
-    let g = golden_path("telemetry-database");
+    let g = fixture_path("tune_journal/journal.jsonl");
     let g = g.to_str().unwrap();
     for args in [
         vec!["inspect", g],
@@ -397,7 +409,7 @@ fn retired_commands_exit_2_with_the_usage_text() {
     ] {
         let stderr = usage_error(&args);
         assert!(stderr.starts_with("usage: autoblox <command>"), "{stderr}");
-        assert!(stderr.contains("explain  <telemetry.json>"), "{stderr}");
+        assert!(stderr.contains("explain  <journal.jsonl>"), "{stderr}");
         for retired in [
             "inspect  ",
             "watch",
@@ -409,6 +421,7 @@ fn retired_commands_exit_2_with_the_usage_text() {
             "--ignore",
             "--record",
             "--csv",
+            "--telemetry",
             "importance",
         ] {
             assert!(!stderr.contains(retired), "{retired}: {stderr}");
@@ -427,6 +440,14 @@ fn retired_commands_exit_2_with_the_usage_text() {
         (
             vec!["tune", "database", "--speculate", "2"],
             "error: unknown tune flag \"--speculate\"",
+        ),
+        (
+            vec!["tune", "database", "--telemetry", "x.json"],
+            "error: unknown tune flag \"--telemetry\"",
+        ),
+        (
+            vec!["whatif", "database", "--telemetry", "x.json"],
+            "error: unknown whatif flag \"--telemetry\"",
         ),
         (
             vec!["trace", "export", "--csv", "j", "out"],
